@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use relaxreplay::prof::CodecPhases;
 use relaxreplay::wire::{
-    decode_chunked, decode_chunked_into, decode_chunked_profiled, decode_chunked_reference,
+    decode_chunked, decode_chunked_into, decode_chunked_probed, decode_chunked_reference,
     encode_chunked, encode_chunked_with_version, read_rrlog, ChunkedReader, ChunkedWriter,
     DecodeScratch, DEFAULT_CHUNK_BYTES, MIN_VERSION, VERSION,
 };
@@ -219,7 +219,7 @@ fn bench_decode_row(smoke: bool, out: &mut Vec<Sample>, tag: &str, entries: usiz
     );
     drop(reused); // keep the profiled pass's peak footprint to one output log
     let mut phases = CodecPhases::default();
-    std::hint::black_box(decode_chunked_profiled(bytes, &mut phases).expect("decodes"));
+    std::hint::black_box(decode_chunked_probed(bytes, &mut phases).expect("decodes"));
     println!("{:<28} {}", format!("  phases/{tag}"), phases.summary());
     out.last_mut().expect("just pushed").phases = Some(phases);
 }
@@ -378,9 +378,10 @@ fn reference_check() -> Result<usize, String> {
                 path.display()
             ));
         }
-        // The profiled decoder is a separate walk — gate its parity too.
+        // A probe must not change what the walk returns — gate its parity
+        // too.
         let mut phases = CodecPhases::default();
-        let profiled = decode_chunked_profiled(&bytes, &mut phases);
+        let profiled = decode_chunked_probed(&bytes, &mut phases);
         if profiled != fast {
             return Err(format!(
                 "{}: profiled decoder disagrees with the fast decoder",

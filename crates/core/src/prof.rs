@@ -3,16 +3,23 @@
 //! The trace layer ([`crate::trace`]) observes the *simulated machine*;
 //! this module observes the *replayer and codec themselves*: where host
 //! wall-clock goes inside the multithreaded replay engine
-//! (`rr_replay::prof`) and inside the `.rrlog` decode hot path
-//! ([`crate::wire::decode_chunked_profiled`]).
+//! (`rr_replay::replay_threaded_probed`) and inside the `.rrlog` decode
+//! hot path ([`crate::wire::decode_chunked_probed`]).
 //!
-//! Profiling is strictly a side channel: the profiled code paths are
-//! *separate functions* from the production paths, so the disabled case
-//! costs nothing, and the profiled variants produce bit-identical outputs
-//! (asserted by `tests/observability.rs` and the codec bench's
-//! differential gate). All numbers here are host wall-clock nanoseconds —
-//! like [`PhaseNanos`](https://docs.rs/), they are excluded from every
-//! determinism comparison.
+//! Instrumentation is a type parameter, not a second copy of the code:
+//! the production paths are generic over a [`Probe`], and the plain entry
+//! points pass `()`, the zero-sized probe whose hooks are all empty and
+//! whose [`Probe::ENABLED`] is `false`. With `()` the instrumented paths
+//! read no clock and take no extra lock, so profiling off compiles to the
+//! uninstrumented code; with a real probe the *same* code runs, so the
+//! profile describes the replay that ships. Outputs are bit-identical
+//! either way (asserted by `tests/observability.rs` and the codec
+//! bench's differential gate). All numbers here are host wall-clock
+//! nanoseconds, excluded from every determinism comparison.
+//!
+//! Three probes ship: [`EngineProf`] (per-worker engine timelines),
+//! [`CodecPhases`] (decode phase timings) and [`TraceRing`] (the
+//! sequential replayer's scheduling events, for divergence forensics).
 //!
 //! Three artifact shapes come out of the subsystem:
 //!
@@ -26,7 +33,7 @@
 
 use std::fmt::Write as _;
 
-use crate::trace::json;
+use crate::trace::{json, TraceEvent, TraceRing};
 
 /// Current prof-sidecar schema identifier.
 pub const PROF_SCHEMA: &str = "rr-prof/v1";
@@ -36,15 +43,98 @@ pub const PROF_SCHEMA: &str = "rr-prof/v1";
 pub const SPAN_CAP: usize = 1 << 20;
 
 // ---------------------------------------------------------------------------
+// The probe parameter
+// ---------------------------------------------------------------------------
+
+/// Instrumentation hooks for the replay engines and the strict chunk
+/// decoder, passed to them as a type parameter.
+///
+/// Every hook has an empty default body; a probe overrides only what it
+/// records. `()` is the "profiling off" probe: zero-sized, every hook
+/// empty, [`Probe::ENABLED`] `false`.
+pub trait Probe: Sized {
+    /// Whether the probe records anything. The instrumented paths read
+    /// the clock, and test locks for contention, only when this is
+    /// `true`, so the `()` build does neither.
+    const ENABLED: bool = false;
+
+    /// A fresh probe for pool worker `worker` of the threaded engine. It
+    /// comes back through [`Probe::join`] once the worker exits.
+    fn fork(&self, _worker: usize) -> Self
+    where
+        Self: Default,
+    {
+        Self::default()
+    }
+
+    /// Takes back a worker's probe from [`Probe::fork`]; the engine joins
+    /// workers in index order.
+    fn join(&mut self, _worker: Self) {}
+
+    /// A threaded-engine worker finished a timed activity (ns since the
+    /// engine started). `core` and `node` are set for [`SpanKind::Exec`].
+    fn span(&mut self, _kind: SpanKind, _start_ns: u64, _dur_ns: u64, _core: u32, _node: u64) {}
+
+    /// A worker is about to take the shared ready-heap lock.
+    fn queue_lock(&mut self) {}
+
+    /// A worker took a core's state lock, which another worker held when
+    /// `contended`.
+    fn core_lock(&mut self, _contended: bool) {}
+
+    /// A worker popped a node with `depth` nodes (itself included) ready.
+    fn heap_depth(&mut self, _depth: usize) {}
+
+    /// A worker's interval failed to replay, `at_ns` after engine start.
+    fn replay_error(&mut self, _at_ns: u64) {}
+
+    /// The threaded engine joined its pool after `wall_ns`, having been
+    /// asked to execute `nodes` DAG nodes.
+    fn engine_done(&mut self, _nodes: usize, _wall_ns: u64) {}
+
+    /// The strict decoder spent `ns` in `phase`.
+    fn codec_phase(&mut self, _phase: CodecPhase, _ns: u64) {}
+
+    /// The strict decoder finished a chunk of `payload_bytes`.
+    fn chunk_decoded(&mut self, _payload_bytes: usize) {}
+
+    /// The sequential replayer made a scheduling decision, stamped with
+    /// the interval's recorded `timestamp`.
+    fn event(&mut self, _timestamp: u64, _event: TraceEvent) {}
+}
+
+/// Profiling off.
+impl Probe for () {}
+
+impl Probe for TraceRing {
+    const ENABLED: bool = true;
+
+    fn event(&mut self, timestamp: u64, event: TraceEvent) {
+        self.push(timestamp, event);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Codec phase timing
 // ---------------------------------------------------------------------------
+
+/// A timed phase of the strict chunk decoder.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CodecPhase {
+    /// Verifying a chunk's CRC.
+    Crc,
+    /// Batched varint entry decode.
+    Entries,
+    /// Reserving / growing the output entry buffer.
+    Reserve,
+}
 
 /// Wall-clock decomposition of a chunked `.rrlog` decode: CRC
 /// verification vs varint entry decode vs output-buffer reservation.
 ///
-/// Filled by [`crate::wire::decode_chunked_profiled`]; the `rr-bench`
-/// codec harness records it per size so throughput cliffs are
-/// attributable to a phase instead of a guess.
+/// The [`Probe`] the `rr-bench` codec harness passes to
+/// [`crate::wire::decode_chunked_probed`]; it records one per size so
+/// throughput cliffs are attributable to a phase instead of a guess.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodecPhases {
     /// Nanoseconds verifying chunk CRCs.
@@ -97,6 +187,23 @@ impl CodecPhases {
             "{{\"crc_ns\":{},\"entries_ns\":{},\"reserve_ns\":{},\"chunks\":{},\"payload_bytes\":{}}}",
             self.crc_ns, self.entries_ns, self.reserve_ns, self.chunks, self.payload_bytes
         )
+    }
+}
+
+impl Probe for CodecPhases {
+    const ENABLED: bool = true;
+
+    fn codec_phase(&mut self, phase: CodecPhase, ns: u64) {
+        match phase {
+            CodecPhase::Crc => self.crc_ns += ns,
+            CodecPhase::Entries => self.entries_ns += ns,
+            CodecPhase::Reserve => self.reserve_ns += ns,
+        }
+    }
+
+    fn chunk_decoded(&mut self, payload_bytes: usize) {
+        self.chunks += 1;
+        self.payload_bytes += payload_bytes as u64;
     }
 }
 
@@ -242,6 +349,13 @@ pub struct EngineProf {
 }
 
 impl EngineProf {
+    /// The one worker a [`Probe::fork`] of the engine probe records into.
+    fn worker_mut(&mut self) -> &mut WorkerProf {
+        self.workers
+            .last_mut()
+            .expect("worker hooks run on a forked EngineProf")
+    }
+
     /// Total shared ready-heap lock acquisitions across workers.
     #[must_use]
     pub fn queue_lock_acquisitions(&self) -> u64 {
@@ -326,6 +440,58 @@ impl EngineProf {
         }
         s.push_str("]}");
         s
+    }
+}
+
+/// The threaded engine's probe: each pool worker records into a forked
+/// `EngineProf` holding just its own [`WorkerProf`], and joining appends
+/// that worker, so no worker ever waits on another's profile.
+impl Probe for EngineProf {
+    const ENABLED: bool = true;
+
+    fn fork(&self, worker: usize) -> Self {
+        EngineProf {
+            workers: vec![WorkerProf::new(worker)],
+            ..EngineProf::default()
+        }
+    }
+
+    fn join(&mut self, worker: Self) {
+        self.workers.extend(worker.workers);
+        if let Some(ns) = worker.first_error_ns {
+            self.replay_error(ns);
+        }
+    }
+
+    fn span(&mut self, kind: SpanKind, start_ns: u64, dur_ns: u64, core: u32, node: u64) {
+        let w = self.worker_mut();
+        w.push_span(kind, start_ns, dur_ns, core, node);
+        if kind == SpanKind::Exec {
+            w.executed += 1;
+        }
+    }
+
+    fn queue_lock(&mut self) {
+        self.worker_mut().queue_locks += 1;
+    }
+
+    fn core_lock(&mut self, contended: bool) {
+        let w = self.worker_mut();
+        w.core_locks += 1;
+        w.core_locks_contended += u64::from(contended);
+    }
+
+    fn heap_depth(&mut self, depth: usize) {
+        self.worker_mut().heap_depth.push(depth as u32);
+    }
+
+    fn replay_error(&mut self, at_ns: u64) {
+        self.first_error_ns = Some(self.first_error_ns.map_or(at_ns, |ns| ns.min(at_ns)));
+    }
+
+    fn engine_done(&mut self, nodes: usize, wall_ns: u64) {
+        self.nodes = nodes;
+        self.wall_ns = wall_ns;
     }
 }
 

@@ -27,10 +27,12 @@
 use core::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::time::Instant;
 
 use rr_mem::CoreId;
 
 use crate::log::{IntervalLog, LogEntry};
+use crate::prof::{CodecPhase, Probe};
 
 /// File magic, first four bytes of every `.rrlog`.
 pub const MAGIC: [u8; 4] = *b"RRLG";
@@ -1122,8 +1124,28 @@ fn next_raw_chunk<'a>(
 /// Returns the first [`WireError`]; use [`decode_chunked_recover`] to also
 /// obtain the entries recovered before the failure point.
 pub fn decode_chunked(bytes: &[u8]) -> Result<IntervalLog, WireError> {
-    let (log, err) = decode_chunked_recover(bytes);
-    match err {
+    decode_chunked_probed(bytes, &mut ())
+}
+
+/// [`decode_chunked`] reporting to a [`Probe`]: CRC verification, batched
+/// varint entry decode and output-buffer reservation are each timed into
+/// [`Probe::codec_phase`], and every decoded chunk is announced through
+/// [`Probe::chunk_decoded`]. `rr-bench` passes a
+/// [`CodecPhases`](crate::prof::CodecPhases) to decompose the
+/// large-stream decode cliff; phase timings land in `BENCH_codec.json`
+/// rows. The walk is the production one, so the log and error are
+/// exactly [`decode_chunked`]'s.
+///
+/// # Errors
+///
+/// Exactly the conditions of [`decode_chunked`]. The probe holds whatever
+/// work happened before the error.
+pub fn decode_chunked_probed<P: Probe>(
+    bytes: &[u8],
+    probe: &mut P,
+) -> Result<IntervalLog, WireError> {
+    let mut log = IntervalLog::new(CoreId::new(0));
+    match decode_walk(bytes, &mut log, probe) {
         None => Ok(log),
         Some(e) => Err(e),
     }
@@ -1200,6 +1222,27 @@ fn reserve_for_remainder(
 /// [`decode_chunked_into`] for the reuse contract).
 #[must_use]
 pub fn decode_chunked_recover_into(bytes: &[u8], log: &mut IntervalLog) -> Option<WireError> {
+    decode_walk(bytes, log, &mut ())
+}
+
+/// Runs `f`, timing it into `probe` as `phase` when the probe is enabled.
+#[inline]
+fn timed<P: Probe, T>(probe: &mut P, phase: CodecPhase, f: impl FnOnce() -> T) -> T {
+    if !P::ENABLED {
+        return f();
+    }
+    let t = Instant::now();
+    let out = f();
+    probe.codec_phase(phase, t.elapsed().as_nanos() as u64);
+    out
+}
+
+/// The strict whole-stream walk behind every in-memory decode: a
+/// zero-copy pass over the framing with sliced CRC verification and
+/// batched whole-chunk entry decode straight into `log`, stopping at the
+/// first error. `log` is reset first and holds the recovered prefix on
+/// error.
+fn decode_walk<P: Probe>(bytes: &[u8], log: &mut IntervalLog, probe: &mut P) -> Option<WireError> {
     log.entries.clear();
     log.core = CoreId::new(0);
     let (core, version) = match parse_header(bytes) {
@@ -1210,9 +1253,11 @@ pub fn decode_chunked_recover_into(bytes: &[u8], log: &mut IntervalLog) -> Optio
     // Seed capacity for the first chunk only (~3 payload bytes per
     // entry); reserve_for_remainder grows it as density is observed.
     let seed = bytes.len().min(DEFAULT_CHUNK_BYTES + 16) / 3;
-    if log.entries.capacity() < seed {
-        log.entries.reserve(seed);
-    }
+    timed(probe, CodecPhase::Reserve, || {
+        if log.entries.capacity() < seed {
+            log.entries.reserve(seed);
+        }
+    });
     let mut state = DeltaState::default();
     let mut pos = 7usize;
     let mut index = 0usize;
@@ -1222,7 +1267,7 @@ pub fn decode_chunked_recover_into(bytes: &[u8], log: &mut IntervalLog) -> Optio
             Ok(r) => r,
             Err(e) => return Some(e),
         };
-        let computed = crc32(raw.payload);
+        let computed = timed(probe, CodecPhase::Crc, || crc32(raw.payload));
         if raw.stored_crc != computed {
             return Some(WireError::CrcMismatch {
                 chunk: index,
@@ -1233,76 +1278,21 @@ pub fn decode_chunked_recover_into(bytes: &[u8], log: &mut IntervalLog) -> Optio
         if version >= CHUNK_INDEPENDENT_VERSION {
             state = DeltaState::default();
         }
-        if let Err(e) = decode_chunk_entries(raw.payload, &mut state, index, &mut log.entries) {
+        if let Err(e) = timed(probe, CodecPhase::Entries, || {
+            decode_chunk_entries(raw.payload, &mut state, index, &mut log.entries)
+        }) {
             return Some(e);
         }
+        probe.chunk_decoded(raw.payload.len());
         payload_seen += raw.payload.len();
         if index.is_multiple_of(RESERVE_CHECK_CHUNKS) {
-            reserve_for_remainder(&mut log.entries, payload_seen, bytes.len() - pos);
+            timed(probe, CodecPhase::Reserve, || {
+                reserve_for_remainder(&mut log.entries, payload_seen, bytes.len() - pos);
+            });
         }
         index += 1;
     }
     None
-}
-
-/// [`decode_chunked`] with per-phase wall-clock attribution: CRC
-/// verification vs batched varint entry decode vs output-buffer
-/// reservation, accumulated into `phases`.
-///
-/// This is a *separate* walk from the production decoder — the hot path
-/// stays timer-free — and is differentially tested (and CI-gated via the
-/// codec bench's `reference_check`) to return bit-identical logs and
-/// errors. `rr-bench` uses it to decompose the large-stream decode cliff;
-/// phase timings land in `BENCH_codec.json` rows.
-///
-/// # Errors
-///
-/// Exactly the conditions of [`decode_chunked`]. `phases` is filled with
-/// whatever work happened before the error.
-pub fn decode_chunked_profiled(
-    bytes: &[u8],
-    phases: &mut crate::prof::CodecPhases,
-) -> Result<IntervalLog, WireError> {
-    use std::time::Instant;
-    let (core, version) = parse_header(bytes)?;
-    let mut log = IntervalLog::new(core);
-    let t = Instant::now();
-    log.entries
-        .reserve(bytes.len().min(DEFAULT_CHUNK_BYTES + 16) / 3);
-    phases.reserve_ns += t.elapsed().as_nanos() as u64;
-    let mut state = DeltaState::default();
-    let mut pos = 7usize;
-    let mut index = 0usize;
-    let mut payload_seen = 0usize;
-    while let Some(raw) = next_raw_chunk(bytes, &mut pos, index) {
-        let raw = raw?;
-        let t = Instant::now();
-        let computed = crc32(raw.payload);
-        phases.crc_ns += t.elapsed().as_nanos() as u64;
-        if raw.stored_crc != computed {
-            return Err(WireError::CrcMismatch {
-                chunk: index,
-                stored: raw.stored_crc,
-                computed,
-            });
-        }
-        if version >= CHUNK_INDEPENDENT_VERSION {
-            state = DeltaState::default();
-        }
-        let t = Instant::now();
-        decode_chunk_entries(raw.payload, &mut state, index, &mut log.entries)?;
-        phases.entries_ns += t.elapsed().as_nanos() as u64;
-        phases.chunks += 1;
-        phases.payload_bytes += raw.payload.len() as u64;
-        payload_seen += raw.payload.len();
-        if index.is_multiple_of(RESERVE_CHECK_CHUNKS) {
-            let t = Instant::now();
-            reserve_for_remainder(&mut log.entries, payload_seen, bytes.len() - pos);
-            phases.reserve_ns += t.elapsed().as_nanos() as u64;
-        }
-        index += 1;
-    }
-    Ok(log)
 }
 
 /// The original entry-at-a-time decoder, retained verbatim as the
@@ -1380,65 +1370,27 @@ pub struct Salvage {
 /// [`decode_chunked_recover`] does.
 #[must_use]
 pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
-    let (core, version) = match parse_header(bytes) {
-        Ok(h) => h,
+    let mut log = IntervalLog::new(CoreId::new(0));
+    let (core, version, first_err) = match walk_lenient(bytes, &mut log.entries, |_, _| {}) {
+        Ok(walked) => walked,
         Err(e) => {
             return Salvage {
-                log: IntervalLog::new(CoreId::new(0)),
+                log,
                 err: Some(e),
                 suspect: 0,
             }
         }
     };
-    let mut log = IntervalLog::new(core);
-    let mut first_err = None;
-    let mut suspect_from = None;
-    let mut note = |e: WireError, at: usize, slot: &mut Option<WireError>| {
-        if slot.is_none() {
-            *slot = Some(e);
-            if version < CHUNK_INDEPENDENT_VERSION {
-                suspect_from = Some(at);
-            }
-        }
+    log.core = core;
+    // On v1/v2 every entry after the first damage decoded with stale
+    // delta context.
+    let suspect = match first_err {
+        Some((_, at)) if version < CHUNK_INDEPENDENT_VERSION => log.entries.len() - at,
+        _ => 0,
     };
-    let mut state = DeltaState::default();
-    let mut pos = 7usize;
-    let mut index = 0usize;
-    while let Some(raw) = next_raw_chunk(bytes, &mut pos, index) {
-        let raw = match raw {
-            Ok(r) => r,
-            Err(e) => {
-                note(e, log.entries.len(), &mut first_err);
-                break;
-            }
-        };
-        let computed = crc32(raw.payload);
-        if raw.stored_crc != computed {
-            note(
-                WireError::CrcMismatch {
-                    chunk: index,
-                    stored: raw.stored_crc,
-                    computed,
-                },
-                log.entries.len(),
-                &mut first_err,
-            );
-        } else {
-            if version >= CHUNK_INDEPENDENT_VERSION {
-                state = DeltaState::default();
-            }
-            if let Err(e) = decode_chunk_entries(raw.payload, &mut state, index, &mut log.entries) {
-                // The decoded prefix of the chunk stays (its timestamps
-                // are sound); everything after it is suspect on v1/v2.
-                note(e, log.entries.len(), &mut first_err);
-            }
-        }
-        index += 1;
-    }
-    let suspect = suspect_from.map_or(0, |from| log.entries.len() - from);
     Salvage {
         log,
-        err: first_err,
+        err: first_err.map(|(e, _)| e),
         suspect,
     }
 }
@@ -1489,10 +1441,6 @@ pub fn chunk_map(bytes: &[u8]) -> Result<(CoreId, Vec<ChunkInfo>, Option<WireErr
 /// mapping many streams (a whole `--save-logs` directory) allocates no
 /// per-chunk buffers.
 ///
-/// Entry counts agree with [`decode_chunked_skip`] by construction: both
-/// walk the same framing, skip the same damaged chunks, and batch-decode
-/// the same payloads.
-///
 /// # Errors
 ///
 /// As [`chunk_map`].
@@ -1500,15 +1448,32 @@ pub fn chunk_map_with(
     bytes: &[u8],
     scratch: &mut DecodeScratch,
 ) -> Result<(CoreId, Vec<ChunkInfo>, Option<WireError>), WireError> {
-    let (core, version) = parse_header(bytes)?;
-
     let mut map = Vec::new();
+    scratch.entries.clear();
+    let (core, _, first_err) = walk_lenient(bytes, &mut scratch.entries, |info, entries| {
+        map.push(info);
+        entries.clear();
+    })?;
+    Ok((core, map, first_err.map(|(e, _)| e)))
+}
+
+/// The lenient walk behind [`decode_chunked_skip`] and [`chunk_map`], so
+/// the two agree by construction: every chunk that passes its CRC is
+/// batch-decoded onto `out`, a damaged chunk or malformed entry is noted
+/// and the walk moves on to the next length-prefixed boundary, and only
+/// truncation ends it. `on_chunk` sees each framed chunk's [`ChunkInfo`]
+/// right after that chunk's entries were appended to `out`.
+///
+/// Returns the recorded core, the wire version, and the first error
+/// paired with `out.len()` at the moment it was noted.
+#[allow(clippy::type_complexity)]
+fn walk_lenient(
+    bytes: &[u8],
+    out: &mut Vec<LogEntry>,
+    mut on_chunk: impl FnMut(ChunkInfo, &mut Vec<LogEntry>),
+) -> Result<(CoreId, u16, Option<(WireError, usize)>), WireError> {
+    let (core, version) = parse_header(bytes)?;
     let mut first_err = None;
-    let note = |e: WireError, slot: &mut Option<WireError>| {
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    };
     let mut state = DeltaState::default();
     let mut pos = 7usize;
     let mut index = 0usize;
@@ -1520,51 +1485,48 @@ pub fn chunk_map_with(
         let raw = match raw {
             Ok(r) => r,
             Err(e) => {
-                note(e, &mut first_err);
+                first_err.get_or_insert((e, out.len()));
                 break;
             }
         };
         let computed = crc32(raw.payload);
         let crc_ok = raw.stored_crc == computed;
-        let mut entries = 0usize;
-        let mut first_timestamp = None;
+        let start = out.len();
         if crc_ok {
             if version >= CHUNK_INDEPENDENT_VERSION {
                 state = DeltaState::default();
             }
-            scratch.entries.clear();
-            match decode_chunk_entries(raw.payload, &mut state, index, &mut scratch.entries) {
-                Ok(()) => entries = scratch.entries.len(),
-                Err(e) => {
-                    entries = scratch.entries.len();
-                    note(e, &mut first_err);
-                }
+            // A malformed entry keeps the chunk's decoded prefix (its
+            // timestamps are sound).
+            if let Err(e) = decode_chunk_entries(raw.payload, &mut state, index, out) {
+                first_err.get_or_insert((e, out.len()));
             }
-            first_timestamp = scratch.entries.iter().find_map(|e| match e {
-                LogEntry::IntervalFrame { timestamp, .. } => Some(*timestamp),
-                _ => None,
-            });
         } else {
-            note(
-                WireError::CrcMismatch {
-                    chunk: index,
-                    stored: raw.stored_crc,
-                    computed,
-                },
-                &mut first_err,
-            );
+            let e = WireError::CrcMismatch {
+                chunk: index,
+                stored: raw.stored_crc,
+                computed,
+            };
+            first_err.get_or_insert((e, out.len()));
         }
-        map.push(ChunkInfo {
-            index,
-            offset,
-            payload_bytes: raw.payload.len(),
-            entries,
-            crc_ok,
-            first_timestamp,
+        let first_timestamp = out[start..].iter().find_map(|e| match e {
+            LogEntry::IntervalFrame { timestamp, .. } => Some(*timestamp),
+            _ => None,
         });
+        on_chunk(
+            ChunkInfo {
+                index,
+                offset,
+                payload_bytes: raw.payload.len(),
+                entries: out.len() - start,
+                crc_ok,
+                first_timestamp,
+            },
+            out,
+        );
         index += 1;
     }
-    Ok((core, map, first_err))
+    Ok((core, version, first_err))
 }
 
 /// One chunk's frame position inside an `.rrlog` stream, from the cheap
@@ -2020,7 +1982,7 @@ mod tests {
             let bytes = encode_chunked_with(&log, chunk_bytes);
             let mut phases = crate::prof::CodecPhases::default();
             assert_eq!(
-                decode_chunked_profiled(&bytes, &mut phases),
+                decode_chunked_probed(&bytes, &mut phases),
                 decode_chunked(&bytes),
                 "chunk_bytes={chunk_bytes}"
             );
@@ -2038,7 +2000,7 @@ mod tests {
             corrupted[i] ^= 0x40;
             let mut phases = crate::prof::CodecPhases::default();
             assert_eq!(
-                decode_chunked_profiled(&corrupted, &mut phases),
+                decode_chunked_probed(&corrupted, &mut phases),
                 decode_chunked(&corrupted),
                 "flip at {i}"
             );
@@ -2046,7 +2008,7 @@ mod tests {
         for cut in 0..bytes.len() {
             let mut phases = crate::prof::CodecPhases::default();
             assert_eq!(
-                decode_chunked_profiled(&bytes[..cut], &mut phases),
+                decode_chunked_probed(&bytes[..cut], &mut phases),
                 decode_chunked(&bytes[..cut]),
                 "cut at {cut}"
             );

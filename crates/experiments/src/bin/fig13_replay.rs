@@ -8,6 +8,7 @@
 
 use std::time::Instant;
 
+use relaxreplay::EngineProf;
 use rr_experiments::report::{f2, results_dir, write_metrics_jsonl, Table};
 use rr_experiments::{
     figures, metrics_jsonl, prof_entries, run_corpus_suite, run_suite, write_prof_artifacts,
@@ -15,7 +16,7 @@ use rr_experiments::{
 };
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
-    patch, replay_parallel, replay_threaded, replay_threaded_profiled, verify, CostModel,
+    patch, replay_parallel, replay_threaded, replay_threaded_probed, verify, CostModel,
 };
 
 /// Worker counts for the measured scaling columns.
@@ -108,13 +109,15 @@ fn profiled_entries(
             .map_err(|e| rr_sim::Error::from(e).context(at("patch failed")))?;
         let w = rr_workloads::by_name(r.name, v.logs.len(), cfg.size)
             .ok_or_else(|| rr_sim::Error::msg(at("unknown workload")))?;
-        let (outcome, engine) = replay_threaded_profiled(
+        let mut engine = EngineProf::default();
+        let outcome = replay_threaded_probed(
             &w.programs,
             &patched,
             Some(&v.ordering),
             w.initial_mem.clone(),
             &cfg.cost,
             cfg.threads,
+            &mut engine,
         )
         .map_err(|e| rr_sim::Error::from(e).context(at("profiled replay failed")))?;
         verify(&r.record.recorded, &outcome)

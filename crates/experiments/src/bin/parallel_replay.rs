@@ -20,11 +20,12 @@
 
 use std::time::Instant;
 
+use relaxreplay::EngineProf;
 use rr_experiments::report::{f2, results_dir, write_metrics_jsonl, Table};
 use rr_experiments::{write_prof_pairs, write_trace_pairs, ExperimentConfig};
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
-    critical_path_blame, patch, replay_parallel, replay_threaded, replay_threaded_profiled, verify,
+    critical_path_blame, patch, replay_parallel, replay_threaded, replay_threaded_probed, verify,
     CostModel, IntervalDag, PatchedLog,
 };
 use rr_sim::{run_sweep, MachineConfig, RecorderSpec, ReplayPolicy, SweepJob};
@@ -125,13 +126,15 @@ fn prof_entry(
     let dag = IntervalDag::partial_order(v.logs.len(), patched, &v.ordering)
         .map_err(|e| rr_sim::Error::from(e).context(at("dag failed")))?;
     let blame = critical_path_blame(&dag, &CostModel::splash_default());
-    let (outcome, engine) = replay_threaded_profiled(
+    let mut engine = EngineProf::default();
+    let outcome = replay_threaded_probed(
         &w.programs,
         patched,
         Some(&v.ordering),
         w.initial_mem.clone(),
         &CostModel::splash_default(),
         workers,
+        &mut engine,
     )
     .map_err(|e| rr_sim::Error::from(e).context(at("profiled replay failed")))?;
     verify(&result.recorded, &outcome)

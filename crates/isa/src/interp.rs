@@ -149,6 +149,10 @@ impl<'p> Interp<'p> {
     /// Executes one instruction against `mem` — any [`Memory`]
     /// implementation: the plain [`MemImage`](crate::MemImage) or a
     /// concurrently shared [`SharedMemHandle`](crate::SharedMemHandle).
+    // The replay executors' block loop calls this once per instruction.
+    // Without the hint, whether LLVM inlines it there flips with unrelated
+    // codegen changes, and sequential replay swings by tens of percent.
+    #[inline]
     pub fn step<M: Memory>(&mut self, mem: &mut M) -> StepEvent {
         if self.halted {
             return StepEvent::Halted;

@@ -32,8 +32,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
+use relaxreplay::prof::{Probe, SpanKind};
 use relaxreplay::IntervalOrdering;
 use rr_isa::{Interp, MemImage, Program, SharedMem};
 use rr_mem::CoreId;
@@ -101,13 +103,15 @@ pub fn replay_with(
 ) -> Result<ReplayOutcome, ReplayError> {
     match engine {
         ReplayEngine::Sequential => crate::replayer::replay(programs, logs, mem, cost),
-        ReplayEngine::Threaded { .. } => {
-            let dag = match orderings {
-                Some(o) => IntervalDag::partial_order(programs.len(), logs, o)?,
-                None => IntervalDag::total_order(programs.len(), logs)?,
-            };
-            execute_threaded(programs, &dag, mem, cost, engine.resolved_workers())
-        }
+        ReplayEngine::Threaded { .. } => replay_threaded_probed(
+            programs,
+            logs,
+            orderings,
+            mem,
+            cost,
+            engine.resolved_workers(),
+            &mut (),
+        ),
     }
 }
 
@@ -125,8 +129,32 @@ pub fn replay_threaded(
     cost: &CostModel,
     workers: usize,
 ) -> Result<ReplayOutcome, ReplayError> {
-    let dag = IntervalDag::partial_order(programs.len(), logs, orderings)?;
-    execute_threaded(programs, &dag, mem, cost, workers)
+    replay_threaded_probed(programs, logs, Some(orderings), mem, cost, workers, &mut ())
+}
+
+/// [`replay_with`] on a threaded engine of `workers` OS threads,
+/// reporting to `probe` (pass an
+/// [`EngineProf`](relaxreplay::prof::EngineProf) for per-worker
+/// timelines). A replay that fails inside the pool still fills the
+/// probe; one whose DAG fails validation never starts the pool.
+///
+/// # Errors
+///
+/// As [`replay_with`] with a threaded engine.
+pub fn replay_threaded_probed<P: Probe + Default + Send>(
+    programs: &[Program],
+    logs: &[PatchedLog],
+    orderings: Option<&[IntervalOrdering]>,
+    mem: MemImage,
+    cost: &CostModel,
+    workers: usize,
+    probe: &mut P,
+) -> Result<ReplayOutcome, ReplayError> {
+    let dag = match orderings {
+        Some(o) => IntervalDag::partial_order(programs.len(), logs, o)?,
+        None => IntervalDag::total_order(programs.len(), logs)?,
+    };
+    execute_threaded_probed(programs, &dag, mem, cost, workers, probe)
 }
 
 struct CoreState<'p> {
@@ -157,6 +185,42 @@ pub fn execute_threaded(
     mem: MemImage,
     cost: &CostModel,
     workers: usize,
+) -> Result<ReplayOutcome, ReplayError> {
+    execute_threaded_probed(programs, dag, mem, cost, workers, &mut ())
+}
+
+/// Locks a core's state, telling the probe whether another worker held
+/// it. Only an enabled probe pays for the `try_lock`.
+fn lock_core<'a, 'p, P: Probe>(
+    core: &'a Mutex<CoreState<'p>>,
+    probe: &mut P,
+) -> MutexGuard<'a, CoreState<'p>> {
+    if P::ENABLED {
+        if let Ok(g) = core.try_lock() {
+            probe.core_lock(false);
+            return g;
+        }
+        probe.core_lock(true);
+    }
+    core.lock().expect("core state poisoned")
+}
+
+/// [`execute_threaded`] reporting to `probe`: each worker records into
+/// its own [`Probe::fork`] of it — spans (exec / queue-pop / dep-wait /
+/// idle), ready-heap depth at each pop, lock acquisitions, and the
+/// latency to a replay error — and the forks are joined back in worker
+/// order once the pool exits, whether or not the replay succeeded.
+///
+/// # Errors
+///
+/// As [`execute_threaded`].
+pub(crate) fn execute_threaded_probed<P: Probe + Default + Send>(
+    programs: &[Program],
+    dag: &IntervalDag<'_>,
+    mem: MemImage,
+    cost: &CostModel,
+    workers: usize,
+    probe: &mut P,
 ) -> Result<ReplayOutcome, ReplayError> {
     if dag.threads() != programs.len() {
         return Err(ReplayError::ThreadCountMismatch {
@@ -191,31 +255,53 @@ pub fn execute_threaded(
     });
     let cond = Condvar::new();
     let error: Mutex<Option<ReplayError>> = Mutex::new(None);
+    // Ns since the pool started; the `()` probe reads no clock.
+    let t0 = P::ENABLED.then(Instant::now);
+    let now = move || t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
     let pool = workers.clamp(1, nodes.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..pool {
-            s.spawn(|| {
+    let forks: Vec<P> = std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(pool);
+        for widx in 0..pool {
+            let mut wp = probe.fork(widx);
+            handles.push(s.spawn(|| {
                 let mut memh = shared.handle();
-                loop {
+                'work: loop {
+                    wp.queue_lock();
+                    let mut begin = now();
                     let node = {
                         let mut q = queue.lock().expect("replay queue poisoned");
                         loop {
                             if q.done {
-                                return;
+                                drop(q);
+                                wp.span(SpanKind::Idle, begin, now() - begin, 0, 0);
+                                break 'work;
                             }
-                            match q.ready.pop() {
-                                Some(Reverse((_, id))) => break id,
-                                None => q = cond.wait(q).expect("replay queue poisoned"),
+                            if let Some(Reverse((_, id))) = q.ready.pop() {
+                                wp.heap_depth(q.ready.len() + 1);
+                                wp.span(SpanKind::QueuePop, begin, now() - begin, 0, 0);
+                                break id;
+                            }
+                            let wait_begin = now();
+                            q = cond.wait(q).expect("replay queue poisoned");
+                            if q.done {
+                                // A wake into shutdown was idle time, not
+                                // a dependency stall.
+                                begin = wait_begin;
+                            } else {
+                                let waited = now() - wait_begin;
+                                wp.span(SpanKind::DepWait, wait_begin, waited, 0, 0);
+                                begin = now();
                             }
                         }
                     };
                     let n = &nodes[node];
+                    let exec_begin = now();
                     // Same-core intervals are chained in the DAG, so this
                     // lock is uncontended; it exists to hand the core's
                     // architectural state from worker to worker.
                     let result = {
-                        let mut cs = cores[n.core].lock().expect("core state poisoned");
+                        let mut cs = lock_core(&cores[n.core], &mut wp);
                         cs.events.intervals += 1;
                         let CoreState {
                             interp,
@@ -231,8 +317,17 @@ pub fn execute_threaded(
                             events,
                         )
                     };
+                    let exec_ns = now() - exec_begin;
+                    wp.span(
+                        SpanKind::Exec,
+                        exec_begin,
+                        exec_ns,
+                        n.core as u32,
+                        node as u64,
+                    );
                     match result {
                         Err(e) => {
+                            wp.replay_error(now());
                             let mut slot = error.lock().expect("error slot poisoned");
                             if slot.is_none() {
                                 *slot = Some(e);
@@ -242,7 +337,7 @@ pub fn execute_threaded(
                             q.done = true;
                             drop(q);
                             cond.notify_all();
-                            return;
+                            break 'work;
                         }
                         Ok(()) => {
                             let mut newly_ready = Vec::new();
@@ -251,6 +346,7 @@ pub fn execute_threaded(
                                     newly_ready.push(succ);
                                 }
                             }
+                            wp.queue_lock();
                             let mut q = queue.lock().expect("replay queue poisoned");
                             q.executed += 1;
                             if q.executed == nodes.len() {
@@ -267,9 +363,18 @@ pub fn execute_threaded(
                         }
                     }
                 }
-            });
+                wp
+            }));
         }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("replay worker panicked"))
+            .collect()
     });
+    for wp in forks {
+        probe.join(wp);
+    }
+    probe.engine_done(nodes.len(), now());
 
     if let Some(e) = error.into_inner().expect("error slot poisoned") {
         return Err(e);

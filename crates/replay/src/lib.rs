@@ -71,7 +71,9 @@ mod verify;
 
 pub use cost::{CostModel, ReplayEvents};
 pub use dag::{DagStats, IntervalDag, IntervalNode};
-pub use engine::{execute_threaded, replay_threaded, replay_with, ReplayEngine};
+pub use engine::{
+    execute_threaded, replay_threaded, replay_threaded_probed, replay_with, ReplayEngine,
+};
 pub use forensics::divergence_report;
 pub use ingest::{
     decode_chunked_parallel, decode_logs_parallel, default_ingest_workers, read_rrlogs_parallel,
@@ -80,12 +82,9 @@ pub use ingest::{
 pub use oracle::{cross_check, minimize, DifferentialError, Shrink};
 pub use parallel::{execute_modeled, replay_parallel, ParallelOutcome};
 pub use patch::{patch, patch_source, PatchError, PatchSourceError, PatchedLog, ReplayOp};
-pub use prof::{
-    critical_path_blame, execute_threaded_profiled, prof_json, replay_threaded_profiled,
-    BlameReport, PathInterval, ProfEntry, BLAME_KINDS,
-};
+pub use prof::{critical_path_blame, prof_json, BlameReport, PathInterval, ProfEntry, BLAME_KINDS};
 pub use replayer::{
-    replay, replay_reference, replay_sources, replay_traced, ReplayError, ReplayOutcome,
+    replay, replay_probed, replay_reference, replay_sources, ReplayError, ReplayOutcome,
     ReplaySourceError,
 };
 pub use verify::{verify, verify_traced, RecordedExecution, VerifyError};

@@ -1,6 +1,5 @@
 //! `rr_prof` — profiling the replay engine itself: critical-path blame
-//! over the interval DAG and a span-instrumented twin of the threaded
-//! executor.
+//! over the interval DAG, and the `rr-prof/v1` sidecar.
 //!
 //! Two questions this module answers that nothing else in the system can:
 //!
@@ -11,16 +10,15 @@
 //!   start-to-finish, so the per-interval cycle weights along the path sum
 //!   to precisely the makespan (coverage 100%, against the ≥95% floor the
 //!   `rr-prof/v1` schema enforces).
-//! * **Where does *measured* replay time go?** [`execute_threaded_profiled`]
-//!   is a span-instrumented twin of
-//!   [`execute_threaded`](crate::execute_threaded): same queue, same
-//!   locks, same execution — plus per-worker timelines (exec / queue-pop /
+//! * **Where does *measured* replay time go?** The production threaded
+//!   executor takes a [`Probe`](relaxreplay::prof::Probe) parameter:
+//!   [`replay_threaded_probed`](crate::replay_threaded_probed) with an
+//!   [`EngineProf`] records per-worker timelines (exec / queue-pop /
 //!   dep-wait / idle), ready-heap depth samples, lock counters, and
-//!   first-error latency, returned as an
-//!   [`EngineProf`](relaxreplay::prof::EngineProf). The production
-//!   executor is left byte-for-byte untouched, so profiling *off* is
-//!   zero-cost by construction; `tests/observability.rs` proves the
-//!   profiled twin's outcomes identical.
+//!   first-error latency while running the very code
+//!   [`execute_threaded`](crate::execute_threaded) runs with the
+//!   zero-sized `()` probe. `tests/observability.rs` proves the outcomes
+//!   identical.
 //!
 //! Results serialize to the `<slug>.prof.json` sidecar (schema
 //! `rr-prof/v1`, [`prof_json`]) written next to the trace/metrics
@@ -28,22 +26,13 @@
 //! [`relaxreplay::prof::engine_chrome_trace`].
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
-use relaxreplay::prof::{EngineProf, SpanKind, WorkerProf, PROF_SCHEMA};
+use relaxreplay::prof::{EngineProf, PROF_SCHEMA};
 use relaxreplay::trace::json;
-use relaxreplay::IntervalOrdering;
-use rr_isa::{Interp, MemImage, Program, SharedMem};
-use rr_mem::CoreId;
 
 use crate::cost::{CostModel, ReplayEvents};
 use crate::dag::IntervalDag;
-use crate::patch::PatchedLog;
-use crate::replayer::{check_end_state, exec_interval_ops, ReplayError, ReplayOutcome};
 
 /// Cycle-cost kinds the blame report decomposes the critical path into.
 /// `user` is native block execution; the rest are the OS control-module
@@ -285,282 +274,15 @@ pub fn prof_json(entries: &[ProfEntry]) -> String {
     s
 }
 
-struct CoreState<'p> {
-    interp: Interp<'p>,
-    trace: Vec<u64>,
-    events: ReplayEvents,
-}
-
-struct Queue {
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
-    executed: usize,
-    done: bool,
-}
-
-/// [`crate::replay_threaded`] with engine profiling: replays the recorded
-/// partial order on `workers` OS threads, returning the outcome *and* the
-/// per-worker profile.
-///
-/// # Errors
-///
-/// As [`crate::replay_threaded`].
-pub fn replay_threaded_profiled(
-    programs: &[Program],
-    logs: &[PatchedLog],
-    orderings: Option<&[IntervalOrdering]>,
-    mem: MemImage,
-    cost: &CostModel,
-    workers: usize,
-) -> Result<(ReplayOutcome, EngineProf), ReplayError> {
-    let dag = match orderings {
-        Some(o) => IntervalDag::partial_order(programs.len(), logs, o)?,
-        None => IntervalDag::total_order(programs.len(), logs)?,
-    };
-    execute_threaded_profiled(programs, &dag, mem, cost, workers)
-}
-
-/// The span-instrumented twin of [`crate::execute_threaded`]: same ready
-/// heap, same locks, same interval execution — every worker additionally
-/// records its span timeline (exec / queue-pop / dep-wait / idle),
-/// ready-heap depth at each pop, lock-acquisition counters, and the
-/// latency to the first replay error.
-///
-/// The production executor is not touched by this instrumentation (it is
-/// a separate function), so disabled profiling costs nothing; the twin's
-/// outcome is identical to the production executor's on every input
-/// (asserted across the litmus suite by `tests/observability.rs`).
-///
-/// # Errors
-///
-/// As [`crate::execute_threaded`].
-pub fn execute_threaded_profiled(
-    programs: &[Program],
-    dag: &IntervalDag<'_>,
-    mem: MemImage,
-    cost: &CostModel,
-    workers: usize,
-) -> Result<(ReplayOutcome, EngineProf), ReplayError> {
-    if dag.threads() != programs.len() {
-        return Err(ReplayError::ThreadCountMismatch {
-            programs: programs.len(),
-            logs: dag.threads(),
-        });
-    }
-    let nodes = dag.nodes();
-    let shared = SharedMem::from_image(&mem);
-    drop(mem);
-
-    let cores: Vec<Mutex<CoreState>> = programs
-        .iter()
-        .map(|p| {
-            Mutex::new(CoreState {
-                interp: Interp::new(p),
-                trace: Vec::new(),
-                events: ReplayEvents::default(),
-            })
-        })
-        .collect();
-    let deps: Vec<AtomicUsize> = nodes.iter().map(|n| AtomicUsize::new(n.preds)).collect();
-    let queue = Mutex::new(Queue {
-        ready: nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.preds == 0)
-            .map(|(i, n)| Reverse((n.timestamp, i)))
-            .collect(),
-        executed: 0,
-        done: nodes.is_empty(),
-    });
-    let cond = Condvar::new();
-    let error: Mutex<Option<ReplayError>> = Mutex::new(None);
-    let profs: Mutex<Vec<WorkerProf>> = Mutex::new(Vec::new());
-    // Earliest error instant, ns since t0; u64::MAX = no error yet.
-    let first_error_ns = AtomicU64::new(u64::MAX);
-    let t0 = Instant::now();
-
-    let pool = workers.clamp(1, nodes.len().max(1));
-    std::thread::scope(|s| {
-        for widx in 0..pool {
-            let (queue, cond, error, cores, deps, profs, shared, first_error_ns) = (
-                &queue,
-                &cond,
-                &error,
-                &cores,
-                &deps,
-                &profs,
-                &shared,
-                &first_error_ns,
-            );
-            s.spawn(move || {
-                let now = || t0.elapsed().as_nanos() as u64;
-                let mut wp = WorkerProf::new(widx);
-                let mut memh = shared.handle();
-                'work: loop {
-                    let span_begin = now();
-                    let node = {
-                        wp.queue_locks += 1;
-                        let mut q = queue.lock().expect("replay queue poisoned");
-                        let mut span_begin = span_begin;
-                        loop {
-                            if q.done {
-                                drop(q);
-                                wp.push_span(SpanKind::Idle, span_begin, now() - span_begin, 0, 0);
-                                break 'work;
-                            }
-                            if let Some(Reverse((_, id))) = q.ready.pop() {
-                                wp.heap_depth.push((q.ready.len() + 1) as u32);
-                                wp.push_span(
-                                    SpanKind::QueuePop,
-                                    span_begin,
-                                    now() - span_begin,
-                                    0,
-                                    0,
-                                );
-                                break id;
-                            }
-                            let wait_begin = now();
-                            q = cond.wait(q).expect("replay queue poisoned");
-                            // A wake into shutdown was idle time, not a
-                            // dependency stall; classify at resolution.
-                            if q.done {
-                                drop(q);
-                                wp.push_span(SpanKind::Idle, wait_begin, now() - wait_begin, 0, 0);
-                                break 'work;
-                            }
-                            wp.push_span(SpanKind::DepWait, wait_begin, now() - wait_begin, 0, 0);
-                            span_begin = now();
-                        }
-                    };
-                    let n = &nodes[node];
-                    let exec_begin = now();
-                    let result = {
-                        wp.core_locks += 1;
-                        let mut cs = match cores[n.core].try_lock() {
-                            Ok(g) => g,
-                            Err(_) => {
-                                wp.core_locks_contended += 1;
-                                cores[n.core].lock().expect("core state poisoned")
-                            }
-                        };
-                        cs.events.intervals += 1;
-                        let CoreState {
-                            interp,
-                            trace,
-                            events,
-                        } = &mut *cs;
-                        exec_interval_ops(
-                            n.ops,
-                            CoreId::new(n.core as u8),
-                            interp,
-                            &mut memh,
-                            trace,
-                            events,
-                        )
-                    };
-                    wp.push_span(
-                        SpanKind::Exec,
-                        exec_begin,
-                        now() - exec_begin,
-                        n.core as u32,
-                        node as u64,
-                    );
-                    wp.executed += 1;
-                    match result {
-                        Err(e) => {
-                            first_error_ns.fetch_min(now(), Ordering::Relaxed);
-                            let mut slot = error.lock().expect("error slot poisoned");
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            drop(slot);
-                            let mut q = queue.lock().expect("replay queue poisoned");
-                            q.done = true;
-                            drop(q);
-                            cond.notify_all();
-                            break 'work;
-                        }
-                        Ok(()) => {
-                            let mut newly_ready = Vec::new();
-                            for &succ in &n.succs {
-                                if deps[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    newly_ready.push(succ);
-                                }
-                            }
-                            wp.queue_locks += 1;
-                            let mut q = queue.lock().expect("replay queue poisoned");
-                            q.executed += 1;
-                            if q.executed == nodes.len() {
-                                q.done = true;
-                            }
-                            for id in newly_ready {
-                                q.ready.push(Reverse((nodes[id].timestamp, id)));
-                            }
-                            let wake = q.done || !q.ready.is_empty();
-                            drop(q);
-                            if wake {
-                                cond.notify_all();
-                            }
-                        }
-                    }
-                }
-                profs.lock().expect("prof sink poisoned").push(wp);
-            });
-        }
-    });
-
-    let mut prof = EngineProf {
-        workers: profs.into_inner().expect("prof sink poisoned"),
-        wall_ns: t0.elapsed().as_nanos() as u64,
-        nodes: nodes.len(),
-        first_error_ns: match first_error_ns.into_inner() {
-            u64::MAX => None,
-            ns => Some(ns),
-        },
-    };
-    prof.workers.sort_by_key(|w| w.worker);
-
-    if let Some(e) = error.into_inner().expect("error slot poisoned") {
-        return Err(e);
-    }
-    let q = queue.into_inner().expect("replay queue poisoned");
-    if q.executed != nodes.len() {
-        return Err(ReplayError::CyclicOrdering {
-            executed: q.executed,
-            intervals: nodes.len(),
-        });
-    }
-
-    let mut interps = Vec::with_capacity(cores.len());
-    let mut traces = Vec::with_capacity(cores.len());
-    let mut events = ReplayEvents::default();
-    for c in cores {
-        let cs = c.into_inner().expect("core state poisoned");
-        events.merge(&cs.events);
-        traces.push(cs.trace);
-        interps.push(cs.interp);
-    }
-    check_end_state(programs, &interps)?;
-
-    let user_cycles = cost.user_cycles(&events);
-    let os_cycles = cost.os_cycles(&events);
-    Ok((
-        ReplayOutcome {
-            mem: shared.to_image(),
-            load_traces: traces,
-            events,
-            user_cycles,
-            os_cycles,
-        },
-        prof,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patch::patch;
+    use crate::engine::execute_threaded_probed;
+    use crate::execute_threaded;
+    use crate::patch::{patch, PatchedLog};
     use relaxreplay::{IntervalLog, LogEntry};
-    use rr_isa::{ProgramBuilder, Reg};
+    use rr_isa::{MemImage, Program, ProgramBuilder, Reg};
+    use rr_mem::CoreId;
 
     /// Two independent one-interval threads: core 0 stores 7 to its own
     /// word, core 1 stores 9 — no communication, so any interleaving is a
@@ -620,10 +342,10 @@ mod tests {
         let (programs, logs) = tiny_two_core();
         let cost = CostModel::splash_default();
         let dag = IntervalDag::total_order(programs.len(), &logs).expect("builds");
-        let plain =
-            crate::execute_threaded(&programs, &dag, MemImage::new(), &cost, 2).expect("replays");
-        let (profiled, prof) =
-            execute_threaded_profiled(&programs, &dag, MemImage::new(), &cost, 2)
+        let plain = execute_threaded(&programs, &dag, MemImage::new(), &cost, 2).expect("replays");
+        let mut prof = EngineProf::default();
+        let profiled =
+            execute_threaded_probed(&programs, &dag, MemImage::new(), &cost, 2, &mut prof)
                 .expect("replays profiled");
 
         assert!(plain.mem.contents_eq(&profiled.mem));
@@ -650,8 +372,9 @@ mod tests {
         let cost = CostModel::splash_default();
         let dag = IntervalDag::total_order(programs.len(), &logs).expect("builds");
         let blame = critical_path_blame(&dag, &cost);
-        let (_, engine) =
-            execute_threaded_profiled(&programs, &dag, MemImage::new(), &cost, 2).expect("replays");
+        let mut engine = EngineProf::default();
+        execute_threaded_probed(&programs, &dag, MemImage::new(), &cost, 2, &mut engine)
+            .expect("replays");
         let doc = prof_json(&[
             ProfEntry {
                 run: "tiny".into(),

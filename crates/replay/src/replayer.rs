@@ -1,6 +1,7 @@
 use core::fmt;
 
-use relaxreplay::trace::{TraceEvent, TraceRing};
+use relaxreplay::prof::Probe;
+use relaxreplay::trace::TraceEvent;
 use relaxreplay::wire::LogSource;
 use rr_isa::{Instr, Interp, MemImage, Memory, Program, StepEvent};
 use rr_mem::CoreId;
@@ -166,28 +167,30 @@ pub fn replay(
     mem: MemImage,
     cost: &CostModel,
 ) -> Result<ReplayOutcome, ReplayError> {
-    replay_traced(programs, logs, mem, cost, None)
+    replay_probed(programs, logs, mem, cost, &mut ())
 }
 
-/// Like [`replay`], but additionally captures the control module's
-/// scheduling decisions into `trace` when given: a `ReplayWait` event
-/// whenever a thread's next interval had to wait for other threads'
-/// intervals in the recorded total order, and a `ReplayRelease` event after
-/// each interval completes (carrying the thread's cumulative replayed load
-/// count, which anchors divergence forensics).
+/// Like [`replay`], but reporting the control module's scheduling
+/// decisions to `probe` (pass a
+/// [`TraceRing`](relaxreplay::trace::TraceRing) for divergence forensics):
+/// a `ReplayWait` event whenever a thread's next interval had to wait for
+/// other threads' intervals in the recorded total order, and a
+/// `ReplayRelease` event after each interval completes (carrying the
+/// thread's cumulative replayed load count, which anchors divergence
+/// forensics).
 ///
 /// # Errors
 ///
 /// Same as [`replay`].
-pub fn replay_traced(
+pub fn replay_probed<P: Probe>(
     programs: &[Program],
     logs: &[PatchedLog],
     mem: MemImage,
     cost: &CostModel,
-    trace: Option<&mut TraceRing>,
+    probe: &mut P,
 ) -> Result<ReplayOutcome, ReplayError> {
     let dag = IntervalDag::total_order(programs.len(), logs)?;
-    execute_sequential(programs, &dag, mem, cost, trace)
+    execute_sequential(programs, &dag, mem, cost, probe)
 }
 
 /// Executes a validated [`IntervalDag`] on one thread, visiting intervals
@@ -195,12 +198,12 @@ pub fn replay_traced(
 /// `(timestamp, core)` first). With a total-order DAG this reproduces the
 /// recorded schedule exactly; with a partial-order DAG it is one legal
 /// linearization — the same one every time.
-pub(crate) fn execute_sequential(
+pub(crate) fn execute_sequential<P: Probe>(
     programs: &[Program],
     dag: &IntervalDag<'_>,
     mut mem: MemImage,
     cost: &CostModel,
-    mut trace: Option<&mut TraceRing>,
+    probe: &mut P,
 ) -> Result<ReplayOutcome, ReplayError> {
     if dag.threads() != programs.len() {
         return Err(ReplayError::ThreadCountMismatch {
@@ -227,23 +230,21 @@ pub(crate) fn execute_sequential(
         let node = &dag.nodes()[id];
         events.intervals += 1;
         let core = CoreId::new(node.core as u8);
-        if let Some(t) = trace.as_deref_mut() {
-            // The thread waited iff other threads' intervals ran since its
-            // previous one (or before its first).
-            let waited = match last_global[node.core] {
-                Some(prev) => gi > prev + 1,
-                None => gi > 0,
-            };
-            if waited {
-                t.push(
-                    node.timestamp,
-                    TraceEvent::ReplayWait {
-                        core: node.core as u8,
-                        ordinal: node.ordinal as u64,
-                        timestamp: node.timestamp,
-                    },
-                );
-            }
+        // The thread waited iff other threads' intervals ran since its
+        // previous one (or before its first).
+        let waited = match last_global[node.core] {
+            Some(prev) => gi > prev + 1,
+            None => gi > 0,
+        };
+        if waited {
+            probe.event(
+                node.timestamp,
+                TraceEvent::ReplayWait {
+                    core: node.core as u8,
+                    ordinal: node.ordinal as u64,
+                    timestamp: node.timestamp,
+                },
+            );
         }
         exec_interval_ops(
             node.ops,
@@ -253,17 +254,15 @@ pub(crate) fn execute_sequential(
             &mut traces[node.core],
             &mut events,
         )?;
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(
-                node.timestamp,
-                TraceEvent::ReplayRelease {
-                    core: node.core as u8,
-                    ordinal: node.ordinal as u64,
-                    timestamp: node.timestamp,
-                    loads_done: traces[node.core].len() as u64,
-                },
-            );
-        }
+        probe.event(
+            node.timestamp,
+            TraceEvent::ReplayRelease {
+                core: node.core as u8,
+                ordinal: node.ordinal as u64,
+                timestamp: node.timestamp,
+                loads_done: traces[node.core].len() as u64,
+            },
+        );
         last_global[node.core] = Some(gi);
     }
 

@@ -358,23 +358,6 @@ pub fn explore_one(
     machine: &MachineConfig,
     spec: &ExploreSpec,
 ) -> Result<ExploreOutcome, SimError> {
-    explore_one_with(programs, initial_mem, machine, spec, &[])
-}
-
-/// As [`explore_one`], additionally replaying every variant on the
-/// threaded engine at each worker count in `replay_workers` and feeding
-/// those outcomes into the same differential cross-check.
-///
-/// # Errors
-///
-/// Same as [`explore_one`].
-pub fn explore_one_with(
-    programs: &[Program],
-    initial_mem: &MemImage,
-    machine: &MachineConfig,
-    spec: &ExploreSpec,
-    replay_workers: &[usize],
-) -> Result<ExploreOutcome, SimError> {
     let (run, pressure) = RecordSession::new(programs, initial_mem)
         .config(machine)
         .recorder_configs(&spec.recorder_configs())
@@ -386,7 +369,7 @@ pub fn explore_one_with(
         &run,
         &pressure,
         &CostModel::splash_default(),
-        replay_workers,
+        &[],
     );
     Ok(ExploreOutcome {
         spec: spec.clone(),

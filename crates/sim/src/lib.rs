@@ -50,16 +50,13 @@ mod tracer;
 pub use config::{MachineConfig, RecorderSpec};
 pub use error::Error;
 pub use explore::{
-    explore_one, explore_one_with, explore_sweep, explore_sweep_with, minimize_divergence,
-    ExploreOutcome, ExploreReport, ExploreSpec, PressureMode,
+    explore_one, explore_sweep, explore_sweep_with, minimize_divergence, ExploreOutcome,
+    ExploreReport, ExploreSpec, PressureMode,
 };
-#[allow(deprecated)]
-pub use logdir::{list_runs, load_run, load_run_with, save_run};
 pub use logdir::{LogDirError, SavedRun, SavedVariant};
 pub use machine::{
-    replay_and_verify, replay_and_verify_forensic, replay_and_verify_forensic_with,
-    replay_and_verify_with, PressureReport, PressureSpec, RunOptions, RunResult, ScheduleStrategy,
-    SimError, SinkFaultReport, VariantResult,
+    replay_and_verify, replay_and_verify_forensic, PressureReport, PressureSpec, RunOptions,
+    RunResult, ScheduleStrategy, SimError, SinkFaultReport, VariantResult,
 };
 pub use metrics::{MetricsRegistry, PhaseNanos};
 pub use rr_replay::ReplayEngine;

@@ -17,7 +17,7 @@
 //! it load fine and replay in the recorded total order.
 //!
 //! Run and variant names become path components verbatim, so they must not
-//! contain separators; [`save_run`] rejects names that do.
+//! contain separators; [`check_name`] rejects names that do.
 
 use std::fmt;
 use std::fs;
@@ -152,14 +152,6 @@ impl SavedRun {
 /// # Errors
 ///
 /// Returns [`LogDirError`] on filesystem failure or unusable names.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LocalStore::new(dir)` and the `RunStore` trait instead"
-)]
-pub fn save_run(dir: &Path, name: &str, result: &RunResult) -> Result<u64, LogDirError> {
-    save_run_impl(dir, name, result)
-}
-
 pub(crate) fn save_run_impl(
     dir: &Path,
     name: &str,
@@ -211,40 +203,17 @@ pub(crate) fn save_run_impl(
     Ok(log_bytes)
 }
 
-/// Loads a run previously written by [`save_run`] from `dir/name`,
-/// decoding the per-core `.rrlog` files on the default-width ingest pool
-/// (see [`load_run_with`]).
+/// Loads a run previously written by [`save_run_impl`] from `dir/name`,
+/// decoding the whole run's `.rrlog` set in one parallel batch on
+/// `workers` ingest threads (0 = the host's available parallelism). Every
+/// core's log of every variant is an independent stream, so the result is
+/// identical for any worker count.
 ///
 /// # Errors
 ///
 /// Returns [`LogDirError`] if the directory is missing, the manifest or
 /// sidecar is malformed, or any `.rrlog` fails to decode (truncation and
 /// corruption surface as typed [`WireError`]s, never panics).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LocalStore::new(dir)` and the `RunStore` trait instead"
-)]
-pub fn load_run(dir: &Path, name: &str) -> Result<SavedRun, LogDirError> {
-    load_run_impl(dir, name, 0)
-}
-
-/// As [`load_run`] with an explicit ingest worker count (0 = the host's
-/// available parallelism). Every core's log of every variant is an
-/// independent stream, so the whole run's `.rrlog` set is decoded in one
-/// parallel batch before the variants are assembled; the result is
-/// identical for any worker count.
-///
-/// # Errors
-///
-/// As [`load_run`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LocalStore::new(dir)` and the `RunStore` trait instead"
-)]
-pub fn load_run_with(dir: &Path, name: &str, workers: usize) -> Result<SavedRun, LogDirError> {
-    load_run_impl(dir, name, workers)
-}
-
 pub(crate) fn load_run_impl(
     dir: &Path,
     name: &str,
@@ -323,14 +292,6 @@ pub(crate) fn load_run_impl(
 /// # Errors
 ///
 /// Returns [`LogDirError::Io`] if the directory cannot be read.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LocalStore::new(dir)` and the `RunStore` trait instead"
-)]
-pub fn list_runs(dir: &Path) -> Result<Vec<String>, LogDirError> {
-    list_runs_impl(dir)
-}
-
 pub(crate) fn list_runs_impl(dir: &Path) -> Result<Vec<String>, LogDirError> {
     let mut names = Vec::new();
     let entries = fs::read_dir(dir).map_err(|e| io_err(dir, &e))?;

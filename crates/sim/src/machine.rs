@@ -5,7 +5,7 @@ use relaxreplay::{IntervalLog, Recorder, RecorderStats, RunTrace, TraceConfig, T
 use rr_cpu::{Core, CoreObserver, CoreStats, FanoutObserver};
 use rr_isa::{MemImage, Program};
 use rr_mem::{CoherenceMode, CoreId, MemStats, MemorySystem};
-use rr_replay::{patch, CostModel, RecordedExecution, ReplayEngine, ReplayOutcome};
+use rr_replay::{patch, CostModel, PatchedLog, RecordedExecution, ReplayOutcome};
 
 use crate::config::{MachineConfig, RecorderSpec};
 use crate::tracer::TraceCollector;
@@ -617,63 +617,33 @@ pub fn replay_and_verify(
     variant: usize,
     cost: &CostModel,
 ) -> Result<ReplayOutcome, crate::Error> {
-    replay_and_verify_with(
-        programs,
-        initial_mem,
-        result,
-        variant,
-        cost,
-        ReplayEngine::Sequential,
-    )
+    let (v, patched) = patched_variant(result, variant)?;
+    let outcome = rr_replay::replay(programs, &patched, initial_mem.clone(), cost)
+        .map_err(|e| crate::Error::from(e).context("replay failed [seq]"))?;
+    rr_replay::verify(&result.recorded, &outcome).map_err(|e| {
+        crate::Error::from(e).context(format!("verification failed [{} seq]", v.spec.label()))
+    })?;
+    Ok(outcome)
 }
 
-/// Like [`replay_and_verify`], but on the chosen [`ReplayEngine`]. A
-/// threaded engine replays the variant's recorded partial order
-/// ([`VariantResult::ordering`]) on a worker pool; the verification step is
-/// identical, so a divergence at any worker count fails the same way.
-///
-/// # Errors
-///
-/// Same as [`replay_and_verify`], plus the DAG validation errors on
-/// corrupted ordering data.
-pub fn replay_and_verify_with(
-    programs: &[Program],
-    initial_mem: &MemImage,
+/// The `variant`-th recorded variant and its patched logs.
+fn patched_variant(
     result: &RunResult,
     variant: usize,
-    cost: &CostModel,
-    engine: ReplayEngine,
-) -> Result<ReplayOutcome, crate::Error> {
+) -> Result<(&VariantResult, Vec<PatchedLog>), crate::Error> {
     let v = result.variants.get(variant).ok_or_else(|| {
         crate::Error::msg(format!(
             "variant index {variant} out of range ({} recorded)",
             result.variants.len()
         ))
     })?;
-    let patched: Vec<_> = v
+    let patched = v
         .logs
         .iter()
         .map(patch)
         .collect::<Result<_, _>>()
         .map_err(|e| crate::Error::from(e).context("patch failed"))?;
-    let ordering = (!v.ordering.is_empty()).then_some(v.ordering.as_slice());
-    let outcome = rr_replay::replay_with(
-        programs,
-        &patched,
-        ordering,
-        initial_mem.clone(),
-        cost,
-        engine,
-    )
-    .map_err(|e| crate::Error::from(e).context(format!("replay failed [{}]", engine.label())))?;
-    rr_replay::verify(&result.recorded, &outcome).map_err(|e| {
-        crate::Error::from(e).context(format!(
-            "verification failed [{} {}]",
-            v.spec.label(),
-            engine.label()
-        ))
-    })?;
-    Ok(outcome)
+    Ok((v, patched))
 }
 
 /// Like [`replay_and_verify`], but with divergence forensics: the replay
@@ -694,83 +664,17 @@ pub fn replay_and_verify_forensic(
     cost: &CostModel,
     report_dir: &std::path::Path,
 ) -> Result<ReplayOutcome, crate::Error> {
-    replay_and_verify_forensic_with(
-        programs,
-        initial_mem,
-        result,
-        variant,
-        cost,
-        report_dir,
-        ReplayEngine::Sequential,
-    )
-}
-
-/// Like [`replay_and_verify_forensic`], but on the chosen
-/// [`ReplayEngine`]. The forensic tracer is inherently sequential, so a
-/// threaded replay that diverges is re-run on the sequential engine to
-/// localize the fault: if the sequential replay *also* diverges its
-/// forensic report is returned, and if it verifies the error reports an
-/// engine-specific divergence (a threaded-executor bug, not a bad log).
-///
-/// # Errors
-///
-/// Same as [`replay_and_verify_forensic`].
-pub fn replay_and_verify_forensic_with(
-    programs: &[Program],
-    initial_mem: &MemImage,
-    result: &RunResult,
-    variant: usize,
-    cost: &CostModel,
-    report_dir: &std::path::Path,
-    engine: ReplayEngine,
-) -> Result<ReplayOutcome, crate::Error> {
-    if let ReplayEngine::Threaded { .. } = engine {
-        return match replay_and_verify_with(programs, initial_mem, result, variant, cost, engine) {
-            Ok(outcome) => Ok(outcome),
-            Err(err) => {
-                match replay_and_verify_forensic_with(
-                    programs,
-                    initial_mem,
-                    result,
-                    variant,
-                    cost,
-                    report_dir,
-                    ReplayEngine::Sequential,
-                ) {
-                    // Sequential replay verifies: the log is good and the
-                    // threaded engine itself diverged.
-                    Ok(_) => Err(err.context(format!(
-                        "threaded replay ({} workers) diverged but the sequential \
-                         replay verifies — engine-specific divergence",
-                        engine.resolved_workers()
-                    ))),
-                    Err(seq_err) => Err(seq_err),
-                }
-            }
-        };
-    }
-    let v = result.variants.get(variant).ok_or_else(|| {
-        crate::Error::msg(format!(
-            "variant index {variant} out of range ({} recorded)",
-            result.variants.len()
-        ))
-    })?;
-    let patched: Vec<_> = v
-        .logs
-        .iter()
-        .map(patch)
-        .collect::<Result<_, _>>()
-        .map_err(|e| crate::Error::from(e).context("patch failed"))?;
+    let (v, patched) = patched_variant(result, variant)?;
     // The replay/verify ring is always captured here (the whole point of
     // this entry is forensics); it lives outside the simulated machine, so
     // it cannot perturb anything.
     let mut replay_ring = TraceRing::new(CoreId::new(u8::MAX), &TraceConfig::full());
-    let outcome = rr_replay::replay_traced(
+    let outcome = rr_replay::replay_probed(
         programs,
         &patched,
         initial_mem.clone(),
         cost,
-        Some(&mut replay_ring),
+        &mut replay_ring,
     )
     .map_err(|e| crate::Error::from(e).context("replay failed"))?;
     match rr_replay::verify_traced(&result.recorded, &outcome, Some(&mut replay_ring)) {

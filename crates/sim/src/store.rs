@@ -9,9 +9,7 @@
 //! `rr-inspect` — speaks the trait, so a plain directory path and an
 //! `rr://host:port/run` URL are interchangeable.
 //!
-//! * [`LocalStore`] wraps the `logdir` run-directory format (the old
-//!   `save_run`/`load_run`/`list_runs` free functions survive as thin
-//!   deprecated wrappers over it).
+//! * [`LocalStore`] wraps the `logdir` run-directory format.
 //! * `RemoteStore` (in the `rr-serve` crate, which depends on this one)
 //!   speaks the RRSP/v1 protocol to a running `rr-serve`.
 //! * [`StoreSpec`] is the URL parser: pure string classification with no

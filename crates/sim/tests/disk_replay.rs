@@ -154,32 +154,6 @@ fn corrupted_rrlog_fails_with_a_typed_error_not_a_panic() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_free_functions_still_work() {
-    // Compat shim: the pre-RunStore API must keep behaving identically.
-    let threads = 2;
-    let cfg = MachineConfig::splash_default(threads);
-    let specs = RecorderSpec::paper_matrix();
-    let scratch = ScratchDir::new("disk_compat");
-
-    let w = &suite(threads, 1)[0];
-    let result = RecordSession::new(&w.programs, &w.initial_mem)
-        .config(&cfg)
-        .specs(&specs)
-        .run()
-        .expect("records");
-    let bytes = rr_sim::save_run(&scratch.0, w.name, &result).expect("saves");
-    assert!(bytes > 0);
-    assert_eq!(rr_sim::list_runs(&scratch.0).unwrap(), vec![w.name]);
-    let via_free = rr_sim::load_run(&scratch.0, w.name).expect("loads");
-    let via_store = LocalStore::new(&scratch.0).load_run(w.name).expect("loads");
-    assert_eq!(via_free.variants.len(), via_store.variants.len());
-    for (a, b) in via_free.variants.iter().zip(&via_store.variants) {
-        assert_eq!(a.logs, b.logs);
-    }
-}
-
-#[test]
 fn out_of_range_variant_indexes_are_rejected() {
     let threads = 2;
     let cfg = MachineConfig::splash_default(threads);

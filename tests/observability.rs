@@ -7,21 +7,21 @@
 //!   the coherence track);
 //! * a forced verification divergence produces a `divergence.md` forensics
 //!   report carrying both the record-side and replay-side event windows;
-//! * the `rr-prof` subsystem is the same kind of pure side channel: the
-//!   profiled codec decoder and the profiled replay engine produce results
-//!   identical to their unprofiled twins on every litmus shape, and the
+//! * the `rr-prof` probes are the same kind of pure side channel: the
+//!   codec decoder and the replay engine produce identical results with
+//!   their probe on and off on every litmus and corpus shape, and the
 //!   `rr-prof/v1` sidecar + per-worker Perfetto timeline both validate.
 
-use relaxreplay::prof::CodecPhases;
+use relaxreplay::prof::{CodecPhases, EngineProf};
 use relaxreplay::trace::{validate_chrome_trace, TraceConfig, TraceLevel};
-use relaxreplay::wire::{decode_chunked, decode_chunked_profiled, encode_chunked};
+use relaxreplay::wire::{decode_chunked, decode_chunked_probed, encode_chunked};
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
-    critical_path_blame, patch, prof_json, replay_threaded, replay_threaded_profiled, CostModel,
+    critical_path_blame, patch, prof_json, replay_threaded, replay_threaded_probed, CostModel,
     IntervalDag,
 };
 use rr_sim::{replay_and_verify_forensic, RecordSession, RecorderSpec};
-use rr_workloads::{litmus_suite, suite};
+use rr_workloads::{corpus_suite, litmus_suite, suite};
 
 const THREADS: usize = 2;
 const SIZE: u32 = 1;
@@ -56,15 +56,16 @@ fn rrlog_bytes_are_identical_with_tracing_on_and_off() {
     }
 }
 
-/// Profiling must be invisible: for every litmus shape and recorder
-/// variant, the profiled codec decoder yields the same entries as the
-/// strict decoder (and re-encodes to the same bytes), and the profiled
-/// replay engine's outcome matches the unprofiled engine field for field.
+/// Profiling must be invisible: for every litmus and corpus shape and
+/// recorder variant, the decoder with a phase probe yields the same
+/// entries as the plain decoder (and re-encodes to the same bytes), and
+/// the replay engine's outcome with the engine probe matches the outcome
+/// without it field for field.
 #[test]
 fn profiling_changes_no_rrlog_bytes_and_no_replay_outcomes() {
     let specs = RecorderSpec::paper_matrix();
     let cost = CostModel::splash_default();
-    for w in litmus_suite() {
+    for w in litmus_suite().into_iter().chain(corpus_suite()) {
         let result = RecordSession::new(&w.programs, &w.initial_mem)
             .specs(&specs)
             .run()
@@ -78,7 +79,7 @@ fn profiling_changes_no_rrlog_bytes_and_no_replay_outcomes() {
             for log in &variant.logs {
                 let bytes = encode_chunked(log);
                 let plain = decode_chunked(&bytes).unwrap_or_else(|e| panic!("{at}: {e}"));
-                let profiled = decode_chunked_profiled(&bytes, &mut phases)
+                let profiled = decode_chunked_probed(&bytes, &mut phases)
                     .unwrap_or_else(|e| panic!("{at}: {e}"));
                 assert_eq!(plain, profiled, "{at}: profiled decode differs");
                 assert_eq!(
@@ -105,13 +106,15 @@ fn profiling_changes_no_rrlog_bytes_and_no_replay_outcomes() {
                 2,
             )
             .unwrap_or_else(|e| panic!("{at}: replay: {e}"));
-            let (profiled, engine) = replay_threaded_profiled(
+            let mut engine = EngineProf::default();
+            let profiled = replay_threaded_probed(
                 &w.programs,
                 &patched,
                 Some(&variant.ordering),
                 w.initial_mem.clone(),
                 &cost,
                 2,
+                &mut engine,
             )
             .unwrap_or_else(|e| panic!("{at}: profiled replay: {e}"));
             assert!(
@@ -154,13 +157,15 @@ fn prof_sidecar_and_worker_timeline_validate() {
             .unwrap_or_else(|e| panic!("{}: dag: {e}", w.name));
         let blame = critical_path_blame(&dag, &cost);
         assert!(blame.coverage_pct() >= 95.0, "{}", w.name);
-        let (_, engine) = replay_threaded_profiled(
+        let mut engine = EngineProf::default();
+        replay_threaded_probed(
             &w.programs,
             &patched,
             Some(&variant.ordering),
             w.initial_mem.clone(),
             &cost,
             2,
+            &mut engine,
         )
         .unwrap_or_else(|e| panic!("{}: profiled replay: {e}", w.name));
         timelines.push((w.name.to_string(), engine.clone()));

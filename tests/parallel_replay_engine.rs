@@ -5,12 +5,14 @@
 //! for both recorder designs (Base-4K / Opt-4K), and under every rr-check
 //! pressure mode. Corrupt interval orderings (cycles, short orderings,
 //! out-of-range cores) must surface as typed [`ReplayError`]s — never a
-//! hang, panic, or silent wrong answer. A final differential test pins the
-//! sequential DAG executor to the retained legacy replay path.
+//! hang, panic, or silent wrong answer — and the engine fails the same
+//! way with a profiling probe attached. A final differential test pins
+//! the sequential DAG executor to the retained legacy replay path.
 
+use relaxreplay::prof::EngineProf;
 use rr_replay::{
-    patch, replay, replay_reference, replay_threaded, CostModel, IntervalDag, PatchedLog,
-    ReplayError,
+    patch, replay, replay_reference, replay_threaded, replay_threaded_probed, CostModel,
+    IntervalDag, PatchedLog, ReplayError, ReplayOp,
 };
 use rr_sim::{
     explore_sweep_with, ExploreReport, ExploreSpec, MachineConfig, PressureMode, RecordSession,
@@ -194,6 +196,67 @@ fn out_of_range_pred_core_is_a_typed_error() {
         matches!(err, ReplayError::CoreOutOfRange { .. }),
         "wrong error: {err}"
     );
+}
+
+/// The engine fails identically with the `EngineProf` probe and without
+/// it. The corrupt orderings above are rejected while the DAG is built,
+/// before any worker runs; a log that skips a store where its program
+/// has none fails inside a worker, so the probe must also report when
+/// the first error struck. Either way the pool stops without executing
+/// more intervals than the DAG holds.
+#[test]
+fn probed_engine_fails_like_the_plain_engine() {
+    let cost = CostModel::splash_default();
+    let (programs, mem, patched, ordering) = recorded_fixture();
+    let mut cyclic = ordering.clone();
+    let (last0, last1) = (cyclic[0].preds.len() - 1, cyclic[1].preds.len() - 1);
+    cyclic[0].preds[last0].push((rr_mem::CoreId::new(1), last1 as u64));
+    cyclic[1].preds[last1].push((rr_mem::CoreId::new(0), last0 as u64));
+    let mut short = ordering.clone();
+    short[0].timestamps.pop();
+    short[0].barriers.pop();
+    short[0].preds.pop();
+    let mut out_of_range = ordering.clone();
+    out_of_range[1].preds[0].push((rr_mem::CoreId::new(7), 0));
+    // sb's threads open with `load_imm`, so a leading skip mismatches.
+    let mut bad_op = patched.clone();
+    bad_op[0].ops.insert(0, ReplayOp::SkipStore);
+
+    let cases = [
+        ("cyclic", &patched, &cyclic),
+        ("short", &patched, &short),
+        ("out-of-range", &patched, &out_of_range),
+        ("bad op", &bad_op, &ordering),
+    ];
+    for (name, logs, ord) in cases {
+        for workers in REPLAY_WORKERS {
+            let at = format!("{name} w={workers}");
+            let plain =
+                replay_threaded(&programs, logs, ord, mem.clone(), &cost, workers).expect_err(&at);
+            let mut prof = EngineProf::default();
+            let probed = replay_threaded_probed(
+                &programs,
+                logs,
+                Some(ord),
+                mem.clone(),
+                &cost,
+                workers,
+                &mut prof,
+            )
+            .expect_err(&at);
+            assert_eq!(probed, plain, "{at}");
+            let executed: u64 = prof.workers.iter().map(|w| w.executed).sum();
+            assert!(executed <= prof.nodes as u64, "{at}: {executed} executed");
+            if name == "bad op" {
+                assert!(
+                    matches!(probed, ReplayError::InstructionMismatch { pc: 0, .. }),
+                    "{at}: wrong error: {probed}"
+                );
+                assert!(prof.first_error_ns.is_some(), "{at}: no first-error time");
+                assert!(executed >= 1, "{at}: the failing interval was not counted");
+            }
+        }
+    }
 }
 
 /// The sequential executor is the DAG engine at one worker; the legacy
