@@ -11,9 +11,9 @@
 //! (`parallel_decode_stream`), writes the results as `BENCH_codec.json`,
 //! and — on every invocation — decodes the checked-in sample `.rrlog`
 //! files (v1/v2/v3 framing) with the fast decoder, the byte-at-a-time
-//! reference decoder, the streaming readers, and the range-parallel
-//! decoder, exiting nonzero on any disagreement (the CI `bench-smoke`
-//! gate). The `--test` mode also hard-gates the `workers == 1` ingest
+//! reference decoder, the probed decoder, the range-parallel decoder and
+//! the mmap-backed `read_rrlog`, exiting nonzero on any disagreement (the
+//! CI `bench-smoke` gate). The `--test` mode also hard-gates the `workers == 1` ingest
 //! path: it must cost no more than a plain serial decode loop.
 //!
 //! ```text
@@ -29,11 +29,11 @@ use std::time::Instant;
 
 use relaxreplay::prof::CodecPhases;
 use relaxreplay::wire::{
-    decode_chunked, decode_chunked_into, decode_chunked_probed, decode_chunked_reference,
-    encode_chunked, encode_chunked_with_version, read_rrlog, ChunkedReader, ChunkedWriter,
-    DecodeScratch, DEFAULT_CHUNK_BYTES, MIN_VERSION, VERSION,
+    decode_chunked, decode_chunked_into, decode_chunked_reference, encode_chunked,
+    encode_chunked_with_version, read_rrlog, ChunkedWriter, DEFAULT_CHUNK_BYTES, MIN_VERSION,
+    VERSION,
 };
-use relaxreplay::{IntervalLog, LogEntry, LogSink, LogSource};
+use relaxreplay::{IntervalLog, LogEntry, LogSink};
 use rr_mem::CoreId;
 use rr_replay::{decode_chunked_parallel, decode_logs_parallel};
 
@@ -207,7 +207,7 @@ fn push_sample(out: &mut Vec<Sample>, name: String, entries: usize, bytes: usize
 fn bench_decode_row(smoke: bool, out: &mut Vec<Sample>, tag: &str, entries: usize, bytes: &[u8]) {
     let mut reused = IntervalLog::new(CoreId::new(0));
     let ns = measure(smoke, bytes.len(), || {
-        decode_chunked_into(std::hint::black_box(bytes), &mut reused).expect("decodes");
+        decode_chunked_into(std::hint::black_box(bytes), &mut reused, &mut ()).expect("decodes");
         std::hint::black_box(&reused);
     });
     push_sample(
@@ -219,7 +219,9 @@ fn bench_decode_row(smoke: bool, out: &mut Vec<Sample>, tag: &str, entries: usiz
     );
     drop(reused); // keep the profiled pass's peak footprint to one output log
     let mut phases = CodecPhases::default();
-    std::hint::black_box(decode_chunked_probed(bytes, &mut phases).expect("decodes"));
+    let mut fresh = IntervalLog::new(CoreId::new(0));
+    decode_chunked_into(bytes, &mut fresh, &mut phases).expect("decodes");
+    std::hint::black_box(&fresh);
     println!("{:<28} {}", format!("  phases/{tag}"), phases.summary());
     out.last_mut().expect("just pushed").phases = Some(phases);
 }
@@ -353,8 +355,9 @@ fn regen_data() -> std::io::Result<()> {
 }
 
 /// Decodes every checked-in sample with the fast path, the reference
-/// decoder, and the streaming `LogSource` reader; any disagreement is a
-/// codec bug and fails the bench (and CI).
+/// decoder, the probed walk, the range-parallel decoder and the
+/// mmap-backed `read_rrlog`; any disagreement is a codec bug and fails the
+/// bench (and CI).
 fn reference_check() -> Result<usize, String> {
     let dir = data_dir();
     let mut checked = 0usize;
@@ -381,7 +384,8 @@ fn reference_check() -> Result<usize, String> {
         // A probe must not change what the walk returns — gate its parity
         // too.
         let mut phases = CodecPhases::default();
-        let profiled = decode_chunked_probed(&bytes, &mut phases);
+        let mut log = IntervalLog::new(CoreId::new(0));
+        let profiled = decode_chunked_into(&bytes, &mut log, &mut phases).map(|()| log);
         if profiled != fast {
             return Err(format!(
                 "{}: profiled decoder disagrees with the fast decoder",
@@ -397,68 +401,16 @@ fn reference_check() -> Result<usize, String> {
                 path.display()
             ));
         }
-        let log = fast.map_err(|e| format!("{}: sample does not decode: {e}", path.display()))?;
-        // The streaming reader (replay's actual input path) must agree too.
-        let mut src = ChunkedReader::new(bytes.as_slice())
-            .map_err(|e| format!("{}: streaming open: {e}", path.display()))?;
-        let mut streamed = IntervalLog::new(log.core);
-        while let Some(e) = src
-            .next_entry()
-            .map_err(|e| format!("{}: streaming decode: {e}", path.display()))?
-        {
-            streamed.entries.push(e);
-        }
-        if streamed != log {
+        // And the file path every tool reads through: `read_rrlog`
+        // (mmap-backed).
+        if read_rrlog(&path) != fast {
             return Err(format!(
-                "{}: streaming reader disagrees with one-shot decode",
+                "{}: read_rrlog disagrees with the fast decoder",
                 path.display()
             ));
         }
-        // And the file-based entry points: `read_rrlog` (mmap-backed) and
-        // the zero-copy streaming `MappedSource`.
-        let from_file = read_rrlog(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        if from_file != log {
-            return Err(format!("{}: read_rrlog disagrees", path.display()));
-        }
-        let mut mapped = relaxreplay::MappedSource::open(&path)
-            .map_err(|e| format!("{}: mmap open: {e}", path.display()))?;
-        let mut via_map = IntervalLog::new(log.core);
-        while let Some(e) = mapped
-            .next_entry()
-            .map_err(|e| format!("{}: mmap decode: {e}", path.display()))?
-        {
-            via_map.entries.push(e);
-        }
-        if via_map != log {
-            return Err(format!(
-                "{}: MappedSource disagrees with one-shot decode",
-                path.display()
-            ));
-        }
+        fast.map_err(|e| format!("{}: sample does not decode: {e}", path.display()))?;
         checked += 1;
-    }
-    // Scratch reuse across unrelated streams must not leak state.
-    let mut scratch = DecodeScratch::new();
-    let a = encode_chunked(&synthetic_log(1, 500));
-    let b = encode_chunked(&synthetic_log(2, 300));
-    for bytes in [&a, &b, &a] {
-        let mut r = relaxreplay::wire::ChunkedReader::with_scratch(bytes.as_slice(), scratch)
-            .map_err(|e| format!("scratch reader: {e}"))?;
-        let mut n = 0usize;
-        while r
-            .next_entry()
-            .map_err(|e| format!("scratch reader: {e}"))?
-            .is_some()
-        {
-            n += 1;
-        }
-        let expect = decode_chunked(bytes).expect("decodes").entries.len();
-        if n != expect {
-            return Err(format!(
-                "scratch reuse decoded {n} entries, expected {expect}"
-            ));
-        }
-        scratch = r.into_scratch();
     }
     Ok(checked)
 }
@@ -528,7 +480,7 @@ fn main() -> ExitCode {
 
     let checked = match reference_check() {
         Ok(n) => {
-            println!("reference check: {n} sample log(s) decode identically on both decoders");
+            println!("reference check: {n} sample log(s) decode identically on every decoder");
             n
         }
         Err(e) => {

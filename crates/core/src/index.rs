@@ -10,7 +10,7 @@
 //! stream (length plus head/tail CRCs) against the values recorded when
 //! the index was built. Any mismatch — corrupt sidecar, rewritten log,
 //! version skew — silently rebuilds from the `.rrlog` itself and rewrites
-//! the sidecar. Agreement with a fresh [`chunk_map`](crate::wire::chunk_map)
+//! the sidecar. Agreement with a fresh [`chunk_map`]
 //! walk is a tested invariant, on clean and corrupt files alike.
 //!
 //! ## Sidecar format (`RRIX` version 1)
@@ -34,9 +34,7 @@ use std::path::{Path, PathBuf};
 
 use rr_mem::CoreId;
 
-use crate::wire::{
-    self, chunk_map_with, crc32, read_varint, write_varint, ChunkInfo, DecodeScratch, WireError,
-};
+use crate::wire::{self, chunk_map, crc32, read_varint, write_varint, ChunkInfo, WireError};
 
 /// Sidecar magic, first four bytes of every `.rridx`.
 pub const INDEX_MAGIC: [u8; 4] = *b"RRIX";
@@ -121,7 +119,7 @@ fn fingerprint(bytes: &[u8]) -> (u32, u32) {
 
 impl SkipIndex {
     /// Builds the index from a full walk of `bytes` (the decoding walk of
-    /// [`chunk_map`](wire::chunk_map), so entry counts agree with it by
+    /// [`chunk_map`], so entry counts agree with it by
     /// construction).
     ///
     /// # Errors
@@ -130,8 +128,7 @@ impl SkipIndex {
     /// foreign, or version-skewed — damaged chunks are indexed, not
     /// errors.
     pub fn build(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut scratch = DecodeScratch::new();
-        let (core, map, first_err) = chunk_map_with(bytes, &mut scratch)?;
+        let (core, map, first_err) = chunk_map(bytes)?;
         let (_, wire_version) = wire::parse_header(bytes)?;
         let (head_crc, tail_crc) = fingerprint(bytes);
         // A trailing partial chunk is not in the map; detect it by tiling.
@@ -175,7 +172,7 @@ impl SkipIndex {
     }
 
     /// The chunk table as [`ChunkInfo`] rows — interchangeable with a
-    /// fresh [`chunk_map`](wire::chunk_map) walk of the matching source.
+    /// fresh [`chunk_map`] walk of the matching source.
     #[must_use]
     pub fn chunk_infos(&self) -> Vec<ChunkInfo> {
         self.chunks

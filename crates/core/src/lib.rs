@@ -40,9 +40,11 @@
 //! * [`SnoopTable`] — RelaxReplay_Opt's conflict filter.
 //! * [`IntervalLog`] / [`LogEntry`] — the log format of paper Figure 6(c),
 //!   with bit-exact size accounting and a binary codec.
-//! * [`wire`] — the streaming `.rrlog` wire format: [`LogSink`] /
-//!   [`LogSource`] traits plus a chunked, CRC32-checksummed, varint/delta
-//!   codec that survives truncation and detects corruption.
+//! * [`wire`] — the `.rrlog` wire format: the [`LogSink`] trait the
+//!   recorder streams into, plus a chunked, CRC32-checksummed,
+//!   varint/delta codec that survives truncation and detects corruption.
+//!   Logs are read back whole (strict, lenient or by chunk range) into an
+//!   [`IntervalLog`].
 //! * [`trace`] — structured event tracing: bounded per-core timelines of
 //!   the recorder's internal decisions (interval opens/closes, perform and
 //!   counting events with classification verdicts, coherence traffic),
@@ -96,12 +98,11 @@ pub use crate::prof::{
 };
 pub use hash::{rr_hash64, H3};
 pub use index::{IndexChunk, IndexProvenance, SkipIndex};
-pub use mmapio::{MappedBytes, MappedSource};
+pub use mmapio::MappedBytes;
 pub use recorder::{Design, IntervalOrdering, Recorder, RecorderConfig, RecorderStats};
 pub use signature::Signature;
 pub use snoop_table::{SnoopSample, SnoopTable};
 pub use wire::{
-    chunk_map, chunk_map_with, chunk_spans, decode_chunked_range, ChunkInfo, ChunkSpan,
-    ChunkedReader, ChunkedWriter, DecodeScratch, FailingSink, LogSink, LogSource, MemorySource,
-    Salvage, VecSink, WireError,
+    chunk_map, chunk_spans, decode_chunked_range, ChunkInfo, ChunkSpan, ChunkedWriter, FailingSink,
+    LogSink, Salvage, VecSink, WireError,
 };

@@ -187,8 +187,8 @@ impl IntervalLog {
     ///
     /// Returns a typed [`WireError`](crate::wire::WireError) on a bad
     /// header, truncation, or corruption; use
-    /// [`wire::decode_chunked_recover`](crate::wire::decode_chunked_recover)
-    /// to also obtain every entry up to the failure point.
+    /// [`wire::decode_chunked_into`](crate::wire::decode_chunked_into)
+    /// to also keep every entry up to the failure point.
     pub fn decode(bytes: &[u8]) -> Result<Self, crate::wire::WireError> {
         crate::wire::decode_chunked(bytes)
     }
@@ -430,8 +430,13 @@ mod tests {
         // entry of every earlier chunk decodes intact; a cut exactly at a
         // chunk boundary is a valid (shorter) stream.
         let bytes = crate::wire::encode_chunked_with(&log, 8);
+        let recover = |bytes: &[u8]| {
+            let mut log = IntervalLog::new(CoreId::new(0));
+            let err = crate::wire::decode_chunked_into(bytes, &mut log, &mut ()).err();
+            (log, err)
+        };
         for cut in 0..bytes.len() {
-            let (recovered, err) = crate::wire::decode_chunked_recover(&bytes[..cut]);
+            let (recovered, err) = recover(&bytes[..cut]);
             let at_boundary = err.is_none();
             if !at_boundary {
                 assert!(
@@ -446,7 +451,7 @@ mod tests {
             );
         }
         // The full stream decodes losslessly.
-        let (full, err) = crate::wire::decode_chunked_recover(&bytes);
+        let (full, err) = recover(&bytes);
         assert!(err.is_none());
         assert_eq!(full, log);
     }

@@ -21,21 +21,15 @@
 //! No external crates: the two syscalls are declared directly and the
 //! mapping is `munmap`ped on drop. The mapping is `PROT_READ |
 //! MAP_PRIVATE`, so the underlying file is never written through it.
-//!
-//! [`MappedSource`] adapts a mapped file to the streaming
-//! [`LogSource`](crate::wire::LogSource) consumers.
 
-// The one module allowed to use unsafe: syscall FFI plus the mapped-slice
-// lifetime juggling, each with its invariants documented inline.
+// The one module allowed to use unsafe: the syscall FFI and the view of
+// the mapping, each with its invariants documented inline.
 #![allow(unsafe_code)]
 
 use std::fs::File;
 use std::path::Path;
 
-use rr_mem::CoreId;
-
-use crate::log::LogEntry;
-use crate::wire::{ChunkedReader, DecodeScratch, LogSource, WireError};
+use crate::wire::WireError;
 
 #[cfg(unix)]
 mod sys {
@@ -208,93 +202,12 @@ impl AsRef<[u8]> for MappedBytes {
     }
 }
 
-/// A streaming [`LogSource`] over a memory-mapped `.rrlog` file — the
-/// zero-copy counterpart of [`ChunkedReader`] for consumers that want
-/// entry-at-a-time iteration without staging the file on the heap.
-///
-/// Internally this *is* a [`ChunkedReader`] over the mapped bytes (the
-/// reader's chunk staging reuses one scratch, so per-entry cost is a
-/// bounds-checked copy from the decoded batch), which keeps its error
-/// semantics bit-identical to every other decode path.
-#[derive(Debug)]
-pub struct MappedSource {
-    bytes: &'static [u8],
-    /// The reader iterates a synthetic `'static` slice into `_backing`;
-    /// the box keeps the backing address stable across moves of `self`,
-    /// and nothing dereferences the slice after `self` is dropped.
-    reader: ChunkedReader<&'static [u8]>,
-    _backing: Box<MappedBytes>,
-}
-
-impl MappedSource {
-    /// Opens `path` (mmap with heap fallback) and validates the header.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Io`] if the file cannot be opened;
-    /// [`WireError::BadMagic`] / [`WireError::UnsupportedVersion`] /
-    /// [`WireError::Truncated`] for foreign or cut-short headers.
-    pub fn open(path: &Path) -> Result<Self, WireError> {
-        Self::with_scratch(path, DecodeScratch::new())
-    }
-
-    /// As [`MappedSource::open`], reusing decode scratch from a previous
-    /// stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`MappedSource::open`].
-    pub fn with_scratch(path: &Path, scratch: DecodeScratch) -> Result<Self, WireError> {
-        let backing = Box::new(MappedBytes::open(path)?);
-        // SAFETY: the slice borrows the boxed mapping, which is owned by
-        // the same struct and never moved out or dropped while `reader`
-        // is alive; the box keeps the backing address stable.
-        let bytes: &'static [u8] =
-            unsafe { std::slice::from_raw_parts(backing.as_slice().as_ptr(), backing.len()) };
-        let reader = ChunkedReader::with_scratch(bytes, scratch)?;
-        Ok(MappedSource {
-            bytes,
-            reader,
-            _backing: backing,
-        })
-    }
-
-    /// The whole underlying byte stream (header included) — for callers
-    /// that mix streaming with whole-stream operations such as
-    /// [`wire::chunk_map`].
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes
-    }
-
-    /// The wire-format version from the stream header.
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.reader.version()
-    }
-
-    /// Recovers the decode scratch for reuse on the next stream.
-    #[must_use]
-    pub fn into_scratch(self) -> DecodeScratch {
-        self.reader.into_scratch()
-    }
-}
-
-impl LogSource for MappedSource {
-    fn core(&self) -> CoreId {
-        self.reader.core()
-    }
-
-    fn next_entry(&mut self) -> Result<Option<LogEntry>, WireError> {
-        self.reader.next_entry()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::IntervalLog;
-    use crate::wire::{self, read_log, write_rrlog};
+    use crate::log::{IntervalLog, LogEntry};
+    use crate::wire::{self, read_rrlog, write_rrlog};
+    use rr_mem::CoreId;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("rr_mmapio_test");
@@ -351,11 +264,9 @@ mod tests {
         let path = temp_path("source.rrlog");
         let log = sample_log();
         write_rrlog(&path, &log).expect("writes");
-        let mut src = MappedSource::open(&path).expect("opens");
-        assert_eq!(src.core(), log.core);
-        assert_eq!(src.version(), wire::VERSION);
-        let round = read_log(&mut src).expect("streams");
-        assert_eq!(round, log);
+        let mapped = MappedBytes::open(&path).expect("opens");
+        assert_eq!(wire::parse_header(&mapped), Ok((log.core, wire::VERSION)));
+        assert_eq!(wire::decode_chunked(&mapped), Ok(log));
     }
 
     #[test]
@@ -369,37 +280,8 @@ mod tests {
         bytes[map[1].offset + 4] ^= 0x20;
         std::fs::write(&path, &bytes).expect("writes");
 
-        let want = wire::decode_chunked(&bytes).unwrap_err();
-        let mut src = MappedSource::open(&path).expect("opens");
-        let mut yielded = 0usize;
-        let got = loop {
-            match src.next_entry() {
-                Ok(Some(_)) => yielded += 1,
-                Ok(None) => panic!("stream must end in an error"),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(got, want);
-        let (prefix, _) = wire::decode_chunked_recover(&bytes);
-        assert_eq!(yielded, prefix.entries.len());
-    }
-
-    #[test]
-    fn mapped_source_scratch_reuses_across_files() {
-        let log = sample_log();
-        let path_a = temp_path("reuse_a.rrlog");
-        let path_b = temp_path("reuse_b.rrlog");
-        write_rrlog(&path_a, &log).expect("writes");
-        let mut small = IntervalLog::new(CoreId::new(0));
-        small.entries.push(LogEntry::InorderBlock { instrs: 1 });
-        write_rrlog(&path_b, &small).expect("writes");
-
-        let mut scratch = DecodeScratch::new();
-        for (path, want) in [(&path_a, &log), (&path_b, &small), (&path_a, &log)] {
-            let mut src = MappedSource::with_scratch(path, scratch).expect("opens");
-            let got = read_log(&mut src).expect("streams");
-            assert_eq!(&got, want);
-            scratch = src.into_scratch();
-        }
+        let want = wire::decode_chunked(&bytes);
+        assert!(matches!(want, Err(WireError::CrcMismatch { chunk: 1, .. })));
+        assert_eq!(read_rrlog(&path), want);
     }
 }

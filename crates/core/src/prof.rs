@@ -4,7 +4,7 @@
 //! this module observes the *replayer and codec themselves*: where host
 //! wall-clock goes inside the multithreaded replay engine
 //! (`rr_replay::replay_threaded_probed`) and inside the `.rrlog` decode
-//! hot path ([`crate::wire::decode_chunked_probed`]).
+//! hot path ([`crate::wire::decode_chunked_into`]).
 //!
 //! Instrumentation is a type parameter, not a second copy of the code:
 //! the production paths are generic over a [`Probe`], and the plain entry
@@ -133,7 +133,7 @@ pub enum CodecPhase {
 /// verification vs varint entry decode vs output-buffer reservation.
 ///
 /// The [`Probe`] the `rr-bench` codec harness passes to
-/// [`crate::wire::decode_chunked_probed`]; it records one per size so
+/// [`crate::wire::decode_chunked_into`]; it records one per size so
 /// throughput cliffs are attributable to a phase instead of a guess.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodecPhases {

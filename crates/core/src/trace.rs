@@ -1195,8 +1195,8 @@ pub fn chrome_trace_from_jsonl(input: &str) -> Result<String, String> {
 /// A small recursive-descent JSON parser — just enough to validate Chrome
 /// traces and read back `trace.jsonl` sidecars without external crates.
 ///
-/// Integers that fit `u64` are preserved exactly ([`Value::UInt`]); other
-/// numbers fall back to `f64`.
+/// Integers that fit `u64` are preserved exactly
+/// ([`Value::UInt`](json::Value::UInt)); other numbers fall back to `f64`.
 pub mod json {
     /// A parsed JSON value.
     #[derive(Clone, Debug, PartialEq)]

@@ -1,5 +1,5 @@
-//! The `.rrlog` streaming wire format: sinks, sources, and a chunked,
-//! checksummed binary codec for interval logs.
+//! The `.rrlog` wire format: log sinks and a chunked, checksummed binary
+//! codec for interval logs.
 //!
 //! RelaxReplay's value proposition is a *compact, continuously produced*
 //! log, so the on-disk format is built for streaming and durability rather
@@ -18,14 +18,24 @@
 //!   LEB128 varints plus timestamp deltas shrink the log well below the
 //!   flat fixed-width encoding.
 //!
-//! The [`LogSink`] / [`LogSource`] traits decouple producers from
-//! consumers: a [`Recorder`](crate::Recorder) can emit entries into any
-//! sink at interval boundaries (streaming mode), and the replay pipeline
-//! can consume entries from memory ([`MemorySource`]) or from disk
-//! ([`ChunkedReader`]) without knowing the difference.
+//! Writing streams: a [`Recorder`](crate::Recorder) can emit entries into
+//! any [`LogSink`] at interval boundaries (streaming mode), and
+//! [`ChunkedWriter`] frames them into chunks as they arrive.
+//!
+//! Reading is whole-log, as the paper's offline patch step (§3.3.2) is:
+//! the bytes of one log (a mapped file, a store blob, a network fetch)
+//! decode in one of three ways, all sharing the per-chunk frame → CRC →
+//! batch-decode step:
+//!
+//! * **strict** — [`decode_chunked`], or [`decode_chunked_into`] for a
+//!   reused output log, a [`Probe`], and the intact prefix on error;
+//! * **lenient** — [`decode_chunked_skip`] and [`chunk_map`] skip damaged
+//!   chunks instead of stopping (diagnostics only);
+//! * **range** — [`decode_chunked_range`] decodes a run of chunks of a
+//!   self-contained stream, so parallel ingest can split one log.
 
 use core::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
@@ -357,7 +367,7 @@ impl From<std::io::Error> for WireError {
 }
 
 // ---------------------------------------------------------------------------
-// Sink / source traits
+// Sinks
 // ---------------------------------------------------------------------------
 
 /// A consumer of log entries: where a recorder streams its log.
@@ -380,66 +390,6 @@ pub trait LogSink {
     ///
     /// Returns a [`WireError`] if flushing failed.
     fn close(&mut self) -> Result<(), WireError>;
-}
-
-/// A producer of log entries: what the patch/replay pipeline consumes.
-///
-/// Yields entries in counting order until exhausted (`Ok(None)`); the
-/// recorded core's identity travels with the stream.
-pub trait LogSource {
-    /// The processor this log belongs to.
-    fn core(&self) -> CoreId;
-
-    /// The next entry, `Ok(None)` at end of stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncation or corruption; entries
-    /// yielded before the error are all intact.
-    fn next_entry(&mut self) -> Result<Option<LogEntry>, WireError>;
-}
-
-/// Reads an entire source into an [`IntervalLog`].
-///
-/// # Errors
-///
-/// Propagates the first [`WireError`] from the source.
-pub fn read_log(source: &mut dyn LogSource) -> Result<IntervalLog, WireError> {
-    let mut log = IntervalLog::new(source.core());
-    while let Some(e) = source.next_entry()? {
-        log.entries.push(e);
-    }
-    Ok(log)
-}
-
-/// A [`LogSource`] over an in-memory [`IntervalLog`] — the adapter that
-/// lets the slice-based record path feed the same streaming consumers as
-/// the disk path.
-#[derive(Debug)]
-pub struct MemorySource<'a> {
-    core: CoreId,
-    entries: std::slice::Iter<'a, LogEntry>,
-}
-
-impl<'a> MemorySource<'a> {
-    /// A source yielding `log`'s entries in order.
-    #[must_use]
-    pub fn new(log: &'a IntervalLog) -> Self {
-        MemorySource {
-            core: log.core,
-            entries: log.entries.iter(),
-        }
-    }
-}
-
-impl LogSource for MemorySource<'_> {
-    fn core(&self) -> CoreId {
-        self.core
-    }
-
-    fn next_entry(&mut self) -> Result<Option<LogEntry>, WireError> {
-        Ok(self.entries.next().copied())
-    }
 }
 
 /// A [`LogSink`] that simply collects entries in memory (tests and
@@ -634,10 +584,10 @@ fn decode_entry(
 /// Batched decode of a whole chunk payload into `out`.
 ///
 /// This is the codec hot path: one tight loop over the payload with the
-/// word-at-a-time SWAR varint reader, instead of a virtual `next_entry`
-/// call per entry. On error the entries already decoded stay in `out` (they are an
-/// intact prefix of the chunk) and the returned [`WireError`] carries
-/// `chunk` — exactly the semantics of the per-entry reference decoder.
+/// word-at-a-time SWAR varint reader, instead of a dispatch per entry. On
+/// error the entries already decoded stay in `out` (they are an intact
+/// prefix of the chunk) and the returned [`WireError`] carries `chunk` —
+/// exactly the semantics of the per-entry reference decoder.
 fn decode_chunk_entries(
     payload: &[u8],
     state: &mut DeltaState,
@@ -695,25 +645,6 @@ fn decode_chunk_entries(
         out.push(entry);
     }
     Ok(())
-}
-
-/// Reusable decode scratch: the chunk payload buffer and the batched entry
-/// buffer, kept allocated across chunks — and across whole files when a
-/// caller decodes many logs back to back (the parallel ingest path hands
-/// one scratch per worker). Steady-state decode then allocates nothing per
-/// chunk.
-#[derive(Debug, Default)]
-pub struct DecodeScratch {
-    payload: Vec<u8>,
-    entries: Vec<LogEntry>,
-}
-
-impl DecodeScratch {
-    /// A fresh scratch; buffers grow on first use and are then reused.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -833,189 +764,6 @@ impl<W: Write> LogSink for ChunkedWriter<W> {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked reader
-// ---------------------------------------------------------------------------
-
-/// Streams entries out of a `Read` carrying the chunked `.rrlog` format.
-///
-/// Each chunk is read, CRC-verified, and batch-decoded wholesale into a
-/// reusable [`DecodeScratch`]; [`LogSource::next_entry`] then drains the
-/// decoded entries without touching the codec. A truncated or corrupt
-/// chunk surfaces as a typed [`WireError`] *after* every entry decoded
-/// before the failure point has been yielded intact — the same observable
-/// sequence as the original entry-at-a-time reader.
-#[derive(Debug)]
-pub struct ChunkedReader<R: Read> {
-    r: R,
-    core: CoreId,
-    scratch: DecodeScratch,
-    /// Drain index into `scratch.entries`.
-    next: usize,
-    /// A decode error from the current chunk, surfaced once the decoded
-    /// prefix has been drained.
-    pending: Option<WireError>,
-    state: DeltaState,
-    version: u16,
-    /// Index of the next chunk to be read from the stream.
-    chunk_index: usize,
-    eof: bool,
-}
-
-impl<R: Read> ChunkedReader<R> {
-    /// Reads and validates the `.rrlog` header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::BadMagic`] / [`WireError::UnsupportedVersion`]
-    /// for foreign streams, [`WireError::Truncated`] if the header itself
-    /// is cut short.
-    pub fn new(r: R) -> Result<Self, WireError> {
-        Self::with_scratch(r, DecodeScratch::new())
-    }
-
-    /// As [`ChunkedReader::new`], reusing a caller-provided scratch whose
-    /// buffers survive from a previous stream — the zero-allocation path
-    /// when decoding many `.rrlog` files back to back.
-    ///
-    /// # Errors
-    ///
-    /// As [`ChunkedReader::new`].
-    pub fn with_scratch(mut r: R, mut scratch: DecodeScratch) -> Result<Self, WireError> {
-        let mut header = [0u8; 7];
-        read_exact_or(&mut r, &mut header, WireError::Truncated { chunk: 0 })?;
-        if header[..4] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if !version_supported(version) {
-            return Err(WireError::UnsupportedVersion { version });
-        }
-        scratch.payload.clear();
-        scratch.entries.clear();
-        Ok(ChunkedReader {
-            r,
-            core: CoreId::new(header[6]),
-            scratch,
-            next: 0,
-            pending: None,
-            state: DeltaState::default(),
-            version,
-            chunk_index: 0,
-            eof: false,
-        })
-    }
-
-    /// The wire-format version from the stream header.
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
-    /// Recovers the scratch for reuse on the next stream.
-    #[must_use]
-    pub fn into_scratch(self) -> DecodeScratch {
-        self.scratch
-    }
-
-    /// Reads the next chunk and batch-decodes it into the scratch.
-    /// `Ok(false)` at a clean end of stream. A decode failure inside an
-    /// otherwise intact chunk is stashed in `pending` so the decoded
-    /// prefix drains first.
-    fn load_chunk(&mut self) -> Result<bool, WireError> {
-        let chunk = self.chunk_index;
-        let mut len_bytes = [0u8; 4];
-        match self.r.read(&mut len_bytes) {
-            Ok(0) => return Ok(false), // clean EOF at a chunk boundary
-            Ok(n) => {
-                read_exact_or(
-                    &mut self.r,
-                    &mut len_bytes[n..],
-                    WireError::Truncated { chunk },
-                )?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                read_exact_or(&mut self.r, &mut len_bytes, WireError::Truncated { chunk })?;
-            }
-            Err(e) => return Err(e.into()),
-        }
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        self.scratch.payload.resize(len, 0);
-        read_exact_or(
-            &mut self.r,
-            &mut self.scratch.payload,
-            WireError::Truncated { chunk },
-        )?;
-        let mut crc_bytes = [0u8; 4];
-        read_exact_or(&mut self.r, &mut crc_bytes, WireError::Truncated { chunk })?;
-        let stored = u32::from_le_bytes(crc_bytes);
-        let computed = crc32(&self.scratch.payload);
-        if stored != computed {
-            return Err(WireError::CrcMismatch {
-                chunk,
-                stored,
-                computed,
-            });
-        }
-        self.scratch.entries.clear();
-        self.next = 0;
-        if self.version >= CHUNK_INDEPENDENT_VERSION {
-            self.state = DeltaState::default();
-        }
-        self.pending = decode_chunk_entries(
-            &self.scratch.payload,
-            &mut self.state,
-            chunk,
-            &mut self.scratch.entries,
-        )
-        .err();
-        self.chunk_index += 1;
-        Ok(true)
-    }
-}
-
-fn read_exact_or<R: Read>(r: &mut R, buf: &mut [u8], on_eof: WireError) -> Result<(), WireError> {
-    match r.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(on_eof),
-        Err(e) => Err(e.into()),
-    }
-}
-
-impl<R: Read> LogSource for ChunkedReader<R> {
-    fn core(&self) -> CoreId {
-        self.core
-    }
-
-    fn next_entry(&mut self) -> Result<Option<LogEntry>, WireError> {
-        loop {
-            if self.next < self.scratch.entries.len() {
-                let e = self.scratch.entries[self.next];
-                self.next += 1;
-                return Ok(Some(e));
-            }
-            if let Some(e) = self.pending.take() {
-                self.eof = true;
-                return Err(e);
-            }
-            if self.eof {
-                return Ok(None);
-            }
-            match self.load_chunk() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.eof = true;
-                    return Ok(None);
-                }
-                Err(e) => {
-                    self.eof = true;
-                    return Err(e);
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Whole-log helpers
 // ---------------------------------------------------------------------------
 
@@ -1121,72 +869,21 @@ fn next_raw_chunk<'a>(
 ///
 /// # Errors
 ///
-/// Returns the first [`WireError`]; use [`decode_chunked_recover`] to also
-/// obtain the entries recovered before the failure point.
+/// Returns the first [`WireError`]; use [`decode_chunked_into`] to also
+/// keep the entries recovered before the failure point.
 pub fn decode_chunked(bytes: &[u8]) -> Result<IntervalLog, WireError> {
-    decode_chunked_probed(bytes, &mut ())
-}
-
-/// [`decode_chunked`] reporting to a [`Probe`]: CRC verification, batched
-/// varint entry decode and output-buffer reservation are each timed into
-/// [`Probe::codec_phase`], and every decoded chunk is announced through
-/// [`Probe::chunk_decoded`]. `rr-bench` passes a
-/// [`CodecPhases`](crate::prof::CodecPhases) to decompose the
-/// large-stream decode cliff; phase timings land in `BENCH_codec.json`
-/// rows. The walk is the production one, so the log and error are
-/// exactly [`decode_chunked`]'s.
-///
-/// # Errors
-///
-/// Exactly the conditions of [`decode_chunked`]. The probe holds whatever
-/// work happened before the error.
-pub fn decode_chunked_probed<P: Probe>(
-    bytes: &[u8],
-    probe: &mut P,
-) -> Result<IntervalLog, WireError> {
     let mut log = IntervalLog::new(CoreId::new(0));
-    match decode_walk(bytes, &mut log, probe) {
-        None => Ok(log),
-        Some(e) => Err(e),
-    }
+    decode_chunked_into(bytes, &mut log, &mut ())?;
+    Ok(log)
 }
 
-/// As [`decode_chunked`], decoding into a caller-owned log whose entry
-/// buffer is reused — the steady-state path for decoding many streams (or
-/// the same stream repeatedly) without re-faulting a multi-GB output
-/// allocation each time. `log` is cleared (core re-stamped, entries
-/// truncated but capacity kept) before decoding.
-///
-/// # Errors
-///
-/// Exactly the conditions of [`decode_chunked`]; on error `log` holds the
-/// recovered prefix, as [`decode_chunked_recover`] would return it.
-pub fn decode_chunked_into(bytes: &[u8], log: &mut IntervalLog) -> Result<(), WireError> {
-    match decode_chunked_recover_into(bytes, log) {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-/// Decodes as much of a (possibly truncated or corrupted) `.rrlog` stream
-/// as possible: every entry up to the last intact chunk boundary, plus the
-/// error that stopped decoding (`None` if the stream was whole).
-///
-/// Header failures recover an empty log for core 0.
-#[must_use]
-pub fn decode_chunked_recover(bytes: &[u8]) -> (IntervalLog, Option<WireError>) {
-    let mut log = IntervalLog::new(CoreId::new(0));
-    let err = decode_chunked_recover_into(bytes, &mut log);
-    (log, err)
-}
-
-/// Output-reservation policy for the streaming decoders.
+/// Output-reservation policy for the strict decoder.
 ///
 /// Entry width varies 2..10+ bytes with the reordered mix, so a fixed
 /// guess is always wrong somewhere, and extrapolating the *first* chunk's
 /// entry density across a multi-GB stream over-reserves wildly when the
-/// stream is front-loaded with dense entries. Instead the decoders
-/// re-extrapolate every [`RESERVE_CHECK_CHUNKS`] chunks from *cumulative*
+/// stream is front-loaded with dense entries. Instead the decoder
+/// re-extrapolates every [`RESERVE_CHECK_CHUNKS`] chunks from *cumulative*
 /// observed density, clamped twice:
 ///
 /// * by what the remaining bytes can physically hold (an entry is at
@@ -1218,13 +915,6 @@ fn reserve_for_remainder(
     }
 }
 
-/// [`decode_chunked_recover`] into a reused log (see
-/// [`decode_chunked_into`] for the reuse contract).
-#[must_use]
-pub fn decode_chunked_recover_into(bytes: &[u8], log: &mut IntervalLog) -> Option<WireError> {
-    decode_walk(bytes, log, &mut ())
-}
-
 /// Runs `f`, timing it into `probe` as `phase` when the probe is enabled.
 #[inline]
 fn timed<P: Probe, T>(probe: &mut P, phase: CodecPhase, f: impl FnOnce() -> T) -> T {
@@ -1237,18 +927,35 @@ fn timed<P: Probe, T>(probe: &mut P, phase: CodecPhase, f: impl FnOnce() -> T) -
     out
 }
 
-/// The strict whole-stream walk behind every in-memory decode: a
-/// zero-copy pass over the framing with sliced CRC verification and
-/// batched whole-chunk entry decode straight into `log`, stopping at the
-/// first error. `log` is reset first and holds the recovered prefix on
-/// error.
-fn decode_walk<P: Probe>(bytes: &[u8], log: &mut IntervalLog, probe: &mut P) -> Option<WireError> {
+/// The strict whole-stream walk behind [`decode_chunked`], into a
+/// caller-owned log and reporting to a [`Probe`] (`&mut ()` for none):
+///
+/// * **Reuse** — `log` is reset first (core re-stamped, entries truncated
+///   but capacity kept), so decoding many streams, or one stream
+///   repeatedly, does not re-fault a multi-GB output allocation each time.
+/// * **Recovery** — on error `log` keeps every entry up to the last intact
+///   chunk boundary, plus the intact prefix of a chunk holding a malformed
+///   entry. Header failures leave an empty log for core 0.
+/// * **Instrumentation** — CRC verification, batched varint entry decode
+///   and output-buffer reservation are each timed into
+///   [`Probe::codec_phase`], and every decoded chunk is announced through
+///   [`Probe::chunk_decoded`]. `rr-bench` passes a
+///   [`CodecPhases`](crate::prof::CodecPhases) to decompose the
+///   large-stream decode cliff; the log and error are exactly those of the
+///   unprobed walk.
+///
+/// # Errors
+///
+/// Exactly the conditions of [`decode_chunked`]. The probe holds whatever
+/// work happened before the error.
+pub fn decode_chunked_into<P: Probe>(
+    bytes: &[u8],
+    log: &mut IntervalLog,
+    probe: &mut P,
+) -> Result<(), WireError> {
     log.entries.clear();
     log.core = CoreId::new(0);
-    let (core, version) = match parse_header(bytes) {
-        Ok(h) => h,
-        Err(e) => return Some(e),
-    };
+    let (core, version) = parse_header(bytes)?;
     log.core = core;
     // Seed capacity for the first chunk only (~3 payload bytes per
     // entry); reserve_for_remainder grows it as density is observed.
@@ -1263,27 +970,11 @@ fn decode_walk<P: Probe>(bytes: &[u8], log: &mut IntervalLog, probe: &mut P) -> 
     let mut index = 0usize;
     let mut payload_seen = 0usize;
     while let Some(raw) = next_raw_chunk(bytes, &mut pos, index) {
-        let raw = match raw {
-            Ok(r) => r,
-            Err(e) => return Some(e),
-        };
-        let computed = timed(probe, CodecPhase::Crc, || crc32(raw.payload));
-        if raw.stored_crc != computed {
-            return Some(WireError::CrcMismatch {
-                chunk: index,
-                stored: raw.stored_crc,
-                computed,
-            });
-        }
+        let raw = raw?;
         if version >= CHUNK_INDEPENDENT_VERSION {
             state = DeltaState::default();
         }
-        if let Err(e) = timed(probe, CodecPhase::Entries, || {
-            decode_chunk_entries(raw.payload, &mut state, index, &mut log.entries)
-        }) {
-            return Some(e);
-        }
-        probe.chunk_decoded(raw.payload.len());
+        decode_raw_chunk(&raw, index, &mut state, &mut log.entries, probe)?;
         payload_seen += raw.payload.len();
         if index.is_multiple_of(RESERVE_CHECK_CHUNKS) {
             timed(probe, CodecPhase::Reserve, || {
@@ -1292,7 +983,34 @@ fn decode_walk<P: Probe>(bytes: &[u8], log: &mut IntervalLog, probe: &mut P) -> 
         }
         index += 1;
     }
-    None
+    Ok(())
+}
+
+/// One chunk of a strict decode — CRC check, then batched entry decode
+/// onto `out` — shared by [`decode_chunked_into`] and
+/// [`decode_chunked_range`] so both report identical errors. On a
+/// malformed entry the chunk's decoded prefix stays in `out`.
+#[inline]
+fn decode_raw_chunk<P: Probe>(
+    raw: &RawChunk<'_>,
+    index: usize,
+    state: &mut DeltaState,
+    out: &mut Vec<LogEntry>,
+    probe: &mut P,
+) -> Result<(), WireError> {
+    let computed = timed(probe, CodecPhase::Crc, || crc32(raw.payload));
+    if raw.stored_crc != computed {
+        return Err(WireError::CrcMismatch {
+            chunk: index,
+            stored: raw.stored_crc,
+            computed,
+        });
+    }
+    timed(probe, CodecPhase::Entries, || {
+        decode_chunk_entries(raw.payload, state, index, out)
+    })?;
+    probe.chunk_decoded(raw.payload.len());
+    Ok(())
 }
 
 /// The original entry-at-a-time decoder, retained verbatim as the
@@ -1367,7 +1085,7 @@ pub struct Salvage {
 /// the first error instead.
 ///
 /// Header failures return an empty log for core 0, as
-/// [`decode_chunked_recover`] does.
+/// [`decode_chunked_into`] leaves it.
 #[must_use]
 pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
     let mut log = IntervalLog::new(CoreId::new(0));
@@ -1434,23 +1152,8 @@ pub struct ChunkInfo {
 /// Returns a [`WireError`] only if the 7-byte header itself is missing,
 /// foreign, or version-skewed — with no header there is nothing to map.
 pub fn chunk_map(bytes: &[u8]) -> Result<(CoreId, Vec<ChunkInfo>, Option<WireError>), WireError> {
-    chunk_map_with(bytes, &mut DecodeScratch::new())
-}
-
-/// As [`chunk_map`], reusing a caller-provided [`DecodeScratch`] so that
-/// mapping many streams (a whole `--save-logs` directory) allocates no
-/// per-chunk buffers.
-///
-/// # Errors
-///
-/// As [`chunk_map`].
-pub fn chunk_map_with(
-    bytes: &[u8],
-    scratch: &mut DecodeScratch,
-) -> Result<(CoreId, Vec<ChunkInfo>, Option<WireError>), WireError> {
     let mut map = Vec::new();
-    scratch.entries.clear();
-    let (core, _, first_err) = walk_lenient(bytes, &mut scratch.entries, |info, entries| {
+    let (core, _, first_err) = walk_lenient(bytes, &mut Vec::new(), |info, entries| {
         map.push(info);
         entries.clear();
     })?;
@@ -1582,11 +1285,12 @@ pub fn chunk_spans(
 
 /// Decodes a contiguous run of chunks of a *self-contained* (v3+) stream
 /// into `out`: `spans` are the chunks to decode (as returned by
-/// [`chunk_spans`]) and `first_index` is the stream-wide index of
-/// `spans[0]`, so errors carry the same chunk numbers a sequential decode
-/// would report. Each chunk decodes with fresh delta state — on v3
-/// streams this is bit-identical to the sequential walk, which is exactly
-/// what lets `decode_logs_parallel` range-partition one large log.
+/// [`chunk_spans`] over the same `bytes`) and `first_index` is the
+/// stream-wide index of `spans[0]`, so errors carry the same chunk numbers
+/// a sequential decode would report. Each chunk goes through the strict
+/// walk's own per-chunk step with fresh delta state — on v3 streams this
+/// is bit-identical to the sequential walk, which is exactly what lets
+/// `decode_logs_parallel` range-partition one large log.
 ///
 /// Callers must not hand this spans of a v1/v2 stream (their chunks share
 /// delta state); [`chunk_spans`] reports the version to check.
@@ -1609,24 +1313,10 @@ pub fn decode_chunked_range(
     out.reserve(total_payload / 4);
     for (i, span) in spans.iter().enumerate() {
         let index = first_index + i;
-        let payload_start = span.offset + 4;
-        let payload = bytes
-            .get(payload_start..payload_start + span.payload_bytes)
-            .ok_or(WireError::Truncated { chunk: index })?;
-        let crc_bytes = bytes
-            .get(payload_start + span.payload_bytes..payload_start + span.payload_bytes + 4)
-            .ok_or(WireError::Truncated { chunk: index })?;
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(WireError::CrcMismatch {
-                chunk: index,
-                stored,
-                computed,
-            });
-        }
-        let mut state = DeltaState::default();
-        decode_chunk_entries(payload, &mut state, index, out)?;
+        let mut pos = span.offset;
+        let raw = next_raw_chunk(bytes, &mut pos, index)
+            .unwrap_or(Err(WireError::Truncated { chunk: index }))?;
+        decode_raw_chunk(&raw, index, &mut DeltaState::default(), out, &mut ())?;
     }
     Ok(())
 }
@@ -1652,10 +1342,9 @@ pub fn write_rrlog(path: &Path, log: &IntervalLog) -> Result<(), WireError> {
 ///
 /// Returns a [`WireError`] on I/O failure, truncation, or corruption.
 pub fn read_rrlog(path: &Path) -> Result<IntervalLog, WireError> {
-    // Mapping the file and decoding zero-copy beats both streaming
-    // through a BufReader and a heap-staged fs::read: the batched
-    // in-memory decoder is the fast path and multi-GB logs never get
-    // copied into an intermediate buffer. Falls back to a plain read
+    // Mapping the file and decoding zero-copy beats a heap-staged
+    // fs::read: multi-GB logs never get copied into an intermediate
+    // buffer before the batched in-memory decode. Falls back to a plain read
     // where mmap is unavailable (see `mmapio`).
     let bytes = crate::mmapio::MappedBytes::open(path)?;
     decode_chunked(&bytes)
@@ -1704,6 +1393,13 @@ mod tests {
             core: CoreId::new(3),
             entries: sample_entries(),
         }
+    }
+
+    /// The strict walk's recovered prefix and error, as one value.
+    fn recover(bytes: &[u8]) -> (IntervalLog, Option<WireError>) {
+        let mut log = IntervalLog::new(CoreId::new(0));
+        let err = decode_chunked_into(bytes, &mut log, &mut ()).err();
+        (log, err)
     }
 
     #[test]
@@ -1796,7 +1492,7 @@ mod tests {
         let boundaries = chunk_boundaries(&bytes);
         assert!(boundaries.len() > 3, "want several chunks");
         for cut in 0..bytes.len() {
-            let (recovered, err) = decode_chunked_recover(&bytes[..cut]);
+            let (recovered, err) = recover(&bytes[..cut]);
             if boundaries.contains(&cut) {
                 assert!(err.is_none(), "cut at chunk boundary {cut}: {err:?}");
             } else {
@@ -1812,7 +1508,7 @@ mod tests {
             );
         }
         // Cutting the very last CRC byte still recovers all earlier chunks.
-        let (recovered, err) = decode_chunked_recover(&bytes[..bytes.len() - 1]);
+        let (recovered, err) = recover(&bytes[..bytes.len() - 1]);
         assert!(matches!(err, Some(WireError::Truncated { .. })));
         assert!(!recovered.entries.is_empty());
     }
@@ -1857,10 +1553,14 @@ mod tests {
         assert!(sink.closed);
         assert_eq!(sink.entries, log.entries);
 
-        let mut src = MemorySource::new(&log);
-        assert_eq!(src.core(), log.core);
-        let round = read_log(&mut src).expect("memory source");
-        assert_eq!(round, log);
+        // A ChunkedWriter fed the same entries decodes back to them.
+        let mut bytes = Vec::new();
+        let mut w = ChunkedWriter::new(&mut bytes, log.core).expect("header");
+        for e in &sink.entries {
+            w.emit(e).expect("Vec<u8> writes cannot fail");
+        }
+        w.close().expect("Vec<u8> writes cannot fail");
+        assert_eq!(decode_chunked(&bytes), Ok(log));
     }
 
     #[test]
@@ -1977,12 +1677,16 @@ mod tests {
 
     #[test]
     fn profiled_decoder_matches_plain_and_attributes_phases() {
+        let probed = |bytes: &[u8], phases: &mut crate::prof::CodecPhases| {
+            let mut log = IntervalLog::new(CoreId::new(0));
+            decode_chunked_into(bytes, &mut log, phases).map(|()| log)
+        };
         let log = sample_log();
         for chunk_bytes in [1, 8, 64, DEFAULT_CHUNK_BYTES] {
             let bytes = encode_chunked_with(&log, chunk_bytes);
             let mut phases = crate::prof::CodecPhases::default();
             assert_eq!(
-                decode_chunked_probed(&bytes, &mut phases),
+                probed(&bytes, &mut phases),
                 decode_chunked(&bytes),
                 "chunk_bytes={chunk_bytes}"
             );
@@ -2000,7 +1704,7 @@ mod tests {
             corrupted[i] ^= 0x40;
             let mut phases = crate::prof::CodecPhases::default();
             assert_eq!(
-                decode_chunked_probed(&corrupted, &mut phases),
+                probed(&corrupted, &mut phases),
                 decode_chunked(&corrupted),
                 "flip at {i}"
             );
@@ -2008,7 +1712,7 @@ mod tests {
         for cut in 0..bytes.len() {
             let mut phases = crate::prof::CodecPhases::default();
             assert_eq!(
-                decode_chunked_probed(&bytes[..cut], &mut phases),
+                probed(&bytes[..cut], &mut phases),
                 decode_chunked(&bytes[..cut]),
                 "cut at {cut}"
             );
@@ -2070,24 +1774,18 @@ mod tests {
     #[test]
     fn corrupt_entry_surfaces_after_the_decoded_prefix() {
         let (bytes, good) = stream_with_corrupt_entry();
-        let (log, err) = decode_chunked_recover(&bytes);
+        let (log, err) = recover(&bytes);
         assert_eq!(log.entries.len(), good);
         assert!(
             matches!(err, Some(WireError::Corrupt { chunk: 1, .. })),
             "got {err:?}"
         );
-        // The streaming reader yields the same prefix, then the error.
-        let mut r = ChunkedReader::new(&bytes[..]).expect("header");
-        let mut yielded = 0;
-        let err2 = loop {
-            match r.next_entry() {
-                Ok(Some(_)) => yielded += 1,
-                Ok(None) => panic!("stream must end in an error"),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(yielded, good);
-        assert!(matches!(err2, WireError::Corrupt { chunk: 1, .. }));
+        // The range decoder keeps the same prefix and reports the same error.
+        let (_, _, spans, _) = chunk_spans(&bytes).expect("header");
+        let mut out = Vec::new();
+        let err2 = decode_chunked_range(&bytes, &spans, 0, &mut out).err();
+        assert_eq!(out, log.entries);
+        assert_eq!(err2, err);
     }
 
     #[test]
@@ -2115,8 +1813,8 @@ mod tests {
             Some(WireError::CrcMismatch { chunk: 1, .. })
         ));
         assert_eq!(map_err, salvage.err);
-        // decode_chunked_recover, by contrast, stops at the damage.
-        let (prefix, _) = decode_chunked_recover(&corrupted);
+        // The strict walk, by contrast, stops at the damage.
+        let (prefix, _) = recover(&corrupted);
         assert_eq!(prefix.entries[..], log.entries[..prefix.entries.len()]);
         assert!(prefix.entries.len() < salvage.log.entries.len());
     }
@@ -2213,7 +1911,7 @@ mod tests {
             });
         }
         let bytes = encode_chunked(&log);
-        let (decoded, err) = decode_chunked_recover(&bytes);
+        let (decoded, err) = recover(&bytes);
         assert!(err.is_none());
         assert_eq!(decoded, log);
         assert!(
@@ -2233,16 +1931,16 @@ mod tests {
         let bytes_b = encode_chunked(&b);
 
         let mut out = IntervalLog::new(CoreId::new(9));
-        decode_chunked_into(&bytes_a, &mut out).expect("decodes");
+        decode_chunked_into(&bytes_a, &mut out, &mut ()).expect("decodes");
         assert_eq!(out, a);
         let cap = out.entries.capacity();
-        decode_chunked_into(&bytes_b, &mut out).expect("decodes");
+        decode_chunked_into(&bytes_b, &mut out, &mut ()).expect("decodes");
         assert_eq!(out, b);
         assert!(out.entries.capacity() >= cap, "capacity is retained");
         // Error parity with the fresh-log path, including recovered prefix.
         let cut = &bytes_a[..bytes_a.len() - 1];
-        let (fresh, fresh_err) = decode_chunked_recover(cut);
-        let reused_err = decode_chunked_into(cut, &mut out).unwrap_err();
+        let (fresh, fresh_err) = recover(cut);
+        let reused_err = decode_chunked_into(cut, &mut out, &mut ()).unwrap_err();
         assert_eq!(Some(reused_err), fresh_err);
         assert_eq!(out, fresh);
     }
@@ -2375,6 +2073,20 @@ mod tests {
         let mut out = Vec::new();
         let err = decode_chunked_range(&corrupted, &spans[2..], 2, &mut out).unwrap_err();
         assert!(matches!(err, WireError::CrcMismatch { chunk: 2, .. }));
+        // Over every byte flip whose framing still tiles the stream, a
+        // whole-stream range decode keeps the strict walk's prefix and error.
+        for i in 7..bytes.len() {
+            let mut corrupted = bytes.clone();
+            corrupted[i] ^= 0x40;
+            let (_, _, spans, trunc) = chunk_spans(&corrupted).expect("header");
+            if trunc.is_some() {
+                continue;
+            }
+            let mut out = Vec::new();
+            let err = decode_chunked_range(&corrupted, &spans, 0, &mut out).err();
+            let (strict, strict_err) = recover(&corrupted);
+            assert_eq!((out, err), (strict.entries, strict_err), "flip at {i}");
+        }
     }
 
     #[test]
@@ -2404,37 +2116,5 @@ mod tests {
         let v1 = encode_chunked_with_version(&log, 16, 1);
         let v2 = encode_chunked_with_version(&log, 16, 2);
         assert_eq!(v1[7..], v2[7..]);
-    }
-
-    #[test]
-    fn scratch_reuses_cleanly_across_streams() {
-        let a = sample_log();
-        let mut b = IntervalLog::new(CoreId::new(1));
-        b.entries.push(LogEntry::InorderBlock { instrs: 7 });
-        b.entries.push(LogEntry::IntervalFrame {
-            cisn: 0,
-            timestamp: 42,
-        });
-        let bytes_a = encode_chunked_with(&a, 4);
-        let bytes_b = encode_chunked(&b);
-
-        let mut scratch = DecodeScratch::new();
-        for (bytes, want) in [(&bytes_a, &a), (&bytes_b, &b), (&bytes_a, &a)] {
-            let mut r = ChunkedReader::with_scratch(&bytes[..], scratch).expect("header");
-            let got = read_log(&mut r).expect("decodes");
-            assert_eq!(&got, want);
-            scratch = r.into_scratch();
-        }
-
-        let (_, map_a, _) = chunk_map_with(&bytes_a, &mut scratch).expect("header");
-        let (_, map_b, _) = chunk_map_with(&bytes_b, &mut scratch).expect("header");
-        assert_eq!(
-            map_a.iter().map(|c| c.entries).sum::<usize>(),
-            a.entries.len()
-        );
-        assert_eq!(
-            map_b.iter().map(|c| c.entries).sum::<usize>(),
-            b.entries.len()
-        );
     }
 }

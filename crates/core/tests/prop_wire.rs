@@ -5,8 +5,15 @@
 
 use proptest::prelude::*;
 use relaxreplay::wire::{self, WireError};
-use relaxreplay::{IntervalLog, LogEntry, LogSource};
+use relaxreplay::{IntervalLog, LogEntry};
 use rr_mem::CoreId;
+
+/// The strict walk's recovered prefix and error, as one value.
+fn recover(bytes: &[u8]) -> (IntervalLog, Option<WireError>) {
+    let mut log = IntervalLog::new(CoreId::new(0));
+    let err = wire::decode_chunked_into(bytes, &mut log, &mut ()).err();
+    (log, err)
+}
 
 fn entry_strategy() -> impl Strategy<Value = LogEntry> {
     prop_oneof![
@@ -105,7 +112,7 @@ proptest! {
         }
         // Every chunk before the damaged one still decodes intact, and the
         // recovered entries are a prefix of the original log.
-        let (prefix, err) = wire::decode_chunked_recover(&bad);
+        let (prefix, err) = recover(&bad);
         prop_assert!(err.is_some());
         prop_assert!(
             log.entries.starts_with(&prefix.entries),
@@ -127,7 +134,7 @@ proptest! {
         let bytes = wire::encode_chunked_with(&log, 32);
         let cut = (cut_pick as usize) % (bytes.len() + 1);
         // Never panics; whatever decodes is a prefix of the original.
-        let (prefix, _err) = wire::decode_chunked_recover(&bytes[..cut]);
+        let (prefix, _err) = recover(&bytes[..cut]);
         prop_assert!(log.entries.starts_with(&prefix.entries));
         if cut == bytes.len() {
             prop_assert_eq!(prefix.entries.len(), log.entries.len());
@@ -326,9 +333,8 @@ proptest! {
         }
     }
 
-    /// `MappedSource` (mmap-backed streaming) yields the identical entry
-    /// sequence and identical terminal error as the in-memory decoder on
-    /// arbitrarily damaged streams.
+    /// `read_rrlog` (the mmap-backed file path every tool uses) returns
+    /// exactly `decode_chunked`'s `Result` on arbitrarily damaged files.
     #[test]
     fn mapped_source_matches_memory_decoder_under_damage(
         entries in proptest::collection::vec(entry_strategy(), 1..80),
@@ -355,26 +361,7 @@ proptest! {
         let path = dir.join(format!("case-{case}.rrlog"));
         std::fs::write(&path, &bytes).expect("write");
 
-        let (want_prefix, want_err) = wire::decode_chunked_recover(&bytes);
-        match relaxreplay::MappedSource::open(&path) {
-            Ok(mut src) => {
-                let mut got = Vec::new();
-                let got_err = loop {
-                    match src.next_entry() {
-                        Ok(Some(e)) => got.push(e),
-                        Ok(None) => break None,
-                        Err(e) => break Some(e),
-                    }
-                };
-                prop_assert_eq!(got, want_prefix.entries);
-                prop_assert_eq!(got_err, want_err);
-            }
-            Err(e) => {
-                // Header-level failures surface at open, identically.
-                prop_assert_eq!(Some(e), want_err);
-                prop_assert!(want_prefix.entries.is_empty());
-            }
-        }
+        prop_assert_eq!(wire::read_rrlog(&path), wire::decode_chunked(&bytes));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -47,7 +47,7 @@ use rr_experiments::report::{results_dir, write_metrics_jsonl, Table};
 use rr_experiments::write_trace_pairs;
 use rr_replay::CostModel;
 use rr_sim::{
-    explore_sweep_with, minimize_divergence, replay_and_verify_forensic, Error, ExploreSpec,
+    explore_sweep, minimize_divergence, replay_and_verify_forensic, Error, ExploreSpec,
     MachineConfig, PressureMode, RecordSession,
 };
 use rr_workloads::{corpus_suite, fuzz_case, litmus_suite, FuzzCase, Workload};
@@ -229,7 +229,7 @@ fn run_explore(opts: &Options) -> Result<u8, Error> {
             let specs: Vec<ExploreSpec> = (0..opts.seeds)
                 .map(|s| ExploreSpec::for_seed(s, pressure))
                 .collect();
-            let report = explore_sweep_with(
+            let report = explore_sweep(
                 &w.programs,
                 &w.initial_mem,
                 &machine,
@@ -449,7 +449,7 @@ fn run_fuzz(opts: &FuzzOptions) -> Result<u8, Error> {
             let specs: Vec<ExploreSpec> = (0..opts.schedules)
                 .map(|s| ExploreSpec::for_seed(seed.wrapping_mul(7919).wrapping_add(s), pressure))
                 .collect();
-            let report = explore_sweep_with(
+            let report = explore_sweep(
                 &w.programs,
                 &w.initial_mem,
                 &machine,

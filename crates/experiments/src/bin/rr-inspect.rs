@@ -47,8 +47,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use relaxreplay::wire::{chunk_map, decode_chunked_recover, decode_chunked_skip};
-use relaxreplay::{IndexProvenance, LogEntry, MappedBytes, SkipIndex};
+use relaxreplay::wire::{chunk_map, decode_chunked_into, decode_chunked_skip};
+use relaxreplay::{IndexProvenance, IntervalLog, LogEntry, MappedBytes, SkipIndex};
 use rr_experiments::report::Table;
 use rr_sim::RunStore;
 
@@ -420,7 +420,8 @@ fn cmd_dump(args: &[String]) -> u8 {
             return 1;
         }
     };
-    let (log, err) = decode_chunked_recover(&bytes);
+    let mut log = IntervalLog::new(rr_mem::CoreId::new(0));
+    let err = decode_chunked_into(&bytes, &mut log, &mut ()).err();
     println!(
         "{}: core {}, {} entr{}",
         path.display(),

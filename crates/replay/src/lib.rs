@@ -18,11 +18,13 @@
 //! 4. [`CostModel`] estimates replay time (user vs. OS cycles) to
 //!    reproduce the paper's Figure 13.
 //!
-//! The patcher and replayer are *streaming* consumers: [`patch_source`]
-//! and [`replay_sources`] accept any `LogSource` (an in-memory
-//! `MemorySource` or a `ChunkedReader` decoding an `.rrlog` file straight
-//! off disk), so a recording saved with `--save-logs` can be replayed by a
-//! later invocation without the recorder in the loop.
+//! Replay reads whole logs, as the paper's offline patch step does: an
+//! `.rrlog`'s bytes (a mapped file, a store blob, a network fetch) decode
+//! with `relaxreplay::wire::decode_chunked` (or range-parallel, with
+//! [`read_rrlogs_parallel`] / [`decode_logs_parallel`]) into an
+//! `IntervalLog`, which [`patch`] turns into replay ops. So a recording
+//! saved with `--save-logs` can be replayed by a later invocation without
+//! the recorder in the loop.
 //!
 //! ```
 //! use relaxreplay::{IntervalLog, LogEntry};
@@ -81,10 +83,7 @@ pub use ingest::{
 };
 pub use oracle::{cross_check, minimize, DifferentialError, Shrink};
 pub use parallel::{execute_modeled, replay_parallel, ParallelOutcome};
-pub use patch::{patch, patch_source, PatchError, PatchSourceError, PatchedLog, ReplayOp};
+pub use patch::{patch, PatchError, PatchedLog, ReplayOp};
 pub use prof::{critical_path_blame, prof_json, BlameReport, PathInterval, ProfEntry, BLAME_KINDS};
-pub use replayer::{
-    replay, replay_probed, replay_reference, replay_sources, ReplayError, ReplayOutcome,
-    ReplaySourceError,
-};
+pub use replayer::{replay, replay_probed, replay_reference, ReplayError, ReplayOutcome};
 pub use verify::{verify, verify_traced, RecordedExecution, VerifyError};

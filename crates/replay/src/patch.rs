@@ -1,7 +1,6 @@
 use core::fmt;
 
-use relaxreplay::wire::LogSource;
-use relaxreplay::{IntervalLog, LogEntry, MemorySource, WireError};
+use relaxreplay::{IntervalLog, LogEntry};
 use rr_mem::CoreId;
 
 /// One operation of a *patched*, replay-ready log.
@@ -92,47 +91,6 @@ impl fmt::Display for PatchError {
 
 impl std::error::Error for PatchError {}
 
-/// Errors from [`patch_source`]: either the underlying stream failed
-/// (truncated or corrupted `.rrlog`) or the decoded entries are not
-/// patchable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PatchSourceError {
-    /// The [`LogSource`] reported a wire-level failure.
-    Wire(WireError),
-    /// The entries decoded fine but the log itself is malformed.
-    Patch(PatchError),
-}
-
-impl fmt::Display for PatchSourceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PatchSourceError::Wire(e) => write!(f, "log stream failed: {e}"),
-            PatchSourceError::Patch(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for PatchSourceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PatchSourceError::Wire(e) => Some(e),
-            PatchSourceError::Patch(e) => Some(e),
-        }
-    }
-}
-
-impl From<WireError> for PatchSourceError {
-    fn from(e: WireError) -> Self {
-        PatchSourceError::Wire(e)
-    }
-}
-
-impl From<PatchError> for PatchSourceError {
-    fn from(e: PatchError) -> Self {
-        PatchSourceError::Patch(e)
-    }
-}
-
 /// The patching step (paper §3.3.2): converts a raw [`IntervalLog`] into a
 /// [`PatchedLog`] by moving every reordered store (and the store half of
 /// every reordered RMW) back `offset` intervals, to the end of the interval
@@ -145,36 +103,16 @@ impl From<PatchError> for PatchSourceError {
 /// (so no remote interval orders between the store's perform and its
 /// interval's end).
 ///
-/// This is a thin adapter over [`patch_source`] for logs already in
-/// memory.
+/// Entries are converted to [`ReplayOp`]s in one pass over
+/// `log.entries`; only the per-interval op lists are buffered until
+/// assembly.
 ///
 /// # Errors
 ///
 /// Returns [`PatchError`] if an offset points before the start of the log
 /// or the log is not frame-terminated.
 pub fn patch(log: &IntervalLog) -> Result<PatchedLog, PatchError> {
-    match patch_source(&mut MemorySource::new(log)) {
-        Ok(p) => Ok(p),
-        Err(PatchSourceError::Patch(e)) => Err(e),
-        Err(PatchSourceError::Wire(_)) => {
-            unreachable!("MemorySource never reports wire errors")
-        }
-    }
-}
-
-/// As [`patch`], but consuming entries one at a time from any
-/// [`LogSource`] — a [`MemorySource`] over an in-memory log or a
-/// `ChunkedReader` streaming straight off an `.rrlog` file. Entries are
-/// converted to [`ReplayOp`]s as they arrive; only the per-interval op
-/// lists (not the raw entries) are buffered until assembly.
-///
-/// # Errors
-///
-/// Returns [`PatchSourceError::Wire`] if the source fails mid-stream
-/// (truncation, CRC mismatch, I/O) and [`PatchSourceError::Patch`] if the
-/// decoded log is malformed.
-pub fn patch_source(src: &mut dyn LogSource) -> Result<PatchedLog, PatchSourceError> {
-    let core = src.core();
+    let core = log.core;
     // Completed interval bodies (ops in counting order) and frames, plus
     // appendices: stores moved back to the end of earlier intervals.
     let mut bodies: Vec<Vec<ReplayOp>> = Vec::new();
@@ -182,7 +120,7 @@ pub fn patch_source(src: &mut dyn LogSource) -> Result<PatchedLog, PatchSourceEr
     let mut appendices: Vec<Vec<ReplayOp>> = Vec::new();
     let mut body: Vec<ReplayOp> = Vec::new();
 
-    while let Some(e) = src.next_entry()? {
+    for &e in &log.entries {
         // Index of the interval currently being filled.
         let i = bodies.len();
         let move_back = |appendices: &mut Vec<Vec<ReplayOp>>,
@@ -231,7 +169,7 @@ pub fn patch_source(src: &mut dyn LogSource) -> Result<PatchedLog, PatchSourceEr
         }
     }
     if !body.is_empty() {
-        return Err(PatchError::UnterminatedInterval.into());
+        return Err(PatchError::UnterminatedInterval);
     }
 
     let mut ops = Vec::new();
@@ -429,51 +367,6 @@ mod tests {
             entries: vec![LogEntry::InorderBlock { instrs: 1 }],
         };
         assert_eq!(patch(&log), Err(PatchError::UnterminatedInterval));
-    }
-
-    #[test]
-    fn patch_source_over_chunked_stream_matches_patch() {
-        let log = IntervalLog {
-            core: CoreId::new(2),
-            entries: vec![
-                LogEntry::InorderBlock { instrs: 4 },
-                frame(0, 10),
-                LogEntry::ReorderedLoad { value: 77 },
-                frame(1, 20),
-                LogEntry::ReorderedStore {
-                    addr: 0x8,
-                    value: 9,
-                    offset: 2,
-                },
-                LogEntry::ReorderedRmw {
-                    loaded: 1,
-                    addr: 0x20,
-                    stored: Some(2),
-                    offset: 1,
-                },
-                LogEntry::InorderBlock { instrs: 1 },
-                frame(2, 30),
-            ],
-        };
-        let bytes = log.encode();
-        let mut reader = relaxreplay::ChunkedReader::new(&bytes[..]).expect("valid header");
-        let from_stream = patch_source(&mut reader).expect("patches from stream");
-        assert_eq!(from_stream, patch(&log).expect("patches in memory"));
-    }
-
-    #[test]
-    fn patch_source_surfaces_wire_errors() {
-        let log = IntervalLog {
-            core: CoreId::new(0),
-            entries: vec![LogEntry::InorderBlock { instrs: 4 }, frame(0, 10)],
-        };
-        let mut bytes = log.encode();
-        bytes.truncate(bytes.len() - 2); // cut into the final chunk's CRC
-        let mut reader = relaxreplay::ChunkedReader::new(&bytes[..]).expect("header intact");
-        match patch_source(&mut reader) {
-            Err(PatchSourceError::Wire(WireError::Truncated { .. })) => {}
-            other => panic!("expected a wire truncation error, got {other:?}"),
-        }
     }
 
     #[test]

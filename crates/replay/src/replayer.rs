@@ -2,13 +2,12 @@ use core::fmt;
 
 use relaxreplay::prof::Probe;
 use relaxreplay::trace::TraceEvent;
-use relaxreplay::wire::LogSource;
 use rr_isa::{Instr, Interp, MemImage, Memory, Program, StepEvent};
 use rr_mem::CoreId;
 
 use crate::cost::{CostModel, ReplayEvents};
 use crate::dag::IntervalDag;
-use crate::patch::{patch_source, PatchSourceError, PatchedLog, ReplayOp};
+use crate::patch::{PatchedLog, ReplayOp};
 
 /// Errors detected while replaying a log. Any of these means the log does
 /// not deterministically describe an execution of the given programs.
@@ -377,69 +376,6 @@ pub fn replay_reference(
         user_cycles,
         os_cycles,
     })
-}
-
-/// Errors from [`replay_sources`]: the log streams failed to decode/patch,
-/// or the patched logs failed to replay.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReplaySourceError {
-    /// Decoding or patching a per-core log stream failed.
-    Patch(PatchSourceError),
-    /// The patched logs are inconsistent with the programs.
-    Replay(ReplayError),
-}
-
-impl fmt::Display for ReplaySourceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplaySourceError::Patch(e) => write!(f, "{e}"),
-            ReplaySourceError::Replay(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ReplaySourceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ReplaySourceError::Patch(e) => Some(e),
-            ReplaySourceError::Replay(e) => Some(e),
-        }
-    }
-}
-
-impl From<PatchSourceError> for ReplaySourceError {
-    fn from(e: PatchSourceError) -> Self {
-        ReplaySourceError::Patch(e)
-    }
-}
-
-impl From<ReplayError> for ReplaySourceError {
-    fn from(e: ReplayError) -> Self {
-        ReplaySourceError::Replay(e)
-    }
-}
-
-/// Patches and replays directly from per-core [`LogSource`]s — the
-/// record-once/replay-many path: each source can be a `ChunkedReader`
-/// streaming an `.rrlog` file straight off disk.
-///
-/// # Errors
-///
-/// Returns [`ReplaySourceError::Patch`] if any stream is truncated,
-/// corrupted, or unpatchable, and [`ReplaySourceError::Replay`] if the
-/// decoded logs do not deterministically describe an execution of
-/// `programs`.
-pub fn replay_sources(
-    programs: &[Program],
-    sources: &mut [&mut dyn LogSource],
-    mem: MemImage,
-    cost: &CostModel,
-) -> Result<ReplayOutcome, ReplaySourceError> {
-    let logs = sources
-        .iter_mut()
-        .map(|s| patch_source(&mut **s))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(replay(programs, &logs, mem, cost)?)
 }
 
 fn step_traced<M: Memory>(interp: &mut Interp, mem: &mut M, trace: &mut Vec<u64>) {

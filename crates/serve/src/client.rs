@@ -1,7 +1,8 @@
 //! RRSP/v1 clients: the raw [`Client`], the [`RemoteStore`] that makes
-//! an `rr-serve` backend a drop-in [`RunStore`], and the
-//! [`RemoteSink`]/[`RemoteSource`] adapters that plug the network into
-//! the recorder's `LogSink`/`LogSource` seam.
+//! an `rr-serve` backend a drop-in [`RunStore`], and the [`RemoteSink`]
+//! adapter that plugs the network into the recorder's `LogSink` seam.
+//! Reading a log back is [`RemoteStore`]'s job: it fetches a variant's
+//! `.rrlog` bytes and decodes them whole, as a local load does.
 //!
 //! Saving through [`RemoteStore`] is deliberately byte-deterministic:
 //! logs are encoded with the same default `ChunkedWriter` parameters a
@@ -9,12 +10,11 @@
 //! are byte-identical to the local ones — the round-trip CI job diffs
 //! them directly.
 
-use std::io::Cursor;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 
 use relaxreplay::wire::{chunk_spans, encode_chunked};
-use relaxreplay::{ChunkedReader, ChunkedWriter, LogEntry, LogSink, LogSource, WireError};
+use relaxreplay::{ChunkedWriter, LogEntry, LogSink, WireError};
 use rr_mem::CoreId;
 use rr_sim::logdir::{decode_ordering, decode_truth, encode_ordering, encode_truth};
 use rr_sim::{
@@ -703,44 +703,5 @@ impl LogSink for RemoteSink {
         }
         self.writer.close()?;
         self.pump()
-    }
-}
-
-/// A [`LogSource`] reading one (run, variant, core) log back from an
-/// `rr-serve` backend: the materialized `.rrlog` bytes are fetched in
-/// one ranged request and decoded locally with the standard chunked
-/// reader, so corruption anywhere surfaces as the same typed
-/// [`WireError`]s a local file would produce.
-pub struct RemoteSource {
-    reader: ChunkedReader<Cursor<Vec<u8>>>,
-}
-
-impl RemoteSource {
-    /// Fetches the whole log for `run`/`variant`/`core` from `addr`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] on transport or server failure, including a typed
-    /// [`RemoteFault::CorruptBlob`] when the stored data is damaged.
-    pub fn fetch(addr: &str, run: &str, variant: &str, core: u8) -> Result<Self, StoreError> {
-        let mut client = Client::connect(addr)?;
-        let bytes = client.get_range(run, variant, core, 0, u64::MAX)?;
-        let reader = ChunkedReader::new(Cursor::new(bytes)).map_err(|e| {
-            StoreError::remote(
-                RemoteFault::Protocol,
-                format!("fetched log has a bad header: {e}"),
-            )
-        })?;
-        Ok(RemoteSource { reader })
-    }
-}
-
-impl LogSource for RemoteSource {
-    fn core(&self) -> CoreId {
-        self.reader.core()
-    }
-
-    fn next_entry(&mut self) -> Result<Option<LogEntry>, WireError> {
-        self.reader.next_entry()
     }
 }

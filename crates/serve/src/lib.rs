@@ -1,6 +1,6 @@
 //! rr-serve: a content-addressed log-ingest and replay-on-demand
 //! service for RelaxReplay runs, plus the clients that make it a
-//! drop-in [`RunStore`](rr_sim::RunStore) backend.
+//! drop-in [`RunStore`] backend.
 //!
 //! The pieces:
 //!
@@ -13,8 +13,8 @@
 //!   pool, per-connection staging, atomic seal).
 //! * [`client`] — [`Client`] (raw protocol),
 //!   [`RemoteStore`] (a `RunStore` over the wire), and the
-//!   [`RemoteSink`]/[`RemoteSource`] adapters that let a recorder
-//!   stream its log to the server live.
+//!   [`RemoteSink`] adapter that lets a recorder stream its log to the
+//!   server live.
 //!
 //! Anything that takes a run location accepts either a local path or
 //! an `rr://host:port/run` URL; [`open_store`] turns a parsed
@@ -25,7 +25,7 @@ pub mod proto;
 pub mod server;
 pub mod store;
 
-pub use client::{Client, RemoteSink, RemoteSinkStats, RemoteSource, RemoteStore};
+pub use client::{Client, RemoteSink, RemoteSinkStats, RemoteStore};
 pub use server::{serve, FaultSpec, ServerConfig, ServerHandle};
 pub use store::ChunkStore;
 

@@ -384,28 +384,15 @@ pub fn explore_one(
 /// cross-checks each recording. Divergences are collected, not fatal —
 /// `rr-check` wants *all* of them, minimized, not just the first.
 ///
+/// Every recording is also replayed on the threaded engine at each worker
+/// count in `replay_workers` (`&[]` for none); the threaded outcomes enter
+/// the same cross-check as the sequential ones (labelled `<variant>/w<n>`),
+/// so a divergence at any worker count fails the spec.
+///
 /// # Errors
 ///
 /// Returns [`SweepError`] only if a simulation itself fails.
 pub fn explore_sweep(
-    programs: &[Program],
-    initial_mem: &MemImage,
-    machine: &MachineConfig,
-    specs: &[ExploreSpec],
-    workers: usize,
-) -> Result<ExploreReport, SweepError> {
-    explore_sweep_with(programs, initial_mem, machine, specs, workers, &[])
-}
-
-/// As [`explore_sweep`], additionally replaying every recording on the
-/// threaded engine at each worker count in `replay_workers`; the threaded
-/// outcomes enter the same cross-check as the sequential ones (labelled
-/// `<variant>/w<n>`), so a divergence at any worker count fails the spec.
-///
-/// # Errors
-///
-/// Same as [`explore_sweep`].
-pub fn explore_sweep_with(
     programs: &[Program],
     initial_mem: &MemImage,
     machine: &MachineConfig,

@@ -50,8 +50,8 @@ mod tracer;
 pub use config::{MachineConfig, RecorderSpec};
 pub use error::Error;
 pub use explore::{
-    explore_one, explore_sweep, explore_sweep_with, minimize_divergence, ExploreOutcome,
-    ExploreReport, ExploreSpec, PressureMode,
+    explore_one, explore_sweep, minimize_divergence, ExploreOutcome, ExploreReport, ExploreSpec,
+    PressureMode,
 };
 pub use logdir::{LogDirError, SavedRun, SavedVariant};
 pub use machine::{

@@ -131,7 +131,7 @@ impl RunResult {
     }
 }
 
-/// Errors from [`record`].
+/// Errors from recording a run ([`RecordSession::run`](crate::RecordSession::run)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
     /// The machine did not finish within `max_cycles`.
@@ -168,7 +168,8 @@ impl std::error::Error for SimError {}
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum ScheduleStrategy {
     /// The untouched baseline order: core 0 ticks first, every core ticks
-    /// every cycle. [`record_custom`] is exactly this.
+    /// every cycle. A [`RecordSession`](crate::RecordSession) with no
+    /// schedule set runs exactly this.
     #[default]
     Baseline,
     /// Seeded stalls: each cycle, each core skips its pipeline tick with
@@ -286,8 +287,9 @@ impl PressureSpec {
     }
 }
 
-/// Options for [`record_with`]: a schedule strategy plus recorder
-/// pressure. The default is byte-identical to [`record_custom`].
+/// Options for [`RecordSession::options`](crate::RecordSession::options):
+/// a schedule strategy plus recorder pressure. The default is
+/// byte-identical to a session run without options.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunOptions {
     /// Per-cycle core schedule perturbation.

@@ -4,8 +4,9 @@
 //! Every figure of the paper is a reduction over run statistics, and every
 //! performance PR needs a baseline to measure against; this module gives
 //! both a uniform shape. A [`MetricsRegistry`] collects named counters and
-//! histograms from all three stat sources (`rr-cpu` [`CoreStats`],
-//! `rr-mem` [`MemStats`], `relaxreplay` [`RecorderStats`]), a
+//! histograms from all three stat sources (`rr-cpu`
+//! [`CoreStats`](rr_cpu::CoreStats), `rr-mem` [`MemStats`](rr_mem::MemStats),
+//! `relaxreplay` [`RecorderStats`](relaxreplay::RecorderStats)), a
 //! [`PhaseNanos`] records where wall-clock time went
 //! (record / patch / replay / verify), and [`MetricsRegistry::to_json`] /
 //! [`jsonl_object`] render a machine-readable line the experiment binaries
@@ -19,6 +20,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use relaxreplay::trace::json;
 
 use crate::machine::RunResult;
 
@@ -187,7 +190,7 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{v}", json_string(k));
+            let _ = write!(out, "{}:{v}", json::escape(k));
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -197,7 +200,7 @@ impl MetricsRegistry {
             let _ = write!(
                 out,
                 "{}:{{\"bin_width\":{},\"counts\":[",
-                json_string(k),
+                json::escape(k),
                 h.bin_width
             );
             for (j, c) in h.counts.iter().enumerate() {
@@ -244,28 +247,6 @@ impl PhaseNanos {
             self.record, self.patch, self.replay, self.verify
         )
     }
-}
-
-/// Escapes a string as a JSON string literal.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Builds the complete metrics registry for a recorded run: aggregated
@@ -331,7 +312,7 @@ pub fn jsonl_object(
 ) -> String {
     format!(
         "{{\"name\":{},\"job\":{job},\"metrics\":{},\"phases\":{}}}",
-        json_string(name),
+        json::escape(name),
         metrics.to_json(),
         phases.to_json()
     )
@@ -450,7 +431,14 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(json::escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let line = jsonl_object(
+            "a\"b\\c\n",
+            0,
+            &MetricsRegistry::default(),
+            &PhaseNanos::default(),
+        );
+        assert!(line.starts_with("{\"name\":\"a\\\"b\\\\c\\n\","), "{line}");
     }
 
     #[test]

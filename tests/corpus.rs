@@ -22,7 +22,7 @@ fn corpus_shapes_agree_across_64_seeded_schedules() {
         let specs: Vec<ExploreSpec> = (0..64)
             .map(|s| ExploreSpec::for_seed(s, PressureMode::None))
             .collect();
-        let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0)
+        let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0, &[])
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         for o in &report.outcomes {
             assert_eq!(
@@ -53,7 +53,7 @@ fn contended_locks_survive_recorder_pressure() {
         for pressure in [PressureMode::ForceClose, PressureMode::Traq] {
             let specs: Vec<ExploreSpec> =
                 (0..4).map(|s| ExploreSpec::for_seed(s, pressure)).collect();
-            let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0)
+            let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0, &[])
                 .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name, pressure.name()));
             for o in &report.outcomes {
                 assert_eq!(o.divergence, None, "{}/{}", w.name, o.name);
@@ -75,7 +75,7 @@ fn fuzzed_programs_replay_deterministically_end_to_end() {
         let specs: Vec<ExploreSpec> = (0..2)
             .map(|s| ExploreSpec::for_seed(seed * 100 + s, PressureMode::None))
             .collect();
-        let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0)
+        let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0, &[])
             .unwrap_or_else(|e| panic!("{}: {e}", case.label));
         for o in &report.outcomes {
             assert_eq!(

@@ -14,7 +14,9 @@
 
 use relaxreplay::prof::{CodecPhases, EngineProf};
 use relaxreplay::trace::{validate_chrome_trace, TraceConfig, TraceLevel};
-use relaxreplay::wire::{decode_chunked, decode_chunked_probed, encode_chunked};
+use relaxreplay::wire::{decode_chunked, decode_chunked_into, encode_chunked};
+use relaxreplay::IntervalLog;
+use rr_mem::CoreId;
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
     critical_path_blame, patch, prof_json, replay_threaded, replay_threaded_probed, CostModel,
@@ -79,7 +81,8 @@ fn profiling_changes_no_rrlog_bytes_and_no_replay_outcomes() {
             for log in &variant.logs {
                 let bytes = encode_chunked(log);
                 let plain = decode_chunked(&bytes).unwrap_or_else(|e| panic!("{at}: {e}"));
-                let profiled = decode_chunked_probed(&bytes, &mut phases)
+                let mut profiled = IntervalLog::new(CoreId::new(0));
+                decode_chunked_into(&bytes, &mut profiled, &mut phases)
                     .unwrap_or_else(|e| panic!("{at}: {e}"));
                 assert_eq!(plain, profiled, "{at}: profiled decode differs");
                 assert_eq!(

@@ -15,7 +15,7 @@ use rr_replay::{
     IntervalDag, PatchedLog, ReplayError, ReplayOp,
 };
 use rr_sim::{
-    explore_sweep_with, ExploreReport, ExploreSpec, MachineConfig, PressureMode, RecordSession,
+    explore_sweep, ExploreReport, ExploreSpec, MachineConfig, PressureMode, RecordSession,
     RecorderSpec,
 };
 use rr_workloads::{corpus_suite, litmus_suite, Workload};
@@ -28,7 +28,7 @@ const SEEDS: u64 = 64;
 
 fn sweep(w: &Workload, specs: &[ExploreSpec]) -> ExploreReport {
     let machine = MachineConfig::splash_default(w.programs.len());
-    explore_sweep_with(
+    explore_sweep(
         &w.programs,
         &w.initial_mem,
         &machine,

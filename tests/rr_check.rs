@@ -19,7 +19,7 @@ fn litmus_shapes_agree_across_64_seeded_schedules() {
         let specs: Vec<ExploreSpec> = (0..64)
             .map(|s| ExploreSpec::for_seed(s, PressureMode::None))
             .collect();
-        let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0)
+        let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0, &[])
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         for o in &report.outcomes {
             assert_eq!(
@@ -50,7 +50,7 @@ fn bugfix_pressure_modes_stay_deterministic() {
         for pressure in [PressureMode::CisnWrap, PressureMode::SinkFault] {
             let specs: Vec<ExploreSpec> =
                 (0..4).map(|s| ExploreSpec::for_seed(s, pressure)).collect();
-            let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0)
+            let report = explore_sweep(&w.programs, &w.initial_mem, &machine, &specs, 0, &[])
                 .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name, pressure.name()));
             for o in &report.outcomes {
                 assert_eq!(o.divergence, None, "{}/{}", w.name, o.name);
