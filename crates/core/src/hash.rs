@@ -5,13 +5,29 @@
 //! random masks — cheap in hardware (an XOR tree) and pairwise independent,
 //! which is what both the Bloom signatures and the Snoop Table need.
 
-/// One H3 hash function mapping a 64-bit line address to `bits`-wide
-/// indices.
+/// A bank of H3 hash functions ("lanes") mapping a 64-bit line number to
+/// `out_bits`-wide indices, evaluated as a software XOR tree.
+///
+/// Each lane has its own 64 random masks, one per input bit. The masks of
+/// all lanes are packed side by side into 64-bit words (lanes never
+/// straddle a word), so one pass over the line number's *set* bits XORs
+/// every lane's output at once: a Bloom signature hashes a line once per
+/// insert or test, not once per bank. Geometries wider than 64 bits use
+/// more words in the same pass. A single-lane H3 ([`H3::new`],
+/// [`H3::hash`]) is the one-lane case.
 #[derive(Clone, Debug)]
 pub struct H3 {
-    masks: [u32; 64],
-    out_mask: u32,
+    /// `masks[bit * words + w]`: word `w` of the packed lane masks XORed
+    /// in when input bit `bit` is set.
+    masks: Vec<u64>,
+    words: usize,
+    lanes: usize,
+    lanes_per_word: usize,
+    out_bits: u32,
 }
+
+/// Packed words accumulated per pass over the input's set bits.
+const ACC_WORDS: usize = 4;
 
 /// A deterministic 64-bit PRNG (splitmix64) used to derive the H3 masks so
 /// the whole system stays reproducible without external dependencies.
@@ -24,7 +40,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl H3 {
-    /// Creates an H3 hash with `out_bits` output bits, seeded
+    /// Creates a single-lane H3 hash with `out_bits` output bits, seeded
     /// deterministically.
     ///
     /// # Panics
@@ -32,34 +48,83 @@ impl H3 {
     /// Panics if `out_bits` is zero or greater than 32.
     #[must_use]
     pub fn new(out_bits: u32, seed: u64) -> Self {
-        assert!((1..=32).contains(&out_bits), "out_bits must be in 1..=32");
-        let mut state = seed ^ 0xa076_1d64_78bd_642f;
-        let out_mask = if out_bits == 32 {
-            u32::MAX
-        } else {
-            (1u32 << out_bits) - 1
-        };
-        let mut masks = [0u32; 64];
-        for m in &mut masks {
-            *m = (splitmix64(&mut state) as u32) & out_mask;
-        }
-        H3 { masks, out_mask }
+        H3::with_lanes(out_bits, &[seed])
     }
 
-    /// Hashes a line number to an index in `0..2^out_bits`.
+    /// Creates one `out_bits`-wide lane per seed. Lane `i` computes exactly
+    /// what `H3::new(out_bits, seeds[i])` computes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out_bits` is zero or greater than 32, or `seeds` is
+    /// empty.
+    #[must_use]
+    pub fn with_lanes(out_bits: u32, seeds: &[u64]) -> Self {
+        assert!((1..=32).contains(&out_bits), "out_bits must be in 1..=32");
+        assert!(!seeds.is_empty(), "need at least one lane");
+        let lanes_per_word = (64 / out_bits) as usize;
+        let words = seeds.len().div_ceil(lanes_per_word);
+        let out_mask = (1u64 << out_bits) - 1;
+        let mut masks = vec![0u64; 64 * words];
+        for (lane, &seed) in seeds.iter().enumerate() {
+            let (word, shift) = (
+                lane / lanes_per_word,
+                (lane % lanes_per_word) as u32 * out_bits,
+            );
+            let mut state = seed ^ 0xa076_1d64_78bd_642f;
+            for bit in 0..64 {
+                let m = u64::from(splitmix64(&mut state) as u32) & out_mask;
+                masks[bit * words + word] |= m << shift;
+            }
+        }
+        H3 {
+            masks,
+            words,
+            lanes: seeds.len(),
+            lanes_per_word,
+            out_bits,
+        }
+    }
+
+    /// Hashes a line number to an index in `0..2^out_bits` with the first
+    /// lane.
     #[must_use]
     pub fn hash(&self, line_number: u64) -> u32 {
-        let mut acc = 0u32;
-        let mut v = line_number;
-        let mut i = 0;
-        while v != 0 {
-            if v & 1 != 0 {
-                acc ^= self.masks[i];
+        let mut first = 0;
+        self.for_each_lane(line_number, |lane, idx| {
+            if lane == 0 {
+                first = idx;
             }
-            v >>= 1;
-            i += 1;
+        });
+        first
+    }
+
+    /// Hashes a line number with every lane in one pass over its set bits,
+    /// calling `f(lane, index)` for each lane in order.
+    pub fn for_each_lane(&self, line_number: u64, mut f: impl FnMut(usize, u32)) {
+        let out_mask = (1u64 << self.out_bits) - 1;
+        let mut base = 0;
+        while base < self.words {
+            let n = (self.words - base).min(ACC_WORDS);
+            let mut acc = [0u64; ACC_WORDS];
+            let mut v = line_number;
+            while v != 0 {
+                let row = v.trailing_zeros() as usize * self.words + base;
+                for (a, m) in acc[..n].iter_mut().zip(&self.masks[row..row + n]) {
+                    *a ^= m;
+                }
+                v &= v - 1;
+            }
+            for (w, &word) in acc[..n].iter().enumerate() {
+                let first = (base + w) * self.lanes_per_word;
+                let last = (first + self.lanes_per_word).min(self.lanes);
+                for lane in first..last {
+                    let shift = (lane - first) as u32 * self.out_bits;
+                    f(lane, ((word >> shift) & out_mask) as u32);
+                }
+            }
+            base += n;
         }
-        acc & self.out_mask
     }
 }
 

@@ -25,8 +25,12 @@ use crate::hash::H3;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Signature {
-    banks: Vec<Vec<u64>>, // each bank: bits/64 words
-    hashes: Vec<H3>,
+    /// Every bank's bits, bank-major: bank `b` is
+    /// `bits[b * words_per_bank..][..words_per_bank]`.
+    bits: Vec<u64>,
+    words_per_bank: usize,
+    /// One H3 lane per bank.
+    hash: H3,
     bits_per_bank: u32,
     insertions: u64,
 }
@@ -45,12 +49,14 @@ impl Signature {
             bits_per_bank.is_power_of_two(),
             "bits_per_bank must be a power of two"
         );
-        let idx_bits = bits_per_bank.trailing_zeros();
+        let words_per_bank = (bits_per_bank as usize).div_ceil(64);
+        let seeds: Vec<u64> = (0..banks)
+            .map(|i| seed.wrapping_mul(0x9e37).wrapping_add(i as u64))
+            .collect();
         Signature {
-            banks: vec![vec![0u64; (bits_per_bank as usize).div_ceil(64)]; banks],
-            hashes: (0..banks)
-                .map(|i| H3::new(idx_bits, seed.wrapping_mul(0x9e37).wrapping_add(i as u64)))
-                .collect(),
+            bits: vec![0u64; banks * words_per_bank],
+            words_per_bank,
+            hash: H3::with_lanes(bits_per_bank.trailing_zeros(), &seeds),
             bits_per_bank,
             insertions: 0,
         }
@@ -65,27 +71,28 @@ impl Signature {
     /// Inserts a line address.
     pub fn insert(&mut self, line: LineAddr) {
         self.insertions += 1;
-        for (bank, h) in self.banks.iter_mut().zip(&self.hashes) {
-            let bit = h.hash(line.line_number()) as usize;
-            bank[bit / 64] |= 1 << (bit % 64);
-        }
+        let (bits, wpb) = (&mut self.bits, self.words_per_bank);
+        self.hash.for_each_lane(line.line_number(), |bank, bit| {
+            let bit = bit as usize;
+            bits[bank * wpb + bit / 64] |= 1 << (bit % 64);
+        });
     }
 
     /// Tests a line address. `false` means *definitely not inserted*;
     /// `true` means *possibly inserted* (Bloom semantics).
     #[must_use]
     pub fn test(&self, line: LineAddr) -> bool {
-        self.banks.iter().zip(&self.hashes).all(|(bank, h)| {
-            let bit = h.hash(line.line_number()) as usize;
-            bank[bit / 64] & (1 << (bit % 64)) != 0
-        })
+        let mut hit = true;
+        self.hash.for_each_lane(line.line_number(), |bank, bit| {
+            let bit = bit as usize;
+            hit &= self.bits[bank * self.words_per_bank + bit / 64] & (1 << (bit % 64)) != 0;
+        });
+        hit
     }
 
     /// Clears the signature (interval termination).
     pub fn clear(&mut self) {
-        for bank in &mut self.banks {
-            bank.fill(0);
-        }
+        self.bits.fill(0);
         self.insertions = 0;
     }
 
@@ -98,8 +105,8 @@ impl Signature {
     /// Fraction of bits set in the densest bank (a saturation measure).
     #[must_use]
     pub fn occupancy(&self) -> f64 {
-        self.banks
-            .iter()
+        self.bits
+            .chunks(self.words_per_bank)
             .map(|b| {
                 b.iter().map(|w| w.count_ones()).sum::<u32>() as f64 / f64::from(self.bits_per_bank)
             })

@@ -25,7 +25,8 @@ pub struct SnoopSample {
 #[derive(Clone, Debug)]
 pub struct SnoopTable {
     arrays: [Vec<u16>; 2],
-    hashes: [H3; 2],
+    /// One H3 lane per array.
+    hash: H3,
 }
 
 impl SnoopTable {
@@ -40,10 +41,10 @@ impl SnoopTable {
         let idx_bits = entries.trailing_zeros();
         SnoopTable {
             arrays: [vec![0u16; entries], vec![0u16; entries]],
-            hashes: [
-                H3::new(idx_bits, seed.wrapping_add(0x51)),
-                H3::new(idx_bits, seed.wrapping_add(0xa3)),
-            ],
+            hash: H3::with_lanes(
+                idx_bits,
+                &[seed.wrapping_add(0x51), seed.wrapping_add(0xa3)],
+            ),
         }
     }
 
@@ -53,11 +54,19 @@ impl SnoopTable {
         SnoopTable::new(64, seed)
     }
 
+    /// The line's counter index in each array, from one hash pass.
+    fn indices(&self, line: LineAddr) -> [usize; 2] {
+        let mut idx = [0; 2];
+        self.hash
+            .for_each_lane(line.line_number(), |lane, i| idx[lane] = i as usize);
+        idx
+    }
+
     /// Records an observed coherence transaction (or, in directory mode, a
     /// dirty eviction — paper §4.3) for `line`.
     pub fn record(&mut self, line: LineAddr) {
-        for (arr, h) in self.arrays.iter_mut().zip(&self.hashes) {
-            let i = h.hash(line.line_number()) as usize;
+        let idx = self.indices(line);
+        for (arr, i) in self.arrays.iter_mut().zip(idx) {
             arr[i] = arr[i].wrapping_add(1);
         }
     }
@@ -65,11 +74,9 @@ impl SnoopTable {
     /// Samples the two counters for `line` (done at perform time).
     #[must_use]
     pub fn sample(&self, line: LineAddr) -> SnoopSample {
+        let [a, b] = self.indices(line);
         SnoopSample {
-            counters: [
-                self.arrays[0][self.hashes[0].hash(line.line_number()) as usize],
-                self.arrays[1][self.hashes[1].hash(line.line_number()) as usize],
-            ],
+            counters: [self.arrays[0][a], self.arrays[1][b]],
         }
     }
 
@@ -118,11 +125,8 @@ mod tests {
         let (a, b) = (0..4096u64)
             .flat_map(|a| ((a + 1)..4096).map(move |b| (a, b)))
             .find(|&(a, b)| {
-                let ha = [
-                    t0.hashes[0].hash(a) == t0.hashes[0].hash(b),
-                    t0.hashes[1].hash(a) == t0.hashes[1].hash(b),
-                ];
-                ha[0] != ha[1]
+                let (ia, ib) = (t0.indices(line(a)), t0.indices(line(b)));
+                (ia[0] == ib[0]) != (ia[1] == ib[1])
             })
             .expect("some single-array alias pair exists");
         let mut t = SnoopTable::splash_default(3);

@@ -1,4 +1,4 @@
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use rr_isa::{AtomicOp, FenceKind, Instr, MemImage, Program, Reg, NUM_REGS};
 use rr_mem::{AccessKind, CoreId, LineAddr, MemorySystem, ReqId, Response};
@@ -85,6 +85,18 @@ struct WbEntry {
     performed: bool,
 }
 
+/// The consumers waiting on one producer's result. Indexed by the
+/// producer's ROB slot and tagged with its sequence number: a slot's list
+/// belongs to the one producer that may still complete through it.
+#[derive(Clone, Debug)]
+struct Waiters {
+    producer: u64,
+    consumers: Vec<u64>,
+}
+
+/// `Waiters::producer` of a slot whose list belongs to no producer.
+const NO_PRODUCER: u64 = u64::MAX;
+
 #[derive(Clone, Copy, Debug)]
 enum MemTarget {
     Rob(u64),
@@ -129,7 +141,8 @@ pub struct Core<'p> {
     halted: bool,
     redirect_ready_at: u64,
     predictor: Predictor,
-    // ROB (circular, slot = seq % capacity; seqs never reused).
+    // ROB (circular, slot = seq % capacity; a squash reuses the seqs of
+    // the squashed path).
     slots: Vec<Option<RobEntry>>,
     head_seq: u64,
     next_seq: u64,
@@ -137,9 +150,13 @@ pub struct Core<'p> {
     regmap: [Option<u64>; NUM_REGS],
     committed: [u64; NUM_REGS],
     // Scheduling.
-    waiters: HashMap<u64, Vec<u64>>,
+    /// Consumers waiting on each in-flight producer, one list per ROB
+    /// slot.
+    waiters: Vec<Waiters>,
     ready_q: VecDeque<u64>,
     exec_inflight: Vec<(u64, u64)>, // (done_at, seq)
+    /// Scratch for `finish_execution`: the seqs finishing this cycle.
+    due: Vec<u64>,
     // Memory ordering.
     lsq: VecDeque<u64>,
     write_buffer: VecDeque<WbEntry>,
@@ -149,8 +166,16 @@ pub struct Core<'p> {
     outstanding_mem: BTreeSet<u64>,
     /// Unperformed loads/RMWs only (TSO load-load ordering).
     outstanding_loads: BTreeSet<u64>,
-    pending_reqs: HashMap<ReqId, MemTarget>,
+    /// In-flight memory requests (a handful at a time: an unordered
+    /// small vector).
+    pending_reqs: Vec<(ReqId, MemTarget)>,
     completions_in: Vec<ReqId>,
+    /// Scratch for `issue_loads`: per older store or unperformed atomic in
+    /// the LSQ, its word address and forwardable data (`None` = must wait).
+    older_stores: Vec<(u64, Option<u64>)>,
+    /// Scratch for `drain_write_buffer`: lines with an older store still
+    /// unperformed.
+    lines_blocked: Vec<LineAddr>,
     stats: CoreStats,
 }
 
@@ -185,9 +210,16 @@ impl<'p> Core<'p> {
             next_seq: 0,
             regmap: [None; NUM_REGS],
             committed: [0; NUM_REGS],
-            waiters: HashMap::new(),
+            waiters: vec![
+                Waiters {
+                    producer: NO_PRODUCER,
+                    consumers: Vec::new(),
+                };
+                rob
+            ],
             ready_q: VecDeque::new(),
             exec_inflight: Vec::new(),
+            due: Vec::new(),
             lsq: VecDeque::new(),
             write_buffer: VecDeque::new(),
             wb_next_id: 0,
@@ -195,8 +227,10 @@ impl<'p> Core<'p> {
             blocking: BTreeSet::new(),
             outstanding_mem: BTreeSet::new(),
             outstanding_loads: BTreeSet::new(),
-            pending_reqs: HashMap::new(),
+            pending_reqs: Vec::new(),
             completions_in: Vec::new(),
+            older_stores: Vec::new(),
+            lines_blocked: Vec::new(),
             stats: CoreStats::default(),
         }
     }
@@ -357,11 +391,12 @@ impl<'p> Core<'p> {
     // ----- completions -----------------------------------------------------
 
     fn process_completions(&mut self, cycle: u64, img: &mut MemImage, obs: &mut dyn CoreObserver) {
-        let reqs = std::mem::take(&mut self.completions_in);
-        for req in reqs {
-            let Some(target) = self.pending_reqs.remove(&req) else {
+        let mut reqs = std::mem::take(&mut self.completions_in);
+        for &req in &reqs {
+            let Some(at) = self.pending_reqs.iter().position(|&(r, _)| r == req) else {
                 panic!("completion for unknown request {req}");
             };
+            let (_, target) = self.pending_reqs.swap_remove(at);
             match target {
                 MemTarget::Orphan => continue,
                 MemTarget::Rob(seq) => {
@@ -427,6 +462,8 @@ impl<'p> Core<'p> {
                 }
             }
         }
+        reqs.clear();
+        self.completions_in = reqs;
     }
 
     fn apply_rmw(&mut self, img: &mut MemImage, seq: u64, addr: u64) -> (u64, Option<u64>) {
@@ -458,21 +495,17 @@ impl<'p> Core<'p> {
     // ----- execution -------------------------------------------------------
 
     fn finish_execution(&mut self, cycle: u64, obs: &mut dyn CoreObserver) {
-        let due: Vec<u64> = {
-            let mut due = Vec::new();
-            self.exec_inflight.retain(|&(done_at, seq)| {
-                if done_at <= cycle {
-                    due.push(seq);
-                    false
-                } else {
-                    true
-                }
-            });
-            due
-        };
-        for seq in due {
+        let mut due = std::mem::take(&mut self.due);
+        due.extend(
+            self.exec_inflight
+                .extract_if(.., |&mut (done_at, _)| done_at <= cycle)
+                .map(|(_, seq)| seq),
+        );
+        for &seq in &due {
             self.finish_one(seq, cycle, obs);
         }
+        due.clear();
+        self.due = due;
     }
 
     fn finish_one(&mut self, seq: u64, cycle: u64, obs: &mut dyn CoreObserver) {
@@ -581,11 +614,14 @@ impl<'p> Core<'p> {
             e.stage = Stage::Done;
             e.result = result;
         }
-        let Some(waiters) = self.waiters.remove(&seq) else {
+        let slot = self.slot_of(seq);
+        if self.waiters[slot].producer != seq {
             return;
-        };
+        }
+        self.waiters[slot].producer = NO_PRODUCER;
+        let mut consumers = std::mem::take(&mut self.waiters[slot].consumers);
         let value = result.unwrap_or(0);
-        for w in waiters {
+        for &w in &consumers {
             let Some(entry) = self.entry_mut(w) else {
                 continue; // squashed
             };
@@ -601,6 +637,8 @@ impl<'p> Core<'p> {
                 self.ready_q.push_back(w);
             }
         }
+        consumers.clear();
+        self.waiters[slot].consumers = consumers;
     }
 
     // ----- load issue ------------------------------------------------------
@@ -614,11 +652,12 @@ impl<'p> Core<'p> {
     ) {
         let mut units = self.cfg.ldst_units;
         let blocking_min = self.blocking.iter().next().copied();
-        // Youngest older store per word address: Some(data) = forwardable,
-        // None = must wait (unperformed atomic).
-        let mut store_data: HashMap<u64, Option<u64>> = HashMap::new();
-        let lsq: Vec<u64> = self.lsq.iter().copied().collect();
-        for seq in lsq {
+        // Older stores in LSQ order; the youngest one per word address
+        // decides: Some(data) = forwardable, None = must wait (unperformed
+        // atomic).
+        let mut store_data = std::mem::take(&mut self.older_stores);
+        for i in 0..self.lsq.len() {
+            let seq = self.lsq[i];
             if units == 0 {
                 break;
             }
@@ -633,7 +672,7 @@ impl<'p> Core<'p> {
                     // check at address resolution squashes any load that
                     // guessed wrong (memory-dependence speculation).
                     if let Some(addr) = mem_side.addr {
-                        store_data.insert(addr, Some(mem_side.data.expect("store data")));
+                        store_data.push((addr, Some(mem_side.data.expect("store data"))));
                     }
                 }
                 AccessKind::Rmw => {
@@ -641,7 +680,7 @@ impl<'p> Core<'p> {
                     // anyway (atomics have acquire semantics).
                     if let Some(addr) = mem_side.addr {
                         if !mem_side.performed {
-                            store_data.insert(addr, None);
+                            store_data.push((addr, None));
                         }
                     }
                 }
@@ -677,9 +716,9 @@ impl<'p> Core<'p> {
                     let addr = mem_side.addr.expect("MemWait implies address");
                     // Store-to-load forwarding: LSQ first (younger than the
                     // write buffer), then the write buffer (youngest entry).
-                    if let Some(forward) = store_data.get(&addr) {
+                    if let Some(&(_, forward)) = store_data.iter().rev().find(|&&(a, _)| a == addr)
+                    {
                         if let Some(value) = forward {
-                            let value = *value;
                             self.forward_load(seq, addr, value, cycle, obs);
                             units -= 1;
                         }
@@ -720,7 +759,7 @@ impl<'p> Core<'p> {
                             let e = self.entry_mut(seq).expect("entry");
                             e.stage = Stage::MemPending;
                             e.mem.as_mut().expect("mem side").issued = true;
-                            self.pending_reqs.insert(req, MemTarget::Rob(seq));
+                            self.pending_reqs.push((req, MemTarget::Rob(seq)));
                             units -= 1;
                         }
                         Response::Retry => break,
@@ -728,6 +767,8 @@ impl<'p> Core<'p> {
                 }
             }
         }
+        store_data.clear();
+        self.older_stores = store_data;
     }
 
     fn forward_load(
@@ -800,7 +841,7 @@ impl<'p> Core<'p> {
                                 let e = self.entry_mut(head).expect("entry");
                                 e.stage = Stage::MemPending;
                                 e.mem.as_mut().expect("mem side").issued = true;
-                                self.pending_reqs.insert(req, MemTarget::Rob(head));
+                                self.pending_reqs.push((req, MemTarget::Rob(head)));
                                 break;
                             }
                             Response::Retry => break,
@@ -918,7 +959,8 @@ impl<'p> Core<'p> {
         // still unperformed (same-line stores stay ordered; independent
         // lines overlap — the RC write buffer).
         let mut candidate: Option<u64> = None;
-        let mut lines_blocked: Vec<LineAddr> = Vec::new();
+        let lines_blocked = &mut self.lines_blocked;
+        lines_blocked.clear();
         for e in &self.write_buffer {
             if !e.performed && e.issued {
                 lines_blocked.push(e.line);
@@ -969,7 +1011,7 @@ impl<'p> Core<'p> {
                     .expect("candidate exists");
                 e.issued = true;
                 self.wb_inflight += 1;
-                self.pending_reqs.insert(req, MemTarget::Wb(id));
+                self.pending_reqs.push((req, MemTarget::Wb(id)));
             }
             Response::Retry => {}
         }
@@ -1179,7 +1221,16 @@ impl<'p> Core<'p> {
                 if done.0 {
                     OpSlot::Ready(done.1.unwrap_or(0))
                 } else {
-                    self.waiters.entry(producer).or_default().push(consumer);
+                    let slot = self.slot_of(producer);
+                    let waiters = &mut self.waiters[slot];
+                    if waiters.producer != producer {
+                        // Another live seq holds this slot, so the old
+                        // tag's seq is older than the ROB head: it has
+                        // retired and its list can never complete again.
+                        waiters.producer = producer;
+                        waiters.consumers.clear();
+                    }
+                    waiters.consumers.push(consumer);
                     OpSlot::Wait(producer)
                 }
             }
@@ -1240,7 +1291,7 @@ impl<'p> Core<'p> {
         self.ready_q.retain(|&s| s <= bseq);
         // Orphan in-flight requests of squashed instructions: their seqs
         // will be reused by the re-dispatched path.
-        for target in self.pending_reqs.values_mut() {
+        for (_, target) in &mut self.pending_reqs {
             if let MemTarget::Rob(s) = target {
                 if *s > bseq {
                     *target = MemTarget::Orphan;

@@ -64,83 +64,9 @@ impl CoreObserver for NullObserver {
     fn on_squash_after(&mut self, _seq: u64, _cycle: u64) {}
 }
 
-/// Fans events out to a list of observers (used by the simulator to attach
-/// several recorder variants — Base/Opt × interval sizes — to one
-/// execution). A dispatch is allowed only if **every** observer allows it;
-/// observers must therefore be deterministic and agree on TRAQ occupancy,
-/// which holds for RelaxReplay variants because TRAQ dynamics do not depend
-/// on the Base/Opt distinction or the interval length.
-pub struct FanoutObserver<'a> {
-    observers: Vec<&'a mut dyn CoreObserver>,
-}
-
-impl<'a> FanoutObserver<'a> {
-    /// Creates a fan-out over `observers`.
-    #[must_use]
-    pub fn new(observers: Vec<&'a mut dyn CoreObserver>) -> Self {
-        FanoutObserver { observers }
-    }
-}
-
-impl std::fmt::Debug for FanoutObserver<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FanoutObserver({} observers)", self.observers.len())
-    }
-}
-
-impl CoreObserver for FanoutObserver<'_> {
-    fn on_dispatch(&mut self, seq: u64, is_mem: bool) -> bool {
-        // Evaluate all observers (no short-circuit) so their views of the
-        // offer stay identical; all must agree.
-        let mut ok = true;
-        for o in &mut self.observers {
-            ok &= o.on_dispatch(seq, is_mem);
-        }
-        ok
-    }
-    fn on_perform(&mut self, record: &PerformRecord) {
-        for o in &mut self.observers {
-            o.on_perform(record);
-        }
-    }
-    fn on_retire(&mut self, seq: u64, is_mem: bool, cycle: u64) {
-        for o in &mut self.observers {
-            o.on_retire(seq, is_mem, cycle);
-        }
-    }
-    fn on_squash_after(&mut self, seq: u64, cycle: u64) {
-        for o in &mut self.observers {
-            o.on_squash_after(seq, cycle);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Veto(bool, u32);
-    impl CoreObserver for Veto {
-        fn on_dispatch(&mut self, _seq: u64, _is_mem: bool) -> bool {
-            self.1 += 1;
-            self.0
-        }
-        fn on_perform(&mut self, _r: &PerformRecord) {}
-        fn on_retire(&mut self, _s: u64, _m: bool, _c: u64) {}
-        fn on_squash_after(&mut self, _s: u64, _c: u64) {}
-    }
-
-    #[test]
-    fn fanout_requires_unanimity_and_offers_to_all() {
-        let mut a = Veto(true, 0);
-        let mut b = Veto(false, 0);
-        {
-            let mut f = FanoutObserver::new(vec![&mut a, &mut b]);
-            assert!(!f.on_dispatch(0, true));
-        }
-        assert_eq!(a.1, 1);
-        assert_eq!(b.1, 1, "refusing observer must still see the offer");
-    }
 
     #[test]
     fn null_observer_never_stalls() {

@@ -30,6 +30,6 @@ mod stats;
 
 pub use crate::core::Core;
 pub use config::{ConsistencyModel, CpuConfig};
-pub use events::{CoreObserver, FanoutObserver, NullObserver, PerformRecord};
+pub use events::{CoreObserver, NullObserver, PerformRecord};
 pub use predictor::Predictor;
 pub use stats::CoreStats;

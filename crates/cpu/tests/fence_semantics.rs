@@ -4,7 +4,7 @@
 
 use rr_cpu::{Core, CoreObserver, CpuConfig, PerformRecord};
 use rr_isa::{FenceKind, MemImage, Program, ProgramBuilder, Reg};
-use rr_mem::{AccessKind, CoreId, MemConfig, MemorySystem};
+use rr_mem::{AccessKind, CoreId, MemConfig, MemTickOutput, MemorySystem};
 
 fn r(i: u8) -> Reg {
     Reg::new(i)
@@ -35,9 +35,10 @@ fn run(p: &Program) -> PerformLog {
     let mut core = Core::new(CoreId::new(0), CpuConfig::splash_default(), p);
     let mut obs = PerformLog::default();
     let mut cycle = 0;
+    let mut out = MemTickOutput::default();
     loop {
-        let out = mem.tick(cycle);
-        for c in out.completions {
+        mem.tick(cycle, &mut out);
+        for c in &out.completions {
             core.push_completion(c.req);
         }
         core.tick(cycle, &mut img, &mut mem, &mut obs);

@@ -5,7 +5,7 @@
 
 use rr_cpu::{Core, CoreObserver, CoreStats, CpuConfig, NullObserver, PerformRecord};
 use rr_isa::{BranchCond, FenceKind, Interp, MemImage, Program, ProgramBuilder, Reg, StopReason};
-use rr_mem::{MemConfig, MemorySystem};
+use rr_mem::{MemConfig, MemTickOutput, MemorySystem};
 
 fn r(i: u8) -> Reg {
     Reg::new(i)
@@ -36,9 +36,10 @@ fn run_system_with(
         .map(|(i, p)| Core::new(rr_mem::CoreId::new(i as u8), cfg.clone(), p))
         .collect();
     let mut cycle = 0;
+    let mut out = MemTickOutput::default();
     loop {
-        let out = mem.tick(cycle);
-        for c in out.completions {
+        mem.tick(cycle, &mut out);
+        for c in &out.completions {
             cores[c.core.index()].push_completion(c.req);
         }
         for core in &mut cores {

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rr_cpu::{Core, CpuConfig, NullObserver};
 use rr_isa::{AluOp, BranchCond, Interp, MemImage, Program, ProgramBuilder, Reg, StopReason};
-use rr_mem::{CoreId, MemConfig, MemorySystem};
+use rr_mem::{CoreId, MemConfig, MemTickOutput, MemorySystem};
 
 fn r(i: u8) -> Reg {
     Reg::new(i)
@@ -156,9 +156,10 @@ fn run_core(p: &Program) -> (MemImage, Vec<u64>, u64) {
     let mut core = Core::new(CoreId::new(0), cfg, p);
     let mut obs = NullObserver;
     let mut cycle = 0u64;
+    let mut out = MemTickOutput::default();
     loop {
-        let out = mem.tick(cycle);
-        for c in out.completions {
+        mem.tick(cycle, &mut out);
+        for c in &out.completions {
             core.push_completion(c.req);
         }
         core.tick(cycle, &mut img, &mut mem, &mut obs);

@@ -108,7 +108,8 @@ fn run() -> Result<(), rr_sim::Error> {
         // TRAQ depth changes dispatch stalls, counting bandwidth and the
         // NMI width change filler allocation — all alter TRAQ dynamics, so
         // each configuration must observe its own run (recorders attached
-        // together must agree on TRAQ occupancy; see `FanoutObserver`).
+        // together must agree on TRAQ occupancy: the simulator lets a core
+        // dispatch only when every attached recorder accepts).
         for entries in [44usize, 88, 176] {
             jobs.push(job(
                 format!("{name}/traq/{entries}"),

@@ -80,7 +80,7 @@ pub fn assert_swmr(mem: &MemorySystem) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessKind, MemConfig, Response};
+    use crate::{AccessKind, MemConfig, MemTickOutput, Response};
 
     #[test]
     fn swmr_holds_under_random_traffic() {
@@ -88,9 +88,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let mut mem = MemorySystem::new(MemConfig::splash_default(4));
         let mut cycle = 0u64;
+        let mut out = MemTickOutput::default();
         for _ in 0..3000 {
             cycle += 1;
-            mem.tick(cycle);
+            mem.tick(cycle, &mut out);
             if rng.gen_bool(0.5) {
                 let core = CoreId::new(rng.gen_range(0..4));
                 let kind = match rng.gen_range(0..3) {
@@ -106,7 +107,7 @@ mod tests {
         // Drain.
         while !mem.quiescent() {
             cycle += 1;
-            mem.tick(cycle);
+            mem.tick(cycle, &mut out);
             assert_swmr(&mem);
         }
         let _: Response; // silence unused-import lints in some configs

@@ -44,6 +44,7 @@
 
 mod cache;
 mod config;
+mod idhash;
 pub mod invariants;
 mod line;
 mod memory;
@@ -52,6 +53,7 @@ mod stats;
 
 pub use cache::SetAssocCache;
 pub use config::{CoherenceMode, MemConfig};
+pub use idhash::{IdHashMap, IdHasher};
 pub use line::{CoreId, LineAddr};
 pub use memory::{
     AccessKind, Completion, MemTickOutput, MemorySystem, ReqId, Response, SnoopEvent, SnoopScope,

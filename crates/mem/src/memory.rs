@@ -1,7 +1,8 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::{
-    cache::SetAssocCache, config::CoherenceMode, CoreId, LineAddr, MemConfig, MemStats, MesiState,
+    cache::SetAssocCache, config::CoherenceMode, CoreId, IdHashMap, LineAddr, MemConfig, MemStats,
+    MesiState,
 };
 
 /// Identifier of an in-flight memory request, matched against
@@ -110,7 +111,10 @@ impl SnoopEvent {
     }
 }
 
-/// Everything the memory system produced in one cycle.
+/// Everything the memory system produced in one cycle. The caller owns it
+/// and hands the same buffer to every [`MemorySystem::tick`], which clears
+/// and refills it, so the cycle loop allocates nothing once the buffers
+/// have grown.
 #[derive(Clone, Debug, Default)]
 pub struct MemTickOutput {
     /// Requests that completed (and perform) this cycle.
@@ -127,6 +131,12 @@ impl MemTickOutput {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.completions.is_empty() && self.snoops.is_empty() && self.dirty_evictions.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.completions.clear();
+        self.snoops.clear();
+        self.dirty_evictions.clear();
     }
 }
 
@@ -163,7 +173,7 @@ struct ScheduledSnoop {
 /// * At most one *real* bus transaction is granted per cycle (round-robin
 ///   over queued requests); any number of *quick grants* (requests whose
 ///   permission already arrived by grant time) may resolve per cycle.
-/// * A granted transaction marks its line **busy** until completion; later
+/// * A granted transaction keeps its line **busy** until completion; later
 ///   requests to the line wait. This serializes same-line transactions,
 ///   which is how the model provides write atomicity.
 /// * Snoops are delivered at `grant + snoop_delay` and the transaction
@@ -183,13 +193,15 @@ pub struct MemorySystem {
     l2: SetAssocCache<()>,
     pending: VecDeque<Pending>,
     inflight: Vec<Inflight>,
-    line_busy: HashMap<LineAddr, u64>,
+    /// Completions due this cycle, moved out of `inflight` (kept to reuse
+    /// its capacity).
+    completing: Vec<Inflight>,
     snoops: Vec<ScheduledSnoop>,
     next_req: ReqId,
     /// Directory mode: the sharer list the directory *believes* (clean
     /// evictions are silent, so stale sharers remain and keep receiving
     /// invalidations — only dirty evictions/writebacks remove a core).
-    dir_sharers: HashMap<LineAddr, Vec<CoreId>>,
+    dir_sharers: IdHashMap<LineAddr, Vec<CoreId>>,
     stats: MemStats,
 }
 
@@ -216,10 +228,10 @@ impl MemorySystem {
             l2: SetAssocCache::new(l2_sets, cfg.l2_assoc),
             pending: VecDeque::new(),
             inflight: Vec::new(),
-            line_busy: HashMap::new(),
+            completing: Vec::new(),
             snoops: Vec::new(),
             next_req: 0,
-            dir_sharers: HashMap::new(),
+            dir_sharers: IdHashMap::default(),
             stats: MemStats::default(),
             cfg,
         }
@@ -347,36 +359,26 @@ impl MemorySystem {
         Response::Pending { req }
     }
 
-    /// Advances the memory system one cycle.
+    /// Advances the memory system one cycle, replacing the contents of
+    /// `out` with what happened in it.
     ///
     /// Processing order (load-bearing for correctness, see the type docs):
     /// due snoops first, then due completions, then new grants.
-    pub fn tick(&mut self, cycle: u64) -> MemTickOutput {
-        let mut out = MemTickOutput::default();
-        self.deliver_snoops(cycle, &mut out);
-        self.deliver_completions(cycle, &mut out);
-        self.grant(cycle, &mut out);
-        out
+    pub fn tick(&mut self, cycle: u64, out: &mut MemTickOutput) {
+        out.clear();
+        self.deliver_snoops(cycle, out);
+        self.deliver_completions(cycle, out);
+        self.grant(cycle, out);
     }
 
     fn deliver_snoops(&mut self, cycle: u64, out: &mut MemTickOutput) {
-        let mut due = Vec::new();
-        self.snoops.retain(|s| {
-            if s.at == cycle {
-                due.push(s.ev.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for ev in due {
+        for ScheduledSnoop { ev, .. } in self.snoops.extract_if(.., |s| s.at == cycle) {
             // Update every observer's L1 state.
-            for idx in 0..self.cfg.num_cores {
+            for (idx, l1) in self.l1s.iter_mut().enumerate() {
                 let core = CoreId::new(idx as u8);
                 if core == ev.from {
                     continue;
                 }
-                let l1 = &mut self.l1s[idx];
                 if let Some(state) = l1.peek(ev.line).copied() {
                     if ev.is_write {
                         l1.remove(ev.line);
@@ -396,26 +398,23 @@ impl MemorySystem {
     }
 
     fn deliver_completions(&mut self, cycle: u64, out: &mut MemTickOutput) {
-        let mut done = Vec::new();
-        self.inflight.retain(|t| {
-            if t.complete_at == cycle {
-                done.push(t.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for t in done {
-            self.line_busy.remove(&t.line);
+        let mut done = std::mem::take(&mut self.completing);
+        done.extend(self.inflight.extract_if(.., |t| t.complete_at == cycle));
+        for t in done.drain(..) {
             self.install(t.core, t.line, t.install, out);
-            for req in &t.reqs {
-                out.completions.push(Completion {
-                    core: t.core,
-                    req: *req,
-                    line: t.line,
-                });
-            }
+            out.completions.extend(t.reqs.iter().map(|&req| Completion {
+                core: t.core,
+                req,
+                line: t.line,
+            }));
         }
+        self.completing = done;
+    }
+
+    /// A line is busy while an in-flight transaction holds it; since no
+    /// request to a busy line is granted, at most one ever does.
+    fn line_busy(&self, line: LineAddr) -> bool {
+        self.inflight.iter().any(|t| t.line == line)
     }
 
     fn install(&mut self, core: CoreId, line: LineAddr, state: MesiState, out: &mut MemTickOutput) {
@@ -445,7 +444,7 @@ impl MemorySystem {
         let mut i = 0;
         while i < self.pending.len() {
             let p = &self.pending[i];
-            if self.line_busy.contains_key(&p.line) {
+            if self.line_busy(p.line) {
                 i += 1;
                 continue;
             }
@@ -562,7 +561,6 @@ impl MemorySystem {
                 scope,
             },
         });
-        self.line_busy.insert(p.line, cycle + latency);
         self.inflight.push(Inflight {
             core: p.core,
             line: p.line,
@@ -599,7 +597,8 @@ mod tests {
     ) -> (u64, Vec<MemTickOutput>) {
         let mut outs = Vec::new();
         for cycle in start..start + 10_000 {
-            let out = m.tick(cycle);
+            let mut out = MemTickOutput::default();
+            m.tick(cycle, &mut out);
             let done = out.completions.iter().any(|c| c.req == req);
             outs.push(out);
             if done {
@@ -878,7 +877,7 @@ mod tests {
         };
         // Tick once so the load transaction is *in flight* (a store cannot
         // merge into a read transaction and must queue separately).
-        m.tick(1);
+        m.tick(1, &mut MemTickOutput::default());
         let r1 = match m.access(1, core(0), AccessKind::Store, line(4)) {
             Response::Pending { req } => req,
             other => panic!("{other:?}"),
@@ -887,8 +886,9 @@ mod tests {
         // quick-grants in the same cycle the line installs, with no
         // Upgrade transaction.
         let mut done = [false, false];
+        let mut out = MemTickOutput::default();
         for cycle in 2..10_000 {
-            let out = m.tick(cycle);
+            m.tick(cycle, &mut out);
             for c in &out.completions {
                 done[c.req as usize] = true;
             }

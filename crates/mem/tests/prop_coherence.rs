@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use rr_mem::{
-    invariants::assert_swmr, AccessKind, CoherenceMode, CoreId, LineAddr, MemConfig, MemorySystem,
-    Response, SnoopScope,
+    invariants::assert_swmr, AccessKind, CoherenceMode, CoreId, LineAddr, MemConfig, MemTickOutput,
+    MemorySystem, Response, SnoopScope,
 };
 use std::collections::HashMap;
 
@@ -53,8 +53,9 @@ fn run_traffic(accesses: &[Access], cores: usize, mode: CoherenceMode) {
     let mut last_snoop: HashMap<u64, u64> = HashMap::new();
 
     let max_cycles = 200_000;
+    let mut out = MemTickOutput::default();
     while next < accesses.len() || !outstanding.is_empty() {
-        let out = mem.tick(cycle);
+        mem.tick(cycle, &mut out);
         for s in &out.snoops {
             last_snoop.insert(s.line.line_number(), cycle);
             // Scope sanity: the requester never observes itself.
@@ -135,8 +136,9 @@ proptest! {
         let mut mem = MemorySystem::new(cfg);
         let mut next = 0usize;
         let mut outstanding = 0usize;
+        let mut out = MemTickOutput::default();
         for cycle in 0..100_000u64 {
-            let out = mem.tick(cycle);
+            mem.tick(cycle, &mut out);
             outstanding -= out.completions.len();
             for s in &out.snoops {
                 for i in 0..3u8 {

@@ -2,7 +2,9 @@
 //! upgrading, L2 servicing after write-backs, ring-latency scaling, and
 //! quick-grant conversions.
 
-use rr_mem::{AccessKind, CoreId, LineAddr, MemConfig, MemorySystem, MesiState, Response};
+use rr_mem::{
+    AccessKind, CoreId, LineAddr, MemConfig, MemTickOutput, MemorySystem, MesiState, Response,
+};
 
 fn core(i: u8) -> CoreId {
     CoreId::new(i)
@@ -21,8 +23,9 @@ fn pending(r: Response) -> u64 {
 
 fn drain(mem: &mut MemorySystem, start: u64, reqs: &[u64]) -> u64 {
     let mut remaining: Vec<u64> = reqs.to_vec();
+    let mut out = MemTickOutput::default();
     for cycle in start..start + 10_000 {
-        let out = mem.tick(cycle);
+        mem.tick(cycle, &mut out);
         for c in &out.completions {
             remaining.retain(|&r| r != c.req);
         }

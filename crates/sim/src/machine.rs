@@ -2,9 +2,9 @@ use core::fmt;
 
 use relaxreplay::trace::TraceEvent;
 use relaxreplay::{IntervalLog, Recorder, RecorderStats, RunTrace, TraceConfig, TraceRing};
-use rr_cpu::{Core, CoreObserver, CoreStats, FanoutObserver};
+use rr_cpu::{Core, CoreObserver, CoreStats, PerformRecord};
 use rr_isa::{MemImage, Program};
-use rr_mem::{CoherenceMode, CoreId, MemStats, MemorySystem};
+use rr_mem::{CoherenceMode, CoreId, MemStats, MemTickOutput, MemorySystem};
 use rr_replay::{patch, CostModel, PatchedLog, RecordedExecution, ReplayOutcome};
 
 use crate::config::{MachineConfig, RecorderSpec};
@@ -263,9 +263,8 @@ impl SchedulePlanner {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PressureSpec {
     /// Force-close every recorder's current interval every `period`
-    /// cycles (`Some(0)` is treated as every cycle’s guard, i.e. never),
-    /// exercising the `Forced` termination path and pathologically small
-    /// intervals.
+    /// cycles (`Some(0)` never force-closes), exercising the `Forced`
+    /// termination path and pathologically small intervals.
     pub force_close_period: Option<u64>,
     /// Advance every recorder's interval counter by this many empty
     /// intervals before the first cycle, pushing the 16-bit CISN toward
@@ -330,6 +329,50 @@ pub struct SinkFaultReport {
     /// buffer reproduce the fault-free variant's log exactly — nothing
     /// lost, nothing duplicated, nothing reordered.
     pub prefix_intact: bool,
+}
+
+/// Everything observing one core: its recorder in every variant, then its
+/// load-value collector. A dispatch is allowed only if **every** observer
+/// allows it, and every observer sees every offer (no short-circuit), so
+/// their views of the core stay identical; the variants agree on TRAQ
+/// occupancy because TRAQ dynamics depend neither on the Base/Opt
+/// distinction nor on the interval length.
+struct CoreFanout<'a> {
+    /// Variant-major: `recorders[v][core]`.
+    recorders: &'a mut [Vec<Recorder>],
+    core: usize,
+    tracer: &'a mut TraceCollector,
+}
+
+impl CoreObserver for CoreFanout<'_> {
+    fn on_dispatch(&mut self, seq: u64, is_mem: bool) -> bool {
+        let mut ok = true;
+        for variant in self.recorders.iter_mut() {
+            ok &= variant[self.core].on_dispatch(seq, is_mem);
+        }
+        ok & self.tracer.on_dispatch(seq, is_mem)
+    }
+
+    fn on_perform(&mut self, record: &PerformRecord) {
+        for variant in self.recorders.iter_mut() {
+            variant[self.core].on_perform(record);
+        }
+        self.tracer.on_perform(record);
+    }
+
+    fn on_retire(&mut self, seq: u64, is_mem: bool, cycle: u64) {
+        for variant in self.recorders.iter_mut() {
+            variant[self.core].on_retire(seq, is_mem, cycle);
+        }
+        self.tracer.on_retire(seq, is_mem, cycle);
+    }
+
+    fn on_squash_after(&mut self, seq: u64, cycle: u64) {
+        for variant in self.recorders.iter_mut() {
+            variant[self.core].on_squash_after(seq, cycle);
+        }
+        self.tracer.on_squash_after(seq, cycle);
+    }
 }
 
 /// The recording engine behind [`crate::RecordSession`]: one parallel execution of `programs`
@@ -424,10 +467,12 @@ pub(crate) fn run_machine(
         None
     };
     let directory = cfg.mem.mode == CoherenceMode::Directory;
+    let mut out = MemTickOutput::default();
+    let mut edges: Vec<(CoreId, u64)> = Vec::new();
 
     let mut cycle = 0u64;
     let final_cycle = loop {
-        let out = mem.tick(cycle);
+        mem.tick(cycle, &mut out);
         for c in &out.completions {
             cores[c.core.index()].push_completion(c.req);
         }
@@ -446,7 +491,7 @@ pub(crate) fn run_machine(
                 // Observers process the snoop, then "reply" with ordering
                 // information for the requester's current interval — the
                 // Cyrus-style piggyback the paper's §3.6 pairing implies.
-                let mut edges: Vec<(CoreId, u64)> = Vec::new();
+                edges.clear();
                 for (i, rec) in variant.iter_mut().enumerate() {
                     let core = CoreId::new(i as u8);
                     if snoop.scope.observes(core) {
@@ -458,7 +503,7 @@ pub(crate) fn run_machine(
                 }
                 if snoop.from.index() < n {
                     let requester = &mut variant[snoop.from.index()];
-                    for (core, ord) in edges {
+                    for &(core, ord) in &edges {
                         requester.on_predecessor(core, ord);
                     }
                 }
@@ -476,12 +521,11 @@ pub(crate) fn run_machine(
         planner.fill_order(cycle, &mut tick_order);
         for &i in &tick_order {
             let stalled = planner.stalls(cycle, i);
-            let mut observers: Vec<&mut dyn CoreObserver> = recorders
-                .iter_mut()
-                .map(|v| &mut v[i] as &mut dyn CoreObserver)
-                .collect();
-            observers.push(&mut tracers[i]);
-            let mut fanout = FanoutObserver::new(observers);
+            let mut fanout = CoreFanout {
+                recorders: &mut recorders,
+                core: i,
+                tracer: &mut tracers[i],
+            };
             if stalled {
                 // A stalled pipeline still performs accesses whose
                 // completions arrive this cycle (the memory system's
@@ -708,5 +752,41 @@ pub fn replay_and_verify_forensic(
                 ))),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use relaxreplay::{Design, RecorderConfig};
+
+    #[test]
+    fn fanout_requires_unanimity_and_offers_to_all() {
+        // Variant 0's one-entry TRAQ is full after the first memory
+        // dispatch, so it refuses the second; variant 1 still accepts.
+        let mut small = RecorderConfig::splash_default(Design::Base, None);
+        small.traq_entries = 1;
+        let large = RecorderConfig::splash_default(Design::Opt, None);
+        let mut recorders = vec![
+            vec![Recorder::new(CoreId::new(0), small)],
+            vec![Recorder::new(CoreId::new(0), large)],
+        ];
+        let mut tracer = TraceCollector::new();
+        let mut fanout = CoreFanout {
+            recorders: &mut recorders,
+            core: 0,
+            tracer: &mut tracer,
+        };
+        assert!(fanout.on_dispatch(0, true));
+        assert!(
+            !fanout.on_dispatch(1, true),
+            "one refusal refuses the dispatch"
+        );
+        assert_eq!(recorders[0][0].traq_len(), 1);
+        assert_eq!(
+            recorders[1][0].traq_len(),
+            2,
+            "an observer after the refusing one must still see the offer"
+        );
     }
 }

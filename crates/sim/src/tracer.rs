@@ -1,6 +1,5 @@
-use std::collections::HashMap;
-
 use rr_cpu::{CoreObserver, PerformRecord};
+use rr_mem::IdHashMap;
 
 /// Collects the value obtained by every load/RMW of one thread, in
 /// retirement (program) order — the ground truth against which replay is
@@ -10,7 +9,8 @@ use rr_cpu::{CoreObserver, PerformRecord};
 /// retirement, so squashed speculative loads never pollute it.
 #[derive(Clone, Debug, Default)]
 pub struct TraceCollector {
-    performed: HashMap<u64, u64>,
+    /// Loaded value per performed, not yet retired seq.
+    performed: IdHashMap<u64, u64>,
     trace: Vec<u64>,
 }
 
