@@ -25,15 +25,17 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 use relaxreplay::prof::CodecPhases;
+use relaxreplay::trace::json::Fixed;
 use relaxreplay::wire::{
     decode_chunked, decode_chunked_into, decode_chunked_reference, encode_chunked,
     encode_chunked_with_version, read_rrlog, ChunkedWriter, DEFAULT_CHUNK_BYTES, MIN_VERSION,
     VERSION,
 };
 use relaxreplay::{IntervalLog, LogEntry, LogSink};
+use rr_bench::compare::{bench_json, host_cpus};
+use rr_bench::median_ns;
 use rr_mem::CoreId;
 use rr_replay::{decode_chunked_parallel, decode_logs_parallel};
 
@@ -153,38 +155,6 @@ struct Sample {
     phases: Option<CodecPhases>,
 }
 
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Times `f` and returns the median per-iteration nanoseconds. `bytes` is
-/// the payload size used for throughput. In smoke mode everything runs
-/// once or twice — enough to prove the path works, not to measure it.
-fn measure<F: FnMut()>(smoke: bool, bytes: usize, mut f: F) -> f64 {
-    // Warm-up + rate estimate.
-    let t = Instant::now();
-    f();
-    let one = t.elapsed().as_secs_f64().max(1e-9);
-    if smoke {
-        let t = Instant::now();
-        f();
-        return t.elapsed().as_nanos() as f64;
-    }
-    // ~0.2 s per sample, 7 samples, at least 1 iter per sample.
-    let iters = ((0.2 / one).ceil() as u64).clamp(1, 1_000_000);
-    let _ = bytes;
-    let mut samples = Vec::with_capacity(7);
-    for _ in 0..7 {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        samples.push(t.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn push_sample(out: &mut Vec<Sample>, name: String, entries: usize, bytes: usize, median_ns: f64) {
     let mb_per_s = bytes as f64 / median_ns * 1e9 / 1e6;
     println!("{name:<28} {median_ns:>12.0} ns/iter  {mb_per_s:>9.1} MB/s  ({bytes} B)");
@@ -206,7 +176,7 @@ fn push_sample(out: &mut Vec<Sample>, name: String, entries: usize, bytes: usize
 /// decomposition.
 fn bench_decode_row(smoke: bool, out: &mut Vec<Sample>, tag: &str, entries: usize, bytes: &[u8]) {
     let mut reused = IntervalLog::new(CoreId::new(0));
-    let ns = measure(smoke, bytes.len(), || {
+    let ns = median_ns(smoke, || {
         decode_chunked_into(std::hint::black_box(bytes), &mut reused, &mut ()).expect("decodes");
         std::hint::black_box(&reused);
     });
@@ -235,7 +205,7 @@ fn bench_codec(smoke: bool, out: &mut Vec<Sample>) {
     for &(entries, tag) in sizes {
         let log = synthetic_log(0, entries);
         let bytes = encode_chunked(&log);
-        let ns = measure(smoke, bytes.len(), || {
+        let ns = median_ns(smoke, || {
             std::hint::black_box(encode_chunked(std::hint::black_box(&log)));
         });
         push_sample(
@@ -269,7 +239,7 @@ fn bench_parallel(smoke: bool, out: &mut Vec<Sample>) -> Result<(), String> {
     // like `decode_logs_parallel` returns — dropping each log as it
     // decodes would give the baseline a smaller live-memory peak (one log
     // vs eight) and turn the gate into an allocator benchmark.
-    let serial_ns = measure(smoke, total, || {
+    let serial_ns = median_ns(smoke, || {
         let decoded: Vec<IntervalLog> = streams
             .iter()
             .map(|s| decode_chunked(std::hint::black_box(s)).expect("decodes"))
@@ -278,7 +248,7 @@ fn bench_parallel(smoke: bool, out: &mut Vec<Sample>) -> Result<(), String> {
     });
     let mut w1_ns = f64::INFINITY;
     for workers in [1usize, 2, 8] {
-        let ns = measure(smoke, total, || {
+        let ns = median_ns(smoke, || {
             std::hint::black_box(
                 decode_logs_parallel(std::hint::black_box(&streams), workers).expect("decodes"),
             );
@@ -315,7 +285,7 @@ fn bench_parallel(smoke: bool, out: &mut Vec<Sample>) -> Result<(), String> {
     let big_entries = if smoke { 200_000 } else { 4_000_000 };
     let big = synthetic_stream(9, big_entries);
     for workers in [1usize, 2, 8] {
-        let ns = measure(smoke, big.len(), || {
+        let ns = median_ns(smoke, || {
             std::hint::black_box(
                 decode_chunked_parallel(std::hint::black_box(&big), workers).expect("decodes"),
             );
@@ -416,35 +386,34 @@ fn reference_check() -> Result<usize, String> {
 }
 
 fn write_json(path: &Path, mode: &str, samples: &[Sample], checked: usize) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"rr-bench/codec/v2\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"host_cpus\": {},\n", host_cpus()));
-    s.push_str(&format!(
-        "  \"reference_check\": {{ \"files\": {checked}, \"ok\": true }},\n"
-    ));
-    s.push_str("  \"benches\": [\n");
-    for (i, b) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"entries\": {}, \"bytes\": {}, \"median_ns\": {:.0}, \"mb_per_s\": {:.1}",
-            b.name, b.entries, b.bytes, b.median_ns, b.mb_per_s,
-        ));
-        if let Some((requested, effective)) = b.workers {
-            s.push_str(&format!(
-                ", \"workers\": {requested}, \"effective_workers\": {effective}"
-            ));
-        }
-        if let Some(p) = &b.phases {
-            s.push_str(&format!(", \"phases\": {}", p.to_json()));
-        }
-        s.push_str(&format!(
-            " }}{}\n",
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+    let doc = bench_json(
+        "rr-bench/codec/v2",
+        mode,
+        |o| {
+            o.object("reference_check", |r| {
+                r.field("files", checked).field("ok", true);
+            });
+        },
+        |rows| {
+            for b in samples {
+                rows.object(|r| {
+                    r.field("name", &b.name)
+                        .field("entries", b.entries)
+                        .field("bytes", b.bytes)
+                        .field("median_ns", Fixed(b.median_ns, 0))
+                        .field("mb_per_s", Fixed(b.mb_per_s, 1));
+                    if let Some((requested, effective)) = b.workers {
+                        r.field("workers", requested)
+                            .field("effective_workers", effective);
+                    }
+                    if let Some(p) = &b.phases {
+                        r.object("phases", |o| p.json_fields(o));
+                    }
+                });
+            }
+        },
+    );
+    std::fs::write(path, doc)
 }
 
 fn main() -> ExitCode {

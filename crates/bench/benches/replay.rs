@@ -23,8 +23,10 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
+use relaxreplay::trace::json::Fixed;
+use rr_bench::compare::bench_json;
+use rr_bench::median_ns;
 use rr_replay::{
     patch, replay, replay_reference, replay_threaded, verify, CostModel, PatchedLog, ReplayOp,
     ReplayOutcome,
@@ -179,32 +181,6 @@ struct Sample {
     m_intervals_per_s: f64,
 }
 
-/// Times `f` and returns the median per-iteration nanoseconds. In smoke
-/// mode everything runs once or twice — enough to prove the path works,
-/// not to measure it.
-fn measure<F: FnMut()>(smoke: bool, mut f: F) -> f64 {
-    let t = Instant::now();
-    f();
-    let one = t.elapsed().as_secs_f64().max(1e-9);
-    if smoke {
-        let t = Instant::now();
-        f();
-        return t.elapsed().as_nanos() as f64;
-    }
-    // ~0.2 s per sample, 7 samples, at least 1 iter per sample.
-    let iters = ((0.2 / one).ceil() as u64).clamp(1, 1_000_000);
-    let mut samples = Vec::with_capacity(7);
-    for _ in 0..7 {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        samples.push(t.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn push_sample(out: &mut Vec<Sample>, name: String, intervals: usize, ops: usize, median_ns: f64) {
     let m_intervals_per_s = intervals as f64 / median_ns * 1e9 / 1e6;
     println!(
@@ -221,7 +197,7 @@ fn push_sample(out: &mut Vec<Sample>, name: String, intervals: usize, ops: usize
 
 fn bench_recording(smoke: bool, r: &Recording, out: &mut Vec<Sample>) {
     let cost = CostModel::splash_default();
-    let ns = measure(smoke, || {
+    let ns = median_ns(smoke, || {
         std::hint::black_box(
             replay(
                 std::hint::black_box(&r.programs),
@@ -234,7 +210,7 @@ fn bench_recording(smoke: bool, r: &Recording, out: &mut Vec<Sample>) {
     });
     push_sample(out, format!("seq/{}", r.tag), r.intervals, r.ops, ns);
     for workers in WORKERS {
-        let ns = measure(smoke, || {
+        let ns = median_ns(smoke, || {
             std::hint::black_box(
                 replay_threaded(
                     std::hint::black_box(&r.programs),
@@ -258,31 +234,33 @@ fn bench_recording(smoke: bool, r: &Recording, out: &mut Vec<Sample>) {
 }
 
 fn write_json(path: &Path, mode: &str, samples: &[Sample], cases: usize) -> std::io::Result<()> {
-    let host_cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"rr-bench/replay/v1\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    s.push_str(&format!(
-        "  \"differential_gate\": {{ \"cases\": {cases}, \"workers\": [1, 2, 4, 8], \"ok\": true }},\n"
-    ));
-    s.push_str("  \"benches\": [\n");
-    for (i, b) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"intervals\": {}, \"ops\": {}, \"median_ns\": {:.0}, \"m_intervals_per_s\": {:.3} }}{}\n",
-            b.name,
-            b.intervals,
-            b.ops,
-            b.median_ns,
-            b.m_intervals_per_s,
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+    let doc = bench_json(
+        "rr-bench/replay/v1",
+        mode,
+        |o| {
+            o.object("differential_gate", |g| {
+                g.field("cases", cases)
+                    .array("workers", |a| {
+                        for w in WORKERS {
+                            a.item(w);
+                        }
+                    })
+                    .field("ok", true);
+            });
+        },
+        |rows| {
+            for b in samples {
+                rows.object(|r| {
+                    r.field("name", &b.name)
+                        .field("intervals", b.intervals)
+                        .field("ops", b.ops)
+                        .field("median_ns", Fixed(b.median_ns, 0))
+                        .field("m_intervals_per_s", Fixed(b.m_intervals_per_s, 3));
+                });
+            }
+        },
+    );
+    std::fs::write(path, doc)
 }
 
 fn main() -> ExitCode {

@@ -6,7 +6,8 @@
 //! this from the CLI and from CI; the logic lives here so the gate is
 //! unit-testable without spawning processes. Any schema the bench
 //! harnesses emit (`rr-bench/codec/v*`, `rr-bench/replay/v*`) parses, as
-//! long as it carries a `benches` array of `{name, median_ns}` rows.
+//! long as it carries a `benches` array of `{name, median_ns}` rows; the
+//! harnesses write theirs with [`bench_json`].
 
 use relaxreplay::trace::json::{self, Value};
 
@@ -84,6 +85,35 @@ pub fn parse_bench_json(s: &str) -> Result<BenchDoc, String> {
         host_cpus,
         rows,
     })
+}
+
+/// The host's available parallelism, recorded as every document's
+/// `host_cpus` (1 when it cannot be determined).
+#[must_use]
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Renders a `BENCH_*.json` document in the shape [`parse_bench_json`]
+/// reads: `schema`, `mode` and `host_cpus`, then the fields `header`
+/// writes, then the `benches` array whose rows `rows` writes (each an
+/// object with at least a string `name` and an integer `median_ns`).
+#[must_use]
+pub fn bench_json(
+    schema: &str,
+    mode: &str,
+    header: impl FnOnce(&mut json::Obj<'_>),
+    rows: impl FnOnce(&mut json::Arr<'_>),
+) -> String {
+    let mut doc = json::object(|o| {
+        o.field("schema", schema)
+            .field("mode", mode)
+            .field("host_cpus", host_cpus());
+        header(o);
+        o.array("benches", rows);
+    });
+    doc.push('\n');
+    doc
 }
 
 /// Regression thresholds: a default slowdown percentage plus per-bench
@@ -249,6 +279,37 @@ mod tests {
             parse_bench_json("{\"schema\":\"x\",\"benches\":[{\"name\":\"a\"}]}").is_err(),
             "row without median_ns must fail"
         );
+    }
+
+    #[test]
+    fn written_documents_parse_back_to_the_same_values() {
+        let name = "odd \"name\"\\with\nescapes/é";
+        let s = bench_json(
+            "rr-bench/test/v1",
+            "test",
+            |o| {
+                o.field("dedup_ratio", json::Fixed(5.52431, 4));
+            },
+            |rows| {
+                rows.object(|r| {
+                    r.field("name", name)
+                        .field("median_ns", json::Fixed(8713.4, 0))
+                        .field("mb_per_s", json::Fixed(f64::NAN, 1));
+                })
+                .object(|r| {
+                    r.field("name", "b").field("median_ns", 7u64);
+                });
+            },
+        );
+        assert!(s.ends_with("}\n"), "{s}");
+        let d = parse_bench_json(&s).expect("parses");
+        let mut want = doc("test", &[(name, 8713), ("b", 7)]);
+        want.host_cpus = Some(host_cpus() as u64);
+        assert_eq!(d, want);
+        let v = json::parse(&s).expect("parses");
+        assert_eq!(v.get("dedup_ratio"), Some(&Value::Num(5.5243)));
+        let row = &v.get("benches").and_then(Value::as_array).expect("rows")[0];
+        assert_eq!(row.get("mb_per_s"), Some(&Value::Null), "NaN is null");
     }
 
     #[test]

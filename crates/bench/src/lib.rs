@@ -20,6 +20,8 @@
 
 pub mod compare;
 
+use std::time::Instant;
+
 use rr_isa::MemImage;
 use rr_sim::{MachineConfig, RecordSession, RecorderSpec, RunResult};
 use rr_workloads::{by_name, Workload};
@@ -41,6 +43,32 @@ pub fn bench_record(workload: &Workload) -> RunResult {
         .specs(&RecorderSpec::paper_matrix())
         .run()
         .expect("bench recording")
+}
+
+/// Times `f` and returns the median per-iteration nanoseconds: a warm-up
+/// run sizes 7 samples of about 0.2 s each. In smoke mode `f` runs twice
+/// and the second run's time is returned — enough to prove the path
+/// works, not to measure it.
+pub fn median_ns(smoke: bool, mut f: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    f();
+    let one = t.elapsed().as_secs_f64().max(1e-9);
+    if smoke {
+        let t = Instant::now();
+        f();
+        return t.elapsed().as_nanos() as f64;
+    }
+    let iters = ((0.2 / one).ceil() as u64).clamp(1, 1_000_000);
+    let mut samples = Vec::with_capacity(7);
+    for _ in 0..7 {
+        let t = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        samples.push(t.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// An empty initial memory (helper so benches avoid the import).

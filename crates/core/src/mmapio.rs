@@ -206,7 +206,7 @@ impl AsRef<[u8]> for MappedBytes {
 mod tests {
     use super::*;
     use crate::log::{IntervalLog, LogEntry};
-    use crate::wire::{self, read_rrlog, write_rrlog};
+    use crate::wire::{self, read_rrlog};
     use rr_mem::CoreId;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -236,7 +236,7 @@ mod tests {
     fn mapped_bytes_match_fs_read() {
         let path = temp_path("bytes.rrlog");
         let log = sample_log();
-        write_rrlog(&path, &log).expect("writes");
+        std::fs::write(&path, log.encode()).expect("writes");
         let mapped = MappedBytes::open(&path).expect("opens");
         assert_eq!(&*mapped, std::fs::read(&path).expect("reads").as_slice());
         #[cfg(unix)]
@@ -263,7 +263,7 @@ mod tests {
     fn mapped_source_streams_the_whole_log() {
         let path = temp_path("source.rrlog");
         let log = sample_log();
-        write_rrlog(&path, &log).expect("writes");
+        std::fs::write(&path, log.encode()).expect("writes");
         let mapped = MappedBytes::open(&path).expect("opens");
         assert_eq!(wire::parse_header(&mapped), Ok((log.core, wire::VERSION)));
         assert_eq!(wire::decode_chunked(&mapped), Ok(log));

@@ -31,9 +31,7 @@
 //! * the `<slug>.prof.json` sidecar (schema `rr-prof/v1`), validated by
 //!   [`validate_prof_json`].
 
-use std::fmt::Write as _;
-
-use crate::trace::{json, TraceEvent, TraceRing};
+use crate::trace::{chrome_document, json, Phase, TraceEvent, TraceRing};
 
 /// Current prof-sidecar schema identifier.
 pub const PROF_SCHEMA: &str = "rr-prof/v1";
@@ -183,10 +181,16 @@ impl CodecPhases {
     /// row).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"crc_ns\":{},\"entries_ns\":{},\"reserve_ns\":{},\"chunks\":{},\"payload_bytes\":{}}}",
-            self.crc_ns, self.entries_ns, self.reserve_ns, self.chunks, self.payload_bytes
-        )
+        json::object(|o| self.json_fields(o))
+    }
+
+    /// Writes the [`CodecPhases::to_json`] fields into an object.
+    pub fn json_fields(&self, o: &mut json::Obj<'_>) {
+        o.field("crc_ns", self.crc_ns)
+            .field("entries_ns", self.entries_ns)
+            .field("reserve_ns", self.reserve_ns)
+            .field("chunks", self.chunks)
+            .field("payload_bytes", self.payload_bytes);
     }
 }
 
@@ -393,53 +397,38 @@ impl EngineProf {
     /// `"engine"` field of a prof-sidecar entry).
     #[must_use]
     pub fn summary_json(&self) -> String {
+        json::object(|o| self.summary_fields(o))
+    }
+
+    /// Writes the [`EngineProf::summary_json`] fields into an object.
+    pub fn summary_fields(&self, o: &mut json::Obj<'_>) {
         let depth = self.heap_depth_stats();
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"workers\":{},\"wall_ns\":{},\"nodes\":{}",
-            self.workers.len(),
-            self.wall_ns,
-            self.nodes
-        );
-        let _ = write!(
-            s,
-            ",\"queue_lock_acquisitions\":{},\"core_locks_contended\":{}",
-            self.queue_lock_acquisitions(),
-            self.core_locks_contended()
-        );
-        let _ = write!(
-            s,
-            ",\"heap_depth\":{{\"samples\":{},\"p50\":{},\"p95\":{},\"max\":{}}}",
-            depth.samples, depth.p50, depth.p95, depth.max
-        );
-        match self.first_error_ns {
-            Some(ns) => {
-                let _ = write!(s, ",\"first_error_ns\":{ns}");
-            }
-            None => s.push_str(",\"first_error_ns\":null"),
-        }
-        s.push_str(",\"worker_spans\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"worker\":{},\"executed\":{},\"exec_ns\":{},\"queue_pop_ns\":{},\
-                 \"dep_wait_ns\":{},\"idle_ns\":{},\"spans\":{},\"spans_dropped\":{}}}",
-                w.worker,
-                w.executed,
-                w.exec_ns,
-                w.pop_ns,
-                w.dep_wait_ns,
-                w.idle_ns,
-                w.spans.len(),
-                w.spans_dropped
-            );
-        }
-        s.push_str("]}");
-        s
+        o.field("workers", self.workers.len())
+            .field("wall_ns", self.wall_ns)
+            .field("nodes", self.nodes)
+            .field("queue_lock_acquisitions", self.queue_lock_acquisitions())
+            .field("core_locks_contended", self.core_locks_contended())
+            .object("heap_depth", |h| {
+                h.field("samples", depth.samples)
+                    .field("p50", depth.p50)
+                    .field("p95", depth.p95)
+                    .field("max", depth.max);
+            })
+            .field("first_error_ns", self.first_error_ns)
+            .array("worker_spans", |a| {
+                for w in &self.workers {
+                    a.object(|o| {
+                        o.field("worker", w.worker)
+                            .field("executed", w.executed)
+                            .field("exec_ns", w.exec_ns)
+                            .field("queue_pop_ns", w.pop_ns)
+                            .field("dep_wait_ns", w.dep_wait_ns)
+                            .field("idle_ns", w.idle_ns)
+                            .field("spans", w.spans.len())
+                            .field("spans_dropped", w.spans_dropped);
+                    });
+                }
+            });
     }
 }
 
@@ -495,65 +484,34 @@ impl Probe for EngineProf {
     }
 }
 
-/// Exports engine profiles as Chrome trace-event JSON: one *process* per
-/// named replay, one *thread* (track) per pool worker, spans as complete
-/// (`"X"`) duration events in nanoseconds, and the first error (if any)
-/// as an instant event. Load the output in Perfetto or
-/// `chrome://tracing`.
+/// Exports engine profiles as a Chrome trace-event document (through the
+/// envelope [`chrome_trace`](crate::trace::chrome_trace) uses too): one
+/// *process* per named replay, one *thread*
+/// (track) per pool worker, spans as complete (`"X"`) duration events in
+/// nanoseconds, and the first error (if any) as an instant event. Load the
+/// output in Perfetto or `chrome://tracing`.
 #[must_use]
 pub fn engine_chrome_trace(runs: &[(String, &EngineProf)]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |s: String, out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&s);
-    };
-    for (pid, (name, prof)) in runs.iter().enumerate() {
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-                json::escape(name)
-            ),
-            &mut out,
-        );
-        for w in &prof.workers {
-            let tid = w.worker;
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"worker {tid}\"}}}}"
-                ),
-                &mut out,
-            );
-            for span in &w.spans {
-                let name = match span.kind {
-                    SpanKind::Exec => format!("exec c{}#{}", span.core, span.node),
-                    k => k.name().to_string(),
-                };
-                push(
-                    format!(
-                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":{}}}",
-                        span.start_ns,
-                        span.dur_ns,
-                        json::escape(&name)
-                    ),
-                    &mut out,
-                );
+    chrome_document(|doc| {
+        for (pid, (name, prof)) in runs.iter().enumerate() {
+            doc.name(pid, None, name);
+            for w in &prof.workers {
+                let tid = w.worker;
+                doc.name(pid, Some(tid), &format!("worker {tid}"));
+                for span in &w.spans {
+                    let name = match span.kind {
+                        SpanKind::Exec => format!("exec c{}#{}", span.core, span.node),
+                        k => k.name().to_string(),
+                    };
+                    let phase = Phase::Complete(span.dur_ns);
+                    doc.event(phase, (pid, tid), span.start_ns, &name, |_| {});
+                }
+            }
+            if let Some(ns) = prof.first_error_ns {
+                doc.event(Phase::Instant("p"), (pid, 0), ns, "first error", |_| {});
             }
         }
-        if let Some(ns) = prof.first_error_ns {
-            push(
-                format!(
-                    "{{\"ph\":\"i\",\"s\":\"p\",\"pid\":{pid},\"tid\":0,\"ts\":{ns},\"name\":\"first error\"}}"
-                ),
-                &mut out,
-            );
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@
 
 use core::fmt;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 use rr_mem::{AccessKind, CoreId};
 
@@ -400,142 +399,132 @@ impl TraceEvent {
             TraceEvent::VerifyProgress { .. } | TraceEvent::Divergence { .. } => kind::VERIFY,
         }
     }
+}
 
-    /// Stable snake-case type name (the `"type"` field in JSONL).
-    #[must_use]
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            TraceEvent::IntervalOpen { .. } => "interval_open",
-            TraceEvent::IntervalClose { .. } => "interval_close",
-            TraceEvent::Perform { .. } => "perform",
-            TraceEvent::Count { .. } => "count",
-            TraceEvent::Squash { .. } => "squash",
-            TraceEvent::Snoop { .. } => "snoop",
-            TraceEvent::SnoopTableBump { .. } => "snoop_table_bump",
-            TraceEvent::DirtyEviction { .. } => "dirty_eviction",
-            TraceEvent::Coherence { .. } => "coherence",
-            TraceEvent::ReplayWait { .. } => "replay_wait",
-            TraceEvent::ReplayRelease { .. } => "replay_release",
-            TraceEvent::VerifyProgress { .. } => "verify_progress",
-            TraceEvent::Divergence { .. } => "divergence",
-        }
-    }
+/// One payload field type of [`TraceEvent`]: how a JSONL line writes and
+/// reads it.
+trait EventField: Sized {
+    fn write(self, o: &mut json::Obj<'_>, key: &str);
+    fn read(v: &json::Value, key: &str) -> Result<Self, String>;
+}
 
-    /// Appends this event's payload fields (no `type`, `core`, or `cycle`)
-    /// as `"k":v` pairs to a JSON object under construction.
-    fn write_json_fields(&self, out: &mut String) {
-        match *self {
-            TraceEvent::IntervalOpen { cisn, ordinal } => {
-                let _ = write!(out, ",\"cisn\":{cisn},\"ordinal\":{ordinal}");
+macro_rules! uint_field {
+    ($($t:ty),*) => {$(
+        impl EventField for $t {
+            fn write(self, o: &mut json::Obj<'_>, key: &str) {
+                o.field(key, self);
             }
-            TraceEvent::IntervalClose {
-                cisn,
-                ordinal,
-                why,
-                instrs,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"cisn\":{cisn},\"ordinal\":{ordinal},\"why\":\"{}\",\"instrs\":{instrs}",
-                    why.name()
-                );
-            }
-            TraceEvent::Perform {
-                seq,
-                kind,
-                addr,
-                pisn,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"seq\":{seq},\"kind\":\"{}\",\"addr\":{addr},\"pisn\":{pisn}",
-                    kind_name(kind)
-                );
-            }
-            TraceEvent::Count {
-                seq,
-                kind,
-                addr,
-                pisn,
-                cisn,
-                verdict,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"seq\":{seq},\"kind\":\"{}\",\"addr\":{addr},\"pisn\":{pisn},\"cisn\":{cisn},\"verdict\":\"{}\"",
-                    kind_name(kind),
-                    verdict.name()
-                );
-            }
-            TraceEvent::Squash { after_seq } => {
-                let _ = write!(out, ",\"after_seq\":{after_seq}");
-            }
-            TraceEvent::Snoop {
-                line,
-                is_write,
-                conflict,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"line\":{line},\"is_write\":{is_write},\"conflict\":{conflict}"
-                );
-            }
-            TraceEvent::SnoopTableBump { line } => {
-                let _ = write!(out, ",\"line\":{line}");
-            }
-            TraceEvent::DirtyEviction { line, conflict } => {
-                let _ = write!(out, ",\"line\":{line},\"conflict\":{conflict}");
-            }
-            TraceEvent::Coherence {
-                from,
-                line,
-                is_write,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"from\":{from},\"line\":{line},\"is_write\":{is_write}"
-                );
-            }
-            TraceEvent::ReplayWait {
-                core,
-                ordinal,
-                timestamp,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"core\":{core},\"ordinal\":{ordinal},\"timestamp\":{timestamp}"
-                );
-            }
-            TraceEvent::ReplayRelease {
-                core,
-                ordinal,
-                timestamp,
-                loads_done,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"core\":{core},\"ordinal\":{ordinal},\"timestamp\":{timestamp},\"loads_done\":{loads_done}"
-                );
-            }
-            TraceEvent::VerifyProgress {
-                core,
-                loads_checked,
-            } => {
-                let _ = write!(out, ",\"core\":{core},\"loads_checked\":{loads_checked}");
-            }
-            TraceEvent::Divergence {
-                core,
-                index,
-                recorded,
-                replayed,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"core\":{core},\"index\":{index},\"recorded\":{recorded},\"replayed\":{replayed}"
-                );
+            fn read(v: &json::Value, key: &str) -> Result<Self, String> {
+                let n = v
+                    .get(key)
+                    .and_then(json::Value::as_u64)
+                    .ok_or_else(|| format!("missing or non-numeric \"{key}\""))?;
+                <$t>::try_from(n).map_err(|_| format!("\"{key}\" exceeds {}", stringify!($t)))
             }
         }
+    )*};
+}
+uint_field!(u8, u16, u32, u64);
+
+impl EventField for bool {
+    fn write(self, o: &mut json::Obj<'_>, key: &str) {
+        o.field(key, self);
     }
+    fn read(v: &json::Value, key: &str) -> Result<Self, String> {
+        v.get(key)
+            .and_then(json::Value::as_bool)
+            .ok_or_else(|| format!("missing or non-bool \"{key}\""))
+    }
+}
+
+/// Enum fields travel as their stable names; `all` lists every value.
+macro_rules! named_field {
+    ($($t:ty: $name:expr, $all:expr;)*) => {$(
+        impl EventField for $t {
+            fn write(self, o: &mut json::Obj<'_>, key: &str) {
+                o.field(key, $name(self));
+            }
+            fn read(v: &json::Value, key: &str) -> Result<Self, String> {
+                let s = v
+                    .get(key)
+                    .and_then(json::Value::as_str)
+                    .ok_or_else(|| format!("missing or non-string \"{key}\""))?;
+                $all.into_iter()
+                    .find(|&x| $name(x) == s)
+                    .ok_or_else(|| format!("unknown \"{key}\" value {s:?}"))
+            }
+        }
+    )*};
+}
+named_field! {
+    AccessKind: kind_name, [AccessKind::Load, AccessKind::Store, AccessKind::Rmw];
+    CloseReason: CloseReason::name,
+        [CloseReason::Conflict, CloseReason::MaxSize, CloseReason::Final, CloseReason::Forced];
+    CountVerdict: CountVerdict::name, [
+        CountVerdict::InOrder,
+        CountVerdict::MovedAcross,
+        CountVerdict::ReorderedPisnMismatch,
+        CountVerdict::ReorderedSnoopConflict,
+        CountVerdict::ReorderedSnoopWrap,
+    ];
+}
+
+/// Declares each event's JSONL `type` name and payload fields, in order,
+/// once: [`TraceEvent::type_name`], the JSONL writer and
+/// [`record_from_jsonl`] are generated from it, so they cannot disagree,
+/// and a field added to an event fails to compile until it is listed.
+macro_rules! event_schema {
+    ($($variant:ident = $name:literal { $($field:ident),* };)*) => {
+        impl TraceEvent {
+            /// Stable snake-case type name (the `"type"` field in JSONL).
+            #[must_use]
+            pub fn type_name(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Writes this event's payload fields (no `type`, `core`, or
+            /// `cycle`).
+            fn json_fields(&self, o: &mut json::Obj<'_>) {
+                match *self {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        $(EventField::write($field, o, stringify!($field));)*
+                    })*
+                }
+            }
+
+            /// Reads the payload of an event of type `name` from a JSONL
+            /// object.
+            fn from_json(name: &str, v: &json::Value) -> Result<Self, String> {
+                match name {
+                    $($name => Ok(TraceEvent::$variant {
+                        $($field: EventField::read(v, stringify!($field))?),*
+                    }),)*
+                    other => Err(format!("unknown event type {other:?}")),
+                }
+            }
+        }
+    };
+}
+
+// The replay and verify events' payload `core` shares its key with the
+// record's own `core`; both carry the same value on the replay ring, so
+// the reader's first-key lookup is lossless.
+event_schema! {
+    IntervalOpen = "interval_open" { cisn, ordinal };
+    IntervalClose = "interval_close" { cisn, ordinal, why, instrs };
+    Perform = "perform" { seq, kind, addr, pisn };
+    Count = "count" { seq, kind, addr, pisn, cisn, verdict };
+    Squash = "squash" { after_seq };
+    Snoop = "snoop" { line, is_write, conflict };
+    SnoopTableBump = "snoop_table_bump" { line };
+    DirtyEviction = "dirty_eviction" { line, conflict };
+    Coherence = "coherence" { from, line, is_write };
+    ReplayWait = "replay_wait" { core, ordinal, timestamp };
+    ReplayRelease = "replay_release" { core, ordinal, timestamp, loads_done };
+    VerifyProgress = "verify_progress" { core, loads_checked };
+    Divergence = "divergence" { core, index, recorded, replayed };
 }
 
 impl fmt::Display for TraceEvent {
@@ -647,16 +636,16 @@ impl TraceRecord {
     /// Renders this record as one JSONL object with its owning core id.
     #[must_use]
     pub fn to_json(&self, core: u8) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"core\":{core},\"cycle\":{},\"type\":\"{}\"",
-            self.cycle,
-            self.event.type_name()
-        );
-        self.event.write_json_fields(&mut out);
-        out.push('}');
-        out
+        json::object(|o| self.json_fields(o, core))
+    }
+
+    /// Writes this record's JSONL fields: `core`, `cycle`, `type`, then
+    /// the event payload.
+    fn json_fields(&self, o: &mut json::Obj<'_>, core: u8) {
+        o.field("core", core)
+            .field("cycle", self.cycle)
+            .field("type", self.event.type_name());
+        self.event.json_fields(o);
     }
 }
 
@@ -740,15 +729,6 @@ impl TraceRing {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Appends this ring's records as JSONL lines to `out`.
-    pub fn write_jsonl(&self, out: &mut String) {
-        let core = self.core.index() as u8;
-        for r in &self.records {
-            out.push_str(&r.to_json(core));
-            out.push('\n');
-        }
-    }
 }
 
 /// Everything one traced run captured: a ring per core plus a machine-level
@@ -780,23 +760,22 @@ impl RunTrace {
     }
 
     /// Renders every ring as JSONL, one object per line. When `run` is
-    /// non-empty each line is prefixed with a `"run"` identity field, so
+    /// non-empty each line opens with a `"run"` identity field, so
     /// sidecars aggregating several runs stay self-describing.
     #[must_use]
     pub fn to_jsonl(&self, run: &str) -> String {
-        let mut body = String::new();
+        let mut out = String::new();
         for ring in self.cores.iter().chain(std::iter::once(&self.coherence)) {
-            ring.write_jsonl(&mut body);
-        }
-        if run.is_empty() {
-            return body;
-        }
-        let mut out = String::with_capacity(body.len() + 32 * self.total_records());
-        let prefix = format!("{{\"run\":{},", json::escape(run));
-        for line in body.lines() {
-            out.push_str(&prefix);
-            out.push_str(&line[1..]); // replace the opening '{'
-            out.push('\n');
+            let core = ring.core().index() as u8;
+            for r in ring.records() {
+                json::write_object(&mut out, |o| {
+                    if !run.is_empty() {
+                        o.field("run", run);
+                    }
+                    r.json_fields(o, core);
+                });
+                out.push('\n');
+            }
         }
         out
     }
@@ -806,9 +785,76 @@ impl RunTrace {
 // Chrome trace-event (Perfetto) export
 // ---------------------------------------------------------------------------
 
-/// Exports one or more named run traces as Chrome trace-event JSON (the
-/// "JSON object format": `{"traceEvents":[...]}`), loadable in Perfetto or
-/// `chrome://tracing`.
+/// Renders one Chrome trace-event document,
+/// `{"traceEvents":[...],"displayTimeUnit":"ns"}` (Perfetto, `chrome://tracing`),
+/// with the events `events` writes: the one envelope of [`chrome_trace`]
+/// and [`engine_chrome_trace`](crate::prof::engine_chrome_trace).
+#[must_use]
+pub(crate) fn chrome_document(events: impl FnOnce(&mut ChromeEvents<'_, '_>)) -> String {
+    json::object(|doc| {
+        doc.array("traceEvents", |arr| events(&mut ChromeEvents(arr)))
+            .field("displayTimeUnit", "ns");
+    })
+}
+
+/// The `traceEvents` array of a [`chrome_document`] being written.
+pub(crate) struct ChromeEvents<'w, 'o>(&'w mut json::Arr<'o>);
+
+/// A complete (`"X"`) event of the given duration, or an instant (`"i"`)
+/// of the given scope (`"t"` thread, `"p"` process).
+#[derive(Clone, Copy)]
+pub(crate) enum Phase<'a> {
+    Complete(u64),
+    Instant(&'a str),
+}
+
+impl ChromeEvents<'_, '_> {
+    /// Names process `pid` or, given a `tid`, that track of it (a
+    /// `process_name` or `thread_name` metadata event).
+    pub(crate) fn name(&mut self, pid: usize, tid: Option<usize>, name: &str) {
+        let kind = if tid.is_some() {
+            "thread_name"
+        } else {
+            "process_name"
+        };
+        self.0.object(|e| {
+            e.field("ph", "M")
+                .field("pid", pid)
+                .field("tid", tid.unwrap_or(0))
+                .field("name", kind)
+                .object("args", |a| {
+                    a.field("name", name);
+                });
+        });
+    }
+
+    /// One event at `ts` on track `tid` of process `pid`; `extra` writes
+    /// any fields after `name` (such as `args`).
+    pub(crate) fn event(
+        &mut self,
+        phase: Phase<'_>,
+        (pid, tid): (usize, usize),
+        ts: u64,
+        name: &str,
+        extra: impl FnOnce(&mut json::Obj<'_>),
+    ) {
+        self.0.object(|e| {
+            match phase {
+                Phase::Complete(_) => e.field("ph", "X"),
+                Phase::Instant(scope) => e.field("ph", "i").field("s", scope),
+            };
+            e.field("pid", pid).field("tid", tid).field("ts", ts);
+            if let Phase::Complete(dur) = phase {
+                e.field("dur", dur);
+            }
+            e.field("name", name);
+            extra(e);
+        });
+    }
+}
+
+/// Exports one or more named run traces as a Chrome trace-event document
+/// (through the one envelope every Chrome export shares).
 ///
 /// Layout: one *process* per run, one *thread* (track) per core, plus a
 /// dedicated coherence track. Intervals become complete (`"X"`) duration
@@ -817,97 +863,63 @@ impl RunTrace {
 /// (`"i"`) event with its payload under `args`.
 #[must_use]
 pub fn chrome_trace(runs: &[(String, &RunTrace)]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let push = |s: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&s);
-    };
-    for (pid, (name, trace)) in runs.iter().enumerate() {
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-                json::escape(name)
-            ),
-            &mut out,
-            &mut first,
-        );
-        for ring in trace.cores.iter().chain(std::iter::once(&trace.coherence)) {
-            let tid = ring.core().index();
-            let track = if tid == MACHINE_CORE as usize {
-                "coherence".to_string()
-            } else {
-                format!("core {tid}")
-            };
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                    json::escape(&track)
-                ),
-                &mut out,
-                &mut first,
-            );
-            // Pair interval opens and closes by ordinal.
-            let mut open_at: std::collections::BTreeMap<u64, u64> =
-                std::collections::BTreeMap::new();
-            for r in ring.records() {
-                match r.event {
-                    TraceEvent::IntervalOpen { ordinal, .. } => {
-                        open_at.insert(ordinal, r.cycle);
-                    }
-                    TraceEvent::IntervalClose {
-                        cisn,
-                        ordinal,
-                        why,
-                        instrs,
-                    } => {
-                        let ts = open_at.remove(&ordinal).unwrap_or(r.cycle);
-                        let dur = r.cycle.saturating_sub(ts);
-                        push(
-                            format!(
-                                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\
-                                 \"name\":\"interval {ordinal}\",\"args\":{{\"cisn\":{cisn},\"why\":\"{}\",\"instrs\":{instrs}}}}}",
-                                why.name()
-                            ),
-                            &mut out,
-                            &mut first,
-                        );
-                    }
-                    ev => {
-                        let mut args = String::from("{\"detail\":");
-                        args.push_str(&json::escape(&ev.to_string()));
-                        args.push('}');
-                        push(
-                            format!(
-                                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\
-                                 \"name\":\"{}\",\"args\":{args}}}",
-                                r.cycle,
-                                ev.type_name()
-                            ),
-                            &mut out,
-                            &mut first,
-                        );
+    chrome_document(|doc| {
+        for (pid, (name, trace)) in runs.iter().enumerate() {
+            doc.name(pid, None, name);
+            for ring in trace.cores.iter().chain(std::iter::once(&trace.coherence)) {
+                let tid = ring.core().index();
+                let track = if tid == MACHINE_CORE as usize {
+                    "coherence".to_string()
+                } else {
+                    format!("core {tid}")
+                };
+                doc.name(pid, Some(tid), &track);
+                // Pair interval opens and closes by ordinal.
+                let mut open_at = std::collections::BTreeMap::new();
+                for r in ring.records() {
+                    match r.event {
+                        TraceEvent::IntervalOpen { ordinal, .. } => {
+                            open_at.insert(ordinal, r.cycle);
+                        }
+                        TraceEvent::IntervalClose {
+                            cisn,
+                            ordinal,
+                            why,
+                            instrs,
+                        } => {
+                            let ts = open_at.remove(&ordinal).unwrap_or(r.cycle);
+                            let span = Phase::Complete(r.cycle.saturating_sub(ts));
+                            doc.event(span, (pid, tid), ts, &format!("interval {ordinal}"), |e| {
+                                e.object("args", |a| {
+                                    a.field("cisn", cisn)
+                                        .field("why", why.name())
+                                        .field("instrs", instrs);
+                                });
+                            });
+                        }
+                        ev => doc.event(
+                            Phase::Instant("t"),
+                            (pid, tid),
+                            r.cycle,
+                            ev.type_name(),
+                            |e| {
+                                e.object("args", |a| {
+                                    a.field("detail", ev.to_string());
+                                });
+                            },
+                        ),
                     }
                 }
-            }
-            // An interval left open (no close captured) still gets a mark.
-            for (ordinal, ts) in open_at {
-                push(
-                    format!(
-                        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-                         \"name\":\"interval {ordinal} (unclosed)\",\"args\":{{}}}}"
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                // An interval left open (no close captured) still gets a mark.
+                for (ordinal, ts) in open_at {
+                    let name = format!("interval {ordinal} (unclosed)");
+                    doc.event(Phase::Instant("t"), (pid, tid), ts, &name, |e| {
+                        e.object("args", |_| {});
+                    });
+                }
             }
         }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+    })
 }
 
 /// Summary of a validated Chrome trace (see [`validate_chrome_trace`]).
@@ -933,11 +945,9 @@ pub struct ChromeStats {
 /// Returns a description of the first schema violation.
 pub fn validate_chrome_trace(s: &str) -> Result<ChromeStats, String> {
     let v = json::parse(s)?;
-    let obj = v.as_object().ok_or("top level is not a JSON object")?;
-    let events = obj
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
+    v.as_object().ok_or("top level is not a JSON object")?;
+    let events = v
+        .get("traceEvents")
         .ok_or("missing \"traceEvents\"")?
         .as_array()
         .ok_or("\"traceEvents\" is not an array")?;
@@ -945,13 +955,10 @@ pub fn validate_chrome_trace(s: &str) -> Result<ChromeStats, String> {
     let mut processes = std::collections::BTreeSet::new();
     let mut track_names = Vec::new();
     for (i, ev) in events.iter().enumerate() {
-        let ev = ev
-            .as_object()
+        ev.as_object()
             .ok_or_else(|| format!("event {i} is not an object"))?;
         let field = |name: &str| {
-            ev.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
+            ev.get(name)
                 .ok_or_else(|| format!("event {i} missing \"{name}\""))
         };
         let ph = field("ph")?
@@ -971,15 +978,8 @@ pub fn validate_chrome_trace(s: &str) -> Result<ChromeStats, String> {
                 .ok_or_else(|| format!("event {i}: metadata \"name\" is not a string"))?;
             if name == "thread_name" {
                 tracks.insert((pid, tid));
-                if let Some(args) = ev.iter().find(|(k, _)| k == "args") {
-                    if let Some(n) = args
-                        .1
-                        .as_object()
-                        .and_then(|a| a.iter().find(|(k, _)| k == "name"))
-                        .and_then(|(_, v)| v.as_str())
-                    {
-                        track_names.push(n.to_string());
-                    }
+                if let Some(n) = ev.get("args").and_then(|a| a.get("name")) {
+                    track_names.extend(n.as_str().map(str::to_string));
                 }
             }
             continue;
@@ -1015,128 +1015,22 @@ pub fn validate_chrome_trace(s: &str) -> Result<ChromeStats, String> {
 /// Returns a description of the first malformed or unknown field.
 pub fn record_from_jsonl(line: &str) -> Result<(String, u8, TraceRecord), String> {
     let v = json::parse(line)?;
-    let obj = v.as_object().ok_or("line is not a JSON object")?;
-    let get = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let num = |name: &str| {
-        get(name)
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| format!("missing or non-numeric \"{name}\""))
-    };
-    let string = |name: &str| {
-        get(name)
-            .and_then(json::Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing or non-string \"{name}\""))
-    };
-    let boolean = |name: &str| {
-        get(name)
-            .and_then(json::Value::as_bool)
-            .ok_or_else(|| format!("missing or non-bool \"{name}\""))
-    };
-    let run = get("run")
+    v.as_object().ok_or("line is not a JSON object")?;
+    let run = v
+        .get("run")
         .and_then(json::Value::as_str)
         .unwrap_or("")
         .to_string();
-    let core = u8::try_from(num("core")?).map_err(|_| "core exceeds u8".to_string())?;
-    let cycle = num("cycle")?;
-    let ty = string("type")?;
-    let access_kind = |name: &str| -> Result<AccessKind, String> {
-        match string(name)?.as_str() {
-            "load" => Ok(AccessKind::Load),
-            "store" => Ok(AccessKind::Store),
-            "rmw" => Ok(AccessKind::Rmw),
-            other => Err(format!("unknown access kind {other:?}")),
-        }
+    let ty = v
+        .get("type")
+        .and_then(json::Value::as_str)
+        .ok_or("missing or non-string \"type\"")?;
+    let record = TraceRecord {
+        cycle: EventField::read(&v, "cycle")?,
+        event: TraceEvent::from_json(ty, &v)?,
     };
-    let u16_of = |name: &str| -> Result<u16, String> {
-        u16::try_from(num(name)?).map_err(|_| format!("\"{name}\" exceeds u16"))
-    };
-    let event = match ty.as_str() {
-        "interval_open" => TraceEvent::IntervalOpen {
-            cisn: u16_of("cisn")?,
-            ordinal: num("ordinal")?,
-        },
-        "interval_close" => TraceEvent::IntervalClose {
-            cisn: u16_of("cisn")?,
-            ordinal: num("ordinal")?,
-            why: match string("why")?.as_str() {
-                "conflict" => CloseReason::Conflict,
-                "max_size" => CloseReason::MaxSize,
-                "final" => CloseReason::Final,
-                "forced" => CloseReason::Forced,
-                other => return Err(format!("unknown close reason {other:?}")),
-            },
-            instrs: u32::try_from(num("instrs")?).map_err(|_| "instrs exceeds u32".to_string())?,
-        },
-        "perform" => TraceEvent::Perform {
-            seq: num("seq")?,
-            kind: access_kind("kind")?,
-            addr: num("addr")?,
-            pisn: u16_of("pisn")?,
-        },
-        "count" => TraceEvent::Count {
-            seq: num("seq")?,
-            kind: access_kind("kind")?,
-            addr: num("addr")?,
-            pisn: u16_of("pisn")?,
-            cisn: u16_of("cisn")?,
-            verdict: match string("verdict")?.as_str() {
-                "in_order" => CountVerdict::InOrder,
-                "moved_across" => CountVerdict::MovedAcross,
-                "reordered_pisn_mismatch" => CountVerdict::ReorderedPisnMismatch,
-                "reordered_snoop_conflict" => CountVerdict::ReorderedSnoopConflict,
-                "reordered_snoop_wrap" => CountVerdict::ReorderedSnoopWrap,
-                other => return Err(format!("unknown verdict {other:?}")),
-            },
-        },
-        "squash" => TraceEvent::Squash {
-            after_seq: num("after_seq")?,
-        },
-        "snoop" => TraceEvent::Snoop {
-            line: num("line")?,
-            is_write: boolean("is_write")?,
-            conflict: boolean("conflict")?,
-        },
-        "snoop_table_bump" => TraceEvent::SnoopTableBump { line: num("line")? },
-        "dirty_eviction" => TraceEvent::DirtyEviction {
-            line: num("line")?,
-            conflict: boolean("conflict")?,
-        },
-        "coherence" => TraceEvent::Coherence {
-            from: u8::try_from(num("from")?).map_err(|_| "from exceeds u8".to_string())?,
-            line: num("line")?,
-            is_write: boolean("is_write")?,
-        },
-        "replay_wait" => TraceEvent::ReplayWait {
-            core: u8::try_from(num("core")?).unwrap_or(MACHINE_CORE),
-            ordinal: num("ordinal")?,
-            timestamp: num("timestamp")?,
-        },
-        "replay_release" => TraceEvent::ReplayRelease {
-            core: u8::try_from(num("core")?).unwrap_or(MACHINE_CORE),
-            ordinal: num("ordinal")?,
-            timestamp: num("timestamp")?,
-            loads_done: num("loads_done")?,
-        },
-        "verify_progress" => TraceEvent::VerifyProgress {
-            core: u8::try_from(num("core")?).unwrap_or(MACHINE_CORE),
-            loads_checked: num("loads_checked")?,
-        },
-        "divergence" => TraceEvent::Divergence {
-            core: u8::try_from(num("core")?).unwrap_or(MACHINE_CORE),
-            index: num("index")?,
-            recorded: num("recorded")?,
-            replayed: num("replayed")?,
-        },
-        other => return Err(format!("unknown event type {other:?}")),
-    };
-    Ok((run, core, TraceRecord { cycle, event }))
+    Ok((run, EventField::read(&v, "core")?, record))
 }
-
-// Caveat for replay_wait/replay_release/verify_progress/divergence above:
-// their "core" payload field collides with the envelope "core" field only
-// in name; both carry the same value on the replay ring, so reusing the
-// envelope value is lossless.
 
 /// Converts a `trace.jsonl` sidecar (as written by [`RunTrace::to_jsonl`])
 /// back into Chrome trace-event JSON — the `rr-inspect trace` conversion.
@@ -1189,15 +1083,19 @@ pub fn chrome_trace_from_jsonl(input: &str) -> Result<String, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON parser (validation + sidecar conversion; no external deps)
+// Minimal JSON writer and parser (no external deps)
 // ---------------------------------------------------------------------------
 
-/// A small recursive-descent JSON parser — just enough to validate Chrome
-/// traces and read back `trace.jsonl` sidecars without external crates.
+/// The one JSON writer every sidecar, Chrome trace and bench document is
+/// built with ([`object`](json::object)), beside a small recursive-descent
+/// parser that validates Chrome traces and reads `trace.jsonl` sidecars
+/// back without external crates.
 ///
 /// Integers that fit `u64` are preserved exactly
 /// ([`Value::UInt`](json::Value::UInt)); other numbers fall back to `f64`.
 pub mod json {
+    use std::fmt::Write as _;
+
     /// A parsed JSON value.
     #[derive(Clone, Debug, PartialEq)]
     pub enum Value {
@@ -1280,6 +1178,12 @@ pub mod json {
     #[must_use]
     pub fn escape(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
+        write_str(&mut out, s);
+        out
+    }
+
+    /// Appends `s` to `out` as a JSON string literal (with quotes).
+    fn write_str(out: &mut String, s: &str) {
         out.push('"');
         for c in s.chars() {
             match c {
@@ -1289,13 +1193,174 @@ pub mod json {
                 '\r' => out.push_str("\\r"),
                 '\t' => out.push_str("\\t"),
                 c if (c as u32) < 0x20 => {
-                    use std::fmt::Write as _;
                     let _ = write!(out, "\\u{:04x}", c as u32);
                 }
                 c => out.push(c),
             }
         }
         out.push('"');
+    }
+
+    /// A value [`Obj::field`] and [`Arr::item`] write as one JSON scalar.
+    pub trait Scalar {
+        /// Appends this value's JSON text to `out`.
+        fn write_to(&self, out: &mut String);
+    }
+
+    macro_rules! display_scalar {
+        ($($t:ty),*) => {$(
+            impl Scalar for $t {
+                fn write_to(&self, out: &mut String) {
+                    let _ = write!(out, "{self}");
+                }
+            }
+        )*};
+    }
+    display_scalar!(bool, u8, u16, u32, u64, usize);
+
+    /// Finite floats in Rust's shortest round-trip form; NaN and the
+    /// infinities, which JSON cannot express, as `null`.
+    impl Scalar for f64 {
+        fn write_to(&self, out: &mut String) {
+            if self.is_finite() {
+                let _ = write!(out, "{self}");
+            } else {
+                out.push_str("null");
+            }
+        }
+    }
+
+    impl Scalar for str {
+        fn write_to(&self, out: &mut String) {
+            write_str(out, self);
+        }
+    }
+
+    impl Scalar for String {
+        fn write_to(&self, out: &mut String) {
+            write_str(out, self);
+        }
+    }
+
+    impl<T: Scalar + ?Sized> Scalar for &T {
+        fn write_to(&self, out: &mut String) {
+            (**self).write_to(out);
+        }
+    }
+
+    /// `None` is written as `null`.
+    impl<T: Scalar> Scalar for Option<T> {
+        fn write_to(&self, out: &mut String) {
+            match self {
+                Some(v) => v.write_to(out),
+                None => out.push_str("null"),
+            }
+        }
+    }
+
+    /// An `f64` written with a fixed number of decimals (`Fixed(2.345, 1)`
+    /// is `2.3`); not-finite values are written as `null`.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Fixed(pub f64, pub usize);
+
+    impl Scalar for Fixed {
+        fn write_to(&self, out: &mut String) {
+            if self.0.is_finite() {
+                let _ = write!(out, "{:.*}", self.1, self.0);
+            } else {
+                out.push_str("null");
+            }
+        }
+    }
+
+    /// The fields of one JSON object being written; see [`object`].
+    pub struct Obj<'a> {
+        out: &'a mut String,
+        first: bool,
+    }
+
+    /// Writes the `,` before every element but the first; returns `out`.
+    fn next<'s>(out: &'s mut String, first: &mut bool) -> &'s mut String {
+        if !std::mem::take(first) {
+            out.push(',');
+        }
+        out
+    }
+
+    impl Obj<'_> {
+        /// Writes `"key":` after the separator, returning the buffer for
+        /// the value.
+        fn key(&mut self, key: &str) -> &mut String {
+            let out = next(self.out, &mut self.first);
+            write_str(out, key);
+            out.push(':');
+            out
+        }
+
+        /// Writes `"key":value`.
+        pub fn field(&mut self, key: &str, value: impl Scalar) -> &mut Self {
+            value.write_to(self.key(key));
+            self
+        }
+
+        /// Writes `"key":{..}` with the fields `fields` writes.
+        pub fn object(&mut self, key: &str, fields: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+            write_object(self.key(key), fields);
+            self
+        }
+
+        /// Writes `"key":[..]` with the items `items` writes.
+        pub fn array(&mut self, key: &str, items: impl FnOnce(&mut Arr<'_>)) -> &mut Self {
+            let out = self.key(key);
+            out.push('[');
+            items(&mut Arr { out, first: true });
+            out.push(']');
+            self
+        }
+    }
+
+    /// The items of one JSON array being written; see [`Obj::array`].
+    pub struct Arr<'a> {
+        out: &'a mut String,
+        first: bool,
+    }
+
+    impl Arr<'_> {
+        /// Writes one scalar item.
+        pub fn item(&mut self, value: impl Scalar) -> &mut Self {
+            value.write_to(next(self.out, &mut self.first));
+            self
+        }
+
+        /// Writes one object item, its fields written by `fields`.
+        pub fn object(&mut self, fields: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+            write_object(next(self.out, &mut self.first), fields);
+            self
+        }
+    }
+
+    /// Appends one JSON object to `out`, its fields written by `fields`.
+    pub(crate) fn write_object(out: &mut String, fields: impl FnOnce(&mut Obj<'_>)) {
+        out.push('{');
+        fields(&mut Obj { out, first: true });
+        out.push('}');
+    }
+
+    /// Renders one JSON object, its fields written by `fields`:
+    ///
+    /// ```
+    /// use relaxreplay::trace::json;
+    /// let doc = json::object(|o| {
+    ///     o.field("name", "a\"b").field("n", 3u64).array("xs", |a| {
+    ///         a.item(1.5).item(f64::NAN);
+    ///     });
+    /// });
+    /// assert_eq!(doc, r#"{"name":"a\"b","n":3,"xs":[1.5,null]}"#);
+    /// ```
+    #[must_use]
+    pub fn object(fields: impl FnOnce(&mut Obj<'_>)) -> String {
+        let mut out = String::new();
+        write_object(&mut out, fields);
         out
     }
 
@@ -1583,8 +1648,56 @@ mod tests {
                 is_write: true,
             },
         );
+        // Every other event kind, on the replay ring as the replayer
+        // pushes them (their payload `core` matches the ring's).
+        for ev in [
+            TraceEvent::IntervalOpen {
+                cisn: 1,
+                ordinal: 2,
+            },
+            TraceEvent::IntervalClose {
+                cisn: 1,
+                ordinal: 2,
+                why: CloseReason::Forced,
+                instrs: 7,
+            },
+            TraceEvent::Squash { after_seq: 3 },
+            TraceEvent::Snoop {
+                line: 4,
+                is_write: false,
+                conflict: true,
+            },
+            TraceEvent::SnoopTableBump { line: 5 },
+            TraceEvent::DirtyEviction {
+                line: 6,
+                conflict: false,
+            },
+            TraceEvent::ReplayWait {
+                core: MACHINE_CORE,
+                ordinal: 1,
+                timestamp: 2,
+            },
+            TraceEvent::ReplayRelease {
+                core: MACHINE_CORE,
+                ordinal: 1,
+                timestamp: 2,
+                loads_done: 3,
+            },
+            TraceEvent::VerifyProgress {
+                core: MACHINE_CORE,
+                loads_checked: 4,
+            },
+            TraceEvent::Divergence {
+                core: MACHINE_CORE,
+                index: 5,
+                recorded: 6,
+                replayed: 7,
+            },
+        ] {
+            trace.coherence.push(8, ev);
+        }
         let jsonl = trace.to_jsonl("demo");
-        assert_eq!(jsonl.lines().count(), 3);
+        assert_eq!(jsonl.lines().count(), 13);
         for line in jsonl.lines() {
             let (run, _core, rec) = record_from_jsonl(line).expect("parses");
             assert_eq!(run, "demo");
@@ -1597,6 +1710,15 @@ mod tests {
                 .flat_map(|r| r.records().iter().copied())
                 .collect();
             assert!(all.contains(&rec), "{line}");
+        }
+        for bad in [
+            r#"{"core":0,"cycle":1,"type":"perform","seq":1,"kind":"fly","addr":0,"pisn":0}"#,
+            r#"{"core":0,"cycle":1,"type":"interval_open","cisn":65536,"ordinal":0}"#,
+            r#"{"core":256,"cycle":1,"type":"squash","after_seq":0}"#,
+            r#"{"core":0,"cycle":1,"type":"snoop","line":1,"is_write":1,"conflict":true}"#,
+            r#"{"core":0,"cycle":1,"type":"warp","line":1}"#,
+        ] {
+            assert!(record_from_jsonl(bad).is_err(), "{bad}");
         }
     }
 

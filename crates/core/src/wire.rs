@@ -1321,22 +1321,8 @@ pub fn decode_chunked_range(
     Ok(())
 }
 
-/// Writes `log` to `path` as an `.rrlog` file.
-///
-/// # Errors
-///
-/// Returns a [`WireError::Io`] on any filesystem failure.
-pub fn write_rrlog(path: &Path, log: &IntervalLog) -> Result<(), WireError> {
-    let file = std::fs::File::create(path)?;
-    let mut w = ChunkedWriter::new(std::io::BufWriter::new(file), log.core)?;
-    for e in &log.entries {
-        w.emit(e)?;
-    }
-    w.close()
-}
-
-/// Reads an `.rrlog` file written by [`write_rrlog`] (or any
-/// [`ChunkedWriter`]).
+/// Reads an `.rrlog` file ([`encode_chunked`] or any [`ChunkedWriter`]
+/// output).
 ///
 /// # Errors
 ///
@@ -1619,7 +1605,7 @@ mod tests {
         let dir = std::env::temp_dir().join("rr_wire_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("core3.rrlog");
-        write_rrlog(&path, &log).expect("writes");
+        std::fs::write(&path, encode_chunked(&log)).expect("writes");
         let read = read_rrlog(&path).expect("reads");
         assert_eq!(read, log);
     }

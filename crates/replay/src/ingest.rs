@@ -381,7 +381,7 @@ mod tests {
         let mut paths = Vec::new();
         for (k, log) in logs.iter().enumerate() {
             let path = dir.join(format!("core{k}.rrlog"));
-            relaxreplay::wire::write_rrlog(&path, log).expect("writes");
+            std::fs::write(&path, log.encode()).expect("writes");
             paths.push(path);
         }
         let decoded = read_rrlogs_parallel(&paths, 4).expect("decodes");

@@ -26,7 +26,6 @@
 //! [`relaxreplay::prof::engine_chrome_trace`].
 
 use std::cmp::Reverse;
-use std::fmt::Write as _;
 
 use relaxreplay::prof::{EngineProf, PROF_SCHEMA};
 use relaxreplay::trace::json;
@@ -109,42 +108,40 @@ impl BlameReport {
     /// Renders as the `"blame"` JSON object of a prof-sidecar entry.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"makespan_cycles\":{},\"total_work_cycles\":{},\"attributed_cycles\":{},\"path_intervals\":{}",
-            self.makespan_cycles,
-            self.total_work_cycles,
-            self.attributed_cycles,
-            self.path.len()
-        );
-        s.push_str(",\"per_core\":[");
-        for (core, cycles) in self.per_core.iter().enumerate() {
-            if core > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"core\":{core},\"cycles\":{cycles}}}");
-        }
-        s.push_str("],\"per_kind\":[");
-        for (i, (kind, cycles)) in self.per_kind.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"kind\":{},\"cycles\":{cycles}}}", json::escape(kind));
-        }
-        s.push_str("],\"top_intervals\":[");
-        for (i, t) in self.top_intervals.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"node\":{},\"core\":{},\"ordinal\":{},\"timestamp\":{},\"cycles\":{}}}",
-                t.node, t.core, t.ordinal, t.timestamp, t.cycles
-            );
-        }
-        s.push_str("]}");
-        s
+        json::object(|o| self.json_fields(o))
+    }
+
+    /// Writes the [`BlameReport::to_json`] fields into an object.
+    pub(crate) fn json_fields(&self, o: &mut json::Obj<'_>) {
+        o.field("makespan_cycles", self.makespan_cycles)
+            .field("total_work_cycles", self.total_work_cycles)
+            .field("attributed_cycles", self.attributed_cycles)
+            .field("path_intervals", self.path.len())
+            .array("per_core", |a| {
+                for (core, &cycles) in self.per_core.iter().enumerate() {
+                    a.object(|o| {
+                        o.field("core", core).field("cycles", cycles);
+                    });
+                }
+            })
+            .array("per_kind", |a| {
+                for &(kind, cycles) in &self.per_kind {
+                    a.object(|o| {
+                        o.field("kind", kind).field("cycles", cycles);
+                    });
+                }
+            })
+            .array("top_intervals", |a| {
+                for t in &self.top_intervals {
+                    a.object(|o| {
+                        o.field("node", t.node)
+                            .field("core", t.core)
+                            .field("ordinal", t.ordinal)
+                            .field("timestamp", t.timestamp)
+                            .field("cycles", t.cycles);
+                    });
+                }
+            });
     }
 }
 
@@ -250,28 +247,21 @@ pub struct ProfEntry {
 /// format [`relaxreplay::prof::validate_prof_json`] checks.
 #[must_use]
 pub fn prof_json(entries: &[ProfEntry]) -> String {
-    let mut s = format!("{{\"schema\":{},\"entries\":[", json::escape(PROF_SCHEMA));
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"run\":{},\"variant\":{},\"blame\":{}",
-            json::escape(&e.run),
-            json::escape(&e.variant),
-            e.blame.to_json()
-        );
-        match &e.engine {
-            Some(p) => {
-                let _ = write!(s, ",\"engine\":{}", p.summary_json());
+    json::object(|doc| {
+        doc.field("schema", PROF_SCHEMA).array("entries", |a| {
+            for e in entries {
+                a.object(|o| {
+                    o.field("run", &e.run)
+                        .field("variant", &e.variant)
+                        .object("blame", |b| e.blame.json_fields(b));
+                    match &e.engine {
+                        Some(p) => o.object("engine", |x| p.summary_fields(x)),
+                        None => o.field("engine", None::<u64>),
+                    };
+                });
             }
-            None => s.push_str(",\"engine\":null"),
-        }
-        s.push('}');
-    }
-    s.push_str("]}");
-    s
+        });
+    })
 }
 
 #[cfg(test)]

@@ -17,12 +17,11 @@
 //! and writes a `BENCH_serve.json` trajectory document for
 //! `rr-bench compare`.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rr_serve::proto::BundleVariant;
+use relaxreplay::trace::json::{self, Fixed};
 use rr_serve::{parse_and_open, serve, Client, RemoteStore, ServerConfig};
 use rr_sim::sweep::{run_sweep, ReplayPolicy, SweepJob};
 use rr_sim::{MachineConfig, RecorderSpec, RunStore, StoreError, StoreSpec};
@@ -114,57 +113,11 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
         return Err("fetch: the source must be an rr://host:port/run URL naming one run".into());
     };
     let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
-    let (cores, variants, truth) = client.get_run(&run).map_err(|e| e.to_string())?;
-    let bytes = materialize_run(Path::new(&out), &run, cores, &variants, &truth)
+    let bytes = client
+        .fetch_run(&run, Path::new(&out))
         .map_err(|e| format!("fetch: {e}"))?;
-    eprintln!(
-        "fetched {run}: {} variant(s), {cores} core(s), {bytes} bytes under {out}",
-        variants.len()
-    );
+    eprintln!("fetched {run}: {bytes} .rrlog bytes under {out}");
     Ok(())
-}
-
-/// Writes a fetched run bundle as a local log directory, byte-identical
-/// to what `--save-logs` produces for the same run (plus `.rridx`
-/// sidecars, which local saves build lazily on load).
-fn materialize_run(
-    out: &Path,
-    run: &str,
-    cores: u8,
-    variants: &[BundleVariant],
-    truth: &[u8],
-) -> Result<u64, String> {
-    let run_dir = out.join(run);
-    let io = |p: &Path, e: &std::io::Error| format!("{}: {e}", p.display());
-    std::fs::create_dir_all(&run_dir).map_err(|e| io(&run_dir, &e))?;
-    let mut manifest = format!("cores {cores}\n");
-    let mut bytes = 0u64;
-    for v in variants {
-        manifest.push_str(&v.label);
-        manifest.push('\n');
-        let vdir = run_dir.join(&v.label);
-        std::fs::create_dir_all(&vdir).map_err(|e| io(&vdir, &e))?;
-        for (k, log) in v.logs.iter().enumerate() {
-            let path = vdir.join(format!("core{k}.rrlog"));
-            std::fs::write(&path, log).map_err(|e| io(&path, &e))?;
-            bytes += log.len() as u64;
-            if let Some(idx) = v.indexes.get(k) {
-                if !idx.is_empty() {
-                    let ipath = path.with_extension("rridx");
-                    std::fs::write(&ipath, idx).map_err(|e| io(&ipath, &e))?;
-                }
-            }
-        }
-        if let Some(ord) = &v.ordering {
-            let path = vdir.join("ordering.bin");
-            std::fs::write(&path, ord).map_err(|e| io(&path, &e))?;
-        }
-    }
-    let truth_path = run_dir.join("truth.bin");
-    std::fs::write(&truth_path, truth).map_err(|e| io(&truth_path, &e))?;
-    let manifest_path = run_dir.join("manifest.txt");
-    std::fs::write(&manifest_path, manifest).map_err(|e| io(&manifest_path, &e))?;
-    Ok(bytes)
 }
 
 fn cmd_stat(args: &[String]) -> Result<(), String> {
@@ -289,33 +242,34 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             bytes as f64 / 1.0e6 / (ns as f64 / 1.0e9)
         }
     };
+    // The `rr-bench` doc shape (`rr_bench::compare::bench_json`), written
+    // here directly: rr-bench depends on this crate, not the reverse.
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"rr-bench/serve/v1\",\n");
-    doc.push_str("  \"mode\": \"full\",\n");
-    doc.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    doc.push_str(&format!("  \"dedup_ratio\": {ratio:.4},\n"));
-    doc.push_str(&format!(
-        "  \"ingest_mb_per_s\": {:.2},\n",
-        mb_per_s(cold_bytes, cold_ns)
-    ));
-    doc.push_str("  \"benches\": [\n");
-    doc.push_str(&format!(
-        "    {{ \"name\": \"ingest/corpus-cold\", \"bytes\": {cold_bytes}, \"median_ns\": {cold_ns}, \"mb_per_s\": {:.2} }},\n",
-        mb_per_s(cold_bytes, cold_ns)
-    ));
-    doc.push_str(&format!(
-        "    {{ \"name\": \"ingest/corpus-dup\", \"bytes\": {dup_bytes}, \"median_ns\": {dup_ns}, \"mb_per_s\": {:.2} }},\n",
-        mb_per_s(dup_bytes, dup_ns)
-    ));
-    doc.push_str(&format!(
-        "    {{ \"name\": \"fetch/one-run\", \"median_ns\": {fetch_ns} }}\n"
-    ));
-    doc.push_str("  ]\n}\n");
-    let mut f = std::fs::File::create(&out).map_err(|e| format!("{out}: {e}"))?;
-    f.write_all(doc.as_bytes())
-        .map_err(|e| format!("{out}: {e}"))?;
+    let ingest = |name: &str, bytes: u64, ns: u64, rows: &mut json::Arr<'_>| {
+        rows.object(|r| {
+            r.field("name", name)
+                .field("bytes", bytes)
+                .field("median_ns", ns)
+                .field("mb_per_s", Fixed(mb_per_s(bytes, ns), 2));
+        });
+    };
+    let mut doc = json::object(|o| {
+        o.field("schema", "rr-bench/serve/v1")
+            .field("mode", "full")
+            .field("host_cpus", host_cpus)
+            .field("dedup_ratio", Fixed(ratio, 4))
+            .field("ingest_mb_per_s", Fixed(mb_per_s(cold_bytes, cold_ns), 2))
+            .array("benches", |rows| {
+                ingest("ingest/corpus-cold", cold_bytes, cold_ns, rows);
+                ingest("ingest/corpus-dup", dup_bytes, dup_ns, rows);
+                rows.object(|r| {
+                    r.field("name", "fetch/one-run")
+                        .field("median_ns", fetch_ns);
+                });
+            });
+    });
+    doc.push('\n');
+    std::fs::write(&out, doc).map_err(|e| format!("{out}: {e}"))?;
     eprintln!(
         "bench: ingest {:.1} MB/s cold / {:.1} MB/s dup, dedup {ratio:.2}x, wrote {out}",
         mb_per_s(cold_bytes, cold_ns),

@@ -11,12 +11,14 @@
 //! them directly.
 
 use std::net::TcpStream;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use relaxreplay::wire::{chunk_spans, encode_chunked};
-use relaxreplay::{ChunkedWriter, LogEntry, LogSink, WireError};
+use relaxreplay::{ChunkedWriter, IntervalLog, LogEntry, LogSink, WireError};
 use rr_mem::CoreId;
-use rr_sim::logdir::{decode_ordering, decode_truth, encode_ordering, encode_truth};
+use rr_replay::decode_logs_parallel;
+use rr_sim::logdir::{decode_ordering, decode_truth, encode_ordering, encode_truth, write_run_dir};
 use rr_sim::{
     DedupStat, RemoteFault, RunResult, RunStat, RunStore, SavedRun, SavedVariant, StoreError,
     VariantStat,
@@ -172,6 +174,27 @@ impl Client {
         }
     }
 
+    /// Fetches run `run` into `out` as a local log directory (what
+    /// `--save-logs` writes, plus the server's `.rridx` skip indexes).
+    /// Returns the `.rrlog` bytes written.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::get_run`]; a server-supplied name that is not a safe
+    /// path component is [`rr_sim::LogDirError::BadName`] (inside
+    /// [`StoreError::Local`]), and nothing is written.
+    pub fn fetch_run(&mut self, run: &str, out: &Path) -> Result<u64, StoreError> {
+        let (cores, variants, truth) = self.get_run(run)?;
+        Ok(write_run_dir(
+            out,
+            run,
+            usize::from(cores),
+            &variants,
+            &truth,
+            &[],
+        )?)
+    }
+
     /// Lists sealed runs.
     ///
     /// # Errors
@@ -315,8 +338,8 @@ impl RunStore for RemoteStore {
             ];
             for log in &variant.logs {
                 // Identical encoder parameters to the local save path:
-                // the server's reassembly is byte-identical to
-                // `write_rrlog`'s output for the same log.
+                // the server's reassembly is byte-identical to a local
+                // save of the same log.
                 let bytes = encode_chunked(log);
                 total_bytes += bytes.len() as u64;
                 let (wire_version, payloads) = chunk_payloads(&bytes)?;
@@ -359,48 +382,6 @@ impl RunStore for RemoteStore {
         let cores = usize::from(cores);
         let catalog_err = |d: String| StoreError::remote(RemoteFault::Catalog, d);
 
-        // Decode every (variant, core) file; the files are independent
-        // streams, so spread them over a scoped pool when asked.
-        let files: Vec<&[u8]> = variants
-            .iter()
-            .flat_map(|v| &v.logs)
-            .map(Vec::as_slice)
-            .collect();
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            workers
-        };
-        let workers = workers.min(files.len()).max(1);
-        let decoded: Vec<Result<relaxreplay::IntervalLog, WireError>> = if workers <= 1 {
-            files
-                .iter()
-                .map(|b| relaxreplay::wire::decode_chunked(b))
-                .collect()
-        } else {
-            let slots: Vec<Mutex<Option<Result<relaxreplay::IntervalLog, WireError>>>> =
-                files.iter().map(|_| Mutex::new(None)).collect();
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(bytes) = files.get(i) else { break };
-                        let res = relaxreplay::wire::decode_chunked(bytes);
-                        *slots[i].lock().expect("decode slot") = Some(res);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("decode slot").expect("slot filled"))
-                .collect()
-        };
-
-        let mut it = decoded.into_iter();
-        let mut saved_variants = Vec::new();
         for v in &variants {
             if v.logs.len() != cores {
                 return Err(catalog_err(format!(
@@ -409,14 +390,33 @@ impl RunStore for RemoteStore {
                     v.logs.len()
                 )));
             }
-            let mut logs = Vec::with_capacity(cores);
-            for (k, res) in it.by_ref().take(cores).enumerate() {
-                let log = res.map_err(|e| {
-                    StoreError::remote(
-                        RemoteFault::CorruptBlob,
-                        format!("{}/core{k}: fetched log failed to decode: {e}", v.label),
-                    )
-                })?;
+        }
+        // Every (variant, core) file is an independent stream: decode them
+        // all in one parallel batch, variant-major.
+        let files: Vec<&[u8]> = variants
+            .iter()
+            .flat_map(|v| &v.logs)
+            .map(Vec::as_slice)
+            .collect();
+        let mut decoded = decode_logs_parallel(&files, workers)
+            .map_err(|e| {
+                let v = &variants[e.index / cores];
+                StoreError::remote(
+                    RemoteFault::CorruptBlob,
+                    format!(
+                        "{}/core{}: fetched log failed to decode: {}",
+                        v.label,
+                        e.index % cores,
+                        e.source
+                    ),
+                )
+            })?
+            .into_iter();
+
+        let mut saved_variants = Vec::new();
+        for v in &variants {
+            let logs: Vec<IntervalLog> = decoded.by_ref().take(cores).collect();
+            for (k, log) in logs.iter().enumerate() {
                 if log.core.index() != k {
                     return Err(catalog_err(format!(
                         "{}/core{k}: fetched log claims core {}",
@@ -424,7 +424,6 @@ impl RunStore for RemoteStore {
                         log.core.index()
                     )));
                 }
-                logs.push(log);
             }
             let ordering = match &v.ordering {
                 None => None,

@@ -59,19 +59,9 @@ pub struct SealVariant {
     pub ordering: Option<Vec<u8>>,
 }
 
-/// One variant of a [`Msg::RunBundle`] response.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BundleVariant {
-    /// The variant's label.
-    pub label: String,
-    /// Complete `.rrlog` files (header + framed chunks), index = core id.
-    pub logs: Vec<Vec<u8>>,
-    /// `.rridx` skip-index sidecars aligned with `logs` (empty bytes =
-    /// no index stored).
-    pub indexes: Vec<Vec<u8>>,
-    /// The `ordering.bin` sidecar bytes, verbatim, if present.
-    pub ordering: Option<Vec<u8>>,
-}
+/// One variant of a [`Msg::RunBundle`] response: the bytes of the files
+/// the variant occupies in a local run directory.
+pub use rr_sim::logdir::VariantFiles as BundleVariant;
 
 /// Per-variant sizing inside a [`Msg::StatAck`].
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,12 +1,16 @@
 //! End-to-end rr-serve coverage: remote round trips are byte-identical
 //! to local saves, identical corpora dedupe in the content-addressed
-//! store, damaged blobs surface as typed errors, and ≥ 4 recorder
-//! clients can ingest concurrently without interleaving corruption.
+//! store, damaged blobs surface as typed errors, ≥ 4 recorder clients
+//! can ingest concurrently without interleaving corruption, and a fetch
+//! never writes outside its output directory, whatever labels the server
+//! sends.
 
 use std::path::{Path, PathBuf};
 
 use rr_serve::{serve, Client, RemoteStore, ServerConfig};
-use rr_sim::{LocalStore, RecordSession, RemoteFault, RunResult, RunStore, StoreError};
+use rr_sim::{
+    LocalStore, LogDirError, RecordSession, RemoteFault, RunResult, RunStore, StoreError,
+};
 use rr_workloads::litmus::litmus_suite;
 use rr_workloads::Workload;
 
@@ -321,5 +325,82 @@ fn concurrent_ingest_from_four_clients() {
     }
 
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A fake RRSP server that answers every `GetRun` with one variant under
+/// `label`, for `connections` client connections.
+fn hostile_server(label: String, connections: usize) -> (String, std::thread::JoinHandle<()>) {
+    use rr_serve::proto::{read_frame, write_frame, BundleVariant, Msg, PROTO_VERSION};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let server = std::thread::spawn(move || {
+        for _ in 0..connections {
+            let (mut conn, _) = listener.accept().expect("accept");
+            while let Ok(Some(msg)) = read_frame(&mut conn) {
+                let reply = match msg {
+                    Msg::Hello { .. } => Msg::HelloAck {
+                        version: PROTO_VERSION,
+                    },
+                    Msg::GetRun { .. } => Msg::RunBundle {
+                        cores: 1,
+                        variants: vec![BundleVariant {
+                            label: label.clone(),
+                            logs: vec![b"not an rrlog".to_vec()],
+                            indexes: vec![b"not an index".to_vec()],
+                            ordering: Some(b"not an ordering".to_vec()),
+                        }],
+                        truth: b"not a truth sidecar".to_vec(),
+                    },
+                    other => panic!("unexpected request {other:?}"),
+                };
+                write_frame(&mut conn, &reply).expect("reply");
+            }
+        }
+    });
+    (addr, server)
+}
+
+#[test]
+fn fetch_refuses_server_labels_that_escape_the_output_directory() {
+    let root = tmp_dir("fetch-hostile");
+    let out_dir = root.join("out");
+    let absolute = std::env::temp_dir().join("rr-serve-escape");
+    let absolute = absolute.to_str().expect("utf8 path");
+    for label in ["../escape", "../../escape", absolute, "a/b"] {
+        let (addr, server) = hostile_server(label.to_string(), 2);
+
+        // The library call fails with the typed bad-name error.
+        let err = Client::connect(&addr)
+            .expect("connect")
+            .fetch_run("victim", &out_dir)
+            .expect_err("a hostile label must be refused");
+        assert!(
+            matches!(&err, StoreError::Local(LogDirError::BadName(n)) if n == label),
+            "{label}: {err:?}"
+        );
+
+        // So does the binary, writing nothing either.
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_rr-serve"))
+            .args([
+                "fetch",
+                &format!("rr://{addr}/victim"),
+                "--out",
+                out_dir.to_str().expect("utf8 path"),
+            ])
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("run rr-serve fetch");
+        assert!(!status.success(), "{label}: fetch succeeded");
+        server.join().expect("fake server");
+
+        assert!(!out_dir.exists(), "{label}: fetch created {out_dir:?}");
+        let leftovers: Vec<_> = std::fs::read_dir(&root)
+            .expect("read root")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        assert!(leftovers.is_empty(), "{label}: wrote {leftovers:?}");
+    }
+    assert!(!Path::new(absolute).exists());
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -18,13 +18,15 @@
 //!
 //! Run and variant names become path components verbatim, so they must not
 //! contain separators; [`check_name`] rejects names that do.
+//! [`write_run_dir`] lays a run out from its files' bytes, for local saves
+//! and for runs fetched from `rr-serve` alike.
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use relaxreplay::wire::{crc32, read_varint, write_rrlog, write_varint};
+use relaxreplay::trace::chrome_trace;
+use relaxreplay::wire::{crc32, read_varint, write_varint};
 use relaxreplay::{IntervalLog, IntervalOrdering, WireError};
 use rr_isa::MemImage;
 use rr_mem::CoreId;
@@ -145,9 +147,80 @@ impl SavedRun {
     }
 }
 
-/// Saves one recorded run under `dir/name`: per-variant `.rrlog` files,
-/// the ground-truth sidecar, and a manifest. Returns the total bytes
-/// written to `.rrlog` files.
+/// One recorder variant of a run directory, as the bytes of its files
+/// (also the RRSP `RunBundle` variant a remote store ships).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VariantFiles {
+    /// The variant's label (`Opt-4K`, …): its subdirectory name.
+    pub label: String,
+    /// Complete `.rrlog` files (header + framed chunks), index = core id.
+    pub logs: Vec<Vec<u8>>,
+    /// `.rridx` skip-index sidecars aligned with `logs` (missing or empty
+    /// bytes = no index written).
+    pub indexes: Vec<Vec<u8>>,
+    /// The `ordering.bin` sidecar bytes, if present.
+    pub ordering: Option<Vec<u8>>,
+}
+
+/// Writes run `name` under `dir` in the layout of the module docs (plus
+/// `core<k>.rridx` where an index is given, and the text `sidecars` in the
+/// run directory), the manifest last. Every name is [`check_name`]d before
+/// anything is created, so none can place a file outside `dir/name`.
+/// Returns the total `.rrlog` bytes written.
+///
+/// # Errors
+///
+/// [`LogDirError::BadName`] (with nothing written) for an unusable run,
+/// label or sidecar name; [`LogDirError::Io`] on filesystem failure.
+pub fn write_run_dir(
+    dir: &Path,
+    name: &str,
+    cores: usize,
+    variants: &[VariantFiles],
+    truth: &[u8],
+    sidecars: &[(&str, String)],
+) -> Result<u64, LogDirError> {
+    check_name(name)?;
+    for v in variants {
+        check_name(&v.label)?;
+    }
+    for (file, _) in sidecars {
+        check_name(file)?;
+    }
+    let write = |path: &Path, bytes: &[u8]| fs::write(path, bytes).map_err(|e| io_err(path, &e));
+    let run_dir = dir.join(name);
+    fs::create_dir_all(&run_dir).map_err(|e| io_err(&run_dir, &e))?;
+    let mut manifest = format!("cores {cores}\n");
+    let mut log_bytes = 0u64;
+    for v in variants {
+        let vdir = run_dir.join(&v.label);
+        fs::create_dir_all(&vdir).map_err(|e| io_err(&vdir, &e))?;
+        for (k, log) in v.logs.iter().enumerate() {
+            let path = vdir.join(format!("core{k}.rrlog"));
+            write(&path, log)?;
+            log_bytes += log.len() as u64;
+            if let Some(idx) = v.indexes.get(k).filter(|idx| !idx.is_empty()) {
+                write(&path.with_extension("rridx"), idx)?;
+            }
+        }
+        if let Some(ord) = &v.ordering {
+            write(&vdir.join("ordering.bin"), ord)?;
+        }
+        manifest.push_str(&v.label);
+        manifest.push('\n');
+    }
+    write(&run_dir.join("truth.bin"), truth)?;
+    for (file, text) in sidecars {
+        write(&run_dir.join(file), text.as_bytes())?;
+    }
+    write(&run_dir.join("manifest.txt"), manifest.as_bytes())?;
+    Ok(log_bytes)
+}
+
+/// Saves one recorded run under `dir/name` through [`write_run_dir`]:
+/// per-variant `.rrlog` files and interval orderings, the ground-truth
+/// sidecar, the trace sidecars when the run was traced, and a manifest.
+/// Returns the total bytes written to `.rrlog` files.
 ///
 /// # Errors
 ///
@@ -157,50 +230,57 @@ pub(crate) fn save_run_impl(
     name: &str,
     result: &RunResult,
 ) -> Result<u64, LogDirError> {
-    check_name(name)?;
-    let run_dir = dir.join(name);
-    fs::create_dir_all(&run_dir).map_err(|e| io_err(&run_dir, &e))?;
-
-    let cores = result.recorded.load_traces.len();
-    let mut manifest = format!("cores {cores}\n");
-    let mut log_bytes = 0u64;
-    for variant in &result.variants {
-        let label = variant.spec.label();
-        check_name(&label)?;
-        let vdir = run_dir.join(&label);
-        fs::create_dir_all(&vdir).map_err(|e| io_err(&vdir, &e))?;
-        for log in &variant.logs {
-            let path = vdir.join(format!("core{}.rrlog", log.core.index()));
-            write_rrlog(&path, log)?;
-            log_bytes += fs::metadata(&path).map_err(|e| io_err(&path, &e))?.len();
-        }
-        if !variant.ordering.is_empty() {
-            let opath = vdir.join("ordering.bin");
-            fs::write(&opath, encode_ordering(&variant.ordering))
-                .map_err(|e| io_err(&opath, &e))?;
-        }
-        manifest.push_str(&label);
-        manifest.push('\n');
-    }
-
-    let truth_path = run_dir.join("truth.bin");
-    fs::write(&truth_path, encode_truth(&result.recorded)).map_err(|e| io_err(&truth_path, &e))?;
-
+    let variants: Vec<VariantFiles> = result
+        .variants
+        .iter()
+        .map(|variant| VariantFiles {
+            label: variant.spec.label(),
+            logs: variant.logs.iter().map(IntervalLog::encode).collect(),
+            indexes: Vec::new(),
+            ordering: (!variant.ordering.is_empty()).then(|| encode_ordering(&variant.ordering)),
+        })
+        .collect();
     // Trace sidecars ride along when the run was recorded with tracing on:
     // the raw timeline as JSONL plus a Perfetto-loadable Chrome trace.
-    if let Some(trace) = &result.trace {
-        let jsonl_path = run_dir.join("trace.jsonl");
-        fs::write(&jsonl_path, trace.to_jsonl(name)).map_err(|e| io_err(&jsonl_path, &e))?;
-        let chrome_path = run_dir.join("trace.json");
-        let chrome = relaxreplay::trace::chrome_trace(&[(name.to_string(), trace)]);
-        fs::write(&chrome_path, chrome).map_err(|e| io_err(&chrome_path, &e))?;
-    }
+    let sidecars = match &result.trace {
+        Some(trace) => vec![
+            ("trace.jsonl", trace.to_jsonl(name)),
+            ("trace.json", chrome_trace(&[(name.to_string(), trace)])),
+        ],
+        None => Vec::new(),
+    };
+    write_run_dir(
+        dir,
+        name,
+        result.recorded.load_traces.len(),
+        &variants,
+        &encode_truth(&result.recorded),
+        &sidecars,
+    )
+}
 
-    let manifest_path = run_dir.join("manifest.txt");
-    let mut f = fs::File::create(&manifest_path).map_err(|e| io_err(&manifest_path, &e))?;
-    f.write_all(manifest.as_bytes())
-        .map_err(|e| io_err(&manifest_path, &e))?;
-    Ok(log_bytes)
+/// Reads `run_dir/manifest.txt`: the core count and the variant labels,
+/// each checked as a path component.
+///
+/// # Errors
+///
+/// [`LogDirError::Io`] if the manifest cannot be read,
+/// [`LogDirError::Malformed`] without a `cores` line,
+/// [`LogDirError::BadName`] for an unusable label.
+pub fn read_manifest(run_dir: &Path) -> Result<(usize, Vec<String>), LogDirError> {
+    let path = run_dir.join("manifest.txt");
+    let manifest = fs::read_to_string(&path).map_err(|e| io_err(&path, &e))?;
+    let mut lines = manifest.lines();
+    let cores = lines
+        .next()
+        .and_then(|l| l.strip_prefix("cores "))
+        .and_then(|n| n.parse().ok())
+        .ok_or(LogDirError::Malformed("manifest missing cores line"))?;
+    let labels = lines
+        .filter(|l| !l.is_empty())
+        .map(|l| check_name(l).map(|()| l.to_string()))
+        .collect::<Result<_, _>>()?;
+    Ok((cores, labels))
 }
 
 /// Loads a run previously written by [`save_run_impl`] from `dir/name`,
@@ -221,24 +301,14 @@ pub(crate) fn load_run_impl(
 ) -> Result<SavedRun, LogDirError> {
     check_name(name)?;
     let run_dir = dir.join(name);
-    let manifest_path = run_dir.join("manifest.txt");
-    let manifest = fs::read_to_string(&manifest_path).map_err(|e| io_err(&manifest_path, &e))?;
-    let mut lines = manifest.lines();
-    let cores: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("cores "))
-        .and_then(|n| n.parse().ok())
-        .ok_or(LogDirError::Malformed("manifest missing cores line"))?;
-
-    let labels: Vec<&str> = lines.filter(|l| !l.is_empty()).collect();
-    let mut paths = Vec::with_capacity(labels.len() * cores);
-    for label in &labels {
-        check_name(label)?;
-        let vdir = run_dir.join(label);
-        for k in 0..cores {
-            paths.push(vdir.join(format!("core{k}.rrlog")));
-        }
-    }
+    let (cores, labels) = read_manifest(&run_dir)?;
+    let paths: Vec<PathBuf> = labels
+        .iter()
+        .flat_map(|label| {
+            let vdir = run_dir.join(label);
+            (0..cores).map(move |k| vdir.join(format!("core{k}.rrlog")))
+        })
+        .collect();
     let logs = read_rrlogs_parallel(&paths, workers).map_err(ingest_err)?;
 
     let mut variants = Vec::new();
@@ -250,7 +320,7 @@ pub(crate) fn load_run_impl(
                 return Err(LogDirError::Malformed("core id does not match file name"));
             }
         }
-        let opath = run_dir.join(label).join("ordering.bin");
+        let opath = run_dir.join(&label).join("ordering.bin");
         let ordering = match fs::read(&opath) {
             Ok(bytes) => {
                 let ord = decode_ordering(&bytes)?;
@@ -265,7 +335,7 @@ pub(crate) fn load_run_impl(
             Err(e) => return Err(io_err(&opath, &e)),
         };
         variants.push(SavedVariant {
-            label: label.to_string(),
+            label,
             logs,
             ordering,
         });

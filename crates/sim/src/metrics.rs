@@ -19,7 +19,6 @@
 //! live in [`PhaseNanos`] and are excluded from determinism comparisons.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use relaxreplay::trace::json;
 
@@ -185,34 +184,27 @@ impl MetricsRegistry {
     /// `to_json_is_sorted_and_insertion_order_independent`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(|o| self.json_fields(o))
+    }
+
+    /// Writes the [`MetricsRegistry::to_json`] fields into an object.
+    pub(crate) fn json_fields(&self, o: &mut json::Obj<'_>) {
+        o.object("counters", |c| {
+            for (k, &v) in &self.counters {
+                c.field(k, v);
             }
-            let _ = write!(out, "{}:{v}", json::escape(k));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        })
+        .object("histograms", |hs| {
+            for (k, h) in &self.histograms {
+                hs.object(k, |o| {
+                    o.field("bin_width", h.bin_width).array("counts", |a| {
+                        for &c in &h.counts {
+                            a.item(c);
+                        }
+                    });
+                });
             }
-            let _ = write!(
-                out,
-                "{}:{{\"bin_width\":{},\"counts\":[",
-                json::escape(k),
-                h.bin_width
-            );
-            for (j, c) in h.counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
+        });
     }
 }
 
@@ -242,10 +234,15 @@ impl PhaseNanos {
     /// Renders as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"record_ns\":{},\"patch_ns\":{},\"replay_ns\":{},\"verify_ns\":{}}}",
-            self.record, self.patch, self.replay, self.verify
-        )
+        json::object(|o| self.json_fields(o))
+    }
+
+    /// Writes the [`PhaseNanos::to_json`] fields into an object.
+    pub(crate) fn json_fields(&self, o: &mut json::Obj<'_>) {
+        o.field("record_ns", self.record)
+            .field("patch_ns", self.patch)
+            .field("replay_ns", self.replay)
+            .field("verify_ns", self.verify);
     }
 }
 
@@ -310,12 +307,12 @@ pub fn jsonl_object(
     metrics: &MetricsRegistry,
     phases: &PhaseNanos,
 ) -> String {
-    format!(
-        "{{\"name\":{},\"job\":{job},\"metrics\":{},\"phases\":{}}}",
-        json::escape(name),
-        metrics.to_json(),
-        phases.to_json()
-    )
+    json::object(|o| {
+        o.field("name", name)
+            .field("job", job)
+            .object("metrics", |m| metrics.json_fields(m))
+            .object("phases", |p| phases.json_fields(p));
+    })
 }
 
 #[cfg(test)]

@@ -366,18 +366,10 @@ impl RunStore for LocalStore {
     fn stat_run(&self, name: &str) -> Result<RunStat, StoreError> {
         logdir::check_name(name)?;
         let run_dir = self.root.join(name);
-        let manifest_path = run_dir.join("manifest.txt");
-        let manifest = std::fs::read_to_string(&manifest_path)
-            .map_err(|e| LogDirError::Io(format!("{}: {e}", manifest_path.display())))?;
-        let mut lines = manifest.lines();
-        let cores: usize = lines
-            .next()
-            .and_then(|l| l.strip_prefix("cores "))
-            .and_then(|n| n.parse().ok())
-            .ok_or(LogDirError::Malformed("manifest missing cores line"))?;
+        let (cores, labels) = logdir::read_manifest(&run_dir)?;
         let mut variants = Vec::new();
-        for label in lines.filter(|l| !l.is_empty()) {
-            let vdir = run_dir.join(label);
+        for label in labels {
+            let vdir = run_dir.join(&label);
             let mut chunks = 0u64;
             let mut log_bytes = 0u64;
             for k in 0..cores {
@@ -393,7 +385,7 @@ impl RunStore for LocalStore {
                 log_bytes += bytes.len() as u64;
             }
             variants.push(VariantStat {
-                label: label.to_string(),
+                label,
                 chunks,
                 log_bytes,
                 has_ordering: vdir.join("ordering.bin").is_file(),
