@@ -10,7 +10,7 @@ use relaxreplay::{
 use rr_bench::{bench_record, bench_workload};
 use rr_cpu::{CoreObserver, PerformRecord};
 use rr_isa::{BranchCond, Interp, MemImage, ProgramBuilder, Reg};
-use rr_mem::{AccessKind, CoreId, LineAddr};
+use rr_mem::{AccessKind, CoreId, LineAddr, MemConfig, MemorySystem};
 use rr_replay::{patch, replay, CostModel};
 
 fn bench_hash(c: &mut Criterion) {
@@ -225,6 +225,33 @@ fn bench_sweep_workers(c: &mut Criterion) {
     }
 }
 
+fn bench_machine_build(c: &mut Criterion) {
+    // Fixed per-run set-up: building the memory system, and one whole
+    // rr-check explore run of a short 2-core fuzz case (record, patch,
+    // replay and verify both variants), where set-up is a large share.
+    use rr_sim::{explore_one, ExploreSpec, MachineConfig, PressureMode};
+    let mut group = c.benchmark_group("machine_build");
+    for cores in [2usize, 4, 8] {
+        let cfg = MemConfig::splash_default(cores);
+        group.bench_with_input(BenchmarkId::new("memory_system", cores), &cfg, |b, cfg| {
+            b.iter(|| black_box(MemorySystem::new(cfg.clone())))
+        });
+    }
+    let case = (0..)
+        .map(rr_workloads::fuzz_case)
+        .find(|c| c.workload.programs.len() == 2)
+        .expect("the generator makes 2-core cases");
+    let w = case.workload;
+    let machine = MachineConfig::splash_default(w.programs.len());
+    let spec = ExploreSpec::for_seed(1, PressureMode::None);
+    group.bench_function("explore_one_fuzz_2c", |b| {
+        b.iter(|| {
+            black_box(explore_one(&w.programs, &w.initial_mem, &machine, &spec).expect("explores"))
+        })
+    });
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -237,6 +264,7 @@ criterion_group! {
     config = config();
     targets = bench_hash, bench_signature, bench_snoop_table,
         bench_recorder_event_path, bench_log_codec, bench_patching,
-        bench_interpreter, bench_record_and_replay, bench_sweep_workers
+        bench_interpreter, bench_record_and_replay, bench_sweep_workers,
+        bench_machine_build
 }
 criterion_main!(components);

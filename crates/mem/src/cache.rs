@@ -11,6 +11,12 @@ struct Way<T> {
 /// the per-core L1s (payload = [`MesiState`](crate::MesiState)) and the
 /// shared L2 (payload = `()`).
 ///
+/// A cache pays only for the sets a run fills. Building one allocates
+/// nothing; the first insert allocates the per-set slot index, and a set
+/// claims its block of `assoc` ways in one flat way store the first time
+/// it is filled. So a short run on a machine with a large L2 costs what it
+/// touches, not what the L2 could hold.
+///
 /// ```
 /// use rr_mem::{LineAddr, SetAssocCache};
 /// let mut c: SetAssocCache<u32> = SetAssocCache::new(2, 2);
@@ -21,8 +27,19 @@ struct Way<T> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocCache<T> {
-    sets: Vec<Vec<Way<T>>>,
+    num_sets: usize,
     assoc: usize,
+    /// `block_of[set]`: 1 + the index of the set's block of ways, or 0
+    /// while the set has never been filled. Empty until the first insert.
+    block_of: Vec<u32>,
+    /// `fill[block]`: ways in use in the block. They are the prefix
+    /// `ways[block * assoc..][..fill[block]]`, in the order a per-set
+    /// `Vec` with `push` and `swap_remove` would keep them.
+    fill: Vec<usize>,
+    /// Every claimed block's `assoc` ways, block after block; the ways past
+    /// a block's fill are `None`.
+    ways: Vec<Option<Way<T>>>,
+    len: usize,
     clock: u64,
 }
 
@@ -40,45 +57,60 @@ impl<T> SetAssocCache<T> {
         );
         assert!(assoc > 0, "associativity must be positive");
         SetAssocCache {
-            sets: (0..num_sets).map(|_| Vec::with_capacity(assoc)).collect(),
+            num_sets,
             assoc,
+            block_of: Vec::new(),
+            fill: Vec::new(),
+            ways: Vec::new(),
+            len: 0,
             clock: 0,
         }
     }
 
     fn set_index(&self, line: LineAddr) -> usize {
-        (line.line_number() as usize) & (self.sets.len() - 1)
+        (line.line_number() as usize) & (self.num_sets - 1)
+    }
+
+    /// The block holding `line`'s set, if the set was ever filled.
+    fn block(&self, line: LineAddr) -> Option<usize> {
+        let slot = *self.block_of.get(self.set_index(line))?;
+        (slot as usize).checked_sub(1)
+    }
+
+    /// The resident ways of `block`.
+    fn resident(&self, block: usize) -> std::ops::Range<usize> {
+        let start = block * self.assoc;
+        start..start + self.fill[block]
     }
 
     /// Looks up a line, updating LRU recency on hit.
     pub fn get(&mut self, line: LineAddr) -> Option<&T> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(line);
-        self.sets[set].iter_mut().find(|w| w.line == line).map(|w| {
-            w.last_used = clock;
-            &w.payload
-        })
+        self.get_mut(line).map(|p| &*p)
     }
 
     /// Looks up a line mutably, updating LRU recency on hit.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut T> {
         self.clock += 1;
         let clock = self.clock;
-        let set = self.set_index(line);
-        self.sets[set].iter_mut().find(|w| w.line == line).map(|w| {
-            w.last_used = clock;
-            &mut w.payload
-        })
+        let ways = self.resident(self.block(line)?);
+        self.ways[ways]
+            .iter_mut()
+            .flatten()
+            .find(|w| w.line == line)
+            .map(|w| {
+                w.last_used = clock;
+                &mut w.payload
+            })
     }
 
     /// Looks up a line without touching LRU state (for snoops and
     /// invariant checks).
     #[must_use]
     pub fn peek(&self, line: LineAddr) -> Option<&T> {
-        let set = self.set_index(line);
-        self.sets[set]
+        let ways = self.resident(self.block(line)?);
+        self.ways[ways]
             .iter()
+            .flatten()
             .find(|w| w.line == line)
             .map(|w| &w.payload)
     }
@@ -89,6 +121,22 @@ impl<T> SetAssocCache<T> {
         self.peek(line).is_some()
     }
 
+    /// The block of `line`'s set, claiming one for a set never filled.
+    fn claim(&mut self, line: LineAddr) -> usize {
+        if self.block_of.is_empty() {
+            self.block_of = vec![0; self.num_sets];
+        }
+        let set = self.set_index(line);
+        if let Some(block) = (self.block_of[set] as usize).checked_sub(1) {
+            return block;
+        }
+        let block = self.fill.len();
+        self.fill.push(0);
+        self.ways.resize_with(self.ways.len() + self.assoc, || None);
+        self.block_of[set] = u32::try_from(block + 1).expect("fewer than 2^32 sets");
+        block
+    }
+
     /// Inserts a line, evicting the LRU way of a full set.
     ///
     /// Returns the evicted `(line, payload)`, if any. Inserting a line that
@@ -96,10 +144,10 @@ impl<T> SetAssocCache<T> {
     pub fn insert(&mut self, line: LineAddr, payload: T) -> Option<(LineAddr, T)> {
         self.clock += 1;
         let clock = self.clock;
-        let assoc = self.assoc;
-        let set_idx = self.set_index(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(w) = set.iter_mut().find(|w| w.line == line) {
+        let block = self.claim(line);
+        let ways = self.resident(block);
+        let set = &mut self.ways[ways.clone()];
+        if let Some(w) = set.iter_mut().flatten().find(|w| w.line == line) {
             w.payload = payload;
             w.last_used = clock;
             return None;
@@ -109,44 +157,53 @@ impl<T> SetAssocCache<T> {
             payload,
             last_used: clock,
         };
-        if set.len() < assoc {
-            set.push(new_way);
+        if set.len() < self.assoc {
+            self.ways[ways.end] = Some(new_way);
+            self.fill[block] += 1;
+            self.len += 1;
             return None;
         }
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.last_used)
-            .map(|(i, _)| i)
+        let victim = set
+            .iter_mut()
+            .min_by_key(|w| w.as_ref().map_or(0, |w| w.last_used))
             .expect("full set has a victim");
-        let victim = std::mem::replace(&mut set[victim_idx], new_way);
+        let victim = victim.replace(new_way).expect("resident way");
         Some((victim.line, victim.payload))
     }
 
     /// Removes a line, returning its payload if it was present.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
-        let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|w| w.line == line)?;
-        Some(self.sets[set].swap_remove(pos).payload)
+        let block = self.block(line)?;
+        let ways = self.resident(block);
+        let pos = self.ways[ways.clone()]
+            .iter()
+            .position(|w| w.as_ref().is_some_and(|w| w.line == line))?;
+        // `swap_remove`: the set's last way moves into the freed one.
+        let last = ways.end - 1;
+        self.ways.swap(ways.start + pos, last);
+        self.fill[block] -= 1;
+        self.len -= 1;
+        self.ways[last].take().map(|w| w.payload)
     }
 
-    /// Iterates over all resident `(line, payload)` pairs.
+    /// Iterates over all resident `(line, payload)` pairs, in no
+    /// particular order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|w| (w.line, &w.payload)))
+        (0..self.fill.len())
+            .flat_map(|b| self.ways[self.resident(b)].iter().flatten())
+            .map(|w| (w.line, &w.payload))
     }
 
     /// Number of resident lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len
     }
 
     /// Whether the cache is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 

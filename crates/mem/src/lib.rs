@@ -54,7 +54,7 @@ mod stats;
 pub use cache::SetAssocCache;
 pub use config::{CoherenceMode, MemConfig};
 pub use idhash::{IdHashMap, IdHasher};
-pub use line::{CoreId, LineAddr};
+pub use line::{CoreId, CoreSet, LineAddr};
 pub use memory::{
     AccessKind, Completion, MemTickOutput, MemorySystem, ReqId, Response, SnoopEvent, SnoopScope,
 };

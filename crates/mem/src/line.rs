@@ -39,6 +39,38 @@ impl fmt::Debug for CoreId {
     }
 }
 
+/// A set of cores: one bit per possible [`CoreId`], so building, copying
+/// and testing one never allocates.
+///
+/// ```
+/// use rr_mem::{CoreId, CoreSet};
+/// let mut s = CoreSet::default();
+/// s.insert(CoreId::new(3));
+/// assert!(s.contains(&CoreId::new(3)) && !s.contains(&CoreId::new(0)));
+/// s.remove(CoreId::new(3));
+/// assert_eq!(s, CoreSet::default());
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoreSet([u64; 4]);
+
+impl CoreSet {
+    /// Adds `core`.
+    pub fn insert(&mut self, core: CoreId) {
+        self.0[usize::from(core.0 / 64)] |= 1 << (core.0 % 64);
+    }
+
+    /// Removes `core`.
+    pub fn remove(&mut self, core: CoreId) {
+        self.0[usize::from(core.0 / 64)] &= !(1 << (core.0 % 64));
+    }
+
+    /// Whether `core` is in the set.
+    #[must_use]
+    pub fn contains(&self, core: &CoreId) -> bool {
+        self.0[usize::from(core.0 / 64)] & (1 << (core.0 % 64)) != 0
+    }
+}
+
 /// A cache-line address: a byte address with the line offset stripped.
 ///
 /// Conflict detection throughout RelaxReplay (signatures, Snoop Table,

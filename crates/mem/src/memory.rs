@@ -1,8 +1,8 @@
 use std::collections::VecDeque;
 
 use crate::{
-    cache::SetAssocCache, config::CoherenceMode, CoreId, IdHashMap, LineAddr, MemConfig, MemStats,
-    MesiState,
+    cache::SetAssocCache, config::CoherenceMode, CoreId, CoreSet, IdHashMap, LineAddr, MemConfig,
+    MemStats, MesiState,
 };
 
 /// Identifier of an in-flight memory request, matched against
@@ -62,12 +62,12 @@ pub struct Completion {
 }
 
 /// Which cores observe a coherence transaction.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnoopScope {
     /// Snoopy mode: every core except the requester observes it.
     AllExcept(CoreId),
     /// Directory mode: only the listed cores observe it.
-    Cores(Vec<CoreId>),
+    Cores(CoreSet),
 }
 
 impl SnoopScope {
@@ -201,7 +201,7 @@ pub struct MemorySystem {
     /// Directory mode: the sharer list the directory *believes* (clean
     /// evictions are silent, so stale sharers remain and keep receiving
     /// invalidations — only dirty evictions/writebacks remove a core).
-    dir_sharers: IdHashMap<LineAddr, Vec<CoreId>>,
+    dir_sharers: IdHashMap<LineAddr, CoreSet>,
     stats: MemStats,
 }
 
@@ -217,6 +217,11 @@ impl std::fmt::Debug for MemorySystem {
 
 impl MemorySystem {
     /// Creates a memory system for `cfg.num_cores` cores.
+    ///
+    /// The shared L2's set count is rounded up to a power of two, so at a
+    /// core count that is not a power of two (3, 5–7) it holds more than
+    /// `l2_bytes_per_core` per core. Construction allocates nothing sized
+    /// by either cache's capacity (see [`SetAssocCache`]).
     #[must_use]
     pub fn new(cfg: MemConfig) -> Self {
         let l1_sets = cfg.l1_sets();
@@ -428,7 +433,7 @@ impl MemorySystem {
                 self.l2.insert(victim_line, ());
                 if self.cfg.mode == CoherenceMode::Directory {
                     if let Some(sharers) = self.dir_sharers.get_mut(&victim_line) {
-                        sharers.retain(|&c| c != core);
+                        sharers.remove(core);
                     }
                 }
             }
@@ -498,17 +503,15 @@ impl MemorySystem {
             CoherenceMode::Snoopy => SnoopScope::AllExcept(p.core),
             CoherenceMode::Directory => {
                 let sharers = self.dir_sharers.entry(p.line).or_default();
-                let scope =
-                    SnoopScope::Cores(sharers.iter().copied().filter(|&c| c != p.core).collect());
+                let mut observers = *sharers;
+                observers.remove(p.core);
                 // Directory update: a write leaves only the requester; a
                 // read adds it.
                 if write {
-                    sharers.clear();
+                    *sharers = CoreSet::default();
                 }
-                if !sharers.contains(&p.core) {
-                    sharers.push(p.core);
-                }
-                scope
+                sharers.insert(p.core);
+                SnoopScope::Cores(observers)
             }
         };
         // Data source and raw latency.
