@@ -10,17 +10,17 @@
 //! workers, and single-stream range-partitioned decode
 //! (`parallel_decode_stream`), writes the results as `BENCH_codec.json`,
 //! and — on every invocation — decodes the checked-in sample `.rrlog`
-//! files (v1/v2/v3 framing) with the fast decoder, the byte-at-a-time
-//! reference decoder, the probed decoder, the range-parallel decoder and
-//! the mmap-backed `read_rrlog`, exiting nonzero on any disagreement (the
-//! CI `bench-smoke` gate). The `--test` mode also hard-gates the `workers == 1` ingest
+//! (`data/sample_v3.rrlog`) with the fast decoder, the entry-at-a-time
+//! `rr-reference` oracle decoder, the probed decoder, the range-parallel
+//! decoder and the mmap-backed `read_rrlog`, exiting nonzero on any
+//! disagreement (the CI `bench-smoke` gate). The `--test` mode also hard-gates the `workers == 1` ingest
 //! path: it must cost no more than a plain serial decode loop.
 //!
 //! ```text
 //! cargo bench -p rr-bench --bench codec            full measurement
 //! cargo bench -p rr-bench --bench codec -- --test  CI smoke (fast, same JSON)
 //! cargo bench -p rr-bench --bench codec -- --out path/to.json
-//! cargo bench -p rr-bench --bench codec -- --regen-data  rewrite data/*.rrlog
+//! cargo bench -p rr-bench --bench codec -- --regen-data  rewrite the sample
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -29,14 +29,13 @@ use std::process::ExitCode;
 use relaxreplay::prof::CodecPhases;
 use relaxreplay::trace::json::Fixed;
 use relaxreplay::wire::{
-    decode_chunked, decode_chunked_into, decode_chunked_reference, encode_chunked,
-    encode_chunked_with_version, read_rrlog, ChunkedWriter, DEFAULT_CHUNK_BYTES, MIN_VERSION,
-    VERSION,
+    decode_chunked, decode_chunked_into, encode_chunked, read_rrlog, ChunkedWriter, VERSION,
 };
 use relaxreplay::{IntervalLog, LogEntry, LogSink};
 use rr_bench::compare::{bench_json, host_cpus};
 use rr_bench::median_ns;
 use rr_mem::CoreId;
+use rr_reference::decode_chunked_reference;
 use rr_replay::{decode_chunked_parallel, decode_logs_parallel};
 
 /// Appends step `i` of the synthetic entry mix to `out`: a long inorder
@@ -307,82 +306,59 @@ fn data_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("data")
 }
 
-/// Rewrites the checked-in sample logs, one per supported wire version,
-/// each produced by its own versioned encoder. v1 and v2 share the
-/// cross-chunk delta framing (their headers differ), but v3 resets delta
-/// state per chunk, so its payload bytes genuinely differ — a header
-/// re-stamp can no longer fake an old stream.
+/// Rewrites the checked-in sample log for the current wire version.
 fn regen_data() -> std::io::Result<()> {
     let dir = data_dir();
     std::fs::create_dir_all(&dir)?;
-    let log = synthetic_log(0, 4_000);
-    for version in MIN_VERSION..=VERSION {
-        let bytes = encode_chunked_with_version(&log, DEFAULT_CHUNK_BYTES, version);
-        std::fs::write(dir.join(format!("sample_v{version}.rrlog")), &bytes)?;
-    }
-    println!("sample logs rewritten under {}", dir.display());
+    let path = dir.join(format!("sample_v{VERSION}.rrlog"));
+    std::fs::write(&path, encode_chunked(&synthetic_log(0, 4_000)))?;
+    println!("sample log rewritten: {}", path.display());
     Ok(())
 }
 
-/// Decodes every checked-in sample with the fast path, the reference
+/// Decodes the checked-in sample with the fast path, the reference
 /// decoder, the probed walk, the range-parallel decoder and the
 /// mmap-backed `read_rrlog`; any disagreement is a codec bug and fails the
-/// bench (and CI).
+/// bench (and CI). Returns the number of samples checked.
 fn reference_check() -> Result<usize, String> {
-    let dir = data_dir();
-    let mut checked = 0usize;
-    let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map_err(|e| format!("{}: {e}", dir.display()))?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rrlog"))
-        .collect();
-    names.sort();
-    if names.is_empty() {
-        return Err(format!("no sample .rrlog files under {}", dir.display()));
+    let path = data_dir().join(format!("sample_v{VERSION}.rrlog"));
+    let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let fast = decode_chunked(&bytes);
+    let reference = decode_chunked_reference(&bytes);
+    if fast != reference {
+        return Err(format!(
+            "{}: fast decoder disagrees with the reference decoder\n  fast: {fast:?}\n  ref:  {reference:?}",
+            path.display()
+        ));
     }
-    for path in names {
-        let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let fast = decode_chunked(&bytes);
-        let reference = decode_chunked_reference(&bytes);
-        if fast != reference {
-            return Err(format!(
-                "{}: fast decoder disagrees with the reference decoder\n  fast: {fast:?}\n  ref:  {reference:?}",
-                path.display()
-            ));
-        }
-        // A probe must not change what the walk returns — gate its parity
-        // too.
-        let mut phases = CodecPhases::default();
-        let mut log = IntervalLog::new(CoreId::new(0));
-        let profiled = decode_chunked_into(&bytes, &mut log, &mut phases).map(|()| log);
-        if profiled != fast {
-            return Err(format!(
-                "{}: profiled decoder disagrees with the fast decoder",
-                path.display()
-            ));
-        }
-        // And the range-parallel decoder (it falls back to the sequential
-        // path on pre-v3 streams, so this covers both dispatch arms).
-        let parallel = decode_chunked_parallel(&bytes, 4);
-        if parallel != fast {
-            return Err(format!(
-                "{}: range-parallel decoder disagrees with the fast decoder",
-                path.display()
-            ));
-        }
-        // And the file path every tool reads through: `read_rrlog`
-        // (mmap-backed).
-        if read_rrlog(&path) != fast {
-            return Err(format!(
-                "{}: read_rrlog disagrees with the fast decoder",
-                path.display()
-            ));
-        }
-        fast.map_err(|e| format!("{}: sample does not decode: {e}", path.display()))?;
-        checked += 1;
+    // A probe must not change what the walk returns — gate its parity
+    // too.
+    let mut phases = CodecPhases::default();
+    let mut log = IntervalLog::new(CoreId::new(0));
+    let profiled = decode_chunked_into(&bytes, &mut log, &mut phases).map(|()| log);
+    if profiled != fast {
+        return Err(format!(
+            "{}: profiled decoder disagrees with the fast decoder",
+            path.display()
+        ));
     }
-    Ok(checked)
+    // And the range-parallel decoder.
+    if decode_chunked_parallel(&bytes, 4) != fast {
+        return Err(format!(
+            "{}: range-parallel decoder disagrees with the fast decoder",
+            path.display()
+        ));
+    }
+    // And the file path every tool reads through: `read_rrlog`
+    // (mmap-backed).
+    if read_rrlog(&path) != fast {
+        return Err(format!(
+            "{}: read_rrlog disagrees with the fast decoder",
+            path.display()
+        ));
+    }
+    fast.map_err(|e| format!("{}: sample does not decode: {e}", path.display()))?;
+    Ok(1)
 }
 
 fn write_json(path: &Path, mode: &str, samples: &[Sample], checked: usize) -> std::io::Result<()> {

@@ -128,9 +128,6 @@ fn bench_log_codec(c: &mut Criterion) {
         b.iter(|| black_box(log.encode_flat()))
     });
     c.bench_function("log_encode_chunked", |b| b.iter(|| black_box(log.encode())));
-    c.bench_function("log_decode_flat", |b| {
-        b.iter(|| black_box(IntervalLog::decode_flat(&flat).expect("decodes")))
-    });
     c.bench_function("log_decode_chunked", |b| {
         b.iter(|| black_box(IntervalLog::decode(&chunked).expect("decodes")))
     });

@@ -249,6 +249,9 @@ impl SkipIndex {
             return None;
         }
         let wire_version = u16::from_le_bytes([body[6], body[7]]);
+        if wire_version != wire::VERSION {
+            return None;
+        }
         let core = CoreId::new(body[8]);
         let clean = body[9] & FLAG_CLEAN != 0;
         let source_len = u64::from_le_bytes(body[10..18].try_into().ok()?);

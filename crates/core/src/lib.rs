@@ -92,7 +92,7 @@ pub use trace::{
     TraceRing,
 };
 
-pub use crate::log::{IntervalLog, LogDecodeError, LogEntry};
+pub use crate::log::{IntervalLog, LogEntry};
 pub use crate::prof::{
     engine_chrome_trace, validate_prof_json, CodecPhases, EngineProf, Span, SpanKind, WorkerProf,
 };

@@ -244,96 +244,7 @@ impl IntervalLog {
         }
         out
     }
-
-    /// Deserializes a log produced by [`IntervalLog::encode_flat`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogDecodeError`] on truncated input or an unknown entry
-    /// tag.
-    pub fn decode_flat(bytes: &[u8]) -> Result<Self, LogDecodeError> {
-        let mut i = 0usize;
-        let take = |i: &mut usize, n: usize| -> Result<&[u8], LogDecodeError> {
-            let s = bytes
-                .get(*i..*i + n)
-                .ok_or(LogDecodeError::Truncated { at: *i })?;
-            *i += n;
-            Ok(s)
-        };
-        let core = CoreId::new(take(&mut i, 1)?[0]);
-        let mut entries = Vec::new();
-        while i < bytes.len() {
-            let tag = take(&mut i, 1)?[0];
-            let u64_at = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8 bytes"));
-            let entry = match tag {
-                0 => LogEntry::InorderBlock {
-                    instrs: u32::from_le_bytes(take(&mut i, 4)?.try_into().expect("4 bytes")),
-                },
-                1 => LogEntry::ReorderedLoad {
-                    value: u64_at(take(&mut i, 8)?),
-                },
-                2 => LogEntry::ReorderedStore {
-                    addr: u64_at(take(&mut i, 8)?),
-                    value: u64_at(take(&mut i, 8)?),
-                    offset: u32::from_le_bytes(take(&mut i, 4)?.try_into().expect("4 bytes")),
-                },
-                3 | 4 => {
-                    let loaded = u64_at(take(&mut i, 8)?);
-                    let addr = u64_at(take(&mut i, 8)?);
-                    let stored = if tag == 3 {
-                        Some(u64_at(take(&mut i, 8)?))
-                    } else {
-                        None
-                    };
-                    let offset = u32::from_le_bytes(take(&mut i, 4)?.try_into().expect("4 bytes"));
-                    LogEntry::ReorderedRmw {
-                        loaded,
-                        addr,
-                        stored,
-                        offset,
-                    }
-                }
-                5 => LogEntry::IntervalFrame {
-                    cisn: u16::from_le_bytes(take(&mut i, 2)?.try_into().expect("2 bytes")),
-                    timestamp: u64_at(take(&mut i, 8)?),
-                },
-                other => return Err(LogDecodeError::UnknownTag { tag: other, at: i }),
-            };
-            entries.push(entry);
-        }
-        Ok(IntervalLog { core, entries })
-    }
 }
-
-/// Errors from [`IntervalLog::decode_flat`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LogDecodeError {
-    /// The byte stream ended mid-entry.
-    Truncated {
-        /// Offset at which more bytes were needed.
-        at: usize,
-    },
-    /// An entry tag byte was not recognized.
-    UnknownTag {
-        /// The offending tag.
-        tag: u8,
-        /// Offset just past the tag.
-        at: usize,
-    },
-}
-
-impl fmt::Display for LogDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LogDecodeError::Truncated { at } => write!(f, "log truncated at byte {at}"),
-            LogDecodeError::UnknownTag { tag, at } => {
-                write!(f, "unknown log entry tag {tag} at byte {at}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LogDecodeError {}
 
 #[cfg(test)]
 mod tests {
@@ -374,55 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_encode_decode_round_trip() {
-        let log = sample_log();
-        let decoded = IntervalLog::decode_flat(&log.encode_flat()).expect("round trip");
-        assert_eq!(decoded, log);
-    }
-
-    /// Byte offsets in the flat encoding at which an entry (or the
-    /// header) ends — the only places a cut can produce a valid stream.
-    fn flat_entry_boundaries(log: &IntervalLog) -> Vec<usize> {
-        let mut boundaries = vec![1]; // after the core-id header byte
-        let mut at = 1usize;
-        for e in &log.entries {
-            at += match e {
-                LogEntry::InorderBlock { .. } => 1 + 4,
-                LogEntry::ReorderedLoad { .. } => 1 + 8,
-                LogEntry::ReorderedStore { .. } => 1 + 8 + 8 + 4,
-                LogEntry::ReorderedRmw { stored, .. } => {
-                    1 + 8 + 8 + if stored.is_some() { 8 } else { 0 } + 4
-                }
-                LogEntry::IntervalFrame { .. } => 1 + 2 + 8,
-            };
-            boundaries.push(at);
-        }
-        boundaries
-    }
-
-    #[test]
-    fn flat_truncation_is_detected_at_every_non_boundary_byte() {
-        let log = sample_log();
-        let bytes = log.encode_flat();
-        let boundaries = flat_entry_boundaries(&log);
-        assert_eq!(*boundaries.last().unwrap(), bytes.len());
-        for cut in 1..bytes.len() {
-            let result = IntervalLog::decode_flat(&bytes[..cut]);
-            if boundaries.contains(&cut) {
-                let decoded = result
-                    .unwrap_or_else(|e| panic!("cut at entry boundary {cut} must decode: {e}"));
-                let n = boundaries.iter().position(|&b| b == cut).unwrap();
-                assert_eq!(decoded.entries[..], log.entries[..n], "cut at {cut}");
-            } else {
-                assert!(
-                    matches!(result, Err(LogDecodeError::Truncated { .. })),
-                    "cut mid-entry at {cut} must yield Truncated, got {result:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn chunked_truncation_recovers_all_prior_chunks() {
         let log = sample_log();
         // Force multiple chunks so mid-chunk cuts have prior chunks to
@@ -454,16 +316,6 @@ mod tests {
         let (full, err) = recover(&bytes);
         assert!(err.is_none());
         assert_eq!(full, log);
-    }
-
-    #[test]
-    fn flat_unknown_tag_is_detected() {
-        let mut bytes = sample_log().encode_flat();
-        bytes.push(99);
-        assert!(matches!(
-            IntervalLog::decode_flat(&bytes),
-            Err(LogDecodeError::UnknownTag { tag: 99, .. })
-        ));
     }
 
     #[test]
@@ -499,35 +351,6 @@ mod tests {
             }
             .bits(),
             162
-        );
-    }
-
-    #[test]
-    fn wide_offsets_round_trip_in_both_codecs() {
-        let log = IntervalLog {
-            core: CoreId::new(0),
-            entries: vec![
-                LogEntry::ReorderedStore {
-                    addr: 0x100,
-                    value: 7,
-                    offset: u32::from(u16::MAX) + 2,
-                },
-                LogEntry::ReorderedRmw {
-                    loaded: 1,
-                    addr: 0x200,
-                    stored: Some(9),
-                    offset: u32::MAX,
-                },
-                LogEntry::IntervalFrame {
-                    cisn: 1,
-                    timestamp: 10,
-                },
-            ],
-        };
-        assert_eq!(IntervalLog::decode(&log.encode()).expect("chunked"), log);
-        assert_eq!(
-            IntervalLog::decode_flat(&log.encode_flat()).expect("flat"),
-            log
         );
     }
 

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use relaxreplay::wire::{self, WireError};
 use relaxreplay::{IntervalLog, LogEntry};
 use rr_mem::CoreId;
+use rr_reference::{decode_chunked_reference, decode_flat};
 
 /// The strict walk's recovered prefix and error, as one value.
 fn recover(bytes: &[u8]) -> (IntervalLog, Option<WireError>) {
@@ -141,7 +142,7 @@ proptest! {
         }
     }
 
-    /// The batched fast-path decoder is bit-identical to the retained
+    /// The batched fast-path decoder is bit-identical to the
     /// entry-at-a-time reference decoder on arbitrary clean logs at
     /// arbitrary chunk sizes.
     #[test]
@@ -156,7 +157,7 @@ proptest! {
         };
         let bytes = wire::encode_chunked_with(&log, chunk_bytes);
         let fast = wire::decode_chunked(&bytes);
-        let reference = wire::decode_chunked_reference(&bytes);
+        let reference = decode_chunked_reference(&bytes);
         prop_assert_eq!(fast, reference);
     }
 
@@ -179,18 +180,16 @@ proptest! {
         bad[(flip_pick as usize) % bytes.len()] ^= 1 << bit;
         prop_assert_eq!(
             wire::decode_chunked(&bad),
-            wire::decode_chunked_reference(&bad)
+            decode_chunked_reference(&bad)
         );
         let cut = (cut_pick as usize) % (bytes.len() + 1);
         prop_assert_eq!(
             wire::decode_chunked(&bytes[..cut]),
-            wire::decode_chunked_reference(&bytes[..cut])
+            decode_chunked_reference(&bytes[..cut])
         );
         // The lenient skip decoder agrees with the chunk map on how many
-        // entries the damaged stream still holds, and current-version
-        // (chunk-independent) streams never yield suspect entries.
+        // entries the damaged stream still holds.
         let salvage = wire::decode_chunked_skip(&bad);
-        prop_assert_eq!(salvage.suspect, 0, "v3 chunks re-anchor");
         if let Ok((_, map, _)) = wire::chunk_map(&bad) {
             prop_assert_eq!(
                 salvage.log.entries.len(),
@@ -208,7 +207,7 @@ proptest! {
             core: CoreId::new(core),
             entries,
         };
-        let via_flat = IntervalLog::decode_flat(&log.encode_flat()).expect("flat codec");
+        let via_flat = decode_flat(&log.encode_flat()).expect("flat codec");
         let via_wire = wire::decode_chunked(&wire::encode_chunked(&log)).expect("wire codec");
         prop_assert_eq!(&via_flat, &log);
         prop_assert_eq!(&via_wire, &log);
@@ -250,46 +249,44 @@ proptest! {
         let bytes = wire::encode_chunked_with(&log, chunk_bytes);
         prop_assert_eq!(
             wire::decode_chunked(&bytes),
-            wire::decode_chunked_reference(&bytes)
+            decode_chunked_reference(&bytes)
         );
         let cut = (cut_pick as usize) % (bytes.len() + 1);
         prop_assert_eq!(
             wire::decode_chunked(&bytes[..cut]),
-            wire::decode_chunked_reference(&bytes[..cut])
+            decode_chunked_reference(&bytes[..cut])
         );
     }
 
-    /// Streams framed at every supported wire version decode identically
-    /// through the fast and reference decoders — clean, bit-flipped, and
-    /// truncated — so the SWAR path cannot regress v1/v2 compatibility.
+    /// Clean, bit-flipped and truncated streams decode identically through
+    /// the fast and reference decoders, and the clean stream round-trips.
     #[test]
     fn all_wire_versions_agree_bit_for_bit_including_errors(
         entries in proptest::collection::vec(entry_strategy(), 1..100),
-        version in 1u16..=wire::VERSION,
         flip_pick in any::<u64>(),
         bit in 0u8..8,
         cut_pick in any::<u64>(),
     ) {
         let log = IntervalLog { core: CoreId::new(5), entries };
-        let bytes = wire::encode_chunked_with_version(&log, 32, version);
+        let bytes = wire::encode_chunked_with(&log, 32);
         prop_assert_eq!(
             wire::decode_chunked(&bytes).expect("clean stream decodes"),
             log
         );
         prop_assert_eq!(
             wire::decode_chunked(&bytes),
-            wire::decode_chunked_reference(&bytes)
+            decode_chunked_reference(&bytes)
         );
         let mut bad = bytes.clone();
         bad[(flip_pick as usize) % bytes.len()] ^= 1 << bit;
         prop_assert_eq!(
             wire::decode_chunked(&bad),
-            wire::decode_chunked_reference(&bad)
+            decode_chunked_reference(&bad)
         );
         let cut = (cut_pick as usize) % (bytes.len() + 1);
         prop_assert_eq!(
             wire::decode_chunked(&bytes[..cut]),
-            wire::decode_chunked_reference(&bytes[..cut])
+            decode_chunked_reference(&bytes[..cut])
         );
     }
 

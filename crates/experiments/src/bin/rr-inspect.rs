@@ -265,7 +265,6 @@ fn stat_file(path: &Path) -> u8 {
     // always agree with the chunk-map table's per-chunk entry counts —
     // including the chunks *after* a corrupt one.
     let salvage = decode_chunked_skip(&bytes);
-    let suspect = salvage.suspect;
     let (log, decode_err) = (salvage.log, salvage.err);
     let mut hist: Vec<(&'static str, u64)> = Vec::new();
     for e in &log.entries {
@@ -301,13 +300,6 @@ fn stat_file(path: &Path) -> u8 {
             0
         }
         Some(e) => {
-            // Pre-v3 streams resume delta decoding after damage with a
-            // re-anchored but historically uncertain context; those
-            // salvaged entries are flagged so nobody trusts their
-            // timestamps. v3 chunks are self-contained: suspect is 0.
-            if suspect > 0 {
-                println!("salvaged_suspect: {suspect} entr(ies) decoded after the damage with pre-v3 cross-chunk delta state");
-            }
             println!("integrity: DAMAGED — {e}");
             1
         }

@@ -13,8 +13,8 @@
 //! eight-core run costs roughly one core-log's decode time once the pool
 //! is wide enough.
 //!
-//! Since wire v3 chunks are self-contained, a *single* large stream can
-//! also be decoded in parallel: [`decode_chunked_parallel`] walks the
+//! Chunks are self-contained, so a *single* large stream can also be
+//! decoded in parallel: [`decode_chunked_parallel`] walks the
 //! chunk framing once (no payload work), partitions contiguous chunk
 //! ranges balanced by payload bytes, and decodes the ranges on scoped
 //! threads. The result is bit-identical to a sequential decode, and the
@@ -25,9 +25,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use relaxreplay::wire::{
-    chunk_spans, decode_chunked, decode_chunked_range, CHUNK_INDEPENDENT_VERSION,
-};
+use relaxreplay::wire::{chunk_spans, decode_chunked, decode_chunked_range};
 use relaxreplay::{IntervalLog, LogEntry, MappedBytes, WireError};
 
 /// An ingest failure, attributed to the stream that caused it.
@@ -132,9 +130,8 @@ fn partition_spans(spans: &[relaxreplay::ChunkSpan], parts: usize) -> Vec<(usize
 /// Decodes one `.rrlog` stream with `workers` threads splitting the chunk
 /// ranges (`workers == 0` uses [`default_ingest_workers`]).
 ///
-/// Requires wire v3's self-contained chunks to parallelise; older
-/// streams, single-worker calls, single-chunk streams, and streams whose
-/// framing walk already reports damage all fall back to the sequential
+/// Single-worker calls, single-chunk streams, and streams whose framing
+/// walk already reports damage fall back to the sequential
 /// [`decode_chunked`], so the result (entries *and* error) is identical
 /// to a sequential decode for every worker count.
 ///
@@ -148,9 +145,8 @@ pub fn decode_chunked_parallel(bytes: &[u8], workers: usize) -> Result<IntervalL
     } else {
         workers
     };
-    let (core, version, spans, walk_err) = chunk_spans(bytes)?;
-    if workers <= 1 || version < CHUNK_INDEPENDENT_VERSION || spans.len() < 2 || walk_err.is_some()
-    {
+    let (core, _, spans, walk_err) = chunk_spans(bytes)?;
+    if workers <= 1 || spans.len() < 2 || walk_err.is_some() {
         return decode_chunked(bytes);
     }
 
@@ -321,13 +317,18 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_streams_fall_back_to_sequential_decode() {
+    fn other_header_versions_are_rejected_at_every_worker_count() {
         let log = &logs(1)[0];
-        for version in [1u16, 2] {
-            let encoded = relaxreplay::wire::encode_chunked_with_version(log, 48, version);
-            let serial = decode_chunked(&encoded).expect("serial decodes");
-            let par = decode_chunked_parallel(&encoded, 8).expect("fallback decodes");
-            assert_eq!(par, serial, "version={version}");
+        for version in [0u16, 1, 2, 4, 0xFFFF] {
+            let mut encoded = encode_chunked_with(log, 48);
+            encoded[4..6].copy_from_slice(&version.to_le_bytes());
+            for workers in [1, 4] {
+                assert_eq!(
+                    decode_chunked_parallel(&encoded, workers),
+                    Err(WireError::UnsupportedVersion { version }),
+                    "version={version} workers={workers}"
+                );
+            }
         }
     }
 

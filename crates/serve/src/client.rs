@@ -291,8 +291,8 @@ impl RemoteStore {
 }
 
 /// Splits an encoded `.rrlog` byte stream into its chunk payloads.
-fn chunk_payloads(bytes: &[u8]) -> Result<(u16, Vec<&[u8]>), StoreError> {
-    let (_, version, spans, damage) = chunk_spans(bytes).map_err(|e| {
+fn chunk_payloads(bytes: &[u8]) -> Result<Vec<&[u8]>, StoreError> {
+    let (_, _, spans, damage) = chunk_spans(bytes).map_err(|e| {
         StoreError::remote(
             RemoteFault::Protocol,
             format!("encoded log unparseable: {e}"),
@@ -304,11 +304,10 @@ fn chunk_payloads(bytes: &[u8]) -> Result<(u16, Vec<&[u8]>), StoreError> {
             format!("encoded log truncated: {e}"),
         ));
     }
-    let payloads = spans
+    Ok(spans
         .iter()
         .map(|s| &bytes[s.offset + 4..s.offset + 4 + s.payload_bytes])
-        .collect();
-    Ok((version, payloads))
+        .collect())
 }
 
 impl RunStore for RemoteStore {
@@ -342,7 +341,7 @@ impl RunStore for RemoteStore {
                 // save of the same log.
                 let bytes = encode_chunked(log);
                 total_bytes += bytes.len() as u64;
-                let (wire_version, payloads) = chunk_payloads(&bytes)?;
+                let payloads = chunk_payloads(&bytes)?;
                 let core = log.core.index();
                 for (seq, payload) in payloads.iter().enumerate() {
                     client.put_chunk(
@@ -350,7 +349,7 @@ impl RunStore for RemoteStore {
                         &label,
                         core as u8,
                         seq as u64,
-                        wire_version,
+                        relaxreplay::wire::VERSION,
                         payload,
                     )?;
                 }
@@ -361,7 +360,7 @@ impl RunStore for RemoteStore {
                     )
                 })?;
                 *slot = SealCore {
-                    wire_version,
+                    wire_version: relaxreplay::wire::VERSION,
                     chunks: payloads.len() as u64,
                 };
             }
@@ -600,13 +599,6 @@ impl RemoteSink {
         Arc::clone(&self.stats)
     }
 
-    /// The wire version the sink encodes with (what `SealRun` must
-    /// declare).
-    #[must_use]
-    pub fn wire_version(&self) -> u16 {
-        relaxreplay::wire::VERSION
-    }
-
     /// Shared view of entries the sink accepted but could not deliver
     /// before the connection died; clone before boxing the sink away
     /// (the [`FailingSink`](relaxreplay::FailingSink) idiom).
@@ -647,7 +639,7 @@ impl RemoteSink {
                     &self.variant,
                     self.core.index() as u8,
                     seq,
-                    self.wire_version(),
+                    relaxreplay::wire::VERSION,
                     &payload,
                 )
                 .map(|_| ());

@@ -249,8 +249,8 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// One staged core log: wire version plus chunk refs by sequence number.
-type StagedLog = (u16, Vec<(u64, ChunkRef)>);
+/// One staged core log: chunk refs by sequence number.
+type StagedLog = Vec<(u64, ChunkRef)>;
 
 /// One connection's staged-but-unsealed chunks, keyed (run, variant, core).
 #[derive(Default)]
@@ -322,18 +322,13 @@ fn handle_request(
             check_name(&run).map_err(|e| ServeError::new(RemoteFault::BadName, e.to_string()))?;
             check_name(&variant)
                 .map_err(|e| ServeError::new(RemoteFault::BadName, e.to_string()))?;
+            check_wire_version(wire_version)?;
             let (r, dedup) = shared.store.put_chunk(&payload)?;
-            let entry = staging
+            staging
                 .logs
                 .entry((run, variant, core))
-                .or_insert_with(|| (wire_version, Vec::new()));
-            if entry.0 != wire_version {
-                return Err(ServeError::new(
-                    RemoteFault::Protocol,
-                    "wire version changed mid-log",
-                ));
-            }
-            entry.1.push((seq, r));
+                .or_default()
+                .push((seq, r));
             *accepted_chunks += 1;
             shared.stats.chunks.fetch_add(1, Ordering::Relaxed);
             shared
@@ -431,10 +426,25 @@ fn handle_request(
     }
 }
 
+/// Refuses every `.rrlog` wire version but [`relaxreplay::wire::VERSION`]:
+/// a run stamped with any other would be refused, or misread, when fetched.
+fn check_wire_version(wire_version: u16) -> Result<(), ServeError> {
+    if wire_version == relaxreplay::wire::VERSION {
+        return Ok(());
+    }
+    Err(ServeError::new(
+        RemoteFault::Protocol,
+        format!(
+            "unsupported .rrlog wire version {wire_version} (this server stores only v{})",
+            relaxreplay::wire::VERSION
+        ),
+    ))
+}
+
 /// Validates a seal declaration against this connection's staging table
 /// and produces the store's sealed-variant form: every declared
-/// (variant, core) must have exactly its declared chunks staged, with
-/// contiguous sequence numbers from 0.
+/// (variant, core) must carry the current wire version and have exactly
+/// its declared chunks staged, with contiguous sequence numbers from 0.
 fn collect_staged(
     staging: &mut Staging,
     run: &str,
@@ -455,10 +465,11 @@ fn collect_staged(
         }
         let mut catalog_cores = Vec::new();
         for (k, declared) in v.cores.iter().enumerate() {
+            check_wire_version(declared.wire_version)?;
             let key = (run.to_string(), v.label.clone(), k as u8);
-            let (wire_version, mut staged) = match staging.logs.get(&key) {
-                Some((wv, refs)) => (*wv, refs.clone()),
-                None if declared.chunks == 0 => (declared.wire_version, Vec::new()),
+            let mut staged = match staging.logs.get(&key) {
+                Some(refs) => refs.clone(),
+                None if declared.chunks == 0 => Vec::new(),
                 None => {
                     return Err(ServeError::new(
                         RemoteFault::Protocol,
@@ -470,12 +481,6 @@ fn collect_staged(
                     ))
                 }
             };
-            if wire_version != declared.wire_version {
-                return Err(ServeError::new(
-                    RemoteFault::Protocol,
-                    format!("{}/core{k}: staged wire version differs from seal", v.label),
-                ));
-            }
             staged.sort_by_key(|(seq, _)| *seq);
             if staged.len() as u64 != declared.chunks
                 || staged
@@ -495,7 +500,7 @@ fn collect_staged(
                 ));
             }
             catalog_cores.push(CatalogCore {
-                wire_version,
+                wire_version: declared.wire_version,
                 chunks: staged.into_iter().map(|(_, r)| r).collect(),
             });
         }

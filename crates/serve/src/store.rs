@@ -191,6 +191,9 @@ impl Catalog {
                     .get(pos..pos + 2)
                     .ok_or_else(|| bad("catalog truncated"))?;
                 let wire_version = u16::from_le_bytes(wv.try_into().expect("2 bytes"));
+                if wire_version != relaxreplay::wire::VERSION {
+                    return Err(bad("catalog names an unsupported .rrlog wire version"));
+                }
                 pos += 2;
                 let n = varint(&mut pos)?;
                 let mut chunks = Vec::new();
@@ -678,6 +681,11 @@ mod tests {
             );
         }
         assert_eq!(catalog.log_bytes(), 7 + 4096 + 8 + 7);
+        // A CRC-valid catalog naming another wire version is corrupt too.
+        let mut old = catalog.clone();
+        old.variants[0].cores[1].wire_version = 2;
+        let err = Catalog::from_bytes(&old.to_bytes()).expect_err("v2 refused");
+        assert_eq!(err.kind, RemoteFault::Catalog);
     }
 
     #[test]

@@ -274,6 +274,100 @@ fn corrupt_blob_surfaces_as_typed_error_not_panic() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A declared `.rrlog` wire version other than the current one is refused
+/// with a typed protocol error at `PutChunk` and at `SealRun` (zero-chunk
+/// cores included), and nothing is published: under a v2 header the
+/// fetched log would misread its frame timestamps; under 999 no reader
+/// could open it.
+#[test]
+fn foreign_wire_versions_are_refused_and_publish_nothing() {
+    use relaxreplay::wire::{chunk_spans, encode_chunked_with, VERSION};
+    use rr_serve::proto::{SealCore, SealVariant};
+
+    fn refused<T>(r: Result<T, StoreError>, what: &str) {
+        match r {
+            Err(StoreError::Remote { kind, detail }) => {
+                assert_eq!(kind, RemoteFault::Protocol, "{what}: {detail}");
+            }
+            Ok(_) => panic!("{what}: accepted, want a protocol error"),
+            Err(other) => panic!("{what}: want a protocol error, got {other:?}"),
+        }
+    }
+
+    let root = tmp_dir("wire-version");
+    let handle = serve("127.0.0.1:0", ServerConfig::new(root.join("store"))).expect("serve");
+    let addr = handle.addr().to_string();
+    let remote = RemoteStore::new(addr.clone());
+
+    let run = record(&litmus_suite().remove(0));
+    let cores = run.recorded.load_traces.len() as u8;
+    let truth = rr_sim::logdir::encode_truth(&run.recorded);
+    let label = run.variants[0].spec.label();
+    let bytes = encode_chunked_with(&run.variants[0].logs[0], 1);
+    let (_, _, spans, _) = chunk_spans(&bytes).expect("spans");
+    assert!(spans.len() > 1, "want a multi-chunk stream");
+    let payloads: Vec<&[u8]> = spans
+        .iter()
+        .map(|s| &bytes[s.offset + 4..s.offset + 4 + s.payload_bytes])
+        .collect();
+    // Core 0 declares `chunks`; every other core declares none.
+    let seal = |wire_version: u16, chunks: u64| {
+        let mut cores = vec![
+            SealCore {
+                wire_version,
+                chunks: 0
+            };
+            usize::from(cores)
+        ];
+        cores[0].chunks = chunks;
+        let ordering = None;
+        vec![SealVariant {
+            label: label.clone(),
+            cores,
+            ordering,
+        }]
+    };
+
+    for bad in [2u16, 999] {
+        let name = format!("declared-v{bad}");
+        let mut client = Client::connect(&addr).expect("connect");
+        for (seq, payload) in payloads.iter().enumerate() {
+            refused(
+                client.put_chunk(&name, &label, 0, seq as u64, bad, payload),
+                &format!("v{bad} PutChunk {seq}"),
+            );
+        }
+        refused(
+            client.seal_run(&name, cores, seal(bad, 0), truth.clone()),
+            &format!("v{bad} seal of zero-chunk cores"),
+        );
+        // Chunks staged at the current version cannot be sealed as `bad`.
+        for (seq, payload) in payloads.iter().enumerate() {
+            client
+                .put_chunk(&name, &label, 0, seq as u64, VERSION, payload)
+                .expect("current version is staged");
+        }
+        refused(
+            client.seal_run(
+                &name,
+                cores,
+                seal(bad, payloads.len() as u64),
+                truth.clone(),
+            ),
+            &format!("v{bad} seal of staged chunks"),
+        );
+
+        match remote.stat_run(&name) {
+            Err(StoreError::Remote { kind, .. }) => assert_eq!(kind, RemoteFault::UnknownRun),
+            other => panic!("v{bad}: run must not exist, got {other:?}"),
+        }
+        assert!(!remote.list_runs().expect("list").contains(&name));
+    }
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn concurrent_ingest_from_four_clients() {
     let root = tmp_dir("concurrent");

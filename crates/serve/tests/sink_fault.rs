@@ -81,7 +81,6 @@ fn healthy_stream_seals_and_reads_back() {
     assert!(sink.unsent_handle().lock().expect("unsent").is_empty());
 
     // Seal the streamed chunks into a run and read the log back.
-    let wire_version = sink.wire_version();
     let chunks = sink.chunks_sent();
     client
         .lock()
@@ -92,7 +91,7 @@ fn healthy_stream_seals_and_reads_back() {
             vec![SealVariant {
                 label: "stream".to_string(),
                 cores: vec![SealCore {
-                    wire_version,
+                    wire_version: relaxreplay::wire::VERSION,
                     chunks,
                 }],
                 ordering: None,

@@ -197,9 +197,6 @@ fn stat_histogram_agrees_with_chunk_map_around_a_corrupt_middle_chunk() {
     assert!(text.contains("integrity: DAMAGED"), "{text}");
     assert!(text.contains("MISMATCH"), "{text}");
     assert!(text.contains("skip-index:"), "{text}");
-    // v3 chunks are self-contained, so post-damage salvage is exact and
-    // nothing is flagged suspect.
-    assert!(!text.contains("salvaged_suspect"), "{text}");
 
     // The chunk-map table's per-chunk entry counts must sum to exactly
     // the histogram's TOTAL: the skip decoder keeps decoding after the
@@ -246,32 +243,26 @@ fn stat_histogram_agrees_with_chunk_map_around_a_corrupt_middle_chunk() {
 }
 
 #[test]
-fn stat_flags_suspect_salvage_on_pre_v3_streams() {
-    let root = temp_root("stat_suspect_v2");
+fn stat_rejects_pre_v3_streams_naming_the_version() {
+    let root = temp_root("stat_v2");
     let run_dir = save_sample_run(&root, "sample");
     let rrlog = run_dir.join("Base-4K").join("core0.rrlog");
 
-    // Same corruption shape as the test above, but encoded as wire v2:
-    // chunks share frame-delta state, so entries decoded after a skipped
-    // chunk ride on stale context and must be flagged as suspect.
-    let log = relaxreplay::wire::read_rrlog(&rrlog).expect("reads");
-    let mut bytes = relaxreplay::wire::encode_chunked_with_version(&log, 16, 2);
-    let (_, chunks, _) = relaxreplay::wire::chunk_map(&bytes).expect("maps");
-    assert!(
-        chunks.len() >= 3,
-        "need a middle chunk, got {}",
-        chunks.len()
-    );
-    let mid = &chunks[chunks.len() / 2];
-    bytes[mid.offset + 4] ^= 0x01;
-    let corrupt = root.join("corrupt_v2.rrlog");
-    std::fs::write(&corrupt, &bytes).expect("writes");
+    // A valid v3 body under a v2 header: v2 carried frame-delta state
+    // across chunks, so reading it with the v3 rule would misread
+    // timestamps. It must be refused, not summarised.
+    let mut bytes = std::fs::read(&rrlog).expect("reads");
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let old = root.join("old_v2.rrlog");
+    std::fs::write(&old, &bytes).expect("writes");
 
-    let out = rr_inspect(&["stat", corrupt.to_str().unwrap()]);
-    assert!(!out.status.success(), "corrupt file must exit nonzero");
-    let text = stdout(&out);
-    assert!(text.contains("integrity: DAMAGED"), "{text}");
-    assert!(text.contains("salvaged_suspect:"), "{text}");
+    let out = rr_inspect(&["stat", old.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    assert!(
+        stderr(&out).contains("unsupported .rrlog version 2"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]
