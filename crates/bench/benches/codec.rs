@@ -6,14 +6,13 @@
 //! machine-readable output): it times encode/decode at 1K / 100K / 10M /
 //! 100M entries (the 100M stream is generated straight through a
 //! `ChunkedWriter` and decoded into a reused output log — the replay
-//! engine's steady-state ingest pattern), `decode_logs_parallel` at 1/2/8
-//! workers, and single-stream range-partitioned decode
-//! (`parallel_decode_stream`), writes the results as `BENCH_codec.json`,
-//! and — on every invocation — decodes the checked-in sample `.rrlog`
+//! engine's steady-state ingest pattern) and `decode_logs_parallel` at
+//! 1/2/8 workers, writes the results as `BENCH_codec.json`, and — on every
+//! invocation — decodes the checked-in sample `.rrlog`
 //! (`data/sample_v3.rrlog`) with the fast decoder, the entry-at-a-time
-//! `rr-reference` oracle decoder, the probed decoder, the range-parallel
-//! decoder and the mmap-backed `read_rrlog`, exiting nonzero on any
-//! disagreement (the CI `bench-smoke` gate). The `--test` mode also hard-gates the `workers == 1` ingest
+//! `rr-reference` oracle decoder, the probed decoder and the mmap-backed
+//! `read_rrlog`, exiting nonzero on any disagreement (the CI `bench-smoke`
+//! gate). The `--test` mode also hard-gates the `workers == 1` ingest
 //! path: it must cost no more than a plain serial decode loop.
 //!
 //! ```text
@@ -36,7 +35,7 @@ use rr_bench::compare::{bench_json, host_cpus};
 use rr_bench::median_ns;
 use rr_mem::CoreId;
 use rr_reference::decode_chunked_reference;
-use rr_replay::{decode_chunked_parallel, decode_logs_parallel};
+use rr_replay::decode_logs_parallel;
 
 /// Appends step `i` of the synthetic entry mix to `out`: a long inorder
 /// run, periodic reordered loads/stores, the odd RMW, one frame per
@@ -278,27 +277,6 @@ fn bench_parallel(smoke: bool, out: &mut Vec<Sample>) -> Result<(), String> {
              ({serial_ns:.0} ns): the workers=1 ingest path must dispatch inline"
         ));
     }
-
-    // Range-partitioned decode of ONE stream (v3 chunks are
-    // self-contained, so a single big log no longer serializes ingest).
-    let big_entries = if smoke { 200_000 } else { 4_000_000 };
-    let big = synthetic_stream(9, big_entries);
-    for workers in [1usize, 2, 8] {
-        let ns = median_ns(smoke, || {
-            std::hint::black_box(
-                decode_chunked_parallel(std::hint::black_box(&big), workers).expect("decodes"),
-            );
-        });
-        push_sample(
-            out,
-            format!("parallel_decode_stream/{workers}"),
-            big_entries,
-            big.len(),
-            ns,
-        );
-        let effective = workers.min(host_cpus());
-        out.last_mut().expect("just pushed").workers = Some((workers, effective));
-    }
     Ok(())
 }
 
@@ -317,8 +295,7 @@ fn regen_data() -> std::io::Result<()> {
 }
 
 /// Decodes the checked-in sample with the fast path, the reference
-/// decoder, the probed walk, the range-parallel decoder and the
-/// mmap-backed `read_rrlog`; any disagreement is a codec bug and fails the
+/// decoder, the probed walk and the mmap-backed `read_rrlog`; any disagreement is a codec bug and fails the
 /// bench (and CI). Returns the number of samples checked.
 fn reference_check() -> Result<usize, String> {
     let path = data_dir().join(format!("sample_v{VERSION}.rrlog"));
@@ -339,13 +316,6 @@ fn reference_check() -> Result<usize, String> {
     if profiled != fast {
         return Err(format!(
             "{}: profiled decoder disagrees with the fast decoder",
-            path.display()
-        ));
-    }
-    // And the range-parallel decoder.
-    if decode_chunked_parallel(&bytes, 4) != fast {
-        return Err(format!(
-            "{}: range-parallel decoder disagrees with the fast decoder",
             path.display()
         ));
     }

@@ -43,8 +43,7 @@
 //! * [`wire`] — the `.rrlog` wire format: the [`LogSink`] trait the
 //!   recorder streams into, plus a chunked, CRC32-checksummed,
 //!   varint/delta codec that survives truncation and detects corruption.
-//!   Logs are read back whole (strict, lenient or by chunk range) into an
-//!   [`IntervalLog`].
+//!   Logs are read back whole (strict or lenient) into an [`IntervalLog`].
 //! * [`trace`] — structured event tracing: bounded per-core timelines of
 //!   the recorder's internal decisions (interval opens/closes, perform and
 //!   counting events with classification verdicts, coherence traffic),
@@ -76,7 +75,6 @@
 #![deny(unsafe_code)]
 
 mod hash;
-pub mod index;
 mod log;
 pub mod mmapio;
 pub mod prof;
@@ -97,12 +95,11 @@ pub use crate::prof::{
     engine_chrome_trace, validate_prof_json, CodecPhases, EngineProf, Span, SpanKind, WorkerProf,
 };
 pub use hash::{rr_hash64, H3};
-pub use index::{IndexChunk, IndexProvenance, SkipIndex};
 pub use mmapio::MappedBytes;
 pub use recorder::{Design, IntervalOrdering, Recorder, RecorderConfig, RecorderStats};
 pub use signature::Signature;
 pub use snoop_table::{SnoopSample, SnoopTable};
 pub use wire::{
-    chunk_map, chunk_spans, decode_chunked_range, ChunkInfo, ChunkSpan, ChunkedWriter, FailingSink,
-    LogSink, Salvage, VecSink, WireError,
+    chunk_spans, ChunkInfo, ChunkSpan, ChunkedWriter, FailingSink, LogSink, Salvage, VecSink,
+    WireError,
 };

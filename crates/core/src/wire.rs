@@ -24,15 +24,15 @@
 //!
 //! Reading is whole-log, as the paper's offline patch step (§3.3.2) is:
 //! the bytes of one log (a mapped file, a store blob, a network fetch)
-//! decode in one of three ways, all sharing the per-chunk frame → CRC →
-//! batch-decode step:
+//! decode in one of two ways, both walking the chunk framing through one
+//! parser:
 //!
 //! * **strict** — [`decode_chunked`], or [`decode_chunked_into`] for a
 //!   reused output log, a [`Probe`], and the intact prefix on error;
-//! * **lenient** — [`decode_chunked_skip`] and [`chunk_map`] skip damaged
-//!   chunks instead of stopping (diagnostics only);
-//! * **range** — [`decode_chunked_range`] decodes any run of chunks on its
-//!   own, so parallel ingest can split one log.
+//! * **lenient** — [`decode_chunked_skip`] skips damaged chunks instead of
+//!   stopping and reports every chunk's health (diagnostics only).
+//!
+//! [`chunk_spans`] walks the same framing without touching payloads.
 
 use core::fmt;
 use std::io::Write;
@@ -851,10 +851,9 @@ pub fn decode_chunked_into<P: Probe>(
     Ok(())
 }
 
-/// One chunk of a strict decode — CRC check, then batched entry decode
-/// onto `out` — shared by [`decode_chunked_into`] and
-/// [`decode_chunked_range`] so both report identical errors. On a
-/// malformed entry the chunk's decoded prefix stays in `out`.
+/// One chunk of a strict decode: CRC check, then batched entry decode
+/// onto `out`. On a malformed entry the chunk's decoded prefix stays in
+/// `out`.
 #[inline]
 fn decode_raw_chunk<P: Probe>(
     raw: &RawChunk<'_>,
@@ -882,39 +881,16 @@ fn decode_raw_chunk<P: Probe>(
 pub struct Salvage {
     /// Every entry from every chunk that passed its CRC.
     pub log: IntervalLog,
+    /// Every framed chunk's position and health, in stream order; the
+    /// entry counts sum to `log.entries.len()`.
+    pub chunks: Vec<ChunkInfo>,
     /// The first error encountered (`None` for a clean stream).
     pub err: Option<WireError>,
 }
 
-/// Lenient decode: every entry from every chunk that passes its CRC, with
-/// damaged chunks *skipped* rather than ending the walk — the decoding
-/// counterpart of [`chunk_map`], and guaranteed to agree with it: the
-/// number of entries returned equals the sum of [`ChunkInfo::entries`]
-/// over the map of the same stream.
-///
-/// Used by diagnostics (`rr-inspect stat`) that want density statistics
-/// over everything salvageable. The salvaged entries are *exact* — chunks
-/// are self-contained, so damage cannot leak into later timestamps — but
-/// replay must **not** consume a log with holes; the strict paths stop at
-/// the first error instead.
-///
-/// Header failures return an empty log for core 0, as
-/// [`decode_chunked_into`] leaves it.
-#[must_use]
-pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
-    let mut log = IntervalLog::new(CoreId::new(0));
-    let err = match walk_lenient(bytes, &mut log.entries, |_, _| {}) {
-        Ok((core, first_err)) => {
-            log.core = core;
-            first_err
-        }
-        Err(e) => Some(e),
-    };
-    Salvage { log, err }
-}
-
 /// One chunk's position and health inside an `.rrlog` stream, as reported
-/// by [`chunk_map`] — the basis of `rr-inspect stat`'s chunk table.
+/// by [`decode_chunked_skip`]: the basis of `rr-inspect stat`'s chunk
+/// table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkInfo {
     /// Chunk index (0-based), matching the indices in [`WireError`]s.
@@ -933,55 +909,45 @@ pub struct ChunkInfo {
     pub first_timestamp: Option<u64>,
 }
 
-/// Walks an `.rrlog` byte stream chunk by chunk, reporting each chunk's
-/// offset, size, entry count, and CRC health without requiring the stream
-/// to be intact: a CRC mismatch marks that chunk `crc_ok: false` and the
-/// walk continues at the next length-prefixed boundary, so one flipped
-/// byte does not hide the chunks after it.
+/// Lenient decode: every entry from every chunk that passes its CRC, with
+/// damaged chunks *skipped* rather than ending the walk. A CRC mismatch
+/// or malformed entry is noted and the walk moves on to the next
+/// length-prefixed boundary, so one flipped byte does not hide the chunks
+/// after it; only truncation ends it. Every framed chunk gets a
+/// [`ChunkInfo`] row.
 ///
-/// Returns the recorded core, the per-chunk map, and the first error that
-/// made further *entry decoding* unreliable (`None` for a clean stream;
-/// truncation ends the walk, a CRC mismatch or malformed entry is noted
-/// and the walk continues).
+/// Used by diagnostics (`rr-inspect stat`) that want a chunk table and
+/// density statistics over everything salvageable. The salvaged entries
+/// are *exact* — chunks are self-contained, so damage cannot leak into
+/// later timestamps — but replay must **not** consume a log with holes;
+/// the strict paths stop at the first error instead.
 ///
-/// # Errors
-///
-/// Returns a [`WireError`] only if the 7-byte header itself is missing,
-/// foreign, or version-skewed — with no header there is nothing to map.
-pub fn chunk_map(bytes: &[u8]) -> Result<(CoreId, Vec<ChunkInfo>, Option<WireError>), WireError> {
-    let mut map = Vec::new();
-    let (core, first_err) = walk_lenient(bytes, &mut Vec::new(), |info, entries| {
-        map.push(info);
-        entries.clear();
-    })?;
-    Ok((core, map, first_err))
-}
-
-/// The lenient walk behind [`decode_chunked_skip`] and [`chunk_map`], so
-/// the two agree by construction: every chunk that passes its CRC is
-/// batch-decoded onto `out`, a damaged chunk or malformed entry is noted
-/// and the walk moves on to the next length-prefixed boundary, and only
-/// truncation ends it. `on_chunk` sees each framed chunk's [`ChunkInfo`]
-/// right after that chunk's entries were appended to `out`.
-///
-/// Returns the recorded core and the first error.
-fn walk_lenient(
-    bytes: &[u8],
-    out: &mut Vec<LogEntry>,
-    mut on_chunk: impl FnMut(ChunkInfo, &mut Vec<LogEntry>),
-) -> Result<(CoreId, Option<WireError>), WireError> {
-    let (core, _) = parse_header(bytes)?;
+/// Header failures return an empty log for core 0 and no chunks, as
+/// [`decode_chunked_into`] leaves it.
+#[must_use]
+pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
+    let core = match parse_header(bytes) {
+        Ok((core, _)) => core,
+        Err(e) => {
+            return Salvage {
+                log: IntervalLog::new(CoreId::new(0)),
+                chunks: Vec::new(),
+                err: Some(e),
+            }
+        }
+    };
+    let mut log = IntervalLog::new(core);
+    let mut chunks = Vec::new();
     let mut first_err = None;
+    let out = &mut log.entries;
     let mut pos = 7usize;
     let mut index = 0usize;
     loop {
         let offset = pos;
-        let Some(raw) = next_raw_chunk(bytes, &mut pos, index) else {
-            break;
-        };
-        let raw = match raw {
-            Ok(r) => r,
-            Err(e) => {
+        let raw = match next_raw_chunk(bytes, &mut pos, index) {
+            None => break,
+            Some(Ok(raw)) => raw,
+            Some(Err(e)) => {
                 first_err.get_or_insert(e);
                 break;
             }
@@ -1006,20 +972,21 @@ fn walk_lenient(
             LogEntry::IntervalFrame { timestamp, .. } => Some(*timestamp),
             _ => None,
         });
-        on_chunk(
-            ChunkInfo {
-                index,
-                offset,
-                payload_bytes: raw.payload.len(),
-                entries: out.len() - start,
-                crc_ok,
-                first_timestamp,
-            },
-            out,
-        );
+        chunks.push(ChunkInfo {
+            index,
+            offset,
+            payload_bytes: raw.payload.len(),
+            entries: out.len() - start,
+            crc_ok,
+            first_timestamp,
+        });
         index += 1;
     }
-    Ok((core, first_err))
+    Salvage {
+        log,
+        chunks,
+        err: first_err,
+    }
 }
 
 /// One chunk's frame position inside an `.rrlog` stream, from the cheap
@@ -1035,11 +1002,9 @@ pub struct ChunkSpan {
 /// Walks only the chunk *framing* of an `.rrlog` stream — hopping
 /// length prefixes without touching payloads or CRCs — and returns the
 /// recorded core, the wire version, every complete chunk's span, and
-/// whether the stream ended mid-frame (`Some(Truncated)`).
-///
-/// This is the O(chunks) pre-pass that lets
-/// [`decode_chunked_range`] partition a stream across workers without a
-/// sequential decode.
+/// whether the stream ended mid-frame (`Some(Truncated)`). The spans are
+/// exactly the [`ChunkInfo`] offsets and sizes of [`decode_chunked_skip`]
+/// over the same bytes: both walk the one frame parser.
 ///
 /// # Errors
 ///
@@ -1052,59 +1017,17 @@ pub fn chunk_spans(
     let (core, version) = parse_header(bytes)?;
     let mut spans = Vec::new();
     let mut pos = 7usize;
-    let mut truncated = None;
-    while pos < bytes.len() {
-        let index = spans.len();
-        let Some(len_bytes) = bytes.get(pos..pos + 4) else {
-            truncated = Some(WireError::Truncated { chunk: index });
-            break;
-        };
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-        if pos + 8 + len > bytes.len() {
-            truncated = Some(WireError::Truncated { chunk: index });
-            break;
+    loop {
+        let offset = pos;
+        match next_raw_chunk(bytes, &mut pos, spans.len()) {
+            None => return Ok((core, version, spans, None)),
+            Some(Ok(raw)) => spans.push(ChunkSpan {
+                offset,
+                payload_bytes: raw.payload.len(),
+            }),
+            Some(Err(e)) => return Ok((core, version, spans, Some(e))),
         }
-        spans.push(ChunkSpan {
-            offset: pos,
-            payload_bytes: len,
-        });
-        pos += 8 + len;
     }
-    Ok((core, version, spans, truncated))
-}
-
-/// Decodes a contiguous run of chunks into `out`: `spans` are the chunks
-/// to decode (as returned by [`chunk_spans`] over the same `bytes`) and
-/// `first_index` is the stream-wide index of `spans[0]`, so errors carry
-/// the same chunk numbers a sequential decode would report. Each chunk
-/// goes through the strict walk's own per-chunk step, so this is
-/// bit-identical to the sequential walk, which is exactly what lets
-/// `decode_logs_parallel` range-partition one large log.
-///
-/// # Errors
-///
-/// The first [`WireError`] in the range; entries decoded before it stay
-/// in `out`.
-pub fn decode_chunked_range(
-    bytes: &[u8],
-    spans: &[ChunkSpan],
-    first_index: usize,
-    out: &mut Vec<LogEntry>,
-) -> Result<(), WireError> {
-    // One reservation up front instead of doubling through hundreds of
-    // reallocations: the recorder's entry mix runs ~4-6 payload bytes per
-    // entry, so a quarter of the payload over-reserves mildly; a denser
-    // stream (2 bytes/entry) costs at most one doubling.
-    let total_payload: usize = spans.iter().map(|s| s.payload_bytes).sum();
-    out.reserve(total_payload / 4);
-    for (i, span) in spans.iter().enumerate() {
-        let index = first_index + i;
-        let mut pos = span.offset;
-        let raw = next_raw_chunk(bytes, &mut pos, index)
-            .unwrap_or(Err(WireError::Truncated { chunk: index }))?;
-        decode_raw_chunk(&raw, index, out, &mut ())?;
-    }
-    Ok(())
 }
 
 /// Reads an `.rrlog` file ([`encode_chunked`] or any [`ChunkedWriter`]
@@ -1238,7 +1161,6 @@ mod tests {
 
         // A valid v3 body under any other header version is refused by
         // every reader, never decoded with the wrong delta rule.
-        use crate::index::{SkipIndex, FINGERPRINT_BYTES};
         let dir = std::env::temp_dir().join("rr_wire_test_versions");
         std::fs::create_dir_all(&dir).expect("mkdir");
         for version in [0u16, 1, 2, 4, 0xFFFF] {
@@ -1254,23 +1176,12 @@ mod tests {
                 (salvage.err, salvage.log.entries.len()),
                 (Some(want.clone()), 0)
             );
-            assert_eq!(chunk_map(&bytes), Err(want.clone()));
+            assert!(salvage.chunks.is_empty());
             assert_eq!(chunk_spans(&bytes), Err(want.clone()));
-            assert_eq!(SkipIndex::build(&bytes), Err(want.clone()));
 
             let path = dir.join(format!("v{version}.rrlog"));
             std::fs::write(&path, &bytes).expect("writes");
-            assert_eq!(read_rrlog(&path), Err(want.clone()));
-            let _ = std::fs::remove_file(SkipIndex::sidecar_path(&path));
-            assert_eq!(SkipIndex::load_or_build(&path, &bytes), Err(want.clone()));
-            // Nor is a sidecar trusted that fingerprints these exact bytes,
-            // as an older build would have left it.
-            let mut stale = SkipIndex::build(&encode_chunked_with(&sample_log(), 4)).expect("v3");
-            stale.wire_version = version;
-            stale.head_crc = crc32(&bytes[..FINGERPRINT_BYTES]);
-            stale.tail_crc = crc32(&bytes[bytes.len() - FINGERPRINT_BYTES..]);
-            stale.save(&path).expect("writes sidecar");
-            assert_eq!(SkipIndex::load_or_build(&path, &bytes), Err(want));
+            assert_eq!(read_rrlog(&path), Err(want));
         }
     }
 
@@ -1366,11 +1277,15 @@ mod tests {
     }
 
     #[test]
-    fn chunk_map_reports_every_chunk_of_a_clean_stream() {
+    fn salvage_reports_every_chunk_of_a_clean_stream() {
         let log = sample_log();
         let bytes = encode_chunked_with(&log, 4);
-        let (core, map, err) = chunk_map(&bytes).expect("header ok");
-        assert_eq!(core, log.core);
+        let Salvage {
+            log: salvaged,
+            chunks: map,
+            err,
+        } = decode_chunked_skip(&bytes);
+        assert_eq!(salvaged.core, log.core);
         assert!(err.is_none());
         assert!(map.len() > 3, "want several chunks");
         assert_eq!(
@@ -1388,15 +1303,17 @@ mod tests {
     }
 
     #[test]
-    fn chunk_map_survives_a_corrupt_middle_chunk() {
+    fn salvage_survives_a_corrupt_middle_chunk() {
         let log = sample_log();
         let bytes = encode_chunked_with(&log, 4);
-        let (_, clean, _) = chunk_map(&bytes).expect("header ok");
+        let clean = decode_chunked_skip(&bytes).chunks;
         assert!(clean.len() >= 3);
         // Flip a payload byte of the second chunk.
         let mut corrupted = bytes.clone();
         corrupted[clean[1].offset + 4] ^= 0x40;
-        let (_, map, err) = chunk_map(&corrupted).expect("header ok");
+        let Salvage {
+            chunks: map, err, ..
+        } = decode_chunked_skip(&corrupted);
         assert_eq!(map.len(), clean.len(), "later chunks still mapped");
         assert!(map[0].crc_ok && !map[1].crc_ok && map[2].crc_ok);
         assert_eq!(map[1].entries, 0, "corrupt payloads are not decoded");
@@ -1404,15 +1321,21 @@ mod tests {
     }
 
     #[test]
-    fn chunk_map_flags_truncation_and_foreign_streams() {
+    fn salvage_flags_truncation_and_foreign_streams() {
         let log = sample_log();
         let bytes = encode_chunked(&log);
-        let (_, map, err) = chunk_map(&bytes[..bytes.len() - 2]).expect("header ok");
-        assert!(map.is_empty(), "the only chunk is cut short");
-        assert!(matches!(err, Some(WireError::Truncated { chunk: 0 })));
+        let cut = decode_chunked_skip(&bytes[..bytes.len() - 2]);
+        assert!(cut.chunks.is_empty(), "the only chunk is cut short");
+        assert!(matches!(cut.err, Some(WireError::Truncated { chunk: 0 })));
 
-        assert_eq!(chunk_map(b"RRL"), Err(WireError::Truncated { chunk: 0 }));
-        assert_eq!(chunk_map(b"NOPEnope"), Err(WireError::BadMagic));
+        for (bad, err) in [
+            (&b"RRL"[..], WireError::Truncated { chunk: 0 }),
+            (b"NOPEnope", WireError::BadMagic),
+        ] {
+            let s = decode_chunked_skip(bad);
+            assert_eq!((s.log.entries.len(), s.chunks.len()), (0, 0));
+            assert_eq!(s.err, Some(err));
+        }
     }
 
     #[test]
@@ -1527,39 +1450,36 @@ mod tests {
             matches!(err, Some(WireError::Corrupt { chunk: 1, .. })),
             "got {err:?}"
         );
-        // The range decoder keeps the same prefix and reports the same error.
-        let (_, _, spans, _) = chunk_spans(&bytes).expect("header");
-        let mut out = Vec::new();
-        let err2 = decode_chunked_range(&bytes, &spans, 0, &mut out).err();
-        assert_eq!(out, log.entries);
-        assert_eq!(err2, err);
+        // The lenient walk keeps the same prefix and reports the same error.
+        let salvage = decode_chunked_skip(&bytes);
+        assert_eq!(salvage.log, log);
+        assert_eq!(salvage.err, err);
+        assert_eq!(salvage.chunks[1].entries, good - 1);
     }
 
     #[test]
-    fn skip_decoder_agrees_with_chunk_map_on_a_corrupt_middle_chunk() {
+    fn skip_decoder_agrees_with_its_chunk_table_on_a_corrupt_middle_chunk() {
         let log = sample_log();
         let bytes = encode_chunked_with(&log, 4);
-        let (_, clean, _) = chunk_map(&bytes).expect("header ok");
+        let clean = decode_chunked_skip(&bytes).chunks;
         assert!(clean.len() >= 3);
         let mut corrupted = bytes.clone();
         corrupted[clean[1].offset + 4] ^= 0x40;
 
-        let (_, map, map_err) = chunk_map(&corrupted).expect("header ok");
         let salvage = decode_chunked_skip(&corrupted);
         assert_eq!(
             salvage.log.entries.len(),
-            map.iter().map(|c| c.entries).sum::<usize>(),
-            "skip decode and chunk map must count the same entries"
+            salvage.chunks.iter().map(|c| c.entries).sum::<usize>(),
+            "the entries and the chunk table must count the same entries"
         );
         assert!(
             salvage.log.entries.len() > clean[0].entries,
             "chunks after the corrupt one decode"
         );
         assert!(matches!(
-            map_err,
+            salvage.err,
             Some(WireError::CrcMismatch { chunk: 1, .. })
         ));
-        assert_eq!(map_err, salvage.err);
         // The strict walk, by contrast, stops at the damage.
         let (prefix, _) = recover(&corrupted);
         assert_eq!(prefix.entries[..], log.entries[..prefix.entries.len()]);
@@ -1592,7 +1512,7 @@ mod tests {
             });
         }
         let bytes = encode_chunked_with(&log, 32);
-        let (_, clean, _) = chunk_map(&bytes).expect("header ok");
+        let clean = decode_chunked_skip(&bytes).chunks;
         assert!(clean.len() >= 4, "want several chunks");
         let mut corrupted = bytes.clone();
         corrupted[clean[1].offset + 4] ^= 0x40;
@@ -1755,7 +1675,7 @@ mod tests {
         assert_eq!(core, log.core);
         assert_eq!(version, VERSION);
         assert!(trunc.is_none());
-        let (_, map, _) = chunk_map(&bytes).expect("header");
+        let map = decode_chunked_skip(&bytes).chunks;
         assert_eq!(spans.len(), map.len());
         for (s, c) in spans.iter().zip(&map) {
             assert_eq!((s.offset, s.payload_bytes), (c.offset, c.payload_bytes));
@@ -1764,53 +1684,5 @@ mod tests {
         let (_, _, cut_spans, cut_trunc) = chunk_spans(&bytes[..bytes.len() - 1]).expect("header");
         assert_eq!(cut_spans.len(), spans.len() - 1);
         assert!(matches!(cut_trunc, Some(WireError::Truncated { .. })));
-    }
-
-    #[test]
-    fn range_decode_matches_sequential_on_v3_streams() {
-        let mut log = IntervalLog::new(CoreId::new(2));
-        for i in 0..200u64 {
-            log.entries.push(LogEntry::InorderBlock {
-                instrs: 2 + (i % 9) as u32,
-            });
-            log.entries.push(LogEntry::IntervalFrame {
-                cisn: (i % 100) as u16,
-                timestamp: i * 977,
-            });
-        }
-        let bytes = encode_chunked_with(&log, 64);
-        let (_, version, spans, _) = chunk_spans(&bytes).expect("header");
-        assert_eq!(version, VERSION);
-        assert!(spans.len() >= 4);
-        // Decode in several splits; concatenation must equal sequential.
-        for splits in [1usize, 2, 3, spans.len()] {
-            let mut entries = Vec::new();
-            let per = spans.len().div_ceil(splits);
-            for (part, chunk_range) in spans.chunks(per).enumerate() {
-                decode_chunked_range(&bytes, chunk_range, part * per, &mut entries)
-                    .expect("range decodes");
-            }
-            assert_eq!(entries, log.entries, "splits={splits}");
-        }
-        // Error indices match the sequential decoder's numbering.
-        let mut corrupted = bytes.clone();
-        corrupted[spans[2].offset + 4] ^= 0x01;
-        let mut out = Vec::new();
-        let err = decode_chunked_range(&corrupted, &spans[2..], 2, &mut out).unwrap_err();
-        assert!(matches!(err, WireError::CrcMismatch { chunk: 2, .. }));
-        // Over every byte flip whose framing still tiles the stream, a
-        // whole-stream range decode keeps the strict walk's prefix and error.
-        for i in 7..bytes.len() {
-            let mut corrupted = bytes.clone();
-            corrupted[i] ^= 0x40;
-            let (_, _, spans, trunc) = chunk_spans(&corrupted).expect("header");
-            if trunc.is_some() {
-                continue;
-            }
-            let mut out = Vec::new();
-            let err = decode_chunked_range(&corrupted, &spans, 0, &mut out).err();
-            let (strict, strict_err) = recover(&corrupted);
-            assert_eq!((out, err), (strict.entries, strict_err), "flip at {i}");
-        }
     }
 }

@@ -187,15 +187,13 @@ proptest! {
             wire::decode_chunked(&bytes[..cut]),
             decode_chunked_reference(&bytes[..cut])
         );
-        // The lenient skip decoder agrees with the chunk map on how many
-        // entries the damaged stream still holds.
+        // The lenient skip decoder's chunk table counts exactly the
+        // entries it salvaged from the damaged stream.
         let salvage = wire::decode_chunked_skip(&bad);
-        if let Ok((_, map, _)) = wire::chunk_map(&bad) {
-            prop_assert_eq!(
-                salvage.log.entries.len(),
-                map.iter().map(|c| c.entries).sum::<usize>()
-            );
-        }
+        prop_assert_eq!(
+            salvage.log.entries.len(),
+            salvage.chunks.iter().map(|c| c.entries).sum::<usize>()
+        );
     }
 
     #[test]
@@ -290,46 +288,6 @@ proptest! {
         );
     }
 
-    /// The `.rridx` skip index answers exactly what a fresh `chunk_map`
-    /// walk answers, on clean and arbitrarily damaged files.
-    #[test]
-    fn skip_index_equals_fresh_chunk_map_walk(
-        entries in proptest::collection::vec(entry_strategy(), 1..120),
-        flip_pick in any::<u64>(),
-        bit in 0u8..8,
-        damage in 0u8..3,
-    ) {
-        let log = IntervalLog { core: CoreId::new(4), entries };
-        let mut bytes = wire::encode_chunked_with(&log, 32);
-        match damage {
-            0 => {} // clean
-            1 => {
-                let p = (flip_pick as usize) % bytes.len();
-                bytes[p] ^= 1 << bit;
-            }
-            _ => {
-                let cut = 7 + (flip_pick as usize) % (bytes.len() - 6);
-                bytes.truncate(cut);
-            }
-        }
-        match relaxreplay::SkipIndex::build(&bytes) {
-            Ok(index) => {
-                let (core, map, _) = wire::chunk_map(&bytes).expect("same header");
-                prop_assert_eq!(index.core, core);
-                prop_assert_eq!(index.chunk_infos(), map);
-                prop_assert!(index.matches_source(&bytes));
-                // And it round-trips through the sidecar encoding.
-                let round = relaxreplay::SkipIndex::from_bytes(&index.to_bytes())
-                    .expect("own encoding parses");
-                prop_assert_eq!(round, index);
-            }
-            Err(e) => {
-                // Header damage: chunk_map must refuse identically.
-                prop_assert_eq!(wire::chunk_map(&bytes).unwrap_err(), e);
-            }
-        }
-    }
-
     /// `read_rrlog` (the mmap-backed file path every tool uses) returns
     /// exactly `decode_chunked`'s `Result` on arbitrarily damaged files.
     #[test]
@@ -362,25 +320,52 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Range-partitioned decode over `chunk_spans` splits concatenates to
-    /// exactly the sequential decode on clean current-version streams.
+    /// The framing-only `chunk_spans` walk and the lenient decoder see the
+    /// same chunks on any bit-flipped or truncated stream: equal offsets
+    /// and payload sizes, and both stop at the same chunk index.
     #[test]
-    fn range_decode_concatenates_to_sequential(
+    fn chunk_spans_frame_exactly_the_salvaged_chunks(
         entries in proptest::collection::vec(entry_strategy(), 1..150),
         chunk_bytes in 1usize..96,
-        splits in 1usize..6,
+        pick in any::<u64>(),
+        bit in 0u8..8,
+        truncate in any::<bool>(),
     ) {
         let log = IntervalLog { core: CoreId::new(7), entries };
-        let bytes = wire::encode_chunked_with(&log, chunk_bytes);
-        let (_, version, spans, trunc) = wire::chunk_spans(&bytes).expect("header");
-        prop_assert_eq!(version, wire::VERSION);
-        prop_assert!(trunc.is_none());
-        let mut got = Vec::new();
-        let per = spans.len().div_ceil(splits).max(1);
-        for (part, span_range) in spans.chunks(per).enumerate() {
-            wire::decode_chunked_range(&bytes, span_range, part * per, &mut got)
-                .expect("range decodes");
+        let mut bytes = wire::encode_chunked_with(&log, chunk_bytes);
+        if truncate {
+            bytes.truncate((pick as usize) % (bytes.len() + 1));
+        } else {
+            let p = (pick as usize) % bytes.len();
+            bytes[p] ^= 1 << bit;
         }
-        prop_assert_eq!(got, log.entries);
+        let salvage = wire::decode_chunked_skip(&bytes);
+        match wire::chunk_spans(&bytes) {
+            Ok((core, version, spans, trunc)) => {
+                prop_assert_eq!(core, salvage.log.core);
+                prop_assert_eq!(version, wire::VERSION);
+                let framed: Vec<(usize, usize)> =
+                    spans.iter().map(|s| (s.offset, s.payload_bytes)).collect();
+                let salvaged: Vec<(usize, usize)> = salvage
+                    .chunks
+                    .iter()
+                    .map(|c| (c.offset, c.payload_bytes))
+                    .collect();
+                prop_assert_eq!(framed, salvaged);
+                // A cut frame stops both walks at the same chunk, and the
+                // lenient walk remembers it unless an earlier chunk failed.
+                if let Some(WireError::Truncated { chunk }) = trunc {
+                    prop_assert_eq!(chunk, salvage.chunks.len());
+                    prop_assert!(salvage.err.is_some());
+                } else {
+                    prop_assert!(trunc.is_none());
+                }
+            }
+            Err(e) => {
+                // Header damage: nothing is framed or salvaged.
+                prop_assert!(salvage.chunks.is_empty());
+                prop_assert_eq!(salvage.err, Some(e));
+            }
+        }
     }
 }

@@ -47,8 +47,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use relaxreplay::wire::{chunk_map, decode_chunked_into, decode_chunked_skip};
-use relaxreplay::{IndexProvenance, IntervalLog, LogEntry, MappedBytes, SkipIndex};
+use relaxreplay::wire::{decode_chunked_into, decode_chunked_skip, parse_header};
+use relaxreplay::{IntervalLog, LogEntry, MappedBytes};
 use rr_experiments::report::Table;
 use rr_sim::RunStore;
 
@@ -214,41 +214,33 @@ fn stat_file(path: &Path) -> u8 {
             return 1;
         }
     };
-    // The `.rridx` sidecar answers the chunk map without touching entry
-    // payloads; it is fingerprint-checked and rebuilt whenever it is
-    // missing, corrupt, or stale — never trusted blindly.
-    let (index, provenance) = match SkipIndex::load_or_build(path, &bytes) {
-        Ok(t) => t,
+    // A foreign or version-skewed header has nothing to summarise.
+    let (core, version) = match parse_header(&bytes) {
+        Ok(h) => h,
         Err(e) => {
             eprintln!("{}: {e}", path.display());
             return 1;
         }
     };
+    // One lenient walk yields the chunk table and every salvageable
+    // entry: it skips damaged chunks, so the histogram totals always
+    // agree with the table's per-chunk entry counts — including the
+    // chunks *after* a corrupt one.
+    let salvage = decode_chunked_skip(&bytes);
     println!(
-        "{}: core {}, wire v{}, {} bytes, {} chunk(s){}",
+        "{}: core {}, wire v{version}, {} bytes, {} chunk(s){}",
         path.display(),
-        index.core.index(),
-        index.wire_version,
+        core.index(),
         bytes.len(),
-        index.chunks.len(),
+        salvage.chunks.len(),
         if bytes.is_mapped() { ", mmap" } else { "" }
-    );
-    println!(
-        "skip-index: {} ({} entries)",
-        match provenance {
-            IndexProvenance::Loaded => "loaded from sidecar",
-            IndexProvenance::RebuiltMissing => "rebuilt (sidecar missing)",
-            IndexProvenance::RebuiltCorrupt => "rebuilt (sidecar corrupt)",
-            IndexProvenance::RebuiltStale => "rebuilt (sidecar stale)",
-        },
-        index.total_entries()
     );
 
     let mut t = Table::new(
         "chunk map",
         &["chunk", "offset", "payload B", "entries", "first ts", "crc"],
     );
-    for c in &index.chunk_infos() {
+    for c in &salvage.chunks {
         t.row(vec![
             format!("{}", c.index),
             format!("{}", c.offset),
@@ -261,10 +253,6 @@ fn stat_file(path: &Path) -> u8 {
     }
     t.print();
 
-    // The lenient decoder skips damaged chunks, so the histogram totals
-    // always agree with the chunk-map table's per-chunk entry counts —
-    // including the chunks *after* a corrupt one.
-    let salvage = decode_chunked_skip(&bytes);
     let (log, decode_err) = (salvage.log, salvage.err);
     let mut hist: Vec<(&'static str, u64)> = Vec::new();
     for e in &log.entries {
@@ -330,9 +318,9 @@ fn stat_run_dir(run_dir: &Path) -> u8 {
             let row = match std::fs::read(&path)
                 .map_err(|e| e.to_string())
                 .and_then(|b| {
-                    chunk_map(&b)
-                        .map(|(_, chunks, err)| (b.len(), chunks, err))
-                        .map_err(|e| e.to_string())
+                    parse_header(&b).map_err(|e| e.to_string())?;
+                    let salvage = decode_chunked_skip(&b);
+                    Ok((b.len(), salvage.chunks, salvage.err))
                 }) {
                 Ok((bytes, chunks, err)) => {
                     if err.is_some() {

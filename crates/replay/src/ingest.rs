@@ -12,21 +12,14 @@
 //! maps a whole file and decodes it zero-copy, so ingest of an
 //! eight-core run costs roughly one core-log's decode time once the pool
 //! is wide enough.
-//!
-//! Chunks are self-contained, so a *single* large stream can also be
-//! decoded in parallel: [`decode_chunked_parallel`] walks the
-//! chunk framing once (no payload work), partitions contiguous chunk
-//! ranges balanced by payload bytes, and decodes the ranges on scoped
-//! threads. The result is bit-identical to a sequential decode, and the
-//! lowest-indexed chunk's error wins deterministically.
 
 use core::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use relaxreplay::wire::{chunk_spans, decode_chunked, decode_chunked_range};
-use relaxreplay::{IntervalLog, LogEntry, MappedBytes, WireError};
+use relaxreplay::wire::decode_chunked;
+use relaxreplay::{IntervalLog, MappedBytes, WireError};
 
 /// An ingest failure, attributed to the stream that caused it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,87 +98,10 @@ where
     Ok(out)
 }
 
-/// Splits `spans` into at most `parts` contiguous ranges balanced by
-/// payload bytes. Every range is non-empty and the ranges tile
-/// `0..spans.len()` in order.
-fn partition_spans(spans: &[relaxreplay::ChunkSpan], parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.min(spans.len()).max(1);
-    let total: usize = spans.iter().map(|s| s.payload_bytes).sum();
-    let per = total / parts + 1;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for (i, span) in spans.iter().enumerate() {
-        acc += span.payload_bytes;
-        if acc >= per && ranges.len() + 1 < parts && i + 1 < spans.len() {
-            ranges.push((start, i + 1));
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    ranges.push((start, spans.len()));
-    ranges
-}
-
-/// Decodes one `.rrlog` stream with `workers` threads splitting the chunk
-/// ranges (`workers == 0` uses [`default_ingest_workers`]).
-///
-/// Single-worker calls, single-chunk streams, and streams whose framing
-/// walk already reports damage fall back to the sequential
-/// [`decode_chunked`], so the result (entries *and* error) is identical
-/// to a sequential decode for every worker count.
-///
-/// # Errors
-///
-/// Exactly the errors of [`decode_chunked`] on the same stream: the
-/// lowest-indexed chunk's failure wins regardless of which worker hit it.
-pub fn decode_chunked_parallel(bytes: &[u8], workers: usize) -> Result<IntervalLog, WireError> {
-    let workers = if workers == 0 {
-        default_ingest_workers()
-    } else {
-        workers
-    };
-    let (core, _, spans, walk_err) = chunk_spans(bytes)?;
-    if workers <= 1 || spans.len() < 2 || walk_err.is_some() {
-        return decode_chunked(bytes);
-    }
-
-    let ranges = partition_spans(&spans, workers);
-    let results: Vec<Result<Vec<LogEntry>, WireError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let spans = &spans[start..end];
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    decode_chunked_range(bytes, spans, start, &mut out).map(|()| out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("range decode worker panicked"))
-            .collect()
-    });
-
-    // Ranges are contiguous and ascending, so the first failing range in
-    // order holds the lowest-indexed failing chunk.
-    let mut entries =
-        Vec::with_capacity(results.iter().map(|r| r.as_ref().map_or(0, Vec::len)).sum());
-    for r in results {
-        entries.append(&mut r?);
-    }
-    Ok(IntervalLog { core, entries })
-}
-
 /// Decodes many independent in-memory `.rrlog` streams in parallel,
 /// returning the logs in input order (`workers == 0` uses
 /// [`default_ingest_workers`]; results are identical for any worker
-/// count).
-///
-/// A single input stream is instead range-partitioned *within* the
-/// stream via [`decode_chunked_parallel`], so the worker budget is not
-/// wasted when one core's log dwarfs the rest of the ingest.
+/// count). A lone stream is decoded whole on the calling thread.
 ///
 /// # Errors
 ///
@@ -195,15 +111,6 @@ pub fn decode_logs_parallel(
     streams: &[&[u8]],
     workers: usize,
 ) -> Result<Vec<IntervalLog>, IngestError> {
-    if streams.len() == 1 {
-        return decode_chunked_parallel(streams[0], workers)
-            .map(|log| vec![log])
-            .map_err(|source| IngestError {
-                index: 0,
-                path: None,
-                source,
-            });
-    }
     ingest_pool(streams.len(), workers, |i| {
         decode_chunked(streams[i]).map_err(|source| IngestError {
             index: i,
@@ -292,40 +199,17 @@ mod tests {
     }
 
     #[test]
-    fn range_parallel_decode_is_bit_identical_to_serial() {
-        let log = &logs(1)[0];
-        let encoded = encode_chunked_with(log, 48);
-        let serial = decode_chunked(&encoded).expect("serial decodes");
-        for workers in [0, 1, 2, 3, 8, 64] {
-            let par = decode_chunked_parallel(&encoded, workers).expect("parallel decodes");
-            assert_eq!(par, serial, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn range_parallel_decode_reports_the_same_error_as_serial() {
-        let log = &logs(1)[0];
-        let mut encoded = encode_chunked_with(log, 48);
-        // Corrupt a payload byte in the middle of the stream.
-        let mid = encoded.len() / 2;
-        encoded[mid] ^= 0x40;
-        let serial_err = decode_chunked(&encoded).expect_err("serial fails");
-        for workers in [2, 4, 8] {
-            let par_err = decode_chunked_parallel(&encoded, workers).expect_err("parallel fails");
-            assert_eq!(par_err, serial_err, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn other_header_versions_are_rejected_at_every_worker_count() {
         let log = &logs(1)[0];
         for version in [0u16, 1, 2, 4, 0xFFFF] {
             let mut encoded = encode_chunked_with(log, 48);
             encoded[4..6].copy_from_slice(&version.to_le_bytes());
             for workers in [1, 4] {
+                let err =
+                    decode_logs_parallel(&[encoded.as_slice()], workers).expect_err("must fail");
                 assert_eq!(
-                    decode_chunked_parallel(&encoded, workers),
-                    Err(WireError::UnsupportedVersion { version }),
+                    (err.index, err.source),
+                    (0, WireError::UnsupportedVersion { version }),
                     "version={version} workers={workers}"
                 );
             }
@@ -337,40 +221,26 @@ mod tests {
         let log = &logs(1)[0];
         let encoded = encode_chunked_with(log, 48);
         assert_eq!(
-            decode_chunked_parallel(&encoded, 1).expect("decodes"),
-            decode_chunked(&encoded).expect("decodes"),
+            decode_logs_parallel(&[encoded.as_slice()], 1).expect("decodes"),
+            vec![decode_chunked(&encoded).expect("decodes")],
         );
     }
 
     #[test]
-    fn single_stream_ingest_partitions_within_the_stream() {
+    fn single_stream_ingest_decodes_the_stream_whole() {
         let log = &logs(1)[0];
-        let encoded = encode_chunked_with(log, 48);
-        let streams = [encoded.as_slice()];
+        let mut encoded = encode_chunked_with(log, 48);
         for workers in [0, 1, 4] {
-            let decoded = decode_logs_parallel(&streams, workers).expect("decodes");
-            assert_eq!(decoded.len(), 1);
-            assert_eq!(&decoded[0], log, "workers={workers}");
+            let decoded = decode_logs_parallel(&[encoded.as_slice()], workers).expect("decodes");
+            assert_eq!(decoded, vec![log.clone()], "workers={workers}");
         }
-    }
-
-    #[test]
-    fn span_partitions_tile_and_are_nonempty() {
-        let log = &logs(1)[0];
-        let encoded = encode_chunked_with(log, 48);
-        let (_, _, spans, walk_err) = relaxreplay::chunk_spans(&encoded).expect("spans");
-        assert!(walk_err.is_none());
-        assert!(spans.len() > 2, "need a multi-chunk stream for this test");
-        for parts in 1..=spans.len() + 2 {
-            let ranges = partition_spans(&spans, parts);
-            assert!(ranges.len() <= parts.max(1));
-            let mut next = 0usize;
-            for &(start, end) in &ranges {
-                assert_eq!(start, next, "parts={parts}");
-                assert!(end > start, "parts={parts}: empty range");
-                next = end;
-            }
-            assert_eq!(next, spans.len(), "parts={parts}");
+        // A damaged lone stream fails exactly as the strict decoder does.
+        let mid = encoded.len() / 2;
+        encoded[mid] ^= 0x40;
+        let serial_err = decode_chunked(&encoded).expect_err("serial fails");
+        for workers in [0, 1, 4] {
+            let err = decode_logs_parallel(&[encoded.as_slice()], workers).expect_err("fails");
+            assert_eq!((err.index, err.source), (0, serial_err.clone()));
         }
     }
 

@@ -20,7 +20,7 @@
 //!
 //! Replay reads whole logs, as the paper's offline patch step does: an
 //! `.rrlog`'s bytes (a mapped file, a store blob, a network fetch) decode
-//! with `relaxreplay::wire::decode_chunked` (or range-parallel, with
+//! with `relaxreplay::wire::decode_chunked` (or one log per worker, with
 //! [`read_rrlogs_parallel`] / [`decode_logs_parallel`]) into an
 //! `IntervalLog`, which [`patch`] turns into replay ops. So a recording
 //! saved with `--save-logs` can be replayed by a later invocation without
@@ -77,10 +77,7 @@ pub use engine::{
     execute_threaded, replay_threaded, replay_threaded_probed, replay_with, ReplayEngine,
 };
 pub use forensics::divergence_report;
-pub use ingest::{
-    decode_chunked_parallel, decode_logs_parallel, default_ingest_workers, read_rrlogs_parallel,
-    IngestError,
-};
+pub use ingest::{decode_logs_parallel, default_ingest_workers, read_rrlogs_parallel, IngestError};
 pub use oracle::{cross_check, minimize, DifferentialError, Shrink};
 pub use parallel::{execute_modeled, replay_parallel, ParallelOutcome};
 pub use patch::{patch, PatchError, PatchedLog, ReplayOp};

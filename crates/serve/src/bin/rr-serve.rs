@@ -10,9 +10,8 @@
 //!
 //! `fetch` materializes a remote run as a local log directory with the
 //! exact layout `--save-logs` writes (manifest, per-core `.rrlog`
-//! files, ordering + ground-truth sidecars) plus the server's `.rridx`
-//! skip indexes — the CI round-trip job diffs it against a locally
-//! saved twin. `bench` records the concurrent data-structure corpus,
+//! files, ordering + ground-truth sidecars) — the CI round-trip job
+//! diffs it byte for byte against a locally saved twin. `bench` records the concurrent data-structure corpus,
 //! streams it to an in-process server twice (cold, then duplicated),
 //! and writes a `BENCH_serve.json` trajectory document for
 //! `rr-bench compare`.

@@ -1,8 +1,7 @@
-//! RRSP/v1 clients: the raw [`Client`], the [`RemoteStore`] that makes
-//! an `rr-serve` backend a drop-in [`RunStore`], and the [`RemoteSink`]
-//! adapter that plugs the network into the recorder's `LogSink` seam.
-//! Reading a log back is [`RemoteStore`]'s job: it fetches a variant's
-//! `.rrlog` bytes and decodes them whole, as a local load does.
+//! RRSP/v2 clients: the raw [`Client`] and the [`RemoteStore`] that makes
+//! an `rr-serve` backend a drop-in [`RunStore`]. Reading a log back is
+//! [`RemoteStore`]'s job: it fetches a variant's `.rrlog` bytes and
+//! decodes them whole, as a local load does.
 //!
 //! Saving through [`RemoteStore`] is deliberately byte-deterministic:
 //! logs are encoded with the same default `ChunkedWriter` parameters a
@@ -12,11 +11,9 @@
 
 use std::net::TcpStream;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 use relaxreplay::wire::{chunk_spans, encode_chunked};
-use relaxreplay::{ChunkedWriter, IntervalLog, LogEntry, LogSink, WireError};
-use rr_mem::CoreId;
+use relaxreplay::IntervalLog;
 use rr_replay::decode_logs_parallel;
 use rr_sim::logdir::{decode_ordering, decode_truth, encode_ordering, encode_truth, write_run_dir};
 use rr_sim::{
@@ -34,7 +31,7 @@ fn serve_err(e: ServeError) -> StoreError {
     }
 }
 
-/// A connected RRSP/v1 conversation. One request at a time; chunk
+/// A connected RRSP/v2 conversation. One request at a time; chunk
 /// staging is per-connection on the server, so a whole run's ingest —
 /// every variant, every core, the seal — flows over one `Client`.
 #[derive(Debug)]
@@ -175,8 +172,7 @@ impl Client {
     }
 
     /// Fetches run `run` into `out` as a local log directory (what
-    /// `--save-logs` writes, plus the server's `.rridx` skip indexes).
-    /// Returns the `.rrlog` bytes written.
+    /// `--save-logs` writes). Returns the `.rrlog` bytes written.
     ///
     /// # Errors
     ///
@@ -243,32 +239,6 @@ impl Client {
                     logical_bytes,
                 }),
             }),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    /// Fetches a byte range of one materialized `.rrlog` file
-    /// (`len == u64::MAX` = to end).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::call`].
-    pub fn get_range(
-        &mut self,
-        run: &str,
-        variant: &str,
-        core: u8,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, StoreError> {
-        match self.call(&Msg::GetRange {
-            run: run.to_string(),
-            variant: variant.to_string(),
-            core,
-            offset,
-            len,
-        })? {
-            Msg::RangeData { bytes } => Ok(bytes),
             other => Err(Self::unexpected(&other)),
         }
     }
@@ -459,240 +429,5 @@ impl RunStore for RemoteStore {
 
     fn stat_run(&self, name: &str) -> Result<RunStat, StoreError> {
         Client::connect(&self.addr)?.stat(name)
-    }
-}
-
-/// A `Write` adapter over a shared byte buffer — how [`RemoteSink`]
-/// captures the `ChunkedWriter`'s output to reframe it into `PutChunk`
-/// messages.
-#[derive(Clone, Debug, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("shared buf").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// A [`LogSink`] that streams a recorder's log to an `rr-serve` backend
-/// chunk by chunk, live, over a shared [`Client`].
-///
-/// ### Failure semantics (the PR 4 sink-fault contract, network form)
-///
-/// Entry acceptance is synchronous per [`LogSink::emit`], but network
-/// durability is per *chunk*. The sink therefore splits its accounting:
-///
-/// * Entries whose emit returned `Ok` were **accepted** by the sink —
-///   the recorder's `streamed_entries` counts exactly these.
-/// * [`RemoteSink::acked_entries`] counts the accepted entries whose
-///   chunk the server acknowledged — exactly what is durably remote.
-/// * If the connection dies, the failing emit returns the error (the
-///   recorder latches it, poisons, and keeps the un-emitted suffix
-///   buffered), and every accepted-but-unacked entry moves to the
-///   [`RemoteSink::unsent_handle`] buffer. Nothing is silently dropped:
-///   `server entries ++ unsent ++ recorder buffer` reproduce the full
-///   log, and every count is auditable.
-pub struct RemoteSink {
-    client: Arc<Mutex<Client>>,
-    run: String,
-    variant: String,
-    core: CoreId,
-    writer: ChunkedWriter<SharedBuf>,
-    buf: Arc<Mutex<Vec<u8>>>,
-    pending: Vec<LogEntry>,
-    unsent: Arc<Mutex<Vec<LogEntry>>>,
-    stats: Arc<RemoteSinkStats>,
-    error: Option<WireError>,
-}
-
-/// Shared counters a [`RemoteSink`] updates as it streams — readable
-/// through [`RemoteSink::stats_handle`] even after the sink is boxed
-/// into a recorder (the `FailingSink` handle idiom).
-#[derive(Debug, Default)]
-pub struct RemoteSinkStats {
-    /// Entries whose chunk the server acknowledged.
-    pub acked_entries: std::sync::atomic::AtomicU64,
-    /// Chunks the server acknowledged.
-    pub chunks_sent: std::sync::atomic::AtomicU64,
-}
-
-impl RemoteSink {
-    /// A sink streaming `run`/`variant`/`core` over `client`, cutting
-    /// chunks at the default payload target.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice (the header write goes to memory); kept
-    /// fallible to mirror `ChunkedWriter` construction.
-    pub fn new(
-        client: Arc<Mutex<Client>>,
-        run: impl Into<String>,
-        variant: impl Into<String>,
-        core: CoreId,
-    ) -> Result<Self, WireError> {
-        Self::with_chunk_bytes(
-            client,
-            run,
-            variant,
-            core,
-            relaxreplay::wire::DEFAULT_CHUNK_BYTES,
-        )
-    }
-
-    /// As [`RemoteSink::new`] with an explicit chunk payload target.
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteSink::new`].
-    pub fn with_chunk_bytes(
-        client: Arc<Mutex<Client>>,
-        run: impl Into<String>,
-        variant: impl Into<String>,
-        core: CoreId,
-        chunk_bytes: usize,
-    ) -> Result<Self, WireError> {
-        let shared = SharedBuf::default();
-        let buf = Arc::clone(&shared.0);
-        let writer = ChunkedWriter::with_chunk_bytes(shared, core, chunk_bytes)?;
-        // The writer just wrote the 7-byte .rrlog header; the server
-        // reframes from the catalog, so only chunk payloads travel.
-        buf.lock().expect("shared buf").clear();
-        Ok(RemoteSink {
-            client,
-            run: run.into(),
-            variant: variant.into(),
-            core,
-            writer,
-            buf,
-            pending: Vec::new(),
-            unsent: Arc::default(),
-            stats: Arc::default(),
-            error: None,
-        })
-    }
-
-    /// Entries whose chunk the server acknowledged.
-    #[must_use]
-    pub fn acked_entries(&self) -> u64 {
-        self.stats
-            .acked_entries
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Chunks the server acknowledged.
-    #[must_use]
-    pub fn chunks_sent(&self) -> u64 {
-        self.stats
-            .chunks_sent
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Shared view of the streaming counters; clone before boxing the
-    /// sink into a recorder.
-    #[must_use]
-    pub fn stats_handle(&self) -> Arc<RemoteSinkStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Shared view of entries the sink accepted but could not deliver
-    /// before the connection died; clone before boxing the sink away
-    /// (the [`FailingSink`](relaxreplay::FailingSink) idiom).
-    #[must_use]
-    pub fn unsent_handle(&self) -> Arc<Mutex<Vec<LogEntry>>> {
-        Arc::clone(&self.unsent)
-    }
-
-    /// The latched transport error, if the stream failed.
-    #[must_use]
-    pub fn error(&self) -> Option<&WireError> {
-        self.error.as_ref()
-    }
-
-    /// Sends every complete chunk frame sitting in the capture buffer.
-    fn pump(&mut self) -> Result<(), WireError> {
-        loop {
-            let payload = {
-                let mut buf = self.buf.lock().expect("shared buf");
-                let Some(len_bytes) = buf.get(..4) else {
-                    return Ok(());
-                };
-                let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-                if buf.len() < 8 + len {
-                    return Ok(());
-                }
-                let payload = buf[4..4 + len].to_vec();
-                buf.drain(..8 + len);
-                payload
-            };
-            let seq = self.chunks_sent();
-            let sent = self
-                .client
-                .lock()
-                .expect("client lock")
-                .put_chunk(
-                    &self.run,
-                    &self.variant,
-                    self.core.index() as u8,
-                    seq,
-                    relaxreplay::wire::VERSION,
-                    &payload,
-                )
-                .map(|_| ());
-            match sent {
-                Ok(()) => {
-                    use std::sync::atomic::Ordering::Relaxed;
-                    self.stats.chunks_sent.fetch_add(1, Relaxed);
-                    self.stats
-                        .acked_entries
-                        .fetch_add(self.pending.len() as u64, Relaxed);
-                    self.pending.clear();
-                }
-                Err(e) => {
-                    let err = WireError::Io(format!("rr-serve stream failed: {e}"));
-                    self.error = Some(err.clone());
-                    self.unsent
-                        .lock()
-                        .expect("unsent lock")
-                        .append(&mut self.pending);
-                    return Err(err);
-                }
-            }
-        }
-    }
-}
-
-impl LogSink for RemoteSink {
-    fn emit(&mut self, entry: &LogEntry) -> Result<(), WireError> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
-        }
-        self.writer.emit(entry)?;
-        self.pending.push(*entry);
-        match self.pump() {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // This emit returns Err, so the recorder treats its own
-                // entry as rejected and keeps it buffered. Drop it from
-                // the unsent buffer (it is necessarily the last entry
-                // pump moved there) so every entry is accounted for
-                // exactly once across server / unsent / recorder.
-                self.unsent.lock().expect("unsent lock").pop();
-                Err(e)
-            }
-        }
-    }
-
-    fn close(&mut self) -> Result<(), WireError> {
-        if self.error.is_some() {
-            // Already failed and reported; the recorder is poisoned.
-            return Ok(());
-        }
-        self.writer.close()?;
-        self.pump()
     }
 }

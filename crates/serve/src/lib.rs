@@ -4,17 +4,15 @@
 //!
 //! The pieces:
 //!
-//! * [`proto`] — the RRSP/v1 length-prefixed, CRC-carrying binary
+//! * [`proto`] — the RRSP/v2 length-prefixed, CRC-carrying binary
 //!   protocol (no external deps; plain `std::net`).
 //! * [`store`] — the on-disk content-addressed chunk store: identical
 //!   chunk payloads dedupe to one blob keyed by
 //!   `(crc32, rr_hash64)`, runs are catalogs of chunk refs.
 //! * [`server`] — the multithreaded TCP server (listener + worker
 //!   pool, per-connection staging, atomic seal).
-//! * [`client`] — [`Client`] (raw protocol),
-//!   [`RemoteStore`] (a `RunStore` over the wire), and the
-//!   [`RemoteSink`] adapter that lets a recorder stream its log to the
-//!   server live.
+//! * [`client`] — [`Client`] (raw protocol) and
+//!   [`RemoteStore`] (a `RunStore` over the wire).
 //!
 //! Anything that takes a run location accepts either a local path or
 //! an `rr://host:port/run` URL; [`open_store`] turns a parsed
@@ -25,7 +23,7 @@ pub mod proto;
 pub mod server;
 pub mod store;
 
-pub use client::{Client, RemoteSink, RemoteSinkStats, RemoteStore};
+pub use client::{Client, RemoteStore};
 pub use server::{serve, FaultSpec, ServerConfig, ServerHandle};
 pub use store::ChunkStore;
 

@@ -1,4 +1,4 @@
-//! RRSP/v1 — the RelaxReplay serve protocol.
+//! RRSP/v2 — the RelaxReplay serve protocol.
 //!
 //! A length-prefixed binary framing over any ordered byte stream
 //! (TCP in production, an in-memory pipe in tests):
@@ -29,8 +29,10 @@ use relaxreplay::wire::{crc32, read_varint, write_varint};
 use crate::ServeError;
 use rr_sim::RemoteFault;
 
-/// Protocol version spoken by this build.
-pub const PROTO_VERSION: u16 = 1;
+/// Protocol version spoken by this build. Version 2 dropped the byte-range
+/// verb (type codes 0x07/0x87, now unknown) and the per-core index blobs
+/// of [`Msg::RunBundle`], so a version-1 peer is refused at `Hello`.
+pub const PROTO_VERSION: u16 = 2;
 
 /// Upper bound on a single frame's payload, guarding both sides against
 /// a corrupt or hostile length prefix committing them to a huge
@@ -76,7 +78,7 @@ pub struct StatVariant {
     pub has_ordering: bool,
 }
 
-/// Every RRSP/v1 message. Requests use low type codes, responses the
+/// Every RRSP/v2 message. Requests use low type codes, responses the
 /// same code with the top bit set; [`Msg::Error`] (0x7F) answers any
 /// request that failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -169,25 +171,6 @@ pub enum Msg {
         /// Chunk bytes all catalogs reference.
         logical_bytes: u64,
     },
-    /// Fetch a byte range of one reassembled `.rrlog` file
-    /// (`len == u64::MAX` = to end of file).
-    GetRange {
-        /// Run name.
-        run: String,
-        /// Variant label.
-        variant: String,
-        /// Core id.
-        core: u8,
-        /// Byte offset into the materialized file.
-        offset: u64,
-        /// Bytes to return (`u64::MAX` = the rest of the file).
-        len: u64,
-    },
-    /// The requested bytes.
-    RangeData {
-        /// The bytes, possibly shorter than requested at end of file.
-        bytes: Vec<u8>,
-    },
     /// Any request's failure, with the fault category preserved.
     Error {
         /// What kind of failure.
@@ -203,14 +186,12 @@ const T_SEAL_RUN: u8 = 0x03;
 const T_GET_RUN: u8 = 0x04;
 const T_LIST_RUNS: u8 = 0x05;
 const T_STAT: u8 = 0x06;
-const T_GET_RANGE: u8 = 0x07;
 const T_HELLO_ACK: u8 = 0x81;
 const T_PUT_ACK: u8 = 0x82;
 const T_SEAL_ACK: u8 = 0x83;
 const T_RUN_BUNDLE: u8 = 0x84;
 const T_LIST_ACK: u8 = 0x85;
 const T_STAT_ACK: u8 = 0x86;
-const T_RANGE_DATA: u8 = 0x87;
 const T_ERROR: u8 = 0x7f;
 
 fn fault_code(kind: RemoteFault) -> u8 {
@@ -409,9 +390,6 @@ impl Msg {
                     for log in &v.logs {
                         put_bytes(&mut out, log);
                     }
-                    for idx in &v.indexes {
-                        put_bytes(&mut out, idx);
-                    }
                     put_opt_bytes(&mut out, v.ordering.as_deref());
                 }
                 put_bytes(&mut out, truth);
@@ -449,24 +427,6 @@ impl Msg {
                 write_varint(&mut out, *blobs);
                 write_varint(&mut out, *blob_bytes);
                 write_varint(&mut out, *logical_bytes);
-            }
-            Msg::GetRange {
-                run,
-                variant,
-                core,
-                offset,
-                len,
-            } => {
-                out.push(T_GET_RANGE);
-                put_str(&mut out, run);
-                put_str(&mut out, variant);
-                out.push(*core);
-                write_varint(&mut out, *offset);
-                write_varint(&mut out, *len);
-            }
-            Msg::RangeData { bytes } => {
-                out.push(T_RANGE_DATA);
-                put_bytes(&mut out, bytes);
             }
             Msg::Error { kind, detail } => {
                 out.push(T_ERROR);
@@ -545,14 +505,9 @@ impl Msg {
                     for _ in 0..nl {
                         logs.push(r.bytes()?);
                     }
-                    let mut indexes = Vec::new();
-                    for _ in 0..nl {
-                        indexes.push(r.bytes()?);
-                    }
                     variants.push(BundleVariant {
                         label,
                         logs,
-                        indexes,
                         ordering: r.opt_bytes()?,
                     });
                 }
@@ -593,14 +548,6 @@ impl Msg {
                     logical_bytes: r.varint()?,
                 }
             }
-            T_GET_RANGE => Msg::GetRange {
-                run: r.string()?,
-                variant: r.string()?,
-                core: r.byte()?,
-                offset: r.varint()?,
-                len: r.varint()?,
-            },
-            T_RANGE_DATA => Msg::RangeData { bytes: r.bytes()? },
             T_ERROR => {
                 let code = r.byte()?;
                 let kind = fault_from_code(code).ok_or_else(|| {
@@ -749,7 +696,6 @@ mod tests {
             variants: vec![BundleVariant {
                 label: "Base".into(),
                 logs: vec![vec![1, 2]],
-                indexes: vec![vec![]],
                 ordering: None,
             }],
             truth: vec![7],
@@ -772,20 +718,36 @@ mod tests {
             blob_bytes: 4096,
             logical_bytes: 8192,
         });
-        round_trip(&Msg::GetRange {
-            run: "a".into(),
-            variant: "Base".into(),
-            core: 0,
-            offset: 7,
-            len: u64::MAX,
-        });
-        round_trip(&Msg::RangeData {
-            bytes: vec![0; 100],
-        });
         round_trip(&Msg::Error {
             kind: RemoteFault::CorruptBlob,
             detail: "object 0123 damaged".into(),
         });
+    }
+
+    /// The retired byte-range verb and its reply (type codes 0x07 and
+    /// 0x87) are unknown frame types: a version-1 peer that sends one gets
+    /// a typed protocol error, even for a body that once parsed.
+    #[test]
+    fn retired_range_frames_are_typed_errors() {
+        let mut body = Vec::new();
+        put_str(&mut body, "a");
+        put_str(&mut body, "Base");
+        body.push(0);
+        write_varint(&mut body, 7);
+        write_varint(&mut body, u64::MAX);
+        for tag in [0x07u8, 0x87] {
+            for payload in [vec![tag], [&[tag][..], &body].concat()] {
+                let err = Msg::decode(&payload).expect_err("retired frame type");
+                assert_eq!(err.kind, RemoteFault::Protocol);
+                assert_eq!(err.detail, format!("unknown frame type 0x{tag:02x}"));
+                let mut wire = Vec::new();
+                wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                wire.extend_from_slice(&payload);
+                wire.extend_from_slice(&crc32(&payload).to_le_bytes());
+                let err = read_frame(&mut wire.as_slice()).expect_err("typed error");
+                assert_eq!(err.kind, RemoteFault::Protocol);
+            }
+        }
     }
 
     #[test]

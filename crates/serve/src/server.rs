@@ -1,7 +1,7 @@
 //! The rr-serve TCP server: a `std::net` listener feeding a fixed pool
 //! of worker threads (the sweep-engine shape — the workspace is offline,
 //! so no async runtime), each worker owning one client connection at a
-//! time and speaking RRSP/v1 over it.
+//! time and speaking RRSP/v2 over it.
 //!
 //! Ingest isolation: every connection stages its `PutChunk`s privately
 //! and only `SealRun` publishes them — atomically, via the catalog
@@ -23,10 +23,10 @@ use crate::proto::{self, Msg, SealVariant, PROTO_VERSION};
 use crate::store::{CatalogCore, ChunkRef, ChunkStore, SealedVariant};
 use crate::ServeError;
 
-/// Fault injection for the server, driven by the sink-fault regression
-/// tests: after accepting `kill_after_chunks` `PutChunk` frames on a
-/// connection, the server drops that socket without a response —
-/// exactly what a crashed backend looks like to a recorder mid-stream.
+/// Fault injection for the server, driven by the crash regression tests:
+/// after accepting `kill_after_chunks` `PutChunk` frames on a connection,
+/// the server drops that socket without a response — exactly what a
+/// crashed backend looks like to a client mid-save.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultSpec {
     /// Kill each connection after this many accepted chunks
@@ -162,7 +162,7 @@ impl ServerHandle {
     }
 }
 
-/// Binds `addr` and starts serving RRSP/v1 in background threads.
+/// Binds `addr` and starts serving RRSP/v2 in background threads.
 ///
 /// # Errors
 ///
@@ -378,44 +378,6 @@ fn handle_request(
                 blobs,
                 blob_bytes,
                 logical_bytes,
-            })
-        }
-        Msg::GetRange {
-            run,
-            variant,
-            core,
-            offset,
-            len,
-        } => {
-            let catalog = shared.store.catalog(&run)?;
-            let v = catalog
-                .variants
-                .iter()
-                .find(|v| v.label == variant)
-                .ok_or_else(|| {
-                    ServeError::new(
-                        RemoteFault::UnknownRun,
-                        format!("run {run:?} has no variant {variant:?}"),
-                    )
-                })?;
-            let c = v.cores.get(usize::from(core)).ok_or_else(|| {
-                ServeError::new(
-                    RemoteFault::UnknownRun,
-                    format!("variant {variant:?} has no core {core}"),
-                )
-            })?;
-            let file = shared.store.assemble_core(c, core)?;
-            let start = usize::try_from(offset).unwrap_or(usize::MAX);
-            let start = start.min(file.len());
-            let end = if len == u64::MAX {
-                file.len()
-            } else {
-                start
-                    .saturating_add(usize::try_from(len).unwrap_or(usize::MAX))
-                    .min(file.len())
-            };
-            Ok(Msg::RangeData {
-                bytes: file[start..end].to_vec(),
             })
         }
         Msg::Hello { .. } => Err(ServeError::new(RemoteFault::Protocol, "duplicate hello")),

@@ -7,7 +7,6 @@
 //! runs/<name>/catalog.bin                     # RRCT v1: chunk refs + wire versions (CRC32)
 //! runs/<name>/truth.bin                       # ground-truth sidecar, verbatim
 //! runs/<name>/<label>.ordering                # interval partial order, verbatim
-//! runs/<name>/<label>.core<k>.rridx           # skip-index sidecar for the materialized log
 //! ```
 //!
 //! Chunks are keyed by `(crc32, rr_hash64)` of their payload, so the
@@ -28,8 +27,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use relaxreplay::rr_hash64;
 use relaxreplay::wire::{crc32, read_varint, write_varint, MAGIC};
-use relaxreplay::{rr_hash64, SkipIndex};
 use rr_sim::logdir::check_name;
 use rr_sim::RemoteFault;
 
@@ -344,8 +343,9 @@ impl ChunkStore {
         Ok(bytes)
     }
 
-    /// Publishes a staged run atomically: sidecars and skip-indexes
-    /// first, then the catalog rename that makes the run visible.
+    /// Publishes a staged run atomically: every referenced blob is
+    /// verified and the sidecars written first, then the catalog rename
+    /// makes the run visible.
     /// Re-sealing an identical run is idempotent; sealing a different
     /// run under an existing name is a [`RemoteFault::Conflict`].
     ///
@@ -406,17 +406,9 @@ impl ChunkStore {
             if let Some(ordering) = &v.ordering {
                 write_atomic(&dir.join(format!("{}.ordering", v.label)), ordering)?;
             }
-            // Build and persist the skip-index sidecars now, from the
-            // same materialized bytes GetRun will serve: replay clients
-            // get range-parallel decode without a first-touch rebuild.
-            for (k, core) in v.cores.iter().enumerate() {
-                let bytes = self.assemble_core(core, k as u8)?;
-                if let Ok(index) = SkipIndex::build(&bytes) {
-                    write_atomic(
-                        &dir.join(format!("{}.core{k}.rridx", v.label)),
-                        &index.to_bytes(),
-                    )?;
-                }
+            // A run is published only if GetRun can serve it back.
+            for r in v.cores.iter().flat_map(|c| &c.chunks) {
+                self.get_blob(r)?;
             }
         }
         write_atomic(&catalog_path, &catalog_bytes)?;
@@ -479,14 +471,12 @@ impl ChunkStore {
         })?;
         let mut variants = Vec::new();
         for v in &catalog.variants {
-            let mut logs = Vec::new();
-            let mut indexes = Vec::new();
-            for (k, core) in v.cores.iter().enumerate() {
-                logs.push(self.assemble_core(core, k as u8)?);
-                indexes.push(
-                    fs::read(dir.join(format!("{}.core{k}.rridx", v.label))).unwrap_or_default(),
-                );
-            }
+            let logs = v
+                .cores
+                .iter()
+                .enumerate()
+                .map(|(k, core)| self.assemble_core(core, k as u8))
+                .collect::<Result<_, _>>()?;
             let ordering = if v.has_ordering {
                 Some(
                     fs::read(dir.join(format!("{}.ordering", v.label))).map_err(|e| {
@@ -502,7 +492,6 @@ impl ChunkStore {
             variants.push(BundleVariant {
                 label: v.label.clone(),
                 logs,
-                indexes,
                 ordering,
             });
         }

@@ -1,13 +1,15 @@
 //! End-to-end rr-serve coverage: remote round trips are byte-identical
 //! to local saves, identical corpora dedupe in the content-addressed
 //! store, damaged blobs surface as typed errors, ≥ 4 recorder clients
-//! can ingest concurrently without interleaving corruption, and a fetch
-//! never writes outside its output directory, whatever labels the server
-//! sends.
+//! can ingest concurrently without interleaving corruption, a server
+//! that dies mid-save publishes nothing, a client of another protocol
+//! version is refused at hello, and a fetch never writes outside its
+//! output directory, whatever labels the server sends.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 
-use rr_serve::{serve, Client, RemoteStore, ServerConfig};
+use rr_serve::{serve, Client, FaultSpec, RemoteStore, ServerConfig};
 use rr_sim::{
     LocalStore, LogDirError, RecordSession, RemoteFault, RunResult, RunStore, StoreError,
 };
@@ -106,9 +108,13 @@ fn remote_round_trip_matches_local() {
 
         // Byte-level: every materialized remote file equals the local
         // twin written by the plain `--save-logs` path.
-        let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
-        for v in &local_run.variants {
-            for (k, _) in v.logs.iter().enumerate() {
+        let (_, bundle, _) = Client::connect(&handle.addr().to_string())
+            .expect("connect")
+            .get_run(name)
+            .expect("get_run");
+        assert_eq!(bundle.len(), local_run.variants.len(), "{name}");
+        for v in &bundle {
+            for (k, remote_bytes) in v.logs.iter().enumerate() {
                 let local_bytes = std::fs::read(
                     local_dir
                         .join(name)
@@ -116,10 +122,7 @@ fn remote_round_trip_matches_local() {
                         .join(format!("core{k}.rrlog")),
                 )
                 .expect("local .rrlog");
-                let remote_bytes = client
-                    .get_range(name, &v.label, k as u8, 0, u64::MAX)
-                    .expect("get_range");
-                assert_eq!(local_bytes, remote_bytes, "{name}/{}/core{k}", v.label);
+                assert_eq!(&local_bytes, remote_bytes, "{name}/{}/core{k}", v.label);
             }
         }
     }
@@ -166,18 +169,12 @@ fn fetch_materializes_byte_identical_logdir() {
         .expect("run rr-serve fetch");
     assert!(status.success(), "fetch failed");
 
-    // The fetched tree equals the locally saved twin, modulo the
-    // `.rridx` skip indexes the server materializes eagerly (local
-    // saves build them lazily on load).
-    let local_files: Vec<_> = dir_snapshot(&local_dir)
-        .into_iter()
-        .filter(|(p, _)| !p.ends_with(".rridx"))
-        .collect();
-    let fetched_files: Vec<_> = dir_snapshot(&out_dir)
-        .into_iter()
-        .filter(|(p, _)| !p.ends_with(".rridx"))
-        .collect();
-    assert_eq!(local_files, fetched_files, "fetched tree != local twin");
+    // The fetched tree equals the locally saved twin, file for file.
+    assert_eq!(
+        dir_snapshot(&local_dir),
+        dir_snapshot(&out_dir),
+        "fetched tree != local twin"
+    );
 
     // And the fetched directory loads as a normal local store.
     let fetched = LocalStore::new(&out_dir)
@@ -422,6 +419,68 @@ fn concurrent_ingest_from_four_clients() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A server that dies after accepting `KILL_AFTER` chunks fails the save
+/// with a typed remote error, and the half-sent run is never published:
+/// a fresh server on the same store root neither lists nor loads it.
+#[test]
+fn server_killed_mid_save_fails_typed_and_publishes_nothing() {
+    const KILL_AFTER: u64 = 3;
+    let root = tmp_dir("killed");
+    let mut config = ServerConfig::new(root.join("store"));
+    config.fault = FaultSpec {
+        kill_after_chunks: Some(KILL_AFTER),
+    };
+    let handle = serve("127.0.0.1:0", config).expect("serve");
+
+    let w = litmus_suite().remove(0);
+    let run = record(&w);
+    match RemoteStore::new(handle.addr().to_string()).save_run(w.name, &run) {
+        Err(StoreError::Remote { kind, detail }) => {
+            assert_eq!(kind, RemoteFault::Io, "detail: {detail}");
+        }
+        other => panic!("want a typed remote I/O error, got {other:?}"),
+    }
+    assert_eq!(handle.stats().chunks.load(Ordering::Relaxed), KILL_AFTER);
+    assert_eq!(handle.stats().seals.load(Ordering::Relaxed), 0);
+    handle.shutdown();
+
+    let fresh = serve("127.0.0.1:0", ServerConfig::new(root.join("store"))).expect("serve");
+    let remote = RemoteStore::new(fresh.addr().to_string());
+    assert!(remote.list_runs().expect("list").is_empty());
+    match remote.load_run(w.name) {
+        Err(StoreError::Remote { kind, .. }) => assert_eq!(kind, RemoteFault::UnknownRun),
+        other => panic!("an unsealed run must be unknown, got {other:?}"),
+    }
+    fresh.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A client speaking RRSP version 1 (or any version but this build's) is
+/// answered at `Hello` with a typed unsupported-version error, before it
+/// can send a frame this server would misread.
+#[test]
+fn other_protocol_versions_are_refused_at_hello() {
+    use rr_serve::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
+    let root = tmp_dir("hello");
+    let handle = serve("127.0.0.1:0", ServerConfig::new(root.join("store"))).expect("serve");
+    for version in [1, PROTO_VERSION + 1, u16::MAX] {
+        let mut conn = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        write_frame(&mut conn, &Msg::Hello { version }).expect("hello");
+        match read_frame(&mut conn) {
+            Ok(Some(Msg::Error { kind, detail })) => {
+                assert_eq!(kind, RemoteFault::UnsupportedVersion, "{detail}");
+                assert!(
+                    detail.contains(&format!("client sent {version}")),
+                    "{detail}"
+                );
+            }
+            other => panic!("version {version}: want an unsupported-version error, got {other:?}"),
+        }
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A fake RRSP server that answers every `GetRun` with one variant under
 /// `label`, for `connections` client connections.
 fn hostile_server(label: String, connections: usize) -> (String, std::thread::JoinHandle<()>) {
@@ -441,7 +500,6 @@ fn hostile_server(label: String, connections: usize) -> (String, std::thread::Jo
                         variants: vec![BundleVariant {
                             label: label.clone(),
                             logs: vec![b"not an rrlog".to_vec()],
-                            indexes: vec![b"not an index".to_vec()],
                             ordering: Some(b"not an ordering".to_vec()),
                         }],
                         truth: b"not a truth sidecar".to_vec(),

@@ -155,16 +155,12 @@ pub struct VariantFiles {
     pub label: String,
     /// Complete `.rrlog` files (header + framed chunks), index = core id.
     pub logs: Vec<Vec<u8>>,
-    /// `.rridx` skip-index sidecars aligned with `logs` (missing or empty
-    /// bytes = no index written).
-    pub indexes: Vec<Vec<u8>>,
     /// The `ordering.bin` sidecar bytes, if present.
     pub ordering: Option<Vec<u8>>,
 }
 
 /// Writes run `name` under `dir` in the layout of the module docs (plus
-/// `core<k>.rridx` where an index is given, and the text `sidecars` in the
-/// run directory), the manifest last. Every name is [`check_name`]d before
+/// the text `sidecars` in the run directory), the manifest last. Every name is [`check_name`]d before
 /// anything is created, so none can place a file outside `dir/name`.
 /// Returns the total `.rrlog` bytes written.
 ///
@@ -199,9 +195,6 @@ pub fn write_run_dir(
             let path = vdir.join(format!("core{k}.rrlog"));
             write(&path, log)?;
             log_bytes += log.len() as u64;
-            if let Some(idx) = v.indexes.get(k).filter(|idx| !idx.is_empty()) {
-                write(&path.with_extension("rridx"), idx)?;
-            }
         }
         if let Some(ord) = &v.ordering {
             write(&vdir.join("ordering.bin"), ord)?;
@@ -236,7 +229,6 @@ pub(crate) fn save_run_impl(
         .map(|variant| VariantFiles {
             label: variant.spec.label(),
             logs: variant.logs.iter().map(IntervalLog::encode).collect(),
-            indexes: Vec::new(),
             ordering: (!variant.ordering.is_empty()).then(|| encode_ordering(&variant.ordering)),
         })
         .collect();

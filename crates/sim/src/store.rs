@@ -11,7 +11,7 @@
 //!
 //! * [`LocalStore`] wraps the `logdir` run-directory format.
 //! * `RemoteStore` (in the `rr-serve` crate, which depends on this one)
-//!   speaks the RRSP/v1 protocol to a running `rr-serve`.
+//!   speaks the RRSP/v2 protocol to a running `rr-serve`.
 //! * [`StoreSpec`] is the URL parser: pure string classification with no
 //!   networking, so `rr-sim` stays free of any transport dependency.
 

@@ -171,7 +171,7 @@ fn trace_subcommand_converts_sidecars_to_perfetto_json() {
 }
 
 #[test]
-fn stat_histogram_agrees_with_chunk_map_around_a_corrupt_middle_chunk() {
+fn stat_histogram_agrees_with_the_chunk_table_around_a_corrupt_middle_chunk() {
     let root = temp_root("stat_corrupt");
     let run_dir = save_sample_run(&root, "sample");
     let rrlog = run_dir.join("Base-4K").join("core0.rrlog");
@@ -180,7 +180,7 @@ fn stat_histogram_agrees_with_chunk_map_around_a_corrupt_middle_chunk() {
     // flip a payload byte in a middle chunk (keeping the framing intact).
     let log = relaxreplay::wire::read_rrlog(&rrlog).expect("reads");
     let mut bytes = relaxreplay::wire::encode_chunked_with(&log, 16);
-    let (_, chunks, _) = relaxreplay::wire::chunk_map(&bytes).expect("maps");
+    let chunks = relaxreplay::wire::decode_chunked_skip(&bytes).chunks;
     assert!(
         chunks.len() >= 3,
         "need a middle chunk, got {}",
@@ -196,13 +196,18 @@ fn stat_histogram_agrees_with_chunk_map_around_a_corrupt_middle_chunk() {
     let text = stdout(&out);
     assert!(text.contains("integrity: DAMAGED"), "{text}");
     assert!(text.contains("MISMATCH"), "{text}");
-    assert!(text.contains("skip-index:"), "{text}");
+    assert!(
+        text.contains(&format!(", {} chunk(s)", chunks.len())),
+        "{text}"
+    );
 
-    // The chunk-map table's per-chunk entry counts must sum to exactly
-    // the histogram's TOTAL: the skip decoder keeps decoding after the
-    // damaged chunk instead of stopping at it.
+    // The chunk table lists every chunk, with only the damaged one
+    // failing its CRC, and its per-chunk entry counts sum to exactly the
+    // histogram's TOTAL: the skip decoder keeps decoding after the damaged
+    // chunk instead of stopping at it.
     let mut in_map = false;
     let mut map_sum = 0u64;
+    let mut crcs = Vec::new();
     let mut total = None;
     for line in text.lines() {
         if line.starts_with("== chunk map ==") {
@@ -217,12 +222,18 @@ fn stat_histogram_agrees_with_chunk_map_around_a_corrupt_middle_chunk() {
         if in_map && cells.len() == 6 {
             if let Ok(entries) = cells[3].parse::<u64>() {
                 map_sum += entries;
+                crcs.push(cells[5] == "ok");
             }
         }
         if cells.first() == Some(&"TOTAL") {
             total = cells[1].parse::<u64>().ok();
         }
     }
+    let want: Vec<bool> = (0..chunks.len()).map(|i| i != chunks.len() / 2).collect();
+    assert_eq!(
+        crcs, want,
+        "one row per chunk, only the middle one damaged:\n{text}"
+    );
     let total = total.expect("histogram TOTAL row present");
     assert!(map_sum > 0, "chunk map parsed:\n{text}");
     assert_eq!(
