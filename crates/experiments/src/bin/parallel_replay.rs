@@ -7,145 +7,29 @@
 //!
 //! Two speedup columns per workload × coherence mode:
 //!
-//! * **modeled** — the cost-model list scheduler's makespan ratio
-//!   (`sequential_cycles / parallel_cycles`) at `--threads` replay
-//!   cores. Host-independent; this is the paper's metric.
+//! * **modeled** — the cost-model list schedule's makespan ratio
+//!   (`total_work / makespan`) at `--threads` replay cores, a pure
+//!   function of the interval DAG. Host-independent; this is the paper's
+//!   metric.
 //! * **measured wN** — wall-clock speedup of the multithreaded replay
 //!   engine at N OS workers, relative to the same engine at one worker
-//!   (best of [`MEASURE_REPS`] repetitions, outcome verified every
-//!   time). Tracks the modeled bound only when the host actually has N
-//!   hardware threads — on a smaller host the extra workers time-slice
-//!   one core and the column reports ≈1× or below; the printed
-//!   `host cpus` line makes that legible.
+//!   (best of 3 repetitions, outcome verified every time). Tracks the
+//!   modeled bound only when the host actually has N hardware threads —
+//!   on a smaller host the extra workers time-slice one core and the
+//!   column reports ≈1× or below; the printed `host cpus` line makes
+//!   that legible.
+//!
+//! Both columns, and the `--prof` entries, come from
+//! `rr_experiments::replay_scaling`, the measurement behind
+//! `fig13_replay`'s scaling table too.
 
-use std::time::Instant;
-
-use relaxreplay::EngineProf;
 use rr_experiments::report::{f2, results_dir, write_metrics_jsonl, Table};
-use rr_experiments::{write_prof_pairs, write_trace_pairs, ExperimentConfig};
-use rr_replay::prof::ProfEntry;
-use rr_replay::{
-    critical_path_blame, patch, replay_parallel, replay_threaded, replay_threaded_probed, verify,
-    CostModel, IntervalDag, PatchedLog,
+use rr_experiments::{
+    replay_scaling, write_prof_pairs, write_trace_pairs, ExperimentConfig, SCALING_REPS,
 };
+use rr_replay::CostModel;
 use rr_sim::{run_sweep, MachineConfig, RecorderSpec, ReplayPolicy, SweepJob};
 use rr_workloads::suite;
-
-/// Worker counts for the measured wall-clock columns.
-const MEASURED_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// Wall-clock repetitions per worker count; the best is reported.
-const MEASURE_REPS: usize = 3;
-
-fn patched_logs(
-    w: &rr_workloads::Workload,
-    result: &rr_sim::RunResult,
-) -> Result<Vec<PatchedLog>, rr_sim::Error> {
-    result.variants[0]
-        .logs
-        .iter()
-        .map(patch)
-        .collect::<Result<_, _>>()
-        .map_err(|e| rr_sim::Error::from(e).context(format!("{}: patch", w.name)))
-}
-
-/// Modeled makespan speedup from the cost-model list scheduler.
-fn modeled_speedup(
-    w: &rr_workloads::Workload,
-    result: &rr_sim::RunResult,
-    patched: &[PatchedLog],
-    workers: usize,
-) -> Result<f64, rr_sim::Error> {
-    let v = &result.variants[0];
-    let outcome = replay_parallel(
-        &w.programs,
-        patched,
-        &v.ordering,
-        w.initial_mem.clone(),
-        &CostModel::splash_default(),
-        workers,
-    )
-    .map_err(|e| rr_sim::Error::from(e).context(format!("{}: parallel replay", w.name)))?;
-    verify(&result.recorded, &outcome.outcome).map_err(|e| {
-        rr_sim::Error::from(e).context(format!("{}: parallel replay must verify", w.name))
-    })?;
-    Ok(outcome.speedup())
-}
-
-/// Best-of-[`MEASURE_REPS`] wall-clock seconds for the multithreaded
-/// engine at each of [`MEASURED_WORKERS`], verifying every outcome.
-fn measured_secs(
-    w: &rr_workloads::Workload,
-    result: &rr_sim::RunResult,
-    patched: &[PatchedLog],
-) -> Result<Vec<f64>, rr_sim::Error> {
-    let v = &result.variants[0];
-    MEASURED_WORKERS
-        .iter()
-        .map(|&workers| {
-            let mut best = f64::INFINITY;
-            for _ in 0..MEASURE_REPS {
-                let start = Instant::now();
-                let outcome = replay_threaded(
-                    &w.programs,
-                    patched,
-                    &v.ordering,
-                    w.initial_mem.clone(),
-                    &CostModel::splash_default(),
-                    workers,
-                )
-                .map_err(|e| {
-                    rr_sim::Error::from(e)
-                        .context(format!("{}: threaded replay (w={workers})", w.name))
-                })?;
-                best = best.min(start.elapsed().as_secs_f64());
-                verify(&result.recorded, &outcome).map_err(|e| {
-                    rr_sim::Error::from(e).context(format!(
-                        "{}: threaded replay must verify (w={workers})",
-                        w.name
-                    ))
-                })?;
-            }
-            Ok(best)
-        })
-        .collect()
-}
-
-/// One `--prof` sidecar entry for a workload × coherence-mode run:
-/// critical-path blame over the recorded partial order plus a measured,
-/// verified engine timeline at `workers` OS workers.
-fn prof_entry(
-    w: &rr_workloads::Workload,
-    mode: &str,
-    result: &rr_sim::RunResult,
-    patched: &[PatchedLog],
-    workers: usize,
-) -> Result<ProfEntry, rr_sim::Error> {
-    let v = &result.variants[0];
-    let at = |stage: &str| format!("{}@{mode}: {stage}", w.name);
-    let dag = IntervalDag::partial_order(v.logs.len(), patched, &v.ordering)
-        .map_err(|e| rr_sim::Error::from(e).context(at("dag failed")))?;
-    let blame = critical_path_blame(&dag, &CostModel::splash_default());
-    let mut engine = EngineProf::default();
-    let outcome = replay_threaded_probed(
-        &w.programs,
-        patched,
-        Some(&v.ordering),
-        w.initial_mem.clone(),
-        &CostModel::splash_default(),
-        workers,
-        &mut engine,
-    )
-    .map_err(|e| rr_sim::Error::from(e).context(at("profiled replay failed")))?;
-    verify(&result.recorded, &outcome)
-        .map_err(|e| rr_sim::Error::from(e).context(at("profiled verify failed")))?;
-    Ok(ProfEntry {
-        run: format!("{}@{mode}", w.name),
-        variant: v.spec.label(),
-        blame,
-        engine: Some(engine),
-    })
-}
 
 fn main() -> std::process::ExitCode {
     match run() {
@@ -222,27 +106,23 @@ fn run() -> Result<(), rr_sim::Error> {
     let mut prof = Vec::new();
     for (i, w) in workloads.iter().enumerate() {
         for (mode, j) in [("snoopy", 2 * i), ("directory", 2 * i + 1)] {
-            let result = &report.outputs[j].run;
-            let patched = patched_logs(w, result)?;
-            if cfg.prof {
-                prof.push(prof_entry(w, mode, result, &patched, cfg.threads)?);
-            }
-            let modeled = modeled_speedup(w, result, &patched, cfg.threads)?;
+            let s = replay_scaling(
+                &format!("{}@{mode}", w.name),
+                w,
+                &report.outputs[j].run,
+                0,
+                &CostModel::splash_default(),
+                cfg.threads,
+                cfg.prof.then_some(cfg.threads),
+            )?;
             match mode {
-                "snoopy" => ss += modeled,
-                _ => sd += modeled,
+                "snoopy" => ss += s.modeled,
+                _ => sd += s.modeled,
             }
-            let secs = measured_secs(w, result, &patched)?;
-            let base = secs[0];
-            t.row(vec![
-                w.name.into(),
-                mode.into(),
-                f2(modeled),
-                format!("{:.3}", base * 1e3),
-                f2(base / secs[1]),
-                f2(base / secs[2]),
-                f2(base / secs[3]),
-            ]);
+            let mut row = vec![w.name.into(), mode.into()];
+            row.extend(s.cells());
+            t.row(row);
+            prof.extend(s.prof);
         }
     }
     let n = workloads.len() as f64;
@@ -257,7 +137,7 @@ fn run() -> Result<(), rr_sim::Error> {
     ]);
     t.print();
     println!(
-        "measured columns are wall-clock (best of {MEASURE_REPS}); with {host_cpus} host \
+        "measured columns are wall-clock (best of {SCALING_REPS}); with {host_cpus} host \
          cpu(s) the engine can exploit at most {host_cpus}-way parallelism, so measured \
          scaling beyond that reflects scheduling overhead, not the DAG"
     );

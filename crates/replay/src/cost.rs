@@ -23,41 +23,34 @@ pub struct ReplayEvents {
 
 impl ReplayEvents {
     /// The event counts of replaying one interval's ops, `intervals`
-    /// already set to 1. Shared by the cost-model scheduler
-    /// ([`crate::execute_modeled`]) and critical-path blame
-    /// ([`crate::prof`]) so both attribute cycles identically.
+    /// already set to 1 — the only place replay events are counted. The
+    /// DAG sums it over its nodes (the executors' event totals), the list
+    /// schedule and critical-path blame ([`crate::prof`]) weigh nodes by
+    /// it, so every consumer attributes cycles identically.
     #[must_use]
     pub fn for_interval(ops: &[ReplayOp]) -> Self {
-        let mut ev = ReplayEvents {
-            intervals: 1,
-            ..ReplayEvents::default()
-        };
-        for op in ops {
-            match op {
-                ReplayOp::RunBlock { instrs } => {
-                    ev.blocks += 1;
-                    ev.user_instrs += u64::from(*instrs);
-                }
-                ReplayOp::InjectLoad { .. } => ev.injected_loads += 1,
-                ReplayOp::ApplyStore { .. } => ev.applied_stores += 1,
-                ReplayOp::SkipStore => ev.skips += 1,
-                ReplayOp::InjectRmw { .. } => ev.injected_rmws += 1,
-                ReplayOp::EndInterval { .. } => {}
-            }
-        }
+        let mut ev = ReplayEvents::default();
+        ev.add_interval(ops);
         ev
     }
 
-    /// Accumulates another event count into this one — used to merge the
-    /// threaded engine's per-core counts into a machine-wide total.
-    pub fn merge(&mut self, other: &ReplayEvents) {
-        self.user_instrs += other.user_instrs;
-        self.intervals += other.intervals;
-        self.blocks += other.blocks;
-        self.injected_loads += other.injected_loads;
-        self.applied_stores += other.applied_stores;
-        self.skips += other.skips;
-        self.injected_rmws += other.injected_rmws;
+    /// Adds one interval's [`for_interval`](Self::for_interval) counts
+    /// to this total.
+    pub(crate) fn add_interval(&mut self, ops: &[ReplayOp]) {
+        self.intervals += 1;
+        for op in ops {
+            match op {
+                ReplayOp::RunBlock { instrs } => {
+                    self.blocks += 1;
+                    self.user_instrs += u64::from(*instrs);
+                }
+                ReplayOp::InjectLoad { .. } => self.injected_loads += 1,
+                ReplayOp::ApplyStore { .. } => self.applied_stores += 1,
+                ReplayOp::SkipStore => self.skips += 1,
+                ReplayOp::InjectRmw { .. } => self.injected_rmws += 1,
+                ReplayOp::EndInterval { .. } => {}
+            }
+        }
     }
 }
 
@@ -133,7 +126,8 @@ impl CostModel {
     }
 
     /// Modeled cycles to replay one interval's ops — the node weight the
-    /// list scheduler and critical-path blame both use. The per-interval
+    /// list schedule ([`crate::IntervalDag::list_schedule`]) and
+    /// critical-path blame both use. The per-interval
     /// `ceil` in [`CostModel::user_cycles`] makes this slightly
     /// super-additive versus costing merged events; blame works at this
     /// granularity so its per-interval attributions sum exactly to the

@@ -19,12 +19,15 @@
 //! edges, exposing the replay parallelism of §3.6. Both validate their
 //! inputs (thread counts, core ids, ordering lengths, acyclicity) and
 //! return typed [`ReplayError`]s, so corrupt or hostile inputs can neither
-//! panic nor hang an executor.
+//! panic nor hang an executor. Both also count every interval's replay
+//! events once, while splitting the logs ([`IntervalDag::events`]).
 //!
-//! Three executors consume the DAG: the sequential replayer
-//! ([`crate::replay`] = this DAG executed at one worker), the cost-model
-//! list scheduler ([`crate::replay_parallel`]), and the multithreaded
-//! engine ([`crate::replay_threaded`]).
+//! Two executors consume the DAG: the single-thread replayer
+//! ([`crate::replay`] runs it in [`IntervalDag::topo_order`];
+//! [`crate::replay_parallel`] runs it in the order of
+//! [`IntervalDag::list_schedule`]) and the multithreaded engine
+//! ([`crate::replay_threaded`]). The list schedule itself executes
+//! nothing: it is a pure function of the DAG and a [`CostModel`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,6 +35,7 @@ use std::fmt::Write as _;
 
 use relaxreplay::IntervalOrdering;
 
+use crate::cost::{CostModel, ReplayEvents};
 use crate::patch::{PatchedLog, ReplayOp};
 use crate::replayer::ReplayError;
 
@@ -89,14 +93,16 @@ pub struct IntervalDag<'a> {
     nodes: Vec<IntervalNode<'a>>,
     threads: usize,
     edges: usize,
+    events: ReplayEvents,
 }
 
+/// Per-core node lists plus the event total of all their intervals.
+type Split<'a> = (Vec<Vec<IntervalNode<'a>>>, ReplayEvents);
+
 /// Splits each log's op stream at its `EndInterval` markers, yielding the
-/// per-core node lists (timestamps from the interval frames).
-fn split_intervals<'a>(
-    threads: usize,
-    logs: &'a [PatchedLog],
-) -> Result<Vec<Vec<IntervalNode<'a>>>, ReplayError> {
+/// per-core node lists (timestamps from the interval frames) and the sum
+/// of every interval's [`ReplayEvents::for_interval`].
+fn split_intervals(threads: usize, logs: &[PatchedLog]) -> Result<Split<'_>, ReplayError> {
     if logs.len() != threads {
         return Err(ReplayError::ThreadCountMismatch {
             programs: threads,
@@ -112,15 +118,18 @@ fn split_intervals<'a>(
         }
     }
     let mut per_core = Vec::with_capacity(logs.len());
+    let mut events = ReplayEvents::default();
     for log in logs {
         let mut nodes = Vec::new();
         let mut start = 0usize;
         for (i, op) in log.ops.iter().enumerate() {
             if let ReplayOp::EndInterval { timestamp, .. } = op {
+                let ops = &log.ops[start..i];
+                events.add_interval(ops);
                 nodes.push(IntervalNode {
                     core: log.core.index(),
                     ordinal: nodes.len(),
-                    ops: &log.ops[start..i],
+                    ops,
                     timestamp: *timestamp,
                     barrier: false,
                     preds: 0,
@@ -131,7 +140,7 @@ fn split_intervals<'a>(
         }
         per_core.push(nodes);
     }
-    Ok(per_core)
+    Ok((per_core, events))
 }
 
 impl<'a> IntervalDag<'a> {
@@ -146,7 +155,7 @@ impl<'a> IntervalDag<'a> {
     /// [`ReplayError::ThreadCountMismatch`] / [`ReplayError::CoreOutOfRange`]
     /// on inconsistent inputs.
     pub fn total_order(threads: usize, logs: &'a [PatchedLog]) -> Result<Self, ReplayError> {
-        let per_core = split_intervals(threads, logs)?;
+        let (per_core, events) = split_intervals(threads, logs)?;
         let mut nodes: Vec<IntervalNode<'a>> = per_core.into_iter().flatten().collect();
         let mut order: Vec<usize> = (0..nodes.len()).collect();
         order.sort_by_key(|&i| (nodes[i].timestamp, nodes[i].core, nodes[i].ordinal));
@@ -156,13 +165,12 @@ impl<'a> IntervalDag<'a> {
             nodes[to].preds += 1;
         }
         let edges = nodes.len().saturating_sub(1);
-        let dag = IntervalDag {
+        Ok(IntervalDag {
             nodes,
             threads,
             edges,
-        };
-        debug_assert_eq!(dag.check_acyclic(), Ok(()));
-        Ok(dag)
+            events,
+        })
     }
 
     /// Builds the DAG for the recorded **partial order**: same-core
@@ -189,7 +197,7 @@ impl<'a> IntervalDag<'a> {
                 logs: orderings.len(),
             });
         }
-        let per_core = split_intervals(threads, logs)?;
+        let (per_core, events) = split_intervals(threads, logs)?;
 
         // Re-stamp nodes from the ordering (frame timestamps + barrier
         // flags), validating lengths up front.
@@ -290,8 +298,15 @@ impl<'a> IntervalDag<'a> {
             nodes,
             threads,
             edges,
+            events,
         };
-        dag.check_acyclic()?;
+        let executed = dag.topo_order().len();
+        if executed != dag.nodes.len() {
+            return Err(ReplayError::CyclicOrdering {
+                executed,
+                intervals: dag.nodes.len(),
+            });
+        }
         Ok(dag)
     }
 
@@ -314,11 +329,32 @@ impl<'a> IntervalDag<'a> {
         self.edges
     }
 
+    /// The replay events of all intervals — what every executor reports
+    /// once it has run them all.
+    #[must_use]
+    pub fn events(&self) -> ReplayEvents {
+        self.events
+    }
+
+    /// Typed check that the DAG replays `programs` threads — the first
+    /// step of every executor.
+    pub(crate) fn check_threads(&self, programs: usize) -> Result<(), ReplayError> {
+        if self.threads == programs {
+            Ok(())
+        } else {
+            Err(ReplayError::ThreadCountMismatch {
+                programs,
+                logs: self.threads,
+            })
+        }
+    }
+
     /// A deterministic topological order: Kahn's algorithm with ready
     /// nodes drained in (timestamp, core, id) order — so for a
     /// [`total_order`](Self::total_order) DAG this *is* the recorded
-    /// replay schedule. Constructors validate acyclicity, so the order
-    /// always covers every node.
+    /// replay schedule. [`partial_order`](Self::partial_order) rejects a
+    /// DAG on which this walk stops short, so for every constructed DAG
+    /// the order covers every node.
     #[must_use]
     pub fn topo_order(&self) -> Vec<usize> {
         let mut deps: Vec<usize> = self.nodes.iter().map(|n| n.preds).collect();
@@ -339,37 +375,57 @@ impl<'a> IntervalDag<'a> {
                 }
             }
         }
-        debug_assert_eq!(order.len(), self.nodes.len());
         order
     }
 
-    /// Kahn's algorithm as a pure validity check.
-    fn check_acyclic(&self) -> Result<(), ReplayError> {
+    /// The cost-model list schedule of paper §5.4's closing remark, as a
+    /// pure function of the DAG: each interval weighs
+    /// [`CostModel::interval_cycles`], and the ready interval with the
+    /// lowest `(ready_at, id)` starts next on the earliest-free of
+    /// `workers` modelled replay cores.
+    ///
+    /// Returns `(order, makespan, total_work)`: the order intervals start
+    /// in (a topological order, generally far from the timestamp order),
+    /// the modelled finish time of the last interval, and the sum of all
+    /// weights (the sequential replay time). Executes nothing;
+    /// [`crate::replay_parallel`] replays the order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    #[must_use]
+    pub fn list_schedule(&self, cost: &CostModel, workers: usize) -> (Vec<usize>, u64, u64) {
+        assert!(workers >= 1, "need at least one replay worker");
         let mut deps: Vec<usize> = self.nodes.iter().map(|n| n.preds).collect();
-        let mut stack: Vec<usize> = deps
+        let mut ready_at = vec![0u64; self.nodes.len()];
+        // Min-heaps via Reverse ordering: ready tasks by (ready_at, id);
+        // workers by free-at time.
+        let mut ready: BinaryHeap<Reverse<(u64, usize)>> = deps
             .iter()
             .enumerate()
             .filter(|&(_, &d)| d == 0)
-            .map(|(i, _)| i)
+            .map(|(i, _)| Reverse((0, i)))
             .collect();
-        let mut visited = 0usize;
-        while let Some(i) = stack.pop() {
-            visited += 1;
+        let mut worker_free: BinaryHeap<Reverse<u64>> = (0..workers).map(|_| Reverse(0)).collect();
+        let mut order = Vec::with_capacity(self.nodes.len());
+        let (mut makespan, mut total_work) = (0u64, 0u64);
+        while let Some(Reverse((task_ready, i))) = ready.pop() {
+            let Reverse(free_at) = worker_free.pop().expect("worker pool is non-empty");
+            let weight = cost.interval_cycles(self.nodes[i].ops);
+            let finish = task_ready.max(free_at) + weight;
+            worker_free.push(Reverse(finish));
+            makespan = makespan.max(finish);
+            total_work += weight;
+            order.push(i);
             for &s in &self.nodes[i].succs {
+                ready_at[s] = ready_at[s].max(finish);
                 deps[s] -= 1;
                 if deps[s] == 0 {
-                    stack.push(s);
+                    ready.push(Reverse((ready_at[s], s)));
                 }
             }
         }
-        if visited == self.nodes.len() {
-            Ok(())
-        } else {
-            Err(ReplayError::CyclicOrdering {
-                executed: visited,
-                intervals: self.nodes.len(),
-            })
-        }
+        (order, makespan, total_work)
     }
 
     /// Shape statistics: node/edge counts, critical-path length (longest

@@ -2,8 +2,8 @@
 //! intervals concurrently on a pool of OS threads against shared memory.
 //!
 //! This is the real (wall-clock) counterpart of the cost-model list
-//! scheduler in [`crate::replay_parallel`]: where that executor *models*
-//! the makespan on one host thread, this one actually runs intervals in
+//! schedule ([`IntervalDag::list_schedule`]): where that pure function
+//! *models* the makespan, this executor actually runs intervals in
 //! parallel — the paper's §3.6 observation ("a scheme that records a
 //! partial order admits parallel replay") made concrete.
 //!
@@ -40,10 +40,10 @@ use relaxreplay::IntervalOrdering;
 use rr_isa::{Interp, MemImage, Program, SharedMem};
 use rr_mem::CoreId;
 
-use crate::cost::{CostModel, ReplayEvents};
+use crate::cost::CostModel;
 use crate::dag::IntervalDag;
 use crate::patch::PatchedLog;
-use crate::replayer::{check_end_state, exec_interval_ops, ReplayError, ReplayOutcome};
+use crate::replayer::{exec_interval_ops, finish_replay, ReplayError, ReplayOutcome};
 
 /// Which executor a replay should run on — the knob `rr_sim` and the
 /// CLIs thread through the stack.
@@ -160,7 +160,6 @@ pub fn replay_threaded_probed<P: Probe + Default + Send>(
 struct CoreState<'p> {
     interp: Interp<'p>,
     trace: Vec<u64>,
-    events: ReplayEvents,
 }
 
 struct Queue {
@@ -222,12 +221,7 @@ pub(crate) fn execute_threaded_probed<P: Probe + Default + Send>(
     workers: usize,
     probe: &mut P,
 ) -> Result<ReplayOutcome, ReplayError> {
-    if dag.threads() != programs.len() {
-        return Err(ReplayError::ThreadCountMismatch {
-            programs: programs.len(),
-            logs: dag.threads(),
-        });
-    }
+    dag.check_threads(programs.len())?;
     let nodes = dag.nodes();
     let shared = SharedMem::from_image(&mem);
     drop(mem);
@@ -238,7 +232,6 @@ pub(crate) fn execute_threaded_probed<P: Probe + Default + Send>(
             Mutex::new(CoreState {
                 interp: Interp::new(p),
                 trace: Vec::new(),
-                events: ReplayEvents::default(),
             })
         })
         .collect();
@@ -302,19 +295,13 @@ pub(crate) fn execute_threaded_probed<P: Probe + Default + Send>(
                     // architectural state from worker to worker.
                     let result = {
                         let mut cs = lock_core(&cores[n.core], &mut wp);
-                        cs.events.intervals += 1;
-                        let CoreState {
-                            interp,
-                            trace,
-                            events,
-                        } = &mut *cs;
+                        let CoreState { interp, trace } = &mut *cs;
                         exec_interval_ops(
                             n.ops,
                             CoreId::new(n.core as u8),
                             interp,
                             &mut memh,
                             trace,
-                            events,
                         )
                     };
                     let exec_ns = now() - exec_begin;
@@ -389,24 +376,19 @@ pub(crate) fn execute_threaded_probed<P: Probe + Default + Send>(
         });
     }
 
-    let mut interps = Vec::with_capacity(cores.len());
-    let mut traces = Vec::with_capacity(cores.len());
-    let mut events = ReplayEvents::default();
-    for c in cores {
-        let cs = c.into_inner().expect("core state poisoned");
-        events.merge(&cs.events);
-        traces.push(cs.trace);
-        interps.push(cs.interp);
-    }
-    check_end_state(programs, &interps)?;
-
-    let user_cycles = cost.user_cycles(&events);
-    let os_cycles = cost.os_cycles(&events);
-    Ok(ReplayOutcome {
-        mem: shared.to_image(),
-        load_traces: traces,
-        events,
-        user_cycles,
-        os_cycles,
-    })
+    let (interps, traces): (Vec<_>, Vec<_>) = cores
+        .into_iter()
+        .map(|c| {
+            let cs = c.into_inner().expect("core state poisoned");
+            (cs.interp, cs.trace)
+        })
+        .unzip();
+    finish_replay(
+        programs,
+        &interps,
+        shared.to_image(),
+        traces,
+        dag.events(),
+        cost,
+    )
 }

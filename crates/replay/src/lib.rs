@@ -79,7 +79,7 @@ pub use engine::{
 pub use forensics::divergence_report;
 pub use ingest::{decode_logs_parallel, default_ingest_workers, read_rrlogs_parallel, IngestError};
 pub use oracle::{cross_check, minimize, DifferentialError, Shrink};
-pub use parallel::{execute_modeled, replay_parallel, ParallelOutcome};
+pub use parallel::{replay_parallel, ParallelOutcome};
 pub use patch::{patch, PatchError, PatchedLog, ReplayOp};
 pub use prof::{critical_path_blame, prof_json, BlameReport, PathInterval, ProfEntry, BLAME_KINDS};
 pub use replayer::{replay, replay_probed, replay_reference, ReplayError, ReplayOutcome};

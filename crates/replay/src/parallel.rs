@@ -1,5 +1,5 @@
 //! Parallel replay of RelaxReplay logs (paper §3.6, §5.4) — the
-//! *cost-model* executor.
+//! cost-model speedup.
 //!
 //! The paper's QuickRec-style interval ordering records a *total* order,
 //! forcing sequential replay; §3.6 notes that pairing RelaxReplay with a
@@ -10,27 +10,22 @@
 //! coherence replies, plus conservative barrier intervals for
 //! directory-mode dirty evictions.
 //!
-//! This module consumes the same [`IntervalDag`] IR as the sequential and
-//! multithreaded engines: [`replay_parallel`] builds the partial-order DAG
-//! and [`execute_modeled`] validates it by *executing* the intervals in a
-//! topological order chosen by a list scheduler (generally very different
-//! from the timestamp order), returning a [`ReplayOutcome`] the caller can
-//! pass to [`verify`](crate::verify). It also reports the makespan on
-//! `workers` replay cores under the replay cost model — the
-//! parallel-replay speedup of §5.4's closing remark. For *measured*
+//! [`replay_parallel`] builds the partial-order [`IntervalDag`], takes the
+//! makespan on `workers` replay cores from its pure list schedule
+//! ([`IntervalDag::list_schedule`]) — the parallel-replay speedup of
+//! §5.4's closing remark — and validates that schedule by running the
+//! single-thread executor in the schedule's order (generally very
+//! different from the timestamp order), returning a [`ReplayOutcome`] the
+//! caller can pass to [`verify`](crate::verify). For *measured*
 //! wall-clock parallelism, see [`crate::replay_threaded`].
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use relaxreplay::IntervalOrdering;
-use rr_isa::{Interp, MemImage, Program};
-use rr_mem::CoreId;
+use rr_isa::{MemImage, Program};
 
-use crate::cost::{CostModel, ReplayEvents};
+use crate::cost::CostModel;
 use crate::dag::IntervalDag;
 use crate::patch::PatchedLog;
-use crate::replayer::{exec_interval_ops, ReplayError, ReplayOutcome};
+use crate::replayer::{execute_sequential, ReplayError, ReplayOutcome};
 
 /// Result of a parallel replay.
 #[derive(Clone, Debug)]
@@ -62,8 +57,9 @@ impl ParallelOutcome {
 /// cores.
 ///
 /// Builds the [`IntervalDag`] from the logs and orderings (validating
-/// acyclicity and ordering/log consistency up front), then hands it to
-/// [`execute_modeled`].
+/// acyclicity and ordering/log consistency up front), computes its
+/// [`list_schedule`](IntervalDag::list_schedule), and replays the
+/// intervals on one thread in the schedule's order.
 ///
 /// # Errors
 ///
@@ -83,110 +79,12 @@ pub fn replay_parallel(
     cost: &CostModel,
     workers: usize,
 ) -> Result<ParallelOutcome, ReplayError> {
-    assert!(workers >= 1, "need at least one replay worker");
     let dag = IntervalDag::partial_order(programs.len(), logs, orderings)?;
-    execute_modeled(programs, &dag, mem, cost, workers)
-}
-
-/// List-schedules a validated [`IntervalDag`] onto `workers` modelled
-/// replay cores, executing every interval on one host thread while
-/// accumulating the modelled makespan.
-///
-/// # Errors
-///
-/// Any [`ReplayError`] raised while executing an interval, or
-/// [`ReplayError::ThreadCountMismatch`] if the DAG and `programs` disagree
-/// on the thread count.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn execute_modeled(
-    programs: &[Program],
-    dag: &IntervalDag<'_>,
-    mut mem: MemImage,
-    cost: &CostModel,
-    workers: usize,
-) -> Result<ParallelOutcome, ReplayError> {
-    assert!(workers >= 1, "need at least one replay worker");
-    if dag.threads() != programs.len() {
-        return Err(ReplayError::ThreadCountMismatch {
-            programs: programs.len(),
-            logs: dag.threads(),
-        });
-    }
-    let nodes = dag.nodes();
-    let durations: Vec<u64> = nodes.iter().map(|n| cost.interval_cycles(n.ops)).collect();
-    let mut deps: Vec<usize> = nodes.iter().map(|n| n.preds).collect();
-    let mut ready_at: Vec<u64> = vec![0; nodes.len()];
-
-    let mut interps: Vec<Interp> = programs.iter().map(Interp::new).collect();
-    let mut traces: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];
-    let mut events = ReplayEvents::default();
-    // Min-heaps via Reverse ordering: ready tasks by (ready_at, id);
-    // workers by free-at time.
-    let mut ready: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for (i, &d) in deps.iter().enumerate() {
-        if d == 0 {
-            ready.push(Reverse((0, i)));
-        }
-    }
-    let mut worker_free: BinaryHeap<Reverse<u64>> = (0..workers).map(|_| Reverse(0u64)).collect();
-    let mut makespan = 0u64;
-    let mut total_work = 0u64;
-    let mut executed = 0usize;
-
-    while let Some(Reverse((task_ready, i))) = ready.pop() {
-        let Reverse(free_at) = worker_free.pop().expect("worker pool is non-empty");
-        let start = task_ready.max(free_at);
-        let finish = start + durations[i];
-        worker_free.push(Reverse(finish));
-        makespan = makespan.max(finish);
-        total_work += durations[i];
-        events.intervals += 1;
-        // Execute the interval now — ready order is a topological order.
-        {
-            let node = &nodes[i];
-            let core = CoreId::new(node.core as u8);
-            exec_interval_ops(
-                node.ops,
-                core,
-                &mut interps[node.core],
-                &mut mem,
-                &mut traces[node.core],
-                &mut events,
-            )?;
-        }
-        executed += 1;
-        for &d in &nodes[i].succs {
-            ready_at[d] = ready_at[d].max(finish);
-            deps[d] -= 1;
-            if deps[d] == 0 {
-                ready.push(Reverse((ready_at[d], d)));
-            }
-        }
-    }
-    if executed != nodes.len() {
-        // Unreachable for a constructor-validated DAG; kept typed so a
-        // scheduler bug cannot silently truncate replay.
-        return Err(ReplayError::CyclicOrdering {
-            executed,
-            intervals: nodes.len(),
-        });
-    }
-
-    let user_cycles = cost.user_cycles(&events);
-    let os_cycles = cost.os_cycles(&events);
+    let (order, parallel_cycles, sequential_cycles) = dag.list_schedule(cost, workers);
     Ok(ParallelOutcome {
-        outcome: ReplayOutcome {
-            mem,
-            load_traces: traces,
-            events,
-            user_cycles,
-            os_cycles,
-        },
-        parallel_cycles: makespan,
-        sequential_cycles: total_work,
+        outcome: execute_sequential(programs, &dag, &order, mem, cost, &mut ())?,
+        parallel_cycles,
+        sequential_cycles,
         workers,
     })
 }

@@ -149,8 +149,9 @@ impl BlameReport {
 ///
 /// The critical path is the heaviest chain under per-interval weights
 /// from [`CostModel::interval_cycles`] — the same weights the cost-model
-/// scheduler ([`crate::execute_modeled`]) uses, so the makespan here is
-/// exactly that scheduler's infinite-worker makespan. Ties (equal-weight
+/// list schedule ([`IntervalDag::list_schedule`]) uses, so the makespan
+/// here is exactly that schedule's makespan once it has at least as many
+/// workers as the DAG has nodes. Ties (equal-weight
 /// predecessors, equal-finish sinks) break toward smaller node ids, so
 /// the report is deterministic.
 #[must_use]

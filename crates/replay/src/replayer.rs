@@ -189,31 +189,27 @@ pub fn replay_probed<P: Probe>(
     probe: &mut P,
 ) -> Result<ReplayOutcome, ReplayError> {
     let dag = IntervalDag::total_order(programs.len(), logs)?;
-    execute_sequential(programs, &dag, mem, cost, probe)
+    execute_sequential(programs, &dag, &dag.topo_order(), mem, cost, probe)
 }
 
-/// Executes a validated [`IntervalDag`] on one thread, visiting intervals
-/// in deterministic topological order (lowest available
-/// `(timestamp, core)` first). With a total-order DAG this reproduces the
-/// recorded schedule exactly; with a partial-order DAG it is one legal
-/// linearization — the same one every time.
+/// The single-thread executor: runs a validated [`IntervalDag`]'s
+/// intervals one at a time in `order`, which the caller derives from the
+/// DAG — [`IntervalDag::topo_order`] reproduces the recorded schedule of a
+/// total-order DAG, [`IntervalDag::list_schedule`] gives the cost-model
+/// scheduler's linearization of a partial-order one.
 pub(crate) fn execute_sequential<P: Probe>(
     programs: &[Program],
     dag: &IntervalDag<'_>,
+    order: &[usize],
     mut mem: MemImage,
     cost: &CostModel,
     probe: &mut P,
 ) -> Result<ReplayOutcome, ReplayError> {
-    if dag.threads() != programs.len() {
-        return Err(ReplayError::ThreadCountMismatch {
-            programs: programs.len(),
-            logs: dag.threads(),
-        });
-    }
-    let order = dag.topo_order();
+    dag.check_threads(programs.len())?;
     if order.len() != dag.nodes().len() {
         // Unreachable for a constructor-validated DAG; kept typed so a
-        // future constructor bug cannot silently truncate replay.
+        // future constructor or scheduler bug cannot silently truncate
+        // replay.
         return Err(ReplayError::CyclicOrdering {
             executed: order.len(),
             intervals: dag.nodes().len(),
@@ -222,12 +218,10 @@ pub(crate) fn execute_sequential<P: Probe>(
 
     let mut interps: Vec<Interp> = programs.iter().map(Interp::new).collect();
     let mut traces: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];
-    let mut events = ReplayEvents::default();
 
     let mut last_global: Vec<Option<usize>> = vec![None; programs.len()];
     for (gi, &id) in order.iter().enumerate() {
         let node = &dag.nodes()[id];
-        events.intervals += 1;
         let core = CoreId::new(node.core as u8);
         // The thread waited iff other threads' intervals ran since its
         // previous one (or before its first).
@@ -251,7 +245,6 @@ pub(crate) fn execute_sequential<P: Probe>(
             &mut interps[node.core],
             &mut mem,
             &mut traces[node.core],
-            &mut events,
         )?;
         probe.event(
             node.timestamp,
@@ -264,23 +257,21 @@ pub(crate) fn execute_sequential<P: Probe>(
         );
         last_global[node.core] = Some(gi);
     }
-
-    check_end_state(programs, &interps)?;
-
-    let user_cycles = cost.user_cycles(&events);
-    let os_cycles = cost.os_cycles(&events);
-    Ok(ReplayOutcome {
-        mem,
-        load_traces: traces,
-        events,
-        user_cycles,
-        os_cycles,
-    })
+    finish_replay(programs, &interps, mem, traces, dag.events(), cost)
 }
 
-/// Every thread must have reached its end: either halted, past the end of
-/// its program, or parked exactly at a final `Halt`.
-pub(crate) fn check_end_state(programs: &[Program], interps: &[Interp]) -> Result<(), ReplayError> {
+/// The one executor epilogue, run once every interval has executed:
+/// every thread must have reached its end (halted, past the end of its
+/// program, or parked exactly at a final `Halt`), and the outcome's
+/// user/OS cycles come from `events`.
+pub(crate) fn finish_replay(
+    programs: &[Program],
+    interps: &[Interp],
+    mem: MemImage,
+    load_traces: Vec<Vec<u64>>,
+    events: ReplayEvents,
+    cost: &CostModel,
+) -> Result<ReplayOutcome, ReplayError> {
     for (i, interp) in interps.iter().enumerate() {
         let at_end = interp.is_halted()
             || interp.pc() >= programs[i].len()
@@ -291,15 +282,23 @@ pub(crate) fn check_end_state(programs: &[Program], interps: &[Interp]) -> Resul
             });
         }
     }
-    Ok(())
+    Ok(ReplayOutcome {
+        mem,
+        load_traces,
+        events,
+        user_cycles: cost.user_cycles(&events),
+        os_cycles: cost.os_cycles(&events),
+    })
 }
 
-/// The pre-DAG replayer, preserved verbatim as a differential baseline:
-/// splits the logs into intervals itself, merges them into the recorded
+/// The pre-DAG replayer, preserved as a differential baseline: splits the
+/// logs into intervals itself (summing their
+/// [`ReplayEvents::for_interval`] counts), merges them into the recorded
 /// total order with a stable sort by `(timestamp, core)` and executes the
 /// merged schedule directly. The DAG-backed [`replay`] must produce
-/// byte-identical outcomes — `tests/parallel_replay_engine.rs` holds the
-/// differential test.
+/// byte-identical outcomes, event counts included, so the two must split
+/// the logs into the same intervals — `tests/parallel_replay_engine.rs`
+/// holds the differential test.
 ///
 /// # Errors
 ///
@@ -333,13 +332,16 @@ pub fn replay_reference(
         timestamp: u64,
     }
     let mut schedule: Vec<IntervalRef> = Vec::new();
+    let mut events = ReplayEvents::default();
     for log in logs {
         let mut start = 0usize;
         for (i, op) in log.ops.iter().enumerate() {
             if let ReplayOp::EndInterval { timestamp, .. } = op {
+                let ops = &log.ops[start..i];
+                events.add_interval(ops);
                 schedule.push(IntervalRef {
                     core: log.core.index(),
-                    ops: &log.ops[start..i],
+                    ops,
                     timestamp: *timestamp,
                 });
                 start = i + 1;
@@ -350,32 +352,16 @@ pub fn replay_reference(
 
     let mut interps: Vec<Interp> = programs.iter().map(Interp::new).collect();
     let mut traces: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];
-    let mut events = ReplayEvents::default();
-
     for interval in &schedule {
-        events.intervals += 1;
-        let core = CoreId::new(interval.core as u8);
         exec_interval_ops(
             interval.ops,
-            core,
+            CoreId::new(interval.core as u8),
             &mut interps[interval.core],
             &mut mem,
             &mut traces[interval.core],
-            &mut events,
         )?;
     }
-
-    check_end_state(programs, &interps)?;
-
-    let user_cycles = cost.user_cycles(&events);
-    let os_cycles = cost.os_cycles(&events);
-    Ok(ReplayOutcome {
-        mem,
-        load_traces: traces,
-        events,
-        user_cycles,
-        os_cycles,
-    })
+    finish_replay(programs, &interps, mem, traces, events, cost)
 }
 
 fn step_traced<M: Memory>(interp: &mut Interp, mem: &mut M, trace: &mut Vec<u64>) {
@@ -396,13 +382,10 @@ pub(crate) fn exec_interval_ops<M: Memory>(
     interp: &mut Interp,
     mem: &mut M,
     trace: &mut Vec<u64>,
-    events: &mut ReplayEvents,
 ) -> Result<(), ReplayError> {
     for op in ops {
         match *op {
             ReplayOp::RunBlock { instrs } => {
-                events.blocks += 1;
-                events.user_instrs += u64::from(instrs);
                 let mut remaining = u64::from(instrs);
                 while remaining > 0 {
                     let before = interp.retired();
@@ -417,7 +400,6 @@ pub(crate) fn exec_interval_ops<M: Memory>(
                 }
             }
             ReplayOp::InjectLoad { value } => {
-                events.injected_loads += 1;
                 let dst = match interp.current_instr() {
                     Some(Instr::Load { dst, .. }) => *dst,
                     other => {
@@ -434,25 +416,20 @@ pub(crate) fn exec_interval_ops<M: Memory>(
                 trace.push(value);
             }
             ReplayOp::ApplyStore { addr, value } => {
-                events.applied_stores += 1;
                 mem.store(addr, value);
             }
-            ReplayOp::SkipStore => {
-                events.skips += 1;
-                match interp.current_instr() {
-                    Some(Instr::Store { .. }) => interp.skip(),
-                    other => {
-                        return Err(ReplayError::InstructionMismatch {
-                            core,
-                            pc: interp.pc(),
-                            expected: "store",
-                            found: format!("{other:?}"),
-                        })
-                    }
+            ReplayOp::SkipStore => match interp.current_instr() {
+                Some(Instr::Store { .. }) => interp.skip(),
+                other => {
+                    return Err(ReplayError::InstructionMismatch {
+                        core,
+                        pc: interp.pc(),
+                        expected: "store",
+                        found: format!("{other:?}"),
+                    })
                 }
-            }
+            },
             ReplayOp::InjectRmw { loaded } => {
-                events.injected_rmws += 1;
                 let dst = match interp.current_instr() {
                     Some(Instr::Atomic { dst, .. }) => *dst,
                     other => {

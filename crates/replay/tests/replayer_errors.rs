@@ -135,6 +135,47 @@ fn longer_program_with_short_log_is_incomplete() {
     assert!(matches!(err, ReplayError::IncompleteReplay { .. }));
 }
 
+/// Regression: the parallel replayer runs the same end-state check as
+/// `replay`. It once accepted a log that stops after 1 of the program's
+/// 3 instructions.
+#[test]
+fn parallel_replay_with_short_log_is_incomplete() {
+    let mut b = ProgramBuilder::new();
+    b.load_imm(Reg::new(1), 5);
+    b.load_imm(Reg::new(2), 6);
+    b.load_imm(Reg::new(3), 7);
+    b.halt();
+    let p = b.build();
+    let log = log_of(vec![
+        LogEntry::InorderBlock { instrs: 1 },
+        LogEntry::IntervalFrame {
+            cisn: 0,
+            timestamp: 1,
+        },
+    ]);
+    let patched = patch(&log).expect("patches");
+    let ordering = relaxreplay::IntervalOrdering {
+        preds: vec![vec![]],
+        barriers: vec![false],
+        timestamps: vec![1],
+    };
+    let err = replay_parallel(
+        std::slice::from_ref(&p),
+        std::slice::from_ref(&patched),
+        std::slice::from_ref(&ordering),
+        MemImage::new(),
+        &CostModel::splash_default(),
+        2,
+    )
+    .expect_err("must fail");
+    assert_eq!(
+        err,
+        ReplayError::IncompleteReplay {
+            core: CoreId::new(0)
+        }
+    );
+}
+
 /// Regression: a log claiming a core outside the replayed thread set must
 /// yield a typed error. Pre-fix, the scheduler indexed
 /// `interps[interval.core]` unchecked and panicked out of bounds on a
