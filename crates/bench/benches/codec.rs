@@ -10,7 +10,7 @@
 //! 1/2/8 workers, writes the results as `BENCH_codec.json`, and — on every
 //! invocation — decodes the checked-in sample `.rrlog`
 //! (`data/sample_v3.rrlog`) with the fast decoder, the entry-at-a-time
-//! `rr-reference` oracle decoder, the probed decoder and the mmap-backed
+//! `rr-reference` oracle decoder, the probed decoder and the file reader
 //! `read_rrlog`, exiting nonzero on any disagreement (the CI `bench-smoke`
 //! gate). The `--test` mode also hard-gates the `workers == 1` ingest
 //! path: it must cost no more than a plain serial decode loop.
@@ -295,8 +295,8 @@ fn regen_data() -> std::io::Result<()> {
 }
 
 /// Decodes the checked-in sample with the fast path, the reference
-/// decoder, the probed walk and the mmap-backed `read_rrlog`; any disagreement is a codec bug and fails the
-/// bench (and CI). Returns the number of samples checked.
+/// decoder, the probed walk and the file reader `read_rrlog`; any
+/// disagreement is a codec bug and fails the bench (and CI). Returns the number of samples checked.
 fn reference_check() -> Result<usize, String> {
     let path = data_dir().join(format!("sample_v{VERSION}.rrlog"));
     let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -319,8 +319,7 @@ fn reference_check() -> Result<usize, String> {
             path.display()
         ));
     }
-    // And the file path every tool reads through: `read_rrlog`
-    // (mmap-backed).
+    // And the file path every tool reads through: `read_rrlog`.
     if read_rrlog(&path) != fast {
         return Err(format!(
             "{}: read_rrlog disagrees with the fast decoder",

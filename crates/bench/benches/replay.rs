@@ -28,8 +28,8 @@ use relaxreplay::trace::json::Fixed;
 use rr_bench::compare::bench_json;
 use rr_bench::median_ns;
 use rr_replay::{
-    patch, replay, replay_reference, replay_threaded, verify, CostModel, PatchedLog, ReplayOp,
-    ReplayOutcome,
+    execute_threaded, patch, replay, replay_reference, verify, CostModel, IntervalDag, PatchedLog,
+    ReplayError, ReplayOp, ReplayOutcome,
 };
 use rr_sim::{MachineConfig, RecordSession, RecorderSpec};
 
@@ -89,6 +89,13 @@ struct Recording {
     recorded: rr_replay::RecordedExecution,
     intervals: usize,
     ops: usize,
+}
+
+impl Recording {
+    /// The recorded partial-order DAG the threaded engine executes.
+    fn dag(&self) -> Result<IntervalDag<'_>, ReplayError> {
+        IntervalDag::partial_order(self.programs.len(), &self.patched, &self.ordering)
+    }
 }
 
 fn record_case(case: &Case) -> Result<Recording, String> {
@@ -151,16 +158,12 @@ fn differential_gate(r: &Recording) -> Result<ReplayOutcome, String> {
     }
     verify(&r.recorded, &legacy).map_err(|e| format!("{}: legacy verify: {e}", r.tag))?;
 
+    let dag = r
+        .dag()
+        .map_err(|e| format!("{}: partial-order DAG: {e}", r.tag))?;
     for workers in WORKERS {
-        let thr = replay_threaded(
-            &r.programs,
-            &r.patched,
-            &r.ordering,
-            r.initial_mem.clone(),
-            &cost,
-            workers,
-        )
-        .map_err(|e| format!("{}: threaded replay (w={workers}): {e}", r.tag))?;
+        let thr = execute_threaded(&r.programs, &dag, r.initial_mem.clone(), &cost, workers)
+            .map_err(|e| format!("{}: threaded replay (w={workers}): {e}", r.tag))?;
         verify(&r.recorded, &thr)
             .map_err(|e| format!("{}: threaded verify (w={workers}): {e}", r.tag))?;
         if thr.load_traces != seq.load_traces || thr.events != seq.events {
@@ -209,18 +212,14 @@ fn bench_recording(smoke: bool, r: &Recording, out: &mut Vec<Sample>) {
         );
     });
     push_sample(out, format!("seq/{}", r.tag), r.intervals, r.ops, ns);
+    // Each threaded sample builds its DAG inside the timer, as `replay`
+    // does for the sequential one, so the rows stay comparable.
     for workers in WORKERS {
         let ns = median_ns(smoke, || {
+            let dag = std::hint::black_box(r).dag().expect("builds");
             std::hint::black_box(
-                replay_threaded(
-                    std::hint::black_box(&r.programs),
-                    &r.patched,
-                    &r.ordering,
-                    r.initial_mem.clone(),
-                    &cost,
-                    workers,
-                )
-                .expect("replays"),
+                execute_threaded(&r.programs, &dag, r.initial_mem.clone(), &cost, workers)
+                    .expect("replays"),
             );
         });
         push_sample(

@@ -69,14 +69,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// Unsafe is denied crate-wide; the single sanctioned exception is the
-// `mmapio` module (raw `mmap`/`munmap` for zero-copy log reading), which
-// opts back in locally and documents every invariant.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod hash;
 mod log;
-pub mod mmapio;
 pub mod prof;
 mod recorder;
 mod signature;
@@ -95,7 +91,6 @@ pub use crate::prof::{
     engine_chrome_trace, validate_prof_json, CodecPhases, EngineProf, Span, SpanKind, WorkerProf,
 };
 pub use hash::{rr_hash64, H3};
-pub use mmapio::MappedBytes;
 pub use recorder::{Design, IntervalOrdering, Recorder, RecorderConfig, RecorderStats};
 pub use signature::Signature;
 pub use snoop_table::{SnoopSample, SnoopTable};

@@ -3,7 +3,7 @@
 //! The trace layer ([`crate::trace`]) observes the *simulated machine*;
 //! this module observes the *replayer and codec themselves*: where host
 //! wall-clock goes inside the multithreaded replay engine
-//! (`rr_replay::replay_threaded_probed`) and inside the `.rrlog` decode
+//! (`rr_replay::execute_threaded_probed`) and inside the `.rrlog` decode
 //! hot path ([`crate::wire::decode_chunked_into`]).
 //!
 //! Instrumentation is a type parameter, not a second copy of the code:

@@ -1364,9 +1364,16 @@ pub mod json {
         out
     }
 
+    /// Deepest array/object nesting [`parse`] accepts — far above any
+    /// document the tree writes, far below what exhausts a thread's stack
+    /// (each level is a few recursive frames).
+    pub const MAX_DEPTH: usize = 128;
+
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     /// Parses one complete JSON value from `s` (trailing whitespace
@@ -1374,11 +1381,13 @@ pub mod json {
     ///
     /// # Errors
     ///
-    /// Returns a description with a byte offset on malformed input.
+    /// Returns a description with a byte offset on malformed input,
+    /// including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(s: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -1420,8 +1429,19 @@ pub mod json {
         fn value(&mut self) -> Result<Value, String> {
             self.skip_ws();
             match self.bytes.get(self.pos) {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(&open @ (b'{' | b'[')) => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                    }
+                    self.depth += 1;
+                    let v = if open == b'{' {
+                        self.object()
+                    } else {
+                        self.array()
+                    };
+                    self.depth -= 1;
+                    v
+                }
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),

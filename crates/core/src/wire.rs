@@ -23,7 +23,7 @@
 //! [`ChunkedWriter`] frames them into chunks as they arrive.
 //!
 //! Reading is whole-log, as the paper's offline patch step (§3.3.2) is:
-//! the bytes of one log (a mapped file, a store blob, a network fetch)
+//! the bytes of one log (a file read whole, a store blob, a network fetch)
 //! decode in one of two ways, both walking the chunk framing through one
 //! parser:
 //!
@@ -1037,12 +1037,7 @@ pub fn chunk_spans(
 ///
 /// Returns a [`WireError`] on I/O failure, truncation, or corruption.
 pub fn read_rrlog(path: &Path) -> Result<IntervalLog, WireError> {
-    // Mapping the file and decoding zero-copy beats a heap-staged
-    // fs::read: multi-GB logs never get copied into an intermediate
-    // buffer before the batched in-memory decode. Falls back to a plain read
-    // where mmap is unavailable (see `mmapio`).
-    let bytes = crate::mmapio::MappedBytes::open(path)?;
-    decode_chunked(&bytes)
+    decode_chunked(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -1347,6 +1342,41 @@ mod tests {
         std::fs::write(&path, encode_chunked(&log)).expect("writes");
         let read = read_rrlog(&path).expect("reads");
         assert_eq!(read, log);
+    }
+
+    #[test]
+    fn missing_file_is_an_io_error() {
+        let path = std::env::temp_dir()
+            .join("rr_wire_test")
+            .join("does-not-exist.rrlog");
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(read_rrlog(&path), Err(WireError::Io(_))));
+    }
+
+    #[test]
+    fn empty_file_is_a_typed_header_error() {
+        let dir = std::env::temp_dir().join("rr_wire_test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("empty.rrlog");
+        std::fs::write(&path, b"").expect("writes");
+        assert_eq!(read_rrlog(&path), Err(WireError::Truncated { chunk: 0 }));
+    }
+
+    #[test]
+    fn damaged_file_fails_like_the_memory_decoder() {
+        let mut bytes = encode_chunked_with(&sample_log(), 8);
+        // Flip a payload byte in a middle chunk.
+        let map = decode_chunked_skip(&bytes).chunks;
+        assert!(map.len() >= 3);
+        bytes[map[1].offset + 4] ^= 0x20;
+        let dir = std::env::temp_dir().join("rr_wire_test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("corrupt.rrlog");
+        std::fs::write(&path, &bytes).expect("writes");
+
+        let want = decode_chunked(&bytes);
+        assert!(matches!(want, Err(WireError::CrcMismatch { chunk: 1, .. })));
+        assert_eq!(read_rrlog(&path), want);
     }
 
     #[test]

@@ -121,3 +121,33 @@ fn nesting_balances_and_separates() {
         r#"{"empty":{},"none":[],"rows":[{"a":1,"b":null},{},true,null],"last":"x"}"#
     );
 }
+
+/// Each nesting level is a few recursive parser frames, so an unbounded
+/// depth would overflow the stack and abort the process: hostile depths
+/// are an `Err` naming the byte where the limit was crossed, and every
+/// depth up to the limit still parses.
+#[test]
+fn nesting_deeper_than_the_limit_is_an_error_not_a_stack_overflow() {
+    // One level of a deep array, then of a deep object.
+    for level in ["[", "{\"a\":"] {
+        let doc = level.repeat(100_000);
+        let err = json::parse(&doc).expect_err("hostile nesting must be refused");
+        let at = json::MAX_DEPTH * level.len();
+        assert_eq!(
+            err,
+            format!(
+                "nesting deeper than {} levels at byte {at}",
+                json::MAX_DEPTH
+            )
+        );
+    }
+
+    let n = json::MAX_DEPTH;
+    let at_limit = format!("{}{}", "[".repeat(n), "]".repeat(n));
+    assert!(json::parse(&at_limit).is_ok());
+    let past_limit = format!("[{at_limit}]");
+    assert_eq!(
+        json::parse(&past_limit),
+        Err(format!("nesting deeper than {n} levels at byte {n}"))
+    );
+}

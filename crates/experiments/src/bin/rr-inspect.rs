@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use relaxreplay::wire::{decode_chunked_into, decode_chunked_skip, parse_header};
-use relaxreplay::{IntervalLog, LogEntry, MappedBytes};
+use relaxreplay::{IntervalLog, LogEntry};
 use rr_experiments::report::Table;
 use rr_sim::RunStore;
 
@@ -205,9 +205,7 @@ fn reordered_density(entries: &[LogEntry]) -> Vec<u64> {
 }
 
 fn stat_file(path: &Path) -> u8 {
-    // Zero-copy where possible: a multi-GB log is mapped, not staged
-    // through a heap buffer.
-    let bytes = match MappedBytes::open(path) {
+    let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("{}: {e}", path.display());
@@ -228,12 +226,11 @@ fn stat_file(path: &Path) -> u8 {
     // chunks *after* a corrupt one.
     let salvage = decode_chunked_skip(&bytes);
     println!(
-        "{}: core {}, wire v{version}, {} bytes, {} chunk(s){}",
+        "{}: core {}, wire v{version}, {} bytes, {} chunk(s)",
         path.display(),
         core.index(),
         bytes.len(),
         salvage.chunks.len(),
-        if bytes.is_mapped() { ", mmap" } else { "" }
     );
 
     let mut t = Table::new(
@@ -383,7 +380,7 @@ fn cmd_dump(args: &[String]) -> u8 {
             limit = n;
         }
     }
-    let bytes = match MappedBytes::open(&path) {
+    let bytes = match std::fs::read(&path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("{}: {e}", path.display());
@@ -449,22 +446,16 @@ fn cmd_check(args: &[String]) -> u8 {
         Err(c) => return c,
     };
     if !args[0].starts_with("rr://") && !path.is_dir() {
-        return match MappedBytes::open(&path) {
-            Ok(bytes) => match relaxreplay::wire::decode_chunked(&bytes) {
-                Ok(log) => {
-                    println!(
-                        "{}: ok (core {}, {} entries)",
-                        path.display(),
-                        log.core.index(),
-                        log.entries.len()
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("{}: {e}", path.display());
-                    1
-                }
-            },
+        return match relaxreplay::wire::read_rrlog(&path) {
+            Ok(log) => {
+                println!(
+                    "{}: ok (core {}, {} entries)",
+                    path.display(),
+                    log.core.index(),
+                    log.entries.len()
+                );
+                0
+            }
             Err(e) => {
                 eprintln!("{}: {e}", path.display());
                 1
@@ -619,7 +610,6 @@ fn cmd_dag(args: &[String]) -> u8 {
             ],
         );
         for v in &run.variants {
-            let cores = v.logs.len();
             let patched: Result<Vec<_>, _> = v.logs.iter().map(rr_replay::patch).collect();
             let patched = match patched {
                 Ok(p) => p,
@@ -629,23 +619,18 @@ fn cmd_dag(args: &[String]) -> u8 {
                     continue;
                 }
             };
-            let (dag, order) = match &v.ordering {
-                Some(ord) => match rr_replay::IntervalDag::partial_order(cores, &patched, ord) {
-                    Ok(d) => (d, "partial"),
-                    Err(e) => {
-                        eprintln!("{name}/{}: DAG build failed: {e}", v.label);
-                        code = 1;
-                        continue;
-                    }
-                },
-                None => match rr_replay::IntervalDag::total_order(cores, &patched) {
-                    Ok(d) => (d, "total"),
-                    Err(e) => {
-                        eprintln!("{name}/{}: DAG build failed: {e}", v.label);
-                        code = 1;
-                        continue;
-                    }
-                },
+            let dag = match v.dag(&patched) {
+                Ok(d) => d,
+                Err(e) => {
+                    eprintln!("{name}/{}: DAG build failed: {e}", v.label);
+                    code = 1;
+                    continue;
+                }
+            };
+            let order = if v.ordering.is_some() {
+                "partial"
+            } else {
+                "total"
             };
             let s = dag.stats();
             t.row(vec![
@@ -771,11 +756,7 @@ fn cmd_prof(args: &[String]) -> u8 {
                     continue;
                 }
             };
-            let dag = match &v.ordering {
-                Some(ord) => rr_replay::IntervalDag::partial_order(v.logs.len(), &patched, ord),
-                None => rr_replay::IntervalDag::total_order(v.logs.len(), &patched),
-            };
-            let dag = match dag {
+            let dag = match v.dag(&patched) {
                 Ok(d) => d,
                 Err(e) => {
                     eprintln!("{name}/{}: DAG build failed: {e}", v.label);
@@ -807,10 +788,9 @@ fn cmd_prof(args: &[String]) -> u8 {
             let mut engine = None;
             if let Some(w) = &workload {
                 let mut prof = relaxreplay::EngineProf::default();
-                match rr_replay::replay_threaded_probed(
+                match rr_replay::execute_threaded_probed(
                     &w.programs,
-                    &patched,
-                    v.ordering.as_deref(),
+                    &dag,
                     w.initial_mem.clone(),
                     &cost,
                     workers,

@@ -6,10 +6,10 @@
 use relaxreplay::trace::{TraceConfig, TraceLevel};
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
-    critical_path_blame, patch, prof_json, replay_with, verify, CostModel, IntervalDag,
-    ReplayEngine, ReplayOutcome,
+    critical_path_blame, execute_threaded, patch, prof_json, replay, verify, CostModel,
+    IntervalDag, ReplayOutcome,
 };
-use rr_sim::sweep::{run_sweep, ReplayPolicy, SweepJob, SweepReport};
+use rr_sim::sweep::{default_workers, run_sweep, ReplayPolicy, SweepJob, SweepReport};
 use rr_sim::{metrics, Error, MachineConfig, MetricsRegistry, PhaseNanos, RecorderSpec, RunResult};
 use rr_workloads::suite;
 
@@ -38,11 +38,12 @@ pub struct ExperimentConfig {
     /// verify them (`--replay-from <dir|rr://…>` / `RR_REPLAY_FROM`).
     pub replay_from: Option<String>,
     /// Replay executor for the `--replay-from` verification pass
-    /// (`--replay-workers N` / `RR_REPLAY_WORKERS`; N ≥ 1 selects the
-    /// multithreaded engine, 0 its host-parallel default). Sequential
-    /// unless set. Saved runs carrying an `ordering.bin` sidecar replay
-    /// the recorded partial order; older runs fall back to total order.
-    pub replay_engine: ReplayEngine,
+    /// (`--replay-workers N` / `RR_REPLAY_WORKERS`): `None` replays
+    /// sequentially, `Some(N)` on the multithreaded engine with N workers
+    /// (0 = the host's available parallelism). Saved runs carrying an
+    /// `ordering.bin` sidecar replay the recorded partial order; older
+    /// runs fall back to total order.
+    pub replay_workers: Option<usize>,
     /// Event-tracing configuration (`--trace <level>` / `RR_TRACE`).
     /// Off by default; when enabled, every recorded run carries per-core
     /// timelines and the binaries write `<slug>.trace.jsonl` +
@@ -71,7 +72,7 @@ impl ExperimentConfig {
             workers: 0,
             save_logs: None,
             replay_from: None,
-            replay_engine: ReplayEngine::Sequential,
+            replay_workers: None,
             trace: TraceConfig::off(),
             prof: false,
         }
@@ -124,7 +125,7 @@ impl ExperimentConfig {
         }
         if let Ok(w) = std::env::var("RR_REPLAY_WORKERS") {
             if let Ok(w) = w.parse() {
-                cfg.replay_engine = ReplayEngine::Threaded { workers: w };
+                cfg.replay_workers = Some(w);
             }
         }
         let mut args = std::env::args().skip(1);
@@ -145,13 +146,13 @@ impl ExperimentConfig {
                 cfg.replay_from = Some(d.to_string());
             } else if a == "--replay-workers" {
                 if let Some(w) = args.next().and_then(|v| v.parse().ok()) {
-                    cfg.replay_engine = ReplayEngine::Threaded { workers: w };
+                    cfg.replay_workers = Some(w);
                 }
             } else if let Some(w) = a
                 .strip_prefix("--replay-workers=")
                 .and_then(|v| v.parse().ok())
             {
-                cfg.replay_engine = ReplayEngine::Threaded { workers: w };
+                cfg.replay_workers = Some(w);
             } else if a == "--trace" {
                 if let Some(level) = args.next().and_then(|v| TraceLevel::parse(&v)) {
                     cfg.trace = TraceConfig::level(level);
@@ -462,14 +463,14 @@ pub fn replay_suite_from(
                 .map(patch)
                 .collect::<Result<_, _>>()
                 .map_err(|e| Error::from(e).context(at("patch failed")))?;
-            let outcome = replay_with(
-                &workload.programs,
-                &patched,
-                v.ordering.as_deref(),
-                workload.initial_mem.clone(),
-                &cfg.cost,
-                cfg.replay_engine,
-            )
+            let mem = workload.initial_mem.clone();
+            let outcome = match cfg.replay_workers {
+                None => replay(&workload.programs, &patched, mem, &cfg.cost),
+                Some(w) => v.dag(&patched).and_then(|dag| {
+                    let workers = if w == 0 { default_workers() } else { w };
+                    execute_threaded(&workload.programs, &dag, mem, &cfg.cost, workers)
+                }),
+            }
             .map_err(|e| Error::from(e).context(at("replay failed")))?;
             verify(&saved.recorded, &outcome)
                 .map_err(|e| Error::from(e).context(at("verification failed")))?;
@@ -504,7 +505,8 @@ pub fn handle_replay_from(cfg: &ExperimentConfig) -> Result<bool, Error> {
         store.describe(),
         summary.runs,
         summary.variants,
-        cfg.replay_engine.label()
+        cfg.replay_workers
+            .map_or_else(|| "seq".to_string(), |w| format!("thr{w}"))
     );
     Ok(true)
 }

@@ -8,7 +8,7 @@ use std::time::Instant;
 use relaxreplay::EngineProf;
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
-    critical_path_blame, patch, replay_threaded, replay_threaded_probed, verify, CostModel,
+    critical_path_blame, execute_threaded, execute_threaded_probed, patch, verify, CostModel,
     IntervalDag, PatchedLog, ReplayError, ReplayOutcome,
 };
 use rr_sim::{Error, RunResult};
@@ -29,7 +29,7 @@ pub struct ReplayScaling {
     /// number of modelled replay cores — host-independent.
     pub modeled: f64,
     /// Best-of-[`SCALING_REPS`] wall-clock seconds of the threaded engine
-    /// at each of [`SCALING_WORKERS`].
+    /// executing the prebuilt DAG at each of [`SCALING_WORKERS`].
     pub secs: Vec<f64>,
     /// The `--prof` entry, when one was requested: critical-path blame
     /// over the same DAG plus a measured engine timeline.
@@ -55,9 +55,11 @@ impl ReplayScaling {
 ///    DAG;
 /// 2. takes the modeled speedup at `modeled_workers` from the pure list
 ///    schedule ([`IntervalDag::list_schedule`], nothing is replayed);
-/// 3. times `replay_threaded` at every [`SCALING_WORKERS`] count, best of
-///    [`SCALING_REPS`], verifying every outcome against the recording;
-/// 4. with `prof_workers` set, replays once more at that worker count
+/// 3. times [`execute_threaded`] on that one DAG at every
+///    [`SCALING_WORKERS`] count, best of [`SCALING_REPS`] — execution
+///    only, the DAG is built outside the timer — verifying every outcome
+///    against the recording;
+/// 4. with `prof_workers` set, executes once more at that worker count
 ///    with an [`EngineProf`] attached (verified too) and returns it with
 ///    the DAG's critical-path blame as a [`ProfEntry`] for run `label`.
 ///
@@ -99,15 +101,9 @@ pub fn replay_scaling(
     for workers in SCALING_WORKERS {
         let mut best = f64::INFINITY;
         for _ in 0..SCALING_REPS {
+            let mem = w.initial_mem.clone();
             let start = Instant::now();
-            let outcome = replay_threaded(
-                &w.programs,
-                &patched,
-                &v.ordering,
-                w.initial_mem.clone(),
-                cost,
-                workers,
-            );
+            let outcome = execute_threaded(&w.programs, &dag, mem, cost, workers);
             best = best.min(start.elapsed().as_secs_f64());
             verified(outcome, &format!("threaded replay (w={workers})"))?;
         }
@@ -117,10 +113,9 @@ pub fn replay_scaling(
         None => None,
         Some(workers) => {
             let mut engine = EngineProf::default();
-            let outcome = replay_threaded_probed(
+            let outcome = execute_threaded_probed(
                 &w.programs,
-                &patched,
-                Some(&v.ordering),
+                &dag,
                 w.initial_mem.clone(),
                 cost,
                 workers,

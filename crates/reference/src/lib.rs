@@ -16,6 +16,7 @@
 //! `[dev-dependency]`; no production crate may depend on it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use relaxreplay::wire::{parse_header, read_varint, WireError};
 use relaxreplay::{IntervalLog, LogEntry};

@@ -22,12 +22,14 @@
 //! panic nor hang an executor. Both also count every interval's replay
 //! events once, while splitting the logs ([`IntervalDag::events`]).
 //!
-//! Two executors consume the DAG: the single-thread replayer
-//! ([`crate::replay`] runs it in [`IntervalDag::topo_order`];
-//! [`crate::replay_parallel`] runs it in the order of
-//! [`IntervalDag::list_schedule`]) and the multithreaded engine
-//! ([`crate::replay_threaded`]). The list schedule itself executes
-//! nothing: it is a pure function of the DAG and a [`CostModel`].
+//! Two executors consume the DAG: the single-thread
+//! [`execute_sequential`](crate::execute_sequential), run in an order the
+//! caller derives from the DAG ([`IntervalDag::topo_order`] or
+//! [`IntervalDag::list_schedule`]), and the multithreaded
+//! [`execute_threaded`](crate::execute_threaded). [`crate::replay`] is the
+//! one logs-in shorthand: a total-order DAG run in its topological order.
+//! The list schedule itself executes nothing: it is a pure function of the
+//! DAG and a [`CostModel`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -349,6 +351,35 @@ impl<'a> IntervalDag<'a> {
         }
     }
 
+    /// Typed check that `order` is a topological order of the DAG — every
+    /// node exactly once, each after all its predecessors — in one pass
+    /// over the nodes and edges, before an executor runs anything.
+    pub(crate) fn check_order(&self, order: &[usize]) -> Result<(), ReplayError> {
+        let invalid = |position| ReplayError::InvalidOrder {
+            position,
+            intervals: self.nodes.len(),
+        };
+        // Predecessors not yet listed, per node; `usize::MAX` marks a node
+        // already listed. A node is listable only at zero, so a successor
+        // of a node being listed still counts that node and cannot underflow.
+        let mut pending: Vec<usize> = self.nodes.iter().map(|n| n.preds).collect();
+        for (position, &id) in order.iter().enumerate() {
+            if pending.get(id) != Some(&0) {
+                return Err(invalid(position));
+            }
+            pending[id] = usize::MAX;
+            for &s in &self.nodes[id].succs {
+                pending[s] -= 1;
+            }
+        }
+        // Every entry named a distinct node, so a short order misses some.
+        if order.len() == self.nodes.len() {
+            Ok(())
+        } else {
+            Err(invalid(order.len()))
+        }
+    }
+
     /// A deterministic topological order: Kahn's algorithm with ready
     /// nodes drained in (timestamp, core, id) order — so for a
     /// [`total_order`](Self::total_order) DAG this *is* the recorded
@@ -388,7 +419,8 @@ impl<'a> IntervalDag<'a> {
     /// in (a topological order, generally far from the timestamp order),
     /// the modelled finish time of the last interval, and the sum of all
     /// weights (the sequential replay time). Executes nothing;
-    /// [`crate::replay_parallel`] replays the order.
+    /// [`execute_sequential`](crate::execute_sequential) replays the
+    /// order.
     ///
     /// # Panics
     ///

@@ -36,126 +36,12 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use relaxreplay::prof::{Probe, SpanKind};
-use relaxreplay::IntervalOrdering;
 use rr_isa::{Interp, MemImage, Program, SharedMem};
 use rr_mem::CoreId;
 
 use crate::cost::CostModel;
 use crate::dag::IntervalDag;
-use crate::patch::PatchedLog;
 use crate::replayer::{exec_interval_ops, finish_replay, ReplayError, ReplayOutcome};
-
-/// Which executor a replay should run on — the knob `rr_sim` and the
-/// CLIs thread through the stack.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplayEngine {
-    /// The sequential DAG executor (recorded total order, one thread).
-    Sequential,
-    /// The multithreaded executor at the given worker count (the recorded
-    /// partial order when an [`IntervalOrdering`] is available, else the
-    /// total-order chain).
-    Threaded {
-        /// Pool size; `0` means the host's available parallelism.
-        workers: usize,
-    },
-}
-
-impl ReplayEngine {
-    /// A short stable label (`seq`, `thr4`) for reports and CSV columns.
-    #[must_use]
-    pub fn label(self) -> String {
-        match self {
-            ReplayEngine::Sequential => "seq".to_string(),
-            ReplayEngine::Threaded { workers } => format!("thr{workers}"),
-        }
-    }
-
-    /// Resolves `Threaded { workers: 0 }` to the host's parallelism.
-    #[must_use]
-    pub fn resolved_workers(self) -> usize {
-        match self {
-            ReplayEngine::Sequential => 1,
-            ReplayEngine::Threaded { workers: 0 } => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            ReplayEngine::Threaded { workers } => workers,
-        }
-    }
-}
-
-/// Replays on the chosen engine. `orderings` supplies the recorded
-/// partial order; without it the threaded engine falls back to the
-/// total-order chain (correct, but serial — every edge of the chain is a
-/// dependency).
-///
-/// # Errors
-///
-/// Same conditions as [`crate::replay`], plus the DAG validation errors
-/// ([`ReplayError::OrderingMismatch`], [`ReplayError::CyclicOrdering`],
-/// [`ReplayError::CoreOutOfRange`]) on corrupt ordering inputs.
-pub fn replay_with(
-    programs: &[Program],
-    logs: &[PatchedLog],
-    orderings: Option<&[IntervalOrdering]>,
-    mem: MemImage,
-    cost: &CostModel,
-    engine: ReplayEngine,
-) -> Result<ReplayOutcome, ReplayError> {
-    match engine {
-        ReplayEngine::Sequential => crate::replayer::replay(programs, logs, mem, cost),
-        ReplayEngine::Threaded { .. } => replay_threaded_probed(
-            programs,
-            logs,
-            orderings,
-            mem,
-            cost,
-            engine.resolved_workers(),
-            &mut (),
-        ),
-    }
-}
-
-/// Replays the recorded partial order on `workers` OS threads and
-/// returns an outcome verifiable exactly like a sequential replay.
-///
-/// # Errors
-///
-/// As [`replay_with`] with a threaded engine.
-pub fn replay_threaded(
-    programs: &[Program],
-    logs: &[PatchedLog],
-    orderings: &[IntervalOrdering],
-    mem: MemImage,
-    cost: &CostModel,
-    workers: usize,
-) -> Result<ReplayOutcome, ReplayError> {
-    replay_threaded_probed(programs, logs, Some(orderings), mem, cost, workers, &mut ())
-}
-
-/// [`replay_with`] on a threaded engine of `workers` OS threads,
-/// reporting to `probe` (pass an
-/// [`EngineProf`](relaxreplay::prof::EngineProf) for per-worker
-/// timelines). A replay that fails inside the pool still fills the
-/// probe; one whose DAG fails validation never starts the pool.
-///
-/// # Errors
-///
-/// As [`replay_with`] with a threaded engine.
-pub fn replay_threaded_probed<P: Probe + Default + Send>(
-    programs: &[Program],
-    logs: &[PatchedLog],
-    orderings: Option<&[IntervalOrdering]>,
-    mem: MemImage,
-    cost: &CostModel,
-    workers: usize,
-    probe: &mut P,
-) -> Result<ReplayOutcome, ReplayError> {
-    let dag = match orderings {
-        Some(o) => IntervalDag::partial_order(programs.len(), logs, o)?,
-        None => IntervalDag::total_order(programs.len(), logs)?,
-    };
-    execute_threaded_probed(programs, &dag, mem, cost, workers, probe)
-}
 
 struct CoreState<'p> {
     interp: Interp<'p>,
@@ -171,7 +57,9 @@ struct Queue {
     done: bool,
 }
 
-/// Executes a validated [`IntervalDag`] on a scoped worker pool.
+/// Executes a validated [`IntervalDag`] on a scoped worker pool of
+/// `workers` OS threads (clamped to `1..=` the node count) and returns an
+/// outcome verifiable exactly like a sequential replay.
 ///
 /// # Errors
 ///
@@ -208,12 +96,14 @@ fn lock_core<'a, 'p, P: Probe>(
 /// its own [`Probe::fork`] of it — spans (exec / queue-pop / dep-wait /
 /// idle), ready-heap depth at each pop, lock acquisitions, and the
 /// latency to a replay error — and the forks are joined back in worker
-/// order once the pool exits, whether or not the replay succeeded.
+/// order once the pool exits, whether or not the replay succeeded. Pass an
+/// [`EngineProf`](relaxreplay::prof::EngineProf) for per-worker
+/// timelines.
 ///
 /// # Errors
 ///
 /// As [`execute_threaded`].
-pub(crate) fn execute_threaded_probed<P: Probe + Default + Send>(
+pub fn execute_threaded_probed<P: Probe + Default + Send>(
     programs: &[Program],
     dag: &IntervalDag<'_>,
     mem: MemImage,

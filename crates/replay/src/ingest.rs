@@ -9,7 +9,7 @@
 //! regardless of worker interleaving.
 //!
 //! Decoding is the batched fast path of `relaxreplay::wire`: each worker
-//! maps a whole file and decodes it zero-copy, so ingest of an
+//! reads a whole file and decodes it ([`read_rrlog`]), so ingest of an
 //! eight-core run costs roughly one core-log's decode time once the pool
 //! is wide enough.
 
@@ -18,8 +18,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use relaxreplay::wire::decode_chunked;
-use relaxreplay::{IntervalLog, MappedBytes, WireError};
+use relaxreplay::wire::{decode_chunked, read_rrlog};
+use relaxreplay::{IntervalLog, WireError};
 
 /// An ingest failure, attributed to the stream that caused it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -133,15 +133,11 @@ pub fn read_rrlogs_parallel(
     workers: usize,
 ) -> Result<Vec<IntervalLog>, IngestError> {
     ingest_pool(paths.len(), workers, |i| {
-        let wrap = |source| IngestError {
+        read_rrlog(&paths[i]).map_err(|source| IngestError {
             index: i,
             path: Some(paths[i].clone()),
             source,
-        };
-        // Zero-copy where the platform allows: mmap the file instead of
-        // staging it through a heap buffer (plain-read fallback inside).
-        let bytes = MappedBytes::open(&paths[i]).map_err(wrap)?;
-        decode_chunked(&bytes).map_err(wrap)
+        })
     })
 }
 

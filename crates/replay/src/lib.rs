@@ -19,12 +19,20 @@
 //!    reproduce the paper's Figure 13.
 //!
 //! Replay reads whole logs, as the paper's offline patch step does: an
-//! `.rrlog`'s bytes (a mapped file, a store blob, a network fetch) decode
-//! with `relaxreplay::wire::decode_chunked` (or one log per worker, with
-//! [`read_rrlogs_parallel`] / [`decode_logs_parallel`]) into an
+//! `.rrlog`'s bytes (a file read whole, a store blob, a network fetch)
+//! decode with `relaxreplay::wire::decode_chunked` (or one log per worker,
+//! with [`read_rrlogs_parallel`] / [`decode_logs_parallel`]) into an
 //! `IntervalLog`, which [`patch`] turns into replay ops. So a recording
 //! saved with `--save-logs` can be replayed by a later invocation without
 //! the recorder in the loop.
+//!
+//! Patched logs become an [`IntervalDag`] — [`IntervalDag::total_order`]
+//! from the logs alone, [`IntervalDag::partial_order`] with the recorded
+//! [`IntervalOrdering`](relaxreplay::IntervalOrdering)s — which one of two
+//! executors runs: [`execute_sequential`] in an order derived from the DAG
+//! ([`IntervalDag::topo_order`] or [`IntervalDag::list_schedule`]), or
+//! [`execute_threaded`] on a worker pool. [`replay`] is the one logs-in
+//! shorthand: a total-order DAG run sequentially in its topological order.
 //!
 //! ```
 //! use relaxreplay::{IntervalLog, LogEntry};
@@ -65,7 +73,6 @@ mod engine;
 pub mod forensics;
 mod ingest;
 pub mod oracle;
-mod parallel;
 mod patch;
 pub mod prof;
 mod replayer;
@@ -73,14 +80,11 @@ mod verify;
 
 pub use cost::{CostModel, ReplayEvents};
 pub use dag::{DagStats, IntervalDag, IntervalNode};
-pub use engine::{
-    execute_threaded, replay_threaded, replay_threaded_probed, replay_with, ReplayEngine,
-};
+pub use engine::{execute_threaded, execute_threaded_probed};
 pub use forensics::divergence_report;
 pub use ingest::{decode_logs_parallel, default_ingest_workers, read_rrlogs_parallel, IngestError};
 pub use oracle::{cross_check, minimize, DifferentialError, Shrink};
-pub use parallel::{replay_parallel, ParallelOutcome};
 pub use patch::{patch, PatchError, PatchedLog, ReplayOp};
 pub use prof::{critical_path_blame, prof_json, BlameReport, PathInterval, ProfEntry, BLAME_KINDS};
-pub use replayer::{replay, replay_probed, replay_reference, ReplayError, ReplayOutcome};
+pub use replayer::{execute_sequential, replay, replay_reference, ReplayError, ReplayOutcome};
 pub use verify::{verify, verify_traced, RecordedExecution, VerifyError};

@@ -12,7 +12,7 @@
 //!   `rr-prof/v1` schema enforces).
 //! * **Where does *measured* replay time go?** The production threaded
 //!   executor takes a [`Probe`](relaxreplay::prof::Probe) parameter:
-//!   [`replay_threaded_probed`](crate::replay_threaded_probed) with an
+//!   [`execute_threaded_probed`](crate::execute_threaded_probed) with an
 //!   [`EngineProf`] records per-worker timelines (exec / queue-pop /
 //!   dep-wait / idle), ready-heap depth samples, lock counters, and
 //!   first-error latency while running the very code
@@ -268,9 +268,8 @@ pub fn prof_json(entries: &[ProfEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::execute_threaded_probed;
-    use crate::execute_threaded;
     use crate::patch::{patch, PatchedLog};
+    use crate::{execute_threaded, execute_threaded_probed};
     use relaxreplay::{IntervalLog, LogEntry};
     use rr_isa::{MemImage, Program, ProgramBuilder, Reg};
     use rr_mem::CoreId;

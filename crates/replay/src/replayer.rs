@@ -72,6 +72,17 @@ pub enum ReplayError {
         /// Total intervals in the DAG.
         intervals: usize,
     },
+    /// An execution order handed to [`execute_sequential`] is not a
+    /// topological order of its DAG: the entry at `position` names a node
+    /// outside the DAG, one already listed, or one listed before a
+    /// predecessor — or, with `position` equal to the order's length, the
+    /// order ends before naming every node.
+    InvalidOrder {
+        /// Index into the order where validation failed.
+        position: usize,
+        /// Total intervals in the DAG.
+        intervals: usize,
+    },
 }
 
 impl fmt::Display for ReplayError {
@@ -116,6 +127,14 @@ impl fmt::Display for ReplayError {
                 f,
                 "interval ordering has a cycle: only {executed} of {intervals} intervals can execute"
             ),
+            ReplayError::InvalidOrder {
+                position,
+                intervals,
+            } => write!(
+                f,
+                "execution order is not a topological order of the {intervals}-interval DAG \
+                 (at position {position})"
+            ),
         }
     }
 }
@@ -147,7 +166,9 @@ impl ReplayOutcome {
 }
 
 /// Sequentially replays patched per-processor logs against their programs,
-/// emulating the OS control module of paper §3.5.
+/// emulating the OS control module of paper §3.5 — the one logs-in
+/// shorthand for building the [`IntervalDag::total_order`] DAG and running
+/// [`execute_sequential`] in its [`IntervalDag::topo_order`].
 ///
 /// Intervals from all processors are merged into the recorded total order
 /// (timestamp, then core id — QuickRec ordering) and executed one at a
@@ -166,38 +187,31 @@ pub fn replay(
     mem: MemImage,
     cost: &CostModel,
 ) -> Result<ReplayOutcome, ReplayError> {
-    replay_probed(programs, logs, mem, cost, &mut ())
+    let dag = IntervalDag::total_order(programs.len(), logs)?;
+    execute_sequential(programs, &dag, &dag.topo_order(), mem, cost, &mut ())
 }
 
-/// Like [`replay`], but reporting the control module's scheduling
-/// decisions to `probe` (pass a
-/// [`TraceRing`](relaxreplay::trace::TraceRing) for divergence forensics):
-/// a `ReplayWait` event whenever a thread's next interval had to wait for
-/// other threads' intervals in the recorded total order, and a
-/// `ReplayRelease` event after each interval completes (carrying the
-/// thread's cumulative replayed load count, which anchors divergence
-/// forensics).
+/// The single-thread executor: runs a [`IntervalDag`]'s intervals one at a
+/// time in `order`, which the caller derives from the DAG —
+/// [`IntervalDag::topo_order`] reproduces the recorded schedule of a
+/// total-order DAG, [`IntervalDag::list_schedule`] gives the cost-model
+/// scheduler's linearization of a partial-order one.
+///
+/// `probe` sees the control module's scheduling decisions (pass a
+/// [`TraceRing`](relaxreplay::trace::TraceRing) for divergence
+/// forensics): a `ReplayWait` event whenever a thread's next interval had
+/// to wait for other threads' intervals, and a `ReplayRelease` event after
+/// each interval completes (carrying the thread's cumulative replayed load
+/// count, which anchors divergence forensics).
 ///
 /// # Errors
 ///
-/// Same as [`replay`].
-pub fn replay_probed<P: Probe>(
-    programs: &[Program],
-    logs: &[PatchedLog],
-    mem: MemImage,
-    cost: &CostModel,
-    probe: &mut P,
-) -> Result<ReplayOutcome, ReplayError> {
-    let dag = IntervalDag::total_order(programs.len(), logs)?;
-    execute_sequential(programs, &dag, &dag.topo_order(), mem, cost, probe)
-}
-
-/// The single-thread executor: runs a validated [`IntervalDag`]'s
-/// intervals one at a time in `order`, which the caller derives from the
-/// DAG — [`IntervalDag::topo_order`] reproduces the recorded schedule of a
-/// total-order DAG, [`IntervalDag::list_schedule`] gives the cost-model
-/// scheduler's linearization of a partial-order one.
-pub(crate) fn execute_sequential<P: Probe>(
+/// [`ReplayError::ThreadCountMismatch`] if the DAG replays a different
+/// number of threads than `programs` holds, [`ReplayError::InvalidOrder`]
+/// (before anything executes) unless `order` names every node exactly
+/// once with each node after all its predecessors, else any error raised
+/// while executing an interval.
+pub fn execute_sequential<P: Probe>(
     programs: &[Program],
     dag: &IntervalDag<'_>,
     order: &[usize],
@@ -206,15 +220,7 @@ pub(crate) fn execute_sequential<P: Probe>(
     probe: &mut P,
 ) -> Result<ReplayOutcome, ReplayError> {
     dag.check_threads(programs.len())?;
-    if order.len() != dag.nodes().len() {
-        // Unreachable for a constructor-validated DAG; kept typed so a
-        // future constructor or scheduler bug cannot silently truncate
-        // replay.
-        return Err(ReplayError::CyclicOrdering {
-            executed: order.len(),
-            intervals: dag.nodes().len(),
-        });
-    }
+    dag.check_order(order)?;
 
     let mut interps: Vec<Interp> = programs.iter().map(Interp::new).collect();
     let mut traces: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];

@@ -1,10 +1,13 @@
 //! Error-path tests of the sequential replayer: malformed logs are
 //! reported precisely, never executed past the inconsistency.
 
-use relaxreplay::{IntervalLog, LogEntry};
-use rr_isa::{MemImage, ProgramBuilder, Reg};
+use relaxreplay::{IntervalLog, IntervalOrdering, LogEntry};
+use rr_isa::{MemImage, Program, ProgramBuilder, Reg};
 use rr_mem::CoreId;
-use rr_replay::{patch, replay, replay_parallel, CostModel, ReplayError};
+use rr_replay::{
+    execute_sequential, patch, replay, CostModel, IntervalDag, PatchedLog, ReplayError,
+    ReplayOutcome,
+};
 
 fn tiny_program() -> rr_isa::Program {
     let mut b = ProgramBuilder::new();
@@ -18,6 +21,21 @@ fn log_of(entries: Vec<LogEntry>) -> IntervalLog {
         core: CoreId::new(0),
         entries,
     }
+}
+
+/// The list-schedule replay: the partial-order DAG run on the
+/// single-thread executor in its list schedule's order for `workers`
+/// modelled replay cores.
+fn list_scheduled(
+    programs: &[Program],
+    logs: &[PatchedLog],
+    orderings: &[IntervalOrdering],
+    workers: usize,
+) -> Result<ReplayOutcome, ReplayError> {
+    let cost = CostModel::splash_default();
+    let dag = IntervalDag::partial_order(programs.len(), logs, orderings)?;
+    let order = dag.list_schedule(&cost, workers).0;
+    execute_sequential(programs, &dag, &order, MemImage::new(), &cost, &mut ())
 }
 
 #[test]
@@ -154,17 +172,15 @@ fn parallel_replay_with_short_log_is_incomplete() {
         },
     ]);
     let patched = patch(&log).expect("patches");
-    let ordering = relaxreplay::IntervalOrdering {
+    let ordering = IntervalOrdering {
         preds: vec![vec![]],
         barriers: vec![false],
         timestamps: vec![1],
     };
-    let err = replay_parallel(
+    let err = list_scheduled(
         std::slice::from_ref(&p),
         std::slice::from_ref(&patched),
         std::slice::from_ref(&ordering),
-        MemImage::new(),
-        &CostModel::splash_default(),
         2,
     )
     .expect_err("must fail");
@@ -233,17 +249,15 @@ fn parallel_replay_rejects_out_of_range_cores() {
         ],
     };
     let patched = patch(&log).expect("patches");
-    let ordering = relaxreplay::IntervalOrdering {
+    let ordering = IntervalOrdering {
         preds: vec![vec![]],
         barriers: vec![false],
         timestamps: vec![1],
     };
-    let err = replay_parallel(
+    let err = list_scheduled(
         std::slice::from_ref(&p),
         std::slice::from_ref(&patched),
         std::slice::from_ref(&ordering),
-        MemImage::new(),
-        &CostModel::splash_default(),
         2,
     )
     .expect_err("must fail");
@@ -264,17 +278,15 @@ fn parallel_replay_rejects_out_of_range_cores() {
         },
     ]);
     let patched = patch(&ok).expect("patches");
-    let ordering = relaxreplay::IntervalOrdering {
+    let ordering = IntervalOrdering {
         preds: vec![vec![(CoreId::new(5), 0)]],
         barriers: vec![false],
         timestamps: vec![1],
     };
-    let err = replay_parallel(
+    let err = list_scheduled(
         std::slice::from_ref(&p),
         std::slice::from_ref(&patched),
         std::slice::from_ref(&ordering),
-        MemImage::new(),
-        &CostModel::splash_default(),
         2,
     )
     .expect_err("must fail");
@@ -298,14 +310,60 @@ fn parallel_replay_rejects_length_mismatch() {
         },
     ]);
     let patched = patch(&log).expect("patches");
-    let err = replay_parallel(
+    let err = list_scheduled(
         std::slice::from_ref(&p),
         std::slice::from_ref(&patched),
         &[], // no orderings
-        MemImage::new(),
-        &CostModel::splash_default(),
         2,
     )
     .expect_err("must fail");
     assert!(matches!(err, ReplayError::ThreadCountMismatch { .. }));
+}
+
+/// `execute_sequential` checks the order it is handed before running
+/// anything: every node of the DAG exactly once, each after all its
+/// predecessors — else a typed error naming the first bad position.
+#[test]
+fn execute_sequential_rejects_orders_that_are_not_topological() {
+    let p = tiny_program();
+    // Two intervals of one instruction each: node 0 precedes node 1.
+    let log = log_of(vec![
+        LogEntry::InorderBlock { instrs: 1 },
+        LogEntry::IntervalFrame {
+            cisn: 0,
+            timestamp: 1,
+        },
+        LogEntry::InorderBlock { instrs: 1 },
+        LogEntry::IntervalFrame {
+            cisn: 1,
+            timestamp: 2,
+        },
+    ]);
+    let patched = patch(&log).expect("patches");
+    let logs = std::slice::from_ref(&patched);
+    let dag = IntervalDag::total_order(1, logs).expect("builds");
+    let cost = CostModel::splash_default();
+    let run = |order: &[usize]| {
+        execute_sequential(
+            std::slice::from_ref(&p),
+            &dag,
+            order,
+            MemImage::new(),
+            &cost,
+            &mut (),
+        )
+    };
+    run(&[0, 1]).expect("the topological order replays");
+    let invalid = |position| ReplayError::InvalidOrder {
+        position,
+        intervals: 2,
+    };
+    for (what, order, position) in [
+        ("out-of-range id", &[0, 2][..], 1),
+        ("repeated id", &[0, 0], 1),
+        ("missing node", &[0], 1),
+        ("node before its predecessor", &[1, 0], 0),
+    ] {
+        assert_eq!(run(order).expect_err(what), invalid(position), "{what}");
+    }
 }

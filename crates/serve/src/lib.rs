@@ -18,6 +18,8 @@
 //! an `rr://host:port/run` URL; [`open_store`] turns a parsed
 //! [`StoreSpec`] into the right backend.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod proto;
 pub mod server;

@@ -20,7 +20,9 @@
 //! enabled.
 
 use rr_isa::{MemImage, Program};
-use rr_replay::{cross_check, patch, replay, CostModel, PatchedLog, Shrink};
+use rr_replay::{
+    cross_check, execute_threaded, patch, replay, CostModel, IntervalDag, PatchedLog, Shrink,
+};
 
 use crate::config::MachineConfig;
 use crate::machine::{PressureSpec, RunOptions, ScheduleStrategy, SimError};
@@ -304,17 +306,15 @@ fn check_run(
             Ok(o) => outcomes.push((v.spec.label(), o)),
             Err(e) => return Some(format!("[{}] replay failed: {e}", v.spec.label())),
         }
-        let ordering = (!v.ordering.is_empty()).then_some(v.ordering.as_slice());
+        if replay_workers.is_empty() {
+            continue;
+        }
+        let dag = match IntervalDag::partial_order(programs.len(), &patched, &v.ordering) {
+            Ok(d) => d,
+            Err(e) => return Some(format!("[{}] DAG build failed: {e}", v.spec.label())),
+        };
         for &w in replay_workers {
-            let engine = rr_replay::ReplayEngine::Threaded { workers: w };
-            match rr_replay::replay_with(
-                programs,
-                &patched,
-                ordering,
-                initial_mem.clone(),
-                cost,
-                engine,
-            ) {
+            match execute_threaded(programs, &dag, initial_mem.clone(), cost, w) {
                 Ok(o) => outcomes.push((format!("{}/w{w}", v.spec.label()), o)),
                 Err(e) => {
                     return Some(format!("[{}/w{w}] replay failed: {e}", v.spec.label()));

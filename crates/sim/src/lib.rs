@@ -59,7 +59,6 @@ pub use machine::{
     RunResult, ScheduleStrategy, SimError, SinkFaultReport, VariantResult,
 };
 pub use metrics::{MetricsRegistry, PhaseNanos};
-pub use rr_replay::ReplayEngine;
 pub use session::RecordSession;
 pub use store::{
     DedupStat, LocalStore, RemoteFault, RunStat, RunStore, StoreError, StoreSpec, VariantStat,

@@ -30,7 +30,9 @@ use relaxreplay::wire::{crc32, read_varint, write_varint};
 use relaxreplay::{IntervalLog, IntervalOrdering, WireError};
 use rr_isa::MemImage;
 use rr_mem::CoreId;
-use rr_replay::{read_rrlogs_parallel, IngestError, RecordedExecution};
+use rr_replay::{
+    read_rrlogs_parallel, IngestError, IntervalDag, PatchedLog, RecordedExecution, ReplayError,
+};
 
 use crate::machine::RunResult;
 
@@ -126,6 +128,24 @@ pub struct SavedVariant {
     /// `ordering.bin` sidecar. `None` for runs saved by older versions —
     /// they replay in the recorded total order.
     pub ordering: Option<Vec<IntervalOrdering>>,
+}
+
+impl SavedVariant {
+    /// The interval DAG of this variant's `patched` logs: the recorded
+    /// partial order when the run carries an `ordering.bin` sidecar, else
+    /// the recorded total order (correct, but serial — every edge of the
+    /// chain is a dependency).
+    ///
+    /// # Errors
+    ///
+    /// The DAG constructors' validation errors on logs or an ordering that
+    /// disagree with each other.
+    pub fn dag<'a>(&self, patched: &'a [PatchedLog]) -> Result<IntervalDag<'a>, ReplayError> {
+        match &self.ordering {
+            Some(ord) => IntervalDag::partial_order(self.logs.len(), patched, ord),
+            None => IntervalDag::total_order(self.logs.len(), patched),
+        }
+    }
 }
 
 /// A complete recorded run loaded back from disk.
@@ -257,7 +277,8 @@ pub(crate) fn save_run_impl(
 /// # Errors
 ///
 /// [`LogDirError::Io`] if the manifest cannot be read,
-/// [`LogDirError::Malformed`] without a `cores` line,
+/// [`LogDirError::Malformed`] without a `cores` line or with more cores
+/// than a `u8` core id can name (256),
 /// [`LogDirError::BadName`] for an unusable label.
 pub fn read_manifest(run_dir: &Path) -> Result<(usize, Vec<String>), LogDirError> {
     let path = run_dir.join("manifest.txt");
@@ -268,6 +289,13 @@ pub fn read_manifest(run_dir: &Path) -> Result<(usize, Vec<String>), LogDirError
         .and_then(|l| l.strip_prefix("cores "))
         .and_then(|n| n.parse().ok())
         .ok_or(LogDirError::Malformed("manifest missing cores line"))?;
+    // Readers size per-core path lists from this count before opening a
+    // file, so a hostile count must be bounded here.
+    if cores > usize::from(u8::MAX) + 1 {
+        return Err(LogDirError::Malformed(
+            "manifest claims more than 256 cores",
+        ));
+    }
     let labels = lines
         .filter(|l| !l.is_empty())
         .map(|l| check_name(l).map(|()| l.to_string()))

@@ -715,14 +715,18 @@ pub fn replay_and_verify_forensic(
     // this entry is forensics); it lives outside the simulated machine, so
     // it cannot perturb anything.
     let mut replay_ring = TraceRing::new(CoreId::new(u8::MAX), &TraceConfig::full());
-    let outcome = rr_replay::replay_probed(
-        programs,
-        &patched,
-        initial_mem.clone(),
-        cost,
-        &mut replay_ring,
-    )
-    .map_err(|e| crate::Error::from(e).context("replay failed"))?;
+    let outcome = rr_replay::IntervalDag::total_order(programs.len(), &patched)
+        .and_then(|dag| {
+            rr_replay::execute_sequential(
+                programs,
+                &dag,
+                &dag.topo_order(),
+                initial_mem.clone(),
+                cost,
+                &mut replay_ring,
+            )
+        })
+        .map_err(|e| crate::Error::from(e).context("replay failed"))?;
     match rr_replay::verify_traced(&result.recorded, &outcome, Some(&mut replay_ring)) {
         Ok(()) => Ok(outcome),
         Err(err) => {

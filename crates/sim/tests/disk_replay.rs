@@ -179,3 +179,24 @@ fn out_of_range_variant_indexes_are_rejected() {
     .expect_err("out-of-range variant must not panic");
     assert!(err.to_string().contains("out of range"), "{err}");
 }
+
+/// A manifest's core count sizes the per-core path lists before any file
+/// is opened, so one claiming more cores than a `u8` core id can name is
+/// refused as malformed by every local reader.
+#[test]
+fn manifest_claiming_more_than_256_cores_is_malformed() {
+    let scratch = ScratchDir::new("disk_replay_cores");
+    let run_dir = scratch.0.join("hostile");
+    fs::create_dir_all(&run_dir).expect("mkdir");
+    fs::write(run_dir.join("manifest.txt"), "cores 257\nBase-4K\n").expect("writes");
+    let store = LocalStore::new(&scratch.0);
+    let want = LogDirError::Malformed("manifest claims more than 256 cores");
+    assert_eq!(
+        store.load_run("hostile").expect_err("must fail"),
+        StoreError::Local(want.clone())
+    );
+    assert_eq!(
+        store.stat_run("hostile").expect_err("must fail"),
+        StoreError::Local(want)
+    );
+}

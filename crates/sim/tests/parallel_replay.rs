@@ -3,36 +3,37 @@
 //! parallel scheduler — generally very different from the timestamp total
 //! order — must still reproduce every load value and the final memory.
 
-use rr_replay::{patch, replay_parallel, verify, CostModel};
+use rr_replay::{execute_sequential, patch, verify, CostModel, IntervalDag};
 use rr_sim::{MachineConfig, RecordSession, RecorderSpec, RunResult};
 use rr_workloads::{suite, Workload};
 
+/// Replays the variant's partial-order DAG in its list-schedule order on
+/// `workers` modelled replay cores, verifies the outcome, and returns the
+/// schedule's modelled speedup.
 fn check_parallel(w: &Workload, result: &RunResult, variant: usize, workers: usize) -> f64 {
     let v = &result.variants[variant];
+    let cost = CostModel::splash_default();
     let patched: Vec<_> = v.logs.iter().map(|l| patch(l).expect("patches")).collect();
-    let outcome = replay_parallel(
+    let at = |what: &str| format!("{} [{}]: {what}", w.name, v.spec.label());
+    let dag = IntervalDag::partial_order(w.programs.len(), &patched, &v.ordering)
+        .unwrap_or_else(|e| panic!("{}: {e}", at("DAG build failed")));
+    let (order, makespan, total_work) = dag.list_schedule(&cost, workers);
+    let outcome = execute_sequential(
         &w.programs,
-        &patched,
-        &v.ordering,
+        &dag,
+        &order,
         w.initial_mem.clone(),
-        &CostModel::splash_default(),
-        workers,
+        &cost,
+        &mut (),
     )
-    .unwrap_or_else(|e| {
-        panic!(
-            "{} [{}]: parallel replay failed: {e}",
-            w.name,
-            v.spec.label()
-        )
-    });
-    verify(&result.recorded, &outcome.outcome).unwrap_or_else(|e| {
-        panic!(
-            "{} [{}]: parallel replay diverged: {e}",
-            w.name,
-            v.spec.label()
-        )
-    });
-    outcome.speedup()
+    .unwrap_or_else(|e| panic!("{}: {e}", at("parallel replay failed")));
+    verify(&result.recorded, &outcome)
+        .unwrap_or_else(|e| panic!("{}: {e}", at("parallel replay diverged")));
+    if makespan == 0 {
+        1.0
+    } else {
+        total_work as f64 / makespan as f64
+    }
 }
 
 #[test]

@@ -19,7 +19,7 @@ use relaxreplay::IntervalLog;
 use rr_mem::CoreId;
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
-    critical_path_blame, patch, prof_json, replay_threaded, replay_threaded_probed, CostModel,
+    critical_path_blame, execute_threaded, execute_threaded_probed, patch, prof_json, CostModel,
     IntervalDag,
 };
 use rr_sim::{replay_and_verify_forensic, RecordSession, RecorderSpec};
@@ -100,20 +100,14 @@ fn profiling_changes_no_rrlog_bytes_and_no_replay_outcomes() {
                 .map(patch)
                 .collect::<Result<_, _>>()
                 .unwrap_or_else(|e| panic!("{at}: patch: {e}"));
-            let plain = replay_threaded(
-                &w.programs,
-                &patched,
-                &variant.ordering,
-                w.initial_mem.clone(),
-                &cost,
-                2,
-            )
-            .unwrap_or_else(|e| panic!("{at}: replay: {e}"));
+            let dag = IntervalDag::partial_order(w.programs.len(), &patched, &variant.ordering)
+                .unwrap_or_else(|e| panic!("{at}: dag: {e}"));
+            let plain = execute_threaded(&w.programs, &dag, w.initial_mem.clone(), &cost, 2)
+                .unwrap_or_else(|e| panic!("{at}: replay: {e}"));
             let mut engine = EngineProf::default();
-            let profiled = replay_threaded_probed(
+            let profiled = execute_threaded_probed(
                 &w.programs,
-                &patched,
-                Some(&variant.ordering),
+                &dag,
                 w.initial_mem.clone(),
                 &cost,
                 2,
@@ -161,10 +155,9 @@ fn prof_sidecar_and_worker_timeline_validate() {
         let blame = critical_path_blame(&dag, &cost);
         assert!(blame.coverage_pct() >= 95.0, "{}", w.name);
         let mut engine = EngineProf::default();
-        replay_threaded_probed(
+        execute_threaded_probed(
             &w.programs,
-            &patched,
-            Some(&variant.ordering),
+            &dag,
             w.initial_mem.clone(),
             &cost,
             2,

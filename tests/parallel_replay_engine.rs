@@ -9,10 +9,12 @@
 //! way with a profiling probe attached. A final differential test pins
 //! the sequential DAG executor to the retained legacy replay path.
 
-use relaxreplay::prof::EngineProf;
+use relaxreplay::prof::{EngineProf, Probe};
+use relaxreplay::IntervalOrdering;
+use rr_isa::{MemImage, Program};
 use rr_replay::{
-    patch, replay, replay_reference, replay_threaded, replay_threaded_probed, CostModel,
-    IntervalDag, PatchedLog, ReplayError, ReplayOp,
+    execute_threaded_probed, patch, replay, replay_reference, CostModel, IntervalDag, PatchedLog,
+    ReplayError, ReplayOp, ReplayOutcome,
 };
 use rr_sim::{
     explore_sweep, ExploreReport, ExploreSpec, MachineConfig, PressureMode, RecordSession,
@@ -97,6 +99,21 @@ fn pressure_modes_verify_threaded() {
     }
 }
 
+/// The threaded engine at `workers` over the partial-order DAG of `logs`
+/// and `ordering`, reporting to `probe`.
+fn threaded<P: Probe + Default + Send>(
+    programs: &[Program],
+    logs: &[PatchedLog],
+    ordering: &[IntervalOrdering],
+    mem: MemImage,
+    workers: usize,
+    probe: &mut P,
+) -> Result<ReplayOutcome, ReplayError> {
+    let dag = IntervalDag::partial_order(programs.len(), logs, ordering)?;
+    let cost = CostModel::splash_default();
+    execute_threaded_probed(programs, &dag, mem, &cost, workers, probe)
+}
+
 /// Records one Opt-4K run and hands back everything a corruption fixture
 /// needs: programs, patched logs, and the genuine interval ordering.
 fn recorded_fixture() -> (
@@ -136,13 +153,13 @@ fn cyclic_ordering_is_a_typed_error() {
         "DAG builder accepted a cycle: {dag:?}"
     );
     for workers in REPLAY_WORKERS {
-        let err = replay_threaded(
+        let err = threaded(
             &programs,
             &patched,
             &ordering,
             mem.clone(),
-            &CostModel::splash_default(),
             workers,
+            &mut (),
         )
         .expect_err("a cyclic ordering cannot replay");
         assert!(
@@ -161,15 +178,8 @@ fn short_ordering_is_a_typed_error() {
     ordering[0].barriers.pop();
     ordering[0].preds.pop();
 
-    let err = replay_threaded(
-        &programs,
-        &patched,
-        &ordering,
-        mem,
-        &CostModel::splash_default(),
-        2,
-    )
-    .expect_err("a short ordering cannot replay");
+    let err = threaded(&programs, &patched, &ordering, mem, 2, &mut ())
+        .expect_err("a short ordering cannot replay");
     assert!(
         matches!(err, ReplayError::OrderingMismatch { core: 0, .. }),
         "wrong error: {err}"
@@ -183,15 +193,8 @@ fn out_of_range_pred_core_is_a_typed_error() {
     let (programs, mem, patched, mut ordering) = recorded_fixture();
     ordering[1].preds[0].push((rr_mem::CoreId::new(7), 0));
 
-    let err = replay_threaded(
-        &programs,
-        &patched,
-        &ordering,
-        mem,
-        &CostModel::splash_default(),
-        4,
-    )
-    .expect_err("an out-of-range core cannot replay");
+    let err = threaded(&programs, &patched, &ordering, mem, 4, &mut ())
+        .expect_err("an out-of-range core cannot replay");
     assert!(
         matches!(err, ReplayError::CoreOutOfRange { .. }),
         "wrong error: {err}"
@@ -206,7 +209,6 @@ fn out_of_range_pred_core_is_a_typed_error() {
 /// more intervals than the DAG holds.
 #[test]
 fn probed_engine_fails_like_the_plain_engine() {
-    let cost = CostModel::splash_default();
     let (programs, mem, patched, ordering) = recorded_fixture();
     let mut cyclic = ordering.clone();
     let (last0, last1) = (cyclic[0].preds.len() - 1, cyclic[1].preds.len() - 1);
@@ -232,18 +234,10 @@ fn probed_engine_fails_like_the_plain_engine() {
         for workers in REPLAY_WORKERS {
             let at = format!("{name} w={workers}");
             let plain =
-                replay_threaded(&programs, logs, ord, mem.clone(), &cost, workers).expect_err(&at);
+                threaded(&programs, logs, ord, mem.clone(), workers, &mut ()).expect_err(&at);
             let mut prof = EngineProf::default();
-            let probed = replay_threaded_probed(
-                &programs,
-                logs,
-                Some(ord),
-                mem.clone(),
-                &cost,
-                workers,
-                &mut prof,
-            )
-            .expect_err(&at);
+            let probed =
+                threaded(&programs, logs, ord, mem.clone(), workers, &mut prof).expect_err(&at);
             assert_eq!(probed, plain, "{at}");
             let executed: u64 = prof.workers.iter().map(|w| w.executed).sum();
             assert!(executed <= prof.nodes as u64, "{at}: {executed} executed");

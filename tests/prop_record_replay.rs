@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rr_isa::{AluOp, MemImage, Program, ProgramBuilder, Reg};
-use rr_replay::{patch, replay, replay_parallel, verify, CostModel, ReplayOutcome};
+use rr_replay::{execute_sequential, patch, replay, verify, CostModel, IntervalDag, ReplayOutcome};
 use rr_sim::{replay_and_verify, MachineConfig, RecordSession, RecorderSpec};
 use rr_workloads::suite;
 
@@ -158,26 +158,28 @@ fn base_and_opt_replays_are_identical_on_every_workload() {
             verify(&result.recorded, &seq)
                 .unwrap_or_else(|e| panic!("{}: {e}", ctx("sequential verify")));
 
-            let par = replay_parallel(
+            let dag = IntervalDag::partial_order(w.programs.len(), &patched, &variant.ordering)
+                .unwrap_or_else(|e| panic!("{}: {e}", ctx("parallel DAG")));
+            let par = execute_sequential(
                 &w.programs,
-                &patched,
-                &variant.ordering,
+                &dag,
+                &dag.list_schedule(&cost, 2).0,
                 w.initial_mem.clone(),
                 &cost,
-                2,
+                &mut (),
             )
             .unwrap_or_else(|e| panic!("{}: {e}", ctx("parallel replay")));
-            verify(&result.recorded, &par.outcome)
+            verify(&result.recorded, &par)
                 .unwrap_or_else(|e| panic!("{}: {e}", ctx("parallel verify")));
 
             assert!(
-                seq.mem.contents_eq(&par.outcome.mem),
+                seq.mem.contents_eq(&par.mem),
                 "{}",
                 ctx("sequential and parallel final memory differ")
             );
             assert_eq!(
                 seq.load_traces,
-                par.outcome.load_traces,
+                par.load_traces,
                 "{}",
                 ctx("sequential and parallel load values differ")
             );

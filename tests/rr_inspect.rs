@@ -277,6 +277,23 @@ fn stat_rejects_pre_v3_streams_naming_the_version() {
 }
 
 #[test]
+fn stat_rejects_a_manifest_claiming_more_than_256_cores() {
+    let root = temp_root("stat_cores");
+    let run_dir = root.join("hostile");
+    std::fs::create_dir_all(&run_dir).expect("mkdir");
+    std::fs::write(run_dir.join("manifest.txt"), "cores 257\nBase-4K\n").expect("writes");
+
+    let out = rr_inspect(&["stat", run_dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    assert!(
+        stderr(&out).contains("manifest claims more than 256 cores"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!stdout(&out).contains("core0.rrlog"), "{}", stdout(&out));
+}
+
+#[test]
 fn dag_reports_stats_and_exports_dot() {
     let root = temp_root("dag");
     let run_dir = save_sample_run(&root, "dagrun");
