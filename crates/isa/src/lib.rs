@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 
 pub mod asm;
+mod idhash;
 mod instr;
 mod interp;
 mod mem_image;
@@ -52,6 +53,7 @@ mod program;
 mod reg;
 mod shared_mem;
 
+pub use idhash::{IdHashMap, IdHasher, RandomIdState};
 pub use instr::{AluOp, AtomicOp, BranchCond, FenceKind, Instr};
 pub use interp::{Interp, StepEvent, StopReason};
 pub use mem_image::MemImage;

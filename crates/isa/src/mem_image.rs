@@ -1,11 +1,20 @@
 use std::collections::HashMap;
 
-use crate::WORD_BYTES;
+use crate::{RandomIdState, WORD_BYTES};
 
 /// Words per page of the sparse memory image (4 KiB pages). Shared with
 /// the concurrently shareable image in `shared_mem`, so the two address
 /// spaces tile identically.
 pub(crate) const PAGE_WORDS: usize = 512;
+
+/// A page table: page number → page. Keyed multiply-shift hashing, since
+/// replayed store addresses and ground-truth cells come from files.
+pub(crate) type PageMap<P> = HashMap<u64, P, RandomIdState>;
+
+/// Whether every word of a page is zero: such a page equals a missing one.
+pub(crate) fn zero_page(words: &[u64; PAGE_WORDS]) -> bool {
+    words.iter().all(|&v| v == 0)
+}
 
 /// A sparse, word-granular memory image.
 ///
@@ -27,7 +36,7 @@ pub(crate) const PAGE_WORDS: usize = 512;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct MemImage {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
+    pages: PageMap<Box<[u64; PAGE_WORDS]>>,
 }
 
 impl MemImage {
@@ -84,18 +93,39 @@ impl MemImage {
         old
     }
 
-    /// Iterates over all words that were ever written, as `(addr, value)`.
+    /// Iterates over the non-zero words in address order, as
+    /// `(addr, value)`.
     ///
-    /// Order is unspecified; use [`MemImage::digest`] for a canonical
-    /// summary.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.pages.iter().flat_map(|(page, words)| {
+    /// Sorts the page numbers, not the words: pages are walked in order
+    /// and each page's words are already in address order.
+    pub fn words(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut pages: Vec<_> = self.pages.iter().collect();
+        pages.sort_unstable_by_key(|&(&page, _)| page);
+        pages.into_iter().flat_map(|(page, words)| {
             let base = page * PAGE_WORDS as u64 * WORD_BYTES;
             words
                 .iter()
                 .enumerate()
+                .filter(|&(_, &v)| v != 0)
                 .map(move |(i, &v)| (base + i as u64 * WORD_BYTES, v))
         })
+    }
+
+    /// Number of pages the image holds, including pages that were touched
+    /// but hold only zeros.
+    #[must_use]
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// The pages the image holds, in no particular order.
+    pub(crate) fn pages(&self) -> impl Iterator<Item = (u64, &[u64; PAGE_WORDS])> + '_ {
+        self.pages.iter().map(|(&page, words)| (page, &**words))
+    }
+
+    /// Installs a whole page, replacing any page already at `page`.
+    pub(crate) fn insert_page(&mut self, page: u64, words: Box<[u64; PAGE_WORDS]>) {
+        self.pages.insert(page, words);
     }
 
     /// Returns a canonical digest of the memory contents, suitable for
@@ -106,10 +136,8 @@ impl MemImage {
     #[must_use]
     pub fn digest(&self) -> u64 {
         // FNV-1a over (addr, value) pairs in address order.
-        let mut pairs: Vec<(u64, u64)> = self.iter().filter(|&(_, v)| v != 0).collect();
-        pairs.sort_unstable();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (a, v) in pairs {
+        for (a, v) in self.words() {
             for b in a.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x100_0000_01b3);
@@ -120,14 +148,20 @@ impl MemImage {
 
     /// Returns `true` when both images hold identical contents
     /// (ignoring zero-valued words).
+    ///
+    /// Compares page by page; a page missing on one side equals an
+    /// all-zero page.
     #[must_use]
     pub fn contents_eq(&self, other: &MemImage) -> bool {
-        let collect = |m: &MemImage| {
-            let mut v: Vec<(u64, u64)> = m.iter().filter(|&(_, v)| v != 0).collect();
-            v.sort_unstable();
-            v
-        };
-        collect(self) == collect(other)
+        self.pages.iter().all(|(page, words)| {
+            other
+                .pages
+                .get(page)
+                .map_or_else(|| zero_page(words), |theirs| words == theirs)
+        }) && other
+            .pages
+            .iter()
+            .all(|(page, words)| self.pages.contains_key(page) || zero_page(words))
     }
 }
 
@@ -186,10 +220,24 @@ mod tests {
     }
 
     #[test]
-    fn iter_reports_written_words() {
+    fn words_are_non_zero_and_in_address_order() {
         let mut mem = MemImage::new();
+        mem.store(1 << 40, 3);
+        mem.store(16, 0);
         mem.store(8, 42);
-        let found: Vec<_> = mem.iter().filter(|&(_, v)| v != 0).collect();
-        assert_eq!(found, vec![(8, 42)]);
+        mem.store(0, 1);
+        let found: Vec<_> = mem.words().collect();
+        assert_eq!(found, vec![(0, 1), (8, 42), (1 << 40, 3)]);
+        assert_eq!(mem.page_count(), 2);
+    }
+
+    #[test]
+    fn fresh_images_get_different_page_hash_keys() {
+        use std::hash::BuildHasher;
+        let (a, b) = (MemImage::new(), MemImage::new());
+        assert_ne!(
+            a.pages.hasher().hash_one(1u64),
+            b.pages.hasher().hash_one(1u64)
+        );
     }
 }

@@ -6,7 +6,8 @@
 //! touch of a page), and the words themselves are atomics, so steady-state
 //! loads/stores/RMWs are lock-free. Workers access memory through a
 //! [`SharedMemHandle`] (one per worker), which caches page pointers so
-//! repeat touches of a page never revisit the shard locks.
+//! repeat touches of a page never revisit the shard locks. Images are
+//! converted to and from a [`MemImage`] a whole page at a time.
 //!
 //! Word atomicity is exactly the write-atomicity property RelaxReplay
 //! relies on (paper §3.2, Observation 1). Cross-interval ordering is *not*
@@ -15,11 +16,10 @@
 //! ready-queue lock establishes happens-before between a completed
 //! interval's stores and its dependents' loads.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::mem_image::PAGE_WORDS;
+use crate::mem_image::{zero_page, PageMap, PAGE_WORDS};
 use crate::{MemImage, Memory, WORD_BYTES};
 
 /// Page-table shards. Plenty relative to any realistic worker count, so
@@ -30,6 +30,10 @@ type Page = Arc<[AtomicU64; PAGE_WORDS]>;
 
 fn new_page() -> Page {
     Arc::new(std::array::from_fn(|_| AtomicU64::new(0)))
+}
+
+fn shard_of(page_no: u64) -> usize {
+    (page_no % SHARDS as u64) as usize
 }
 
 fn split(addr: u64) -> (u64, usize) {
@@ -49,9 +53,15 @@ fn split(addr: u64) -> (u64, usize) {
 /// Construct one from an initial [`MemImage`], hand a [`SharedMemHandle`]
 /// to each worker ([`SharedMem::handle`]), and collect the final state
 /// back into a [`MemImage`] with [`SharedMem::to_image`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SharedMem {
-    shards: Vec<Mutex<HashMap<u64, Page>>>,
+    shards: Vec<Mutex<PageMap<Page>>>,
+}
+
+impl Default for SharedMem {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SharedMem {
@@ -59,25 +69,29 @@ impl SharedMem {
     #[must_use]
     pub fn new() -> Self {
         SharedMem {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 
-    /// Creates a shared image holding the same contents as `img`.
+    /// Creates a shared image holding the same contents as `img`: one
+    /// page-table insert per page that holds a non-zero word.
     #[must_use]
     pub fn from_image(img: &MemImage) -> Self {
-        let mem = Self::new();
-        let mut h = mem.handle();
-        for (addr, value) in img.iter() {
-            if value != 0 {
-                h.store(addr, value);
+        let mut mem = Self::new();
+        for (page_no, words) in img.pages() {
+            if !zero_page(words) {
+                let page: Page = Arc::new(std::array::from_fn(|i| AtomicU64::new(words[i])));
+                mem.shards[shard_of(page_no)]
+                    .get_mut()
+                    .expect("shared-memory shard poisoned")
+                    .insert(page_no, page);
             }
         }
-        drop(h);
         mem
     }
 
-    /// Snapshots the current contents into a [`MemImage`].
+    /// Snapshots the current contents into a [`MemImage`], copying each
+    /// page that holds a non-zero word.
     ///
     /// Callers are responsible for quiescence: the snapshot locks one shard
     /// at a time, so words written concurrently with the snapshot may or
@@ -88,12 +102,10 @@ impl SharedMem {
         for shard in &self.shards {
             let pages = shard.lock().expect("shared-memory shard poisoned");
             for (&page_no, page) in pages.iter() {
-                let base = page_no * PAGE_WORDS as u64 * WORD_BYTES;
-                for (i, word) in page.iter().enumerate() {
-                    let v = word.load(Ordering::Acquire);
-                    if v != 0 {
-                        img.store(base + i as u64 * WORD_BYTES, v);
-                    }
+                let words: [u64; PAGE_WORDS] =
+                    std::array::from_fn(|i| page[i].load(Ordering::Acquire));
+                if !zero_page(&words) {
+                    img.insert_page(page_no, Box::new(words));
                 }
             }
         }
@@ -105,13 +117,14 @@ impl SharedMem {
     pub fn handle(&self) -> SharedMemHandle<'_> {
         SharedMemHandle {
             mem: self,
-            cache: HashMap::new(),
+            cache: PageMap::default(),
         }
     }
 
     fn page(&self, page_no: u64) -> Page {
-        let shard = &self.shards[(page_no % SHARDS as u64) as usize];
-        let mut pages = shard.lock().expect("shared-memory shard poisoned");
+        let mut pages = self.shards[shard_of(page_no)]
+            .lock()
+            .expect("shared-memory shard poisoned");
         pages.entry(page_no).or_insert_with(new_page).clone()
     }
 }
@@ -121,7 +134,7 @@ impl SharedMem {
 #[derive(Debug)]
 pub struct SharedMemHandle<'m> {
     mem: &'m SharedMem,
-    cache: HashMap<u64, Page>,
+    cache: PageMap<Page>,
 }
 
 impl SharedMemHandle<'_> {
@@ -210,6 +223,14 @@ mod tests {
             }
         });
         assert_eq!(shared.handle().load(0x40), 4000);
+    }
+
+    #[test]
+    fn default_is_usable() {
+        let shared = SharedMem::default();
+        let mut h = shared.handle();
+        h.store(0x40, 3);
+        assert_eq!(h.load(0x40), 3);
     }
 
     #[test]

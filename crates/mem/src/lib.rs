@@ -44,7 +44,6 @@
 
 mod cache;
 mod config;
-mod idhash;
 pub mod invariants;
 mod line;
 mod memory;
@@ -53,10 +52,10 @@ mod stats;
 
 pub use cache::SetAssocCache;
 pub use config::{CoherenceMode, MemConfig};
-pub use idhash::{IdHashMap, IdHasher};
 pub use line::{CoreId, CoreSet, LineAddr};
 pub use memory::{
     AccessKind, Completion, MemTickOutput, MemorySystem, ReqId, Response, SnoopEvent, SnoopScope,
 };
 pub use mesi::MesiState;
+pub use rr_isa::{IdHashMap, IdHasher};
 pub use stats::MemStats;

@@ -230,9 +230,9 @@ fn diff_memory(
     let mut cells: Vec<(u64, u64, u64)> = Vec::new();
     let mut addrs: Vec<u64> = recorded
         .final_mem
-        .iter()
+        .words()
         .map(|(a, _)| a)
-        .chain(outcome.mem.iter().map(|(a, _)| a))
+        .chain(outcome.mem.words().map(|(a, _)| a))
         .collect();
     addrs.sort_unstable();
     addrs.dedup();

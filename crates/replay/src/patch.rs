@@ -1,6 +1,7 @@
 use core::fmt;
 
 use relaxreplay::{IntervalLog, LogEntry};
+use rr_isa::WORD_BYTES;
 use rr_mem::CoreId;
 
 /// One operation of a *patched*, replay-ready log.
@@ -71,6 +72,13 @@ pub enum PatchError {
         /// The offending offset.
         offset: u32,
     },
+    /// A reordered store's (or RMW's) address is not word-aligned.
+    UnalignedStore {
+        /// Interval index (per this core) holding the store entry.
+        interval: usize,
+        /// The offending byte address.
+        addr: u64,
+    },
     /// The log did not end with an `IntervalFrame`.
     UnterminatedInterval,
 }
@@ -81,6 +89,10 @@ impl fmt::Display for PatchError {
             PatchError::OffsetOutOfRange { interval, offset } => write!(
                 f,
                 "reordered store in interval {interval} has offset {offset} pointing before the log start"
+            ),
+            PatchError::UnalignedStore { interval, addr } => write!(
+                f,
+                "reordered store in interval {interval} has unaligned address {addr:#x}"
             ),
             PatchError::UnterminatedInterval => {
                 write!(f, "log does not end with an IntervalFrame")
@@ -109,8 +121,9 @@ impl std::error::Error for PatchError {}
 ///
 /// # Errors
 ///
-/// Returns [`PatchError`] if an offset points before the start of the log
-/// or the log is not frame-terminated.
+/// Returns [`PatchError`] if an offset points before the start of the log,
+/// a reordered store's address is not word-aligned, or the log is not
+/// frame-terminated.
 pub fn patch(log: &IntervalLog) -> Result<PatchedLog, PatchError> {
     let core = log.core;
     // Completed interval bodies (ops in counting order) and frames, plus
@@ -128,6 +141,9 @@ pub fn patch(log: &IntervalLog) -> Result<PatchedLog, PatchError> {
                          value: u64,
                          offset: u32|
          -> Result<(), PatchError> {
+            if !addr.is_multiple_of(WORD_BYTES) {
+                return Err(PatchError::UnalignedStore { interval: i, addr });
+            }
             let target = i
                 .checked_sub(offset as usize)
                 .ok_or(PatchError::OffsetOutOfRange {
@@ -358,6 +374,31 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn unaligned_store_address_is_rejected() {
+        let store = LogEntry::ReorderedStore {
+            addr: 0x103,
+            value: 7,
+            offset: 0,
+        };
+        let rmw = LogEntry::ReorderedRmw {
+            loaded: 1,
+            addr: 0x10c,
+            stored: Some(2),
+            offset: 0,
+        };
+        for (entry, addr) in [(store, 0x103), (rmw, 0x10c)] {
+            let log = IntervalLog {
+                core: CoreId::new(0),
+                entries: vec![frame(0, 1), entry, frame(1, 2)],
+            };
+            assert_eq!(
+                patch(&log),
+                Err(PatchError::UnalignedStore { interval: 1, addr })
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use relaxreplay::{IntervalLog, IntervalOrdering, LogEntry};
 use rr_isa::{MemImage, Program, ProgramBuilder, Reg};
 use rr_mem::CoreId;
 use rr_replay::{
-    execute_sequential, patch, replay, CostModel, IntervalDag, PatchedLog, ReplayError,
+    execute_sequential, patch, replay, CostModel, IntervalDag, PatchError, PatchedLog, ReplayError,
     ReplayOutcome,
 };
 
@@ -366,4 +366,31 @@ fn execute_sequential_rejects_orders_that_are_not_topological() {
     ] {
         assert_eq!(run(order).expect_err(what), invalid(position), "{what}");
     }
+}
+
+/// A CRC-valid `.rrlog` can still carry a store address no word access
+/// can reach; patching rejects it instead of letting replay assert on it.
+#[test]
+fn crc_valid_log_with_unaligned_store_is_a_patch_error() {
+    let log = log_of(vec![
+        LogEntry::ReorderedStore {
+            addr: 0x103,
+            value: 7,
+            offset: 0,
+        },
+        LogEntry::InorderBlock { instrs: 1 },
+        LogEntry::IntervalFrame {
+            cisn: 0,
+            timestamp: 1,
+        },
+    ]);
+    let decoded = relaxreplay::wire::decode_chunked(&relaxreplay::wire::encode_chunked(&log))
+        .expect("the wire codec accepts any address");
+    assert_eq!(
+        patch(&decoded),
+        Err(PatchError::UnalignedStore {
+            interval: 0,
+            addr: 0x103
+        })
+    );
 }

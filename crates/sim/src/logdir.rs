@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use relaxreplay::trace::chrome_trace;
 use relaxreplay::wire::{crc32, read_varint, write_varint};
 use relaxreplay::{IntervalLog, IntervalOrdering, WireError};
-use rr_isa::MemImage;
+use rr_isa::{MemImage, WORD_BYTES};
 use rr_mem::CoreId;
 use rr_replay::{
     read_rrlogs_parallel, IngestError, IntervalDag, PatchedLog, RecordedExecution, ReplayError,
@@ -399,8 +399,8 @@ pub(crate) fn list_runs_impl(dir: &Path) -> Result<Vec<String>, LogDirError> {
 }
 
 /// Serializes the ground truth: magic + version, varint-encoded final
-/// memory (sorted address/value pairs) and per-thread load traces, closed
-/// with a CRC32 over everything before it.
+/// memory (its non-zero words as address/value pairs in address order) and
+/// per-thread load traces, closed with a CRC32 over everything before it.
 ///
 /// Public because remote stores ship the same sidecar bytes over the wire:
 /// a run saved through `rr-serve` carries a `truth.bin` byte-identical to
@@ -411,8 +411,7 @@ pub fn encode_truth(recorded: &RecordedExecution) -> Vec<u8> {
     out.extend_from_slice(TRUTH_MAGIC);
     out.extend_from_slice(&TRUTH_VERSION.to_le_bytes());
 
-    let mut cells: Vec<(u64, u64)> = recorded.final_mem.iter().collect();
-    cells.sort_unstable();
+    let cells: Vec<(u64, u64)> = recorded.final_mem.words().collect();
     write_varint(&mut out, cells.len() as u64);
     for (addr, value) in cells {
         write_varint(&mut out, addr);
@@ -549,6 +548,11 @@ pub fn decode_truth(bytes: &[u8]) -> Result<RecordedExecution, LogDirError> {
     for _ in 0..cells {
         let addr = varint(&mut pos)?;
         let value = varint(&mut pos)?;
+        if !addr.is_multiple_of(WORD_BYTES) {
+            return Err(LogDirError::Malformed(
+                "truth cell address not word-aligned",
+            ));
+        }
         final_mem.store(addr, value);
     }
     let threads = varint(&mut pos)?;
@@ -610,6 +614,38 @@ mod tests {
                 "truncation at {cut} went undetected"
             );
         }
+    }
+
+    #[test]
+    fn truth_writes_only_non_zero_words_in_address_order() {
+        let mut mem = MemImage::new();
+        mem.store(0x1000, 5);
+        mem.store(0x8, 0);
+        mem.store(0x10, 6);
+        let bytes = encode_truth(&RecordedExecution {
+            final_mem: mem,
+            load_traces: vec![],
+        });
+        // magic, version, 2 cells, (0x10, 6), (0x1000, 5), 0 traces, CRC.
+        assert_eq!(&bytes[6..13], &[2, 0x10, 6, 0x80, 0x20, 5, 0]);
+        assert_eq!(bytes.len(), 13 + 4);
+    }
+
+    #[test]
+    fn unaligned_truth_cell_is_malformed_not_a_panic() {
+        let mut bytes = TRUTH_MAGIC.to_vec();
+        bytes.extend_from_slice(&TRUTH_VERSION.to_le_bytes());
+        for v in [1, 0x103, 7, 0] {
+            write_varint(&mut bytes, v);
+        }
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            decode_truth(&bytes),
+            Err(LogDirError::Malformed(
+                "truth cell address not word-aligned"
+            ))
+        ));
     }
 
     fn sample_ordering() -> Vec<IntervalOrdering> {

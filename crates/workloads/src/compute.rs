@@ -123,7 +123,7 @@ mod tests {
         let mut mem = MemImage::new();
         let mut interp = Interp::new(&p);
         assert_eq!(interp.run(&mut mem, 100_000), StopReason::Halted);
-        let touched = mem.iter().filter(|&(_, v)| v != 0).count();
+        let touched = mem.words().count();
         assert!(touched > 10, "only {touched} words written");
     }
 

@@ -277,6 +277,30 @@ fn stat_rejects_pre_v3_streams_naming_the_version() {
 }
 
 #[test]
+fn check_rejects_a_truth_sidecar_with_an_unaligned_cell() {
+    use relaxreplay::wire::{crc32, write_varint};
+    let root = temp_root("check_truth_align");
+    let run_dir = save_sample_run(&root, "sample");
+    // A CRC-valid sidecar: one cell at 0x103 = 7, then two empty traces.
+    let mut truth = b"RRTR".to_vec();
+    truth.extend_from_slice(&1u16.to_le_bytes());
+    for v in [1, 0x103, 7, 2, 0, 0] {
+        write_varint(&mut truth, v);
+    }
+    let crc = crc32(&truth);
+    truth.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(run_dir.join("truth.bin"), &truth).expect("writes");
+
+    let out = rr_inspect(&["check", run_dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("truth cell address not word-aligned"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
 fn stat_rejects_a_manifest_claiming_more_than_256_cores() {
     let root = temp_root("stat_cores");
     let run_dir = root.join("hostile");
