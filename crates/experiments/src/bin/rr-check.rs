@@ -44,11 +44,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use rr_experiments::report::{results_dir, write_metrics_jsonl, Table};
-use rr_experiments::write_trace_pairs;
+use rr_experiments::{replay_forensic, write_trace_pairs};
 use rr_replay::CostModel;
 use rr_sim::{
-    explore_sweep, minimize_divergence, replay_and_verify_forensic, Error, ExploreSpec,
-    MachineConfig, PressureMode, RecordSession,
+    explore_sweep, minimize_divergence, Error, ExploreSpec, MachineConfig, PressureMode,
+    RecordSession,
 };
 use rr_workloads::{corpus_suite, fuzz_case, litmus_suite, FuzzCase, Workload};
 
@@ -115,6 +115,28 @@ fn parse_worker_list(v: &str) -> Option<Vec<usize>> {
         .collect()
 }
 
+/// The value after option `name` of command `cmd`; a missing one is a
+/// usage error (exit 2).
+fn value<'a>(cmd: &str, name: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a str, u8> {
+    it.next().map(String::as_str).ok_or_else(|| {
+        eprintln!("rr-check {cmd}: {name} needs a value\n{USAGE}");
+        2
+    })
+}
+
+/// The value after option `name` of command `cmd` as a number; a missing
+/// or unparseable one is a usage error (exit 2).
+fn number<T>(cmd: &str, name: &str, it: &mut std::slice::Iter<'_, String>) -> Result<T, u8>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    value(cmd, name, it)?.parse().map_err(|e| {
+        eprintln!("rr-check {cmd}: bad {name}: {e}");
+        2
+    })
+}
+
 fn parse(args: &[String]) -> Result<Options, u8> {
     let mut seeds = 16u64;
     let mut pressures = vec![PressureMode::None];
@@ -126,21 +148,10 @@ fn parse(args: &[String]) -> Result<Options, u8> {
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, u8> {
-            it.next().ok_or_else(|| {
-                eprintln!("rr-check explore: {name} needs a value\n{USAGE}");
-                2
-            })
-        };
         match flag.as_str() {
-            "--seeds" => {
-                seeds = value("--seeds")?.parse().map_err(|e| {
-                    eprintln!("rr-check explore: bad --seeds: {e}");
-                    2
-                })?;
-            }
+            "--seeds" => seeds = number("explore", flag, &mut it)?,
             "--pressure" => {
-                let v = value("--pressure")?;
+                let v = value("explore", flag, &mut it)?;
                 pressures = if v == "all" {
                     PressureMode::ALL.to_vec()
                 } else {
@@ -150,21 +161,16 @@ fn parse(args: &[String]) -> Result<Options, u8> {
                     })?]
                 };
             }
-            "--workload" => workload = value("--workload")?.clone(),
-            "--workers" => {
-                workers = value("--workers")?.parse().map_err(|e| {
-                    eprintln!("rr-check explore: bad --workers: {e}");
-                    2
-                })?;
-            }
+            "--workload" => workload = value("explore", flag, &mut it)?.to_string(),
+            "--workers" => workers = number("explore", flag, &mut it)?,
             "--replay-workers" => {
-                let v = value("--replay-workers")?;
+                let v = value("explore", flag, &mut it)?;
                 replay_workers = parse_worker_list(v).ok_or_else(|| {
                     eprintln!("rr-check explore: bad --replay-workers {v:?} (want e.g. 1,2,4,8)");
                     2
                 })?;
             }
-            "--out" => out = PathBuf::from(value("--out")?),
+            "--out" => out = PathBuf::from(value("explore", flag, &mut it)?),
             "--trace" => trace = true,
             other => {
                 eprintln!("rr-check explore: unknown flag {other:?}\n{USAGE}");
@@ -314,25 +320,9 @@ fn cmd_verify(args: &[String]) -> u8 {
     let mut cfg = rr_experiments::ExperimentConfig::from_env();
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, u8> {
-            it.next().ok_or_else(|| {
-                eprintln!("rr-check verify: {name} needs a value\n{USAGE}");
-                2
-            })
-        };
-        let res: Result<(), u8> = match flag.as_str() {
-            "--workers" => value("--workers").and_then(|v| {
-                v.parse().map(|n| cfg.workers = n).map_err(|e| {
-                    eprintln!("rr-check verify: bad --workers: {e}");
-                    2
-                })
-            }),
-            "--size" => value("--size").and_then(|v| {
-                v.parse().map(|n| cfg.size = n).map_err(|e| {
-                    eprintln!("rr-check verify: bad --size: {e}");
-                    2
-                })
-            }),
+        let res = match flag.as_str() {
+            "--workers" => number("verify", flag, &mut it).map(|n| cfg.workers = n),
+            "--size" => number("verify", flag, &mut it).map(|n| cfg.size = n),
             other => {
                 eprintln!("rr-check verify: unknown flag {other:?}\n{USAGE}");
                 Err(2)
@@ -375,24 +365,12 @@ fn parse_fuzz(args: &[String]) -> Result<FuzzOptions, u8> {
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, u8> {
-            it.next().ok_or_else(|| {
-                eprintln!("rr-check fuzz: {name} needs a value\n{USAGE}");
-                2
-            })
-        };
-        let parsed = |name: &str, v: &str| -> Result<u64, u8> {
-            v.parse().map_err(|e| {
-                eprintln!("rr-check fuzz: bad {name}: {e}");
-                2
-            })
-        };
         match flag.as_str() {
-            "--count" => opts.count = parsed("--count", value("--count")?)?,
-            "--start-seed" => opts.start_seed = parsed("--start-seed", value("--start-seed")?)?,
-            "--schedules" => opts.schedules = parsed("--schedules", value("--schedules")?)?,
+            "--count" => opts.count = number("fuzz", flag, &mut it)?,
+            "--start-seed" => opts.start_seed = number("fuzz", flag, &mut it)?,
+            "--schedules" => opts.schedules = number("fuzz", flag, &mut it)?,
             "--pressure" => {
-                let v = value("--pressure")?;
+                let v = value("fuzz", flag, &mut it)?;
                 opts.pressures = if v == "all" {
                     PressureMode::ALL.to_vec()
                 } else {
@@ -402,17 +380,15 @@ fn parse_fuzz(args: &[String]) -> Result<FuzzOptions, u8> {
                     })?]
                 };
             }
-            "--workers" => {
-                opts.workers = parsed("--workers", value("--workers")?)? as usize;
-            }
+            "--workers" => opts.workers = number("fuzz", flag, &mut it)?,
             "--replay-workers" => {
-                let v = value("--replay-workers")?;
+                let v = value("fuzz", flag, &mut it)?;
                 opts.replay_workers = parse_worker_list(v).ok_or_else(|| {
                     eprintln!("rr-check fuzz: bad --replay-workers {v:?} (want e.g. 1,2,4,8)");
                     2
                 })?;
             }
-            "--out" => opts.out = PathBuf::from(value("--out")?),
+            "--out" => opts.out = PathBuf::from(value("fuzz", flag, &mut it)?),
             other => {
                 eprintln!("rr-check fuzz: unknown flag {other:?}\n{USAGE}");
                 return Err(2);
@@ -509,7 +485,8 @@ fn save_fuzz_source(case: &FuzzCase, out: &Path) {
 }
 
 /// Shrinks a divergent spec, then re-records it with tracing enabled and
-/// lets the forensics layer write `divergence.md` next to the CSVs.
+/// replays every variant with a trace probe ([`replay_forensic`]), which
+/// writes `divergence.md` next to the CSVs.
 fn report_divergence(w: &Workload, machine: &MachineConfig, spec: ExploreSpec, out: &Path) {
     let min = minimize_divergence(&w.programs, &w.initial_mem, machine, spec);
     eprintln!(
@@ -534,7 +511,7 @@ fn report_divergence(w: &Workload, machine: &MachineConfig, spec: ExploreSpec, o
         min.label().replace('/', "-")
     ));
     for v in 0..run.variants.len() {
-        if let Err(e) = replay_and_verify_forensic(
+        if let Err(e) = replay_forensic(
             &w.programs,
             &w.initial_mem,
             &run,

@@ -50,7 +50,7 @@ use std::process::ExitCode;
 use relaxreplay::wire::{decode_chunked_into, decode_chunked_skip, parse_header};
 use relaxreplay::{IntervalLog, LogEntry};
 use rr_experiments::report::Table;
-use rr_sim::RunStore;
+use rr_sim::{with_variant_dag, RunStore};
 
 const USAGE: &str = "usage:
   rr-inspect stat  <file.rrlog | run-dir | rr://host:port[/run]>
@@ -95,6 +95,29 @@ fn one_path(args: &[String], cmd: &str) -> Result<PathBuf, u8> {
             Err(2)
         }
     }
+}
+
+/// The value of option `flag` when `arg` is `flag` (the value is the next
+/// argument, if any) or `flag=value`; `None` when `arg` is something else.
+fn flag_arg<'a>(
+    flag: &str,
+    arg: &'a str,
+    rest: &mut std::slice::Iter<'a, String>,
+) -> Option<Option<&'a str>> {
+    if arg == flag {
+        Some(rest.next().map(String::as_str))
+    } else {
+        arg.strip_prefix(flag)?.strip_prefix('=').map(Some)
+    }
+}
+
+/// A numeric option's value; a missing or unparseable one is a usage
+/// error (exit 2).
+fn parse_num<T: std::str::FromStr>(cmd: &str, flag: &str, value: Option<&str>) -> Result<T, u8> {
+    value.and_then(|v| v.parse().ok()).ok_or_else(|| {
+        eprintln!("rr-inspect {cmd}: {flag} needs a number\n{USAGE}");
+        2
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -372,12 +395,11 @@ fn cmd_dump(args: &[String]) -> u8 {
     let mut limit = usize::MAX;
     let mut rest = args[1..].iter();
     while let Some(a) = rest.next() {
-        if a == "--limit" {
-            if let Some(n) = rest.next().and_then(|v| v.parse().ok()) {
-                limit = n;
+        if let Some(v) = flag_arg("--limit", a, &mut rest) {
+            match parse_num("dump", "--limit", v) {
+                Ok(n) => limit = n,
+                Err(c) => return c,
             }
-        } else if let Some(n) = a.strip_prefix("--limit=").and_then(|v| v.parse().ok()) {
-            limit = n;
         }
     }
     let bytes = match std::fs::read(&path) {
@@ -567,14 +589,12 @@ fn cmd_dag(args: &[String]) -> u8 {
     let mut dot_dir: Option<PathBuf> = None;
     let mut rest = args[1..].iter();
     while let Some(a) = rest.next() {
-        if a == "--dot" {
-            dot_dir = rest.next().map(PathBuf::from);
+        if let Some(v) = flag_arg("--dot", a, &mut rest) {
+            dot_dir = v.map(PathBuf::from);
             if dot_dir.is_none() {
                 eprintln!("rr-inspect dag: --dot needs an output directory\n{USAGE}");
                 return 2;
             }
-        } else if let Some(d) = a.strip_prefix("--dot=") {
-            dot_dir = Some(PathBuf::from(d));
         }
     }
     let (store, names) = match resolve_store(&args[0]) {
@@ -610,44 +630,30 @@ fn cmd_dag(args: &[String]) -> u8 {
             ],
         );
         for v in &run.variants {
-            let patched: Result<Vec<_>, _> = v.logs.iter().map(rr_replay::patch).collect();
-            let patched = match patched {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{name}/{}: patch failed: {e}", v.label);
-                    code = 1;
-                    continue;
-                }
-            };
-            let dag = match v.dag(&patched) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{name}/{}: DAG build failed: {e}", v.label);
-                    code = 1;
-                    continue;
-                }
-            };
-            let order = if v.ordering.is_some() {
-                "partial"
-            } else {
-                "total"
-            };
-            let s = dag.stats();
-            t.row(vec![
-                v.label.clone(),
-                order.to_string(),
-                format!("{}", s.nodes),
-                format!("{}", s.edges),
-                format!("{}", s.critical_path),
-                format!("{}", s.max_width),
-                format!("{:.2}", s.ideal_speedup()),
-            ]);
-            if let Some(dir) = &dot_dir {
+            let drawn = with_variant_dag(&v.logs, v.ordering.as_deref(), None, |dag| {
+                let order = if v.ordering.is_some() {
+                    "partial"
+                } else {
+                    "total"
+                };
+                let s = dag.stats();
+                t.row(vec![
+                    v.label.clone(),
+                    order.to_string(),
+                    format!("{}", s.nodes),
+                    format!("{}", s.edges),
+                    format!("{}", s.critical_path),
+                    format!("{}", s.max_width),
+                    format!("{:.2}", s.ideal_speedup()),
+                ]);
+                let Some(dir) = &dot_dir else {
+                    return;
+                };
                 let file = dir.join(format!("{name}-{}.dot", v.label));
                 // Highlight the cost-weighted critical path (red, thick) so
                 // the rendered graph shows where the makespan lives.
                 let blame =
-                    rr_replay::critical_path_blame(&dag, &rr_replay::CostModel::splash_default());
+                    rr_replay::critical_path_blame(dag, &rr_replay::CostModel::splash_default());
                 let dot = dag.to_dot_with_path(&format!("{name}/{}", v.label), &blame.path);
                 if let Err(e) = std::fs::write(&file, dot) {
                     eprintln!("{}: {e}", file.display());
@@ -655,6 +661,10 @@ fn cmd_dag(args: &[String]) -> u8 {
                 } else {
                     println!("wrote {}", file.display());
                 }
+            });
+            if let Err(e) = drawn {
+                eprintln!("{name}/{}: {e}", v.label);
+                code = 1;
             }
         }
         t.print();
@@ -671,35 +681,31 @@ fn cmd_prof(args: &[String]) -> u8 {
         Ok(p) => p,
         Err(c) => return c,
     };
+    let mut workers = 4usize;
+    let mut size = 6u32;
+    let mut out_dir: Option<PathBuf> = None;
+    let mut rest = args[1..].iter();
+    while let Some(a) = rest.next() {
+        if let Some(v) = flag_arg("--workers", a, &mut rest) {
+            match parse_num("prof", "--workers", v) {
+                Ok(n) => workers = n,
+                Err(c) => return c,
+            }
+        } else if let Some(v) = flag_arg("--size", a, &mut rest) {
+            match parse_num("prof", "--size", v) {
+                Ok(n) => size = n,
+                Err(c) => return c,
+            }
+        } else if let Some(v) = flag_arg("--out", a, &mut rest) {
+            out_dir = v.map(PathBuf::from);
+        }
+    }
     if !path.is_dir() {
         eprintln!(
             "rr-inspect prof: {} is not a directory (expected a run saved by --save-logs)",
             path.display()
         );
         return 1;
-    }
-    let mut workers = 4usize;
-    let mut size = 6u32;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut rest = args[1..].iter();
-    while let Some(a) = rest.next() {
-        if a == "--workers" {
-            if let Some(n) = rest.next().and_then(|v| v.parse().ok()) {
-                workers = n;
-            }
-        } else if let Some(n) = a.strip_prefix("--workers=").and_then(|v| v.parse().ok()) {
-            workers = n;
-        } else if a == "--size" {
-            if let Some(n) = rest.next().and_then(|v| v.parse().ok()) {
-                size = n;
-            }
-        } else if let Some(n) = a.strip_prefix("--size=").and_then(|v| v.parse().ok()) {
-            size = n;
-        } else if a == "--out" {
-            out_dir = rest.next().map(PathBuf::from);
-        } else if let Some(d) = a.strip_prefix("--out=") {
-            out_dir = Some(PathBuf::from(d));
-        }
     }
     let (root, names) = match resolve_runs(&path) {
         Ok(t) => t,
@@ -745,78 +751,65 @@ fn cmd_prof(args: &[String]) -> u8 {
             ],
         );
         let mut entries = Vec::new();
-        let mut timelines: Vec<(String, relaxreplay::prof::EngineProf)> = Vec::new();
         for v in &run.variants {
-            let patched: Result<Vec<_>, _> = v.logs.iter().map(rr_replay::patch).collect();
-            let patched = match patched {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{name}/{}: patch failed: {e}", v.label);
-                    code = 1;
-                    continue;
-                }
-            };
-            let dag = match v.dag(&patched) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{name}/{}: DAG build failed: {e}", v.label);
-                    code = 1;
-                    continue;
-                }
-            };
-            let blame = rr_replay::critical_path_blame(&dag, &cost);
-            let top_core = blame
-                .per_core
-                .iter()
-                .enumerate()
-                .max_by_key(|&(i, c)| (*c, std::cmp::Reverse(i)))
-                .map_or("-".to_string(), |(i, c)| format!("core {i} ({c})"));
-            let top_kind = blame
-                .per_kind
-                .iter()
-                .max_by_key(|(_, c)| *c)
-                .map_or("-".to_string(), |(k, c)| format!("{k} ({c})"));
-            t.row(vec![
-                v.label.clone(),
-                format!("{}", blame.makespan_cycles),
-                format!("{:.2}", blame.ideal_speedup()),
-                format!("{:.1}%", blame.coverage_pct()),
-                top_core,
-                top_kind,
-            ]);
+            let profiled = with_variant_dag(&v.logs, v.ordering.as_deref(), None, |dag| {
+                let blame = rr_replay::critical_path_blame(dag, &cost);
+                let top_core = blame
+                    .per_core
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|&(i, c)| (*c, std::cmp::Reverse(i)))
+                    .map_or("-".to_string(), |(i, c)| format!("core {i} ({c})"));
+                let top_kind = blame
+                    .per_kind
+                    .iter()
+                    .max_by_key(|(_, c)| *c)
+                    .map_or("-".to_string(), |(k, c)| format!("{k} ({c})"));
+                t.row(vec![
+                    v.label.clone(),
+                    format!("{}", blame.makespan_cycles),
+                    format!("{:.2}", blame.ideal_speedup()),
+                    format!("{:.1}%", blame.coverage_pct()),
+                    top_core,
+                    top_kind,
+                ]);
 
-            let mut engine = None;
-            if let Some(w) = &workload {
-                let mut prof = relaxreplay::EngineProf::default();
-                match rr_replay::execute_threaded_probed(
-                    &w.programs,
-                    &dag,
-                    w.initial_mem.clone(),
-                    &cost,
-                    workers,
-                    &mut prof,
-                ) {
-                    Ok(outcome) => {
-                        if let Err(e) = rr_replay::verify(&run.recorded, &outcome) {
-                            eprintln!("{name}/{}: profiled replay diverged: {e}", v.label);
+                let mut engine = None;
+                if let Some(w) = &workload {
+                    let mut prof = relaxreplay::EngineProf::default();
+                    match rr_replay::execute_threaded_probed(
+                        &w.programs,
+                        dag,
+                        w.initial_mem.clone(),
+                        &cost,
+                        workers,
+                        &mut prof,
+                    ) {
+                        Ok(outcome) => {
+                            if let Err(e) = rr_replay::verify(&run.recorded, &outcome) {
+                                eprintln!("{name}/{}: profiled replay diverged: {e}", v.label);
+                                code = 1;
+                            } else {
+                                engine = Some(prof);
+                            }
+                        }
+                        Err(e) => {
+                            eprintln!("{name}/{}: profiled replay failed: {e}", v.label);
                             code = 1;
-                        } else {
-                            timelines.push((format!("{name}/{}", v.label), prof.clone()));
-                            engine = Some(prof);
                         }
                     }
-                    Err(e) => {
-                        eprintln!("{name}/{}: profiled replay failed: {e}", v.label);
-                        code = 1;
-                    }
                 }
-            }
-            entries.push(rr_replay::prof::ProfEntry {
-                run: name.clone(),
-                variant: v.label.clone(),
-                blame,
-                engine,
+                entries.push(rr_replay::prof::ProfEntry {
+                    run: name.clone(),
+                    variant: v.label.clone(),
+                    blame,
+                    engine,
+                });
             });
+            if let Err(e) = profiled {
+                eprintln!("{name}/{}: {e}", v.label);
+                code = 1;
+            }
         }
         t.print();
         if entries.is_empty() {
@@ -839,11 +832,11 @@ fn cmd_prof(args: &[String]) -> u8 {
             continue;
         }
         println!("wrote {}", prof_path.display());
-        if !timelines.is_empty() {
-            let refs: Vec<(String, &relaxreplay::prof::EngineProf)> = timelines
-                .iter()
-                .map(|(label, p)| (label.clone(), p))
-                .collect();
+        let refs: Vec<(String, &relaxreplay::prof::EngineProf)> = entries
+            .iter()
+            .filter_map(|e| Some((format!("{}/{}", e.run, e.variant), e.engine.as_ref()?)))
+            .collect();
+        if !refs.is_empty() {
             let trace_path = out_dir.join(format!("{name}.prof.trace.json"));
             let chrome = relaxreplay::engine_chrome_trace(&refs);
             match relaxreplay::trace::validate_chrome_trace(&chrome) {
@@ -882,10 +875,9 @@ fn cmd_trace(args: &[String]) -> u8 {
     let mut out_path: Option<PathBuf> = None;
     let mut rest = args[1..].iter();
     while let Some(a) = rest.next() {
-        if a == "-o" || a == "--out" {
-            out_path = rest.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix("--out=") {
-            out_path = Some(PathBuf::from(p));
+        let a = if a == "-o" { "--out" } else { a };
+        if let Some(v) = flag_arg("--out", a, &mut rest) {
+            out_path = v.map(PathBuf::from);
         }
     }
     let out_path = out_path.unwrap_or_else(|| path.with_extension("json"));

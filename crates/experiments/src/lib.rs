@@ -25,8 +25,9 @@ pub mod runner;
 pub mod scaling;
 
 pub use runner::{
-    handle_replay_from, metrics_jsonl, prof_entries, replay_suite_from, run_corpus_suite,
-    run_suite, run_suite_timed, write_prof_artifacts, write_prof_pairs, write_trace_artifacts,
-    write_trace_pairs, ExperimentConfig, ReplayFromSummary, SuiteRun, WorkloadRun,
+    handle_replay_from, metrics_jsonl, prof_entries, replay_forensic, replay_suite_from,
+    run_corpus_suite, run_suite, run_suite_timed, write_prof_artifacts, write_prof_pairs,
+    write_trace_artifacts, write_trace_pairs, ExperimentConfig, ReplayFromSummary, SuiteRun,
+    WorkloadRun,
 };
 pub use scaling::{replay_scaling, ReplayScaling, SCALING_REPS, SCALING_WORKERS};

@@ -3,15 +3,18 @@
 //! sweep engine), and producing everything the individual figures need —
 //! including the per-run metrics JSONL sidecars.
 
-use relaxreplay::trace::{TraceConfig, TraceLevel};
+use relaxreplay::trace::{TraceConfig, TraceLevel, TraceRing};
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
-    critical_path_blame, execute_threaded, patch, prof_json, replay, verify, CostModel,
-    IntervalDag, ReplayOutcome,
+    critical_path_blame, divergence_report, prof_json, verify, verify_traced, CostModel,
+    ReplayOutcome,
 };
 use rr_sim::sweep::{default_workers, run_sweep, ReplayPolicy, SweepJob, SweepReport};
-use rr_sim::{metrics, Error, MachineConfig, MetricsRegistry, PhaseNanos, RecorderSpec, RunResult};
-use rr_workloads::suite;
+use rr_sim::{
+    metrics, replay_variant, with_variant_dag, Engine, Error, MachineConfig, MetricsRegistry,
+    PhaseNanos, RecorderSpec, RunResult,
+};
+use rr_workloads::{suite, Workload};
 
 /// Configuration of an experiment campaign.
 #[derive(Clone, Debug)]
@@ -232,23 +235,40 @@ fn replay_policy(cfg: &ExperimentConfig) -> ReplayPolicy {
 /// outcome) or a `--save-logs` write failure.
 pub fn run_suite_timed(cfg: &ExperimentConfig) -> Result<SuiteRun, Error> {
     let machine = MachineConfig::splash_default(cfg.threads).with_trace(cfg.trace);
+    sweep_suite(
+        cfg,
+        suite(cfg.threads, cfg.size),
+        |_| machine.clone(),
+        "sweep",
+    )
+}
+
+/// One sweep job per workload, on the machine `machine` picks for it,
+/// under the configured replay policy; saves the runs when
+/// `--save-logs` asks. `what` names the sweep in its error.
+fn sweep_suite(
+    cfg: &ExperimentConfig,
+    workloads: Vec<Workload>,
+    machine: impl Fn(&Workload) -> MachineConfig,
+    what: &str,
+) -> Result<SuiteRun, Error> {
     let specs = variant_specs();
-    let workloads = suite(cfg.threads, cfg.size);
     let names: Vec<&'static str> = workloads.iter().map(|w| w.name).collect();
     let jobs: Vec<SweepJob> = workloads
         .into_iter()
         .map(|w| {
+            let machine = machine(&w);
             SweepJob::from_specs(
                 w.name,
                 w.programs,
                 w.initial_mem,
-                machine.clone(),
+                machine,
                 &specs,
                 replay_policy(cfg),
             )
         })
         .collect();
-    let report = run_sweep(&jobs, cfg.workers).map_err(|e| Error::from(e).context("sweep"))?;
+    let report = run_sweep(&jobs, cfg.workers).map_err(|e| Error::from(e).context(what))?;
     save_report_logs(cfg, &report)?;
     Ok(report_to_suite(report, &names))
 }
@@ -298,27 +318,9 @@ pub fn run_suite(cfg: &ExperimentConfig) -> Result<Vec<WorkloadRun>, Error> {
 ///
 /// As [`run_suite_timed`].
 pub fn run_corpus_suite(cfg: &ExperimentConfig) -> Result<Vec<WorkloadRun>, Error> {
-    let specs = variant_specs();
-    let workloads = rr_workloads::corpus_suite();
-    let names: Vec<&'static str> = workloads.iter().map(|w| w.name).collect();
-    let jobs: Vec<SweepJob> = workloads
-        .into_iter()
-        .map(|w| {
-            let machine = MachineConfig::splash_default(w.programs.len()).with_trace(cfg.trace);
-            SweepJob::from_specs(
-                w.name,
-                w.programs,
-                w.initial_mem,
-                machine,
-                &specs,
-                replay_policy(cfg),
-            )
-        })
-        .collect();
-    let report =
-        run_sweep(&jobs, cfg.workers).map_err(|e| Error::from(e).context("corpus sweep"))?;
-    save_report_logs(cfg, &report)?;
-    Ok(report_to_suite(report, &names).runs)
+    let machine =
+        |w: &Workload| MachineConfig::splash_default(w.programs.len()).with_trace(cfg.trace);
+    Ok(sweep_suite(cfg, rr_workloads::corpus_suite(), machine, "corpus sweep")?.runs)
 }
 
 fn report_to_suite(report: SweepReport, names: &[&'static str]) -> SuiteRun {
@@ -375,21 +377,16 @@ pub fn run_scalability(
     let report = run_sweep(&jobs, cfg.workers).map_err(|e| Error::from(e).context("sweep"))?;
     save_report_logs(cfg, &report)?;
 
+    let workloads: Vec<&'static str> = names.iter().map(|&(_, name)| name).collect();
+    let runs = report_to_suite(report, &workloads).runs;
     let mut grouped: Vec<(usize, Vec<WorkloadRun>)> =
         core_counts.iter().map(|&c| (c, Vec::new())).collect();
-    for (o, &(cores, name)) in report.outputs.into_iter().zip(&names) {
+    for (run, &(cores, _)) in runs.into_iter().zip(&names) {
         let slot = grouped
             .iter_mut()
             .find(|(c, _)| *c == cores)
             .expect("core count present");
-        slot.1.push(WorkloadRun {
-            name,
-            label: o.name,
-            record: o.run,
-            replays: o.replays,
-            metrics: o.metrics,
-            phases: o.phases,
-        });
+        slot.1.push(run);
     }
     Ok(grouped)
 }
@@ -437,6 +434,9 @@ pub fn replay_suite_from(
     if names.is_empty() {
         return Err(Error::msg(format!("no saved runs in {}", store.describe())));
     }
+    let workers = cfg
+        .replay_workers
+        .map(|w| if w == 0 { default_workers() } else { w });
     let mut variants = 0usize;
     for name in &names {
         // Per-core logs of a saved run decode on the parallel ingest pool.
@@ -457,21 +457,19 @@ pub fn replay_suite_from(
             .ok_or_else(|| Error::msg(format!("{name}: no workload named {base:?} is known")))?;
         for v in &saved.variants {
             let at = |stage: &str| format!("{name} [{}]: {stage}", v.label);
-            let patched: Vec<_> = v
-                .logs
-                .iter()
-                .map(patch)
-                .collect::<Result<_, _>>()
-                .map_err(|e| Error::from(e).context(at("patch failed")))?;
-            let mem = workload.initial_mem.clone();
-            let outcome = match cfg.replay_workers {
-                None => replay(&workload.programs, &patched, mem, &cfg.cost),
-                Some(w) => v.dag(&patched).and_then(|dag| {
-                    let workers = if w == 0 { default_workers() } else { w };
-                    execute_threaded(&workload.programs, &dag, mem, &cfg.cost, workers)
-                }),
-            }
-            .map_err(|e| Error::from(e).context(at("replay failed")))?;
+            let engine = workers.map_or(Engine::Sequential, |w| {
+                Engine::Threaded(w, v.ordering.as_deref())
+            });
+            let outcome = replay_variant(
+                &workload.programs,
+                &workload.initial_mem,
+                &cfg.cost,
+                &v.logs,
+                engine,
+                &mut (),
+                None,
+            )
+            .map_err(|e| e.into_error(at, "replay failed"))?;
             verify(&saved.recorded, &outcome)
                 .map_err(|e| Error::from(e).context(at("verification failed")))?;
             variants += 1;
@@ -573,6 +571,64 @@ pub fn write_trace_pairs(
     Ok(())
 }
 
+/// Replays variant `variant` of `result` through [`replay_variant`] with
+/// a [`TraceRing`] probe and verifies it traced. When verification fails
+/// on a run recorded with tracing, writes `divergence.md` (both
+/// timelines' event windows around the divergent load) into `report_dir`
+/// and names it in the error.
+///
+/// # Errors
+///
+/// The first patch, replay or verification failure, or an out-of-range
+/// `variant` index; a report write failure is appended to the
+/// verification error's context rather than masking it.
+pub fn replay_forensic(
+    programs: &[rr_isa::Program],
+    initial_mem: &rr_isa::MemImage,
+    result: &RunResult,
+    variant: usize,
+    cost: &CostModel,
+    report_dir: &std::path::Path,
+) -> Result<ReplayOutcome, Error> {
+    let v = result.variant(variant)?;
+    // The replay ring lives outside the simulated machine, so it cannot
+    // perturb anything.
+    let mut ring = TraceRing::new(rr_mem::CoreId::new(u8::MAX), &TraceConfig::full());
+    let outcome = replay_variant(
+        programs,
+        initial_mem,
+        cost,
+        &v.logs,
+        Engine::Sequential,
+        &mut ring,
+        None,
+    )
+    .map_err(|e| e.into_error(|s| s.to_string(), "replay failed"))?;
+    let Err(err) = verify_traced(&result.recorded, &outcome, Some(&mut ring)) else {
+        return Ok(outcome);
+    };
+    let note = match &result.trace {
+        None => "record the run with tracing enabled to get a divergence report".to_string(),
+        Some(record_trace) => {
+            let report = divergence_report(
+                &err,
+                &result.recorded,
+                &outcome,
+                record_trace,
+                &ring,
+                rr_replay::forensics::DEFAULT_WINDOW,
+            );
+            let path = report_dir.join("divergence.md");
+            match std::fs::create_dir_all(report_dir).and_then(|()| std::fs::write(&path, report)) {
+                Ok(()) => format!("forensic report: {}", path.display()),
+                Err(io) => format!("report write failed: {io}"),
+            }
+        }
+    };
+    let label = v.spec.label();
+    Err(Error::from(err).context(format!("verification failed [{label}] ({note})")))
+}
+
 /// Builds the critical-path blame entries for a set of runs: one
 /// [`rr_replay::ProfEntry`] per run × recorder variant, with the DAG
 /// built from the variant's recorded partial order.
@@ -586,18 +642,14 @@ pub fn prof_entries(runs: &[WorkloadRun], cost: &CostModel) -> Result<Vec<ProfEn
     for r in runs {
         for v in &r.record.variants {
             let at = |stage: &str| format!("{} [{}]: {stage}", r.label, v.spec.label());
-            let patched: Vec<_> = v
-                .logs
-                .iter()
-                .map(patch)
-                .collect::<Result<_, _>>()
-                .map_err(|e| Error::from(e).context(at("patch failed")))?;
-            let dag = IntervalDag::partial_order(v.logs.len(), &patched, &v.ordering)
-                .map_err(|e| Error::from(e).context(at("dag failed")))?;
+            let blame = with_variant_dag(&v.logs, Some(&v.ordering), None, |dag| {
+                critical_path_blame(dag, cost)
+            })
+            .map_err(|e| e.into_error(at, "dag failed"))?;
             entries.push(ProfEntry {
                 run: r.label.clone(),
                 variant: v.spec.label(),
-                blame: critical_path_blame(&dag, cost),
+                blame,
                 engine: None,
             });
         }

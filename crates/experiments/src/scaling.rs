@@ -8,10 +8,10 @@ use std::time::Instant;
 use relaxreplay::EngineProf;
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
-    critical_path_blame, execute_threaded, execute_threaded_probed, patch, verify, CostModel,
-    IntervalDag, PatchedLog, ReplayError, ReplayOutcome,
+    critical_path_blame, execute_threaded, execute_threaded_probed, verify, CostModel, IntervalDag,
+    ReplayError, ReplayOutcome,
 };
-use rr_sim::{Error, RunResult};
+use rr_sim::{with_variant_dag, Error, RunResult};
 use rr_workloads::Workload;
 
 use crate::report::f2;
@@ -52,7 +52,7 @@ impl ReplayScaling {
 /// `w`, labelling errors with `label`:
 ///
 /// 1. patches the variant's logs and builds the recorded partial-order
-///    DAG;
+///    DAG ([`with_variant_dag`]);
 /// 2. takes the modeled speedup at `modeled_workers` from the pure list
 ///    schedule ([`IntervalDag::list_schedule`], nothing is replayed);
 /// 3. times [`execute_threaded`] on that one DAG at every
@@ -78,61 +78,56 @@ pub fn replay_scaling(
 ) -> Result<ReplayScaling, Error> {
     let v = &result.variants[variant];
     let at = |stage: &str| format!("{label} [{}]: {stage}", v.spec.label());
-    let patched: Vec<PatchedLog> = v
-        .logs
-        .iter()
-        .map(patch)
-        .collect::<Result<_, _>>()
-        .map_err(|e| Error::from(e).context(at("patch failed")))?;
-    let dag = IntervalDag::partial_order(w.programs.len(), &patched, &v.ordering)
-        .map_err(|e| Error::from(e).context(at("dag failed")))?;
-    let (_, makespan, total_work) = dag.list_schedule(cost, modeled_workers);
-    let modeled = if makespan == 0 {
-        1.0
-    } else {
-        total_work as f64 / makespan as f64
-    };
-
     let verified = |outcome: Result<ReplayOutcome, ReplayError>, stage: &str| {
         let outcome = outcome.map_err(|e| Error::from(e).context(at(stage)))?;
         verify(&result.recorded, &outcome).map_err(|e| Error::from(e).context(at(stage)))
     };
-    let mut secs = Vec::with_capacity(SCALING_WORKERS.len());
-    for workers in SCALING_WORKERS {
-        let mut best = f64::INFINITY;
-        for _ in 0..SCALING_REPS {
-            let mem = w.initial_mem.clone();
-            let start = Instant::now();
-            let outcome = execute_threaded(&w.programs, &dag, mem, cost, workers);
-            best = best.min(start.elapsed().as_secs_f64());
-            verified(outcome, &format!("threaded replay (w={workers})"))?;
+    let measure = |dag: &IntervalDag<'_>| -> Result<ReplayScaling, Error> {
+        let (_, makespan, total_work) = dag.list_schedule(cost, modeled_workers);
+        let modeled = if makespan == 0 {
+            1.0
+        } else {
+            total_work as f64 / makespan as f64
+        };
+        let mut secs = Vec::with_capacity(SCALING_WORKERS.len());
+        for workers in SCALING_WORKERS {
+            let mut best = f64::INFINITY;
+            for _ in 0..SCALING_REPS {
+                let mem = w.initial_mem.clone();
+                let start = Instant::now();
+                let outcome = execute_threaded(&w.programs, dag, mem, cost, workers);
+                best = best.min(start.elapsed().as_secs_f64());
+                verified(outcome, &format!("threaded replay (w={workers})"))?;
+            }
+            secs.push(best);
         }
-        secs.push(best);
-    }
-    let prof = match prof_workers {
-        None => None,
-        Some(workers) => {
-            let mut engine = EngineProf::default();
-            let outcome = execute_threaded_probed(
-                &w.programs,
-                &dag,
-                w.initial_mem.clone(),
-                cost,
-                workers,
-                &mut engine,
-            );
-            verified(outcome, &format!("profiled replay (w={workers})"))?;
-            Some(ProfEntry {
-                run: label.to_string(),
-                variant: v.spec.label(),
-                blame: critical_path_blame(&dag, cost),
-                engine: Some(engine),
-            })
-        }
+        let prof = match prof_workers {
+            None => None,
+            Some(workers) => {
+                let mut engine = EngineProf::default();
+                let outcome = execute_threaded_probed(
+                    &w.programs,
+                    dag,
+                    w.initial_mem.clone(),
+                    cost,
+                    workers,
+                    &mut engine,
+                );
+                verified(outcome, &format!("profiled replay (w={workers})"))?;
+                Some(ProfEntry {
+                    run: label.to_string(),
+                    variant: v.spec.label(),
+                    blame: critical_path_blame(dag, cost),
+                    engine: Some(engine),
+                })
+            }
+        };
+        Ok(ReplayScaling {
+            modeled,
+            secs,
+            prof,
+        })
     };
-    Ok(ReplayScaling {
-        modeled,
-        secs,
-        prof,
-    })
+    with_variant_dag(&v.logs, Some(&v.ordering), None, measure)
+        .map_err(|e| e.into_error(at, "dag failed"))?
 }

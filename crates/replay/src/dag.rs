@@ -325,12 +325,6 @@ impl<'a> IntervalDag<'a> {
         self.threads
     }
 
-    /// Total number of dependency edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
     /// The replay events of all intervals — what every executor reports
     /// once it has run them all.
     #[must_use]

@@ -20,12 +20,11 @@
 //! enabled.
 
 use rr_isa::{MemImage, Program};
-use rr_replay::{
-    cross_check, execute_threaded, patch, replay, CostModel, IntervalDag, PatchedLog, Shrink,
-};
+use rr_replay::{cross_check, execute_threaded, CostModel, Shrink};
 
 use crate::config::MachineConfig;
 use crate::machine::{PressureSpec, RunOptions, ScheduleStrategy, SimError};
+use crate::replay::{replay_variant, with_variant_dag, Engine};
 use crate::session::RecordSession;
 use crate::sweep::{run_sweep, ReplayPolicy, SweepError, SweepJob, SweepReport};
 
@@ -175,12 +174,6 @@ impl ExploreSpec {
             .collect()
     }
 
-    /// Variant labels, parallel to [`Self::recorder_configs`].
-    #[must_use]
-    pub fn variant_labels() -> [&'static str; 2] {
-        ["Base-4K", "Opt-4K"]
-    }
-
     /// A stable human-readable identity, e.g. `seed3/traq`.
     #[must_use]
     pub fn label(&self) -> String {
@@ -297,29 +290,31 @@ fn check_run(
     // outcomes at once: the zero-divergence gate covers every engine.
     let mut outcomes = Vec::with_capacity(run.variants.len() * (1 + replay_workers.len()));
     for v in &run.variants {
-        let patched: Result<Vec<PatchedLog>, _> = v.logs.iter().map(patch).collect();
-        let patched = match patched {
-            Ok(p) => p,
-            Err(e) => return Some(format!("[{}] patch failed: {e}", v.spec.label())),
-        };
-        match replay(programs, &patched, initial_mem.clone(), cost) {
+        let seq = Engine::Sequential;
+        match replay_variant(programs, initial_mem, cost, &v.logs, seq, &mut (), None) {
             Ok(o) => outcomes.push((v.spec.label(), o)),
-            Err(e) => return Some(format!("[{}] replay failed: {e}", v.spec.label())),
+            Err(e) => {
+                let at = |stage: &str| format!("[{}] {stage}", v.spec.label());
+                return Some(e.into_error(at, "replay failed").to_string());
+            }
         }
         if replay_workers.is_empty() {
             continue;
         }
-        let dag = match IntervalDag::partial_order(programs.len(), &patched, &v.ordering) {
-            Ok(d) => d,
-            Err(e) => return Some(format!("[{}] DAG build failed: {e}", v.spec.label())),
-        };
-        for &w in replay_workers {
-            match execute_threaded(programs, &dag, initial_mem.clone(), cost, w) {
-                Ok(o) => outcomes.push((format!("{}/w{w}", v.spec.label()), o)),
-                Err(e) => {
-                    return Some(format!("[{}/w{w}] replay failed: {e}", v.spec.label()));
+        // One partial-order DAG serves every worker count.
+        let threaded = with_variant_dag(&v.logs, Some(&v.ordering), None, |dag| {
+            for &w in replay_workers {
+                match execute_threaded(programs, dag, initial_mem.clone(), cost, w) {
+                    Ok(o) => outcomes.push((format!("{}/w{w}", v.spec.label()), o)),
+                    Err(e) => return Some(format!("[{}/w{w}] replay failed: {e}", v.spec.label())),
                 }
             }
+            None
+        });
+        match threaded {
+            Ok(None) => {}
+            Ok(Some(verdict)) => return Some(verdict),
+            Err(e) => return Some(format!("[{}] {e}", v.spec.label())),
         }
     }
     let labeled: Vec<(&str, &rr_replay::ReplayOutcome)> = outcomes

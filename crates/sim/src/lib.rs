@@ -12,7 +12,10 @@
 //! per core to completion and returns a [`RunResult`] carrying per-variant
 //! interval logs plus every statistic the paper's figures need, and
 //! [`replay_and_verify`], which closes the loop: patch → sequential replay
-//! → determinism check against the recorded execution.
+//! → determinism check against the recorded execution. A recorded
+//! variant, fresh or loaded back from a store, is patched and turned into
+//! a DAG in one place: [`replay_variant`] (patch → DAG → executor), or
+//! its first two steps [`with_variant_dag`] for callers that use the DAG.
 //!
 //! ```no_run
 //! use rr_isa::{MemImage, ProgramBuilder, Reg};
@@ -42,6 +45,7 @@ pub mod explore;
 pub mod logdir;
 mod machine;
 pub mod metrics;
+mod replay;
 mod session;
 pub mod store;
 pub mod sweep;
@@ -55,10 +59,11 @@ pub use explore::{
 };
 pub use logdir::{LogDirError, SavedRun, SavedVariant};
 pub use machine::{
-    replay_and_verify, replay_and_verify_forensic, PressureReport, PressureSpec, RunOptions,
-    RunResult, ScheduleStrategy, SimError, SinkFaultReport, VariantResult,
+    PressureReport, PressureSpec, RunOptions, RunResult, ScheduleStrategy, SimError,
+    SinkFaultReport, VariantResult,
 };
 pub use metrics::{MetricsRegistry, PhaseNanos};
+pub use replay::{replay_and_verify, replay_variant, with_variant_dag, Engine, ReplayStageError};
 pub use session::RecordSession;
 pub use store::{
     DedupStat, LocalStore, RemoteFault, RunStat, RunStore, StoreError, StoreSpec, VariantStat,

@@ -30,9 +30,7 @@ use relaxreplay::wire::{crc32, read_varint, write_varint};
 use relaxreplay::{IntervalLog, IntervalOrdering, WireError};
 use rr_isa::{MemImage, WORD_BYTES};
 use rr_mem::CoreId;
-use rr_replay::{
-    read_rrlogs_parallel, IngestError, IntervalDag, PatchedLog, RecordedExecution, ReplayError,
-};
+use rr_replay::{read_rrlogs_parallel, IngestError, RecordedExecution};
 
 use crate::machine::RunResult;
 
@@ -126,26 +124,9 @@ pub struct SavedVariant {
     pub logs: Vec<IntervalLog>,
     /// Per-core interval partial order, when the run was saved with an
     /// `ordering.bin` sidecar. `None` for runs saved by older versions —
-    /// they replay in the recorded total order.
+    /// the threaded engine replays them in the recorded total order
+    /// ([`crate::Engine::Threaded`]).
     pub ordering: Option<Vec<IntervalOrdering>>,
-}
-
-impl SavedVariant {
-    /// The interval DAG of this variant's `patched` logs: the recorded
-    /// partial order when the run carries an `ordering.bin` sidecar, else
-    /// the recorded total order (correct, but serial — every edge of the
-    /// chain is a dependency).
-    ///
-    /// # Errors
-    ///
-    /// The DAG constructors' validation errors on logs or an ordering that
-    /// disagree with each other.
-    pub fn dag<'a>(&self, patched: &'a [PatchedLog]) -> Result<IntervalDag<'a>, ReplayError> {
-        match &self.ordering {
-            Some(ord) => IntervalDag::partial_order(self.logs.len(), patched, ord),
-            None => IntervalDag::total_order(self.logs.len(), patched),
-        }
-    }
 }
 
 /// A complete recorded run loaded back from disk.

@@ -1,11 +1,11 @@
 use core::fmt;
 
 use relaxreplay::trace::TraceEvent;
-use relaxreplay::{IntervalLog, Recorder, RecorderStats, RunTrace, TraceConfig, TraceRing};
+use relaxreplay::{IntervalLog, Recorder, RecorderStats, RunTrace, TraceRing};
 use rr_cpu::{Core, CoreObserver, CoreStats, PerformRecord};
 use rr_isa::{MemImage, Program};
 use rr_mem::{CoherenceMode, CoreId, MemStats, MemTickOutput, MemorySystem};
-use rr_replay::{patch, CostModel, PatchedLog, RecordedExecution, ReplayOutcome};
+use rr_replay::RecordedExecution;
 
 use crate::config::{MachineConfig, RecorderSpec};
 use crate::tracer::TraceCollector;
@@ -128,6 +128,18 @@ impl RunResult {
     #[must_use]
     pub fn total_instrs(&self) -> u64 {
         self.core_stats.iter().map(|s| s.retired).sum()
+    }
+
+    /// The `index`-th recorded variant.
+    ///
+    /// # Errors
+    ///
+    /// An out-of-range `index`.
+    pub fn variant(&self, index: usize) -> Result<&VariantResult, crate::Error> {
+        let n = self.variants.len();
+        self.variants.get(index).ok_or_else(|| {
+            crate::Error::msg(format!("variant index {index} out of range ({n} recorded)"))
+        })
     }
 }
 
@@ -645,118 +657,6 @@ pub(crate) fn run_machine(
         },
         report,
     ))
-}
-
-/// Patches and replays one variant's logs on the sequential engine,
-/// verifying the replay against the recorded execution. Returns the replay
-/// outcome (with its cost-model cycle estimates) on success.
-///
-/// # Errors
-///
-/// Returns the first patch, replay or verification failure as a typed
-/// [`crate::Error`] — any of which means determinism was broken — or an
-/// out-of-range `variant` index.
-pub fn replay_and_verify(
-    programs: &[Program],
-    initial_mem: &MemImage,
-    result: &RunResult,
-    variant: usize,
-    cost: &CostModel,
-) -> Result<ReplayOutcome, crate::Error> {
-    let (v, patched) = patched_variant(result, variant)?;
-    let outcome = rr_replay::replay(programs, &patched, initial_mem.clone(), cost)
-        .map_err(|e| crate::Error::from(e).context("replay failed [seq]"))?;
-    rr_replay::verify(&result.recorded, &outcome).map_err(|e| {
-        crate::Error::from(e).context(format!("verification failed [{} seq]", v.spec.label()))
-    })?;
-    Ok(outcome)
-}
-
-/// The `variant`-th recorded variant and its patched logs.
-fn patched_variant(
-    result: &RunResult,
-    variant: usize,
-) -> Result<(&VariantResult, Vec<PatchedLog>), crate::Error> {
-    let v = result.variants.get(variant).ok_or_else(|| {
-        crate::Error::msg(format!(
-            "variant index {variant} out of range ({} recorded)",
-            result.variants.len()
-        ))
-    })?;
-    let patched = v
-        .logs
-        .iter()
-        .map(patch)
-        .collect::<Result<_, _>>()
-        .map_err(|e| crate::Error::from(e).context("patch failed"))?;
-    Ok((v, patched))
-}
-
-/// Like [`replay_and_verify`], but with divergence forensics: the replay
-/// and verification steps are traced, and if verification fails **and**
-/// the run was recorded with tracing enabled, a `divergence.md` report —
-/// both timelines' event windows around the divergent instruction — is
-/// written into `report_dir` and its path included in the error message.
-///
-/// # Errors
-///
-/// Same as [`replay_and_verify`]; a forensic report failure (I/O) is
-/// appended to the verification error's context rather than masking it.
-pub fn replay_and_verify_forensic(
-    programs: &[Program],
-    initial_mem: &MemImage,
-    result: &RunResult,
-    variant: usize,
-    cost: &CostModel,
-    report_dir: &std::path::Path,
-) -> Result<ReplayOutcome, crate::Error> {
-    let (v, patched) = patched_variant(result, variant)?;
-    // The replay/verify ring is always captured here (the whole point of
-    // this entry is forensics); it lives outside the simulated machine, so
-    // it cannot perturb anything.
-    let mut replay_ring = TraceRing::new(CoreId::new(u8::MAX), &TraceConfig::full());
-    let outcome = rr_replay::IntervalDag::total_order(programs.len(), &patched)
-        .and_then(|dag| {
-            rr_replay::execute_sequential(
-                programs,
-                &dag,
-                &dag.topo_order(),
-                initial_mem.clone(),
-                cost,
-                &mut replay_ring,
-            )
-        })
-        .map_err(|e| crate::Error::from(e).context("replay failed"))?;
-    match rr_replay::verify_traced(&result.recorded, &outcome, Some(&mut replay_ring)) {
-        Ok(()) => Ok(outcome),
-        Err(err) => {
-            let label = v.spec.label();
-            let Some(record_trace) = &result.trace else {
-                return Err(crate::Error::from(err).context(format!(
-                    "verification failed [{label}] (record the run with \
-                     tracing enabled to get a divergence report)"
-                )));
-            };
-            let report = rr_replay::divergence_report(
-                &err,
-                &result.recorded,
-                &outcome,
-                record_trace,
-                &replay_ring,
-                rr_replay::forensics::DEFAULT_WINDOW,
-            );
-            let path = report_dir.join("divergence.md");
-            match std::fs::create_dir_all(report_dir).and_then(|()| std::fs::write(&path, report)) {
-                Ok(()) => Err(crate::Error::from(err).context(format!(
-                    "verification failed [{label}] (forensic report: {})",
-                    path.display()
-                ))),
-                Err(io) => Err(crate::Error::from(err).context(format!(
-                    "verification failed [{label}] (report write failed: {io})"
-                ))),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -21,12 +21,12 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use rr_isa::{MemImage, Program};
-use rr_replay::{patch, replay, verify, CostModel, PatchedLog, ReplayOutcome};
+use rr_replay::{verify, CostModel, ReplayOutcome};
 
 use crate::config::{MachineConfig, RecorderSpec};
-use crate::logdir::LogDirError;
 use crate::machine::{PressureReport, RunOptions, RunResult, SimError};
 use crate::metrics::{self, MetricsRegistry, PhaseNanos};
+use crate::replay::{replay_variant, Engine};
 use crate::session::RecordSession;
 
 /// Whether (and how) a sweep job replays what it recorded.
@@ -146,21 +146,6 @@ impl SweepReport {
         out
     }
 
-    /// Saves every job's recorded run under `dir` as `.rrlog` files plus
-    /// ground-truth sidecars (see [`crate::logdir`]), keyed by job name.
-    /// Returns the total `.rrlog` bytes written.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogDirError`] on the first job that fails to save.
-    pub fn save_logs(&self, dir: &std::path::Path) -> Result<u64, LogDirError> {
-        let mut bytes = 0u64;
-        for o in &self.outputs {
-            bytes += crate::logdir::save_run_impl(dir, &o.name, &o.run)?;
-        }
-        Ok(bytes)
-    }
-
     /// Saves every job's recorded run into `store` (local directory or
     /// remote rr-serve backend), keyed by job name. Returns the total
     /// logical `.rrlog` bytes encoded.
@@ -274,20 +259,16 @@ fn run_job(job: usize, j: &SweepJob) -> Result<JobOutput, SweepError> {
                 variant: v.spec.label(),
                 msg,
             };
-            let t = Instant::now();
-            let patched: Vec<PatchedLog> = v
-                .logs
-                .iter()
-                .map(patch)
-                .collect::<Result<_, _>>()
-                .map_err(|e| fail(format!("patch failed: {e}")))?;
-            phases.patch += t.elapsed().as_nanos() as u64;
-
-            let t = Instant::now();
-            let outcome = replay(&j.programs, &patched, j.initial_mem.clone(), &cost)
-                .map_err(|e| fail(format!("replay failed: {e}")))?;
-            phases.replay += t.elapsed().as_nanos() as u64;
-
+            let outcome = replay_variant(
+                &j.programs,
+                &j.initial_mem,
+                &cost,
+                &v.logs,
+                Engine::Sequential,
+                &mut (),
+                Some(&mut phases),
+            )
+            .map_err(|e| fail(e.into_error(|s| s.to_string(), "replay failed").to_string()))?;
             let t = Instant::now();
             verify(&run.recorded, &outcome)
                 .map_err(|e| fail(format!("verification failed: {e}")))?;

@@ -16,13 +16,14 @@ use relaxreplay::prof::{CodecPhases, EngineProf};
 use relaxreplay::trace::{validate_chrome_trace, TraceConfig, TraceLevel};
 use relaxreplay::wire::{decode_chunked, decode_chunked_into, encode_chunked};
 use relaxreplay::IntervalLog;
+use rr_experiments::replay_forensic;
 use rr_mem::CoreId;
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
     critical_path_blame, execute_threaded, execute_threaded_probed, patch, prof_json, CostModel,
     IntervalDag,
 };
-use rr_sim::{replay_and_verify_forensic, RecordSession, RecorderSpec};
+use rr_sim::{RecordSession, RecorderSpec};
 use rr_workloads::{corpus_suite, litmus_suite, suite};
 
 const THREADS: usize = 2;
@@ -242,7 +243,7 @@ fn forced_divergence_writes_a_forensics_report_with_both_windows() {
     std::fs::create_dir_all(&report_dir).expect("mkdir");
 
     // Sanity: the untampered run verifies and writes no report.
-    replay_and_verify_forensic(
+    replay_forensic(
         &w.programs,
         &w.initial_mem,
         &result,
@@ -259,7 +260,7 @@ fn forced_divergence_writes_a_forensics_report_with_both_windows() {
     assert!(trace0.len() > 3, "workload must issue a few loads");
     trace0[2] ^= 0xDEAD;
 
-    let err = replay_and_verify_forensic(
+    let err = replay_forensic(
         &w.programs,
         &w.initial_mem,
         &result,

@@ -137,6 +137,23 @@ fn check_passes_clean_runs_and_fails_corrupted_ones() {
     assert_eq!(out.status.code(), Some(2));
     let out = rr_inspect(&[]);
     assert_eq!(out.status.code(), Some(2));
+    // An option value that is no number is a usage error too, not a
+    // silent fall-back to the default.
+    let victim = victim.to_str().unwrap();
+    let root = root.to_str().unwrap();
+    for bad in [
+        vec!["dump", victim, "--limit", "x"],
+        vec!["dump", victim, "--limit=-1"],
+        vec!["dump", victim, "--limit"],
+        vec!["prof", root, "--workers", "x"],
+        vec!["prof", root, "--workers="],
+        vec!["prof", root, "--size", "big"],
+        vec!["prof", root, "--size=1.5"],
+    ] {
+        let out = rr_inspect(&bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("usage:"), "{bad:?}: {}", stderr(&out));
+    }
 }
 
 #[test]
