@@ -51,14 +51,21 @@ enum Termination {
 ///   another core: the observer replies with its latest closed interval
 ///   (the conflicting one if the snoop terminated it, conservatively the
 ///   previous one otherwise), exactly the information Cyrus piggybacks on
-///   coherence replies.
+///   coherence replies. The recorder keeps at most one entry per source
+///   core, the latest interval it named, in core order: replay runs a
+///   core's intervals in log order, so that entry implies every earlier
+///   one (Jones, Khan and Vaidya's point that a record only needs the
+///   edges no other edge implies). Lists decoded from older sidecars may
+///   repeat a core; the DAG build reduces them to the same maximum.
 /// * `barrier` — the interval was closed by a dirty eviction (directory
 ///   mode): after it, this core stops observing the line, so the interval
 ///   must conservatively precede every later-timestamped interval.
 /// * `timestamps` — the frame timestamps, for barrier ordering.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IntervalOrdering {
-    /// Cross-core predecessor sets, one per interval.
+    /// Cross-core predecessors `(source core, source ordinal)`, one list
+    /// per interval; as recorded, at most one entry per source core,
+    /// sorted by core.
     pub preds: Vec<Vec<(CoreId, u64)>>,
     /// Barrier flags, one per interval.
     pub barriers: Vec<bool>,
@@ -256,8 +263,10 @@ pub struct Recorder {
     counted_up_to: i64,
     log: IntervalLog,
     ordering: IntervalOrdering,
-    /// Cross-core predecessors accumulated for the interval currently
-    /// being recorded.
+    /// Cross-core predecessors of the interval currently being recorded:
+    /// the latest interval named by each source core, sorted by core. A
+    /// scratch list reused across intervals, so adding to it allocates only
+    /// until it has grown to the core count.
     current_preds: Vec<(CoreId, u64)>,
     /// Set when the current interval is being closed by a dirty eviction.
     closing_is_barrier: bool,
@@ -567,8 +576,17 @@ impl Recorder {
     /// is the ordering information Cyrus-style recorders piggyback on
     /// coherence replies (paper §2, §3.6); the simulator delivers it when
     /// it routes the snoop.
+    ///
+    /// Only the latest interval of each source core is kept: the
+    /// same-core chain orders every earlier one before it, so dropping
+    /// them loses no ordering. The update costs a binary search and at
+    /// most one shift of a list no longer than the core count.
     pub fn on_predecessor(&mut self, src_core: CoreId, src_interval: u64) {
-        self.current_preds.push((src_core, src_interval));
+        let preds = &mut self.current_preds;
+        match preds.binary_search_by_key(&src_core, |&(core, _)| core) {
+            Ok(i) => preds[i].1 = preds[i].1.max(src_interval),
+            Err(i) => preds.insert(i, (src_core, src_interval)),
+        }
     }
 
     /// Number of intervals closed so far (the next frame gets this
@@ -851,9 +869,8 @@ impl Recorder {
             cisn: self.cisn,
             timestamp: cycle,
         });
-        self.ordering
-            .preds
-            .push(std::mem::take(&mut self.current_preds));
+        self.ordering.preds.push(self.current_preds.clone());
+        self.current_preds.clear();
         self.ordering.barriers.push(self.closing_is_barrier);
         self.ordering.timestamps.push(cycle);
         self.closing_is_barrier = false;
@@ -1062,6 +1079,30 @@ mod tests {
             }
         }
         rec.finish(accesses);
+    }
+
+    #[test]
+    fn on_predecessor_keeps_the_latest_interval_of_each_source_core() {
+        let cfg = RecorderConfig::splash_default(Design::Opt, None);
+        let mut rec = Recorder::new(CoreId::new(1), cfg);
+        for (core, ord) in [(3, 4), (0, 2), (3, 1), (2, 7), (0, 5), (3, 4), (0, 0)] {
+            rec.on_predecessor(CoreId::new(core), ord);
+        }
+        rec.force_terminate(10);
+        // An interval named by no other core records no predecessor, and
+        // the scratch list does not carry entries across intervals.
+        rec.force_terminate(20);
+        rec.on_predecessor(CoreId::new(2), 9);
+        rec.force_terminate(30);
+        let c = CoreId::new;
+        assert_eq!(
+            rec.ordering().preds,
+            vec![
+                vec![(c(0), 5), (c(2), 7), (c(3), 4)],
+                vec![],
+                vec![(c(2), 9)]
+            ]
+        );
     }
 
     #[test]

@@ -138,7 +138,8 @@ fn predecessors_attach_to_the_open_interval() {
     rec.finish(10);
     let ord = rec.ordering();
     assert_eq!(ord.preds.len(), 2);
-    assert_eq!(ord.preds[0], vec![(CoreId::new(2), 7), (CoreId::new(1), 3)]);
+    // One entry per source core, kept in core order.
+    assert_eq!(ord.preds[0], vec![(CoreId::new(1), 3), (CoreId::new(2), 7)]);
     assert_eq!(ord.preds[1], vec![(CoreId::new(3), 9)]);
     assert_eq!(ord.barriers, vec![false, false]);
 }

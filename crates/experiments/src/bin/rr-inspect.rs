@@ -31,10 +31,13 @@
 //!
 //! `dag` patches each variant's logs and builds the replay interval DAG —
 //! the recorded partial order when the run carries an `ordering.bin`
-//! sidecar, otherwise the timestamp total order — and reports the node and
-//! edge counts, critical-path length, maximum antichain width, and the
-//! ideal speedup bound `nodes / critical_path` that the parallel replay
-//! engine cannot exceed (paper §3.6).
+//! sidecar, otherwise the timestamp total order — and reports the node
+//! count, the recorded predecessor entries (`preds`), the DAG's edge count
+//! (same-core chains, one cross-core edge per interval and source core,
+//! barriers), the sidecar's encoded size (`ordering B`), critical-path
+//! length, maximum antichain width, and the ideal speedup bound
+//! `nodes / critical_path` that the parallel replay engine cannot exceed
+//! (paper §3.6).
 //!
 //! `prof` goes one step further: for each variant it weights that DAG
 //! under the replay cost model, attributes the modeled makespan to cores
@@ -118,6 +121,18 @@ fn parse_num<T: std::str::FromStr>(cmd: &str, flag: &str, value: Option<&str>) -
         eprintln!("rr-inspect {cmd}: {flag} needs a number\n{USAGE}");
         2
     })
+}
+
+/// A path option's value; a missing or empty one is a usage error (exit
+/// 2), never a fall-back to the default path.
+fn parse_path(cmd: &str, flag: &str, value: Option<&str>) -> Result<PathBuf, u8> {
+    match value {
+        Some(v) if !v.is_empty() => Ok(PathBuf::from(v)),
+        _ => {
+            eprintln!("rr-inspect {cmd}: {flag} needs a path\n{USAGE}");
+            Err(2)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -590,10 +605,9 @@ fn cmd_dag(args: &[String]) -> u8 {
     let mut rest = args[1..].iter();
     while let Some(a) = rest.next() {
         if let Some(v) = flag_arg("--dot", a, &mut rest) {
-            dot_dir = v.map(PathBuf::from);
-            if dot_dir.is_none() {
-                eprintln!("rr-inspect dag: --dot needs an output directory\n{USAGE}");
-                return 2;
+            match parse_path("dag", "--dot", v) {
+                Ok(p) => dot_dir = Some(p),
+                Err(c) => return c,
             }
         }
     }
@@ -623,25 +637,39 @@ fn cmd_dag(args: &[String]) -> u8 {
                 "variant",
                 "order",
                 "nodes",
+                "preds",
                 "edges",
+                "ordering B",
                 "crit path",
                 "max width",
                 "ideal x",
             ],
         );
         for v in &run.variants {
+            // The recorded predecessor entries and the sidecar's encoded
+            // size; a run saved without `ordering.bin` has neither.
+            let (order, preds, ordering_bytes) = match &v.ordering {
+                Some(ordering) => (
+                    "partial",
+                    ordering
+                        .iter()
+                        .flat_map(|o| &o.preds)
+                        .map(Vec::len)
+                        .sum::<usize>()
+                        .to_string(),
+                    rr_sim::logdir::encode_ordering(ordering).len().to_string(),
+                ),
+                None => ("total", "-".to_string(), "-".to_string()),
+            };
             let drawn = with_variant_dag(&v.logs, v.ordering.as_deref(), None, |dag| {
-                let order = if v.ordering.is_some() {
-                    "partial"
-                } else {
-                    "total"
-                };
                 let s = dag.stats();
                 t.row(vec![
                     v.label.clone(),
                     order.to_string(),
                     format!("{}", s.nodes),
+                    preds.clone(),
                     format!("{}", s.edges),
+                    ordering_bytes.clone(),
                     format!("{}", s.critical_path),
                     format!("{}", s.max_width),
                     format!("{:.2}", s.ideal_speedup()),
@@ -697,7 +725,10 @@ fn cmd_prof(args: &[String]) -> u8 {
                 Err(c) => return c,
             }
         } else if let Some(v) = flag_arg("--out", a, &mut rest) {
-            out_dir = v.map(PathBuf::from);
+            match parse_path("prof", "--out", v) {
+                Ok(p) => out_dir = Some(p),
+                Err(c) => return c,
+            }
         }
     }
     if !path.is_dir() {
@@ -877,7 +908,10 @@ fn cmd_trace(args: &[String]) -> u8 {
     while let Some(a) = rest.next() {
         let a = if a == "-o" { "--out" } else { a };
         if let Some(v) = flag_arg("--out", a, &mut rest) {
-            out_path = v.map(PathBuf::from);
+            match parse_path("trace", "-o", v) {
+                Ok(p) => out_path = Some(p),
+                Err(c) => return c,
+            }
         }
     }
     let out_path = out_path.unwrap_or_else(|| path.with_extension("json"));

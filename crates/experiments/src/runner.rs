@@ -87,7 +87,10 @@ impl ExperimentConfig {
     /// `--replay-from <dir>`, `--replay-workers N`,
     /// `--trace <off|intervals|accesses|full>`, `--prof` command-line
     /// flags (used by the binaries so runs can be scaled without
-    /// recompiling).
+    /// recompiling). A flag value that does not parse — a non-numeric
+    /// `--workers` or `--replay-workers`, an unknown `--trace` level — is
+    /// a usage error: it is printed, naming the flag, and the process
+    /// exits with status 2.
     #[must_use]
     pub fn from_env() -> Self {
         let mut cfg = Self::paper_default();
@@ -131,43 +134,75 @@ impl ExperimentConfig {
                 cfg.replay_workers = Some(w);
             }
         }
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == "--workers" {
-                if let Some(w) = args.next().and_then(|v| v.parse().ok()) {
-                    cfg.workers = w;
-                }
-            } else if let Some(w) = a.strip_prefix("--workers=").and_then(|v| v.parse().ok()) {
-                cfg.workers = w;
-            } else if a == "--save-logs" {
-                cfg.save_logs = args.next();
-            } else if let Some(d) = a.strip_prefix("--save-logs=") {
-                cfg.save_logs = Some(d.to_string());
-            } else if a == "--replay-from" {
-                cfg.replay_from = args.next();
-            } else if let Some(d) = a.strip_prefix("--replay-from=") {
-                cfg.replay_from = Some(d.to_string());
-            } else if a == "--replay-workers" {
-                if let Some(w) = args.next().and_then(|v| v.parse().ok()) {
-                    cfg.replay_workers = Some(w);
-                }
-            } else if let Some(w) = a
-                .strip_prefix("--replay-workers=")
-                .and_then(|v| v.parse().ok())
-            {
-                cfg.replay_workers = Some(w);
-            } else if a == "--trace" {
-                if let Some(level) = args.next().and_then(|v| TraceLevel::parse(&v)) {
-                    cfg.trace = TraceConfig::level(level);
-                }
-            } else if let Some(level) = a.strip_prefix("--trace=").and_then(TraceLevel::parse) {
-                cfg.trace = TraceConfig::level(level);
-            } else if a == "--prof" {
-                cfg.prof = true;
-            }
+        if let Err(e) = cfg.apply_args(std::env::args().skip(1)) {
+            eprintln!("usage error: {e}");
+            std::process::exit(2);
         }
         cfg
     }
+
+    /// Applies the command-line flags [`from_env`](Self::from_env) reads,
+    /// each as `--flag value` or `--flag=value`; other arguments are left
+    /// to the binary.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag when `--workers` or `--replay-workers`
+    /// has no numeric value or `--trace` names no trace level.
+    fn apply_args(&mut self, args: impl IntoIterator<Item = String>) -> Result<(), String> {
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
+            if let Some(v) = flag_value("--workers", &a, &mut args) {
+                self.workers = number("--workers", v)?;
+            } else if let Some(v) = flag_value("--replay-workers", &a, &mut args) {
+                self.replay_workers = Some(number("--replay-workers", v)?);
+            } else if let Some(v) = flag_value("--trace", &a, &mut args) {
+                let level = v.as_deref().and_then(TraceLevel::parse).ok_or_else(|| {
+                    format!(
+                        "--trace needs one of off|intervals|accesses|full{}",
+                        got(v.as_deref())
+                    )
+                })?;
+                self.trace = TraceConfig::level(level);
+            } else if let Some(v) = flag_value("--save-logs", &a, &mut args) {
+                self.save_logs = v;
+            } else if let Some(v) = flag_value("--replay-from", &a, &mut args) {
+                self.replay_from = v;
+            } else if a == "--prof" {
+                self.prof = true;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The value of option `flag` when `arg` is `flag` (the value is the next
+/// argument, if any) or `flag=value`; `None` when `arg` is something else.
+fn flag_value(
+    flag: &str,
+    arg: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Option<Option<String>> {
+    if arg == flag {
+        Some(rest.next())
+    } else {
+        arg.strip_prefix(flag)?
+            .strip_prefix('=')
+            .map(|v| Some(v.to_string()))
+    }
+}
+
+/// A numeric flag's value, or a message naming the flag.
+fn number(flag: &str, value: Option<String>) -> Result<usize, String> {
+    let value = value.as_deref();
+    value
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs a number{}", got(value)))
+}
+
+/// The rejected value for a usage message; nothing when it is missing.
+fn got(value: Option<&str>) -> String {
+    value.map_or(String::new(), |v| format!(", got {v:?}"))
 }
 
 /// One workload's complete results: the recorded run (with all four
@@ -730,6 +765,48 @@ mod tests {
         assert_eq!(cfg.threads, 8);
         assert!(cfg.replay);
         assert_eq!(cfg.workers, 0, "0 = host parallelism");
+    }
+
+    #[test]
+    fn flags_parse_in_both_forms_and_bad_values_name_their_flag() {
+        let parse = |args: &[&str]| {
+            let mut cfg = ExperimentConfig::paper_default();
+            cfg.apply_args(args.iter().map(ToString::to_string))
+                .map(|()| cfg)
+        };
+        let cfg = parse(&[
+            "--workers",
+            "3",
+            "--replay-workers=2",
+            "--trace",
+            "full",
+            "--save-logs=out",
+            "--prof",
+        ])
+        .expect("valid flags");
+        assert_eq!(cfg.workers, 3);
+        assert_eq!(cfg.replay_workers, Some(2));
+        assert_eq!(cfg.trace, TraceConfig::level(TraceLevel::Full));
+        assert_eq!(cfg.save_logs.as_deref(), Some("out"));
+        assert!(cfg.prof);
+        let cfg = parse(&["--workers=5", "--replay-workers", "0", "--trace=intervals"])
+            .expect("valid flags");
+        assert_eq!((cfg.workers, cfg.replay_workers), (5, Some(0)));
+        assert_eq!(cfg.trace, TraceConfig::level(TraceLevel::Intervals));
+
+        for (args, flag) in [
+            (&["--workers", "abc"][..], "--workers"),
+            (&["--workers=abc"], "--workers"),
+            (&["--workers"], "--workers"),
+            (&["--replay-workers", "x"], "--replay-workers"),
+            (&["--replay-workers=-1"], "--replay-workers"),
+            (&["--trace", "loud"], "--trace"),
+            (&["--trace=loud"], "--trace"),
+            (&["--trace"], "--trace"),
+        ] {
+            let err = parse(args).expect_err("a usage error");
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -65,7 +65,9 @@ pub struct IntervalNode<'a> {
 pub struct DagStats {
     /// Interval count.
     pub nodes: usize,
-    /// Dependency-edge count.
+    /// Dependency-edge count: same-core chain edges, one cross-core edge
+    /// per (interval, source core) — the latest interval that core named
+    /// — and barrier edges.
     pub edges: usize,
     /// Number of replayed cores.
     pub threads: usize,
@@ -180,6 +182,12 @@ impl<'a> IntervalDag<'a> {
     /// `orderings` (paper §3.6). Validated acyclic, so every executor can
     /// rely on making progress.
     ///
+    /// Each interval gets one cross-core edge per source core, from the
+    /// latest interval of that core its predecessor list names; the
+    /// same-core chain implies the earlier ones. Lists that repeat a core
+    /// (orderings recorded before the recorder kept only that maximum)
+    /// build the same DAG.
+    ///
     /// # Errors
     ///
     /// [`ReplayError::ThreadCountMismatch`], [`ReplayError::CoreOutOfRange`]
@@ -244,7 +252,12 @@ impl<'a> IntervalDag<'a> {
                 add_edge(&mut nodes, node_id(c, k as u64 - 1), node_id(c, k as u64));
             }
         }
-        // Cross-core predecessor edges (deduplicated per node).
+        // Cross-core predecessor edges: per node, the latest named interval
+        // of each source core, in core order. The same-core chain orders
+        // every earlier interval of that core before it, so the maximum
+        // alone keeps the closure. The recorder stores only the maximum;
+        // sidecars written before it did list one entry per observation.
+        let mut latest: Vec<Option<u64>> = vec![None; logs.len()];
         for (c, ord) in orderings.iter().enumerate() {
             for (k, preds) in ord.preds.iter().enumerate() {
                 if k >= intervals_of(c) {
@@ -253,8 +266,6 @@ impl<'a> IntervalDag<'a> {
                     // the log never closed constrain nothing.
                     continue;
                 }
-                let to = node_id(c, k as u64);
-                let mut seen: Vec<(usize, u64)> = Vec::new();
                 for &(src_core, src_ord) in preds {
                     let sc = src_core.index();
                     // A corrupted ordering can name a core outside the
@@ -265,14 +276,15 @@ impl<'a> IntervalDag<'a> {
                             threads: logs.len(),
                         });
                     }
-                    if sc == c || src_ord as usize >= intervals_of(sc) {
-                        continue;
+                    if sc != c && (src_ord as usize) < intervals_of(sc) {
+                        latest[sc] = latest[sc].max(Some(src_ord));
                     }
-                    if seen.contains(&(sc, src_ord)) {
-                        continue;
+                }
+                let to = node_id(c, k as u64);
+                for (sc, slot) in latest.iter_mut().enumerate() {
+                    if let Some(src_ord) = slot.take() {
+                        add_edge(&mut nodes, node_id(sc, src_ord), to);
                     }
-                    seen.push((sc, src_ord));
-                    add_edge(&mut nodes, node_id(sc, src_ord), to);
                 }
             }
         }

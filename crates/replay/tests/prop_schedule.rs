@@ -12,11 +12,22 @@
 //!
 //! The makespan is deliberately *not* required to fall as workers grow:
 //! list scheduling is not monotone in the worker count.
+//!
+//! A second property pads each predecessor list with duplicates and with
+//! entries dominated by a later interval of the same source core, and
+//! checks that the padded and the reduced (per-source-core maximum)
+//! orderings build DAGs with one reachability closure, one `topo_order`,
+//! one list schedule and one set of shape statistics, and that the closure
+//! orders every padded entry before its interval.
 
 use proptest::prelude::*;
 use relaxreplay::{IntervalLog, IntervalOrdering, LogEntry};
 use rr_mem::CoreId;
 use rr_replay::{critical_path_blame, patch, CostModel, IntervalDag, PatchedLog, ReplayError};
+
+/// The largest DAG `case_strategy` builds (4 cores × 6 intervals) fits a
+/// `u64` reachability row per node.
+type Closure = Vec<u64>;
 
 /// One interval: body entries plus its timestamp increment, barrier flag
 /// and cross-core predecessor picks `(core, ordinal)`.
@@ -98,7 +109,150 @@ fn build(specs: &[Vec<IntervalSpec>], hostile: bool) -> (Vec<PatchedLog>, Vec<In
     (logs, orderings)
 }
 
+/// Drops the entries that name an interval past their core's log, as a
+/// recorder never does (it names closed intervals only). The DAG ignores
+/// them, so padding them with the earlier intervals they would dominate
+/// would add real edges.
+fn named_only(
+    orderings: &[IntervalOrdering],
+    specs: &[Vec<IntervalSpec>],
+) -> Vec<IntervalOrdering> {
+    let mut named = orderings.to_vec();
+    for o in &mut named {
+        for preds in &mut o.preds {
+            preds.retain(|&(c, k)| (k as usize) < specs[c.index()].len());
+        }
+    }
+    named
+}
+
+/// Per interval, the latest entry of each source core, sorted by core.
+fn reduce(orderings: &[IntervalOrdering]) -> Vec<IntervalOrdering> {
+    orderings
+        .iter()
+        .map(|o| IntervalOrdering {
+            preds: o
+                .preds
+                .iter()
+                .map(|preds| {
+                    let mut latest: Vec<(CoreId, u64)> = Vec::new();
+                    for &(core, ord) in preds {
+                        match latest.iter_mut().find(|(c, _)| *c == core) {
+                            Some(slot) => slot.1 = slot.1.max(ord),
+                            None => latest.push((core, ord)),
+                        }
+                    }
+                    latest.sort_unstable();
+                    latest
+                })
+                .collect(),
+            barriers: o.barriers.clone(),
+            timestamps: o.timestamps.clone(),
+        })
+        .collect()
+}
+
+/// Pads every predecessor list: each entry again, plus the earlier
+/// intervals `ord / 2` and `0` of its core, the whole list reversed and
+/// rotated by `rot`.
+fn pad(orderings: &[IntervalOrdering], rot: usize) -> Vec<IntervalOrdering> {
+    let mut padded = orderings.to_vec();
+    for o in &mut padded {
+        for preds in &mut o.preds {
+            let mut list: Vec<(CoreId, u64)> = preds
+                .iter()
+                .flat_map(|&(c, k)| [(c, k / 2), (c, k), (c, 0), (c, k)])
+                .collect();
+            list.reverse();
+            if !list.is_empty() {
+                let by = rot % list.len();
+                list.rotate_left(by);
+            }
+            *preds = list;
+        }
+    }
+    padded
+}
+
+/// Row `i` has bit `j` set when node `j` is reachable from node `i`.
+fn closure(dag: &IntervalDag<'_>) -> Closure {
+    let nodes = dag.nodes();
+    assert!(nodes.len() <= 64, "closure rows are u64 bitsets");
+    let mut reach = vec![0u64; nodes.len()];
+    for &i in dag.topo_order().iter().rev() {
+        for &s in &nodes[i].succs {
+            reach[i] |= (1 << s) | reach[s];
+        }
+    }
+    reach
+}
+
 proptest! {
+    #[test]
+    fn padded_orderings_build_the_reduced_dag(case in case_strategy(), rot in 0usize..16) {
+        let (specs, hostile) = case;
+        let (logs, orderings) = build(&specs, hostile);
+        let orderings = named_only(&orderings, &specs);
+        let reduced = reduce(&orderings);
+        let padded = pad(&orderings, rot);
+        let threads = logs.len();
+        let (dag, padded_dag) = match (
+            IntervalDag::partial_order(threads, &logs, &reduced),
+            IntervalDag::partial_order(threads, &logs, &padded),
+        ) {
+            (Ok(r), Ok(p)) => (r, p),
+            (Err(r), Err(p)) => {
+                // Same closure, so the same Kahn walk stops at the same node.
+                prop_assert_eq!(r, p);
+                return Err(TestCaseError::reject("cyclic ordering"));
+            }
+            (r, p) => {
+                return Err(TestCaseError::fail(format!(
+                    "reduced {:?} but padded {:?}",
+                    r.map(|d| d.stats()),
+                    p.map(|d| d.stats())
+                )));
+            }
+        };
+        let reach = closure(&padded_dag);
+        prop_assert_eq!(&reach, &closure(&dag));
+        // Every padded entry, dominated or not, stays ordered. Nodes are
+        // numbered core by core.
+        let first: Vec<usize> = specs
+            .iter()
+            .scan(0, |next, core| {
+                let at = *next;
+                *next += core.len();
+                Some(at)
+            })
+            .collect();
+        for (c, o) in padded.iter().enumerate() {
+            for (k, preds) in o.preds.iter().enumerate() {
+                for &(sc, so) in preds {
+                    let sc = sc.index();
+                    if sc != c {
+                        let (from, to) = (first[sc] + so as usize, first[c] + k);
+                        prop_assert!(
+                            reach[from] >> to & 1 == 1,
+                            "entry {:?} of interval {:?} lost",
+                            (sc, so),
+                            (c, k)
+                        );
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(padded_dag.topo_order(), dag.topo_order());
+        prop_assert_eq!(padded_dag.stats(), dag.stats());
+        let cost = CostModel::splash_default();
+        for workers in [1, 2, 3, 5] {
+            prop_assert_eq!(
+                padded_dag.list_schedule(&cost, workers),
+                dag.list_schedule(&cost, workers)
+            );
+        }
+    }
+
     #[test]
     fn list_schedule_is_a_valid_bounded_schedule(case in case_strategy()) {
         let (specs, hostile) = case;

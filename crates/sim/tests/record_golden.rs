@@ -6,13 +6,23 @@
 //!
 //! The pinned constants were computed on the simulator *before* its hot
 //! paths (H3 hashing, the cycle loop's observer fan-out, the core's and
-//! memory system's per-cycle buffers and maps) were optimised, so any
-//! change in a recorded bit fails here. A deliberate change to what is
+//! memory system's per-cycle buffers and maps) were optimised, and the
+//! canonical ordering digests on the recorder that still kept every
+//! predecessor entry, so any change in a recorded bit fails here. A deliberate change to what is
 //! recorded must regenerate the table: the failure message prints the
 //! full set of actual digests in the table's own syntax.
+//!
+//! Orderings are hashed in their canonical form ([`canonical`]): per
+//! interval, the latest named interval of each source core, in core order.
+//! The same-core chain makes that entry imply every earlier interval of its
+//! core, so the canonical form has the same reachability as the raw
+//! predecessor lists, and a recorder that keeps only these entries hashes
+//! the same as one that keeps them all.
 
 use relaxreplay::wire::encode_chunked;
-use relaxreplay::{rr_hash64, Design, RecorderConfig};
+use std::collections::BTreeMap;
+
+use relaxreplay::{rr_hash64, Design, IntervalOrdering, RecorderConfig};
 use rr_sim::{MachineConfig, RecordSession, RecorderSpec, RunResult, ScheduleStrategy};
 use rr_workloads::{by_name, corpus_suite, litmus_suite, Workload};
 
@@ -59,6 +69,30 @@ fn push_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+/// Reduces every interval's predecessor list to the per-source-core
+/// maximum, sorted by core.
+fn canonical(ordering: &[IntervalOrdering]) -> Vec<IntervalOrdering> {
+    ordering
+        .iter()
+        .map(|o| IntervalOrdering {
+            preds: o
+                .preds
+                .iter()
+                .map(|preds| {
+                    let mut latest = BTreeMap::new();
+                    for &(core, ord) in preds {
+                        let slot = latest.entry(core).or_insert(ord);
+                        *slot = (*slot).max(ord);
+                    }
+                    latest.into_iter().collect()
+                })
+                .collect(),
+            barriers: o.barriers.clone(),
+            timestamps: o.timestamps.clone(),
+        })
+        .collect()
+}
+
 /// One digest over everything a recorded run produced.
 fn digest(run: &RunResult) -> u64 {
     let mut buf = Vec::new();
@@ -69,7 +103,7 @@ fn digest(run: &RunResult) -> u64 {
             push_u64(&mut buf, bytes.len() as u64);
             buf.extend_from_slice(&bytes);
         }
-        push_str(&mut buf, &format!("{:?}", v.ordering));
+        push_str(&mut buf, &format!("{:?}", canonical(&v.ordering)));
         push_str(&mut buf, &format!("{:?}", v.stats));
     }
     push_str(&mut buf, &format!("{:?}", run.core_stats));
@@ -144,18 +178,18 @@ fn splash_programs_record_bit_identically() {
 }
 
 const LITMUS: &[(&str, u64)] = &[
-    ("sb/snoopy/stall", 0x634724f41c0cfbfc),
-    ("sb/snoopy/rotate", 0xc098cdcbbe06cc02),
-    ("sb/dir/stall", 0x3bdf8eed67c9403d),
-    ("sb/dir/rotate", 0x83ce369a67fe3325),
-    ("mp/snoopy/stall", 0x63b947b79bec2374),
-    ("mp/snoopy/rotate", 0xf3c0f24074fda34b),
-    ("mp/dir/stall", 0x3c0841b7b4b24f95),
-    ("mp/dir/rotate", 0x62ea6d450f113e78),
-    ("lb/snoopy/stall", 0xe121c4a5623d94fa),
-    ("lb/snoopy/rotate", 0x254d3ad002cc68c6),
-    ("lb/dir/stall", 0x94551bcd5ae2c5ab),
-    ("lb/dir/rotate", 0x65f34c4e13807e57),
+    ("sb/snoopy/stall", 0x0a0fadcc8e1e4674),
+    ("sb/snoopy/rotate", 0xfee847dcd37648c0),
+    ("sb/dir/stall", 0x8ecd8fc68a40930b),
+    ("sb/dir/rotate", 0x6405fcc84d25c375),
+    ("mp/snoopy/stall", 0x7383de7f01be31e2),
+    ("mp/snoopy/rotate", 0x2d4978affc1bdb25),
+    ("mp/dir/stall", 0x49966970ccfe73f7),
+    ("mp/dir/rotate", 0x115d101070304e80),
+    ("lb/snoopy/stall", 0x3e9ebc7d8b4e2b1c),
+    ("lb/snoopy/rotate", 0x611c74a8e9122f71),
+    ("lb/dir/stall", 0xdb1caba11507e7b7),
+    ("lb/dir/rotate", 0xa7826d549f33ef93),
     ("iriw/snoopy/stall", 0xfe5bd5fc039fb62b),
     ("iriw/snoopy/rotate", 0x246f10b9a42fff4a),
     ("iriw/dir/stall", 0x2d58316eb68a8aef),
@@ -163,43 +197,43 @@ const LITMUS: &[(&str, u64)] = &[
 ];
 
 const CORPUS: &[(&str, u64)] = &[
-    ("spinlock/snoopy/stall", 0xd80d7166e49c6e80),
-    ("spinlock/snoopy/rotate", 0xeaee116533e09cd4),
-    ("spinlock/dir/stall", 0xed9fe2621704748a),
-    ("spinlock/dir/rotate", 0xd073e19b5482b14e),
-    ("ticket_lock/snoopy/stall", 0x660a965b3b5f5cf9),
-    ("ticket_lock/snoopy/rotate", 0xf0ce9acfc9511555),
-    ("ticket_lock/dir/stall", 0x074d7fcf218a95ba),
-    ("ticket_lock/dir/rotate", 0xd1a2ec0571d1773e),
-    ("seqlock/snoopy/stall", 0x97d8b41c5a0d8356),
-    ("seqlock/snoopy/rotate", 0x183e328d19afd16e),
-    ("seqlock/dir/stall", 0xc6de9efc5c65ad03),
-    ("seqlock/dir/rotate", 0x17aab3a4174c3ee9),
-    ("treiber_stack/snoopy/stall", 0x22c07123ab6d8cc9),
-    ("treiber_stack/snoopy/rotate", 0xd9d3bb08efcc4e19),
-    ("treiber_stack/dir/stall", 0x6cbba299765facb4),
-    ("treiber_stack/dir/rotate", 0xd1c32c67339d21c0),
-    ("mpmc_ring/snoopy/stall", 0x8467fbec8b496149),
-    ("mpmc_ring/snoopy/rotate", 0x70454e012ca9da9d),
-    ("mpmc_ring/dir/stall", 0x2a5db6e71b393714),
-    ("mpmc_ring/dir/rotate", 0x4532fa535804e7cb),
-    ("ws_deque/snoopy/stall", 0x0631c1625eb7c1fc),
-    ("ws_deque/snoopy/rotate", 0x93331cfb1339b5b9),
-    ("ws_deque/dir/stall", 0x70db278f96c4daeb),
-    ("ws_deque/dir/rotate", 0xfbd25e12c8e98d8d),
-    ("rcu_epoch/snoopy/stall", 0x3bb76cd69c165cdd),
-    ("rcu_epoch/snoopy/rotate", 0xeed94e2166749541),
-    ("rcu_epoch/dir/stall", 0x338234fcf9872ea0),
-    ("rcu_epoch/dir/rotate", 0x957388b99c3af374),
+    ("spinlock/snoopy/stall", 0x63484f82f0744384),
+    ("spinlock/snoopy/rotate", 0x6b44af4b1f4d2ba5),
+    ("spinlock/dir/stall", 0xf8c9f0a10c21e24e),
+    ("spinlock/dir/rotate", 0x7b6163e20c21d986),
+    ("ticket_lock/snoopy/stall", 0x9f8815c109437c5f),
+    ("ticket_lock/snoopy/rotate", 0x4b3721bb10c13f4b),
+    ("ticket_lock/dir/stall", 0xc7dfd885b5f13fb4),
+    ("ticket_lock/dir/rotate", 0x6abe24151f405c10),
+    ("seqlock/snoopy/stall", 0x5aded894b850d9ff),
+    ("seqlock/snoopy/rotate", 0xbe43dc220a98cddd),
+    ("seqlock/dir/stall", 0xef8b6e0be44780dd),
+    ("seqlock/dir/rotate", 0xa529ef93c69a0f8b),
+    ("treiber_stack/snoopy/stall", 0xca99db8c88de20ed),
+    ("treiber_stack/snoopy/rotate", 0x6df68045f678d03c),
+    ("treiber_stack/dir/stall", 0x33642aaa456b4b10),
+    ("treiber_stack/dir/rotate", 0x41fe5619384778b5),
+    ("mpmc_ring/snoopy/stall", 0xc296f09de1648763),
+    ("mpmc_ring/snoopy/rotate", 0x4577b1edbcd44349),
+    ("mpmc_ring/dir/stall", 0x97fcf01bbe51d254),
+    ("mpmc_ring/dir/rotate", 0x9779b3348445a2ad),
+    ("ws_deque/snoopy/stall", 0x5f2287d4e410660c),
+    ("ws_deque/snoopy/rotate", 0x690aed7b861d9c38),
+    ("ws_deque/dir/stall", 0xb145d8e35ec17aec),
+    ("ws_deque/dir/rotate", 0x0b0c52d7da851ac5),
+    ("rcu_epoch/snoopy/stall", 0xd793c7a8d245e4e4),
+    ("rcu_epoch/snoopy/rotate", 0xabd708ace5f8b964),
+    ("rcu_epoch/dir/stall", 0xba1146835a37940e),
+    ("rcu_epoch/dir/rotate", 0xcffe24d443d4159c),
 ];
 
 const SPLASH: &[(&str, u64)] = &[
-    ("ocean/snoopy/stall", 0x31ec9d248439b6ef),
-    ("ocean/snoopy/rotate", 0xdd8c3a21e8be358e),
-    ("ocean/dir/stall", 0x3275788586ade4c5),
-    ("ocean/dir/rotate", 0x5ce568f913be6365),
-    ("radix/snoopy/stall", 0x64fa08970dc84598),
-    ("radix/snoopy/rotate", 0x0b54e033976aa149),
-    ("radix/dir/stall", 0x292840bfbf8e31cd),
-    ("radix/dir/rotate", 0x4cda3d25442aef9f),
+    ("ocean/snoopy/stall", 0x0be6508fff1c8e14),
+    ("ocean/snoopy/rotate", 0x478bb9935f7b6ede),
+    ("ocean/dir/stall", 0xa1b8e84ada80599b),
+    ("ocean/dir/rotate", 0xf2f520336d359949),
+    ("radix/snoopy/stall", 0xd1c779af253d305b),
+    ("radix/snoopy/rotate", 0x9709d560b906ac4d),
+    ("radix/dir/stall", 0x287e1a5780365186),
+    ("radix/dir/rotate", 0xe1e61877ffcc1975),
 ];

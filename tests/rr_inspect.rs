@@ -7,7 +7,9 @@ use std::process::{Command, Output};
 
 use relaxreplay::trace::{TraceConfig, TraceLevel};
 use rr_isa::{MemImage, ProgramBuilder, Reg};
-use rr_sim::{LocalStore, MachineConfig, RecordSession, RecorderSpec, RunStore};
+use rr_serve::{serve, RemoteStore, ServerConfig};
+use rr_sim::logdir::encode_ordering;
+use rr_sim::{LocalStore, MachineConfig, RecordSession, RecorderSpec, RunResult, RunStore};
 
 fn rr_inspect(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rr-inspect"))
@@ -27,6 +29,14 @@ fn stderr(out: &Output) -> String {
 /// Records a small two-core run (with tracing, so the trace sidecars are
 /// written too) and saves it under `root/<name>`.
 fn save_sample_run(root: &Path, name: &str) -> PathBuf {
+    LocalStore::new(root)
+        .save_run(name, &sample_run())
+        .expect("saves");
+    root.join(name)
+}
+
+/// The run [`save_sample_run`] saves.
+fn sample_run() -> RunResult {
     let mk = |mine: i64, other: i64| {
         let mut b = ProgramBuilder::new();
         b.load_imm(Reg::new(1), mine);
@@ -40,15 +50,19 @@ fn save_sample_run(root: &Path, name: &str) -> PathBuf {
     };
     let programs = vec![mk(0x1000, 0x2000), mk(0x2000, 0x1000)];
     let cfg = MachineConfig::splash_default(2).with_trace(TraceConfig::level(TraceLevel::Full));
-    let result = RecordSession::new(&programs, &MemImage::new())
+    RecordSession::new(&programs, &MemImage::new())
         .config(&cfg)
         .specs(&RecorderSpec::paper_matrix())
         .run()
-        .expect("records");
-    LocalStore::new(root)
-        .save_run(name, &result)
-        .expect("saves");
-    root.join(name)
+        .expect("records")
+}
+
+/// The cells of the `rr-inspect dag` table row for `label`.
+fn dag_row(text: &str, label: &str) -> Vec<String> {
+    text.lines()
+        .map(|l| l.split_whitespace().map(String::from).collect::<Vec<_>>())
+        .find(|cells| cells.first().map(String::as_str) == Some(label))
+        .unwrap_or_else(|| panic!("no {label} row:\n{text}"))
 }
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -137,8 +151,9 @@ fn check_passes_clean_runs_and_fails_corrupted_ones() {
     assert_eq!(out.status.code(), Some(2));
     let out = rr_inspect(&[]);
     assert_eq!(out.status.code(), Some(2));
-    // An option value that is no number is a usage error too, not a
-    // silent fall-back to the default.
+    // An option value that is no number, or an output option with no
+    // path, is a usage error too, not a silent fall-back to the default.
+    let default_trace_out = victim.with_extension("json");
     let victim = victim.to_str().unwrap();
     let root = root.to_str().unwrap();
     for bad in [
@@ -149,11 +164,21 @@ fn check_passes_clean_runs_and_fails_corrupted_ones() {
         vec!["prof", root, "--workers="],
         vec!["prof", root, "--size", "big"],
         vec!["prof", root, "--size=1.5"],
+        vec!["prof", root, "--out"],
+        vec!["prof", root, "--out="],
+        vec!["dag", root, "--dot"],
+        vec!["trace", victim, "-o"],
+        vec!["trace", victim, "--out"],
+        vec!["trace", victim, "--out="],
     ] {
         let out = rr_inspect(&bad);
         assert_eq!(out.status.code(), Some(2), "{bad:?}: {}", stderr(&out));
         assert!(stderr(&out).contains("usage:"), "{bad:?}: {}", stderr(&out));
     }
+    assert!(
+        !default_trace_out.exists(),
+        "a valueless -o must not write the default output"
+    );
 }
 
 #[test]
@@ -337,7 +362,11 @@ fn stat_rejects_a_manifest_claiming_more_than_256_cores() {
 #[test]
 fn dag_reports_stats_and_exports_dot() {
     let root = temp_root("dag");
-    let run_dir = save_sample_run(&root, "dagrun");
+    let run = sample_run();
+    LocalStore::new(&root)
+        .save_run("dagrun", &run)
+        .expect("saves");
+    let run_dir = root.join("dagrun");
     let dot_dir = root.join("dot");
 
     let out = rr_inspect(&[
@@ -359,6 +388,46 @@ fn dag_reports_stats_and_exports_dot() {
         !text.contains(" total "),
         "no variant should fall back:\n{text}"
     );
+
+    // `preds` counts the recorded predecessor entries and `ordering B` is
+    // the encoded sidecar's size, the same for a local and an `rr://`
+    // store.
+    let server = serve("127.0.0.1:0", ServerConfig::new(root.join("served"))).expect("serves");
+    RemoteStore::new(server.addr().to_string())
+        .save_run("dagrun", &run)
+        .expect("remote save");
+    let remote = rr_inspect(&["dag", &format!("{}/dagrun", server.url())]);
+    server.shutdown();
+    assert!(remote.status.success(), "stderr: {}", stderr(&remote));
+    let header = dag_row(&text, "variant");
+    let col = |name: &str| {
+        header
+            .iter()
+            .position(|h| h == name)
+            .unwrap_or_else(|| panic!("no {name} column:\n{text}"))
+    };
+    // "ordering B" is two header words; every column after it shifts one.
+    assert_eq!(
+        header[col("edges") + 1..col("edges") + 3],
+        ["ordering", "B"]
+    );
+    let (preds_at, bytes_at) = (col("preds"), col("edges") + 1);
+    assert!(
+        run.variants
+            .iter()
+            .flat_map(|v| &v.ordering)
+            .any(|o| o.preds.iter().any(|p| !p.is_empty())),
+        "the sample run records cross-core predecessors"
+    );
+    for v in &run.variants {
+        let label = v.spec.label();
+        let row = dag_row(&text, &label);
+        let preds: usize = v.ordering.iter().flat_map(|o| &o.preds).map(Vec::len).sum();
+        assert_eq!(row[preds_at], preds.to_string(), "{label}:\n{text}");
+        let bytes = encode_ordering(&v.ordering).len();
+        assert_eq!(row[bytes_at], bytes.to_string(), "{label}:\n{text}");
+        assert_eq!(dag_row(&stdout(&remote), &label), row, "{label}");
+    }
 
     // One .dot per variant, each a syntactically plausible digraph.
     let dots: Vec<PathBuf> = std::fs::read_dir(&dot_dir)
@@ -396,6 +465,9 @@ fn dag_reports_stats_and_exports_dot() {
         "expected total-order fallback:\n{text}"
     );
     assert!(!text.contains("partial"), "sidecars were removed:\n{text}");
+    let row = dag_row(&text, "Opt-4K");
+    assert_eq!(row[preds_at], "-", "no sidecar, no entries:\n{text}");
+    assert_eq!(row[bytes_at], "-", "no sidecar, no bytes:\n{text}");
 }
 
 #[test]
