@@ -2,18 +2,18 @@
 //! decode work (batched varint decode, sliced CRC32, zero-copy chunk
 //! cursor, parallel per-core ingest).
 //!
-//! This bench owns its harness (the vendored criterion shim has no CLI or
-//! machine-readable output): it times encode/decode at 1K / 100K / 10M /
-//! 100M entries (the 100M stream is generated straight through a
-//! `ChunkedWriter` and decoded into a reused output log — the replay
-//! engine's steady-state ingest pattern) and `decode_logs_parallel` at
-//! 1/2/8 workers, writes the results as `BENCH_codec.json`, and — on every
-//! invocation — decodes the checked-in sample `.rrlog`
-//! (`data/sample_v3.rrlog`) with the fast decoder, the entry-at-a-time
-//! `rr-reference` oracle decoder, the probed decoder and the file reader
-//! `read_rrlog`, exiting nonzero on any disagreement (the CI `bench-smoke`
-//! gate). The `--test` mode also hard-gates the `workers == 1` ingest
-//! path: it must cost no more than a plain serial decode loop.
+//! It times encode/decode at 1K / 100K / 10M / 100M entries (the 100M
+//! stream is generated straight through a `ChunkedWriter` and decoded
+//! into a reused output log — the replay engine's steady-state ingest
+//! pattern) and `decode_logs_parallel` at 1/2/8 workers, writes the
+//! results as `BENCH_codec.json` through the shared `rr_bench::run`
+//! harness, and — on every invocation — decodes the checked-in sample
+//! `.rrlog` (`data/sample_v3.rrlog`) with the fast decoder, the
+//! entry-at-a-time `rr-reference` oracle decoder, the probed decoder and
+//! the file reader `read_rrlog`, exiting nonzero on any disagreement (the
+//! CI `bench-smoke` gate). The `--test` mode also hard-gates the
+//! `workers == 1` ingest path: it must cost no more than a plain serial
+//! decode loop.
 //!
 //! ```text
 //! cargo bench -p rr-bench --bench codec            full measurement
@@ -31,8 +31,8 @@ use relaxreplay::wire::{
     decode_chunked, decode_chunked_into, encode_chunked, read_rrlog, ChunkedWriter, VERSION,
 };
 use relaxreplay::{IntervalLog, LogEntry, LogSink};
-use rr_bench::compare::{bench_json, host_cpus};
-use rr_bench::median_ns;
+use rr_bench::compare::host_cpus;
+use rr_bench::{median_ns, BenchArgs};
 use rr_mem::CoreId;
 use rr_reference::decode_chunked_reference;
 use rr_replay::decode_logs_parallel;
@@ -330,10 +330,9 @@ fn reference_check() -> Result<usize, String> {
     Ok(1)
 }
 
-fn write_json(path: &Path, mode: &str, samples: &[Sample], checked: usize) -> std::io::Result<()> {
-    let doc = bench_json(
+fn write_json(args: &BenchArgs, samples: &[Sample], checked: usize) -> Result<(), String> {
+    args.write(
         "rr-bench/codec/v2",
-        mode,
         |o| {
             o.object("reference_check", |r| {
                 r.field("files", checked).field("ok", true);
@@ -357,64 +356,20 @@ fn write_json(path: &Path, mode: &str, samples: &[Sample], checked: usize) -> st
                 });
             }
         },
-    );
-    std::fs::write(path, doc)
+    )
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--test" | "--smoke" => smoke = true,
-            "--regen-data" => {
-                return match regen_data() {
-                    Ok(()) => ExitCode::SUCCESS,
-                    Err(e) => {
-                        eprintln!("codec bench: regen-data: {e}");
-                        ExitCode::FAILURE
-                    }
-                };
-            }
-            "--out" => out_path = it.next().map(PathBuf::from),
-            "--bench" => {} // cargo bench passes this through
-            other => {
-                // Ignore filters (cargo bench -- <filter> conventions).
-                eprintln!("codec bench: ignoring argument {other:?}");
-            }
+    rr_bench::run("codec", &["--regen-data"], |args| {
+        if args.flag("--regen-data") {
+            return regen_data().map_err(|e| format!("regen-data: {e}"));
         }
-    }
-    let out_path = out_path.unwrap_or_else(|| {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_codec.json")
-    });
+        let checked = reference_check().map_err(|e| format!("REFERENCE CHECK FAILED: {e}"))?;
+        println!("reference check: {checked} sample log(s) decode identically on every decoder");
 
-    let checked = match reference_check() {
-        Ok(n) => {
-            println!("reference check: {n} sample log(s) decode identically on every decoder");
-            n
-        }
-        Err(e) => {
-            eprintln!("codec bench: REFERENCE CHECK FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut samples = Vec::new();
-    bench_codec(smoke, &mut samples);
-    if let Err(e) = bench_parallel(smoke, &mut samples) {
-        eprintln!("codec bench: GATE FAILED: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    let mode = if smoke { "test" } else { "full" };
-    if let Err(e) = write_json(&out_path, mode, &samples, checked) {
-        eprintln!("codec bench: writing {}: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("results written to {}", out_path.display());
-    ExitCode::SUCCESS
+        let mut samples = Vec::new();
+        bench_codec(args.smoke, &mut samples);
+        bench_parallel(args.smoke, &mut samples).map_err(|e| format!("GATE FAILED: {e}"))?;
+        write_json(args, &samples, checked)
+    })
 }

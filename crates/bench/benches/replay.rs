@@ -2,15 +2,15 @@
 //! interval-DAG refactor: one IR ([`rr_replay::IntervalDag`]), three
 //! executors, true multithreaded replay.
 //!
-//! This bench owns its harness (the vendored criterion shim has no CLI or
-//! machine-readable output): it records small/medium/large workloads,
-//! times the sequential DAG executor and the multithreaded engine at
-//! 1/2/4/8 workers, writes the results as `BENCH_replay.json`, and — on
-//! every invocation — runs the differential gate: the sequential DAG
-//! executor must agree with the retained legacy `replay_reference` path,
-//! and the threaded engine at every worker count must agree with the
-//! sequential executor and verify against the recorded ground truth. Any
-//! disagreement exits nonzero (the CI `replay-scaling` gate).
+//! It records small/medium/large workloads, times the sequential DAG
+//! executor and the multithreaded engine at 1/2/4/8 workers, writes the
+//! results as `BENCH_replay.json` through the shared `rr_bench::run`
+//! harness, and — on every invocation — runs the differential gate: the
+//! sequential DAG executor must agree with the retained legacy
+//! `replay_reference` path, and the threaded engine at every worker count
+//! must agree with the sequential executor and verify against the
+//! recorded ground truth. Any disagreement exits nonzero (the CI
+//! `replay-scaling` gate).
 //!
 //! Wall-clock scaling tracks the host's real core count; the JSON records
 //! `host_cpus` so a 1-cpu CI runner's flat curve reads as what it is.
@@ -21,12 +21,10 @@
 //! cargo bench -p rr-bench --bench replay -- --out path/to.json
 //! ```
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use relaxreplay::trace::json::Fixed;
-use rr_bench::compare::bench_json;
-use rr_bench::median_ns;
+use rr_bench::{median_ns, BenchArgs};
 use rr_replay::{
     execute_threaded, patch, replay, replay_reference, verify, CostModel, IntervalDag, PatchedLog,
     ReplayError, ReplayOp, ReplayOutcome,
@@ -232,10 +230,9 @@ fn bench_recording(smoke: bool, r: &Recording, out: &mut Vec<Sample>) {
     }
 }
 
-fn write_json(path: &Path, mode: &str, samples: &[Sample], cases: usize) -> std::io::Result<()> {
-    let doc = bench_json(
+fn write_json(args: &BenchArgs, samples: &[Sample], cases: usize) -> Result<(), String> {
+    args.write(
         "rr-bench/replay/v1",
-        mode,
         |o| {
             o.object("differential_gate", |g| {
                 g.field("cases", cases)
@@ -258,58 +255,22 @@ fn write_json(path: &Path, mode: &str, samples: &[Sample], cases: usize) -> std:
                 });
             }
         },
-    );
-    std::fs::write(path, doc)
+    )
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--test" | "--smoke" => smoke = true,
-            "--out" => out_path = it.next().map(PathBuf::from),
-            "--bench" => {} // cargo bench passes this through
-            other => {
-                // Ignore filters (cargo bench -- <filter> conventions).
-                eprintln!("replay bench: ignoring argument {other:?}");
-            }
+    rr_bench::run("replay", &[], |args| {
+        let cases = if args.smoke { SMOKE_CASES } else { FULL_CASES };
+        let mut samples = Vec::new();
+        for case in cases {
+            let r = record_case(case)?;
+            differential_gate(&r).map_err(|e| format!("DIFFERENTIAL GATE FAILED: {e}"))?;
+            println!(
+                "differential gate: {} ({} intervals) — legacy, sequential, and thr1/2/4/8 agree",
+                r.tag, r.intervals
+            );
+            bench_recording(args.smoke, &r, &mut samples);
         }
-    }
-    let out_path = out_path.unwrap_or_else(|| {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_replay.json")
-    });
-
-    let cases = if smoke { SMOKE_CASES } else { FULL_CASES };
-    let mut samples = Vec::new();
-    for case in cases {
-        let r = match record_case(case) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("replay bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = differential_gate(&r) {
-            eprintln!("replay bench: DIFFERENTIAL GATE FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "differential gate: {} ({} intervals) — legacy, sequential, and thr1/2/4/8 agree",
-            r.tag, r.intervals
-        );
-        bench_recording(smoke, &r, &mut samples);
-    }
-
-    let mode = if smoke { "test" } else { "full" };
-    if let Err(e) = write_json(&out_path, mode, &samples, cases.len()) {
-        eprintln!("replay bench: writing {}: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("results written to {}", out_path.display());
-    ExitCode::SUCCESS
+        write_json(args, &samples, cases.len())
+    })
 }

@@ -114,6 +114,18 @@ fn flag_arg<'a>(
     }
 }
 
+/// An argument that names no option of `cmd`: a usage error (exit 2)
+/// naming it.
+fn unknown_arg(cmd: &str, arg: &str) -> u8 {
+    let what = if arg.starts_with('-') {
+        "unknown option"
+    } else {
+        "unexpected argument"
+    };
+    eprintln!("rr-inspect {cmd}: {what} {arg:?}\n{USAGE}");
+    2
+}
+
 /// A numeric option's value; a missing or unparseable one is a usage
 /// error (exit 2).
 fn parse_num<T: std::str::FromStr>(cmd: &str, flag: &str, value: Option<&str>) -> Result<T, u8> {
@@ -415,6 +427,8 @@ fn cmd_dump(args: &[String]) -> u8 {
                 Ok(n) => limit = n,
                 Err(c) => return c,
             }
+        } else {
+            return unknown_arg("dump", a);
         }
     }
     let bytes = match std::fs::read(&path) {
@@ -609,6 +623,8 @@ fn cmd_dag(args: &[String]) -> u8 {
                 Ok(p) => dot_dir = Some(p),
                 Err(c) => return c,
             }
+        } else {
+            return unknown_arg("dag", a);
         }
     }
     let (store, names) = match resolve_store(&args[0]) {
@@ -729,6 +745,8 @@ fn cmd_prof(args: &[String]) -> u8 {
                 Ok(p) => out_dir = Some(p),
                 Err(c) => return c,
             }
+        } else {
+            return unknown_arg("prof", a);
         }
     }
     if !path.is_dir() {
@@ -905,13 +923,15 @@ fn cmd_trace(args: &[String]) -> u8 {
     };
     let mut out_path: Option<PathBuf> = None;
     let mut rest = args[1..].iter();
-    while let Some(a) = rest.next() {
-        let a = if a == "-o" { "--out" } else { a };
+    while let Some(arg) = rest.next() {
+        let a = if arg == "-o" { "--out" } else { arg };
         if let Some(v) = flag_arg("--out", a, &mut rest) {
             match parse_path("trace", "-o", v) {
                 Ok(p) => out_path = Some(p),
                 Err(c) => return c,
             }
+        } else {
+            return unknown_arg("trace", arg);
         }
     }
     let out_path = out_path.unwrap_or_else(|| path.with_extension("json"));

@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
 use std::path::Path;
 
 /// A simple column-aligned table with a title, printed to stdout and
@@ -58,10 +59,18 @@ impl Table {
         out
     }
 
-    /// Prints the rendered table to stdout.
+    /// Prints the rendered table to stdout. A closed pipe (`… | head`)
+    /// ends the process quietly with status 0; any other write error
+    /// ends it with status 1.
     pub fn print(&self) {
-        print!("{}", self.render());
-        println!();
+        let mut out = std::io::stdout().lock();
+        if let Err(e) = writeln!(out, "{}", self.render()).and_then(|()| out.flush()) {
+            if e.kind() == std::io::ErrorKind::BrokenPipe {
+                std::process::exit(0);
+            }
+            eprintln!("writing to stdout: {e}");
+            std::process::exit(1);
+        }
     }
 
     /// Writes the table as CSV under `dir` (created if needed), named

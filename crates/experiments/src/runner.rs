@@ -87,58 +87,58 @@ impl ExperimentConfig {
     /// `--replay-from <dir>`, `--replay-workers N`,
     /// `--trace <off|intervals|accesses|full>`, `--prof` command-line
     /// flags (used by the binaries so runs can be scaled without
-    /// recompiling). A flag value that does not parse — a non-numeric
-    /// `--workers` or `--replay-workers`, an unknown `--trace` level — is
-    /// a usage error: it is printed, naming the flag, and the process
-    /// exits with status 2.
+    /// recompiling); a flag overrides its variable. A value that does not
+    /// parse — a non-numeric `RR_THREADS`, `RR_SIZE`, `RR_WORKERS`,
+    /// `RR_REPLAY_WORKERS`, `--workers` or `--replay-workers`, an unknown
+    /// `RR_TRACE` or `--trace` level — is a usage error: it is printed,
+    /// naming the variable or flag, and the process exits with status 2.
     #[must_use]
     pub fn from_env() -> Self {
         let mut cfg = Self::paper_default();
-        if let Ok(t) = std::env::var("RR_THREADS") {
-            if let Ok(t) = t.parse() {
-                cfg.threads = t;
-            }
-        }
-        if let Ok(s) = std::env::var("RR_SIZE") {
-            if let Ok(s) = s.parse() {
-                cfg.size = s;
-            }
-        }
-        if let Ok(w) = std::env::var("RR_WORKERS") {
-            if let Ok(w) = w.parse() {
-                cfg.workers = w;
-            }
-        }
-        if let Ok(d) = std::env::var("RR_SAVE_LOGS") {
-            if !d.is_empty() {
-                cfg.save_logs = Some(d);
-            }
-        }
-        if let Ok(d) = std::env::var("RR_REPLAY_FROM") {
-            if !d.is_empty() {
-                cfg.replay_from = Some(d);
-            }
-        }
-        if let Ok(l) = std::env::var("RR_TRACE") {
-            if let Some(level) = TraceLevel::parse(&l) {
-                cfg.trace = TraceConfig::level(level);
-            }
-        }
-        if let Ok(p) = std::env::var("RR_PROF") {
-            if !p.is_empty() && p != "0" {
-                cfg.prof = true;
-            }
-        }
-        if let Ok(w) = std::env::var("RR_REPLAY_WORKERS") {
-            if let Ok(w) = w.parse() {
-                cfg.replay_workers = Some(w);
-            }
-        }
-        if let Err(e) = cfg.apply_args(std::env::args().skip(1)) {
+        let applied = cfg
+            .apply_env(|name| std::env::var(name).ok())
+            .and_then(|()| cfg.apply_args(std::env::args().skip(1)));
+        if let Err(e) = applied {
             eprintln!("usage error: {e}");
             std::process::exit(2);
         }
         cfg
+    }
+
+    /// Applies the environment variables [`from_env`](Self::from_env)
+    /// reads, looking each up with `var`; an empty value counts as unset.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable when a numeric one does not parse
+    /// or `RR_TRACE` names no trace level.
+    fn apply_env(&mut self, var: impl Fn(&str) -> Option<String>) -> Result<(), String> {
+        let var = |name: &str| var(name).filter(|v| !v.is_empty());
+        if let Some(t) = var("RR_THREADS") {
+            self.threads = number("RR_THREADS", Some(t))?;
+        }
+        if let Some(s) = var("RR_SIZE") {
+            self.size = number("RR_SIZE", Some(s))?;
+        }
+        if let Some(w) = var("RR_WORKERS") {
+            self.workers = number("RR_WORKERS", Some(w))?;
+        }
+        if let Some(d) = var("RR_SAVE_LOGS") {
+            self.save_logs = Some(d);
+        }
+        if let Some(d) = var("RR_REPLAY_FROM") {
+            self.replay_from = Some(d);
+        }
+        if let Some(l) = var("RR_TRACE") {
+            self.trace = trace_level("RR_TRACE", Some(l))?;
+        }
+        if let Some(p) = var("RR_PROF") {
+            self.prof = p != "0";
+        }
+        if let Some(w) = var("RR_REPLAY_WORKERS") {
+            self.replay_workers = Some(number("RR_REPLAY_WORKERS", Some(w))?);
+        }
+        Ok(())
     }
 
     /// Applies the command-line flags [`from_env`](Self::from_env) reads,
@@ -157,13 +157,7 @@ impl ExperimentConfig {
             } else if let Some(v) = flag_value("--replay-workers", &a, &mut args) {
                 self.replay_workers = Some(number("--replay-workers", v)?);
             } else if let Some(v) = flag_value("--trace", &a, &mut args) {
-                let level = v.as_deref().and_then(TraceLevel::parse).ok_or_else(|| {
-                    format!(
-                        "--trace needs one of off|intervals|accesses|full{}",
-                        got(v.as_deref())
-                    )
-                })?;
-                self.trace = TraceConfig::level(level);
+                self.trace = trace_level("--trace", v)?;
             } else if let Some(v) = flag_value("--save-logs", &a, &mut args) {
                 self.save_logs = v;
             } else if let Some(v) = flag_value("--replay-from", &a, &mut args) {
@@ -192,12 +186,27 @@ fn flag_value(
     }
 }
 
-/// A numeric flag's value, or a message naming the flag.
-fn number(flag: &str, value: Option<String>) -> Result<usize, String> {
+/// A numeric flag's or variable's value, or a message naming it.
+fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
     let value = value.as_deref();
     value
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| format!("{flag} needs a number{}", got(value)))
+}
+
+/// The trace configuration a flag's or variable's level names, or a
+/// message naming it.
+fn trace_level(flag: &str, value: Option<String>) -> Result<TraceConfig, String> {
+    let value = value.as_deref();
+    value
+        .and_then(TraceLevel::parse)
+        .map(TraceConfig::level)
+        .ok_or_else(|| {
+            format!(
+                "{flag} needs one of off|intervals|accesses|full{}",
+                got(value)
+            )
+        })
 }
 
 /// The rejected value for a usage message; nothing when it is missing.
@@ -806,6 +815,50 @@ mod tests {
         ] {
             let err = parse(args).expect_err("a usage error");
             assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn env_values_parse_and_bad_ones_name_their_variable() {
+        let parse = |vars: &[(&str, &str)]| {
+            let mut cfg = ExperimentConfig::paper_default();
+            cfg.apply_env(|name| {
+                vars.iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, v)| (*v).to_string())
+            })
+            .map(|()| cfg)
+        };
+        let cfg = parse(&[
+            ("RR_THREADS", "2"),
+            ("RR_SIZE", "3"),
+            ("RR_WORKERS", "4"),
+            ("RR_REPLAY_WORKERS", "0"),
+            ("RR_TRACE", "accesses"),
+            ("RR_SAVE_LOGS", "out"),
+            ("RR_PROF", "1"),
+        ])
+        .expect("valid variables");
+        assert_eq!((cfg.threads, cfg.size, cfg.workers), (2, 3, 4));
+        assert_eq!(cfg.replay_workers, Some(0));
+        assert_eq!(cfg.trace, TraceConfig::level(TraceLevel::Accesses));
+        assert_eq!(cfg.save_logs.as_deref(), Some("out"));
+        assert!(cfg.prof);
+        // An empty value is unset, not an error.
+        let cfg = parse(&[("RR_THREADS", ""), ("RR_TRACE", "")]).expect("empty is unset");
+        assert_eq!(cfg.threads, 8);
+        assert_eq!(cfg.trace, TraceConfig::off());
+
+        for (name, value) in [
+            ("RR_THREADS", "eight"),
+            ("RR_SIZE", "-1"),
+            ("RR_WORKERS", "all"),
+            ("RR_REPLAY_WORKERS", "2.5"),
+            ("RR_TRACE", "loud"),
+        ] {
+            let err = parse(&[(name, value)]).expect_err("a usage error");
+            assert!(err.starts_with(name), "{name}={value}: {err}");
+            assert!(err.contains(value), "{name}={value}: {err}");
         }
     }
 

@@ -61,8 +61,8 @@ impl ReplayEvents {
 /// *shape* of Figure 13 with an analytic model: native execution proceeds
 /// at `replay_ipc`, and each OS-level event has a fixed cycle cost. The
 /// defaults below are chosen to be plausible for the paper's 2 GHz 4-issue
-/// core (an interrupt + context save/restore costs a few hundred cycles)
-/// and are swept in the ablation benches.
+/// core (an interrupt + context save/restore costs a few hundred
+/// cycles).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Native replay IPC inside `RunBlock`s (sequential re-execution with

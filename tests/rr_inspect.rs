@@ -3,7 +3,7 @@
 //! (nonzero exit), and trace-sidecar conversion to Chrome/Perfetto JSON.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use relaxreplay::trace::{TraceConfig, TraceLevel};
 use rr_isa::{MemImage, ProgramBuilder, Reg};
@@ -179,6 +179,41 @@ fn check_passes_clean_runs_and_fails_corrupted_ones() {
         !default_trace_out.exists(),
         "a valueless -o must not write the default output"
     );
+    // An option no subcommand knows is a usage error naming it, not a
+    // silently skipped argument.
+    for (bad, named) in [
+        (vec!["dag", root, "--dott", "x"], "--dott"),
+        (vec!["dag", root, "--dot=x", "extra"], "extra"),
+        (vec!["prof", root, "--worker", "2"], "--worker"),
+        (vec!["trace", victim, "--output", "x.json"], "--output"),
+        (vec!["dump", victim, "--lim=3"], "--lim=3"),
+    ] {
+        let out = rr_inspect(&bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("{named:?}")),
+            "{bad:?}: {}",
+            stderr(&out)
+        );
+    }
+    assert!(!default_trace_out.exists(), "a usage error writes nothing");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_table_quietly() {
+    let root = temp_root("closed_pipe");
+    save_sample_run(&root, "sample");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rr-inspect"))
+        .args(["dag", root.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("rr-inspect spawns");
+    // Drop the read end before the child writes its table.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("rr-inspect exits");
+    assert_ne!(out.status.code(), Some(101), "stderr: {}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
 }
 
 #[test]
