@@ -3,16 +3,18 @@
 //!
 //! It records the concurrent data-structure corpus once (automatic sweep
 //! workers, no replay — the bench measures the service, not the
-//! simulator), starts an in-process server on a store in a fresh temp
-//! directory, and times one pass of each: a cold save of every run, a
-//! save of the identical corpus under new run names (every chunk dedups
-//! against the cold pass's blobs), and a fetch of one run. It writes
-//! `BENCH_serve.json` through the shared `rr_bench::run` harness, then
-//! gates the store's dedup ratio at [`MIN_DEDUP`]: a lower ratio exits
-//! nonzero. The temp store is removed on every exit path.
+//! simulator) and then, [`PASSES`] times over, starts an in-process
+//! server on a store in a fresh temp directory and times one pass of
+//! each: a cold save of every run, a save of the identical corpus under
+//! new run names (every chunk dedups against the cold pass's blobs), and
+//! a fetch of one run. Each row's `median_ns` is the median over the
+//! passes. It writes `BENCH_serve.json` through the shared
+//! `rr_bench::run` harness, then gates the store's dedup ratio (the
+//! least over the passes) at [`MIN_DEDUP`]: a lower ratio exits nonzero.
+//! Every temp store is removed on every exit path.
 //!
 //! ```text
-//! cargo bench -p rr-bench --bench serve            one pass of each row
+//! cargo bench -p rr-bench --bench serve            PASSES passes of each row
 //! cargo bench -p rr-bench --bench serve -- --out path/to.json
 //! ```
 
@@ -31,13 +33,17 @@ use rr_sim::{MachineConfig, RecorderSpec, RunStore, StoreError};
 /// logical bytes it was sent.
 const MIN_DEDUP: f64 = 1.5;
 
+/// Timed passes per row; each row reports the median.
+const PASSES: usize = 5;
+
 /// A temp directory removed when dropped, so every exit path — a failed
 /// gate included — cleans it up.
 struct TempStore(PathBuf);
 
 impl TempStore {
-    fn new() -> Self {
-        let dir = std::env::temp_dir().join(format!("rr-serve-bench-{}", std::process::id()));
+    fn new(pass: usize) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("rr-serve-bench-{}-{pass}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         TempStore(dir)
     }
@@ -53,7 +59,7 @@ impl Drop for TempStore {
     }
 }
 
-/// What one bench run measured.
+/// What one pass measured, or the per-row medians over all passes.
 struct Measured {
     cold_bytes: u64,
     cold_ns: u64,
@@ -166,17 +172,43 @@ fn write_json(args: &BenchArgs, m: &Measured) -> Result<(), String> {
     )
 }
 
+/// One pass against a server on a fresh temp store; the server stops
+/// and the store is removed before it returns.
+fn measure_pass(pass: usize, report: &SweepReport) -> Result<Measured, String> {
+    let store = TempStore::new(pass);
+    let handle =
+        serve("127.0.0.1:0", ServerConfig::new(store.path())).map_err(|e| e.to_string())?;
+    let measured = measure(&handle, report);
+    handle.shutdown();
+    measured
+}
+
+/// The median of `xs` (the upper one of an even count).
+fn median(mut xs: Vec<u64>) -> u64 {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
+}
+
 fn main() -> ExitCode {
     rr_bench::run("serve", &[], |args| {
         let report = record_corpus()?;
-        let store = TempStore::new();
-        let handle =
-            serve("127.0.0.1:0", ServerConfig::new(store.path())).map_err(|e| e.to_string())?;
-        let measured = measure(&handle, &report);
-        handle.shutdown();
-        let m = measured?;
+        let passes = (0..PASSES)
+            .map(|pass| measure_pass(pass, &report))
+            .collect::<Result<Vec<_>, _>>()?;
+        let row = |f: fn(&Measured) -> u64| median(passes.iter().map(f).collect());
+        let m = Measured {
+            cold_bytes: passes[0].cold_bytes,
+            cold_ns: row(|m| m.cold_ns),
+            dup_bytes: passes[0].dup_bytes,
+            dup_ns: row(|m| m.dup_ns),
+            fetch_ns: row(|m| m.fetch_ns),
+            dedup_ratio: passes
+                .iter()
+                .map(|m| m.dedup_ratio)
+                .fold(f64::INFINITY, f64::min),
+        };
         println!(
-            "ingest {:.1} MB/s cold / {:.1} MB/s dup, dedup {:.2}x",
+            "ingest {:.1} MB/s cold / {:.1} MB/s dup, dedup {:.2}x (median of {PASSES} passes)",
             mb_per_s(m.cold_bytes, m.cold_ns),
             mb_per_s(m.dup_bytes, m.dup_ns),
             m.dedup_ratio

@@ -7,10 +7,12 @@
 //! cells are independent simulations, so the whole ablation matrix runs
 //! as one flat parallel sweep.
 
+use std::path::Path;
+
 use relaxreplay::{Design, RecorderConfig};
 use rr_cpu::ConsistencyModel;
-use rr_experiments::report::{pct, results_dir, write_metrics_jsonl, Table};
-use rr_experiments::{write_trace_pairs, ExperimentConfig};
+use rr_experiments::report::{pct, Table};
+use rr_experiments::{figure_main, write_sidecars, ExperimentConfig};
 use rr_sim::{JobOutput, MachineConfig, ReplayPolicy, SweepJob};
 use rr_workloads::by_name;
 
@@ -36,22 +38,11 @@ fn job(
 }
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("ablation: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
+    figure_main("ablation", |cfg, dir| run(&cfg, dir))
 }
 
-fn run() -> Result<(), rr_sim::Error> {
-    let cfg = ExperimentConfig::from_env();
-    if rr_experiments::handle_replay_from(&cfg)? {
-        return Ok(());
-    }
+fn run(cfg: &ExperimentConfig, dir: &Path) -> Result<(), rr_sim::Error> {
     let machine = MachineConfig::splash_default(cfg.threads).with_trace(cfg.trace);
-    let dir = results_dir();
 
     const MODELS: [(ConsistencyModel, &str); 3] = [
         (ConsistencyModel::Sc, "sc"),
@@ -66,7 +57,7 @@ fn run() -> Result<(), rr_sim::Error> {
             jobs.push(job(
                 format!("{name}/consistency/{tag}"),
                 name,
-                &cfg,
+                cfg,
                 MachineConfig::splash_default(cfg.threads)
                     .with_consistency(model)
                     .with_trace(cfg.trace),
@@ -78,7 +69,7 @@ fn run() -> Result<(), rr_sim::Error> {
         jobs.push(job(
             format!("{name}/snoop_table"),
             name,
-            &cfg,
+            cfg,
             machine.clone(),
             [8usize, 64, 512]
                 .into_iter()
@@ -93,7 +84,7 @@ fn run() -> Result<(), rr_sim::Error> {
         jobs.push(job(
             format!("{name}/signature"),
             name,
-            &cfg,
+            cfg,
             machine.clone(),
             [64u32, 256, 1024]
                 .into_iter()
@@ -114,7 +105,7 @@ fn run() -> Result<(), rr_sim::Error> {
             jobs.push(job(
                 format!("{name}/traq/{entries}"),
                 name,
-                &cfg,
+                cfg,
                 machine.clone(),
                 vec![RecorderConfig {
                     traq_entries: entries,
@@ -128,7 +119,7 @@ fn run() -> Result<(), rr_sim::Error> {
             jobs.push(job(
                 format!("{name}/counting/{count}"),
                 name,
-                &cfg,
+                cfg,
                 machine.clone(),
                 vec![RecorderConfig {
                     count_per_cycle: count,
@@ -142,7 +133,7 @@ fn run() -> Result<(), rr_sim::Error> {
             jobs.push(job(
                 format!("{name}/nmi/{nmi}"),
                 name,
-                &cfg,
+                cfg,
                 machine.clone(),
                 vec![RecorderConfig {
                     nmi_max: nmi,
@@ -160,13 +151,7 @@ fn run() -> Result<(), rr_sim::Error> {
         report.workers,
         report.wall_ns as f64 / 1e9
     );
-    write_metrics_jsonl(&dir, "ablation", &report.to_jsonl())?;
-    let traced: Vec<_> = report
-        .outputs
-        .iter()
-        .filter_map(|o| o.run.trace.as_ref().map(|t| (o.name.clone(), t)))
-        .collect();
-    write_trace_pairs(&dir, "ablation", &traced)?;
+    write_sidecars(dir, "ablation", &report.outputs, cfg, Vec::new())?;
     let mut outs = report.outputs.into_iter();
     let mut take = |n: usize| -> Vec<JobOutput> { outs.by_ref().take(n).collect() };
 
@@ -189,8 +174,7 @@ fn run() -> Result<(), rr_sim::Error> {
         }
         t.row(cells);
     }
-    t.print();
-    t.write_csv(&dir, "ablation_consistency")?;
+    t.emit(dir, "ablation_consistency")?;
 
     // --- Snoop Table size (Opt-INF): aliasing vs reordered fraction -----
     let mut t = Table::new(
@@ -206,8 +190,7 @@ fn run() -> Result<(), rr_sim::Error> {
             pct(o.run.variants[2].reordered_fraction()),
         ]);
     }
-    t.print();
-    t.write_csv(&dir, "ablation_snoop_table")?;
+    t.emit(dir, "ablation_snoop_table")?;
 
     // --- Signature size (Base-INF): false positives vs intervals --------
     let mut t = Table::new(
@@ -230,8 +213,7 @@ fn run() -> Result<(), rr_sim::Error> {
             format!("{}", intervals(2)),
         ]);
     }
-    t.print();
-    t.write_csv(&dir, "ablation_signature")?;
+    t.emit(dir, "ablation_signature")?;
 
     // --- TRAQ depth: dispatch stalls and reordered fraction -------------
     let mut t = Table::new(
@@ -249,8 +231,7 @@ fn run() -> Result<(), rr_sim::Error> {
         }
         t.row(cells);
     }
-    t.print();
-    t.write_csv(&dir, "ablation_traq")?;
+    t.emit(dir, "ablation_traq")?;
 
     // --- Counting bandwidth: TRAQ occupancy ------------------------------
     let mut t = Table::new(
@@ -266,8 +247,7 @@ fn run() -> Result<(), rr_sim::Error> {
         }
         t.row(cells);
     }
-    t.print();
-    t.write_csv(&dir, "ablation_counting")?;
+    t.emit(dir, "ablation_counting")?;
 
     // --- NMI width: filler entries vs block sizes ------------------------
     let mut t = Table::new(
@@ -281,7 +261,6 @@ fn run() -> Result<(), rr_sim::Error> {
         }
         t.row(cells);
     }
-    t.print();
-    t.write_csv(&dir, "ablation_nmi")?;
+    t.emit(dir, "ablation_nmi")?;
     Ok(())
 }

@@ -1,30 +1,12 @@
 //! Figure 1: fraction of memory accesses performed out of program order.
 
-use rr_experiments::report::{results_dir, write_metrics_jsonl};
-use rr_experiments::{figures, metrics_jsonl, run_suite, write_trace_artifacts, ExperimentConfig};
+use rr_experiments::{figure_main, figures, run_suite, write_sidecars};
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig01: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), rr_sim::Error> {
-    let mut cfg = ExperimentConfig::from_env();
-    cfg.replay = false;
-    if rr_experiments::handle_replay_from(&cfg)? {
-        return Ok(());
-    }
-    let runs = run_suite(&cfg)?;
-    let t = figures::fig01(&runs);
-    t.print();
-    let dir = results_dir();
-    t.write_csv(&dir, "fig01")?;
-    write_metrics_jsonl(&dir, "fig01", &metrics_jsonl(&runs))?;
-    write_trace_artifacts(&dir, "fig01", &runs)?;
-    Ok(())
+    figure_main("fig01", |mut cfg, dir| {
+        cfg.replay = false;
+        let report = run_suite(&cfg)?;
+        figures::fig01(&report.outputs).emit(dir, "fig01")?;
+        write_sidecars(dir, "fig01", &report.outputs, &cfg, Vec::new())
+    })
 }

@@ -1,30 +1,12 @@
 //! Figure 9: fraction of memory accesses logged as reordered.
 
-use rr_experiments::report::{results_dir, write_metrics_jsonl};
-use rr_experiments::{figures, metrics_jsonl, run_suite, write_trace_artifacts, ExperimentConfig};
+use rr_experiments::{figure_main, figures, run_suite, write_sidecars};
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig09: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), rr_sim::Error> {
-    let mut cfg = ExperimentConfig::from_env();
-    cfg.replay = false;
-    if rr_experiments::handle_replay_from(&cfg)? {
-        return Ok(());
-    }
-    let runs = run_suite(&cfg)?;
-    let t = figures::fig09(&runs);
-    t.print();
-    let dir = results_dir();
-    t.write_csv(&dir, "fig09")?;
-    write_metrics_jsonl(&dir, "fig09", &metrics_jsonl(&runs))?;
-    write_trace_artifacts(&dir, "fig09", &runs)?;
-    Ok(())
+    figure_main("fig09", |mut cfg, dir| {
+        cfg.replay = false;
+        let report = run_suite(&cfg)?;
+        figures::fig09(&report.outputs).emit(dir, "fig09")?;
+        write_sidecars(dir, "fig09", &report.outputs, &cfg, Vec::new())
+    })
 }

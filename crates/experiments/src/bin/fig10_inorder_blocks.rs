@@ -1,30 +1,12 @@
 //! Figure 10: InorderBlock entry counts, Opt normalized to Base.
 
-use rr_experiments::report::{results_dir, write_metrics_jsonl};
-use rr_experiments::{figures, metrics_jsonl, run_suite, write_trace_artifacts, ExperimentConfig};
+use rr_experiments::{figure_main, figures, run_suite, write_sidecars};
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig10: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), rr_sim::Error> {
-    let mut cfg = ExperimentConfig::from_env();
-    cfg.replay = false;
-    if rr_experiments::handle_replay_from(&cfg)? {
-        return Ok(());
-    }
-    let runs = run_suite(&cfg)?;
-    let t = figures::fig10(&runs);
-    t.print();
-    let dir = results_dir();
-    t.write_csv(&dir, "fig10")?;
-    write_metrics_jsonl(&dir, "fig10", &metrics_jsonl(&runs))?;
-    write_trace_artifacts(&dir, "fig10", &runs)?;
-    Ok(())
+    figure_main("fig10", |mut cfg, dir| {
+        cfg.replay = false;
+        let report = run_suite(&cfg)?;
+        figures::fig10(&report.outputs).emit(dir, "fig10")?;
+        write_sidecars(dir, "fig10", &report.outputs, &cfg, Vec::new())
+    })
 }

@@ -1,41 +1,18 @@
 //! Figure 11: uncompressed log size and log bandwidth.
 
-use rr_experiments::report::{results_dir, write_metrics_jsonl};
-use rr_experiments::{
-    figures, metrics_jsonl, run_corpus_suite, run_suite, write_trace_artifacts, ExperimentConfig,
-};
+use rr_experiments::{figure_main, figures, run_corpus_suite, run_suite, write_sidecars};
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig11: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
+    figure_main("fig11", |mut cfg, dir| {
+        cfg.replay = false;
+        let report = run_suite(&cfg)?;
+        figures::fig11(&report.outputs).emit(dir, "fig11")?;
+        write_sidecars(dir, "fig11", &report.outputs, &cfg, Vec::new())?;
 
-fn run() -> Result<(), rr_sim::Error> {
-    let mut cfg = ExperimentConfig::from_env();
-    cfg.replay = false;
-    if rr_experiments::handle_replay_from(&cfg)? {
-        return Ok(());
-    }
-    let runs = run_suite(&cfg)?;
-    let t = figures::fig11(&runs);
-    t.print();
-    let dir = results_dir();
-    t.write_csv(&dir, "fig11")?;
-    write_metrics_jsonl(&dir, "fig11", &metrics_jsonl(&runs))?;
-    write_trace_artifacts(&dir, "fig11", &runs)?;
-
-    // The data-structure corpus gets its own table so the paper's
-    // SPLASH-2 AVERAGE row stays comparable to the original figure.
-    let corpus = run_corpus_suite(&cfg)?;
-    let tc = figures::fig11_corpus(&corpus);
-    tc.print();
-    tc.write_csv(&dir, "fig11-corpus")?;
-    write_metrics_jsonl(&dir, "fig11-corpus", &metrics_jsonl(&corpus))?;
-    write_trace_artifacts(&dir, "fig11-corpus", &corpus)?;
-    Ok(())
+        // The data-structure corpus gets its own table so the paper's
+        // SPLASH-2 AVERAGE row stays comparable to the original figure.
+        let corpus = run_corpus_suite(&cfg)?;
+        figures::fig11_corpus(&corpus.outputs).emit(dir, "fig11-corpus")?;
+        write_sidecars(dir, "fig11-corpus", &corpus.outputs, &cfg, Vec::new())
+    })
 }

@@ -1,34 +1,16 @@
 //! Figure 12: TRAQ occupancy (average, peak, distribution) and the
 //! recording-overhead evidence of §5.3.
 
-use rr_experiments::report::{results_dir, write_metrics_jsonl};
-use rr_experiments::{figures, metrics_jsonl, run_suite, write_trace_artifacts, ExperimentConfig};
+use rr_experiments::{figure_main, figures, run_suite, write_sidecars};
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig12: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), rr_sim::Error> {
-    let mut cfg = ExperimentConfig::from_env();
-    cfg.replay = false;
-    if rr_experiments::handle_replay_from(&cfg)? {
-        return Ok(());
-    }
-    let runs = run_suite(&cfg)?;
-    let t = figures::fig12(&runs);
-    t.print();
-    let dir = results_dir();
-    t.write_csv(&dir, "fig12")?;
-    let h = figures::fig12_histogram(&runs, &["fft", "radix", "barnes", "water_nsq"]);
-    h.print();
-    h.write_csv(&dir, "fig12_hist")?;
-    write_metrics_jsonl(&dir, "fig12", &metrics_jsonl(&runs))?;
-    write_trace_artifacts(&dir, "fig12", &runs)?;
-    Ok(())
+    figure_main("fig12", |mut cfg, dir| {
+        cfg.replay = false;
+        let report = run_suite(&cfg)?;
+        let runs = &report.outputs;
+        figures::fig12(runs).emit(dir, "fig12")?;
+        let hist = figures::fig12_histogram(runs, &["fft", "radix", "barnes", "water_nsq"]);
+        hist.emit(dir, "fig12_hist")?;
+        write_sidecars(dir, "fig12", runs, &cfg, Vec::new())
+    })
 }

@@ -1,39 +1,11 @@
 //! Figure 14: recording behaviour at 4, 8 and 16 cores.
 
-use rr_experiments::report::{results_dir, write_metrics_jsonl};
-use rr_experiments::runner::run_scalability;
-use rr_experiments::{figures, metrics_jsonl, write_trace_pairs, ExperimentConfig};
+use rr_experiments::{figure_main, figures, run_scalability, write_sidecars};
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig14: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), rr_sim::Error> {
-    let cfg = ExperimentConfig::from_env();
-    if rr_experiments::handle_replay_from(&cfg)? {
-        return Ok(());
-    }
-    let results = run_scalability(&cfg, &[4, 8, 16])?;
-    let t = figures::fig14(&results);
-    t.print();
-    let dir = results_dir();
-    t.write_csv(&dir, "fig14")?;
-    let mut jsonl = String::new();
-    for (_, runs) in &results {
-        jsonl.push_str(&metrics_jsonl(runs));
-    }
-    write_metrics_jsonl(&dir, "fig14", &jsonl)?;
-    let traced: Vec<_> = results
-        .iter()
-        .flat_map(|(_, runs)| runs)
-        .filter_map(|r| r.record.trace.as_ref().map(|t| (r.label.clone(), t)))
-        .collect();
-    write_trace_pairs(&dir, "fig14", &traced)?;
-    Ok(())
+    figure_main("fig14", |cfg, dir| {
+        let report = run_scalability(&cfg, &[4, 8, 16])?;
+        figures::fig14(&report.outputs).emit(dir, "fig14")?;
+        write_sidecars(dir, "fig14", &report.outputs, &cfg, Vec::new())
+    })
 }

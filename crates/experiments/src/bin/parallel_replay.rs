@@ -23,29 +23,19 @@
 //! `rr_experiments::replay_scaling`, the measurement behind
 //! `fig13_replay`'s scaling table too.
 
-use rr_experiments::report::{f2, results_dir, write_metrics_jsonl, Table};
-use rr_experiments::{
-    replay_scaling, write_prof_pairs, write_trace_pairs, ExperimentConfig, SCALING_REPS,
-};
+use std::path::Path;
+
+use rr_experiments::report::{f2, Table};
+use rr_experiments::{figure_main, replay_scaling, write_sidecars, ExperimentConfig, SCALING_REPS};
 use rr_replay::CostModel;
-use rr_sim::{run_sweep, MachineConfig, RecorderSpec, ReplayPolicy, SweepJob};
+use rr_sim::{host_parallelism, run_sweep, MachineConfig, RecorderSpec, ReplayPolicy, SweepJob};
 use rr_workloads::suite;
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("parallel_replay: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
+    figure_main("parallel_replay", run)
 }
 
-fn run() -> Result<(), rr_sim::Error> {
-    let cfg = ExperimentConfig::from_env();
-    if rr_experiments::handle_replay_from(&cfg)? {
-        return Ok(());
-    }
+fn run(cfg: ExperimentConfig, dir: &Path) -> Result<(), rr_sim::Error> {
     let specs = vec![RecorderSpec {
         design: relaxreplay::Design::Opt,
         max_interval: Some(4096),
@@ -75,18 +65,8 @@ fn run() -> Result<(), rr_sim::Error> {
         .collect();
     let report = run_sweep(&jobs, cfg.workers)
         .map_err(|e| rr_sim::Error::from(e).context("parallel-replay sweep"))?;
-    let dir = results_dir();
-    write_metrics_jsonl(&dir, "parallel_replay", &report.to_jsonl())?;
-    let traced: Vec<_> = report
-        .outputs
-        .iter()
-        .filter_map(|o| o.run.trace.as_ref().map(|t| (o.name.clone(), t)))
-        .collect();
-    write_trace_pairs(&dir, "parallel_replay", &traced)?;
 
-    let host_cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let host_cpus = host_parallelism();
     let mut t = Table::new(
         &format!(
             "Extension: parallel replay on {} replay cores (Opt-4K, verified; host cpus {host_cpus})",
@@ -103,13 +83,14 @@ fn run() -> Result<(), rr_sim::Error> {
         ],
     );
     let (mut ss, mut sd) = (0.0, 0.0);
-    let mut prof = Vec::new();
-    for (i, w) in workloads.iter().enumerate() {
-        for (mode, j) in [("snoopy", 2 * i), ("directory", 2 * i + 1)] {
+    let mut measured = Vec::new();
+    // Jobs alternate snoopy, directory per workload, as built above.
+    for (w, pair) in workloads.iter().zip(report.outputs.chunks(2)) {
+        for (mode, o) in ["snoopy", "directory"].into_iter().zip(pair) {
             let s = replay_scaling(
-                &format!("{}@{mode}", w.name),
+                &o.name,
                 w,
-                &report.outputs[j].run,
+                &o.run,
                 0,
                 &CostModel::splash_default(),
                 cfg.threads,
@@ -122,7 +103,7 @@ fn run() -> Result<(), rr_sim::Error> {
             let mut row = vec![w.name.into(), mode.into()];
             row.extend(s.cells());
             t.row(row);
-            prof.extend(s.prof);
+            measured.extend(s.prof);
         }
     }
     let n = workloads.len() as f64;
@@ -135,13 +116,11 @@ fn run() -> Result<(), rr_sim::Error> {
         "-".into(),
         "-".into(),
     ]);
-    t.print();
+    t.emit(dir, "parallel_replay")?;
     println!(
         "measured columns are wall-clock (best of {SCALING_REPS}); with {host_cpus} host \
          cpu(s) the engine can exploit at most {host_cpus}-way parallelism, so measured \
          scaling beyond that reflects scheduling overhead, not the DAG"
     );
-    t.write_csv(&dir, "parallel_replay")?;
-    write_prof_pairs(&dir, "parallel_replay", &prof)?;
-    Ok(())
+    write_sidecars(dir, "parallel_replay", &report.outputs, &cfg, measured)
 }

@@ -43,12 +43,12 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use rr_experiments::report::{results_dir, write_metrics_jsonl, Table};
-use rr_experiments::{replay_forensic, write_trace_pairs};
+use rr_experiments::report::{results_dir, Table};
+use rr_experiments::{replay_forensic, write_sidecars, ExperimentConfig};
 use rr_replay::CostModel;
 use rr_sim::{
-    explore_sweep, minimize_divergence, Error, ExploreSpec, MachineConfig, PressureMode,
-    RecordSession,
+    explore_sweep, minimize_divergence, run_sweep, Error, ExploreSpec, MachineConfig, PressureMode,
+    RecordSession, ReplayPolicy, SweepJob,
 };
 use rr_workloads::{corpus_suite, fuzz_case, litmus_suite, FuzzCase, Workload};
 
@@ -289,11 +289,10 @@ fn run_explore(opts: &Options) -> Result<u8, Error> {
         }
     }
 
-    table.print();
     table
-        .write_csv(&opts.out, "rr-check")
+        .emit(&opts.out, "rr-check")
         .map_err(|e| Error::from(e).context("write csv"))?;
-    write_metrics_jsonl(&opts.out, "rr-check", &jsonl)
+    std::fs::write(opts.out.join("rr-check.metrics.jsonl"), jsonl)
         .map_err(|e| Error::from(e).context("write metrics"))?;
 
     if divergent_total > 0 {
@@ -524,29 +523,32 @@ fn report_divergence(w: &Workload, machine: &MachineConfig, spec: ExploreSpec, o
     }
 }
 
-/// Records the unperturbed seed-0 schedule with tracing and writes the
-/// Perfetto-convertible trace sidecar (`--trace`).
+/// Records the unperturbed seed-0 schedule with tracing and writes its
+/// sidecars, the Perfetto-convertible trace pair among them (`--trace`).
 fn write_seed0_trace(w: &Workload, out: &Path) {
     let spec = ExploreSpec::for_seed(0, PressureMode::None);
-    let machine = MachineConfig::splash_default(w.programs.len())
-        .with_trace(relaxreplay::TraceConfig::full());
-    match RecordSession::new(&w.programs, &w.initial_mem)
-        .config(&machine)
-        .recorder_configs(&spec.recorder_configs())
-        .options(&spec.options())
-        .run()
-    {
-        Ok(run) => {
-            if let Some(trace) = &run.trace {
-                if let Err(e) = write_trace_pairs(
-                    out,
-                    &format!("rr-check-{}", w.name),
-                    &[(format!("{}/seed0", w.name), trace)],
-                ) {
-                    eprintln!("rr-check: trace write for {} failed: {e}", w.name);
-                }
-            }
-        }
-        Err(e) => eprintln!("rr-check: trace record of {} failed: {e}", w.name),
+    let job = SweepJob {
+        name: format!("{}/seed0", w.name),
+        programs: w.programs.clone(),
+        initial_mem: w.initial_mem.clone(),
+        machine: MachineConfig::splash_default(w.programs.len())
+            .with_trace(relaxreplay::TraceConfig::full()),
+        recorders: spec.recorder_configs(),
+        replay: ReplayPolicy::Skip,
+        options: spec.options(),
+    };
+    let written = run_sweep(&[job], 1)
+        .map_err(Error::from)
+        .and_then(|report| {
+            write_sidecars(
+                out,
+                &format!("rr-check-{}", w.name),
+                &report.outputs,
+                &ExperimentConfig::paper_default(),
+                Vec::new(),
+            )
+        });
+    if let Err(e) = written {
+        eprintln!("rr-check: seed-0 trace of {} failed: {e}", w.name);
     }
 }

@@ -4,12 +4,11 @@
 // Variant indices deliberately index several parallel arrays.
 #![allow(clippy::needless_range_loop)]
 
-use rr_sim::MachineConfig;
+use rr_sim::{JobOutput, MachineConfig};
 
 use crate::report::{f2, pct, Table};
-use crate::runner::WorkloadRun;
 
-/// Variant indices in every run (see `runner::variant_specs`).
+/// Variant indices in every run (see `RecorderSpec::paper_matrix`).
 pub const BASE_4K: usize = 0;
 /// Opt design, 4K maximum interval.
 pub const OPT_4K: usize = 1;
@@ -76,21 +75,21 @@ pub fn table1(cfg: &MachineConfig) -> Table {
 /// Figure 1: fraction of memory-access instructions performed out of
 /// program order, split into loads and stores.
 #[must_use]
-pub fn fig01(runs: &[WorkloadRun]) -> Table {
+pub fn fig01(runs: &[JobOutput]) -> Table {
     let mut t = Table::new(
         "Figure 1: accesses performed out of program order",
         &["workload", "ooo loads", "ooo stores", "total"],
     );
     let (mut sl, mut ss, mut st) = (0.0, 0.0, 0.0);
     for r in runs {
-        let mem: u64 = r.record.core_stats.iter().map(|s| s.mem_instrs()).sum();
-        let ol: u64 = r.record.core_stats.iter().map(|s| s.ooo_loads).sum();
-        let os: u64 = r.record.core_stats.iter().map(|s| s.ooo_stores).sum();
+        let mem: u64 = r.run.core_stats.iter().map(|s| s.mem_instrs()).sum();
+        let ol: u64 = r.run.core_stats.iter().map(|s| s.ooo_loads).sum();
+        let os: u64 = r.run.core_stats.iter().map(|s| s.ooo_stores).sum();
         let (fl, fs) = (ol as f64 / mem as f64, os as f64 / mem as f64);
         sl += fl;
         ss += fs;
         st += fl + fs;
-        t.row(vec![r.name.into(), pct(fl), pct(fs), pct(fl + fs)]);
+        t.row(vec![r.name.clone(), pct(fl), pct(fs), pct(fl + fs)]);
     }
     let n = runs.len() as f64;
     t.row(vec![
@@ -105,7 +104,7 @@ pub fn fig01(runs: &[WorkloadRun]) -> Table {
 /// Figure 9: fraction of memory accesses logged as reordered, for every
 /// design × interval-size combination.
 #[must_use]
-pub fn fig09(runs: &[WorkloadRun]) -> Table {
+pub fn fig09(runs: &[JobOutput]) -> Table {
     let mut t = Table::new(
         "Figure 9: fraction of accesses logged as reordered",
         &["workload", "Base-4K", "Opt-4K", "Base-INF", "Opt-INF"],
@@ -113,13 +112,13 @@ pub fn fig09(runs: &[WorkloadRun]) -> Table {
     let mut sums = [0.0; 4];
     for r in runs {
         let f: Vec<f64> = (0..4)
-            .map(|v| r.record.variants[v].reordered_fraction())
+            .map(|v| r.run.variants[v].reordered_fraction())
             .collect();
         for (s, x) in sums.iter_mut().zip(&f) {
             *s += x;
         }
         t.row(vec![
-            r.name.into(),
+            r.name.clone(),
             pct(f[0]),
             pct(f[1]),
             pct(f[2]),
@@ -140,7 +139,7 @@ pub fn fig09(runs: &[WorkloadRun]) -> Table {
 /// Figure 10: number of `InorderBlock` entries, normalized to
 /// RelaxReplay_Base at the same interval size.
 #[must_use]
-pub fn fig10(runs: &[WorkloadRun]) -> Table {
+pub fn fig10(runs: &[JobOutput]) -> Table {
     let mut t = Table::new(
         "Figure 10: InorderBlock entries, Opt normalized to Base",
         &[
@@ -153,17 +152,17 @@ pub fn fig10(runs: &[WorkloadRun]) -> Table {
     );
     let (mut s4, mut si) = (0.0, 0.0);
     for r in runs {
-        let ib = |v: usize| r.record.variants[v].inorder_blocks() as f64;
+        let ib = |v: usize| r.run.variants[v].inorder_blocks() as f64;
         let r4 = ib(OPT_4K) / ib(BASE_4K).max(1.0);
         let ri = ib(OPT_INF) / ib(BASE_INF).max(1.0);
         s4 += r4;
         si += ri;
         t.row(vec![
-            r.name.into(),
+            r.name.clone(),
             f2(r4),
             f2(ri),
-            format!("{}", r.record.variants[BASE_4K].inorder_blocks()),
-            format!("{}", r.record.variants[BASE_INF].inorder_blocks()),
+            format!("{}", r.run.variants[BASE_4K].inorder_blocks()),
+            format!("{}", r.run.variants[BASE_INF].inorder_blocks()),
         ]);
     }
     let n = runs.len() as f64;
@@ -180,7 +179,7 @@ pub fn fig10(runs: &[WorkloadRun]) -> Table {
 /// Figure 11: uncompressed log size in bits per kilo-instruction, plus the
 /// implied log bandwidth in MB/s at the simulated clock.
 #[must_use]
-pub fn fig11(runs: &[WorkloadRun]) -> Table {
+pub fn fig11(runs: &[JobOutput]) -> Table {
     fig11_titled(
         "Figure 11: log size (bits / kilo-instruction) and rate (MB/s)",
         runs,
@@ -190,14 +189,14 @@ pub fn fig11(runs: &[WorkloadRun]) -> Table {
 /// [`fig11`] over the concurrent data-structure corpus: per-shape log
 /// sizes for the `.asm` workloads (locks, seqlock, lock-free structures).
 #[must_use]
-pub fn fig11_corpus(runs: &[WorkloadRun]) -> Table {
+pub fn fig11_corpus(runs: &[JobOutput]) -> Table {
     fig11_titled(
         "Figure 11 (corpus): log size (bits / kilo-instruction) and rate (MB/s)",
         runs,
     )
 }
 
-fn fig11_titled(title: &str, runs: &[WorkloadRun]) -> Table {
+fn fig11_titled(title: &str, runs: &[JobOutput]) -> Table {
     let mut t = Table::new(
         title,
         &[
@@ -214,14 +213,14 @@ fn fig11_titled(title: &str, runs: &[WorkloadRun]) -> Table {
     );
     let mut sums = [0.0f64; 8];
     for r in runs {
-        let mut cells = vec![r.name.to_string()];
+        let mut cells = vec![r.name.clone()];
         for v in 0..4 {
-            let b = r.record.variants[v].bits_per_kilo_instr();
+            let b = r.run.variants[v].bits_per_kilo_instr();
             sums[v] += b;
             cells.push(f2(b));
         }
         for v in 0..4 {
-            let rate = r.record.log_rate_mbps(v).unwrap_or_default();
+            let rate = r.run.log_rate_mbps(v).unwrap_or_default();
             sums[4 + v] += rate;
             cells.push(f2(rate));
         }
@@ -239,25 +238,20 @@ fn fig11_titled(title: &str, runs: &[WorkloadRun]) -> Table {
 /// Figure 12: TRAQ utilization (average and peak occupancy of 176 entries)
 /// plus the recording-overhead evidence of §5.3 (TRAQ-full stall cycles).
 #[must_use]
-pub fn fig12(runs: &[WorkloadRun]) -> Table {
+pub fn fig12(runs: &[JobOutput]) -> Table {
     let mut t = Table::new(
         "Figure 12 / §5.3: TRAQ occupancy and recording overhead",
         &["workload", "avg entries", "peak", "stall cycles", "stall %"],
     );
     for r in runs {
         // TRAQ dynamics are identical across variants; use variant 0.
-        let stats = &r.record.variants[BASE_4K].stats;
+        let stats = &r.run.variants[BASE_4K].stats;
         let avg = stats.iter().map(|s| s.traq_avg()).sum::<f64>() / stats.len() as f64;
         let peak = stats.iter().map(|s| s.traq_peak).max().unwrap_or(0);
-        let stall: u64 = r
-            .record
-            .core_stats
-            .iter()
-            .map(|s| s.traq_stall_cycles)
-            .sum();
-        let cycles = r.record.cycles * r.record.core_stats.len() as u64;
+        let stall: u64 = r.run.core_stats.iter().map(|s| s.traq_stall_cycles).sum();
+        let cycles = r.run.cycles * r.run.core_stats.len() as u64;
         t.row(vec![
-            r.name.into(),
+            r.name.clone(),
             f2(avg),
             format!("{peak}"),
             format!("{stall}"),
@@ -270,15 +264,15 @@ pub fn fig12(runs: &[WorkloadRun]) -> Table {
 /// Figure 12(b): TRAQ occupancy distribution (bins of 10 entries) for the
 /// given workloads.
 #[must_use]
-pub fn fig12_histogram(runs: &[WorkloadRun], names: &[&str]) -> Table {
+pub fn fig12_histogram(runs: &[JobOutput], names: &[&str]) -> Table {
     let bins: Vec<String> = (0..18)
         .map(|b| format!("{}-{}", b * 10, b * 10 + 9))
         .collect();
     let mut headers = vec!["workload"];
     headers.extend(bins.iter().map(String::as_str));
     let mut t = Table::new("Figure 12(b): TRAQ occupancy distribution (%)", &headers);
-    for r in runs.iter().filter(|r| names.contains(&r.name)) {
-        let stats = &r.record.variants[BASE_4K].stats;
+    for r in runs.iter().filter(|r| names.contains(&r.name.as_str())) {
+        let stats = &r.run.variants[BASE_4K].stats;
         let mut hist = [0u64; 18];
         let mut total = 0u64;
         for s in stats {
@@ -287,7 +281,7 @@ pub fn fig12_histogram(runs: &[WorkloadRun], names: &[&str]) -> Table {
                 total += h;
             }
         }
-        let mut cells = vec![r.name.to_string()];
+        let mut cells = vec![r.name.clone()];
         cells.extend(
             hist.iter()
                 .map(|&h| format!("{:.1}", h as f64 * 100.0 / total.max(1) as f64)),
@@ -300,7 +294,7 @@ pub fn fig12_histogram(runs: &[WorkloadRun], names: &[&str]) -> Table {
 /// Figure 13: sequential replay time normalized to the parallel recording
 /// time, with the user/OS-cycle split.
 #[must_use]
-pub fn fig13(runs: &[WorkloadRun]) -> Table {
+pub fn fig13(runs: &[JobOutput]) -> Table {
     fig13_titled(
         "Figure 13: replay time / recording time (user + OS cycles)",
         runs,
@@ -309,14 +303,14 @@ pub fn fig13(runs: &[WorkloadRun]) -> Table {
 
 /// [`fig13`] over the concurrent data-structure corpus.
 #[must_use]
-pub fn fig13_corpus(runs: &[WorkloadRun]) -> Table {
+pub fn fig13_corpus(runs: &[JobOutput]) -> Table {
     fig13_titled(
         "Figure 13 (corpus): replay time / recording time (user + OS cycles)",
         runs,
     )
 }
 
-fn fig13_titled(title: &str, runs: &[WorkloadRun]) -> Table {
+fn fig13_titled(title: &str, runs: &[JobOutput]) -> Table {
     let mut t = Table::new(
         title,
         &[
@@ -330,10 +324,10 @@ fn fig13_titled(title: &str, runs: &[WorkloadRun]) -> Table {
             !r.replays.is_empty(),
             "fig13 needs replay outcomes (ExperimentConfig.replay = true)"
         );
-        let mut cells = vec![r.name.to_string()];
+        let mut cells = vec![r.name.clone()];
         for v in 0..4 {
             let o = &r.replays[v];
-            let ratio = o.total_cycles() as f64 / r.record.cycles as f64;
+            let ratio = o.total_cycles() as f64 / r.run.cycles as f64;
             let os_share = o.os_cycles as f64 / o.total_cycles() as f64;
             sums[v] += ratio;
             cells.push(format!("{ratio:.2}x"));
@@ -352,9 +346,10 @@ fn fig13_titled(title: &str, runs: &[WorkloadRun]) -> Table {
 }
 
 /// Figure 14: scalability — average reordered fraction and log rate as the
-/// core count grows.
+/// core count grows, one row per run of consecutive outputs recorded on
+/// the same number of cores (`runner::run_scalability`'s order).
 #[must_use]
-pub fn fig14(results: &[(usize, Vec<WorkloadRun>)]) -> Table {
+pub fn fig14(outputs: &[JobOutput]) -> Table {
     let mut headers = vec!["cores".to_string()];
     for v in VARIANT_NAMES {
         headers.push(format!("{v} reord"));
@@ -367,13 +362,14 @@ pub fn fig14(results: &[(usize, Vec<WorkloadRun>)]) -> Table {
         "Figure 14: scalability with core count (workload averages)",
         &header_refs,
     );
-    for (cores, runs) in results {
+    let cores = |o: &JobOutput| o.run.core_stats.len();
+    for runs in outputs.chunk_by(|a, b| cores(a) == cores(b)) {
         let n = runs.len() as f64;
-        let mut cells = vec![format!("P{cores}")];
+        let mut cells = vec![format!("P{}", cores(&runs[0]))];
         for v in 0..4 {
             let avg = runs
                 .iter()
-                .map(|r| r.record.variants[v].reordered_fraction())
+                .map(|r| r.run.variants[v].reordered_fraction())
                 .sum::<f64>()
                 / n;
             cells.push(pct(avg));
@@ -381,7 +377,7 @@ pub fn fig14(results: &[(usize, Vec<WorkloadRun>)]) -> Table {
         for v in 0..4 {
             let avg = runs
                 .iter()
-                .map(|r| r.record.log_rate_mbps(v).unwrap_or_default())
+                .map(|r| r.run.log_rate_mbps(v).unwrap_or_default())
                 .sum::<f64>()
                 / n;
             cells.push(f2(avg));
@@ -396,7 +392,7 @@ pub fn fig14(results: &[(usize, Vec<WorkloadRun>)]) -> Table {
 /// parts-per-thousand — smaller is better), and where the host wall-clock
 /// went per phase (`PhaseNanos`).
 #[must_use]
-pub fn summary(runs: &[WorkloadRun]) -> Table {
+pub fn summary(runs: &[JobOutput]) -> Table {
     let mut t = Table::new(
         "Summary: wire compression (chunked/flat, permille) and host phase times",
         &[
@@ -416,7 +412,7 @@ pub fn summary(runs: &[WorkloadRun]) -> Table {
     let mut wire_total = 0u64;
     let mut phase_sums = [0u64; 4];
     for r in runs {
-        let mut cells = vec![r.name.to_string()];
+        let mut cells = vec![r.name.clone()];
         for (v, label) in VARIANT_NAMES.iter().enumerate() {
             let permille = r
                 .metrics
@@ -458,16 +454,16 @@ pub fn summary(runs: &[WorkloadRun]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::WorkloadRun;
     use relaxreplay::{IntervalLog, IntervalOrdering, LogEntry, RecorderStats};
     use rr_cpu::CoreStats;
     use rr_mem::{CoreId, MemStats};
     use rr_replay::RecordedExecution;
-    use rr_sim::{RecorderSpec, RunResult, VariantResult};
+    use rr_sim::{PressureReport, RecorderSpec, RunResult, VariantResult};
 
-    /// A hand-built run: 1000 cycles, one core, four variants with known
-    /// stats, so every figure's arithmetic is checkable by hand.
-    fn synthetic_run() -> WorkloadRun {
+    /// A hand-built run: 1000 cycles, `cores` identical cores, four
+    /// variants with known stats, so every figure's arithmetic is
+    /// checkable by hand.
+    fn synthetic_cores(cores: usize) -> JobOutput {
         let specs = RecorderSpec::paper_matrix();
         let variants = specs
             .iter()
@@ -503,21 +499,25 @@ mod tests {
                 }
             })
             .collect();
-        WorkloadRun {
-            name: "synthetic",
-            label: "synthetic".to_string(),
+        JobOutput {
+            job: 0,
+            name: "synthetic".to_string(),
             metrics: rr_sim::MetricsRegistry::default(),
             phases: rr_sim::PhaseNanos::default(),
-            record: RunResult {
+            pressure: PressureReport::default(),
+            run: RunResult {
                 cycles: 1000,
-                core_stats: vec![CoreStats {
-                    retired: 1000,
-                    loads: 80,
-                    stores: 20,
-                    ooo_loads: 40,
-                    ooo_stores: 5,
-                    ..CoreStats::default()
-                }],
+                core_stats: vec![
+                    CoreStats {
+                        retired: 1000,
+                        loads: 80,
+                        stores: 20,
+                        ooo_loads: 40,
+                        ooo_stores: 5,
+                        ..CoreStats::default()
+                    };
+                    cores
+                ],
                 mem_stats: MemStats::default(),
                 recorded: RecordedExecution::default(),
                 variants,
@@ -526,6 +526,10 @@ mod tests {
             },
             replays: Vec::new(),
         }
+    }
+
+    fn synthetic_run() -> JobOutput {
+        synthetic_cores(1)
     }
 
     #[test]
@@ -582,11 +586,14 @@ mod tests {
 
     #[test]
     fn fig14_shapes_rows_per_core_count() {
-        let runs4 = vec![synthetic_run()];
-        let runs8 = vec![synthetic_run()];
-        let t = fig14(&[(4, runs4), (8, runs8)]);
-        let text = t.render();
+        let outputs = [4, 4, 8].map(synthetic_cores);
+        let text = fig14(&outputs).render();
         assert!(text.contains("P4"));
         assert!(text.contains("P8"));
+        assert_eq!(
+            text.lines().count(),
+            5,
+            "title, header, rule, two rows:\n{text}"
+        );
     }
 }

@@ -15,6 +15,13 @@
 //!
 //! The `all_figures` binary runs every experiment off a single set of
 //! recorded executions and writes CSVs next to the printed tables.
+//!
+//! Every figure binary is one call into [`figure_main`], which parses the
+//! configuration, serves `--replay-from` and prints errors. The figures
+//! read `rr-sim`'s own sweep output ([`rr_sim::JobOutput`]), and one
+//! function, [`write_sidecars`], writes every sidecar a figure run
+//! leaves: `<slug>.metrics.jsonl` always, the `<slug>.trace.json(l)`
+//! pair under `--trace`, `<slug>.prof.json` under `--prof`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,9 +32,7 @@ pub mod runner;
 pub mod scaling;
 
 pub use runner::{
-    handle_replay_from, metrics_jsonl, prof_entries, replay_forensic, replay_suite_from,
-    run_corpus_suite, run_suite, run_suite_timed, write_prof_artifacts, write_prof_pairs,
-    write_trace_artifacts, write_trace_pairs, ExperimentConfig, ReplayFromSummary, SuiteRun,
-    WorkloadRun,
+    figure_main, handle_replay_from, replay_forensic, replay_suite_from, run_corpus_suite,
+    run_scalability, run_suite, write_sidecars, ExperimentConfig, ReplayFromSummary,
 };
 pub use scaling::{replay_scaling, ReplayScaling, SCALING_REPS, SCALING_WORKERS};

@@ -88,18 +88,17 @@ impl Table {
         }
         fs::write(dir.join(format!("{slug}.csv")), out)
     }
-}
 
-/// Writes a JSONL metrics sidecar under `dir` (created if needed), named
-/// `<slug>.metrics.jsonl`. `content` is the pre-rendered JSONL (one line
-/// per run; see `runner::metrics_jsonl`).
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or writing.
-pub fn write_metrics_jsonl(dir: &Path, slug: &str, content: &str) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    fs::write(dir.join(format!("{slug}.metrics.jsonl")), content)
+    /// [`print`](Self::print)s the table, then [`write_csv`](Self::write_csv)s
+    /// it — what a figure binary does with each table it makes.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_csv`](Self::write_csv).
+    pub fn emit(&self, dir: &Path, slug: &str) -> std::io::Result<()> {
+        self.print();
+        self.write_csv(dir, slug)
+    }
 }
 
 /// Formats a ratio as a percentage with three decimals.

@@ -1,20 +1,25 @@
-//! Runs the workload suite through the simulator and the replayer,
-//! spreading independent simulations over a parallel sweep (`rr-sim`'s
-//! sweep engine), and producing everything the individual figures need —
-//! including the per-run metrics JSONL sidecars.
+//! The experiments driver: the configuration every figure binary reads,
+//! the sweeps that record the workload suite (`rr-sim`'s parallel sweep
+//! engine), the shared `main` of the figure binaries and the one writer
+//! of their sidecars.
+
+use std::path::Path;
+use std::process::ExitCode;
 
 use relaxreplay::trace::{TraceConfig, TraceLevel, TraceRing};
+use relaxreplay::RunTrace;
 use rr_replay::prof::ProfEntry;
 use rr_replay::{
     critical_path_blame, divergence_report, prof_json, verify, verify_traced, CostModel,
     ReplayOutcome,
 };
-use rr_sim::sweep::{default_workers, run_sweep, ReplayPolicy, SweepJob, SweepReport};
 use rr_sim::{
-    metrics, replay_variant, with_variant_dag, Engine, Error, MachineConfig, MetricsRegistry,
-    PhaseNanos, RecorderSpec, RunResult,
+    host_parallelism, replay_variant, run_sweep, with_variant_dag, Engine, Error, JobOutput,
+    MachineConfig, RecorderSpec, ReplayPolicy, RunResult, SweepJob, SweepReport,
 };
 use rr_workloads::{suite, Workload};
+
+use crate::report::results_dir;
 
 /// Configuration of an experiment campaign.
 #[derive(Clone, Debug)]
@@ -87,22 +92,31 @@ impl ExperimentConfig {
     /// `--replay-from <dir>`, `--replay-workers N`,
     /// `--trace <off|intervals|accesses|full>`, `--prof` command-line
     /// flags (used by the binaries so runs can be scaled without
-    /// recompiling); a flag overrides its variable. A value that does not
-    /// parse — a non-numeric `RR_THREADS`, `RR_SIZE`, `RR_WORKERS`,
+    /// recompiling); a flag overrides its variable, and other arguments
+    /// are left to the caller. A value that does not parse — a
+    /// non-numeric `RR_THREADS`, `RR_SIZE`, `RR_WORKERS`,
     /// `RR_REPLAY_WORKERS`, `--workers` or `--replay-workers`, an unknown
     /// `RR_TRACE` or `--trace` level — is a usage error: it is printed,
     /// naming the variable or flag, and the process exits with status 2.
     #[must_use]
     pub fn from_env() -> Self {
+        Self::from_process().0
+    }
+
+    /// [`from_env`](Self::from_env), also returning the arguments that
+    /// name no flag, in order.
+    fn from_process() -> (Self, Vec<String>) {
         let mut cfg = Self::paper_default();
         let applied = cfg
             .apply_env(|name| std::env::var(name).ok())
             .and_then(|()| cfg.apply_args(std::env::args().skip(1)));
-        if let Err(e) = applied {
-            eprintln!("usage error: {e}");
-            std::process::exit(2);
+        match applied {
+            Ok(unknown) => (cfg, unknown),
+            Err(e) => {
+                eprintln!("usage error: {e}");
+                std::process::exit(2);
+            }
         }
-        cfg
     }
 
     /// Applies the environment variables [`from_env`](Self::from_env)
@@ -142,15 +156,19 @@ impl ExperimentConfig {
     }
 
     /// Applies the command-line flags [`from_env`](Self::from_env) reads,
-    /// each as `--flag value` or `--flag=value`; other arguments are left
-    /// to the binary.
+    /// each as `--flag value` or `--flag=value`, and returns the other
+    /// arguments.
     ///
     /// # Errors
     ///
     /// A message naming the flag when `--workers` or `--replay-workers`
     /// has no numeric value or `--trace` names no trace level.
-    fn apply_args(&mut self, args: impl IntoIterator<Item = String>) -> Result<(), String> {
+    fn apply_args(
+        &mut self,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Vec<String>, String> {
         let mut args = args.into_iter();
+        let mut unknown = Vec::new();
         while let Some(a) = args.next() {
             if let Some(v) = flag_value("--workers", &a, &mut args) {
                 self.workers = number("--workers", v)?;
@@ -164,9 +182,11 @@ impl ExperimentConfig {
                 self.replay_from = v;
             } else if a == "--prof" {
                 self.prof = true;
+            } else {
+                unknown.push(a);
             }
         }
-        Ok(())
+        Ok(unknown)
     }
 }
 
@@ -214,46 +234,6 @@ fn got(value: Option<&str>) -> String {
     value.map_or(String::new(), |v| format!(", got {v:?}"))
 }
 
-/// One workload's complete results: the recorded run (with all four
-/// recorder variants), per-variant verified replay outcomes, and the
-/// run's deterministic metrics plus host phase timings.
-#[derive(Debug)]
-pub struct WorkloadRun {
-    /// Workload name.
-    pub name: &'static str,
-    /// Label used in metrics sidecars (equals `name` unless the run is
-    /// part of a larger sweep, e.g. `fft@16c` in the scalability sweep).
-    pub label: String,
-    /// The recorded execution and per-variant logs/stats.
-    pub record: RunResult,
-    /// Replay outcomes, parallel to `record.variants` (empty if replay was
-    /// disabled).
-    pub replays: Vec<ReplayOutcome>,
-    /// Deterministic per-run counters and histograms.
-    pub metrics: MetricsRegistry,
-    /// Host wall-clock per phase (record / patch / replay / verify).
-    pub phases: PhaseNanos,
-}
-
-/// A suite run plus the sweep's execution envelope (worker count and
-/// wall-clock), for harnesses that report throughput.
-#[derive(Debug)]
-pub struct SuiteRun {
-    /// One entry per workload, in suite order.
-    pub runs: Vec<WorkloadRun>,
-    /// Workers the sweep actually used.
-    pub workers: usize,
-    /// Wall-clock nanoseconds for the whole sweep.
-    pub wall_ns: u64,
-}
-
-/// The recorder variants, in the order used by every figure:
-/// `Base-4K, Opt-4K, Base-INF, Opt-INF`.
-#[must_use]
-pub fn variant_specs() -> Vec<RecorderSpec> {
-    RecorderSpec::paper_matrix()
-}
-
 fn replay_policy(cfg: &ExperimentConfig) -> ReplayPolicy {
     if cfg.replay {
         // Native replay re-executes the same instruction stream with warm
@@ -269,57 +249,21 @@ fn replay_policy(cfg: &ExperimentConfig) -> ReplayPolicy {
     }
 }
 
-/// Records (and optionally replays + verifies) the entire workload suite,
-/// one sweep job per workload, returning runs plus sweep timing.
-///
-/// # Errors
-///
-/// Returns the first sweep failure (a recording deadlock or a replay
-/// verification mismatch — either a correctness bug, not an experiment
-/// outcome) or a `--save-logs` write failure.
-pub fn run_suite_timed(cfg: &ExperimentConfig) -> Result<SuiteRun, Error> {
-    let machine = MachineConfig::splash_default(cfg.threads).with_trace(cfg.trace);
-    sweep_suite(
-        cfg,
-        suite(cfg.threads, cfg.size),
-        |_| machine.clone(),
-        "sweep",
-    )
+/// A job recording `w` under the paper's four recorder variants.
+fn paper_job(
+    name: impl Into<String>,
+    w: Workload,
+    machine: MachineConfig,
+    replay: ReplayPolicy,
+) -> SweepJob {
+    let specs = RecorderSpec::paper_matrix();
+    SweepJob::from_specs(name, w.programs, w.initial_mem, machine, &specs, replay)
 }
 
-/// One sweep job per workload, on the machine `machine` picks for it,
-/// under the configured replay policy; saves the runs when
+/// Runs `jobs` as one sweep on `cfg.workers` and saves every run when
 /// `--save-logs` asks. `what` names the sweep in its error.
-fn sweep_suite(
-    cfg: &ExperimentConfig,
-    workloads: Vec<Workload>,
-    machine: impl Fn(&Workload) -> MachineConfig,
-    what: &str,
-) -> Result<SuiteRun, Error> {
-    let specs = variant_specs();
-    let names: Vec<&'static str> = workloads.iter().map(|w| w.name).collect();
-    let jobs: Vec<SweepJob> = workloads
-        .into_iter()
-        .map(|w| {
-            let machine = machine(&w);
-            SweepJob::from_specs(
-                w.name,
-                w.programs,
-                w.initial_mem,
-                machine,
-                &specs,
-                replay_policy(cfg),
-            )
-        })
-        .collect();
-    let report = run_sweep(&jobs, cfg.workers).map_err(|e| Error::from(e).context(what))?;
-    save_report_logs(cfg, &report)?;
-    Ok(report_to_suite(report, &names))
-}
-
-/// Saves every run of a sweep into the `cfg.save_logs` store — a local
-/// directory or a remote `rr://` log service (no-op when unset).
-fn save_report_logs(cfg: &ExperimentConfig, report: &SweepReport) -> Result<(), Error> {
+fn sweep(cfg: &ExperimentConfig, jobs: &[SweepJob], what: &str) -> Result<SweepReport, Error> {
+    let report = run_sweep(jobs, cfg.workers).map_err(|e| Error::from(e).context(what))?;
     if let Some(spec) = &cfg.save_logs {
         let (store, run) =
             rr_serve::parse_and_open(spec).map_err(|e| Error::from(e).context("--save-logs"))?;
@@ -338,17 +282,24 @@ fn save_report_logs(cfg: &ExperimentConfig, report: &SweepReport) -> Result<(), 
             store.describe()
         );
     }
-    Ok(())
+    Ok(report)
 }
 
-/// [`run_suite_timed`] without the envelope — the shape every figure
-/// helper consumes.
+/// Records (and optionally replays + verifies) the entire workload suite,
+/// one sweep job per workload, named after it, in suite order.
 ///
 /// # Errors
 ///
-/// As [`run_suite_timed`].
-pub fn run_suite(cfg: &ExperimentConfig) -> Result<Vec<WorkloadRun>, Error> {
-    Ok(run_suite_timed(cfg)?.runs)
+/// Returns the first sweep failure (a recording deadlock or a replay
+/// verification mismatch — either a correctness bug, not an experiment
+/// outcome) or a `--save-logs` write failure.
+pub fn run_suite(cfg: &ExperimentConfig) -> Result<SweepReport, Error> {
+    let machine = MachineConfig::splash_default(cfg.threads).with_trace(cfg.trace);
+    let jobs: Vec<SweepJob> = suite(cfg.threads, cfg.size)
+        .into_iter()
+        .map(|w| paper_job(w.name, w, machine.clone(), replay_policy(cfg)))
+        .collect();
+    sweep(cfg, &jobs, "sweep")
 }
 
 /// Records (and optionally replays + verifies) the concurrent
@@ -360,79 +311,39 @@ pub fn run_suite(cfg: &ExperimentConfig) -> Result<Vec<WorkloadRun>, Error> {
 ///
 /// # Errors
 ///
-/// As [`run_suite_timed`].
-pub fn run_corpus_suite(cfg: &ExperimentConfig) -> Result<Vec<WorkloadRun>, Error> {
-    let machine =
-        |w: &Workload| MachineConfig::splash_default(w.programs.len()).with_trace(cfg.trace);
-    Ok(sweep_suite(cfg, rr_workloads::corpus_suite(), machine, "corpus sweep")?.runs)
-}
-
-fn report_to_suite(report: SweepReport, names: &[&'static str]) -> SuiteRun {
-    let workers = report.workers;
-    let wall_ns = report.wall_ns;
-    let runs = report
-        .outputs
+/// As [`run_suite`].
+pub fn run_corpus_suite(cfg: &ExperimentConfig) -> Result<SweepReport, Error> {
+    let jobs: Vec<SweepJob> = rr_workloads::corpus_suite()
         .into_iter()
-        .zip(names)
-        .map(|(o, name)| WorkloadRun {
-            name,
-            label: o.name,
-            record: o.run,
-            replays: o.replays,
-            metrics: o.metrics,
-            phases: o.phases,
+        .map(|w| {
+            let machine = MachineConfig::splash_default(w.programs.len()).with_trace(cfg.trace);
+            paper_job(w.name, w, machine, replay_policy(cfg))
         })
         .collect();
-    SuiteRun {
-        runs,
-        workers,
-        wall_ns,
-    }
+    sweep(cfg, &jobs, "corpus sweep")
 }
 
 /// Records the suite at several core counts (Figure 14) in one flat
-/// parallel sweep. Returns `(cores, runs)` pairs. Replay is skipped
-/// (Figure 14 is about recording).
+/// parallel sweep, core count by core count; each job is named
+/// `<workload>@<cores>c`. Replay is skipped (Figure 14 is about
+/// recording).
 ///
 /// # Errors
 ///
-/// As [`run_suite_timed`].
+/// As [`run_suite`].
 pub fn run_scalability(
     cfg: &ExperimentConfig,
     core_counts: &[usize],
-) -> Result<Vec<(usize, Vec<WorkloadRun>)>, Error> {
-    let specs = variant_specs();
+) -> Result<SweepReport, Error> {
     let mut jobs = Vec::new();
-    let mut names = Vec::new();
     for &cores in core_counts {
         let machine = MachineConfig::splash_default(cores).with_trace(cfg.trace);
         for w in suite(cores, cfg.size) {
-            names.push((cores, w.name));
-            jobs.push(SweepJob::from_specs(
-                format!("{}@{cores}c", w.name),
-                w.programs,
-                w.initial_mem,
-                machine.clone(),
-                &specs,
-                ReplayPolicy::Skip,
-            ));
+            let name = format!("{}@{cores}c", w.name);
+            jobs.push(paper_job(name, w, machine.clone(), ReplayPolicy::Skip));
         }
     }
-    let report = run_sweep(&jobs, cfg.workers).map_err(|e| Error::from(e).context("sweep"))?;
-    save_report_logs(cfg, &report)?;
-
-    let workloads: Vec<&'static str> = names.iter().map(|&(_, name)| name).collect();
-    let runs = report_to_suite(report, &workloads).runs;
-    let mut grouped: Vec<(usize, Vec<WorkloadRun>)> =
-        core_counts.iter().map(|&c| (c, Vec::new())).collect();
-    for (run, &(cores, _)) in runs.into_iter().zip(&names) {
-        let slot = grouped
-            .iter_mut()
-            .find(|(c, _)| *c == cores)
-            .expect("core count present");
-        slot.1.push(run);
-    }
-    Ok(grouped)
+    sweep(cfg, &jobs, "sweep")
 }
 
 /// Summary of a replay-from-disk verification pass.
@@ -480,7 +391,7 @@ pub fn replay_suite_from(
     }
     let workers = cfg
         .replay_workers
-        .map(|w| if w == 0 { default_workers() } else { w });
+        .map(|w| if w == 0 { host_parallelism() } else { w });
     let mut variants = 0usize;
     for name in &names {
         // Per-core logs of a saved run decode on the parallel ingest pool.
@@ -553,65 +464,125 @@ pub fn handle_replay_from(cfg: &ExperimentConfig) -> Result<bool, Error> {
     Ok(true)
 }
 
-/// Writes the event-trace artifacts for a set of runs next to the metrics
-/// sidecars: `<slug>.trace.jsonl` (one JSON object per trace record,
-/// every run concatenated) and `<slug>.trace.json` (Chrome trace-event
-/// format — open it in Perfetto or `chrome://tracing`, one track per
-/// core plus a coherence/replay track per run).
-///
-/// A no-op unless tracing was enabled (`--trace` / `RR_TRACE`) and at
-/// least one run carries a trace.
-///
-/// # Errors
-///
-/// Returns the write failure — the artifact was explicitly requested.
-pub fn write_trace_artifacts(
-    dir: &std::path::Path,
-    slug: &str,
-    runs: &[WorkloadRun],
-) -> Result<(), Error> {
-    let traced: Vec<(String, &relaxreplay::RunTrace)> = runs
-        .iter()
-        .filter_map(|r| r.record.trace.as_ref().map(|t| (r.label.clone(), t)))
-        .collect();
-    write_trace_pairs(dir, slug, &traced)
+/// The flags [`figure_main`] accepts, for its unknown-argument error.
+const FLAGS: &str = "flags: --workers N, --replay-workers N, \
+    --trace off|intervals|accesses|full, --save-logs <dir|rr://…>, \
+    --replay-from <dir|rr://…>, --prof (a value also as --flag=value)";
+
+/// The `main` of every figure binary. Reads the configuration like
+/// [`ExperimentConfig::from_env`], except that an argument naming no flag
+/// is a usage error too (printed with the accepted flags, exit 2). With
+/// `--replay-from` set it replays and verifies the saved runs
+/// ([`handle_replay_from`]); otherwise it runs `body` with the
+/// configuration and the results directory. A failure is printed as
+/// `<name>: <error>` and ends the process with status 1.
+pub fn figure_main(
+    name: &str,
+    body: impl FnOnce(ExperimentConfig, &Path) -> Result<(), Error>,
+) -> ExitCode {
+    let (cfg, unknown) = ExperimentConfig::from_process();
+    if let Some(arg) = unknown.first() {
+        eprintln!("usage error: {name}: unknown argument {arg:?}\n{FLAGS}");
+        return ExitCode::from(2);
+    }
+    let result = handle_replay_from(&cfg).and_then(|replayed| {
+        if replayed {
+            Ok(())
+        } else {
+            body(cfg, &results_dir())
+        }
+    });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
-/// As [`write_trace_artifacts`], but over pre-labelled `(run, trace)`
-/// pairs — for harnesses (ablation, parallel replay) that drive sweeps
-/// directly instead of going through [`run_suite`]. No-op on an empty
-/// slice.
+/// Writes every sidecar of a figure run into `dir` (created if needed),
+/// each named after `slug`:
+///
+/// * `<slug>.metrics.jsonl`, always: one line per output, as
+///   [`SweepReport::to_jsonl`] renders it;
+/// * `<slug>.trace.jsonl` (one JSON object per trace record, every run
+///   concatenated) and `<slug>.trace.json` (Chrome trace-event format —
+///   open it in Perfetto, one track per core plus a coherence/replay
+///   track per run), when any output carries a trace (`--trace`);
+/// * `<slug>.prof.json` (`rr-prof/v1`), with `--prof` and at least one
+///   recorded variant: critical-path blame per output × variant over
+///   the recorded partial order. An entry of `measured` replaces the
+///   entry of the same run and variant, so harnesses that time the
+///   threaded engine (`fig13_replay`, `parallel_replay`) add their
+///   engine timelines.
 ///
 /// # Errors
 ///
-/// Returns the write failure — the artifact was explicitly requested.
-pub fn write_trace_pairs(
-    dir: &std::path::Path,
+/// Returns the first blame-construction or write failure — every
+/// artifact was explicitly requested.
+pub fn write_sidecars(
+    dir: &Path,
     slug: &str,
-    traced: &[(String, &relaxreplay::RunTrace)],
+    outputs: &[JobOutput],
+    cfg: &ExperimentConfig,
+    measured: Vec<ProfEntry>,
 ) -> Result<(), Error> {
-    if traced.is_empty() {
-        return Ok(());
-    }
+    let write = |ext: &str, content: String| {
+        let path = dir.join(format!("{slug}.{ext}"));
+        std::fs::write(&path, content)
+            .map_err(|e| Error::from(e).context(format!("write {}", path.display())))?;
+        Ok::<_, Error>(path)
+    };
     std::fs::create_dir_all(dir)
         .map_err(|e| Error::from(e).context(format!("create {}", dir.display())))?;
-    let mut jsonl = String::new();
-    for (label, trace) in traced {
-        jsonl.push_str(&trace.to_jsonl(label));
+    write(
+        "metrics.jsonl",
+        outputs.iter().map(|o| o.jsonl_line() + "\n").collect(),
+    )?;
+
+    let traced: Vec<(String, &RunTrace)> = outputs
+        .iter()
+        .filter_map(|o| Some((o.name.clone(), o.run.trace.as_ref()?)))
+        .collect();
+    if !traced.is_empty() {
+        let jsonl = write(
+            "trace.jsonl",
+            traced.iter().map(|(label, t)| t.to_jsonl(label)).collect(),
+        )?;
+        let chrome = write("trace.json", relaxreplay::trace::chrome_trace(&traced))?;
+        eprintln!(
+            "trace artifacts: {} and {} ({} run(s), {} record(s))",
+            jsonl.display(),
+            chrome.display(),
+            traced.len(),
+            traced.iter().map(|(_, t)| t.total_records()).sum::<usize>()
+        );
     }
-    let jsonl_path = dir.join(format!("{slug}.trace.jsonl"));
-    std::fs::write(&jsonl_path, jsonl)
-        .map_err(|e| Error::from(e).context(format!("write {}", jsonl_path.display())))?;
-    let chrome_path = dir.join(format!("{slug}.trace.json"));
-    std::fs::write(&chrome_path, relaxreplay::trace::chrome_trace(traced))
-        .map_err(|e| Error::from(e).context(format!("write {}", chrome_path.display())))?;
-    eprintln!(
-        "trace artifacts: {} and {} ({} run(s), {} record(s))",
-        jsonl_path.display(),
-        chrome_path.display(),
-        traced.len(),
-        traced.iter().map(|(_, t)| t.total_records()).sum::<usize>()
-    );
+
+    let mut entries = if cfg.prof {
+        prof_entries(outputs, &cfg.cost)?
+    } else {
+        Vec::new()
+    };
+    if !entries.is_empty() {
+        for m in measured {
+            if let Some(e) = entries
+                .iter_mut()
+                .find(|e| e.run == m.run && e.variant == m.variant)
+            {
+                *e = m;
+            }
+        }
+        let path = write("prof.json", prof_json(&entries))?;
+        let with_engine = entries.iter().filter(|e| e.engine.is_some()).count();
+        eprintln!(
+            "prof artifacts: {} ({} entr{}, {with_engine} with engine timelines)",
+            path.display(),
+            entries.len(),
+            if entries.len() == 1 { "y" } else { "ies" },
+        );
+    }
     Ok(())
 }
 
@@ -673,25 +644,25 @@ pub fn replay_forensic(
     Err(Error::from(err).context(format!("verification failed [{label}] ({note})")))
 }
 
-/// Builds the critical-path blame entries for a set of runs: one
-/// [`rr_replay::ProfEntry`] per run × recorder variant, with the DAG
-/// built from the variant's recorded partial order.
+/// The critical-path blame entries for a set of runs: one [`ProfEntry`]
+/// per run × recorder variant, over the DAG of the variant's recorded
+/// partial order.
 ///
 /// # Errors
 ///
 /// Returns the first patch or DAG-construction failure (a correctness
 /// bug — recorded logs always patch and order).
-pub fn prof_entries(runs: &[WorkloadRun], cost: &CostModel) -> Result<Vec<ProfEntry>, Error> {
+fn prof_entries(outputs: &[JobOutput], cost: &CostModel) -> Result<Vec<ProfEntry>, Error> {
     let mut entries = Vec::new();
-    for r in runs {
-        for v in &r.record.variants {
-            let at = |stage: &str| format!("{} [{}]: {stage}", r.label, v.spec.label());
+    for o in outputs {
+        for v in &o.run.variants {
+            let at = |stage: &str| format!("{} [{}]: {stage}", o.name, v.spec.label());
             let blame = with_variant_dag(&v.logs, Some(&v.ordering), None, |dag| {
                 critical_path_blame(dag, cost)
             })
             .map_err(|e| e.into_error(at, "dag failed"))?;
             entries.push(ProfEntry {
-                run: r.label.clone(),
+                run: o.name.clone(),
                 variant: v.spec.label(),
                 blame,
                 engine: None,
@@ -699,69 +670,6 @@ pub fn prof_entries(runs: &[WorkloadRun], cost: &CostModel) -> Result<Vec<ProfEn
         }
     }
     Ok(entries)
-}
-
-/// Writes the `<slug>.prof.json` profiling sidecar (schema `rr-prof/v1`)
-/// for a set of runs: critical-path blame per run × variant, next to the
-/// metrics sidecars. Call when `cfg.prof` is set; a no-op on an empty
-/// run set. Measured engine timelines are the `rr-inspect prof` command's
-/// job — this sidecar carries the modeled blame every figure binary can
-/// produce without re-replaying.
-///
-/// # Errors
-///
-/// Returns the first blame-construction or write failure — the artifact
-/// was explicitly requested.
-pub fn write_prof_artifacts(
-    dir: &std::path::Path,
-    slug: &str,
-    runs: &[WorkloadRun],
-    cost: &CostModel,
-) -> Result<(), Error> {
-    let entries = prof_entries(runs, cost)?;
-    write_prof_pairs(dir, slug, &entries)
-}
-
-/// As [`write_prof_artifacts`], but over pre-built entries — for
-/// harnesses that attach measured [`relaxreplay::prof::EngineProf`]
-/// timelines or drive sweeps directly. No-op on an empty slice.
-///
-/// # Errors
-///
-/// Returns the write failure — the artifact was explicitly requested.
-pub fn write_prof_pairs(
-    dir: &std::path::Path,
-    slug: &str,
-    entries: &[ProfEntry],
-) -> Result<(), Error> {
-    if entries.is_empty() {
-        return Ok(());
-    }
-    std::fs::create_dir_all(dir)
-        .map_err(|e| Error::from(e).context(format!("create {}", dir.display())))?;
-    let path = dir.join(format!("{slug}.prof.json"));
-    std::fs::write(&path, prof_json(entries))
-        .map_err(|e| Error::from(e).context(format!("write {}", path.display())))?;
-    let with_engine = entries.iter().filter(|e| e.engine.is_some()).count();
-    eprintln!(
-        "prof artifacts: {} ({} entr{}, {with_engine} with engine timelines)",
-        path.display(),
-        entries.len(),
-        if entries.len() == 1 { "y" } else { "ies" },
-    );
-    Ok(())
-}
-
-/// Renders every run's metrics as JSONL, one line per run — the sidecar
-/// every experiments binary writes next to its CSV.
-#[must_use]
-pub fn metrics_jsonl(runs: &[WorkloadRun]) -> String {
-    let mut out = String::new();
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&metrics::jsonl_object(&r.label, i, &r.metrics, &r.phases));
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -781,7 +689,7 @@ mod tests {
         let parse = |args: &[&str]| {
             let mut cfg = ExperimentConfig::paper_default();
             cfg.apply_args(args.iter().map(ToString::to_string))
-                .map(|()| cfg)
+                .map(|_| cfg)
         };
         let cfg = parse(&[
             "--workers",
@@ -802,6 +710,11 @@ mod tests {
             .expect("valid flags");
         assert_eq!((cfg.workers, cfg.replay_workers), (5, Some(0)));
         assert_eq!(cfg.trace, TraceConfig::level(TraceLevel::Intervals));
+        // Arguments naming no flag are handed back, in order.
+        let mut rest = ExperimentConfig::paper_default();
+        let unknown = rest.apply_args(["verify", "--wokers", "3", "--prof"].map(String::from));
+        assert_eq!(unknown.expect("valid flags"), ["verify", "--wokers", "3"]);
+        assert!(rest.prof);
 
         for (args, flag) in [
             (&["--workers", "abc"][..], "--workers"),
@@ -871,17 +784,20 @@ mod tests {
             workers: 4,
             ..ExperimentConfig::paper_default()
         };
-        let suite_run = run_suite_timed(&cfg).expect("suite");
-        assert_eq!(suite_run.runs.len(), 12);
-        assert_eq!(suite_run.runs[0].name, "fft");
-        assert!(suite_run.workers >= 1);
-        for r in &suite_run.runs {
-            assert_eq!(r.label, r.name);
-            assert!(r.metrics.counter("cpu.retired") > 0, "{}", r.name);
-            assert!(r.phases.record > 0, "{}", r.name);
+        let report = run_suite(&cfg).expect("suite");
+        assert_eq!(report.outputs.len(), 12);
+        assert_eq!(report.outputs[0].name, "fft");
+        assert!(report.workers >= 1);
+        for (i, o) in report.outputs.iter().enumerate() {
+            assert_eq!(o.job, i);
+            assert!(o.metrics.counter("cpu.retired") > 0, "{}", o.name);
+            assert!(o.phases.record > 0, "{}", o.name);
         }
-        let jsonl = metrics_jsonl(&suite_run.runs);
-        assert_eq!(jsonl.lines().count(), 12);
+        let dir = std::env::temp_dir().join("rr_suite_metrics_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        write_sidecars(&dir, "suite", &report.outputs, &cfg, Vec::new()).expect("sidecars");
+        let jsonl = std::fs::read_to_string(dir.join("suite.metrics.jsonl")).expect("metrics");
+        assert_eq!(jsonl, report.to_jsonl());
         assert!(jsonl.lines().next().unwrap().contains("\"name\":\"fft\""));
     }
 
@@ -895,9 +811,12 @@ mod tests {
             prof: true,
             ..ExperimentConfig::paper_default()
         };
-        let runs = run_suite(&cfg).expect("suite");
+        let runs = run_suite(&cfg).expect("suite").outputs;
         let entries = prof_entries(&runs, &cfg.cost).expect("blame");
-        assert_eq!(entries.len(), runs.len() * variant_specs().len());
+        assert_eq!(
+            entries.len(),
+            runs.len() * RecorderSpec::paper_matrix().len()
+        );
         for e in &entries {
             assert!(
                 e.blame.coverage_pct() >= 95.0,
@@ -909,7 +828,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join("rr_prof_artifacts_test");
         let _ = std::fs::remove_dir_all(&dir);
-        write_prof_artifacts(&dir, "suite", &runs, &cfg.cost).expect("artifacts");
+        write_sidecars(&dir, "suite", &runs, &cfg, Vec::new()).expect("artifacts");
         let json = std::fs::read_to_string(dir.join("suite.prof.json")).expect("prof written");
         let stats = relaxreplay::validate_prof_json(&json).expect("valid rr-prof/v1");
         assert_eq!(stats.entries, entries.len());
@@ -925,12 +844,12 @@ mod tests {
             trace: TraceConfig::level(TraceLevel::Intervals),
             ..ExperimentConfig::paper_default()
         };
-        let runs = run_suite(&cfg).expect("suite");
-        assert!(runs.iter().all(|r| r.record.trace.is_some()));
+        let runs = run_suite(&cfg).expect("suite").outputs;
+        assert!(runs.iter().all(|o| o.run.trace.is_some()));
 
         let dir = std::env::temp_dir().join("rr_trace_artifacts_test");
         let _ = std::fs::remove_dir_all(&dir);
-        write_trace_artifacts(&dir, "suite", &runs).expect("artifacts");
+        write_sidecars(&dir, "suite", &runs, &cfg, Vec::new()).expect("artifacts");
         let jsonl = std::fs::read_to_string(dir.join("suite.trace.jsonl")).expect("jsonl written");
         assert!(jsonl.lines().count() > 0);
         assert!(jsonl.lines().all(|l| l.contains("\"run\":")));
@@ -938,16 +857,24 @@ mod tests {
         let stats = relaxreplay::trace::validate_chrome_trace(&chrome).expect("valid chrome trace");
         assert!(stats.events > 0);
 
-        // And a strict no-op with tracing off.
-        let off = run_suite(&ExperimentConfig {
+        // And no trace files with tracing off.
+        let off_cfg = ExperimentConfig {
             trace: TraceConfig::off(),
             ..cfg.clone()
-        })
-        .expect("suite");
-        assert!(off.iter().all(|r| r.record.trace.is_none()));
+        };
+        let off = run_suite(&off_cfg).expect("suite").outputs;
+        assert!(off.iter().all(|o| o.run.trace.is_none()));
         let off_dir = std::env::temp_dir().join("rr_trace_artifacts_off_test");
         let _ = std::fs::remove_dir_all(&off_dir);
-        write_trace_artifacts(&off_dir, "suite", &off).expect("artifacts");
-        assert!(!off_dir.exists(), "no artifacts when tracing is off");
+        write_sidecars(&off_dir, "suite", &off, &off_cfg, Vec::new()).expect("artifacts");
+        assert!(off_dir.join("suite.metrics.jsonl").exists());
+        assert!(
+            !off_dir.join("suite.trace.jsonl").exists(),
+            "no traces when off"
+        );
+        assert!(
+            !off_dir.join("suite.trace.json").exists(),
+            "no traces when off"
+        );
     }
 }

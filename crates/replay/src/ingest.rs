@@ -47,10 +47,11 @@ impl std::error::Error for IngestError {
     }
 }
 
-/// The ingest worker count to use when the caller does not care: the
-/// host's available parallelism.
+/// The host's available parallelism (1 when it cannot be determined):
+/// the worker count of every pool — ingest, sweep, threaded replay —
+/// when the caller passes 0.
 #[must_use]
-pub fn default_ingest_workers() -> usize {
+pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -62,7 +63,7 @@ where
     F: Fn(usize) -> Result<T, IngestError> + Sync,
 {
     let workers = if workers == 0 {
-        default_ingest_workers()
+        host_parallelism()
     } else {
         workers
     }
@@ -100,7 +101,7 @@ where
 
 /// Decodes many independent in-memory `.rrlog` streams in parallel,
 /// returning the logs in input order (`workers == 0` uses
-/// [`default_ingest_workers`]; results are identical for any worker
+/// [`host_parallelism`]; results are identical for any worker
 /// count). A lone stream is decoded whole on the calling thread.
 ///
 /// # Errors

@@ -82,7 +82,7 @@ pub use cost::{CostModel, ReplayEvents};
 pub use dag::{DagStats, IntervalDag, IntervalNode};
 pub use engine::{execute_threaded, execute_threaded_probed};
 pub use forensics::divergence_report;
-pub use ingest::{decode_logs_parallel, default_ingest_workers, read_rrlogs_parallel, IngestError};
+pub use ingest::{decode_logs_parallel, host_parallelism, read_rrlogs_parallel, IngestError};
 pub use oracle::{cross_check, minimize, DifferentialError, Shrink};
 pub use patch::{patch, PatchError, PatchedLog, ReplayOp};
 pub use prof::{critical_path_blame, prof_json, BlameReport, PathInterval, ProfEntry, BLAME_KINDS};

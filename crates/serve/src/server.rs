@@ -65,10 +65,7 @@ impl ServerConfig {
         if self.workers > 0 {
             return self.workers;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .max(4)
+        rr_replay::host_parallelism().max(4)
     }
 }
 

@@ -64,6 +64,7 @@ pub use machine::{
 };
 pub use metrics::{MetricsRegistry, PhaseNanos};
 pub use replay::{replay_and_verify, replay_variant, with_variant_dag, Engine, ReplayStageError};
+pub use rr_replay::host_parallelism;
 pub use session::RecordSession;
 pub use store::{
     DedupStat, LocalStore, RemoteFault, RunStat, RunStore, StoreError, StoreSpec, VariantStat,

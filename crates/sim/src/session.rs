@@ -6,9 +6,11 @@
 //! (paper specs or fully custom configs), schedule perturbation, recorder
 //! pressure, event tracing — and call [`RecordSession::run`]. Every stage
 //! is optional; the defaults reproduce the paper's SPLASH-style machine
-//! with the standard recorder matrix, and a builder with no options set is
-//! byte-identical to the legacy entry points (pinned by the
-//! `session_equivalence` test over the full litmus suite).
+//! with the standard recorder matrix. The different ways of spelling the
+//! same run — paper specs or recorder configs, default or spelled-out
+//! options, `run` or `run_reported` — record byte-identical `.rrlog`
+//! streams (pinned by the `session_equivalence` test over the full
+//! litmus suite).
 //!
 //! ```no_run
 //! use rr_isa::{MemImage, ProgramBuilder, Reg};

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use rr_isa::{MemImage, Program};
-use rr_replay::{verify, CostModel, ReplayOutcome};
+use rr_replay::{host_parallelism, verify, CostModel, ReplayOutcome};
 
 use crate::config::{MachineConfig, RecorderSpec};
 use crate::machine::{PressureReport, RunOptions, RunResult, SimError};
@@ -209,13 +209,6 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// The worker count to use when the caller does not care: the host's
-/// available parallelism.
-#[must_use]
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 fn run_job(job: usize, j: &SweepJob) -> Result<JobOutput, SweepError> {
     let mut phases = PhaseNanos::default();
 
@@ -290,7 +283,7 @@ fn run_job(job: usize, j: &SweepJob) -> Result<JobOutput, SweepError> {
 }
 
 /// Runs every job, spreading work over `workers` OS threads (clamped to
-/// the job count; 0 means [`default_workers`]).
+/// the job count; 0 means [`host_parallelism`]).
 ///
 /// # Errors
 ///
@@ -298,7 +291,7 @@ fn run_job(job: usize, j: &SweepJob) -> Result<JobOutput, SweepError> {
 /// even when several jobs fail under different worker interleavings.
 pub fn run_sweep(jobs: &[SweepJob], workers: usize) -> Result<SweepReport, SweepError> {
     let workers = if workers == 0 {
-        default_workers()
+        host_parallelism()
     } else {
         workers
     }

@@ -97,14 +97,14 @@ fn corpus_suite_records_replays_and_fills_the_figures() {
         workers: 4,
         ..ExperimentConfig::paper_default()
     };
-    let runs = run_corpus_suite(&cfg).expect("corpus suite");
+    let runs = run_corpus_suite(&cfg).expect("corpus suite").outputs;
     assert_eq!(runs.len(), 7);
     for (r, name) in runs.iter().zip(corpus_names()) {
         assert_eq!(r.name, name, "suite order matches the catalog");
-        assert_eq!(r.record.variants.len(), 4, "{name}: paper matrix");
+        assert_eq!(r.run.variants.len(), 4, "{name}: paper matrix");
         assert_eq!(r.replays.len(), 4, "{name}: every variant replays");
         for v in 0..4 {
-            let bits = r.record.variants[v].bits_per_kilo_instr();
+            let bits = r.run.variants[v].bits_per_kilo_instr();
             assert!(
                 bits.is_finite() && bits > 0.0,
                 "{name}: variant {v} logged nothing"

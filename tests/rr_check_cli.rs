@@ -124,3 +124,49 @@ fn fuzz_smoke_runs_clean_and_reports_the_seed_range() {
     assert!(text.contains("seeds 7..10"), "{text}");
     assert!(text.contains("replay deterministically"), "{text}");
 }
+
+/// `verify` reads its own flags after the store; the experiments config
+/// it builds on skips them rather than rejecting them as the figure
+/// binaries do.
+#[test]
+fn verify_with_workers_replays_a_saved_store() {
+    let dir = temp_out("verify");
+    let w = rr_workloads::by_name("sb", 2, 1).expect("sb litmus workload");
+    let run = rr_sim::RecordSession::new(&w.programs, &w.initial_mem)
+        .config(&rr_sim::MachineConfig::splash_default(w.programs.len()))
+        .specs(&rr_sim::RecorderSpec::paper_matrix())
+        .run()
+        .expect("records");
+    rr_sim::RunStore::save_run(&rr_sim::LocalStore::new(&dir), "sb", &run).expect("saves");
+
+    let out = rr_check(&["verify", dir.to_str().unwrap(), "--workers", "2"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("verified against the recorded ground truth"),
+        "{}",
+        stdout(&out)
+    );
+}
+
+#[test]
+fn explore_trace_writes_the_seed0_trace_pair() {
+    let dir = temp_out("trace");
+    let out = rr_check(&[
+        "explore",
+        "--workload",
+        "sb",
+        "--seeds",
+        "1",
+        "--trace",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let chrome = std::fs::read_to_string(dir.join("rr-check-sb.trace.json")).expect("trace");
+    relaxreplay::trace::validate_chrome_trace(&chrome).expect("valid chrome trace");
+    let jsonl = std::fs::read_to_string(dir.join("rr-check-sb.trace.jsonl")).expect("jsonl");
+    assert!(
+        jsonl.lines().all(|l| l.contains("\"run\":\"sb/seed0\"")),
+        "{jsonl}"
+    );
+}
