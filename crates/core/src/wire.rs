@@ -54,6 +54,34 @@ pub const MAGIC: [u8; 4] = *b"RRLG";
 /// * v3 restarts the delta state in every chunk, so each chunk decodes alone.
 pub const VERSION: u16 = 3;
 
+/// Bytes of the `.rrlog` header: [`MAGIC`], [`VERSION`] (u16 LE), core id.
+pub const HEADER_BYTES: usize = 7;
+
+/// Framing bytes around each chunk payload: a u32 LE length prefix before
+/// it and its CRC32 (u32 LE) after it.
+pub const FRAME_BYTES: usize = 8;
+
+/// The `.rrlog` header for `core`, as every writer emits it.
+#[must_use]
+pub fn header(core: CoreId) -> [u8; HEADER_BYTES] {
+    let mut header = [0; HEADER_BYTES];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    header[6] = core.index() as u8;
+    header
+}
+
+/// Length of the `.rrlog` stream framing chunk payloads of these lengths:
+/// the header plus each payload and its frame.
+#[must_use]
+pub fn stream_len(payload_lens: impl IntoIterator<Item = u64>) -> u64 {
+    payload_lens
+        .into_iter()
+        .map(|len| len + FRAME_BYTES as u64)
+        .sum::<u64>()
+        + HEADER_BYTES as u64
+}
+
 /// Default chunk payload target in bytes: a chunk is closed at the first
 /// entry boundary at or past this size.
 pub const DEFAULT_CHUNK_BYTES: usize = 4096;
@@ -592,9 +620,7 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Returns a [`WireError::Io`] if the header cannot be written.
     pub fn with_chunk_bytes(mut w: W, core: CoreId, chunk_bytes: usize) -> Result<Self, WireError> {
-        w.write_all(&MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&[core.index() as u8])?;
+        w.write_all(&header(core))?;
         Ok(ChunkedWriter {
             w,
             buf: Vec::with_capacity(chunk_bytes + 64),
@@ -680,7 +706,7 @@ pub fn encode_chunked_with(log: &IntervalLog, chunk_bytes: usize) -> Vec<u8> {
 /// for foreign streams, [`WireError::UnsupportedVersion`] for any version
 /// but [`VERSION`].
 pub fn parse_header(bytes: &[u8]) -> Result<(CoreId, u16), WireError> {
-    if bytes.len() < 7 {
+    if bytes.len() < HEADER_BYTES {
         return Err(WireError::Truncated { chunk: 0 });
     }
     if bytes[..4] != MAGIC {
@@ -718,10 +744,10 @@ fn next_raw_chunk<'a>(
     let Some(payload) = bytes.get(*pos + 4..*pos + 4 + len) else {
         return Some(Err(truncated));
     };
-    let Some(crc_bytes) = bytes.get(*pos + 4 + len..*pos + 8 + len) else {
+    let Some(crc_bytes) = bytes.get(*pos + 4 + len..*pos + FRAME_BYTES + len) else {
         return Some(Err(truncated));
     };
-    *pos += 8 + len;
+    *pos += FRAME_BYTES + len;
     Some(Ok(RawChunk {
         payload,
         stored_crc: u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")),
@@ -834,7 +860,7 @@ pub fn decode_chunked_into<P: Probe>(
             log.entries.reserve(seed);
         }
     });
-    let mut pos = 7usize;
+    let mut pos = HEADER_BYTES;
     let mut index = 0usize;
     let mut payload_seen = 0usize;
     while let Some(raw) = next_raw_chunk(bytes, &mut pos, index) {
@@ -940,7 +966,7 @@ pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
     let mut chunks = Vec::new();
     let mut first_err = None;
     let out = &mut log.entries;
-    let mut pos = 7usize;
+    let mut pos = HEADER_BYTES;
     let mut index = 0usize;
     loop {
         let offset = pos;
@@ -1016,7 +1042,7 @@ pub fn chunk_spans(
 ) -> Result<(CoreId, u16, Vec<ChunkSpan>, Option<WireError>), WireError> {
     let (core, version) = parse_header(bytes)?;
     let mut spans = Vec::new();
-    let mut pos = 7usize;
+    let mut pos = HEADER_BYTES;
     loop {
         let offset = pos;
         match next_raw_chunk(bytes, &mut pos, spans.len()) {
@@ -1184,7 +1210,7 @@ mod tests {
     /// the header and the end of each chunk's trailing CRC.
     fn chunk_boundaries(bytes: &[u8]) -> Vec<usize> {
         let mut boundaries = vec![7];
-        let mut pos = 7usize;
+        let mut pos = HEADER_BYTES;
         while pos < bytes.len() {
             let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
             pos += 4 + len + 4;

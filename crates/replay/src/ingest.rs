@@ -1,24 +1,25 @@
 //! Parallel per-core `.rrlog` ingest.
 //!
 //! Each core's log is an independent stream — nothing about decoding core
-//! *k* depends on core *j* — so a multi-core recording saved with
-//! `--save-logs` can be decoded on a worker pool before the replayers
-//! start consuming. The pool mirrors the sweep engine's shape (scoped
-//! threads, an atomic work cursor, per-slot results) so outputs come back
-//! in input order and the first failure is attributed deterministically
-//! regardless of worker interleaving.
+//! *k* depends on core *j* — so a multi-core recording can be decoded on a
+//! worker pool before the replayers start consuming. The pool mirrors the
+//! sweep engine's shape (scoped threads, an atomic work cursor, per-slot
+//! results) so outputs come back in input order and the first failure is
+//! attributed deterministically regardless of worker interleaving.
 //!
 //! Decoding is the batched fast path of `relaxreplay::wire`: each worker
-//! reads a whole file and decodes it ([`read_rrlog`]), so ingest of an
-//! eight-core run costs roughly one core-log's decode time once the pool
-//! is wide enough.
+//! decodes one whole in-memory stream ([`decode_chunked`]), so ingest of
+//! an eight-core run costs roughly one core-log's decode time once the
+//! pool is wide enough. The streams' bytes come from whichever store
+//! holds the run: outside benches, `rr_sim::logdir::RunFiles::decode` is
+//! the one caller, for a run read from a local directory and a run
+//! fetched from `rr-serve` alike.
 
 use core::fmt;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use relaxreplay::wire::{decode_chunked, read_rrlog};
+use relaxreplay::wire::decode_chunked;
 use relaxreplay::{IntervalLog, WireError};
 
 /// An ingest failure, attributed to the stream that caused it.
@@ -26,18 +27,13 @@ use relaxreplay::{IntervalLog, WireError};
 pub struct IngestError {
     /// Index of the failing stream in the input order.
     pub index: usize,
-    /// Path of the failing file (`None` for in-memory streams).
-    pub path: Option<PathBuf>,
     /// The underlying wire failure.
     pub source: WireError,
 }
 
 impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.path {
-            Some(p) => write!(f, "log {} ({}): {}", self.index, p.display(), self.source),
-            None => write!(f, "log {}: {}", self.index, self.source),
-        }
+        write!(f, "log {}: {}", self.index, self.source)
     }
 }
 
@@ -113,32 +109,7 @@ pub fn decode_logs_parallel(
     workers: usize,
 ) -> Result<Vec<IntervalLog>, IngestError> {
     ingest_pool(streams.len(), workers, |i| {
-        decode_chunked(streams[i]).map_err(|source| IngestError {
-            index: i,
-            path: None,
-            source,
-        })
-    })
-}
-
-/// Reads and decodes many `.rrlog` files in parallel, returning the logs
-/// in input order — the ingest path for `--replay-from` directories and
-/// `rr-inspect check` over saved runs.
-///
-/// # Errors
-///
-/// Returns the lowest-indexed file's failure (I/O mapped to
-/// [`WireError::Io`]), wrapped with its index and path.
-pub fn read_rrlogs_parallel(
-    paths: &[PathBuf],
-    workers: usize,
-) -> Result<Vec<IntervalLog>, IngestError> {
-    ingest_pool(paths.len(), workers, |i| {
-        read_rrlog(&paths[i]).map_err(|source| IngestError {
-            index: i,
-            path: Some(paths[i].clone()),
-            source,
-        })
+        decode_chunked(streams[i]).map_err(|source| IngestError { index: i, source })
     })
 }
 
@@ -239,26 +210,5 @@ mod tests {
             let err = decode_logs_parallel(&[encoded.as_slice()], workers).expect_err("fails");
             assert_eq!((err.index, err.source), (0, serial_err.clone()));
         }
-    }
-
-    #[test]
-    fn file_ingest_round_trips_and_attributes_errors() {
-        let dir = std::env::temp_dir().join("rr_ingest_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let logs = logs(4);
-        let mut paths = Vec::new();
-        for (k, log) in logs.iter().enumerate() {
-            let path = dir.join(format!("core{k}.rrlog"));
-            std::fs::write(&path, log.encode()).expect("writes");
-            paths.push(path);
-        }
-        let decoded = read_rrlogs_parallel(&paths, 4).expect("decodes");
-        assert_eq!(decoded, logs);
-
-        paths.push(dir.join("missing.rrlog"));
-        let err = read_rrlogs_parallel(&paths, 4).expect_err("must fail");
-        assert_eq!(err.index, 4);
-        assert!(matches!(err.source, WireError::Io(_)));
-        assert!(err.to_string().contains("missing.rrlog"));
     }
 }

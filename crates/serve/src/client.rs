@@ -1,27 +1,23 @@
 //! RRSP/v2 clients: the raw [`Client`] and the [`RemoteStore`] that makes
-//! an `rr-serve` backend a drop-in [`RunStore`]. Reading a log back is
-//! [`RemoteStore`]'s job: it fetches a variant's `.rrlog` bytes and
-//! decodes them whole, as a local load does.
+//! an `rr-serve` backend a drop-in [`RunStore`].
 //!
-//! Saving through [`RemoteStore`] is deliberately byte-deterministic:
-//! logs are encoded with the same default `ChunkedWriter` parameters a
-//! local `--save-logs` uses, so the server's reassembled `.rrlog` files
-//! are byte-identical to the local ones — the round-trip CI job diffs
-//! them directly.
+//! [`RemoteStore`] only moves a run's bytes. A save encodes the run with
+//! [`RunFiles::encode`], the encoder a local save uses, and streams each
+//! `.rrlog` as its chunks. So the server's reassembled files are
+//! byte-identical to the local ones, which the round-trip CI job diffs
+//! directly. A load fetches the run's [`RunFiles`] in one `RunBundle` and
+//! decodes them with [`RunFiles::decode`], the decoder a local load uses.
 
 use std::net::TcpStream;
 use std::path::Path;
 
-use relaxreplay::wire::{chunk_spans, encode_chunked};
-use relaxreplay::IntervalLog;
-use rr_replay::decode_logs_parallel;
-use rr_sim::logdir::{decode_ordering, decode_truth, encode_ordering, encode_truth, write_run_dir};
+use relaxreplay::wire::{chunk_spans, VERSION};
+use rr_sim::logdir::{write_run_dir, RunFiles};
 use rr_sim::{
-    DedupStat, RemoteFault, RunResult, RunStat, RunStore, SavedRun, SavedVariant, StoreError,
-    VariantStat,
+    DedupStat, LogDirError, RemoteFault, RunResult, RunStat, RunStore, SavedRun, StoreError,
 };
 
-use crate::proto::{self, BundleVariant, Msg, SealCore, SealVariant, StatVariant, PROTO_VERSION};
+use crate::proto::{self, Msg, SealCore, SealVariant, PROTO_VERSION};
 use crate::ServeError;
 
 fn serve_err(e: ServeError) -> StoreError {
@@ -153,20 +149,16 @@ impl Client {
         }
     }
 
-    /// Fetches a whole run.
+    /// Fetches a whole run as the bytes of its files.
     ///
     /// # Errors
     ///
     /// As [`Client::call`].
-    pub fn get_run(&mut self, run: &str) -> Result<(u8, Vec<BundleVariant>, Vec<u8>), StoreError> {
+    pub fn get_run(&mut self, run: &str) -> Result<RunFiles, StoreError> {
         match self.call(&Msg::GetRun {
             run: run.to_string(),
         })? {
-            Msg::RunBundle {
-                cores,
-                variants,
-                truth,
-            } => Ok((cores, variants, truth)),
+            Msg::RunBundle(files) => Ok(files),
             other => Err(Self::unexpected(&other)),
         }
     }
@@ -180,15 +172,8 @@ impl Client {
     /// path component is [`rr_sim::LogDirError::BadName`] (inside
     /// [`StoreError::Local`]), and nothing is written.
     pub fn fetch_run(&mut self, run: &str, out: &Path) -> Result<u64, StoreError> {
-        let (cores, variants, truth) = self.get_run(run)?;
-        Ok(write_run_dir(
-            out,
-            run,
-            usize::from(cores),
-            &variants,
-            &truth,
-            &[],
-        )?)
+        let files = self.get_run(run)?;
+        Ok(write_run_dir(out, run, &files, &[])?)
     }
 
     /// Lists sealed runs.
@@ -223,15 +208,7 @@ impl Client {
             } => Ok(RunStat {
                 name: run.to_string(),
                 cores: usize::from(cores),
-                variants: variants
-                    .into_iter()
-                    .map(|v: StatVariant| VariantStat {
-                        label: v.label,
-                        chunks: v.chunks,
-                        log_bytes: v.log_bytes,
-                        has_ordering: v.has_ordering,
-                    })
-                    .collect(),
+                variants,
                 truth_bytes,
                 dedup: Some(DedupStat {
                     blobs,
@@ -286,140 +263,49 @@ impl RunStore for RemoteStore {
     }
 
     fn save_run(&self, name: &str, result: &RunResult) -> Result<u64, StoreError> {
-        let cores = result.recorded.load_traces.len();
-        let cores = u8::try_from(cores).map_err(|_| {
+        let files = RunFiles::encode(result);
+        let cores = u8::try_from(files.cores).map_err(|_| {
             StoreError::remote(
                 RemoteFault::Protocol,
-                format!("{cores} cores exceed the protocol's u8 core id"),
+                format!("{} cores exceed the protocol's u8 core id", files.cores),
             )
         })?;
+        let log_bytes = files.log_bytes();
         let mut client = Client::connect(&self.addr)?;
-        let mut seal_variants = Vec::new();
-        let mut total_bytes = 0u64;
-        for variant in &result.variants {
-            let label = variant.spec.label();
-            let mut seal_cores = vec![
-                SealCore {
-                    wire_version: relaxreplay::wire::VERSION,
-                    chunks: 0,
-                };
-                usize::from(cores)
-            ];
-            for log in &variant.logs {
-                // Identical encoder parameters to the local save path:
-                // the server's reassembly is byte-identical to a local
-                // save of the same log.
-                let bytes = encode_chunked(log);
-                total_bytes += bytes.len() as u64;
-                let payloads = chunk_payloads(&bytes)?;
-                let core = log.core.index();
+        let mut seal_variants = Vec::with_capacity(files.variants.len());
+        for v in files.variants {
+            let mut seal_cores = Vec::with_capacity(v.logs.len());
+            for (core, bytes) in v.logs.iter().enumerate() {
+                let payloads = chunk_payloads(bytes)?;
                 for (seq, payload) in payloads.iter().enumerate() {
-                    client.put_chunk(
-                        name,
-                        &label,
-                        core as u8,
-                        seq as u64,
-                        relaxreplay::wire::VERSION,
-                        payload,
-                    )?;
+                    client.put_chunk(name, &v.label, core as u8, seq as u64, VERSION, payload)?;
                 }
-                let slot = seal_cores.get_mut(core).ok_or_else(|| {
-                    StoreError::remote(
-                        RemoteFault::Protocol,
-                        format!("log for core {core} exceeds run core count {cores}"),
-                    )
-                })?;
-                *slot = SealCore {
-                    wire_version: relaxreplay::wire::VERSION,
+                seal_cores.push(SealCore {
+                    wire_version: VERSION,
                     chunks: payloads.len() as u64,
-                };
+                });
             }
             seal_variants.push(SealVariant {
-                label,
+                label: v.label,
                 cores: seal_cores,
-                ordering: (!variant.ordering.is_empty())
-                    .then(|| encode_ordering(&variant.ordering)),
+                ordering: v.ordering,
             });
         }
-        client.seal_run(name, cores, seal_variants, encode_truth(&result.recorded))?;
-        Ok(total_bytes)
+        client.seal_run(name, cores, seal_variants, files.truth)?;
+        Ok(log_bytes)
     }
 
+    /// Fetches the run's [`RunFiles`] and decodes them. A log that fails
+    /// to decode is [`RemoteFault::CorruptBlob`]; any other inconsistency
+    /// of the fetched files is [`RemoteFault::Catalog`].
     fn load_run_with(&self, name: &str, workers: usize) -> Result<SavedRun, StoreError> {
-        let mut client = Client::connect(&self.addr)?;
-        let (cores, variants, truth) = client.get_run(name)?;
-        let cores = usize::from(cores);
-        let catalog_err = |d: String| StoreError::remote(RemoteFault::Catalog, d);
-
-        for v in &variants {
-            if v.logs.len() != cores {
-                return Err(catalog_err(format!(
-                    "variant {:?} bundles {} logs for a {cores}-core run",
-                    v.label,
-                    v.logs.len()
-                )));
-            }
-        }
-        // Every (variant, core) file is an independent stream: decode them
-        // all in one parallel batch, variant-major.
-        let files: Vec<&[u8]> = variants
-            .iter()
-            .flat_map(|v| &v.logs)
-            .map(Vec::as_slice)
-            .collect();
-        let mut decoded = decode_logs_parallel(&files, workers)
-            .map_err(|e| {
-                let v = &variants[e.index / cores];
-                StoreError::remote(
-                    RemoteFault::CorruptBlob,
-                    format!(
-                        "{}/core{}: fetched log failed to decode: {}",
-                        v.label,
-                        e.index % cores,
-                        e.source
-                    ),
-                )
-            })?
-            .into_iter();
-
-        let mut saved_variants = Vec::new();
-        for v in &variants {
-            let logs: Vec<IntervalLog> = decoded.by_ref().take(cores).collect();
-            for (k, log) in logs.iter().enumerate() {
-                if log.core.index() != k {
-                    return Err(catalog_err(format!(
-                        "{}/core{k}: fetched log claims core {}",
-                        v.label,
-                        log.core.index()
-                    )));
-                }
-            }
-            let ordering = match &v.ordering {
-                None => None,
-                Some(bytes) => {
-                    let ord = decode_ordering(bytes).map_err(|e| catalog_err(e.to_string()))?;
-                    if ord.len() != cores {
-                        return Err(catalog_err(
-                            "ordering sidecar core count != run cores".to_string(),
-                        ));
-                    }
-                    Some(ord)
-                }
+        let files = Client::connect(&self.addr)?.get_run(name)?;
+        files.decode(name, workers).map_err(|e| {
+            let kind = match e {
+                LogDirError::Wire(_) => RemoteFault::CorruptBlob,
+                _ => RemoteFault::Catalog,
             };
-            saved_variants.push(SavedVariant {
-                label: v.label.clone(),
-                logs,
-                ordering,
-            });
-        }
-        let recorded = decode_truth(&truth).map_err(|e| catalog_err(e.to_string()))?;
-        if recorded.load_traces.len() != cores {
-            return Err(catalog_err("truth trace count != run cores".to_string()));
-        }
-        Ok(SavedRun {
-            name: name.to_string(),
-            variants: saved_variants,
-            recorded,
+            StoreError::remote(kind, format!("fetched run {name:?}: {e}"))
         })
     }
 

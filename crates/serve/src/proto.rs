@@ -27,7 +27,8 @@ use std::io::{Read, Write};
 use relaxreplay::wire::{crc32, read_varint, write_varint};
 
 use crate::ServeError;
-use rr_sim::RemoteFault;
+use rr_sim::logdir::{RunFiles, VariantFiles};
+use rr_sim::{RemoteFault, VariantStat};
 
 /// Protocol version spoken by this build. Version 2 dropped the byte-range
 /// verb (type codes 0x07/0x87, now unknown) and the per-core index blobs
@@ -59,23 +60,6 @@ pub struct SealVariant {
     /// The `ordering.bin` sidecar bytes, verbatim, when the variant was
     /// recorded with an interval partial order.
     pub ordering: Option<Vec<u8>>,
-}
-
-/// One variant of a [`Msg::RunBundle`] response: the bytes of the files
-/// the variant occupies in a local run directory.
-pub use rr_sim::logdir::VariantFiles as BundleVariant;
-
-/// Per-variant sizing inside a [`Msg::StatAck`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatVariant {
-    /// The variant's label.
-    pub label: String,
-    /// Chunks across all cores.
-    pub chunks: u64,
-    /// Materialized `.rrlog` bytes across all cores.
-    pub log_bytes: u64,
-    /// Whether an ordering sidecar is stored.
-    pub has_ordering: bool,
 }
 
 /// Every RRSP/v2 message. Requests use low type codes, responses the
@@ -134,16 +118,11 @@ pub enum Msg {
         /// Run name.
         run: String,
     },
-    /// A complete run: every variant's reassembled `.rrlog` files plus
-    /// sidecars.
-    RunBundle {
-        /// Recorded core count.
-        cores: u8,
-        /// Every variant, in sealed order.
-        variants: Vec<BundleVariant>,
-        /// The `truth.bin` sidecar, verbatim.
-        truth: Vec<u8>,
-    },
+    /// A complete run as the bytes of its files: every variant's
+    /// reassembled `.rrlog` files and `ordering.bin`, in sealed order,
+    /// and `truth.bin`, verbatim. The core count travels as a `u8`; a
+    /// store seals no run of more than 255 cores.
+    RunBundle(RunFiles),
     /// List sealed runs.
     ListRuns,
     /// The sealed run names, sorted.
@@ -161,7 +140,7 @@ pub enum Msg {
         /// Recorded core count.
         cores: u8,
         /// Per-variant sizing.
-        variants: Vec<StatVariant>,
+        variants: Vec<VariantStat>,
         /// `truth.bin` size.
         truth_bytes: u64,
         /// Distinct blobs in the store.
@@ -376,15 +355,11 @@ impl Msg {
                 out.push(T_GET_RUN);
                 put_str(&mut out, run);
             }
-            Msg::RunBundle {
-                cores,
-                variants,
-                truth,
-            } => {
+            Msg::RunBundle(files) => {
                 out.push(T_RUN_BUNDLE);
-                out.push(*cores);
-                write_varint(&mut out, variants.len() as u64);
-                for v in variants {
+                out.push(files.cores as u8);
+                write_varint(&mut out, files.variants.len() as u64);
+                for v in &files.variants {
                     put_str(&mut out, &v.label);
                     write_varint(&mut out, v.logs.len() as u64);
                     for log in &v.logs {
@@ -392,7 +367,7 @@ impl Msg {
                     }
                     put_opt_bytes(&mut out, v.ordering.as_deref());
                 }
-                put_bytes(&mut out, truth);
+                put_bytes(&mut out, &files.truth);
             }
             Msg::ListRuns => out.push(T_LIST_RUNS),
             Msg::ListAck { runs } => {
@@ -495,7 +470,7 @@ impl Msg {
             },
             T_GET_RUN => Msg::GetRun { run: r.string()? },
             T_RUN_BUNDLE => {
-                let cores = r.byte()?;
+                let cores = usize::from(r.byte()?);
                 let nv = r.varint()?;
                 let mut variants = Vec::new();
                 for _ in 0..nv {
@@ -505,17 +480,17 @@ impl Msg {
                     for _ in 0..nl {
                         logs.push(r.bytes()?);
                     }
-                    variants.push(BundleVariant {
+                    variants.push(VariantFiles {
                         label,
                         logs,
                         ordering: r.opt_bytes()?,
                     });
                 }
-                Msg::RunBundle {
+                Msg::RunBundle(RunFiles {
                     cores,
                     variants,
                     truth: r.bytes()?,
-                }
+                })
             }
             T_LIST_RUNS => Msg::ListRuns,
             T_LIST_ACK => {
@@ -532,7 +507,7 @@ impl Msg {
                 let nv = r.varint()?;
                 let mut variants = Vec::new();
                 for _ in 0..nv {
-                    variants.push(StatVariant {
+                    variants.push(VariantStat {
                         label: r.string()?,
                         chunks: r.varint()?,
                         log_bytes: r.varint()?,
@@ -691,15 +666,15 @@ mod tests {
         });
         round_trip(&Msg::SealAck { log_bytes: 1 << 40 });
         round_trip(&Msg::GetRun { run: "fft".into() });
-        round_trip(&Msg::RunBundle {
+        round_trip(&Msg::RunBundle(RunFiles {
             cores: 1,
-            variants: vec![BundleVariant {
+            variants: vec![VariantFiles {
                 label: "Base".into(),
                 logs: vec![vec![1, 2]],
                 ordering: None,
             }],
             truth: vec![7],
-        });
+        }));
         round_trip(&Msg::ListRuns);
         round_trip(&Msg::ListAck {
             runs: vec!["a".into(), "b".into()],
@@ -707,7 +682,7 @@ mod tests {
         round_trip(&Msg::Stat { run: "a".into() });
         round_trip(&Msg::StatAck {
             cores: 4,
-            variants: vec![StatVariant {
+            variants: vec![VariantStat {
                 label: "Base".into(),
                 chunks: 9,
                 log_bytes: 1234,

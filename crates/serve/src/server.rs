@@ -354,14 +354,7 @@ fn handle_request(
             shared.stats.seals.fetch_add(1, Ordering::Relaxed);
             Ok(Msg::SealAck { log_bytes })
         }
-        Msg::GetRun { run } => {
-            let (cores, variants, truth) = shared.store.assemble_run(&run)?;
-            Ok(Msg::RunBundle {
-                cores,
-                variants,
-                truth,
-            })
-        }
+        Msg::GetRun { run } => Ok(Msg::RunBundle(shared.store.assemble_run(&run)?)),
         Msg::ListRuns => Ok(Msg::ListAck {
             runs: shared.store.list_runs()?,
         }),

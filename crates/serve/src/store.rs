@@ -28,11 +28,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use relaxreplay::rr_hash64;
-use relaxreplay::wire::{crc32, read_varint, write_varint, MAGIC};
-use rr_sim::logdir::check_name;
-use rr_sim::RemoteFault;
+use relaxreplay::wire::{self, crc32, read_varint, write_varint};
+use rr_mem::CoreId;
+use rr_sim::logdir::{check_name, RunFiles, VariantFiles};
+use rr_sim::{RemoteFault, VariantStat};
 
-use crate::proto::{BundleVariant, StatVariant};
 use crate::ServeError;
 
 /// Magic tag opening a `catalog.bin`.
@@ -79,6 +79,14 @@ pub struct CatalogCore {
     pub chunks: Vec<ChunkRef>,
 }
 
+impl CatalogCore {
+    /// Bytes of the `.rrlog` file these chunks materialize to.
+    #[must_use]
+    pub fn log_bytes(&self) -> u64 {
+        wire::stream_len(self.chunks.iter().map(|r| r.len))
+    }
+}
+
 /// One recorder variant in a catalog.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CatalogVariant {
@@ -108,7 +116,7 @@ impl Catalog {
         self.variants
             .iter()
             .flat_map(|v| &v.cores)
-            .map(|c| 7 + c.chunks.iter().map(|r| r.len + 8).sum::<u64>())
+            .map(CatalogCore::log_bytes)
             .sum()
     }
 
@@ -232,6 +240,15 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn io_err(path: &Path, e: &std::io::Error) -> ServeError {
     ServeError::new(RemoteFault::Server, format!("{}: {e}", path.display()))
+}
+
+/// A sealed run's sidecar that cannot be read: its catalog promises a
+/// file the store does not hold, so the run is [`RemoteFault::Catalog`].
+fn sidecar_err(run: &str, file: &str, e: &std::io::Error) -> ServeError {
+    ServeError::new(
+        RemoteFault::Catalog,
+        format!("run {run:?} sidecar {file} unreadable: {e}"),
+    )
 }
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory,
@@ -439,11 +456,8 @@ impl ChunkStore {
     /// [`RemoteFault::CorruptBlob`] if any referenced blob fails
     /// verification.
     pub fn assemble_core(&self, core: &CatalogCore, core_id: u8) -> Result<Vec<u8>, ServeError> {
-        let total: u64 = 7 + core.chunks.iter().map(|r| r.len + 8).sum::<u64>();
-        let mut out = Vec::with_capacity(usize::try_from(total).unwrap_or(0));
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&core.wire_version.to_le_bytes());
-        out.push(core_id);
+        let mut out = Vec::with_capacity(usize::try_from(core.log_bytes()).unwrap_or(0));
+        out.extend_from_slice(&wire::header(CoreId::new(core_id)));
         for r in &core.chunks {
             let payload = self.get_blob(r)?;
             out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -453,22 +467,21 @@ impl ChunkStore {
         Ok(out)
     }
 
-    /// Materializes a whole run as a [`BundleVariant`] list plus the
-    /// truth sidecar — the body of a `RunBundle` response.
+    /// Reads run sidecar `file` (see [`sidecar_err`]).
+    fn read_sidecar(&self, run: &str, file: &str) -> Result<Vec<u8>, ServeError> {
+        fs::read(self.run_dir(run).join(file)).map_err(|e| sidecar_err(run, file, &e))
+    }
+
+    /// Materializes a whole run as its [`RunFiles`] — the body of a
+    /// `RunBundle` response.
     ///
     /// # Errors
     ///
     /// As [`ChunkStore::catalog`] and [`ChunkStore::assemble_core`];
     /// missing sidecars are [`RemoteFault::Catalog`].
-    pub fn assemble_run(&self, run: &str) -> Result<(u8, Vec<BundleVariant>, Vec<u8>), ServeError> {
+    pub fn assemble_run(&self, run: &str) -> Result<RunFiles, ServeError> {
         let catalog = self.catalog(run)?;
-        let dir = self.run_dir(run);
-        let truth = fs::read(dir.join("truth.bin")).map_err(|e| {
-            ServeError::new(
-                RemoteFault::Catalog,
-                format!("run {run:?} truth sidecar unreadable: {e}"),
-            )
-        })?;
+        let truth = self.read_sidecar(run, "truth.bin")?;
         let mut variants = Vec::new();
         for v in &catalog.variants {
             let logs = v
@@ -478,24 +491,21 @@ impl ChunkStore {
                 .map(|(k, core)| self.assemble_core(core, k as u8))
                 .collect::<Result<_, _>>()?;
             let ordering = if v.has_ordering {
-                Some(
-                    fs::read(dir.join(format!("{}.ordering", v.label))).map_err(|e| {
-                        ServeError::new(
-                            RemoteFault::Catalog,
-                            format!("run {run:?} ordering sidecar unreadable: {e}"),
-                        )
-                    })?,
-                )
+                Some(self.read_sidecar(run, &format!("{}.ordering", v.label))?)
             } else {
                 None
             };
-            variants.push(BundleVariant {
+            variants.push(VariantFiles {
                 label: v.label.clone(),
                 logs,
                 ordering,
             });
         }
-        Ok((catalog.cores, variants, truth))
+        Ok(RunFiles {
+            cores: usize::from(catalog.cores),
+            variants,
+            truth,
+        })
     }
 
     /// Names of every sealed run, sorted.
@@ -525,31 +535,26 @@ impl ChunkStore {
     ///
     /// # Errors
     ///
-    /// As [`ChunkStore::catalog`], plus [`RemoteFault::CorruptBlob`].
-    pub fn stat_run(&self, run: &str) -> Result<(u8, Vec<StatVariant>, u64), ServeError> {
+    /// As [`ChunkStore::catalog`], plus [`RemoteFault::CorruptBlob`];
+    /// a missing `truth.bin` is [`RemoteFault::Catalog`], as it is for
+    /// [`ChunkStore::assemble_run`].
+    pub fn stat_run(&self, run: &str) -> Result<(u8, Vec<VariantStat>, u64), ServeError> {
         let catalog = self.catalog(run)?;
         let mut variants = Vec::new();
         for v in &catalog.variants {
-            let mut chunks = 0u64;
-            let mut log_bytes = 0u64;
-            for core in &v.cores {
-                for r in &core.chunks {
-                    self.get_blob(r)?;
-                }
-                chunks += core.chunks.len() as u64;
-                log_bytes += 7 + core.chunks.iter().map(|r| r.len + 8).sum::<u64>();
+            for r in v.cores.iter().flat_map(|c| &c.chunks) {
+                self.get_blob(r)?;
             }
-            variants.push(StatVariant {
+            variants.push(VariantStat {
                 label: v.label.clone(),
-                chunks,
-                log_bytes,
+                chunks: v.cores.iter().map(|c| c.chunks.len() as u64).sum(),
+                log_bytes: v.cores.iter().map(CatalogCore::log_bytes).sum(),
                 has_ordering: v.has_ordering,
             });
         }
-        let truth_bytes = fs::metadata(self.run_dir(run).join("truth.bin"))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        Ok((catalog.cores, variants, truth_bytes))
+        let truth = fs::metadata(self.run_dir(run).join("truth.bin"))
+            .map_err(|e| sidecar_err(run, "truth.bin", &e))?;
+        Ok((catalog.cores, variants, truth.len()))
     }
 
     /// Store-wide dedup accounting: distinct blobs on disk, the bytes
@@ -638,24 +643,34 @@ mod tests {
 
     #[test]
     fn catalog_round_trips_and_detects_damage() {
+        use relaxreplay::wire::{chunk_spans, encode_chunked};
+        use relaxreplay::{IntervalLog, LogEntry};
+
+        // Core 0 logs one chunk, core 1 nothing.
+        let mut busy = IntervalLog::new(CoreId::new(0));
+        busy.entries.push(LogEntry::InorderBlock { instrs: 4096 });
+        let encoded = [
+            encode_chunked(&busy),
+            encode_chunked(&IntervalLog::new(CoreId::new(1))),
+        ];
+        let cores = encoded
+            .iter()
+            .map(|bytes| {
+                let (_, _, spans, _) = chunk_spans(bytes).expect("spans");
+                CatalogCore {
+                    wire_version: 3,
+                    chunks: spans
+                        .iter()
+                        .map(|s| ChunkRef::of(&bytes[s.offset + 4..][..s.payload_bytes]))
+                        .collect(),
+                }
+            })
+            .collect();
         let catalog = Catalog {
             cores: 2,
             variants: vec![CatalogVariant {
                 label: "Opt-4K".into(),
-                cores: vec![
-                    CatalogCore {
-                        wire_version: 3,
-                        chunks: vec![ChunkRef {
-                            crc: 0xdead_beef,
-                            hash: 0x0123_4567_89ab_cdef,
-                            len: 4096,
-                        }],
-                    },
-                    CatalogCore {
-                        wire_version: 3,
-                        chunks: vec![],
-                    },
-                ],
+                cores,
                 has_ordering: true,
             }],
         };
@@ -669,7 +684,10 @@ mod tests {
                 "flip at byte {i} went undetected"
             );
         }
-        assert_eq!(catalog.log_bytes(), 7 + 4096 + 8 + 7);
+        assert_eq!(
+            catalog.log_bytes(),
+            encoded.iter().map(|b| b.len() as u64).sum::<u64>()
+        );
         // A CRC-valid catalog naming another wire version is corrupt too.
         let mut old = catalog.clone();
         old.variants[0].cores[1].wire_version = 2;

@@ -3,13 +3,15 @@
 //! store, damaged blobs surface as typed errors, ≥ 4 recorder clients
 //! can ingest concurrently without interleaving corruption, a server
 //! that dies mid-save publishes nothing, a client of another protocol
-//! version is refused at hello, and a fetch never writes outside its
-//! output directory, whatever labels the server sends.
+//! version is refused at hello, a fetch never writes outside its
+//! output directory, whatever labels the server sends, and a run whose
+//! files disagree fails with the same typed error from either store.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
 use rr_serve::{serve, Client, FaultSpec, RemoteStore, ServerConfig};
+use rr_sim::logdir::{encode_ordering, encode_truth, write_run_dir, RunFiles, VariantFiles};
 use rr_sim::{
     LocalStore, LogDirError, RecordSession, RemoteFault, RunResult, RunStore, StoreError,
 };
@@ -108,10 +110,11 @@ fn remote_round_trip_matches_local() {
 
         // Byte-level: every materialized remote file equals the local
         // twin written by the plain `--save-logs` path.
-        let (_, bundle, _) = Client::connect(&handle.addr().to_string())
+        let bundle = Client::connect(&handle.addr().to_string())
             .expect("connect")
             .get_run(name)
-            .expect("get_run");
+            .expect("get_run")
+            .variants;
         assert_eq!(bundle.len(), local_run.variants.len(), "{name}");
         for v in &bundle {
             for (k, remote_bytes) in v.logs.iter().enumerate() {
@@ -298,7 +301,7 @@ fn foreign_wire_versions_are_refused_and_publish_nothing() {
 
     let run = record(&litmus_suite().remove(0));
     let cores = run.recorded.load_traces.len() as u8;
-    let truth = rr_sim::logdir::encode_truth(&run.recorded);
+    let truth = encode_truth(&run.recorded);
     let label = run.variants[0].spec.label();
     let bytes = encode_chunked_with(&run.variants[0].logs[0], 1);
     let (_, _, spans, _) = chunk_spans(&bytes).expect("spans");
@@ -481,10 +484,10 @@ fn other_protocol_versions_are_refused_at_hello() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A fake RRSP server that answers every `GetRun` with one variant under
-/// `label`, for `connections` client connections.
-fn hostile_server(label: String, connections: usize) -> (String, std::thread::JoinHandle<()>) {
-    use rr_serve::proto::{read_frame, write_frame, BundleVariant, Msg, PROTO_VERSION};
+/// A fake RRSP server that answers every `GetRun` with `bundle`, for
+/// `connections` client connections.
+fn fake_server(bundle: RunFiles, connections: usize) -> (String, std::thread::JoinHandle<()>) {
+    use rr_serve::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr").to_string();
     let server = std::thread::spawn(move || {
@@ -495,15 +498,7 @@ fn hostile_server(label: String, connections: usize) -> (String, std::thread::Jo
                     Msg::Hello { .. } => Msg::HelloAck {
                         version: PROTO_VERSION,
                     },
-                    Msg::GetRun { .. } => Msg::RunBundle {
-                        cores: 1,
-                        variants: vec![BundleVariant {
-                            label: label.clone(),
-                            logs: vec![b"not an rrlog".to_vec()],
-                            ordering: Some(b"not an ordering".to_vec()),
-                        }],
-                        truth: b"not a truth sidecar".to_vec(),
-                    },
+                    Msg::GetRun { .. } => Msg::RunBundle(bundle.clone()),
                     other => panic!("unexpected request {other:?}"),
                 };
                 write_frame(&mut conn, &reply).expect("reply");
@@ -511,6 +506,21 @@ fn hostile_server(label: String, connections: usize) -> (String, std::thread::Jo
         }
     });
     (addr, server)
+}
+
+/// A fake RRSP server that answers every `GetRun` with one variant under
+/// `label`, for `connections` client connections.
+fn hostile_server(label: String, connections: usize) -> (String, std::thread::JoinHandle<()>) {
+    let bundle = RunFiles {
+        cores: 1,
+        variants: vec![VariantFiles {
+            label,
+            logs: vec![b"not an rrlog".to_vec()],
+            ordering: Some(b"not an ordering".to_vec()),
+        }],
+        truth: b"not a truth sidecar".to_vec(),
+    };
+    fake_server(bundle, connections)
 }
 
 #[test]
@@ -554,5 +564,139 @@ fn fetch_refuses_server_labels_that_escape_the_output_directory() {
         assert!(leftovers.is_empty(), "{label}: wrote {leftovers:?}");
     }
     assert!(!Path::new(absolute).exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A sealed run whose `truth.bin` is gone is a catalog fault for `stat`,
+/// as it already is for a load, not a run with a 0-byte sidecar.
+#[test]
+fn stat_of_a_run_without_its_truth_sidecar_is_a_catalog_fault() {
+    let root = tmp_dir("stat-no-truth");
+    let store_root = root.join("store");
+    let handle = serve("127.0.0.1:0", ServerConfig::new(&store_root)).expect("serve");
+    let remote = RemoteStore::new(handle.addr().to_string());
+    let w = litmus_suite().remove(0);
+    remote.save_run(w.name, &record(&w)).expect("save");
+    std::fs::remove_file(store_root.join("runs").join(w.name).join("truth.bin"))
+        .expect("delete truth.bin");
+    for (what, result) in [
+        ("stat", remote.stat_run(w.name).map(drop)),
+        ("load", remote.load_run(w.name).map(drop)),
+    ] {
+        match result {
+            Err(StoreError::Remote { kind, detail }) => {
+                assert_eq!(kind, RemoteFault::Catalog, "{what}: {detail}");
+                assert!(detail.contains("truth.bin"), "{what}: {detail}");
+            }
+            other => panic!("{what}: want a catalog fault, got {other:?}"),
+        }
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One way to damage a run's files, and the typed error each reader
+/// gives for it: [`RunFiles::decode`], a [`LocalStore`] holding the files
+/// on disk, and a [`RemoteStore`] fetching them from a server.
+struct Damage {
+    what: &'static str,
+    damage: fn(&mut RunFiles, &RunResult),
+    decode: LogDirError,
+    local: LogDirError,
+    remote: RemoteFault,
+}
+
+fn malformed(d: &'static str) -> LogDirError {
+    LogDirError::Malformed(d)
+}
+
+#[test]
+fn malformed_bundles_fail_alike_in_decode_and_both_stores() {
+    use relaxreplay::wire::HEADER_BYTES;
+    use relaxreplay::WireError;
+    let table = [
+        Damage {
+            what: "a log whose header names another core",
+            damage: |files, _| files.variants[0].logs.swap(0, 1),
+            decode: malformed("log header names another core"),
+            local: malformed("log header names another core"),
+            remote: RemoteFault::Catalog,
+        },
+        Damage {
+            what: "a variant with one log too few",
+            damage: |files, _| {
+                files.variants[0].logs.pop();
+            },
+            decode: malformed("variant log count != run cores"),
+            // On disk the missing log is a missing file.
+            local: LogDirError::Io(String::new()),
+            remote: RemoteFault::Catalog,
+        },
+        Damage {
+            what: "an ordering.bin for another core count",
+            damage: |files, _| {
+                let ordering = vec![Default::default(); files.cores + 1];
+                files.variants[0].ordering = Some(encode_ordering(&ordering));
+            },
+            decode: malformed("ordering sidecar core count != run cores"),
+            local: malformed("ordering sidecar core count != run cores"),
+            remote: RemoteFault::Catalog,
+        },
+        Damage {
+            what: "a truth.bin for another trace count",
+            damage: |files, run| {
+                let mut recorded = run.recorded.clone();
+                recorded.load_traces.push(Vec::new());
+                files.truth = encode_truth(&recorded);
+            },
+            decode: malformed("truth trace count != run cores"),
+            local: malformed("truth trace count != run cores"),
+            remote: RemoteFault::Catalog,
+        },
+        Damage {
+            what: "a log cut inside its first chunk's length prefix",
+            damage: |files, _| files.variants[0].logs[0].truncate(HEADER_BYTES + 2),
+            decode: LogDirError::Wire(WireError::Truncated { chunk: 0 }),
+            local: LogDirError::Wire(WireError::Truncated { chunk: 0 }),
+            remote: RemoteFault::CorruptBlob,
+        },
+    ];
+
+    let root = tmp_dir("malformed");
+    let run = record(&litmus_suite().remove(0));
+    let intact = RunFiles::encode(&run);
+    assert!(intact.cores >= 2, "want a multi-core run");
+    intact.decode("intact", 1).expect("the intact run decodes");
+    let local = LocalStore::new(&root);
+
+    for (i, row) in table.iter().enumerate() {
+        let mut files = intact.clone();
+        (row.damage)(&mut files, &run);
+        let name = format!("damaged-{i}");
+        for workers in [1, 2] {
+            let err = files.decode(&name, workers).expect_err(row.what);
+            assert_eq!(err, row.decode, "{}: decode, {workers} workers", row.what);
+        }
+
+        write_run_dir(&root, &name, &files, &[]).expect("writes the damaged files");
+        match (local.load_run(&name), &row.local) {
+            (Err(StoreError::Local(LogDirError::Io(m))), LogDirError::Io(_)) => {
+                assert!(m.contains(".rrlog"), "{}: local: {m}", row.what);
+            }
+            (Err(StoreError::Local(got)), want) => {
+                assert_eq!(&got, want, "{}: local", row.what);
+            }
+            (other, _) => panic!("{}: local: want a typed error, got {other:?}", row.what),
+        }
+
+        let (addr, server) = fake_server(files, 1);
+        match RemoteStore::new(addr).load_run(&name) {
+            Err(StoreError::Remote { kind, detail }) => {
+                assert_eq!(kind, row.remote, "{}: remote: {detail}", row.what);
+            }
+            other => panic!("{}: remote: want a typed error, got {other:?}", row.what),
+        }
+        server.join().expect("fake server");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }

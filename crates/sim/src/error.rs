@@ -2,8 +2,8 @@
 //!
 //! Every layer below `rr-sim` has its own typed error — `WireError` for
 //! the codec, `PatchError`/`ReplayError`/`VerifyError` for the replay
-//! pipeline, `SimError` for the machine, `SweepError`/`IngestError` for
-//! the parallel engines, `LogDirError` for saved runs. Before this type
+//! pipeline, `SimError` for the machine, `SweepError` for the sweep
+//! engine, `LogDirError` for saved runs. Before this type
 //! existed they crossed crate boundaries ad hoc: experiments binaries
 //! stringified them, `rr-check` panicked, and `replay_and_verify` returned
 //! `String`. [`enum@Error`] is the one type the binaries and the session
@@ -14,7 +14,7 @@
 use core::fmt;
 
 use relaxreplay::WireError;
-use rr_replay::{IngestError, PatchError, ReplayError, VerifyError};
+use rr_replay::{PatchError, ReplayError, VerifyError};
 
 use crate::logdir::LogDirError;
 use crate::machine::SimError;
@@ -33,8 +33,6 @@ pub enum Error {
     LogDir(LogDirError),
     /// A run store (local directory or remote rr-serve backend) failed.
     Store(StoreError),
-    /// Parallel `.rrlog` ingest failed.
-    Ingest(IngestError),
     /// A sweep job failed.
     Sweep(SweepError),
     /// The patching step rejected a log.
@@ -82,7 +80,6 @@ impl fmt::Display for Error {
             Error::Wire(e) => write!(f, "{e}"),
             Error::LogDir(e) => write!(f, "{e}"),
             Error::Store(e) => write!(f, "{e}"),
-            Error::Ingest(e) => write!(f, "{e}"),
             Error::Sweep(e) => write!(f, "{e}"),
             Error::Patch(e) => write!(f, "{e}"),
             Error::Replay(e) => write!(f, "{e}"),
@@ -101,7 +98,6 @@ impl std::error::Error for Error {
             Error::Wire(e) => Some(e),
             Error::LogDir(e) => Some(e),
             Error::Store(e) => Some(e),
-            Error::Ingest(e) => Some(e),
             Error::Sweep(e) => Some(e),
             Error::Patch(e) => Some(e),
             Error::Replay(e) => Some(e),
@@ -133,12 +129,6 @@ impl From<LogDirError> for Error {
 impl From<StoreError> for Error {
     fn from(e: StoreError) -> Self {
         Error::Store(e)
-    }
-}
-
-impl From<IngestError> for Error {
-    fn from(e: IngestError) -> Self {
-        Error::Ingest(e)
     }
 }
 

@@ -1,6 +1,10 @@
-//! Durable on-disk run artifacts: save a recorded run's per-core `.rrlog`
-//! files plus the replay-verification ground truth, and load them back in
-//! a separate invocation — record once, replay many.
+//! Durable run artifacts, and the one codec between a recorded run and
+//! its files: [`RunFiles::encode`] turns a [`RunResult`] into the bytes
+//! of its files, and [`RunFiles::decode`] turns those bytes back into a
+//! [`SavedRun`], checking that every piece agrees on the core count.
+//! Both stores only move these bytes: a local store writes them to a run
+//! directory ([`write_run_dir`]) and reads them back ([`RunFiles::read`]);
+//! `rr-serve` stores them as chunks and ships them back in one `RunBundle`.
 //!
 //! Layout under the root directory passed to `--save-logs`:
 //!
@@ -18,19 +22,16 @@
 //!
 //! Run and variant names become path components verbatim, so they must not
 //! contain separators; [`check_name`] rejects names that do.
-//! [`write_run_dir`] lays a run out from its files' bytes, for local saves
-//! and for runs fetched from `rr-serve` alike.
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use relaxreplay::trace::chrome_trace;
 use relaxreplay::wire::{crc32, read_varint, write_varint};
 use relaxreplay::{IntervalLog, IntervalOrdering, WireError};
 use rr_isa::{MemImage, WORD_BYTES};
 use rr_mem::CoreId;
-use rr_replay::{read_rrlogs_parallel, IngestError, RecordedExecution};
+use rr_replay::{decode_logs_parallel, RecordedExecution};
 
 use crate::machine::RunResult;
 
@@ -50,7 +51,8 @@ pub enum LogDirError {
     Io(String),
     /// An `.rrlog` file failed to decode.
     Wire(WireError),
-    /// The manifest or ground-truth sidecar is malformed.
+    /// The manifest or a sidecar is malformed, or the run's files
+    /// disagree on its core count.
     Malformed(&'static str),
     /// A run or variant name is unusable as a path component.
     BadName(String),
@@ -79,18 +81,6 @@ impl From<WireError> for LogDirError {
 
 fn io_err(path: &Path, e: &std::io::Error) -> LogDirError {
     LogDirError::Io(format!("{}: {e}", path.display()))
-}
-
-/// Lowers a parallel-ingest failure to the log-dir error surface,
-/// preserving the failing path in I/O messages.
-fn ingest_err(e: IngestError) -> LogDirError {
-    match e.source {
-        WireError::Io(m) => LogDirError::Io(match e.path {
-            Some(p) => format!("{}: {m}", p.display()),
-            None => m,
-        }),
-        other => LogDirError::Wire(other),
-    }
 }
 
 /// Validates a run or variant name as a safe path component (non-empty,
@@ -148,8 +138,7 @@ impl SavedRun {
     }
 }
 
-/// One recorder variant of a run directory, as the bytes of its files
-/// (also the RRSP `RunBundle` variant a remote store ships).
+/// One recorder variant of a run directory, as the bytes of its files.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VariantFiles {
     /// The variant's label (`Opt-4K`, …): its subdirectory name.
@@ -160,10 +149,154 @@ pub struct VariantFiles {
     pub ordering: Option<Vec<u8>>,
 }
 
+/// A whole run as the bytes of its files: what a run directory holds and
+/// what an RRSP `RunBundle` carries.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunFiles {
+    /// Recorded core count (the manifest's `cores` line).
+    pub cores: usize,
+    /// Every recorder variant, in recording order.
+    pub variants: Vec<VariantFiles>,
+    /// The `truth.bin` ground-truth sidecar bytes.
+    pub truth: Vec<u8>,
+}
+
+impl RunFiles {
+    /// Encodes a recorded run: each variant's per-core `.rrlog` files (by
+    /// position, so index = core id), its `ordering.bin` when the variant
+    /// recorded an interval order, and the `truth.bin` sidecar.
+    #[must_use]
+    pub fn encode(result: &RunResult) -> RunFiles {
+        RunFiles {
+            cores: result.recorded.load_traces.len(),
+            variants: result
+                .variants
+                .iter()
+                .map(|variant| VariantFiles {
+                    label: variant.spec.label(),
+                    logs: variant.logs.iter().map(IntervalLog::encode).collect(),
+                    ordering: (!variant.ordering.is_empty())
+                        .then(|| encode_ordering(&variant.ordering)),
+                })
+                .collect(),
+            truth: encode_truth(&result.recorded),
+        }
+    }
+
+    /// Total bytes of the run's `.rrlog` files.
+    #[must_use]
+    pub fn log_bytes(&self) -> u64 {
+        self.variants
+            .iter()
+            .flat_map(|v| &v.logs)
+            .map(|log| log.len() as u64)
+            .sum()
+    }
+
+    /// Reads run `name`'s files from `dir/name` as [`write_run_dir`] laid
+    /// them out, without decoding any of them.
+    ///
+    /// # Errors
+    ///
+    /// [`LogDirError::BadName`] for an unusable name, the errors of
+    /// [`read_manifest`], and [`LogDirError::Io`] (naming the path) for a
+    /// missing or unreadable `.rrlog` or `truth.bin`.
+    pub fn read(dir: &Path, name: &str) -> Result<RunFiles, LogDirError> {
+        check_name(name)?;
+        let run_dir = dir.join(name);
+        let (cores, labels) = read_manifest(&run_dir)?;
+        let read = |path: PathBuf| fs::read(&path).map_err(|e| io_err(&path, &e));
+        let variants = labels
+            .into_iter()
+            .map(|label| {
+                let vdir = run_dir.join(&label);
+                let logs = (0..cores)
+                    .map(|k| read(vdir.join(format!("core{k}.rrlog"))))
+                    .collect::<Result<_, _>>()?;
+                let opath = vdir.join("ordering.bin");
+                let ordering = match fs::read(&opath) {
+                    Ok(bytes) => Some(bytes),
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+                    Err(e) => return Err(io_err(&opath, &e)),
+                };
+                Ok(VariantFiles {
+                    label,
+                    logs,
+                    ordering,
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(RunFiles {
+            cores,
+            variants,
+            truth: read(run_dir.join("truth.bin"))?,
+        })
+    }
+
+    /// Decodes the run as `name`, its `.rrlog` files in one parallel batch
+    /// on `workers` ingest threads (0 = the host's available parallelism).
+    /// Every core's log of every variant is an independent stream, so the
+    /// result is identical for any worker count.
+    ///
+    /// # Errors
+    ///
+    /// [`LogDirError::Wire`] if a log fails to decode (truncation and
+    /// corruption are typed, never panics); [`LogDirError::Malformed`] if
+    /// a variant holds a log too few or too many, a log's header names
+    /// another core than its slot, or `ordering.bin` or `truth.bin` is
+    /// damaged or covers another core count.
+    pub fn decode(&self, name: &str, workers: usize) -> Result<SavedRun, LogDirError> {
+        let cores = self.cores;
+        if self.variants.iter().any(|v| v.logs.len() != cores) {
+            return Err(LogDirError::Malformed("variant log count != run cores"));
+        }
+        let streams: Vec<&[u8]> = self
+            .variants
+            .iter()
+            .flat_map(|v| &v.logs)
+            .map(Vec::as_slice)
+            .collect();
+        let mut logs = decode_logs_parallel(&streams, workers)
+            .map_err(|e| LogDirError::Wire(e.source))?
+            .into_iter();
+        let mut variants = Vec::with_capacity(self.variants.len());
+        for v in &self.variants {
+            let logs: Vec<IntervalLog> = logs.by_ref().take(cores).collect();
+            if logs
+                .iter()
+                .enumerate()
+                .any(|(k, log)| log.core.index() != k)
+            {
+                return Err(LogDirError::Malformed("log header names another core"));
+            }
+            let ordering = v.ordering.as_deref().map(decode_ordering).transpose()?;
+            if ordering.as_ref().is_some_and(|o| o.len() != cores) {
+                return Err(LogDirError::Malformed(
+                    "ordering sidecar core count != run cores",
+                ));
+            }
+            variants.push(SavedVariant {
+                label: v.label.clone(),
+                logs,
+                ordering,
+            });
+        }
+        let recorded = decode_truth(&self.truth)?;
+        if recorded.load_traces.len() != cores {
+            return Err(LogDirError::Malformed("truth trace count != run cores"));
+        }
+        Ok(SavedRun {
+            name: name.to_string(),
+            variants,
+            recorded,
+        })
+    }
+}
+
 /// Writes run `name` under `dir` in the layout of the module docs (plus
-/// the text `sidecars` in the run directory), the manifest last. Every name is [`check_name`]d before
-/// anything is created, so none can place a file outside `dir/name`.
-/// Returns the total `.rrlog` bytes written.
+/// the text `sidecars` in the run directory), the manifest last. Every
+/// name is [`check_name`]d before anything is created, so none can place
+/// a file outside `dir/name`. Returns the total `.rrlog` bytes written.
 ///
 /// # Errors
 ///
@@ -172,13 +305,11 @@ pub struct VariantFiles {
 pub fn write_run_dir(
     dir: &Path,
     name: &str,
-    cores: usize,
-    variants: &[VariantFiles],
-    truth: &[u8],
+    files: &RunFiles,
     sidecars: &[(&str, String)],
 ) -> Result<u64, LogDirError> {
     check_name(name)?;
-    for v in variants {
+    for v in &files.variants {
         check_name(&v.label)?;
     }
     for (file, _) in sidecars {
@@ -187,15 +318,12 @@ pub fn write_run_dir(
     let write = |path: &Path, bytes: &[u8]| fs::write(path, bytes).map_err(|e| io_err(path, &e));
     let run_dir = dir.join(name);
     fs::create_dir_all(&run_dir).map_err(|e| io_err(&run_dir, &e))?;
-    let mut manifest = format!("cores {cores}\n");
-    let mut log_bytes = 0u64;
-    for v in variants {
+    let mut manifest = format!("cores {}\n", files.cores);
+    for v in &files.variants {
         let vdir = run_dir.join(&v.label);
         fs::create_dir_all(&vdir).map_err(|e| io_err(&vdir, &e))?;
         for (k, log) in v.logs.iter().enumerate() {
-            let path = vdir.join(format!("core{k}.rrlog"));
-            write(&path, log)?;
-            log_bytes += log.len() as u64;
+            write(&vdir.join(format!("core{k}.rrlog")), log)?;
         }
         if let Some(ord) = &v.ordering {
             write(&vdir.join("ordering.bin"), ord)?;
@@ -203,53 +331,12 @@ pub fn write_run_dir(
         manifest.push_str(&v.label);
         manifest.push('\n');
     }
-    write(&run_dir.join("truth.bin"), truth)?;
+    write(&run_dir.join("truth.bin"), &files.truth)?;
     for (file, text) in sidecars {
         write(&run_dir.join(file), text.as_bytes())?;
     }
     write(&run_dir.join("manifest.txt"), manifest.as_bytes())?;
-    Ok(log_bytes)
-}
-
-/// Saves one recorded run under `dir/name` through [`write_run_dir`]:
-/// per-variant `.rrlog` files and interval orderings, the ground-truth
-/// sidecar, the trace sidecars when the run was traced, and a manifest.
-/// Returns the total bytes written to `.rrlog` files.
-///
-/// # Errors
-///
-/// Returns [`LogDirError`] on filesystem failure or unusable names.
-pub(crate) fn save_run_impl(
-    dir: &Path,
-    name: &str,
-    result: &RunResult,
-) -> Result<u64, LogDirError> {
-    let variants: Vec<VariantFiles> = result
-        .variants
-        .iter()
-        .map(|variant| VariantFiles {
-            label: variant.spec.label(),
-            logs: variant.logs.iter().map(IntervalLog::encode).collect(),
-            ordering: (!variant.ordering.is_empty()).then(|| encode_ordering(&variant.ordering)),
-        })
-        .collect();
-    // Trace sidecars ride along when the run was recorded with tracing on:
-    // the raw timeline as JSONL plus a Perfetto-loadable Chrome trace.
-    let sidecars = match &result.trace {
-        Some(trace) => vec![
-            ("trace.jsonl", trace.to_jsonl(name)),
-            ("trace.json", chrome_trace(&[(name.to_string(), trace)])),
-        ],
-        None => Vec::new(),
-    };
-    write_run_dir(
-        dir,
-        name,
-        result.recorded.load_traces.len(),
-        &variants,
-        &encode_truth(&result.recorded),
-        &sidecars,
-    )
+    Ok(files.log_bytes())
 }
 
 /// Reads `run_dir/manifest.txt`: the core count and the variant labels,
@@ -284,80 +371,6 @@ pub fn read_manifest(run_dir: &Path) -> Result<(usize, Vec<String>), LogDirError
     Ok((cores, labels))
 }
 
-/// Loads a run previously written by [`save_run_impl`] from `dir/name`,
-/// decoding the whole run's `.rrlog` set in one parallel batch on
-/// `workers` ingest threads (0 = the host's available parallelism). Every
-/// core's log of every variant is an independent stream, so the result is
-/// identical for any worker count.
-///
-/// # Errors
-///
-/// Returns [`LogDirError`] if the directory is missing, the manifest or
-/// sidecar is malformed, or any `.rrlog` fails to decode (truncation and
-/// corruption surface as typed [`WireError`]s, never panics).
-pub(crate) fn load_run_impl(
-    dir: &Path,
-    name: &str,
-    workers: usize,
-) -> Result<SavedRun, LogDirError> {
-    check_name(name)?;
-    let run_dir = dir.join(name);
-    let (cores, labels) = read_manifest(&run_dir)?;
-    let paths: Vec<PathBuf> = labels
-        .iter()
-        .flat_map(|label| {
-            let vdir = run_dir.join(label);
-            (0..cores).map(move |k| vdir.join(format!("core{k}.rrlog")))
-        })
-        .collect();
-    let logs = read_rrlogs_parallel(&paths, workers).map_err(ingest_err)?;
-
-    let mut variants = Vec::new();
-    let mut it = logs.into_iter();
-    for label in labels {
-        let logs: Vec<IntervalLog> = it.by_ref().take(cores).collect();
-        for (k, log) in logs.iter().enumerate() {
-            if log.core.index() != k {
-                return Err(LogDirError::Malformed("core id does not match file name"));
-            }
-        }
-        let opath = run_dir.join(&label).join("ordering.bin");
-        let ordering = match fs::read(&opath) {
-            Ok(bytes) => {
-                let ord = decode_ordering(&bytes)?;
-                if ord.len() != cores {
-                    return Err(LogDirError::Malformed(
-                        "ordering sidecar core count != manifest cores",
-                    ));
-                }
-                Some(ord)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(io_err(&opath, &e)),
-        };
-        variants.push(SavedVariant {
-            label,
-            logs,
-            ordering,
-        });
-    }
-
-    let truth_path = run_dir.join("truth.bin");
-    let truth_bytes = fs::read(&truth_path).map_err(|e| io_err(&truth_path, &e))?;
-    let recorded = decode_truth(&truth_bytes)?;
-    if recorded.load_traces.len() != cores {
-        return Err(LogDirError::Malformed(
-            "truth trace count != manifest cores",
-        ));
-    }
-
-    Ok(SavedRun {
-        name: name.to_string(),
-        variants,
-        recorded,
-    })
-}
-
 /// Names of every run saved under `dir`, sorted for determinism.
 ///
 /// # Errors
@@ -382,10 +395,6 @@ pub(crate) fn list_runs_impl(dir: &Path) -> Result<Vec<String>, LogDirError> {
 /// Serializes the ground truth: magic + version, varint-encoded final
 /// memory (its non-zero words as address/value pairs in address order) and
 /// per-thread load traces, closed with a CRC32 over everything before it.
-///
-/// Public because remote stores ship the same sidecar bytes over the wire:
-/// a run saved through `rr-serve` carries a `truth.bin` byte-identical to
-/// the local one.
 #[must_use]
 pub fn encode_truth(recorded: &RecordedExecution) -> Vec<u8> {
     let mut out = Vec::new();
@@ -413,10 +422,6 @@ pub fn encode_truth(recorded: &RecordedExecution) -> Vec<u8> {
 /// Serializes the per-core interval partial order: magic + version, core
 /// count, then per core the interval count followed by each interval's
 /// timestamp, barrier flag and predecessor list; closed with a CRC32.
-///
-/// Public for the same reason as [`encode_truth`]: the `ordering.bin`
-/// sidecar travels verbatim between local run directories and remote
-/// stores.
 #[must_use]
 pub fn encode_ordering(ordering: &[IntervalOrdering]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -449,7 +454,7 @@ pub fn encode_ordering(ordering: &[IntervalOrdering]) -> Vec<u8> {
 ///
 /// Returns [`LogDirError::Malformed`] on any header, CRC, or structural
 /// damage — never panics.
-pub fn decode_ordering(bytes: &[u8]) -> Result<Vec<IntervalOrdering>, LogDirError> {
+fn decode_ordering(bytes: &[u8]) -> Result<Vec<IntervalOrdering>, LogDirError> {
     const MALFORMED: LogDirError = LogDirError::Malformed("ordering sidecar truncated");
     if bytes.len() < 10 || &bytes[..4] != ORDER_MAGIC {
         return Err(LogDirError::Malformed("bad ordering sidecar header"));
@@ -508,7 +513,7 @@ pub fn decode_ordering(bytes: &[u8]) -> Result<Vec<IntervalOrdering>, LogDirErro
 ///
 /// Returns [`LogDirError::Malformed`] on any header, CRC, or structural
 /// damage — never panics.
-pub fn decode_truth(bytes: &[u8]) -> Result<RecordedExecution, LogDirError> {
+fn decode_truth(bytes: &[u8]) -> Result<RecordedExecution, LogDirError> {
     const MALFORMED: LogDirError = LogDirError::Malformed("truth sidecar truncated");
     if bytes.len() < 10 || &bytes[..4] != TRUTH_MAGIC {
         return Err(LogDirError::Malformed("bad truth sidecar header"));

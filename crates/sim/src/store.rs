@@ -9,16 +9,24 @@
 //! `rr-inspect` — speaks the trait, so a plain directory path and an
 //! `rr://host:port/run` URL are interchangeable.
 //!
-//! * [`LocalStore`] wraps the `logdir` run-directory format.
+//! * [`LocalStore`] writes a run's [`RunFiles`] into a `logdir` run
+//!   directory and reads them back.
 //! * `RemoteStore` (in the `rr-serve` crate, which depends on this one)
-//!   speaks the RRSP/v2 protocol to a running `rr-serve`.
+//!   ships the same [`RunFiles`] over the RRSP/v2 protocol to a running
+//!   `rr-serve`.
 //! * [`StoreSpec`] is the URL parser: pure string classification with no
 //!   networking, so `rr-sim` stays free of any transport dependency.
+//!
+//! Both stores decode through [`RunFiles::decode`], so a run loads the
+//! same, with the same checks, from either.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::logdir::{self, LogDirError, SavedRun};
+use relaxreplay::trace::chrome_trace;
+use relaxreplay::wire::chunk_spans;
+
+use crate::logdir::{self, LogDirError, RunFiles, SavedRun};
 use crate::machine::RunResult;
 
 /// Where a run store lives, parsed from a CLI argument or environment
@@ -351,12 +359,23 @@ impl RunStore for LocalStore {
         self.root.display().to_string()
     }
 
+    /// Writes the run's [`RunFiles`] under the root, plus the trace
+    /// sidecars when the run was recorded with tracing on: the raw
+    /// timeline as JSONL and a Perfetto-loadable Chrome trace.
     fn save_run(&self, name: &str, result: &RunResult) -> Result<u64, StoreError> {
-        Ok(logdir::save_run_impl(&self.root, name, result)?)
+        let sidecars = match &result.trace {
+            Some(trace) => vec![
+                ("trace.jsonl", trace.to_jsonl(name)),
+                ("trace.json", chrome_trace(&[(name.to_string(), trace)])),
+            ],
+            None => Vec::new(),
+        };
+        let files = RunFiles::encode(result);
+        Ok(logdir::write_run_dir(&self.root, name, &files, &sidecars)?)
     }
 
     fn load_run_with(&self, name: &str, workers: usize) -> Result<SavedRun, StoreError> {
-        Ok(logdir::load_run_impl(&self.root, name, workers)?)
+        Ok(RunFiles::read(&self.root, name)?.decode(name, workers)?)
     }
 
     fn list_runs(&self) -> Result<Vec<String>, StoreError> {
@@ -364,41 +383,29 @@ impl RunStore for LocalStore {
     }
 
     fn stat_run(&self, name: &str) -> Result<RunStat, StoreError> {
-        logdir::check_name(name)?;
-        let run_dir = self.root.join(name);
-        let (cores, labels) = logdir::read_manifest(&run_dir)?;
+        let files = RunFiles::read(&self.root, name)?;
         let mut variants = Vec::new();
-        for label in labels {
-            let vdir = run_dir.join(&label);
+        for v in files.variants {
             let mut chunks = 0u64;
-            let mut log_bytes = 0u64;
-            for k in 0..cores {
-                let path = vdir.join(format!("core{k}.rrlog"));
-                let bytes = std::fs::read(&path)
-                    .map_err(|e| LogDirError::Io(format!("{}: {e}", path.display())))?;
-                let (_, _, spans, damage) =
-                    relaxreplay::wire::chunk_spans(&bytes).map_err(LogDirError::Wire)?;
+            for bytes in &v.logs {
+                let (_, _, spans, damage) = chunk_spans(bytes).map_err(LogDirError::Wire)?;
                 if let Some(e) = damage {
                     return Err(StoreError::Local(LogDirError::Wire(e)));
                 }
                 chunks += spans.len() as u64;
-                log_bytes += bytes.len() as u64;
             }
             variants.push(VariantStat {
-                label,
+                log_bytes: v.logs.iter().map(|log| log.len() as u64).sum(),
+                label: v.label,
                 chunks,
-                log_bytes,
-                has_ordering: vdir.join("ordering.bin").is_file(),
+                has_ordering: v.ordering.is_some(),
             });
         }
-        let truth_bytes = std::fs::metadata(run_dir.join("truth.bin"))
-            .map(|m| m.len())
-            .unwrap_or(0);
         Ok(RunStat {
             name: name.to_string(),
-            cores,
+            cores: files.cores,
             variants,
-            truth_bytes,
+            truth_bytes: files.truth.len() as u64,
             dedup: None,
         })
     }

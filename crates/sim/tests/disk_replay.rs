@@ -200,3 +200,32 @@ fn manifest_claiming_more_than_256_cores_is_malformed() {
         StoreError::Local(want)
     );
 }
+
+/// A run whose `truth.bin` is gone cannot be loaded, so `stat_run` refuses
+/// it with the same typed I/O error as `load_run`, naming the file,
+/// rather than reporting a 0-byte sidecar.
+#[test]
+fn stat_of_a_run_without_its_truth_sidecar_is_an_io_error() {
+    let scratch = ScratchDir::new("disk_stat_no_truth");
+    let store = LocalStore::new(&scratch.0);
+    let w = &suite(2, 1)[0];
+    let result = RecordSession::new(&w.programs, &w.initial_mem)
+        .config(&MachineConfig::splash_default(2))
+        .run()
+        .expect("records");
+    store.save_run(w.name, &result).expect("saves");
+    assert!(store.stat_run(w.name).expect("stats").truth_bytes > 0);
+
+    fs::remove_file(scratch.0.join(w.name).join("truth.bin")).expect("delete truth.bin");
+    for (what, result) in [
+        ("stat", store.stat_run(w.name).map(drop)),
+        ("load", store.load_run(w.name).map(drop)),
+    ] {
+        match result {
+            Err(StoreError::Local(LogDirError::Io(m))) => {
+                assert!(m.contains("truth.bin"), "{what}: {m}");
+            }
+            other => panic!("{what}: want a typed I/O error, got {other:?}"),
+        }
+    }
+}
