@@ -5,7 +5,7 @@
 //! It times encode/decode at 1K / 100K / 10M / 100M entries (the 100M
 //! stream is generated straight through a `ChunkedWriter` and decoded
 //! into a reused output log — the replay engine's steady-state ingest
-//! pattern) and `decode_logs_parallel` at 1/2/8 workers, writes the
+//! pattern) and pooled ingest (`ordered_pool`) at 1/2/8 workers, writes the
 //! results as `BENCH_codec.json` through the shared `rr_bench::run`
 //! harness, and — on every invocation — decodes the checked-in sample
 //! `.rrlog` (`data/sample_v3.rrlog`) with the fast decoder, the
@@ -35,7 +35,7 @@ use rr_bench::compare::host_cpus;
 use rr_bench::{median_ns, BenchArgs};
 use rr_mem::CoreId;
 use rr_reference::decode_chunked_reference;
-use rr_replay::decode_logs_parallel;
+use rr_replay::ordered_pool;
 
 /// Appends step `i` of the synthetic entry mix to `out`: a long inorder
 /// run, periodic reordered loads/stores, the odd RMW, one frame per
@@ -234,7 +234,7 @@ fn bench_parallel(smoke: bool, out: &mut Vec<Sample>) -> Result<(), String> {
     let total: usize = logs.iter().map(Vec::len).sum();
     // Serial baseline for the workers=1 overhead gate below: the same
     // decodes, plain loop, no pool in sight. Collect into a Vec exactly
-    // like `decode_logs_parallel` returns — dropping each log as it
+    // like the pooled decode returns — dropping each log as it
     // decodes would give the baseline a smaller live-memory peak (one log
     // vs eight) and turn the gate into an allocator benchmark.
     let serial_ns = median_ns(smoke, || {
@@ -248,7 +248,10 @@ fn bench_parallel(smoke: bool, out: &mut Vec<Sample>) -> Result<(), String> {
     for workers in [1usize, 2, 8] {
         let ns = median_ns(smoke, || {
             std::hint::black_box(
-                decode_logs_parallel(std::hint::black_box(&streams), workers).expect("decodes"),
+                ordered_pool(streams.len(), workers, |i| {
+                    decode_chunked(std::hint::black_box(streams[i]))
+                })
+                .expect("decodes"),
             );
         });
         if workers == 1 {

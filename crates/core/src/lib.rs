@@ -91,7 +91,9 @@ pub use crate::prof::{
     engine_chrome_trace, validate_prof_json, CodecPhases, EngineProf, Span, SpanKind, WorkerProf,
 };
 pub use hash::{rr_hash64, H3};
-pub use recorder::{Design, IntervalOrdering, Recorder, RecorderConfig, RecorderStats};
+pub use recorder::{
+    reduce_orderings, Design, IntervalOrdering, Recorder, RecorderConfig, RecorderStats,
+};
 pub use signature::Signature;
 pub use snoop_table::{SnoopSample, SnoopTable};
 pub use wire::{

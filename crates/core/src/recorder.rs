@@ -40,37 +40,97 @@ enum Termination {
 }
 
 /// A per-processor partial order of intervals, recorded alongside the
-/// total-order timestamps (the Cyrus-style pairing the paper's §3.6
-/// describes: "RelaxReplay can be paired with any chunk-based MRR scheme";
-/// a scheme that records a partial order admits **parallel replay**).
+/// total-order timestamps of the log's frames (the Cyrus-style pairing
+/// the paper's §3.6 describes: "RelaxReplay can be paired with any
+/// chunk-based MRR scheme"; a partial order admits **parallel replay**).
 ///
-/// For each interval (by ordinal, matching the log's frame order):
-///
-/// * `preds` — intervals of *other* cores that must replay first. An edge
+/// * `preds` — for each interval (by ordinal, matching the log's frame
+///   order), intervals of *other* cores that must replay first. An edge
 ///   is created whenever this core's coherence transaction was observed by
 ///   another core: the observer replies with its latest closed interval
 ///   (the conflicting one if the snoop terminated it, conservatively the
 ///   previous one otherwise), exactly the information Cyrus piggybacks on
-///   coherence replies. The recorder keeps at most one entry per source
-///   core, the latest interval it named, in core order: replay runs a
-///   core's intervals in log order, so that entry implies every earlier
-///   one (Jones, Khan and Vaidya's point that a record only needs the
-///   edges no other edge implies). Lists decoded from older sidecars may
-///   repeat a core; the DAG build reduces them to the same maximum.
-/// * `barrier` — the interval was closed by a dirty eviction (directory
-///   mode): after it, this core stops observing the line, so the interval
-///   must conservatively precede every later-timestamped interval.
-/// * `timestamps` — the frame timestamps, for barrier ordering.
+///   coherence replies. The recorder keeps the latest interval each
+///   source core named (it implies the earlier ones), and
+///   [`reduce_orderings`] then drops every entry another path implies
+///   (Jones, Khan and Vaidya: a record needs only those edges).
+/// * `barriers` — the ordinals of the intervals closed by a dirty
+///   eviction (directory mode), ascending: this core stops observing the
+///   line, so each must precede every later-timestamped interval.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IntervalOrdering {
     /// Cross-core predecessors `(source core, source ordinal)`, one list
-    /// per interval; as recorded, at most one entry per source core,
-    /// sorted by core.
+    /// per interval, so its length is the interval count. Each list is
+    /// sorted by core with at most one entry per source core.
     pub preds: Vec<Vec<(CoreId, u64)>>,
-    /// Barrier flags, one per interval.
-    pub barriers: Vec<bool>,
-    /// Frame timestamps, one per interval.
-    pub timestamps: Vec<u64>,
+    /// Ordinals of the barrier intervals, ascending.
+    pub barriers: Vec<u64>,
+}
+
+/// Reduces every predecessor list to the exact transitive reduction over
+/// the same-core chains: an entry stays only when neither its interval's
+/// chain predecessor nor another of its entries already reaches it. The
+/// closure is unchanged and its reduction unique, so orderings with one
+/// closure reduce alike. Entries that order nothing (own core, a core
+/// outside the set, an interval never closed) are dropped.
+///
+/// One topological pass keeps a vector clock per interval: per core, one
+/// more than the latest of its intervals that reaches this one. Intervals
+/// on or after a cycle (corrupt input) keep their lists, so the DAG build
+/// still rejects them.
+pub fn reduce_orderings(orderings: &mut [IntervalOrdering]) {
+    let cores = orderings.len();
+    let counts: Vec<u64> = orderings.iter().map(|o| o.preds.len() as u64).collect();
+    let mut first = vec![0usize; cores + 1];
+    for c in 0..cores {
+        first[c + 1] = first[c] + counts[c] as usize;
+    }
+    let row = |c: usize, k: u64| (first[c] + k as usize) * cores;
+    let mut clocks = vec![0u64; first[cores] * cores];
+    let mut next = vec![0u64; cores];
+    let mut named = Vec::new();
+    let mut progressed = true;
+    while progressed {
+        progressed = false;
+        for c in 0..cores {
+            while next[c] < counts[c] {
+                let k = next[c];
+                let preds = &mut orderings[c].preds[k as usize];
+                let orders = |&(d, j): &(CoreId, u64)| {
+                    d.index() != c && d.index() < cores && j < counts[d.index()]
+                };
+                if preds.iter().any(|e| orders(e) && e.1 >= next[e.0.index()]) {
+                    break;
+                }
+                // The latest named interval of each core implies its earlier ones.
+                preds.retain(orders);
+                preds.sort_unstable_by_key(|&(d, j)| (d, std::cmp::Reverse(j)));
+                preds.dedup_by_key(|e| e.0);
+                let at = row(c, k);
+                if k > 0 {
+                    clocks.copy_within(at - cores..at, at);
+                }
+                for &(d, j) in preds.iter() {
+                    let from = row(d.index(), j);
+                    for i in 0..cores {
+                        clocks[at + i] = clocks[at + i].max(clocks[from + i]);
+                    }
+                }
+                clocks[at + c] = k + 1;
+                named.clone_from(preds);
+                let reaches = |from: usize, (d, j): (CoreId, u64)| clocks[from + d.index()] > j;
+                preds.retain(|&e| {
+                    let implied = (k > 0 && reaches(at - cores, e))
+                        || named
+                            .iter()
+                            .any(|&(d, j)| d != e.0 && reaches(row(d.index(), j), e));
+                    !implied
+                });
+                next[c] += 1;
+                progressed = true;
+            }
+        }
+    }
 }
 
 /// Recorder configuration (paper Table 1, "RelaxReplay Parameters").
@@ -268,8 +328,6 @@ pub struct Recorder {
     /// scratch list reused across intervals, so adding to it allocates only
     /// until it has grown to the core count.
     current_preds: Vec<(CoreId, u64)>,
-    /// Set when the current interval is being closed by a dirty eviction.
-    closing_is_barrier: bool,
     stats: RecorderStats,
     finished: bool,
     /// Event tracing: when attached, the recorder's decisions are captured
@@ -332,7 +390,6 @@ impl Recorder {
             log: IntervalLog::new(core),
             ordering: IntervalOrdering::default(),
             current_preds: Vec::new(),
-            closing_is_barrier: false,
             stats: RecorderStats {
                 traq_hist: vec![0; cfg.traq_entries / 10 + 1],
                 ..RecorderStats::default()
@@ -353,7 +410,7 @@ impl Recorder {
     pub fn set_tracer(&mut self, ring: TraceRing) {
         self.tracer = Some(ring);
         let cisn = self.cisn;
-        let ordinal = self.ordering.timestamps.len() as u64;
+        let ordinal = self.ordering.preds.len() as u64;
         self.trace(0, TraceEvent::IntervalOpen { cisn, ordinal });
     }
 
@@ -469,8 +526,21 @@ impl Recorder {
     /// Panics if [`Recorder::finish`] has not been called.
     #[must_use]
     pub fn into_log(self) -> IntervalLog {
-        assert!(self.finished, "finish() must be called before into_log()");
-        self.log
+        self.into_parts().0
+    }
+
+    /// Consumes the recorder, returning its log and its interval order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Recorder::finish`] has not been called.
+    #[must_use]
+    pub fn into_parts(self) -> (IntervalLog, IntervalOrdering) {
+        assert!(
+            self.finished,
+            "finish() must be called before taking the log"
+        );
+        (self.log, self.ordering)
     }
 
     /// Accumulated statistics.
@@ -563,8 +633,10 @@ impl Recorder {
             // For the partial order (parallel replay), an eviction-closed
             // interval must precede every later-timestamped interval: this
             // core stops observing the line, so no more edges can be
-            // generated for it.
-            self.closing_is_barrier = true;
+            // generated for it. The closing interval's ordinal is the
+            // number of intervals closed before it.
+            let ordinal = self.ordering.preds.len() as u64;
+            self.ordering.barriers.push(ordinal);
             self.terminate_interval(cycle, Termination::Conflict);
         }
     }
@@ -593,7 +665,7 @@ impl Recorder {
     /// ordinal).
     #[must_use]
     pub fn intervals_completed(&self) -> u64 {
-        self.ordering.timestamps.len() as u64
+        self.ordering.preds.len() as u64
     }
 
     /// The recorded partial order of this core's intervals (parallel
@@ -852,7 +924,7 @@ impl Recorder {
                 Termination::Forced => CloseReason::Forced,
             };
             let cisn = self.cisn;
-            let ordinal = self.ordering.timestamps.len() as u64;
+            let ordinal = self.ordering.preds.len() as u64;
             let instrs = self.instrs_in_interval;
             self.trace(
                 cycle,
@@ -871,9 +943,6 @@ impl Recorder {
         });
         self.ordering.preds.push(self.current_preds.clone());
         self.current_preds.clear();
-        self.ordering.barriers.push(self.closing_is_barrier);
-        self.ordering.timestamps.push(cycle);
-        self.closing_is_barrier = false;
         self.entries_since_frame = 0;
         self.cisn = self.cisn.wrapping_add(1);
         self.instrs_in_interval = 0;
@@ -881,7 +950,7 @@ impl Recorder {
         self.write_sig.clear();
         if self.tracer.is_some() {
             let cisn = self.cisn;
-            let ordinal = self.ordering.timestamps.len() as u64;
+            let ordinal = self.ordering.preds.len() as u64;
             self.trace(cycle, TraceEvent::IntervalOpen { cisn, ordinal });
         }
         self.drain_into_sink();

@@ -32,8 +32,9 @@
 //! `dag` patches each variant's logs and builds the replay interval DAG —
 //! the recorded partial order when the run carries an `ordering.bin`
 //! sidecar, otherwise the timestamp total order — and reports the node
-//! count, the recorded predecessor entries (`preds`), the DAG's edge count
-//! (same-core chains, one cross-core edge per interval and source core,
+//! count, the recorded predecessor entries (`preds`: the transitive
+//! reduction, only the cross-core entries no other edge implies), the
+//! DAG's edge count (same-core chains, one cross-core edge per entry,
 //! barriers), the sidecar's encoded size (`ordering B`), critical-path
 //! length, maximum antichain width, and the ideal speedup bound
 //! `nodes / critical_path` that the parallel replay engine cannot exceed

@@ -10,7 +10,8 @@
 //! * **cross-core predecessor edges** — the Cyrus-style partial order the
 //!   recorder piggybacks on coherence replies ([`IntervalOrdering::preds`]);
 //! * **barrier intervals** — conservative total ordering around
-//!   directory-mode dirty evictions ([`IntervalOrdering::barriers`]).
+//!   directory-mode dirty evictions ([`IntervalOrdering::barriers`]),
+//!   placed by the interval timestamps of the log's frames.
 //!
 //! Two constructors cover the two ordering sources: [`IntervalDag::total_order`]
 //! chains every interval in recorded (timestamp, core) order — the paper's
@@ -66,8 +67,8 @@ pub struct DagStats {
     /// Interval count.
     pub nodes: usize,
     /// Dependency-edge count: same-core chain edges, one cross-core edge
-    /// per (interval, source core) — the latest interval that core named
-    /// — and barrier edges.
+    /// per predecessor entry that names a logged interval of another core,
+    /// and barrier edges.
     pub edges: usize,
     /// Number of replayed cores.
     pub threads: usize,
@@ -182,11 +183,10 @@ impl<'a> IntervalDag<'a> {
     /// `orderings` (paper §3.6). Validated acyclic, so every executor can
     /// rely on making progress.
     ///
-    /// Each interval gets one cross-core edge per source core, from the
-    /// latest interval of that core its predecessor list names; the
-    /// same-core chain implies the earlier ones. Lists that repeat a core
-    /// (orderings recorded before the recorder kept only that maximum)
-    /// build the same DAG.
+    /// Nodes keep their frames' timestamps. Each entry naming a logged
+    /// interval of another core is one edge: recorded orderings are
+    /// reduced ([`relaxreplay::reduce_orderings`]), and a longer list with
+    /// the same closure builds more edges and the same schedules.
     ///
     /// # Errors
     ///
@@ -209,32 +209,27 @@ impl<'a> IntervalDag<'a> {
         }
         let (per_core, events) = split_intervals(threads, logs)?;
 
-        // Re-stamp nodes from the ordering (frame timestamps + barrier
-        // flags), validating lengths up front.
-        let mut first_of_core = Vec::with_capacity(per_core.len());
+        // Validate lengths up front and mark the barrier intervals; a
+        // barrier past the log's last interval orders nothing.
+        let mut first_of_core = vec![0];
         let mut nodes: Vec<IntervalNode<'a>> = Vec::new();
-        for (c, (core_nodes, ord)) in per_core.into_iter().zip(orderings).enumerate() {
-            let ordered = ord.timestamps.len().min(ord.barriers.len());
-            if core_nodes.len() > ordered {
+        for (c, (mut core_nodes, ord)) in per_core.into_iter().zip(orderings).enumerate() {
+            if core_nodes.len() > ord.preds.len() {
                 return Err(ReplayError::OrderingMismatch {
                     core: c,
                     intervals: core_nodes.len(),
-                    ordered,
+                    ordered: ord.preds.len(),
                 });
             }
-            first_of_core.push(nodes.len());
-            for (k, mut n) in core_nodes.into_iter().enumerate() {
-                n.timestamp = ord.timestamps[k];
-                n.barrier = ord.barriers[k];
-                nodes.push(n);
+            for &b in &ord.barriers {
+                if let Some(n) = usize::try_from(b).ok().and_then(|b| core_nodes.get_mut(b)) {
+                    n.barrier = true;
+                }
             }
+            nodes.extend(core_nodes);
+            first_of_core.push(nodes.len());
         }
-        let total = nodes.len();
-        let intervals_of = |core: usize| -> usize {
-            let start = first_of_core[core];
-            let end = first_of_core.get(core + 1).copied().unwrap_or(total);
-            end - start
-        };
+        let intervals_of = |core: usize| first_of_core[core + 1] - first_of_core[core];
         let node_id =
             |core: usize, ordinal: u64| -> usize { first_of_core[core] + ordinal as usize };
 
@@ -252,20 +247,11 @@ impl<'a> IntervalDag<'a> {
                 add_edge(&mut nodes, node_id(c, k as u64 - 1), node_id(c, k as u64));
             }
         }
-        // Cross-core predecessor edges: per node, the latest named interval
-        // of each source core, in core order. The same-core chain orders
-        // every earlier interval of that core before it, so the maximum
-        // alone keeps the closure. The recorder stores only the maximum;
-        // sidecars written before it did list one entry per observation.
-        let mut latest: Vec<Option<u64>> = vec![None; logs.len()];
+        // Cross-core predecessor edges, one per entry. Edges into or out of
+        // intervals the log never closed (a trailing open one) constrain
+        // nothing.
         for (c, ord) in orderings.iter().enumerate() {
-            for (k, preds) in ord.preds.iter().enumerate() {
-                if k >= intervals_of(c) {
-                    // Orderings may extend past the last *logged* interval
-                    // (e.g. a trailing open interval); edges into intervals
-                    // the log never closed constrain nothing.
-                    continue;
-                }
+            for (k, preds) in ord.preds.iter().enumerate().take(intervals_of(c)) {
                 for &(src_core, src_ord) in preds {
                     let sc = src_core.index();
                     // A corrupted ordering can name a core outside the
@@ -276,14 +262,8 @@ impl<'a> IntervalDag<'a> {
                             threads: logs.len(),
                         });
                     }
-                    if sc != c && (src_ord as usize) < intervals_of(sc) {
-                        latest[sc] = latest[sc].max(Some(src_ord));
-                    }
-                }
-                let to = node_id(c, k as u64);
-                for (sc, slot) in latest.iter_mut().enumerate() {
-                    if let Some(src_ord) = slot.take() {
-                        add_edge(&mut nodes, node_id(sc, src_ord), to);
+                    if sc != c && src_ord < intervals_of(sc) as u64 {
+                        add_edge(&mut nodes, node_id(sc, src_ord), node_id(c, k as u64));
                     }
                 }
             }

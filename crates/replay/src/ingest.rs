@@ -1,47 +1,14 @@
-//! Parallel per-core `.rrlog` ingest.
-//!
-//! Each core's log is an independent stream — nothing about decoding core
-//! *k* depends on core *j* — so a multi-core recording can be decoded on a
-//! worker pool before the replayers start consuming. The pool mirrors the
-//! sweep engine's shape (scoped threads, an atomic work cursor, per-slot
-//! results) so outputs come back in input order and the first failure is
-//! attributed deterministically regardless of worker interleaving.
-//!
-//! Decoding is the batched fast path of `relaxreplay::wire`: each worker
-//! decodes one whole in-memory stream ([`decode_chunked`]), so ingest of
-//! an eight-core run costs roughly one core-log's decode time once the
-//! pool is wide enough. The streams' bytes come from whichever store
-//! holds the run: outside benches, `rr_sim::logdir::RunFiles::decode` is
-//! the one caller, for a run read from a local directory and a run
-//! fetched from `rr-serve` alike.
+//! The one ordered worker pool, [`ordered_pool`], that per-core `.rrlog`
+//! ingest and the sweep engine both run on. Each core's log is an
+//! independent stream, so a multi-core recording decodes one whole
+//! in-memory stream per job before the replayers start; outside benches,
+//! `rr_sim::logdir::RunFiles::decode` is the one caller, for local and
+//! `rr-serve` runs alike. Scoped threads, an atomic work cursor and
+//! per-slot results bring outputs back in input order and attribute the
+//! first failure deterministically whatever the worker interleaving.
 
-use core::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use relaxreplay::wire::decode_chunked;
-use relaxreplay::{IntervalLog, WireError};
-
-/// An ingest failure, attributed to the stream that caused it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IngestError {
-    /// Index of the failing stream in the input order.
-    pub index: usize,
-    /// The underlying wire failure.
-    pub source: WireError,
-}
-
-impl fmt::Display for IngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "log {}: {}", self.index, self.source)
-    }
-}
-
-impl std::error::Error for IngestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
 
 /// The host's available parallelism (1 when it cannot be determined):
 /// the worker count of every pool — ingest, sweep, threaded replay —
@@ -51,26 +18,40 @@ pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs `job(0..n)` across `workers` scoped threads, returning results in
-/// input order; the lowest-indexed failure wins deterministically.
-fn ingest_pool<T, F>(n: usize, workers: usize, job: F) -> Result<Vec<T>, IngestError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, IngestError> + Sync,
-{
-    let workers = if workers == 0 {
+/// The worker count of a pool over `n` jobs: `workers`, or
+/// [`host_parallelism`] when it is 0, clamped to `1..=n`.
+#[must_use]
+pub fn pool_workers(n: usize, workers: usize) -> usize {
+    if workers == 0 {
         host_parallelism()
     } else {
         workers
     }
-    .min(n.max(1));
+    .min(n.max(1))
+}
 
-    if workers <= 1 || n <= 1 {
+/// The one ordered worker pool, shared by ingest and the sweep engine:
+/// runs `job(0..n)` on [`pool_workers`]`(n, workers)` scoped threads,
+/// each taking the next index from an atomic cursor into its own result
+/// slot, and returns the results in input order. The lowest-indexed
+/// failure wins, whatever the interleaving. With one worker the jobs run
+/// on the calling thread and stop at the first failure.
+///
+/// # Errors
+///
+/// The error of the lowest-indexed failing job.
+pub fn ordered_pool<T, E, F>(n: usize, workers: usize, job: F) -> Result<Vec<T>, E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize) -> Result<T, E> + Sync,
+{
+    let workers = pool_workers(n, workers);
+    if workers <= 1 {
         return (0..n).map(job).collect();
     }
 
-    let slots: Vec<Mutex<Option<Result<T, IngestError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers {
@@ -79,46 +60,43 @@ where
                 if i >= n {
                     break;
                 }
-                *slots[i].lock().expect("ingest slot poisoned") = Some(job(i));
+                *slots[i].lock().expect("pool slot poisoned") = Some(job(i));
             });
         }
     });
-
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        out.push(
+    slots
+        .into_iter()
+        .map(|slot| {
             slot.into_inner()
-                .expect("ingest slot poisoned")
-                .expect("every index below the cursor was executed")?,
-        );
-    }
-    Ok(out)
-}
-
-/// Decodes many independent in-memory `.rrlog` streams in parallel,
-/// returning the logs in input order (`workers == 0` uses
-/// [`host_parallelism`]; results are identical for any worker
-/// count). A lone stream is decoded whole on the calling thread.
-///
-/// # Errors
-///
-/// Returns the lowest-indexed stream's [`WireError`], wrapped with its
-/// index.
-pub fn decode_logs_parallel(
-    streams: &[&[u8]],
-    workers: usize,
-) -> Result<Vec<IntervalLog>, IngestError> {
-    ingest_pool(streams.len(), workers, |i| {
-        decode_chunked(streams[i]).map_err(|source| IngestError { index: i, source })
-    })
+                .expect("pool slot poisoned")
+                .expect("every index below the cursor was executed")
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relaxreplay::wire::encode_chunked_with;
-    use relaxreplay::LogEntry;
+    use relaxreplay::wire::{decode_chunked, encode_chunked_with};
+    use relaxreplay::{IntervalLog, LogEntry, WireError};
     use rr_mem::CoreId;
+
+    /// A failed stream's index and its wire error.
+    #[derive(Debug, PartialEq)]
+    struct IngestError {
+        index: usize,
+        source: WireError,
+    }
+
+    /// Decodes every stream on the pool, as ingest does.
+    fn decode_logs_parallel(
+        streams: &[&[u8]],
+        workers: usize,
+    ) -> Result<Vec<IntervalLog>, IngestError> {
+        ordered_pool(streams.len(), workers, |i| {
+            decode_chunked(streams[i]).map_err(|source| IngestError { index: i, source })
+        })
+    }
 
     fn logs(n: usize) -> Vec<IntervalLog> {
         (0..n)

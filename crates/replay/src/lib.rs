@@ -20,8 +20,8 @@
 //!
 //! Replay reads whole logs, as the paper's offline patch step does: an
 //! `.rrlog`'s bytes (a file read whole, a store blob, a network fetch)
-//! decode with `relaxreplay::wire::decode_chunked` (or one log per worker,
-//! with [`decode_logs_parallel`]) into an
+//! decode with `relaxreplay::wire::decode_chunked` (one log per worker
+//! on [`ordered_pool`]) into an
 //! `IntervalLog`, which [`patch`] turns into replay ops. So a recording
 //! saved with `--save-logs` can be replayed by a later invocation without
 //! the recorder in the loop.
@@ -82,7 +82,7 @@ pub use cost::{CostModel, ReplayEvents};
 pub use dag::{DagStats, IntervalDag, IntervalNode};
 pub use engine::{execute_threaded, execute_threaded_probed};
 pub use forensics::divergence_report;
-pub use ingest::{decode_logs_parallel, host_parallelism, IngestError};
+pub use ingest::{host_parallelism, ordered_pool, pool_workers};
 pub use oracle::{cross_check, minimize, DifferentialError, Shrink};
 pub use patch::{patch, PatchError, PatchedLog, ReplayOp};
 pub use prof::{critical_path_blame, prof_json, BlameReport, PathInterval, ProfEntry, BLAME_KINDS};

@@ -15,15 +15,23 @@
 //!
 //! A second property pads each predecessor list with duplicates and with
 //! entries dominated by a later interval of the same source core, and
-//! checks that the padded and the reduced (per-source-core maximum)
-//! orderings build DAGs with one reachability closure, one `topo_order`,
-//! one list schedule and one set of shape statistics, and that the closure
-//! orders every padded entry before its interval.
+//! checks that the padded and the transitively reduced
+//! (`reduce_orderings`) orderings build DAGs with one reachability
+//! closure, one `topo_order`, one list schedule and one set of shape
+//! statistics apart from the padded DAG's extra edges, and that the
+//! closure orders every padded entry before its interval.
+//!
+//! A third checks the reduction itself on every acyclic case without
+//! barriers: it keeps the closure, dropping any entry it keeps changes
+//! the closure, it is idempotent, and the padded and the original
+//! orderings reduce alike.
 
 use proptest::prelude::*;
-use relaxreplay::{IntervalLog, IntervalOrdering, LogEntry};
+use relaxreplay::{reduce_orderings, IntervalLog, IntervalOrdering, LogEntry};
 use rr_mem::CoreId;
-use rr_replay::{critical_path_blame, patch, CostModel, IntervalDag, PatchedLog, ReplayError};
+use rr_replay::{
+    critical_path_blame, patch, CostModel, DagStats, IntervalDag, PatchedLog, ReplayError,
+};
 
 /// The largest DAG `case_strategy` builds (4 cores × 6 intervals) fits a
 /// `u64` reachability row per node.
@@ -84,8 +92,9 @@ fn build(specs: &[Vec<IntervalSpec>], hostile: bool) -> (Vec<PatchedLog>, Vec<In
                 cisn: k as u16,
                 timestamp,
             });
-            ordering.timestamps.push(timestamp);
-            ordering.barriers.push(*barrier);
+            if *barrier {
+                ordering.barriers.push(k as u64);
+            }
             ordering.preds.push(
                 preds
                     .iter()
@@ -126,30 +135,11 @@ fn named_only(
     named
 }
 
-/// Per interval, the latest entry of each source core, sorted by core.
-fn reduce(orderings: &[IntervalOrdering]) -> Vec<IntervalOrdering> {
-    orderings
-        .iter()
-        .map(|o| IntervalOrdering {
-            preds: o
-                .preds
-                .iter()
-                .map(|preds| {
-                    let mut latest: Vec<(CoreId, u64)> = Vec::new();
-                    for &(core, ord) in preds {
-                        match latest.iter_mut().find(|(c, _)| *c == core) {
-                            Some(slot) => slot.1 = slot.1.max(ord),
-                            None => latest.push((core, ord)),
-                        }
-                    }
-                    latest.sort_unstable();
-                    latest
-                })
-                .collect(),
-            barriers: o.barriers.clone(),
-            timestamps: o.timestamps.clone(),
-        })
-        .collect()
+/// The orderings after [`reduce_orderings`].
+fn reduced(orderings: &[IntervalOrdering]) -> Vec<IntervalOrdering> {
+    let mut reduced = orderings.to_vec();
+    reduce_orderings(&mut reduced);
+    reduced
 }
 
 /// Pads every predecessor list: each entry again, plus the earlier
@@ -193,7 +183,7 @@ proptest! {
         let (specs, hostile) = case;
         let (logs, orderings) = build(&specs, hostile);
         let orderings = named_only(&orderings, &specs);
-        let reduced = reduce(&orderings);
+        let reduced = reduced(&orderings);
         let padded = pad(&orderings, rot);
         let threads = logs.len();
         let (dag, padded_dag) = match (
@@ -243,7 +233,11 @@ proptest! {
             }
         }
         prop_assert_eq!(padded_dag.topo_order(), dag.topo_order());
-        prop_assert_eq!(padded_dag.stats(), dag.stats());
+        // Padding only adds edges the reduced DAG implies.
+        let (padded_stats, stats) = (padded_dag.stats(), dag.stats());
+        prop_assert!(padded_stats.edges >= stats.edges);
+        let shape = |s: DagStats| DagStats { edges: 0, ..s };
+        prop_assert_eq!(shape(padded_stats), shape(stats));
         let cost = CostModel::splash_default();
         for workers in [1, 2, 3, 5] {
             prop_assert_eq!(
@@ -251,6 +245,45 @@ proptest! {
                 dag.list_schedule(&cost, workers)
             );
         }
+    }
+
+    #[test]
+    fn reduction_is_exact_and_canonical(case in case_strategy(), rot in 0usize..16) {
+        let (specs, hostile) = case;
+        let (logs, orderings) = build(&specs, hostile);
+        // The reduction is over chains and entries; barrier edges, placed
+        // by timestamp at DAG build, could imply entries it must keep.
+        let mut orderings = named_only(&orderings, &specs);
+        for o in &mut orderings {
+            o.barriers.clear();
+        }
+        let threads = logs.len();
+        let Ok(dag) = IntervalDag::partial_order(threads, &logs, &orderings) else {
+            return Err(TestCaseError::reject("cyclic ordering"));
+        };
+        let reach = closure(&dag);
+        let reduced = reduced(&orderings);
+        let closure_of = |o: &[IntervalOrdering]| {
+            IntervalDag::partial_order(threads, &logs, o).map(|d| closure(&d))
+        };
+        prop_assert_eq!(closure_of(&reduced), Ok(reach.clone()), "the closure is kept");
+        for (c, o) in reduced.iter().enumerate() {
+            for (k, preds) in o.preds.iter().enumerate() {
+                for i in 0..preds.len() {
+                    let mut fewer = reduced.clone();
+                    let dropped = fewer[c].preds[k].remove(i);
+                    prop_assert_ne!(
+                        closure_of(&fewer),
+                        Ok(reach.clone()),
+                        "entry {:?} of interval {:?} is implied",
+                        dropped,
+                        (c, k)
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(&self::reduced(&reduced), &reduced, "idempotent");
+        prop_assert_eq!(&self::reduced(&pad(&orderings, rot)), &reduced, "padding");
     }
 
     #[test]

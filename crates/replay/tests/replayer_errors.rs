@@ -174,8 +174,7 @@ fn parallel_replay_with_short_log_is_incomplete() {
     let patched = patch(&log).expect("patches");
     let ordering = IntervalOrdering {
         preds: vec![vec![]],
-        barriers: vec![false],
-        timestamps: vec![1],
+        barriers: vec![],
     };
     let err = list_scheduled(
         std::slice::from_ref(&p),
@@ -251,8 +250,7 @@ fn parallel_replay_rejects_out_of_range_cores() {
     let patched = patch(&log).expect("patches");
     let ordering = IntervalOrdering {
         preds: vec![vec![]],
-        barriers: vec![false],
-        timestamps: vec![1],
+        barriers: vec![],
     };
     let err = list_scheduled(
         std::slice::from_ref(&p),
@@ -280,8 +278,7 @@ fn parallel_replay_rejects_out_of_range_cores() {
     let patched = patch(&ok).expect("patches");
     let ordering = IntervalOrdering {
         preds: vec![vec![(CoreId::new(5), 0)]],
-        barriers: vec![false],
-        timestamps: vec![1],
+        barriers: vec![],
     };
     let err = list_scheduled(
         std::slice::from_ref(&p),

@@ -302,7 +302,7 @@ impl RunStore for RemoteStore {
         let files = Client::connect(&self.addr)?.get_run(name)?;
         files.decode(name, workers).map_err(|e| {
             let kind = match e {
-                LogDirError::Wire(_) => RemoteFault::CorruptBlob,
+                LogDirError::Wire { .. } => RemoteFault::CorruptBlob,
                 _ => RemoteFault::Catalog,
             };
             StoreError::remote(kind, format!("fetched run {name:?}: {e}"))

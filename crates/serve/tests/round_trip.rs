@@ -13,7 +13,8 @@ use std::sync::atomic::Ordering;
 use rr_serve::{serve, Client, FaultSpec, RemoteStore, ServerConfig};
 use rr_sim::logdir::{encode_ordering, encode_truth, write_run_dir, RunFiles, VariantFiles};
 use rr_sim::{
-    LocalStore, LogDirError, RecordSession, RemoteFault, RunResult, RunStore, StoreError,
+    LocalStore, LogDirError, RecordSession, RecorderSpec, RemoteFault, RunResult, RunStore,
+    StoreError,
 };
 use rr_workloads::litmus::litmus_suite;
 use rr_workloads::Workload;
@@ -614,6 +615,12 @@ fn malformed(d: &'static str) -> LogDirError {
 fn malformed_bundles_fail_alike_in_decode_and_both_stores() {
     use relaxreplay::wire::HEADER_BYTES;
     use relaxreplay::WireError;
+    // A damaged log is located by its variant's label and its core.
+    let cut_log = LogDirError::Wire {
+        label: RecorderSpec::paper_matrix()[1].label(),
+        core: 1,
+        source: WireError::Truncated { chunk: 0 },
+    };
     let table = [
         Damage {
             what: "a log whose header names another core",
@@ -655,9 +662,9 @@ fn malformed_bundles_fail_alike_in_decode_and_both_stores() {
         },
         Damage {
             what: "a log cut inside its first chunk's length prefix",
-            damage: |files, _| files.variants[0].logs[0].truncate(HEADER_BYTES + 2),
-            decode: LogDirError::Wire(WireError::Truncated { chunk: 0 }),
-            local: LogDirError::Wire(WireError::Truncated { chunk: 0 }),
+            damage: |files, _| files.variants[1].logs[1].truncate(HEADER_BYTES + 2),
+            decode: cut_log.clone(),
+            local: cut_log,
             remote: RemoteFault::CorruptBlob,
         },
     ];
@@ -693,6 +700,10 @@ fn malformed_bundles_fail_alike_in_decode_and_both_stores() {
         match RemoteStore::new(addr).load_run(&name) {
             Err(StoreError::Remote { kind, detail }) => {
                 assert_eq!(kind, row.remote, "{}: remote: {detail}", row.what);
+                if let LogDirError::Wire { label, core, .. } = &row.decode {
+                    let file = format!("{label}/core{core}.rrlog");
+                    assert!(detail.contains(&file), "{}: remote: {detail}", row.what);
+                }
             }
             other => panic!("{}: remote: want a typed error, got {other:?}", row.what),
         }

@@ -18,7 +18,9 @@
 //!
 //! The `ordering.bin` sidecar carries the recorded interval partial order
 //! ([`IntervalOrdering`]) that enables parallel replay; runs saved without
-//! it load fine and replay in the recorded total order.
+//! it load fine and replay in the recorded total order. Version 2 holds
+//! only what the `.rrlog` files do not ([`encode_ordering`]); version 1,
+//! which repeated every frame timestamp, is refused.
 //!
 //! Run and variant names become path components verbatim, so they must not
 //! contain separators; [`check_name`] rejects names that do.
@@ -27,11 +29,11 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use relaxreplay::wire::{crc32, read_varint, write_varint};
+use relaxreplay::wire::{crc32, decode_chunked, read_varint, write_varint};
 use relaxreplay::{IntervalLog, IntervalOrdering, WireError};
 use rr_isa::{MemImage, WORD_BYTES};
 use rr_mem::CoreId;
-use rr_replay::{decode_logs_parallel, RecordedExecution};
+use rr_replay::{ordered_pool, RecordedExecution};
 
 use crate::machine::RunResult;
 
@@ -42,15 +44,23 @@ const TRUTH_VERSION: u16 = 1;
 /// Magic tag opening an `ordering.bin` interval-order sidecar.
 const ORDER_MAGIC: &[u8; 4] = b"RROD";
 /// Ordering sidecar format version.
-const ORDER_VERSION: u16 = 1;
+const ORDER_VERSION: u16 = 2;
 
 /// Errors from saving or loading a run directory.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LogDirError {
     /// Filesystem failure (path included in the message).
     Io(String),
-    /// An `.rrlog` file failed to decode.
-    Wire(WireError),
+    /// An `.rrlog` file failed to decode: the variant's label, the core
+    /// whose log it is, and the wire failure.
+    Wire {
+        /// The variant's label (its subdirectory).
+        label: String,
+        /// The core whose log failed.
+        core: usize,
+        /// The underlying wire failure.
+        source: WireError,
+    },
     /// The manifest or a sidecar is malformed, or the run's files
     /// disagree on its core count.
     Malformed(&'static str),
@@ -62,7 +72,11 @@ impl fmt::Display for LogDirError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LogDirError::Io(m) => write!(f, "log dir I/O failed: {m}"),
-            LogDirError::Wire(e) => write!(f, "log file failed to decode: {e}"),
+            LogDirError::Wire {
+                label,
+                core,
+                source,
+            } => write!(f, "{label}/core{core}.rrlog failed to decode: {source}"),
             LogDirError::Malformed(d) => write!(f, "run directory malformed: {d}"),
             LogDirError::BadName(n) => {
                 write!(f, "name {n:?} cannot be used as a path component")
@@ -72,12 +86,6 @@ impl fmt::Display for LogDirError {
 }
 
 impl std::error::Error for LogDirError {}
-
-impl From<WireError> for LogDirError {
-    fn from(e: WireError) -> Self {
-        LogDirError::Wire(e)
-    }
-}
 
 fn io_err(path: &Path, e: &std::io::Error) -> LogDirError {
     LogDirError::Io(format!("{}: {e}", path.display()))
@@ -240,11 +248,12 @@ impl RunFiles {
     ///
     /// # Errors
     ///
-    /// [`LogDirError::Wire`] if a log fails to decode (truncation and
-    /// corruption are typed, never panics); [`LogDirError::Malformed`] if
-    /// a variant holds a log too few or too many, a log's header names
-    /// another core than its slot, or `ordering.bin` or `truth.bin` is
-    /// damaged or covers another core count.
+    /// [`LogDirError::Wire`], naming the variant and core, if a log fails
+    /// to decode (truncation and corruption are typed, never panics);
+    /// [`LogDirError::Malformed`] if a variant holds a log too few or too
+    /// many, a log's header names another core than its slot, or
+    /// `ordering.bin` or `truth.bin` is damaged or covers another core
+    /// count.
     pub fn decode(&self, name: &str, workers: usize) -> Result<SavedRun, LogDirError> {
         let cores = self.cores;
         if self.variants.iter().any(|v| v.logs.len() != cores) {
@@ -256,9 +265,14 @@ impl RunFiles {
             .flat_map(|v| &v.logs)
             .map(Vec::as_slice)
             .collect();
-        let mut logs = decode_logs_parallel(&streams, workers)
-            .map_err(|e| LogDirError::Wire(e.source))?
-            .into_iter();
+        let mut logs = ordered_pool(streams.len(), workers, |i| {
+            decode_chunked(streams[i]).map_err(|source| LogDirError::Wire {
+                label: self.variants[i / cores].label.clone(),
+                core: i % cores,
+                source,
+            })
+        })?
+        .into_iter();
         let mut variants = Vec::with_capacity(self.variants.len());
         for v in &self.variants {
             let logs: Vec<IntervalLog> = logs.by_ref().take(cores).collect();
@@ -419,9 +433,11 @@ pub fn encode_truth(recorded: &RecordedExecution) -> Vec<u8> {
     out
 }
 
-/// Serializes the per-core interval partial order: magic + version, core
-/// count, then per core the interval count followed by each interval's
-/// timestamp, barrier flag and predecessor list; closed with a CRC32.
+/// Serializes the per-core interval partial order (version 2): magic +
+/// version, core count, then per core the interval count, each
+/// interval's predecessor list (its length, then `core, ordinal` pairs)
+/// and the barrier ordinals (their count, then each one, ascending);
+/// closed with a CRC32. Every number is a plain varint.
 #[must_use]
 pub fn encode_ordering(ordering: &[IntervalOrdering]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -429,18 +445,17 @@ pub fn encode_ordering(ordering: &[IntervalOrdering]) -> Vec<u8> {
     out.extend_from_slice(&ORDER_VERSION.to_le_bytes());
     write_varint(&mut out, ordering.len() as u64);
     for ord in ordering {
-        let n = ord.timestamps.len();
-        write_varint(&mut out, n as u64);
-        for k in 0..n {
-            write_varint(&mut out, ord.timestamps[k]);
-            out.push(u8::from(ord.barriers.get(k).copied().unwrap_or(false)));
-            let empty = Vec::new();
-            let preds = ord.preds.get(k).unwrap_or(&empty);
+        write_varint(&mut out, ord.preds.len() as u64);
+        for preds in &ord.preds {
             write_varint(&mut out, preds.len() as u64);
             for &(core, ordinal) in preds {
                 write_varint(&mut out, core.index() as u64);
                 write_varint(&mut out, ordinal);
             }
+        }
+        write_varint(&mut out, ord.barriers.len() as u64);
+        for &b in &ord.barriers {
+            write_varint(&mut out, b);
         }
     }
     let crc = crc32(&out);
@@ -449,11 +464,14 @@ pub fn encode_ordering(ordering: &[IntervalOrdering]) -> Vec<u8> {
 }
 
 /// Decodes an `ordering.bin` sidecar produced by [`encode_ordering`].
+/// Lists grow as their entries decode, so a hostile count cannot make it
+/// allocate ahead of the bytes that back it.
 ///
 /// # Errors
 ///
-/// Returns [`LogDirError::Malformed`] on any header, CRC, or structural
-/// damage — never panics.
+/// Returns [`LogDirError::Malformed`] on any header, version, CRC or
+/// structural damage, including barrier ordinals that are not ascending
+/// below their core's interval count — never panics.
 fn decode_ordering(bytes: &[u8]) -> Result<Vec<IntervalOrdering>, LogDirError> {
     const MALFORMED: LogDirError = LogDirError::Malformed("ordering sidecar truncated");
     if bytes.len() < 10 || &bytes[..4] != ORDER_MAGIC {
@@ -478,13 +496,6 @@ fn decode_ordering(bytes: &[u8]) -> Result<Vec<IntervalOrdering>, LogDirError> {
         let n = varint(&mut pos)?;
         let mut ord = IntervalOrdering::default();
         for _ in 0..n {
-            ord.timestamps.push(varint(&mut pos)?);
-            let flag = *body.get(pos).ok_or(MALFORMED)?;
-            pos += 1;
-            if flag > 1 {
-                return Err(LogDirError::Malformed("ordering barrier flag not 0/1"));
-            }
-            ord.barriers.push(flag == 1);
             let np = varint(&mut pos)?;
             let mut preds = Vec::new();
             for _ in 0..np {
@@ -496,6 +507,13 @@ fn decode_ordering(bytes: &[u8]) -> Result<Vec<IntervalOrdering>, LogDirError> {
                 preds.push((CoreId::new(core as u8), ordinal));
             }
             ord.preds.push(preds);
+        }
+        for _ in 0..varint(&mut pos)? {
+            let b = varint(&mut pos)?;
+            if b >= n || ord.barriers.last().is_some_and(|&prev| prev >= b) {
+                return Err(LogDirError::Malformed("ordering barriers out of order"));
+            }
+            ord.barriers.push(b);
         }
         ordering.push(ord);
     }
@@ -638,41 +656,94 @@ mod tests {
         vec![
             IntervalOrdering {
                 preds: vec![vec![], vec![(CoreId::new(1), 0)]],
-                barriers: vec![false, true],
-                timestamps: vec![3, 17],
+                barriers: vec![1],
             },
             IntervalOrdering {
-                preds: vec![vec![(CoreId::new(0), 0), (CoreId::new(0), 1)]],
-                barriers: vec![false],
-                timestamps: vec![9],
+                preds: vec![vec![(CoreId::new(0), 0)]],
+                barriers: vec![],
             },
         ]
+    }
+
+    /// A sidecar of `version` whose body is `numbers` as varints, closed
+    /// with a valid CRC.
+    fn sidecar(version: u16, numbers: &[u64]) -> Vec<u8> {
+        let mut out = ORDER_MAGIC.to_vec();
+        out.extend_from_slice(&version.to_le_bytes());
+        for &n in numbers {
+            write_varint(&mut out, n);
+        }
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
     }
 
     #[test]
     fn ordering_round_trips() {
         let ordering = sample_ordering();
         let bytes = encode_ordering(&ordering);
-        let back = decode_ordering(&bytes).expect("decodes");
-        assert_eq!(back, ordering);
+        // cores, then per core: intervals, pred lists, barrier ordinals.
+        assert_eq!(bytes, sidecar(2, &[2, 2, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0]));
+        assert_eq!(decode_ordering(&bytes), Ok(ordering));
+    }
+
+    /// Every single-bit flip and every truncation of a recorded run's
+    /// sidecar is a typed error or decodes to the identical value.
+    #[test]
+    fn ordering_corruption_is_detected() {
+        // Directory mode, so every variant's sidecar holds barriers too.
+        let w = rr_workloads::by_name("ocean", 4, 1).expect("known workload");
+        let cfg = crate::MachineConfig::splash_default(4).with_directory();
+        let run = crate::RecordSession::new(&w.programs, &w.initial_mem)
+            .config(&cfg)
+            .run()
+            .expect("records");
+        for v in &run.variants {
+            let ordering = &v.ordering;
+            assert!(ordering.iter().any(|o| !o.barriers.is_empty()));
+            let bytes = encode_ordering(ordering);
+            let check = |result, what: &str| match result {
+                Ok(back) => assert_eq!(&back, ordering, "{what} decoded to another value"),
+                Err(LogDirError::Malformed(_)) => {}
+                Err(e) => panic!("{what}: untyped {e:?}"),
+            };
+            for i in 0..bytes.len() * 8 {
+                let mut bad = bytes.clone();
+                bad[i / 8] ^= 1 << (i % 8);
+                check(decode_ordering(&bad), &format!("flip of bit {i}"));
+            }
+            for cut in 0..bytes.len() {
+                check(decode_ordering(&bytes[..cut]), &format!("cut at {cut}"));
+            }
+        }
     }
 
     #[test]
-    fn ordering_corruption_is_detected() {
-        let bytes = encode_ordering(&sample_ordering());
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            assert!(
-                decode_ordering(&bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
+    fn ordering_sidecar_damage_is_typed() {
+        let malformed = |numbers: &[u64], version| match decode_ordering(&sidecar(version, numbers))
+        {
+            Err(LogDirError::Malformed(d)) => d,
+            other => panic!("{numbers:?}: want a typed error, got {other:?}"),
+        };
+        // Version 1: one core, one interval (timestamp 5, flag 0, no preds).
+        assert_eq!(
+            malformed(&[1, 1, 5, 0, 0], 1),
+            "unsupported ordering sidecar version"
+        );
+        // One core, three intervals without preds, then barrier lists.
+        for barriers in [&[2, 2, 1][..], &[2, 1, 1], &[1, 3]] {
+            let numbers = [&[1, 3, 0, 0, 0][..], barriers].concat();
+            assert_eq!(malformed(&numbers, 2), "ordering barriers out of order");
         }
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_ordering(&bytes[..cut]).is_err(),
-                "truncation at {cut} went undetected"
-            );
+        // Counts far beyond the bytes behind them run out of input; they
+        // are never allocated up front.
+        for numbers in [
+            &[u64::MAX][..],
+            &[1, u64::MAX],
+            &[1, 1, u64::MAX],
+            &[1, 0, u64::MAX],
+        ] {
+            assert_eq!(malformed(numbers, 2), "ordering sidecar truncated");
         }
     }
 

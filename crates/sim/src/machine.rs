@@ -19,7 +19,8 @@ pub struct VariantResult {
     pub logs: Vec<IntervalLog>,
     /// Per-core recorder statistics.
     pub stats: Vec<RecorderStats>,
-    /// Per-core interval partial order (parallel replay, paper §3.6).
+    /// Per-core interval partial order (parallel replay, paper §3.6),
+    /// transitively reduced ([`relaxreplay::reduce_orderings`]).
     pub ordering: Vec<relaxreplay::IntervalOrdering>,
 }
 
@@ -593,8 +594,9 @@ pub(crate) fn run_machine(
             }
         }
         let stats = recs.iter().map(|r| r.stats().clone()).collect();
-        let ordering = recs.iter().map(|r| r.ordering().clone()).collect();
-        let logs = recs.into_iter().map(Recorder::into_log).collect();
+        let (logs, mut ordering): (_, Vec<_>) = recs.into_iter().map(Recorder::into_parts).unzip();
+        // Every consumer gets the reduced form: only the edges replay needs.
+        relaxreplay::reduce_orderings(&mut ordering);
         variants.push(VariantResult {
             spec: spec.clone(),
             logs,

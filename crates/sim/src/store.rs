@@ -387,10 +387,15 @@ impl RunStore for LocalStore {
         let mut variants = Vec::new();
         for v in files.variants {
             let mut chunks = 0u64;
-            for bytes in &v.logs {
-                let (_, _, spans, damage) = chunk_spans(bytes).map_err(LogDirError::Wire)?;
+            for (core, bytes) in v.logs.iter().enumerate() {
+                let located = |source| LogDirError::Wire {
+                    label: v.label.clone(),
+                    core,
+                    source,
+                };
+                let (_, _, spans, damage) = chunk_spans(bytes).map_err(located)?;
                 if let Some(e) = damage {
-                    return Err(StoreError::Local(LogDirError::Wire(e)));
+                    return Err(StoreError::Local(located(e)));
                 }
                 chunks += spans.len() as u64;
             }

@@ -5,9 +5,10 @@
 //! {workload × recorder variant × coherence mode × machine config}, and
 //! each cell is an independent, deterministic, single-threaded simulation.
 //! That shape parallelizes perfectly: [`run_sweep`] spreads a job list
-//! over `workers` OS threads via a shared work queue (an atomic cursor —
-//! no channels, no external crates), while each [`JobOutput`] lands in the
-//! slot keyed by its job index.
+//! over `workers` OS threads on the ordered pool that ingest uses too
+//! ([`rr_replay::ordered_pool`]: an atomic cursor, no channels, no
+//! external crates), while each [`JobOutput`] lands in the slot keyed by
+//! its job index.
 //!
 //! **Determinism guarantee:** a job's result depends only on the job
 //! description — never on which worker ran it, in what order, or how many
@@ -16,12 +17,10 @@
 //! wall-clock [`PhaseNanos`]) is bit-identical for any worker count. The
 //! `sweep_determinism` integration test pins this down.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use rr_isa::{MemImage, Program};
-use rr_replay::{host_parallelism, verify, CostModel, ReplayOutcome};
+use rr_replay::{ordered_pool, pool_workers, verify, CostModel, ReplayOutcome};
 
 use crate::config::{MachineConfig, RecorderSpec};
 use crate::machine::{PressureReport, RunOptions, RunResult, SimError};
@@ -283,71 +282,31 @@ fn run_job(job: usize, j: &SweepJob) -> Result<JobOutput, SweepError> {
 }
 
 /// Runs every job, spreading work over `workers` OS threads (clamped to
-/// the job count; 0 means [`host_parallelism`]).
+/// the job count; 0 means [`rr_replay::host_parallelism`]) on
+/// [`rr_replay::ordered_pool`].
 ///
 /// # Errors
 ///
 /// Returns the failure of the lowest-indexed failing job — deterministic
 /// even when several jobs fail under different worker interleavings.
 pub fn run_sweep(jobs: &[SweepJob], workers: usize) -> Result<SweepReport, SweepError> {
-    let workers = if workers == 0 {
-        host_parallelism()
-    } else {
-        workers
-    }
-    .min(jobs.len().max(1));
+    let workers = pool_workers(jobs.len(), workers);
     let wall = Instant::now();
-
-    let slots: Vec<Mutex<Option<Result<JobOutput, SweepError>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
     // A worker panic (e.g. an assert inside the simulator) must name the
     // workload that died, not surface as a bare thread-join error; catch
-    // it per job and re-raise the lowest-indexed one after the scope.
-    let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_job(i, &jobs[i])
-                })) {
-                    Ok(out) => *slots[i].lock().expect("sweep slot poisoned") = Some(out),
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(ToString::to_string)
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        panics.lock().expect("panic list poisoned").push((i, msg));
-                    }
-                }
-            });
-        }
-    });
-
-    let mut panics = panics.into_inner().expect("panic list poisoned");
-    if let Some((i, msg)) = {
-        panics.sort_by_key(|&(i, _)| i);
-        panics.into_iter().next()
-    } {
-        panic!("sweep job {i} ({}) panicked: {msg}", jobs[i].name);
-    }
-
-    let mut outputs = Vec::with_capacity(jobs.len());
-    for slot in slots {
-        let out = slot
-            .into_inner()
-            .expect("sweep slot poisoned")
-            .expect("every job index below the cursor was executed");
-        outputs.push(out?);
-    }
+    // it per job and re-raise the lowest-indexed one.
+    let results = ordered_pool(jobs.len(), workers, |i| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(i, &jobs[i]))).map_err(
+            |payload| {
+                let msg = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .or_else(|| payload.downcast_ref::<String>().cloned());
+                (i, msg.unwrap_or_else(|| "non-string panic payload".into()))
+            },
+        )
+    })
+    .unwrap_or_else(|(i, msg)| panic!("sweep job {i} ({}) panicked: {msg}", jobs[i].name));
     Ok(SweepReport {
-        outputs,
+        outputs: results.into_iter().collect::<Result<_, _>>()?,
         workers,
         wall_ns: wall.elapsed().as_nanos() as u64,
     })

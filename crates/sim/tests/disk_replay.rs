@@ -135,11 +135,11 @@ fn corrupted_rrlog_fails_with_a_typed_error_not_a_panic() {
     bytes[12] ^= 0xff;
     fs::write(&victim, &bytes).expect("write corrupted rrlog");
     match store.load_run(w.name) {
-        Err(StoreError::Local(LogDirError::Wire(e))) => {
+        Err(StoreError::Local(e @ LogDirError::Wire { .. })) => {
             let msg = e.to_string();
             assert!(
-                msg.contains("chunk 0"),
-                "error should identify the failing chunk: {msg}"
+                msg.contains("chunk 0") && msg.contains(&format!("{label}/core0.rrlog")),
+                "error should identify the failing file and chunk: {msg}"
             );
         }
         other => panic!("expected a wire error, got {other:?}"),
@@ -149,7 +149,7 @@ fn corrupted_rrlog_fails_with_a_typed_error_not_a_panic() {
     fs::write(&victim, &bytes[..bytes.len() - 3]).expect("truncate rrlog");
     assert!(matches!(
         store.load_run(w.name),
-        Err(StoreError::Local(LogDirError::Wire(_)))
+        Err(StoreError::Local(LogDirError::Wire { core: 0, .. }))
     ));
 }
 

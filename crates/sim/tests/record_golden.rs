@@ -6,23 +6,25 @@
 //!
 //! The pinned constants were computed on the simulator *before* its hot
 //! paths (H3 hashing, the cycle loop's observer fan-out, the core's and
-//! memory system's per-cycle buffers and maps) were optimised, and the
-//! canonical ordering digests on the recorder that still kept every
-//! predecessor entry, so any change in a recorded bit fails here. A deliberate change to what is
+//! memory system's per-cycle buffers and maps) were optimised, so any
+//! change in a recorded bit fails here. A deliberate change to what is
 //! recorded must regenerate the table: the failure message prints the
 //! full set of actual digests in the table's own syntax.
 //!
-//! Orderings are hashed in their canonical form ([`canonical`]): per
-//! interval, the latest named interval of each source core, in core order.
-//! The same-core chain makes that entry imply every earlier interval of its
-//! core, so the canonical form has the same reachability as the raw
-//! predecessor lists, and a recorder that keeps only these entries hashes
-//! the same as one that keeps them all.
+//! Orderings are hashed in their canonical form ([`canonical`]): the exact
+//! transitive reduction of the predecessor entries over the same-core
+//! chains, with barriers as interval ordinals. The reduction of a closure
+//! is unique, so two recorders whose orderings have one closure hash the
+//! same however many implied entries they keep. The recorder stores the
+//! reduction itself, so every recorded ordering must already be
+//! canonical; [`canonical`] computes it naively from reachability, apart
+//! from the library's vector-clock pass, and so checks that pass too.
 
 use relaxreplay::wire::encode_chunked;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use relaxreplay::{rr_hash64, Design, IntervalOrdering, RecorderConfig};
+use rr_mem::CoreId;
 use rr_sim::{MachineConfig, RecordSession, RecorderSpec, RunResult, ScheduleStrategy};
 use rr_workloads::{by_name, corpus_suite, litmus_suite, Workload};
 
@@ -69,26 +71,79 @@ fn push_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Reduces every interval's predecessor list to the per-source-core
-/// maximum, sorted by core.
+/// The exact transitive reduction of `ordering`, computed naively: each
+/// interval's ancestor set is a bitset over all intervals, grown to a
+/// fixed point, and an entry survives only when no other direct
+/// predecessor of its interval (its chain predecessor or another entry)
+/// has the named interval among its ancestors or is that interval.
 fn canonical(ordering: &[IntervalOrdering]) -> Vec<IntervalOrdering> {
+    let first: Vec<usize> = ordering
+        .iter()
+        .scan(0, |next, o| {
+            let at = *next;
+            *next += o.preds.len();
+            Some(at)
+        })
+        .collect();
+    let n: usize = ordering.iter().map(|o| o.preds.len()).sum();
+    // Direct predecessors of every interval, by interval id.
+    let mut direct: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    for (c, o) in ordering.iter().enumerate() {
+        for (k, preds) in o.preds.iter().enumerate() {
+            if k > 0 {
+                direct[first[c] + k].insert(first[c] + k - 1);
+            }
+            for &(d, j) in preds {
+                let d = d.index();
+                assert!(d != c && (j as usize) < ordering[d].preds.len());
+                direct[first[c] + k].insert(first[d] + j as usize);
+            }
+        }
+    }
+    // `reach[v]`: v and every interval that reaches it.
+    let words = n.div_ceil(64);
+    let mut reach = vec![vec![0u64; words]; n];
+    for (v, row) in reach.iter_mut().enumerate() {
+        row[v / 64] |= 1 << (v % 64);
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for v in 0..n {
+            for &p in &direct[v] {
+                let from = reach[p].clone();
+                for (word, add) in reach[v].iter_mut().zip(from) {
+                    changed |= *word | add != *word;
+                    *word |= add;
+                }
+            }
+        }
+    }
+    let reaches = |from: usize, to: usize| reach[to][from / 64] >> (from % 64) & 1 == 1;
     ordering
         .iter()
-        .map(|o| IntervalOrdering {
+        .enumerate()
+        .map(|(c, o)| IntervalOrdering {
             preds: o
                 .preds
                 .iter()
-                .map(|preds| {
-                    let mut latest = BTreeMap::new();
-                    for &(core, ord) in preds {
-                        let slot = latest.entry(core).or_insert(ord);
-                        *slot = (*slot).max(ord);
-                    }
-                    latest.into_iter().collect()
+                .enumerate()
+                .map(|(k, preds)| {
+                    let v = first[c] + k;
+                    let mut kept: Vec<(CoreId, u64)> = preds
+                        .iter()
+                        .copied()
+                        .filter(|&(d, j)| {
+                            let u = first[d.index()] + j as usize;
+                            direct[v].iter().all(|&p| p == u || !reaches(u, p))
+                        })
+                        .collect();
+                    kept.sort_unstable();
+                    kept.dedup();
+                    kept
                 })
                 .collect(),
             barriers: o.barriers.clone(),
-            timestamps: o.timestamps.clone(),
         })
         .collect()
 }
@@ -103,7 +158,10 @@ fn digest(run: &RunResult) -> u64 {
             push_u64(&mut buf, bytes.len() as u64);
             buf.extend_from_slice(&bytes);
         }
-        push_str(&mut buf, &format!("{:?}", canonical(&v.ordering)));
+        let reduced = canonical(&v.ordering);
+        assert_eq!(reduced, v.ordering, "a recorded ordering is not reduced");
+        let rendered: Vec<_> = reduced.iter().map(|o| (&o.preds, &o.barriers)).collect();
+        push_str(&mut buf, &format!("{rendered:?}"));
         push_str(&mut buf, &format!("{:?}", v.stats));
     }
     push_str(&mut buf, &format!("{:?}", run.core_stats));
@@ -178,62 +236,62 @@ fn splash_programs_record_bit_identically() {
 }
 
 const LITMUS: &[(&str, u64)] = &[
-    ("sb/snoopy/stall", 0x0a0fadcc8e1e4674),
-    ("sb/snoopy/rotate", 0xfee847dcd37648c0),
-    ("sb/dir/stall", 0x8ecd8fc68a40930b),
-    ("sb/dir/rotate", 0x6405fcc84d25c375),
-    ("mp/snoopy/stall", 0x7383de7f01be31e2),
-    ("mp/snoopy/rotate", 0x2d4978affc1bdb25),
-    ("mp/dir/stall", 0x49966970ccfe73f7),
-    ("mp/dir/rotate", 0x115d101070304e80),
-    ("lb/snoopy/stall", 0x3e9ebc7d8b4e2b1c),
-    ("lb/snoopy/rotate", 0x611c74a8e9122f71),
-    ("lb/dir/stall", 0xdb1caba11507e7b7),
-    ("lb/dir/rotate", 0xa7826d549f33ef93),
-    ("iriw/snoopy/stall", 0xfe5bd5fc039fb62b),
-    ("iriw/snoopy/rotate", 0x246f10b9a42fff4a),
-    ("iriw/dir/stall", 0x2d58316eb68a8aef),
-    ("iriw/dir/rotate", 0x371fc58a5d8b5456),
+    ("sb/snoopy/stall", 0x1f08c4ef8453ae72),
+    ("sb/snoopy/rotate", 0x810917196f765332),
+    ("sb/dir/stall", 0xc5bfed913c501cb1),
+    ("sb/dir/rotate", 0x84141f81408f8bbd),
+    ("mp/snoopy/stall", 0x5ea6a6b61e1b594c),
+    ("mp/snoopy/rotate", 0x0fdff3359091e79d),
+    ("mp/dir/stall", 0x884ccd177bfbfc35),
+    ("mp/dir/rotate", 0xf117997d6eaf09d8),
+    ("lb/snoopy/stall", 0x1336e11fa15529b7),
+    ("lb/snoopy/rotate", 0x77142b57aa7ef933),
+    ("lb/dir/stall", 0xe5ccce269104fbe5),
+    ("lb/dir/rotate", 0x95fd447ca88c5487),
+    ("iriw/snoopy/stall", 0xb5797a819bea57f0),
+    ("iriw/snoopy/rotate", 0xcc8d4d8fb03021e3),
+    ("iriw/dir/stall", 0x5ef598afc858ac7d),
+    ("iriw/dir/rotate", 0x7b0602a80801bf02),
 ];
 
 const CORPUS: &[(&str, u64)] = &[
-    ("spinlock/snoopy/stall", 0x63484f82f0744384),
-    ("spinlock/snoopy/rotate", 0x6b44af4b1f4d2ba5),
-    ("spinlock/dir/stall", 0xf8c9f0a10c21e24e),
-    ("spinlock/dir/rotate", 0x7b6163e20c21d986),
-    ("ticket_lock/snoopy/stall", 0x9f8815c109437c5f),
-    ("ticket_lock/snoopy/rotate", 0x4b3721bb10c13f4b),
-    ("ticket_lock/dir/stall", 0xc7dfd885b5f13fb4),
-    ("ticket_lock/dir/rotate", 0x6abe24151f405c10),
-    ("seqlock/snoopy/stall", 0x5aded894b850d9ff),
-    ("seqlock/snoopy/rotate", 0xbe43dc220a98cddd),
-    ("seqlock/dir/stall", 0xef8b6e0be44780dd),
-    ("seqlock/dir/rotate", 0xa529ef93c69a0f8b),
-    ("treiber_stack/snoopy/stall", 0xca99db8c88de20ed),
-    ("treiber_stack/snoopy/rotate", 0x6df68045f678d03c),
-    ("treiber_stack/dir/stall", 0x33642aaa456b4b10),
-    ("treiber_stack/dir/rotate", 0x41fe5619384778b5),
-    ("mpmc_ring/snoopy/stall", 0xc296f09de1648763),
-    ("mpmc_ring/snoopy/rotate", 0x4577b1edbcd44349),
-    ("mpmc_ring/dir/stall", 0x97fcf01bbe51d254),
-    ("mpmc_ring/dir/rotate", 0x9779b3348445a2ad),
-    ("ws_deque/snoopy/stall", 0x5f2287d4e410660c),
-    ("ws_deque/snoopy/rotate", 0x690aed7b861d9c38),
-    ("ws_deque/dir/stall", 0xb145d8e35ec17aec),
-    ("ws_deque/dir/rotate", 0x0b0c52d7da851ac5),
-    ("rcu_epoch/snoopy/stall", 0xd793c7a8d245e4e4),
-    ("rcu_epoch/snoopy/rotate", 0xabd708ace5f8b964),
-    ("rcu_epoch/dir/stall", 0xba1146835a37940e),
-    ("rcu_epoch/dir/rotate", 0xcffe24d443d4159c),
+    ("spinlock/snoopy/stall", 0x2e5cbfff49ea154e),
+    ("spinlock/snoopy/rotate", 0x893e30522aebd296),
+    ("spinlock/dir/stall", 0xf656009294ba5c56),
+    ("spinlock/dir/rotate", 0x0270f7efbf0c0864),
+    ("ticket_lock/snoopy/stall", 0xdc26865956b37e4f),
+    ("ticket_lock/snoopy/rotate", 0xaa9c89083c9273b7),
+    ("ticket_lock/dir/stall", 0xa1e282c949d254b6),
+    ("ticket_lock/dir/rotate", 0x033bfd00e0b1292a),
+    ("seqlock/snoopy/stall", 0x8c325054fba13d49),
+    ("seqlock/snoopy/rotate", 0xb2be1c62331bd6f0),
+    ("seqlock/dir/stall", 0x5b535433baf20a21),
+    ("seqlock/dir/rotate", 0x27593d7a311fe50b),
+    ("treiber_stack/snoopy/stall", 0x58451c64f4ef8319),
+    ("treiber_stack/snoopy/rotate", 0x7e982b5613ea2078),
+    ("treiber_stack/dir/stall", 0xf5d79ed8a8497f9e),
+    ("treiber_stack/dir/rotate", 0xf467cc88bb3cc945),
+    ("mpmc_ring/snoopy/stall", 0x045fbcb4b0a1fce4),
+    ("mpmc_ring/snoopy/rotate", 0x02f5fa07d268a1bb),
+    ("mpmc_ring/dir/stall", 0x59ca189129aaae0c),
+    ("mpmc_ring/dir/rotate", 0x5f2c399a65d06ae9),
+    ("ws_deque/snoopy/stall", 0xfc8d8e304ae5914b),
+    ("ws_deque/snoopy/rotate", 0x3213568589dbfb84),
+    ("ws_deque/dir/stall", 0x6d864f740c6e37f7),
+    ("ws_deque/dir/rotate", 0x0f3b2b227bb24e80),
+    ("rcu_epoch/snoopy/stall", 0x1ede68c5c54d1326),
+    ("rcu_epoch/snoopy/rotate", 0x6e5c4e0b79545ca3),
+    ("rcu_epoch/dir/stall", 0xab0c33ffa2532d28),
+    ("rcu_epoch/dir/rotate", 0x48d1b8997a0dc354),
 ];
 
 const SPLASH: &[(&str, u64)] = &[
-    ("ocean/snoopy/stall", 0x0be6508fff1c8e14),
-    ("ocean/snoopy/rotate", 0x478bb9935f7b6ede),
-    ("ocean/dir/stall", 0xa1b8e84ada80599b),
-    ("ocean/dir/rotate", 0xf2f520336d359949),
-    ("radix/snoopy/stall", 0xd1c779af253d305b),
-    ("radix/snoopy/rotate", 0x9709d560b906ac4d),
-    ("radix/dir/stall", 0x287e1a5780365186),
-    ("radix/dir/rotate", 0xe1e61877ffcc1975),
+    ("ocean/snoopy/stall", 0x0bc4d8c504579bcb),
+    ("ocean/snoopy/rotate", 0x93af6dfced2c0754),
+    ("ocean/dir/stall", 0xc2ea3c3c8441aeb2),
+    ("ocean/dir/rotate", 0x71f394b92d3e844b),
+    ("radix/snoopy/stall", 0x66031a796faa1d6f),
+    ("radix/snoopy/rotate", 0x402ceb74dafde654),
+    ("radix/dir/stall", 0x74f0b74b7ec4e18a),
+    ("radix/dir/rotate", 0xf26c3646a4c3b91c),
 ];

@@ -174,8 +174,6 @@ fn cyclic_ordering_is_a_typed_error() {
 #[test]
 fn short_ordering_is_a_typed_error() {
     let (programs, mem, patched, mut ordering) = recorded_fixture();
-    ordering[0].timestamps.pop();
-    ordering[0].barriers.pop();
     ordering[0].preds.pop();
 
     let err = threaded(&programs, &patched, &ordering, mem, 2, &mut ())
@@ -215,8 +213,6 @@ fn probed_engine_fails_like_the_plain_engine() {
     cyclic[0].preds[last0].push((rr_mem::CoreId::new(1), last1 as u64));
     cyclic[1].preds[last1].push((rr_mem::CoreId::new(0), last0 as u64));
     let mut short = ordering.clone();
-    short[0].timestamps.pop();
-    short[0].barriers.pop();
     short[0].preds.pop();
     let mut out_of_range = ordering.clone();
     out_of_range[1].preds[0].push((rr_mem::CoreId::new(7), 0));
