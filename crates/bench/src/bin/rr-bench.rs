@@ -9,7 +9,8 @@
 //!                  [--threshold NAME=PCT]... [--warn-only]
 //! ```
 //!
-//! Exit status: `0` clean (or `--warn-only`), `1` regression detected,
+//! Exit status: `0` clean (or `--warn-only`), `1` regression detected or
+//! a simulated `cycles`/`instrs` count changed (even under `--warn-only`),
 //! `2` usage or unreadable/unparseable input.
 
 use std::process::ExitCode;
@@ -21,12 +22,13 @@ const USAGE: &str = "\
 usage: rr-bench compare <old.json> <new.json> [options]
 
 Compares two bench result files (any rr-bench/* schema) and exits
-nonzero if any bench's new median exceeds its regression threshold.
+nonzero if any bench's new median exceeds its regression threshold, or
+if a bench both files time carries different cycles or instrs counts.
 
 options:
   --threshold PCT        default allowed slowdown in percent (default 50)
   --threshold NAME=PCT   per-bench override (repeatable)
-  --warn-only            report regressions but exit 0 (shared CI runners)
+  --warn-only            report slow medians but exit 0 (shared CI runners)
 ";
 
 fn load(path: &str) -> Result<BenchDoc, String> {
@@ -119,6 +121,16 @@ fn run_compare(args: &[String]) -> ExitCode {
         println!("  bench disappeared: {name}");
     }
 
+    for change in &cmp.counter_changes {
+        println!("  simulated counter changed: {change}");
+    }
+    if !cmp.counter_changes.is_empty() {
+        println!(
+            "{} simulated counter(s) changed: the benches no longer compute the same thing",
+            cmp.counter_changes.len()
+        );
+        return ExitCode::from(1);
+    }
     let regressions = cmp.regressions();
     if regressions.is_empty() {
         println!("no regressions ({} benches compared)", cmp.deltas.len());

@@ -7,17 +7,25 @@
 //! unit-testable without spawning processes. Any schema the bench
 //! harnesses emit (`rr-bench/codec/v*`, `rr-bench/replay/v*`) parses, as
 //! long as it carries a `benches` array of `{name, median_ns}` rows; the
-//! harnesses write theirs with [`bench_json`].
+//! harnesses write theirs with [`bench_json`]. Rows that also carry the
+//! simulated `cycles` and `instrs` (`rr-bench/record/v*`) must carry the
+//! same ones in both documents: a change may make the simulator faster,
+//! never make it simulate something else.
 
 use relaxreplay::trace::json::{self, Value};
 
-/// One parsed bench row: the stable bench name and its median time.
+/// One parsed bench row: the stable bench name, its median time and, for
+/// a simulation, what it simulated.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchRow {
     /// Stable bench name (`decode_chunked/10m`, `thr4/large`, …).
     pub name: String,
     /// Median wall-clock nanoseconds.
     pub median_ns: u64,
+    /// Simulated cycles, when the row records a simulation.
+    pub cycles: Option<u64>,
+    /// Simulated instructions, when the row records a simulation.
+    pub instrs: Option<u64>,
 }
 
 /// A parsed `BENCH_*.json` document.
@@ -77,6 +85,8 @@ pub fn parse_bench_json(s: &str) -> Result<BenchDoc, String> {
         rows.push(BenchRow {
             name: name.to_string(),
             median_ns,
+            cycles: b.get("cycles").and_then(Value::as_u64),
+            instrs: b.get("instrs").and_then(Value::as_u64),
         });
     }
     Ok(BenchDoc {
@@ -181,6 +191,10 @@ pub struct Comparison {
     /// are not comparable across modes, so regressions are judged but
     /// should be read with suspicion.
     pub mode_mismatch: Option<(String, String)>,
+    /// One line per simulated counter (`cycles`, `instrs`) that both rows
+    /// of a bench carry with different values (`record/ocean: cycles 12239
+    /// -> 12240`). Unlike a slow median this is never noise.
+    pub counter_changes: Vec<String>,
 }
 
 impl Comparison {
@@ -212,6 +226,17 @@ pub fn compare(old: &BenchDoc, new: &BenchDoc, thresholds: &Thresholds) -> Compa
             cmp.removed.push(row.name.clone());
             continue;
         };
+        for (counter, old_n, new_n) in [
+            ("cycles", row.cycles, new_row.cycles),
+            ("instrs", row.instrs, new_row.instrs),
+        ] {
+            if let (Some(a), Some(b)) = (old_n, new_n) {
+                if a != b {
+                    cmp.counter_changes
+                        .push(format!("{}: {counter} {a} -> {b}", row.name));
+                }
+            }
+        }
         let threshold_pct = thresholds.for_bench(&row.name);
         let delta_pct = if row.median_ns == 0 {
             0.0
@@ -252,6 +277,8 @@ mod tests {
                 .map(|&(name, median_ns)| BenchRow {
                     name: name.into(),
                     median_ns,
+                    cycles: None,
+                    instrs: None,
                 })
                 .collect(),
         }
@@ -345,6 +372,37 @@ mod tests {
         let new = doc("smoke", &[("a", 100)]);
         let cmp = compare(&old, &new, &Thresholds::default());
         assert_eq!(cmp.mode_mismatch, Some(("full".into(), "smoke".into())));
+    }
+
+    #[test]
+    fn a_changed_simulated_counter_is_reported() {
+        let parsed = |cycles: u64| {
+            parse_bench_json(&format!(
+                r#"{{"schema": "rr-bench/record/v1", "benches": [
+                    {{"name": "record/ocean", "median_ns": 100, "cycles": {cycles}, "instrs": 900}},
+                    {{"name": "plain", "median_ns": 100}}
+                ]}}"#
+            ))
+            .expect("parses")
+        };
+        let old = parsed(12239);
+        assert_eq!(old.rows[0].cycles, Some(12239));
+        assert_eq!(old.rows[0].instrs, Some(900));
+        assert_eq!(old.rows[1].cycles, None);
+        let cmp = compare(&old, &old.clone(), &Thresholds::default());
+        assert!(cmp.counter_changes.is_empty());
+        let cmp = compare(&old, &parsed(12240), &Thresholds::default());
+        assert_eq!(
+            cmp.counter_changes,
+            vec!["record/ocean: cycles 12239 -> 12240"]
+        );
+        assert!(cmp.regressions().is_empty(), "the medians are equal");
+        // A row that carries no counters on one side is not judged.
+        let mut bare = parsed(1);
+        bare.rows[0].cycles = None;
+        assert!(compare(&old, &bare, &Thresholds::default())
+            .counter_changes
+            .is_empty());
     }
 
     #[test]

@@ -321,6 +321,11 @@ pub struct Recorder {
     alloc_boundary: i64,
     /// Sequence number of the last counted entry.
     counted_up_to: i64,
+    /// Sequence number of the last retired instruction, `-1` before any.
+    /// Retirement is in program order and a squash never discards a
+    /// retired seq, so a TRAQ entry has retired exactly when its seq is at
+    /// most this watermark.
+    retired_up_to: i64,
     log: IntervalLog,
     ordering: IntervalOrdering,
     /// Cross-core predecessors of the interval currently being recorded:
@@ -387,6 +392,7 @@ impl Recorder {
             nmi_pending: 0,
             alloc_boundary: -1,
             counted_up_to: -1,
+            retired_up_to: -1,
             log: IntervalLog::new(core),
             ordering: IntervalOrdering::default(),
             current_preds: Vec::new(),
@@ -688,7 +694,7 @@ impl Recorder {
         self.stats.traq_hist[bin] += 1;
         self.stats.traq_peak = self.stats.traq_peak.max(occupancy);
         for _ in 0..self.cfg.count_per_cycle {
-            let Some(entry) = self.traq.pop_ready() else {
+            let Some(entry) = self.traq.pop_ready(self.retired_up_to) else {
                 break;
             };
             self.count_entry(entry, cycle);
@@ -709,25 +715,9 @@ impl Recorder {
         }
         if self.nmi_pending > 0 {
             let seq = (self.alloc_boundary + i64::from(self.nmi_pending)) as u64;
-            let nmi = self.nmi_pending;
-            self.push_traq(TraqEntry {
-                seq,
-                kind: TraqKind::Filler,
-                nmi,
-                pisn: None,
-                perform_ordinal: None,
-                snoops_at_perform: 0,
-                performed: false,
-                retired: true,
-                addr: 0,
-                line: LineAddr::containing(0),
-                loaded: None,
-                stored: None,
-                sample: Default::default(),
-            });
-            self.nmi_pending = 0;
+            self.push_traq(seq, TraqKind::Filler);
         }
-        while let Some(entry) = self.traq.pop_ready() {
+        while let Some(entry) = self.traq.pop_ready(self.retired_up_to) {
             self.count_entry(entry, cycle);
         }
         assert_eq!(
@@ -750,9 +740,11 @@ impl Recorder {
         self.finished = true;
     }
 
-    fn push_traq(&mut self, entry: TraqEntry) {
-        self.alloc_boundary = entry.seq as i64;
-        self.traq.push(entry);
+    /// Allocates a TRAQ entry carrying the pending non-memory count.
+    fn push_traq(&mut self, seq: u64, kind: TraqKind) {
+        self.alloc_boundary = seq as i64;
+        let nmi = std::mem::take(&mut self.nmi_pending);
+        self.traq.push(TraqEntry::new(seq, kind, nmi));
     }
 
     fn count_entry(&mut self, entry: TraqEntry, cycle: u64) {
@@ -991,25 +983,9 @@ impl CoreObserver for Recorder {
             if self.traq.is_full() {
                 return false;
             }
-            let nmi = self.nmi_pending;
-            self.nmi_pending = 0;
-            self.push_traq(TraqEntry {
-                seq,
-                // The access kind is refined at perform time; dispatch only
-                // needs a slot. Use Load as a placeholder.
-                kind: TraqKind::Mem(AccessKind::Load),
-                nmi,
-                pisn: None,
-                perform_ordinal: None,
-                snoops_at_perform: 0,
-                performed: false,
-                retired: false,
-                addr: 0,
-                line: LineAddr::containing(0),
-                loaded: None,
-                stored: None,
-                sample: Default::default(),
-            });
+            // The access kind is refined at perform time; dispatch only
+            // needs a slot. Use Load as a placeholder.
+            self.push_traq(seq, TraqKind::Mem(AccessKind::Load));
             true
         } else {
             // After a squash, `nmi_pending` is recomputed and may exceed
@@ -1021,23 +997,7 @@ impl CoreObserver for Recorder {
             }
             self.nmi_pending += 1;
             if self.nmi_pending == self.cfg.nmi_max {
-                let nmi = self.nmi_pending;
-                self.push_traq(TraqEntry {
-                    seq,
-                    kind: TraqKind::Filler,
-                    nmi,
-                    pisn: None,
-                    perform_ordinal: None,
-                    snoops_at_perform: 0,
-                    performed: false,
-                    retired: false,
-                    addr: 0,
-                    line: LineAddr::containing(0),
-                    loaded: None,
-                    stored: None,
-                    sample: Default::default(),
-                });
-                self.nmi_pending = 0;
+                self.push_traq(seq, TraqKind::Filler);
             }
             true
         }
@@ -1102,13 +1062,12 @@ impl CoreObserver for Recorder {
     }
 
     fn on_retire(&mut self, seq: u64, _is_mem: bool, _cycle: u64) {
-        // Both memory entries and fillers key retirement off their seq.
-        if let Some(entry) = self.traq.find_mut(seq) {
-            entry.retired = true;
-        }
+        debug_assert!(seq as i64 > self.retired_up_to, "retirement is in order");
+        self.retired_up_to = seq as i64;
     }
 
     fn on_squash_after(&mut self, bseq: u64, cycle: u64) {
+        debug_assert!(bseq as i64 >= self.retired_up_to, "squash of a retired seq");
         self.trace(cycle, TraceEvent::Squash { after_seq: bseq });
         self.traq.squash_after(bseq);
         let boundary = self
@@ -1290,6 +1249,83 @@ mod tests {
         assert_eq!(rec.stats().reordered_loads, 1);
         assert_eq!(rec.stats().snoop_wrap_conservative, 1);
         assert_eq!(rec.stats().moved_across_intervals, 0);
+    }
+
+    fn load(rec: &mut Recorder, seq: u64, addr: u64, cycle: u64) {
+        rec.on_perform(&PerformRecord {
+            seq,
+            kind: AccessKind::Load,
+            addr,
+            line: LineAddr::containing(addr),
+            loaded: Some(addr),
+            stored: None,
+            cycle,
+        });
+    }
+
+    /// A squash after some instructions retired leaves the retire
+    /// watermark where it was, so re-dispatched instructions that reuse the
+    /// squashed seqs count only once they retire themselves.
+    #[test]
+    fn squash_after_partial_retirement_recounts_reused_seqs() {
+        let cfg = RecorderConfig::splash_default(Design::Base, None);
+        let mut rec = Recorder::new(CoreId::new(0), cfg);
+        for seq in 0..4 {
+            assert!(rec.on_dispatch(seq, true));
+        }
+        for seq in 0..4 {
+            load(&mut rec, seq, 0x40 * (seq + 1), 1);
+        }
+        rec.on_retire(0, true, 2);
+        rec.on_retire(1, true, 2);
+        rec.on_squash_after(1, 3);
+        assert_eq!(rec.traq_len(), 2, "retired entries survive the squash");
+        // The correct path reuses seqs 2 and 3: a load that performs at
+        // once, then a non-memory instruction.
+        assert!(rec.on_dispatch(2, true));
+        assert!(rec.on_dispatch(3, false));
+        load(&mut rec, 2, 0x400, 4);
+        rec.tick(5);
+        rec.tick(6);
+        assert_eq!(rec.traq_len(), 1, "seq 2 is performed but not retired");
+        rec.on_retire(2, true, 7);
+        rec.tick(7);
+        assert_eq!(rec.traq_len(), 0);
+        rec.on_retire(3, false, 8);
+        rec.finish(9);
+        let log = rec.into_log();
+        assert_eq!(log.entries[0], LogEntry::InorderBlock { instrs: 4 });
+        assert_eq!(log.intervals(), 1);
+    }
+
+    /// The filler `finish` adds for trailing non-memory instructions is
+    /// counted because the watermark has passed its seq, not by a flag.
+    #[test]
+    fn finish_filler_counts_through_the_watermark() {
+        let cfg = RecorderConfig::splash_default(Design::Base, None);
+        let mut rec = Recorder::new(CoreId::new(0), cfg);
+        assert!(rec.on_dispatch(0, true));
+        load(&mut rec, 0, 0x40, 1);
+        assert!(rec.on_dispatch(1, false));
+        assert!(rec.on_dispatch(2, false));
+        for seq in 0..3 {
+            rec.on_retire(seq, seq == 0, 2);
+        }
+        rec.finish(3);
+        let log = rec.into_log();
+        assert_eq!(log.entries[0], LogEntry::InorderBlock { instrs: 3 });
+        assert_eq!(log.intervals(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "finish() on a core that is still executing")]
+    fn finish_filler_of_unretired_instructions_is_refused() {
+        let cfg = RecorderConfig::splash_default(Design::Base, None);
+        let mut rec = Recorder::new(CoreId::new(0), cfg);
+        assert!(rec.on_dispatch(0, false));
+        assert!(rec.on_dispatch(1, false));
+        rec.on_retire(0, false, 1);
+        rec.finish(2);
     }
 
     /// Regression: a sink failure mid-record must poison the recording and

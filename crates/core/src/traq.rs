@@ -34,7 +34,6 @@ pub(crate) struct TraqEntry {
     /// perform time (for the Snoop Table full-wrap conservative check).
     pub snoops_at_perform: u64,
     pub performed: bool,
-    pub retired: bool,
     pub addr: u64,
     pub line: LineAddr,
     pub loaded: Option<u64>,
@@ -44,13 +43,33 @@ pub(crate) struct TraqEntry {
 }
 
 impl TraqEntry {
-    /// Whether the entry is ready to be counted at the TRAQ head:
-    /// memory entries need to be both performed and retired (paper §3.3);
-    /// fillers only need their covered instructions retired.
-    pub fn ready_to_count(&self) -> bool {
+    /// A new entry for an instruction that has not performed yet.
+    pub fn new(seq: u64, kind: TraqKind, nmi: u32) -> Self {
+        TraqEntry {
+            seq,
+            kind,
+            nmi,
+            pisn: None,
+            perform_ordinal: None,
+            snoops_at_perform: 0,
+            performed: false,
+            addr: 0,
+            line: LineAddr::containing(0),
+            loaded: None,
+            stored: None,
+            sample: SnoopSample::default(),
+        }
+    }
+
+    /// Whether the entry is ready to be counted at the TRAQ head, given
+    /// that every instruction up to `retired_up_to` has retired: memory
+    /// entries need to be both performed and retired (paper §3.3); fillers
+    /// only need their covered instructions retired.
+    pub fn ready_to_count(&self, retired_up_to: i64) -> bool {
+        let retired = self.seq as i64 <= retired_up_to;
         match self.kind {
-            TraqKind::Mem(_) => self.performed && self.retired,
-            TraqKind::Filler => self.retired,
+            TraqKind::Mem(_) => self.performed && retired,
+            TraqKind::Filler => retired,
         }
     }
 }
@@ -108,9 +127,14 @@ impl Traq {
         self.entries.get_mut(i)
     }
 
-    /// Pops the head if it is ready to be counted.
-    pub fn pop_ready(&mut self) -> Option<TraqEntry> {
-        if self.entries.front().is_some_and(TraqEntry::ready_to_count) {
+    /// Pops the head if it is ready to be counted (see
+    /// [`TraqEntry::ready_to_count`]).
+    pub fn pop_ready(&mut self, retired_up_to: i64) -> Option<TraqEntry> {
+        if self
+            .entries
+            .front()
+            .is_some_and(|e| e.ready_to_count(retired_up_to))
+        {
             self.entries.pop_front()
         } else {
             None
@@ -136,21 +160,7 @@ mod tests {
     use super::*;
 
     fn mem_entry(seq: u64) -> TraqEntry {
-        TraqEntry {
-            seq,
-            kind: TraqKind::Mem(AccessKind::Load),
-            nmi: 0,
-            pisn: None,
-            perform_ordinal: None,
-            snoops_at_perform: 0,
-            performed: false,
-            retired: false,
-            addr: 0,
-            line: LineAddr::containing(0),
-            loaded: None,
-            stored: None,
-            sample: SnoopSample::default(),
-        }
+        TraqEntry::new(seq, TraqKind::Mem(AccessKind::Load), 0)
     }
 
     #[test]
@@ -158,12 +168,11 @@ mod tests {
         let mut t = Traq::new(4);
         t.push(mem_entry(0));
         t.push(mem_entry(1));
-        assert!(t.pop_ready().is_none());
+        assert!(t.pop_ready(-1).is_none());
         t.find_mut(0).expect("entry").performed = true;
-        assert!(t.pop_ready().is_none(), "needs retired too");
-        t.find_mut(0).expect("entry").retired = true;
-        assert_eq!(t.pop_ready().expect("ready").seq, 0);
-        assert!(t.pop_ready().is_none(), "head not ready");
+        assert!(t.pop_ready(-1).is_none(), "needs retired too");
+        assert_eq!(t.pop_ready(0).expect("ready").seq, 0);
+        assert!(t.pop_ready(1).is_none(), "head not ready");
     }
 
     #[test]
@@ -198,13 +207,8 @@ mod tests {
     #[test]
     fn filler_counts_on_retire_alone() {
         let mut t = Traq::new(2);
-        t.push(TraqEntry {
-            kind: TraqKind::Filler,
-            nmi: 15,
-            ..mem_entry(7)
-        });
-        assert!(t.pop_ready().is_none());
-        t.find_mut(7).expect("entry").retired = true;
-        assert!(t.pop_ready().is_some());
+        t.push(TraqEntry::new(7, TraqKind::Filler, 15));
+        assert!(t.pop_ready(6).is_none());
+        assert!(t.pop_ready(7).is_some());
     }
 }

@@ -1,4 +1,4 @@
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use rr_isa::{AtomicOp, FenceKind, Instr, MemImage, Program, Reg, NUM_REGS};
 use rr_mem::{AccessKind, CoreId, LineAddr, MemorySystem, ReqId, Response};
@@ -61,6 +61,20 @@ struct RobEntry {
     mem: Option<MemSide>,
 }
 
+impl MemSide {
+    fn new(kind: AccessKind) -> Self {
+        MemSide {
+            kind,
+            addr: None,
+            data: None,
+            expected: None,
+            performed: false,
+            issued: false,
+            ooo: false,
+        }
+    }
+}
+
 impl RobEntry {
     fn ops_ready(&self) -> bool {
         !self.ops.iter().any(|o| matches!(o, OpSlot::Wait(_)))
@@ -96,6 +110,39 @@ struct Waiters {
 
 /// `Waiters::producer` of a slot whose list belongs to no producer.
 const NO_PRODUCER: u64 = u64::MAX;
+
+/// An ascending set of sequence numbers. Members are pushed at dispatch,
+/// always with the newest seq, and a squash cuts off the newest ones, so a
+/// sorted deque does what a `BTreeSet` would: the minimum is the front,
+/// and the usual removal (the oldest) pops it.
+#[derive(Clone, Debug, Default)]
+struct SeqDeque(VecDeque<u64>);
+
+impl SeqDeque {
+    /// Adds `seq`, which must be newer than every member.
+    fn push_newest(&mut self, seq: u64) {
+        debug_assert!(self.0.back().is_none_or(|&b| b < seq), "seqs ascend");
+        self.0.push_back(seq);
+    }
+
+    fn remove(&mut self, seq: u64) {
+        if let Ok(i) = self.0.binary_search(&seq) {
+            self.0.remove(i);
+        }
+    }
+
+    /// Whether some member is older than `seq`.
+    fn any_older_than(&self, seq: u64) -> bool {
+        self.0.front().is_some_and(|&s| s < seq)
+    }
+
+    /// Drops every member newer than `bseq`.
+    fn truncate_after(&mut self, bseq: u64) {
+        while self.0.back().is_some_and(|&s| s > bseq) {
+            self.0.pop_back();
+        }
+    }
+}
 
 #[derive(Clone, Copy, Debug)]
 enum MemTarget {
@@ -162,10 +209,13 @@ pub struct Core<'p> {
     write_buffer: VecDeque<WbEntry>,
     wb_next_id: u64,
     wb_inflight: usize,
-    blocking: BTreeSet<u64>,
-    outstanding_mem: BTreeSet<u64>,
+    blocking: SeqDeque,
+    outstanding_mem: SeqDeque,
     /// Unperformed loads/RMWs only (TSO load-load ordering).
-    outstanding_loads: BTreeSet<u64>,
+    outstanding_loads: SeqDeque,
+    /// Loads in `Stage::MemWait`: while none waits, `issue_loads` has
+    /// nothing to do.
+    mem_wait_loads: usize,
     /// In-flight memory requests (a handful at a time: an unordered
     /// small vector).
     pending_reqs: Vec<(ReqId, MemTarget)>,
@@ -224,9 +274,10 @@ impl<'p> Core<'p> {
             write_buffer: VecDeque::new(),
             wb_next_id: 0,
             wb_inflight: 0,
-            blocking: BTreeSet::new(),
-            outstanding_mem: BTreeSet::new(),
-            outstanding_loads: BTreeSet::new(),
+            blocking: SeqDeque::default(),
+            outstanding_mem: SeqDeque::default(),
+            outstanding_loads: SeqDeque::default(),
+            mem_wait_loads: 0,
             pending_reqs: Vec::new(),
             completions_in: Vec::new(),
             older_stores: Vec::new(),
@@ -346,6 +397,16 @@ impl<'p> Core<'p> {
         self.retire(cycle, img, mem, obs);
         self.drain_write_buffer(cycle, img, mem, obs);
         self.dispatch(cycle, obs);
+        debug_assert_eq!(
+            self.mem_wait_loads,
+            self.lsq
+                .iter()
+                .filter(|&&s| self.entry(s).is_some_and(|e| {
+                    e.stage == Stage::MemWait && matches!(e.instr, Instr::Load { .. })
+                }))
+                .count(),
+            "issuable-load count"
+        );
     }
 
     // ----- perform bookkeeping -------------------------------------------
@@ -366,9 +427,9 @@ impl<'p> Core<'p> {
         stored: Option<u64>,
         cycle: u64,
     ) -> bool {
-        let older_pending = self.outstanding_mem.range(..seq).next().is_some();
-        self.outstanding_mem.remove(&seq);
-        self.outstanding_loads.remove(&seq);
+        let older_pending = self.outstanding_mem.any_older_than(seq);
+        self.outstanding_mem.remove(seq);
+        self.outstanding_loads.remove(seq);
         obs.on_perform(&PerformRecord {
             seq,
             kind,
@@ -381,11 +442,42 @@ impl<'p> Core<'p> {
         older_pending
     }
 
-    /// Banks the out-of-order flag of a ROB-resident access (load/RMW).
-    fn bank_ooo(&mut self, seq: u64, ooo: bool) {
-        if let Some(e) = self.entry_mut(seq) {
-            e.mem.as_mut().expect("mem side").ooo = ooo;
-        }
+    /// Performs a ROB-resident access (load/RMW): marks it performed,
+    /// reports the perform and banks its out-of-order flag.
+    fn perform_in_rob(
+        &mut self,
+        obs: &mut dyn CoreObserver,
+        seq: u64,
+        loaded: u64,
+        stored: Option<u64>,
+        cycle: u64,
+    ) {
+        let m = self
+            .entry_mut(seq)
+            .and_then(|e| e.mem.as_mut())
+            .expect("mem side");
+        m.performed = true;
+        let (kind, addr) = (m.kind, m.addr.expect("performed implies address"));
+        let ooo = self.note_perform(obs, seq, kind, addr, Some(loaded), stored, cycle);
+        self.entry_mut(seq)
+            .and_then(|e| e.mem.as_mut())
+            .expect("mem side")
+            .ooo = ooo;
+    }
+
+    /// Performs the atomic `seq` on `addr` and completes it.
+    fn perform_rmw(
+        &mut self,
+        img: &mut MemImage,
+        obs: &mut dyn CoreObserver,
+        seq: u64,
+        addr: u64,
+        cycle: u64,
+    ) {
+        let (old, stored) = self.apply_rmw(img, seq, addr);
+        self.blocking.remove(seq);
+        self.perform_in_rob(obs, seq, old, stored, cycle);
+        self.complete_entry(seq, Some(old));
     }
 
     // ----- completions -----------------------------------------------------
@@ -408,39 +500,10 @@ impl<'p> Core<'p> {
                     match mem_side.kind {
                         AccessKind::Load => {
                             let value = img.load(addr);
-                            if let Some(e) = self.entry_mut(seq) {
-                                e.mem.as_mut().expect("mem side").performed = true;
-                            }
-                            let ooo = self.note_perform(
-                                obs,
-                                seq,
-                                AccessKind::Load,
-                                addr,
-                                Some(value),
-                                None,
-                                cycle,
-                            );
-                            self.bank_ooo(seq, ooo);
+                            self.perform_in_rob(obs, seq, value, None, cycle);
                             self.complete_entry(seq, Some(value));
                         }
-                        AccessKind::Rmw => {
-                            let (old, stored) = self.apply_rmw(img, seq, addr);
-                            if let Some(e) = self.entry_mut(seq) {
-                                e.mem.as_mut().expect("mem side").performed = true;
-                            }
-                            self.blocking.remove(&seq);
-                            let ooo = self.note_perform(
-                                obs,
-                                seq,
-                                AccessKind::Rmw,
-                                addr,
-                                Some(old),
-                                stored,
-                                cycle,
-                            );
-                            self.bank_ooo(seq, ooo);
-                            self.complete_entry(seq, Some(old));
-                        }
+                        AccessKind::Rmw => self.perform_rmw(img, obs, seq, addr, cycle),
                         AccessKind::Store => unreachable!("ROB stores perform via write buffer"),
                     }
                 }
@@ -539,14 +602,14 @@ impl<'p> Core<'p> {
                 let mem_side = entry.mem.as_ref().expect("mem side");
                 if mem_side.performed {
                     // Data arrived (hit or forward); broadcast it.
-                    let v = entry.result;
-                    self.complete_entry(seq, v);
+                    self.complete_entry(seq, entry.result);
                 } else {
                     // Address-generation step.
                     let addr = entry.op_value(0).wrapping_add(offset as u64);
                     let e = self.entry_mut(seq).expect("entry");
                     e.mem.as_mut().expect("mem side").addr = Some(addr);
                     e.stage = Stage::MemWait;
+                    self.mem_wait_loads += 1;
                 }
             }
             Instr::Store { offset, .. } => {
@@ -562,8 +625,7 @@ impl<'p> Core<'p> {
             Instr::Atomic { .. } => {
                 let mem_side = entry.mem.as_ref().expect("mem side");
                 if mem_side.performed {
-                    let v = entry.result;
-                    self.complete_entry(seq, v);
+                    self.complete_entry(seq, entry.result);
                 } else {
                     let addr = entry.op_value(0);
                     let expected = entry.op_value(1);
@@ -650,8 +712,10 @@ impl<'p> Core<'p> {
         mem: &mut MemorySystem,
         obs: &mut dyn CoreObserver,
     ) {
+        if self.mem_wait_loads == 0 {
+            return;
+        }
         let mut units = self.cfg.ldst_units;
-        let blocking_min = self.blocking.iter().next().copied();
         // Older stores in LSQ order; the youngest one per word address
         // decides: Some(data) = forwardable, None = must wait (unperformed
         // atomic).
@@ -688,7 +752,7 @@ impl<'p> Core<'p> {
                     if entry.stage != Stage::MemWait {
                         continue; // not ready to issue, or already issued
                     }
-                    if blocking_min.is_some_and(|b| b < seq) {
+                    if self.blocking.any_older_than(seq) {
                         // An acquire fence or unperformed atomic blocks this
                         // load and everything younger.
                         break;
@@ -699,7 +763,7 @@ impl<'p> Core<'p> {
                     // themselves but bypass stores; under RC anything goes.
                     match self.cfg.consistency {
                         ConsistencyModel::Sc => {
-                            if self.outstanding_mem.range(..seq).next().is_some()
+                            if self.outstanding_mem.any_older_than(seq)
                                 || !self.write_buffer.is_empty()
                                 || self.wb_inflight > 0
                             {
@@ -707,7 +771,7 @@ impl<'p> Core<'p> {
                             }
                         }
                         ConsistencyModel::Tso => {
-                            if self.outstanding_loads.range(..seq).next().is_some() {
+                            if self.outstanding_loads.any_older_than(seq) {
                                 break; // load-load order
                             }
                         }
@@ -719,7 +783,8 @@ impl<'p> Core<'p> {
                     if let Some(&(_, forward)) = store_data.iter().rev().find(|&&(a, _)| a == addr)
                     {
                         if let Some(value) = forward {
-                            self.forward_load(seq, addr, value, cycle, obs);
+                            self.stats.forwarded_loads += 1;
+                            self.perform_at_issue(obs, seq, value, cycle + 1, cycle);
                             units -= 1;
                         }
                         // (None = unperformed atomic: the load waits.)
@@ -727,7 +792,8 @@ impl<'p> Core<'p> {
                     }
                     if let Some(e) = self.write_buffer.iter().rev().find(|e| e.addr == addr) {
                         let value = e.data;
-                        self.forward_load(seq, addr, value, cycle, obs);
+                        self.stats.forwarded_loads += 1;
+                        self.perform_at_issue(obs, seq, value, cycle + 1, cycle);
                         units -= 1;
                         continue;
                     }
@@ -738,27 +804,14 @@ impl<'p> Core<'p> {
                             // Performs now; data reaches consumers after the
                             // hit latency.
                             let value = img.load(addr);
-                            let e = self.entry_mut(seq).expect("entry");
-                            e.result = Some(value);
-                            e.stage = Stage::Executing;
-                            e.mem.as_mut().expect("mem side").performed = true;
-                            let ooo = self.note_perform(
-                                obs,
-                                seq,
-                                AccessKind::Load,
-                                addr,
-                                Some(value),
-                                None,
-                                cycle,
-                            );
-                            self.bank_ooo(seq, ooo);
-                            self.exec_inflight.push((cycle + latency, seq));
+                            self.perform_at_issue(obs, seq, value, cycle + latency, cycle);
                             units -= 1;
                         }
                         Response::Pending { req } => {
                             let e = self.entry_mut(seq).expect("entry");
                             e.stage = Stage::MemPending;
                             e.mem.as_mut().expect("mem side").issued = true;
+                            self.mem_wait_loads -= 1;
                             self.pending_reqs.push((req, MemTarget::Rob(seq)));
                             units -= 1;
                         }
@@ -771,22 +824,22 @@ impl<'p> Core<'p> {
         self.older_stores = store_data;
     }
 
-    fn forward_load(
+    /// Performs a waiting load at issue (a forward or a cache hit); its
+    /// value reaches consumers at `done_at`.
+    fn perform_at_issue(
         &mut self,
-        seq: u64,
-        addr: u64,
-        value: u64,
-        cycle: u64,
         obs: &mut dyn CoreObserver,
+        seq: u64,
+        value: u64,
+        done_at: u64,
+        cycle: u64,
     ) {
-        self.stats.forwarded_loads += 1;
         let e = self.entry_mut(seq).expect("entry");
         e.result = Some(value);
         e.stage = Stage::Executing;
-        e.mem.as_mut().expect("mem side").performed = true;
-        let ooo = self.note_perform(obs, seq, AccessKind::Load, addr, Some(value), None, cycle);
-        self.bank_ooo(seq, ooo);
-        self.exec_inflight.push((cycle + 1, seq));
+        self.mem_wait_loads -= 1;
+        self.perform_in_rob(obs, seq, value, None, cycle);
+        self.exec_inflight.push((done_at, seq));
     }
 
     // ----- retire ----------------------------------------------------------
@@ -818,23 +871,7 @@ impl<'p> Core<'p> {
                         let line = LineAddr::containing(addr);
                         match mem.access(cycle, self.id, AccessKind::Rmw, line) {
                             Response::Hit { .. } => {
-                                let (old, stored) = self.apply_rmw(img, head, addr);
-                                {
-                                    let e = self.entry_mut(head).expect("entry");
-                                    e.mem.as_mut().expect("mem side").performed = true;
-                                }
-                                self.blocking.remove(&head);
-                                let ooo = self.note_perform(
-                                    obs,
-                                    head,
-                                    AccessKind::Rmw,
-                                    addr,
-                                    Some(old),
-                                    stored,
-                                    cycle,
-                                );
-                                self.bank_ooo(head, ooo);
-                                self.complete_entry(head, Some(old));
+                                self.perform_rmw(img, obs, head, addr, cycle);
                                 // Falls through: may retire this cycle.
                             }
                             Response::Pending { req } => {
@@ -923,7 +960,7 @@ impl<'p> Core<'p> {
                 let popped = self.lsq.pop_front();
                 debug_assert_eq!(popped, Some(head), "LSQ must retire in order");
             }
-            self.blocking.remove(&head);
+            self.blocking.remove(head);
             let idx = self.slot_of(head);
             self.slots[idx] = None;
             self.head_seq += 1;
@@ -958,10 +995,10 @@ impl<'p> Core<'p> {
         // Find the oldest unissued store whose line has no older store
         // still unperformed (same-line stores stay ordered; independent
         // lines overlap — the RC write buffer).
-        let mut candidate: Option<u64> = None;
+        let mut candidate: Option<usize> = None;
         let lines_blocked = &mut self.lines_blocked;
         lines_blocked.clear();
-        for e in &self.write_buffer {
+        for (k, e) in self.write_buffer.iter().enumerate() {
             if !e.performed && e.issued {
                 lines_blocked.push(e.line);
                 continue;
@@ -971,32 +1008,27 @@ impl<'p> Core<'p> {
                     lines_blocked.push(e.line);
                     continue;
                 }
-                candidate = Some(e.id);
+                candidate = Some(k);
                 break;
             }
         }
-        let Some(id) = candidate else {
+        let Some(k) = candidate else {
             return;
         };
-        let (seq, addr, line, data) = {
-            let e = self
-                .write_buffer
-                .iter()
-                .find(|e| e.id == id)
-                .expect("candidate exists");
-            (e.seq, e.addr, e.line, e.data)
-        };
+        let WbEntry {
+            id,
+            seq,
+            addr,
+            line,
+            data,
+            ..
+        } = self.write_buffer[k];
         match mem.access(cycle, self.id, AccessKind::Store, line) {
             Response::Hit { .. } => {
                 // Performs now (atomically with the hit decision — the
                 // signature insertion must not race with incoming snoops;
                 // see rr-mem's ordering invariants).
-                let e = self
-                    .write_buffer
-                    .iter_mut()
-                    .find(|e| e.id == id)
-                    .expect("candidate exists");
-                e.performed = true;
+                self.write_buffer[k].performed = true;
                 img.store(addr, data);
                 if self.note_perform(obs, seq, AccessKind::Store, addr, None, Some(data), cycle) {
                     self.stats.ooo_stores += 1;
@@ -1004,12 +1036,7 @@ impl<'p> Core<'p> {
                 self.pop_performed_wb();
             }
             Response::Pending { req } => {
-                let e = self
-                    .write_buffer
-                    .iter_mut()
-                    .find(|e| e.id == id)
-                    .expect("candidate exists");
-                e.issued = true;
+                self.write_buffer[k].issued = true;
                 self.wb_inflight += 1;
                 self.pending_reqs.push((req, MemTarget::Wb(id)));
             }
@@ -1082,29 +1109,13 @@ impl<'p> Core<'p> {
             Instr::Load { dst, base, .. } => {
                 ops[0] = self.resolve_operand(base, seq);
                 dest = Some(dst);
-                mem_side = Some(MemSide {
-                    kind: AccessKind::Load,
-                    addr: None,
-                    data: None,
-                    expected: None,
-                    performed: false,
-                    issued: false,
-                    ooo: false,
-                });
+                mem_side = Some(MemSide::new(AccessKind::Load));
                 stage = Stage::Waiting;
             }
             Instr::Store { src, base, .. } => {
                 ops[0] = self.resolve_operand(base, seq);
                 ops[1] = self.resolve_operand(src, seq);
-                mem_side = Some(MemSide {
-                    kind: AccessKind::Store,
-                    addr: None,
-                    data: None,
-                    expected: None,
-                    performed: false,
-                    issued: false,
-                    ooo: false,
-                });
+                mem_side = Some(MemSide::new(AccessKind::Store));
                 stage = Stage::Waiting;
             }
             Instr::Atomic {
@@ -1118,16 +1129,8 @@ impl<'p> Core<'p> {
                 ops[1] = self.resolve_operand(expected, seq);
                 ops[2] = self.resolve_operand(operand, seq);
                 dest = Some(dst);
-                mem_side = Some(MemSide {
-                    kind: AccessKind::Rmw,
-                    addr: None,
-                    data: None,
-                    expected: None,
-                    performed: false,
-                    issued: false,
-                    ooo: false,
-                });
-                self.blocking.insert(seq);
+                mem_side = Some(MemSide::new(AccessKind::Rmw));
+                self.blocking.push_newest(seq);
                 stage = Stage::Waiting;
             }
             Instr::Branch { a, b, target, .. } => {
@@ -1147,7 +1150,7 @@ impl<'p> Core<'p> {
             }
             Instr::Fence(kind) => {
                 if matches!(kind, FenceKind::Acquire | FenceKind::Full) {
-                    self.blocking.insert(seq);
+                    self.blocking.push_newest(seq);
                 }
                 stage = Stage::Done;
             }
@@ -1199,9 +1202,9 @@ impl<'p> Core<'p> {
         }
         if instr.is_memory_access() {
             self.lsq.push_back(seq);
-            self.outstanding_mem.insert(seq);
+            self.outstanding_mem.push_newest(seq);
             if !matches!(instr, Instr::Store { .. }) {
-                self.outstanding_loads.insert(seq);
+                self.outstanding_loads.push_newest(seq);
             }
         }
         if stage == Stage::Ready {
@@ -1279,11 +1282,14 @@ impl<'p> Core<'p> {
             let idx = self.slot_of(seq);
             if let Some(e) = self.slots[idx].take() {
                 debug_assert_eq!(e.seq, seq);
-                self.outstanding_mem.remove(&seq);
-                self.outstanding_loads.remove(&seq);
-                self.blocking.remove(&seq);
+                if e.stage == Stage::MemWait && matches!(e.instr, Instr::Load { .. }) {
+                    self.mem_wait_loads -= 1;
+                }
             }
         }
+        self.outstanding_mem.truncate_after(bseq);
+        self.outstanding_loads.truncate_after(bseq);
+        self.blocking.truncate_after(bseq);
         while self.lsq.back().is_some_and(|&s| s > bseq) {
             self.lsq.pop_back();
         }
@@ -1312,5 +1318,65 @@ impl<'p> Core<'p> {
         self.dispatch_stopped = false;
         self.redirect_ready_at = cycle + self.cfg.mispredict_penalty;
         obs.on_squash_after(bseq, cycle);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
+    use super::SeqDeque;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Push the newest seq: the model's maximum plus this gap.
+        Push(u64),
+        Remove(u64),
+        TruncateAfter(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Pushes twice as often as each other op, so the deque fills up.
+        prop_oneof![
+            (1u64..4).prop_map(Op::Push),
+            (1u64..4).prop_map(Op::Push),
+            (0u64..64).prop_map(Op::Remove),
+            (0u64..64).prop_map(Op::TruncateAfter),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn seq_deque_matches_a_btreeset(ops in proptest::collection::vec(op(), 0..80), probe in 0u64..70) {
+            let mut deque = SeqDeque::default();
+            let mut model = BTreeSet::new();
+            // Seqs only grow, as at dispatch, except that a squash lets the
+            // next push reuse the seqs it cut off.
+            let mut next = 0u64;
+            for op in ops {
+                match op {
+                    Op::Push(gap) => {
+                        let seq = next + gap - 1;
+                        next = seq + 1;
+                        deque.push_newest(seq);
+                        model.insert(seq);
+                    }
+                    Op::Remove(seq) => {
+                        deque.remove(seq);
+                        model.remove(&seq);
+                    }
+                    Op::TruncateAfter(bseq) => {
+                        deque.truncate_after(bseq);
+                        model.retain(|&s| s <= bseq);
+                        next = next.min(bseq + 1);
+                    }
+                }
+                prop_assert_eq!(deque.0.iter().copied().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(deque.0.front(), model.iter().next());
+                prop_assert_eq!(deque.any_older_than(probe), model.range(..probe).next().is_some());
+            }
+        }
     }
 }

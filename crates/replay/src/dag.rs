@@ -270,22 +270,28 @@ impl<'a> IntervalDag<'a> {
         }
         // Barrier edges: an eviction-closed interval precedes everything
         // with a larger timestamp, and follows everything with a smaller
-        // one.
+        // one. A core's intervals are in timestamp order, so the chains
+        // order the rest once the barrier follows each other core's latest
+        // earlier interval and precedes each core's first later one.
         let mut by_time: Vec<usize> = (0..nodes.len()).collect();
         by_time.sort_by_key(|&i| (nodes[i].timestamp, nodes[i].core));
+        // Positions in `by_time`.
         let mut last_of_core: Vec<Option<usize>> = vec![None; logs.len()];
         let mut last_barrier: Option<usize> = None;
-        for &i in &by_time {
-            if let Some(b) = last_barrier {
-                add_edge(&mut nodes, b, i);
+        for (t, &i) in by_time.iter().enumerate() {
+            let core = nodes[i].core;
+            if let Some(b) = last_barrier.filter(|&b| last_of_core[core].is_none_or(|p| p < b)) {
+                add_edge(&mut nodes, by_time[b], i);
             }
             if nodes[i].barrier {
-                for prev in last_of_core.iter().flatten() {
-                    add_edge(&mut nodes, *prev, i);
+                for (c, prev) in last_of_core.iter().enumerate() {
+                    if let Some(p) = prev.filter(|_| c != core) {
+                        add_edge(&mut nodes, by_time[p], i);
+                    }
                 }
-                last_barrier = Some(i);
+                last_barrier = Some(t);
             }
-            last_of_core[nodes[i].core] = Some(i);
+            last_of_core[core] = Some(t);
         }
 
         let dag = IntervalDag {
