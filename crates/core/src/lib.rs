@@ -97,6 +97,5 @@ pub use recorder::{
 pub use signature::Signature;
 pub use snoop_table::{SnoopSample, SnoopTable};
 pub use wire::{
-    chunk_spans, ChunkInfo, ChunkSpan, ChunkedWriter, FailingSink, LogSink, Salvage, VecSink,
-    WireError,
+    chunk_spans, ChunkInfo, ChunkedWriter, FailingSink, LogSink, Salvage, VecSink, WireError,
 };

@@ -33,6 +33,14 @@
 //!   stopping and reports every chunk's health (diagnostics only).
 //!
 //! [`chunk_spans`] walks the same framing without touching payloads.
+//!
+//! The codec every other byte format shares lives here too, so no reader
+//! hand-rolls its own: [`seal`]/[`open`] wrap a body in the `magic | u16
+//! version | body | CRC32` envelope of `truth.bin`, `ordering.bin` and
+//! RRCT catalogs; a [`Reader`] reads any body, bounded, mapping each
+//! [`CodecError`] onto the format's own error; and [`begin_frame`] /
+//! [`end_frame`] / [`Reader::frame`] write and parse the `u32 len |
+//! payload | u32 crc32` frame of `.rrlog` chunks and RRSP messages.
 
 use core::fmt;
 use std::io::Write;
@@ -281,6 +289,247 @@ fn read_varint_swar(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let keep = word & (u64::MAX >> ((8 - len) * 8));
     *pos = p + len;
     Some(compact7(keep))
+}
+
+/// Appends `bytes` behind their varint length (read by [`Reader::bytes`]).
+pub fn write_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    write_varint(buf, bytes.len() as u64);
+    buf.extend_from_slice(bytes);
+}
+
+// ---------------------------------------------------------------------------
+// The shared codec: sealed envelopes, bounded reads, CRC frames
+// ---------------------------------------------------------------------------
+
+/// Why [`open`] or a [`Reader`] refused its bytes. Each
+/// format maps it onto its own typed error, worded by
+/// [`codec_message!`](crate::codec_message).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CodecError {
+    /// Too short for an envelope, or another format's magic.
+    BadHeader,
+    /// An envelope of another version than the one this build reads.
+    BadVersion,
+    /// The stored CRC32 does not match the bytes it closes.
+    CrcMismatch,
+    /// The bytes end inside a field, or a varint runs past 64 bits.
+    Truncated,
+    /// A length over its cap.
+    TooLong,
+    /// A flag byte other than 0 or 1.
+    BadFlag,
+    /// A string that is not UTF-8.
+    NotUtf8,
+    /// Bytes left after the last field.
+    TrailingBytes,
+}
+
+/// The message of a [`CodecError`] in the format named `$what`, as a
+/// `&'static str`: `codec_message!("catalog", e)` is `"catalog
+/// truncated"`, `"bad catalog header"`, `"catalog CRC mismatch"`, ….
+#[macro_export]
+macro_rules! codec_message {
+    ($what:literal, $err:expr) => {
+        match $err {
+            $crate::wire::CodecError::BadHeader => concat!("bad ", $what, " header"),
+            $crate::wire::CodecError::BadVersion => concat!("unsupported ", $what, " version"),
+            $crate::wire::CodecError::CrcMismatch => concat!($what, " CRC mismatch"),
+            $crate::wire::CodecError::Truncated => concat!($what, " truncated"),
+            $crate::wire::CodecError::TooLong => concat!($what, " length over its cap"),
+            $crate::wire::CodecError::BadFlag => concat!($what, " flag not 0/1"),
+            $crate::wire::CodecError::NotUtf8 => concat!($what, " string not UTF-8"),
+            $crate::wire::CodecError::TrailingBytes => concat!($what, " has trailing bytes"),
+        }
+    };
+}
+
+/// Seals the body `write` appends as `magic | u16 LE version | body |
+/// CRC32 of all before it`: the envelope of `truth.bin`, `ordering.bin`
+/// and RRCT catalogs.
+#[must_use]
+pub fn seal(magic: [u8; 4], version: u16, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = [&magic[..], &version.to_le_bytes()].concat();
+    write(&mut out);
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Opens an envelope [`seal`] wrote, checking its magic, version and CRC
+/// in that order, and returns a [`Reader`] over the body. `err` maps
+/// these failures, and the reader's, onto the format's own error.
+///
+/// # Errors
+///
+/// `err` of [`CodecError::BadHeader`], [`CodecError::BadVersion`] or
+/// [`CodecError::CrcMismatch`].
+pub fn open<E>(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u16,
+    err: fn(CodecError) -> E,
+) -> Result<Reader<'_, E>, E> {
+    if bytes.len() < 10 || bytes[..4] != magic {
+        return Err(err(CodecError::BadHeader));
+    }
+    let (sealed, crc) = bytes.split_at(bytes.len() - 4);
+    if sealed[4..6] != version.to_le_bytes() {
+        return Err(err(CodecError::BadVersion));
+    }
+    if crc != crc32(sealed).to_le_bytes() {
+        return Err(err(CodecError::CrcMismatch));
+    }
+    Ok(Reader::new(&sealed[6..], err))
+}
+
+/// A bounds-checked cursor over an encoded body: each read returns a
+/// whole field or `err` of a [`CodecError`] ([`CodecError::Truncated`]
+/// when the bytes end first), and never panics. No length read from the
+/// bytes is trusted past its cap or past the bytes behind it.
+#[derive(Clone, Debug)]
+pub struct Reader<'a, E> {
+    buf: &'a [u8],
+    pos: usize,
+    err: fn(CodecError) -> E,
+}
+
+impl<'a, E> Reader<'a, E> {
+    /// A reader at the start of `buf`; `|e| e` keeps [`CodecError`]s.
+    #[must_use]
+    pub fn new(buf: &'a [u8], err: fn(CodecError) -> E) -> Self {
+        Reader { buf, pos: 0, err }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], E> {
+        let field = self.buf.get(self.pos..self.pos.saturating_add(n));
+        let field = field.ok_or_else(|| (self.err)(CodecError::Truncated))?;
+        self.pos += n;
+        Ok(field)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], E> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
+    /// An unsigned LEB128 varint.
+    pub fn varint(&mut self) -> Result<u64, E> {
+        let err = self.err;
+        read_varint(self.buf, &mut self.pos).ok_or_else(|| err(CodecError::Truncated))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, E> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// A little-endian u16.
+    pub fn u16(&mut self) -> Result<u16, E> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian u32.
+    pub fn u32(&mut self) -> Result<u32, E> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian u64.
+    pub fn u64(&mut self) -> Result<u64, E> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A flag byte; [`CodecError::BadFlag`] unless 0 or 1.
+    pub fn flag(&mut self) -> Result<bool, E> {
+        match self.u8()? {
+            b @ (0 | 1) => Ok(b == 1),
+            _ => Err((self.err)(CodecError::BadFlag)),
+        }
+    }
+
+    /// Bytes behind a varint length ([`write_bytes`]);
+    /// [`CodecError::TooLong`] for a length over `cap`.
+    pub fn bytes(&mut self, cap: usize) -> Result<&'a [u8], E> {
+        match usize::try_from(self.varint()?) {
+            Ok(len) if len <= cap => self.take(len),
+            _ => Err((self.err)(CodecError::TooLong)),
+        }
+    }
+
+    /// As [`Reader::bytes`], UTF-8 or [`CodecError::NotUtf8`].
+    pub fn str(&mut self, cap: usize) -> Result<&'a str, E> {
+        let bytes = self.bytes(cap)?;
+        std::str::from_utf8(bytes).map_err(|_| (self.err)(CodecError::NotUtf8))
+    }
+
+    /// A frame ([`end_frame`]), its CRC not yet checked: the frame parser
+    /// of `.rrlog` chunks and RRSP messages.
+    pub fn frame(&mut self) -> Result<Frame<'a>, E> {
+        let offset = self.pos;
+        let len = self.u32()?;
+        Ok(Frame {
+            offset,
+            payload: self.take(len as usize)?,
+            stored_crc: self.u32()?,
+        })
+    }
+
+    /// Ends the read; [`CodecError::TrailingBytes`] unless every byte
+    /// was read.
+    pub fn finish(self) -> Result<(), E> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err((self.err)(CodecError::TrailingBytes))
+        }
+    }
+}
+
+/// Bytes of the u32 LE length prefix opening every frame.
+const LEN_BYTES: usize = 4;
+
+/// Opens a frame at the end of `out` by reserving its length prefix, and
+/// returns its offset. What `out` gains next is the payload, until
+/// [`end_frame`] closes it.
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    out.extend_from_slice(&[0; LEN_BYTES]);
+    out.len() - LEN_BYTES
+}
+
+/// Closes the frame [`begin_frame`] opened at `start` as `u32 LE len |
+/// payload | u32 LE crc32(payload)`: the frame of every `.rrlog` chunk
+/// and RRSP message.
+///
+/// # Errors
+///
+/// [`CodecError::TooLong`] for a payload over `u32::MAX` bytes.
+pub fn end_frame(out: &mut Vec<u8>, start: usize) -> Result<(), CodecError> {
+    let payload = &out[start + LEN_BYTES..];
+    let len = u32::try_from(payload.len()).map_err(|_| CodecError::TooLong)?;
+    let crc = crc32(payload);
+    out[start..start + LEN_BYTES].copy_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// One frame of a byte stream, before its CRC is checked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// Byte offset of the frame's length prefix within the stream.
+    pub offset: usize,
+    /// The payload, a slice of the stream.
+    pub payload: &'a [u8],
+    /// The CRC32 the frame carries.
+    pub stored_crc: u32,
+}
+
+impl<'a> Frame<'a> {
+    /// The payload if its CRC32 matches the stored one, else `Err` of the
+    /// CRC32 computed over it.
+    pub fn verify(&self) -> Result<&'a [u8], u32> {
+        let computed = crc32(self.payload);
+        (computed == self.stored_crc)
+            .then_some(self.payload)
+            .ok_or(computed)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -590,16 +839,16 @@ fn decode_chunk_entries(
 /// Streams entries into a `Write` as the chunked `.rrlog` format.
 ///
 /// The header is written on construction; entries accumulate into an
-/// in-memory payload buffer that is framed (length prefix + CRC32) and
-/// flushed whenever it reaches the chunk target. [`LogSink::close`]
-/// flushes the final partial chunk.
+/// open in-memory frame ([`begin_frame`]) that is closed (length prefix +
+/// CRC32) and written in one write whenever its payload reaches the chunk
+/// target. [`LogSink::close`] flushes the final partial chunk.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
     w: W,
-    buf: Vec<u8>,
+    /// The open chunk frame: its reserved length prefix, then the entries.
+    frame: Vec<u8>,
     prev_timestamp: u64,
     chunk_bytes: usize,
-    chunks_written: usize,
 }
 
 impl<W: Write> ChunkedWriter<W> {
@@ -621,32 +870,25 @@ impl<W: Write> ChunkedWriter<W> {
     /// Returns a [`WireError::Io`] if the header cannot be written.
     pub fn with_chunk_bytes(mut w: W, core: CoreId, chunk_bytes: usize) -> Result<Self, WireError> {
         w.write_all(&header(core))?;
+        let mut frame = Vec::with_capacity(chunk_bytes + 64 + FRAME_BYTES);
+        begin_frame(&mut frame);
         Ok(ChunkedWriter {
             w,
-            buf: Vec::with_capacity(chunk_bytes + 64),
+            frame,
             prev_timestamp: 0,
             chunk_bytes: chunk_bytes.max(1),
-            chunks_written: 0,
         })
     }
 
-    /// Chunks written (closed) so far.
-    #[must_use]
-    pub fn chunks_written(&self) -> usize {
-        self.chunks_written
-    }
-
     fn flush_chunk(&mut self) -> Result<(), WireError> {
-        if self.buf.is_empty() {
+        if self.frame.len() == LEN_BYTES {
             return Ok(());
         }
-        let len = u32::try_from(self.buf.len())
+        end_frame(&mut self.frame, 0)
             .map_err(|_| WireError::Io("chunk payload exceeds u32::MAX bytes".to_string()))?;
-        self.w.write_all(&len.to_le_bytes())?;
-        self.w.write_all(&self.buf)?;
-        self.w.write_all(&crc32(&self.buf).to_le_bytes())?;
-        self.buf.clear();
-        self.chunks_written += 1;
+        self.w.write_all(&self.frame)?;
+        self.frame.clear();
+        begin_frame(&mut self.frame);
         // Chunks are self-contained: the next chunk's first frame carries
         // its absolute timestamp.
         self.prev_timestamp = 0;
@@ -656,8 +898,8 @@ impl<W: Write> ChunkedWriter<W> {
 
 impl<W: Write> LogSink for ChunkedWriter<W> {
     fn emit(&mut self, entry: &LogEntry) -> Result<(), WireError> {
-        encode_entry(&mut self.buf, entry, &mut self.prev_timestamp);
-        if self.buf.len() >= self.chunk_bytes {
+        encode_entry(&mut self.frame, entry, &mut self.prev_timestamp);
+        if self.frame.len() - LEN_BYTES >= self.chunk_bytes {
             self.flush_chunk()?;
         }
         Ok(())
@@ -719,39 +961,13 @@ pub fn parse_header(bytes: &[u8]) -> Result<(CoreId, u16), WireError> {
     Ok((CoreId::new(bytes[6]), version))
 }
 
-/// One framed chunk of an in-memory stream, before CRC verification. The
-/// payload is a zero-copy slice of the input.
-struct RawChunk<'a> {
-    payload: &'a [u8],
-    stored_crc: u32,
-}
-
-/// Advances `*pos` over the next chunk frame. `None` at a clean end of
-/// stream, `Some(Err(Truncated))` if the frame is cut short.
-fn next_raw_chunk<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-    index: usize,
-) -> Option<Result<RawChunk<'a>, WireError>> {
-    if *pos >= bytes.len() {
-        return None;
-    }
-    let truncated = WireError::Truncated { chunk: index };
-    let Some(len_bytes) = bytes.get(*pos..*pos + 4) else {
-        return Some(Err(truncated));
-    };
-    let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-    let Some(payload) = bytes.get(*pos + 4..*pos + 4 + len) else {
-        return Some(Err(truncated));
-    };
-    let Some(crc_bytes) = bytes.get(*pos + 4 + len..*pos + FRAME_BYTES + len) else {
-        return Some(Err(truncated));
-    };
-    *pos += FRAME_BYTES + len;
-    Some(Ok(RawChunk {
-        payload,
-        stored_crc: u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")),
-    }))
+/// The recorded core of an in-memory `.rrlog` stream and a [`Reader`] at
+/// its first chunk frame.
+fn chunk_frames(bytes: &[u8]) -> Result<(CoreId, Reader<'_, CodecError>), WireError> {
+    let (core, _) = parse_header(bytes)?;
+    let mut frames = Reader::new(bytes, |e| e);
+    frames.pos = HEADER_BYTES;
+    Ok((core, frames))
 }
 
 /// Decodes a chunked `.rrlog` byte stream, requiring it intact end to end.
@@ -850,7 +1066,7 @@ pub fn decode_chunked_into<P: Probe>(
 ) -> Result<(), WireError> {
     log.entries.clear();
     log.core = CoreId::new(0);
-    let (core, _) = parse_header(bytes)?;
+    let (core, mut frames) = chunk_frames(bytes)?;
     log.core = core;
     // Seed capacity for the first chunk only (~3 payload bytes per
     // entry); reserve_for_remainder grows it as density is observed.
@@ -860,16 +1076,17 @@ pub fn decode_chunked_into<P: Probe>(
             log.entries.reserve(seed);
         }
     });
-    let mut pos = HEADER_BYTES;
     let mut index = 0usize;
     let mut payload_seen = 0usize;
-    while let Some(raw) = next_raw_chunk(bytes, &mut pos, index) {
-        let raw = raw?;
-        decode_raw_chunk(&raw, index, &mut log.entries, probe)?;
-        payload_seen += raw.payload.len();
+    while frames.pos < bytes.len() {
+        let frame = frames
+            .frame()
+            .map_err(|_| WireError::Truncated { chunk: index })?;
+        decode_frame(&frame, index, &mut log.entries, probe)?;
+        payload_seen += frame.payload.len();
         if index.is_multiple_of(RESERVE_CHECK_CHUNKS) {
             timed(probe, CodecPhase::Reserve, || {
-                reserve_for_remainder(&mut log.entries, payload_seen, bytes.len() - pos);
+                reserve_for_remainder(&mut log.entries, payload_seen, bytes.len() - frames.pos);
             });
         }
         index += 1;
@@ -881,24 +1098,23 @@ pub fn decode_chunked_into<P: Probe>(
 /// onto `out`. On a malformed entry the chunk's decoded prefix stays in
 /// `out`.
 #[inline]
-fn decode_raw_chunk<P: Probe>(
-    raw: &RawChunk<'_>,
+fn decode_frame<P: Probe>(
+    frame: &Frame<'_>,
     index: usize,
     out: &mut Vec<LogEntry>,
     probe: &mut P,
 ) -> Result<(), WireError> {
-    let computed = timed(probe, CodecPhase::Crc, || crc32(raw.payload));
-    if raw.stored_crc != computed {
-        return Err(WireError::CrcMismatch {
+    let payload = timed(probe, CodecPhase::Crc, || frame.verify()).map_err(|computed| {
+        WireError::CrcMismatch {
             chunk: index,
-            stored: raw.stored_crc,
+            stored: frame.stored_crc,
             computed,
-        });
-    }
-    timed(probe, CodecPhase::Entries, || {
-        decode_chunk_entries(raw.payload, index, out)
+        }
     })?;
-    probe.chunk_decoded(raw.payload.len());
+    timed(probe, CodecPhase::Entries, || {
+        decode_chunk_entries(payload, index, out)
+    })?;
+    probe.chunk_decoded(payload.len());
     Ok(())
 }
 
@@ -952,8 +1168,8 @@ pub struct ChunkInfo {
 /// [`decode_chunked_into`] leaves it.
 #[must_use]
 pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
-    let core = match parse_header(bytes) {
-        Ok((core, _)) => core,
+    let (core, mut frames) = match chunk_frames(bytes) {
+        Ok(walk) => walk,
         Err(e) => {
             return Salvage {
                 log: IntervalLog::new(CoreId::new(0)),
@@ -966,33 +1182,26 @@ pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
     let mut chunks = Vec::new();
     let mut first_err = None;
     let out = &mut log.entries;
-    let mut pos = HEADER_BYTES;
-    let mut index = 0usize;
-    loop {
-        let offset = pos;
-        let raw = match next_raw_chunk(bytes, &mut pos, index) {
-            None => break,
-            Some(Ok(raw)) => raw,
-            Some(Err(e)) => {
-                first_err.get_or_insert(e);
-                break;
-            }
+    while frames.pos < bytes.len() {
+        let index = chunks.len();
+        let Ok(frame) = frames.frame() else {
+            first_err.get_or_insert(WireError::Truncated { chunk: index });
+            break;
         };
-        let computed = crc32(raw.payload);
-        let crc_ok = raw.stored_crc == computed;
         let start = out.len();
-        if crc_ok {
-            // A malformed entry keeps the chunk's decoded prefix (its
-            // timestamps are sound).
-            if let Err(e) = decode_chunk_entries(raw.payload, index, out) {
-                first_err.get_or_insert(e);
-            }
-        } else {
-            first_err.get_or_insert(WireError::CrcMismatch {
+        let verified = frame.verify();
+        // A malformed entry keeps the chunk's decoded prefix (its
+        // timestamps are sound).
+        let damage = match verified {
+            Ok(payload) => decode_chunk_entries(payload, index, out).err(),
+            Err(computed) => Some(WireError::CrcMismatch {
                 chunk: index,
-                stored: raw.stored_crc,
+                stored: frame.stored_crc,
                 computed,
-            });
+            }),
+        };
+        if let Some(e) = damage {
+            first_err.get_or_insert(e);
         }
         let first_timestamp = out[start..].iter().find_map(|e| match e {
             LogEntry::IntervalFrame { timestamp, .. } => Some(*timestamp),
@@ -1000,13 +1209,12 @@ pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
         });
         chunks.push(ChunkInfo {
             index,
-            offset,
-            payload_bytes: raw.payload.len(),
+            offset: frame.offset,
+            payload_bytes: frame.payload.len(),
             entries: out.len() - start,
-            crc_ok,
+            crc_ok: verified.is_ok(),
             first_timestamp,
         });
-        index += 1;
     }
     Salvage {
         log,
@@ -1015,22 +1223,11 @@ pub fn decode_chunked_skip(bytes: &[u8]) -> Salvage {
     }
 }
 
-/// One chunk's frame position inside an `.rrlog` stream, from the cheap
-/// [`chunk_spans`] walk — offsets only, no CRC or payload work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkSpan {
-    /// Byte offset of the chunk's 4-byte length prefix within the stream.
-    pub offset: usize,
-    /// Payload bytes (excluding the length prefix and trailing CRC).
-    pub payload_bytes: usize,
-}
-
-/// Walks only the chunk *framing* of an `.rrlog` stream — hopping
-/// length prefixes without touching payloads or CRCs — and returns the
-/// recorded core, the wire version, every complete chunk's span, and
-/// whether the stream ended mid-frame (`Some(Truncated)`). The spans are
-/// exactly the [`ChunkInfo`] offsets and sizes of [`decode_chunked_skip`]
-/// over the same bytes: both walk the one frame parser.
+/// Walks only the chunk *framing* of an `.rrlog` stream, touching no
+/// payload or CRC, and returns the recorded core, the wire
+/// version, every complete chunk's [`Frame`], and whether the stream
+/// ended mid-frame (`Some(Truncated)`). The frames sit exactly where the
+/// [`ChunkInfo`] rows of [`decode_chunked_skip`] put them.
 ///
 /// # Errors
 ///
@@ -1039,21 +1236,17 @@ pub struct ChunkSpan {
 #[allow(clippy::type_complexity)]
 pub fn chunk_spans(
     bytes: &[u8],
-) -> Result<(CoreId, u16, Vec<ChunkSpan>, Option<WireError>), WireError> {
-    let (core, version) = parse_header(bytes)?;
+) -> Result<(CoreId, u16, Vec<Frame<'_>>, Option<WireError>), WireError> {
+    let (core, mut frames) = chunk_frames(bytes)?;
     let mut spans = Vec::new();
-    let mut pos = HEADER_BYTES;
-    loop {
-        let offset = pos;
-        match next_raw_chunk(bytes, &mut pos, spans.len()) {
-            None => return Ok((core, version, spans, None)),
-            Some(Ok(raw)) => spans.push(ChunkSpan {
-                offset,
-                payload_bytes: raw.payload.len(),
-            }),
-            Some(Err(e)) => return Ok((core, version, spans, Some(e))),
-        }
+    while frames.pos < bytes.len() {
+        let Ok(frame) = frames.frame() else {
+            let cut = WireError::Truncated { chunk: spans.len() };
+            return Ok((core, VERSION, spans, Some(cut)));
+        };
+        spans.push(frame);
     }
+    Ok((core, VERSION, spans, None))
 }
 
 /// Reads an `.rrlog` file ([`encode_chunked`] or any [`ChunkedWriter`]
@@ -1734,7 +1927,7 @@ mod tests {
         let map = decode_chunked_skip(&bytes).chunks;
         assert_eq!(spans.len(), map.len());
         for (s, c) in spans.iter().zip(&map) {
-            assert_eq!((s.offset, s.payload_bytes), (c.offset, c.payload_bytes));
+            assert_eq!((s.offset, s.payload.len()), (c.offset, c.payload_bytes));
         }
         // Truncation mid-final-chunk: prior spans intact, truncation noted.
         let (_, _, cut_spans, cut_trunc) = chunk_spans(&bytes[..bytes.len() - 1]).expect("header");

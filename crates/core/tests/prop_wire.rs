@@ -345,7 +345,7 @@ proptest! {
                 prop_assert_eq!(core, salvage.log.core);
                 prop_assert_eq!(version, wire::VERSION);
                 let framed: Vec<(usize, usize)> =
-                    spans.iter().map(|s| (s.offset, s.payload_bytes)).collect();
+                    spans.iter().map(|s| (s.offset, s.payload.len())).collect();
                 let salvaged: Vec<(usize, usize)> = salvage
                     .chunks
                     .iter()

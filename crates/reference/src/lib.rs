@@ -8,7 +8,10 @@
 //! * [`decode_chunked_reference`] — an entry-at-a-time chunked decoder
 //!   that walks the frames itself, against the batched SWAR fast path;
 //! * [`decode_flat`] — the decoder of the fixed-width
-//!   `IntervalLog::encode_flat` baseline.
+//!   `IntervalLog::encode_flat` baseline;
+//! * [`assert_damage_is_typed`] — the corruption harness every byte
+//!   format's decoder runs under: each single-bit flip and each
+//!   truncation must decode to the intact value or a typed error.
 //!
 //! Built only from `relaxreplay`'s public API (`parse_header`,
 //! `read_varint`, the log types), so no code is shared with the path
@@ -17,6 +20,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use relaxreplay::wire::{parse_header, read_varint, WireError};
 use relaxreplay::{IntervalLog, LogEntry};
@@ -206,4 +212,72 @@ pub enum LogDecodeError {
         /// Offset just past the tag.
         at: usize,
     },
+}
+
+/// The corruption harness: each single-bit flip and each truncation of
+/// `bytes` must `decode` to the value the intact bytes decode to, or to
+/// an error `typed` accepts as the format's own, and never panic. It
+/// panics, naming the flipped bit or the cut, at the first that does not.
+pub fn assert_damage_is_typed<T: PartialEq + Debug, E: Debug>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+    typed: impl Fn(&E) -> bool,
+) {
+    let intact = decode(bytes).expect("the intact bytes decode");
+    let flips = (0..bytes.len() * 8).map(|bit| {
+        let mut flipped = bytes.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        (format!("flip of bit {bit}"), flipped)
+    });
+    let cuts = (0..bytes.len()).map(|cut| (format!("cut at byte {cut}"), bytes[..cut].to_vec()));
+    for (what, damaged) in flips.chain(cuts) {
+        match catch_unwind(AssertUnwindSafe(|| decode(&damaged))) {
+            Err(_) => panic!("{what}: the decoder panicked"),
+            Ok(Ok(value)) => assert!(value == intact, "{what}: decoded to {value:?}"),
+            Ok(Err(e)) => assert!(typed(&e), "{what}: untyped error {e:?}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use relaxreplay::wire::{self, CodecError};
+
+    const MAGIC: [u8; 4] = *b"TEST";
+
+    fn sealed() -> Vec<u8> {
+        wire::seal(MAGIC, 1, |out| {
+            for v in [1, 300, u64::MAX] {
+                wire::write_varint(out, v);
+            }
+        })
+    }
+
+    fn body(mut r: wire::Reader<'_, CodecError>) -> Result<Vec<u64>, CodecError> {
+        let values = (0..3).map(|_| r.varint()).collect::<Result<_, _>>()?;
+        r.finish()?;
+        Ok(values)
+    }
+
+    #[test]
+    fn a_sealed_envelope_passes_the_harness() {
+        let decode = |b: &[u8]| body(wire::open(b, MAGIC, 1, |e| e)?);
+        assert_damage_is_typed(&sealed(), decode, |_| true);
+    }
+
+    /// The harness has teeth: a decoder that reads the same body but
+    /// skips the envelope's CRC check decodes a flipped body bit to
+    /// another value.
+    #[test]
+    #[should_panic(expected = "decoded to")]
+    fn a_decoder_without_its_crc_check_fails_the_harness() {
+        let decode = |b: &[u8]| {
+            if b.len() < 10 || b[..4] != MAGIC {
+                return Err(CodecError::BadHeader);
+            }
+            body(wire::Reader::new(&b[6..b.len() - 4], |e| e))
+        };
+        assert_damage_is_typed(&sealed(), decode, |_| true);
+    }
 }

@@ -18,14 +18,6 @@ use rr_sim::{
 };
 
 use crate::proto::{self, Msg, SealCore, SealVariant, PROTO_VERSION};
-use crate::ServeError;
-
-fn serve_err(e: ServeError) -> StoreError {
-    StoreError::Remote {
-        kind: e.kind,
-        detail: e.detail,
-    }
-}
 
 /// A connected RRSP/v2 conversation. One request at a time; chunk
 /// staging is per-connection on the server, so a whole run's ingest —
@@ -81,8 +73,8 @@ impl Client {
     ///
     /// Transport failures surface as [`RemoteFault::Io`].
     pub fn call(&mut self, msg: &Msg) -> Result<Msg, StoreError> {
-        proto::write_frame(&mut self.stream, msg).map_err(serve_err)?;
-        match proto::read_frame(&mut self.stream).map_err(serve_err)? {
+        proto::write_frame(&mut self.stream, msg)?;
+        match proto::read_frame(&mut self.stream)? {
             Some(Msg::Error { kind, detail }) => Err(StoreError::Remote { kind, detail }),
             Some(reply) => Ok(reply),
             None => Err(StoreError::remote(
@@ -239,22 +231,13 @@ impl RemoteStore {
 
 /// Splits an encoded `.rrlog` byte stream into its chunk payloads.
 fn chunk_payloads(bytes: &[u8]) -> Result<Vec<&[u8]>, StoreError> {
-    let (_, _, spans, damage) = chunk_spans(bytes).map_err(|e| {
-        StoreError::remote(
+    match chunk_spans(bytes) {
+        Ok((_, _, frames, None)) => Ok(frames.iter().map(|f| f.payload).collect()),
+        Ok((.., Some(e))) | Err(e) => Err(StoreError::remote(
             RemoteFault::Protocol,
             format!("encoded log unparseable: {e}"),
-        )
-    })?;
-    if let Some(e) = damage {
-        return Err(StoreError::remote(
-            RemoteFault::Protocol,
-            format!("encoded log truncated: {e}"),
-        ));
+        )),
     }
-    Ok(spans
-        .iter()
-        .map(|s| &bytes[s.offset + 4..s.offset + 4 + s.payload_bytes])
-        .collect())
 }
 
 impl RunStore for RemoteStore {

@@ -10,10 +10,12 @@
 //!
 //! The CRC closes the whole payload (type byte included), so a flipped
 //! bit anywhere — length, type, or body — surfaces as a typed
-//! [`WireError`](relaxreplay::WireError)-style failure on the receiver
-//! instead of a misparse. Bodies are encoded with the same varint +
-//! length-prefixed-bytes vocabulary as the `.rrlog` wire format, so the
-//! whole protocol shares one codec idiom with the artifacts it ships.
+//! [`RemoteFault::Protocol`] failure on the receiver instead of a
+//! misparse. The protocol holds no codec of its own: frames are written
+//! and parsed by the frame codec of `relaxreplay::wire`
+//! ([`wire::begin_frame`]/[`wire::end_frame`], [`Reader::frame`]) that
+//! also frames `.rrlog` chunks, and bodies are read through its bounded
+//! [`Reader`], whose failures map onto [`RemoteFault::Protocol`].
 //!
 //! Requests travel client → server, each answered by exactly one
 //! response (the matching ack, or [`Msg::Error`]). Chunk payloads ride
@@ -24,7 +26,8 @@
 
 use std::io::{Read, Write};
 
-use relaxreplay::wire::{crc32, read_varint, write_varint};
+use relaxreplay::codec_message;
+use relaxreplay::wire::{self, write_bytes, write_varint, CodecError, Reader};
 
 use crate::ServeError;
 use rr_sim::logdir::{RunFiles, VariantFiles};
@@ -173,137 +176,50 @@ const T_LIST_ACK: u8 = 0x85;
 const T_STAT_ACK: u8 = 0x86;
 const T_ERROR: u8 = 0x7f;
 
-fn fault_code(kind: RemoteFault) -> u8 {
-    match kind {
-        RemoteFault::Connect => 0,
-        RemoteFault::Io => 1,
-        RemoteFault::Protocol => 2,
-        RemoteFault::UnsupportedVersion => 3,
-        RemoteFault::UnknownRun => 4,
-        RemoteFault::BadName => 5,
-        RemoteFault::Conflict => 6,
-        RemoteFault::CorruptBlob => 7,
-        RemoteFault::Catalog => 8,
-        RemoteFault::Server => 9,
-    }
-}
+/// Every fault at the index of its wire code, which is its declaration
+/// order (so `kind as u8` encodes it).
+const FAULTS: [RemoteFault; 10] = [
+    RemoteFault::Connect,
+    RemoteFault::Io,
+    RemoteFault::Protocol,
+    RemoteFault::UnsupportedVersion,
+    RemoteFault::UnknownRun,
+    RemoteFault::BadName,
+    RemoteFault::Conflict,
+    RemoteFault::CorruptBlob,
+    RemoteFault::Catalog,
+    RemoteFault::Server,
+];
 
-fn fault_from_code(code: u8) -> Option<RemoteFault> {
-    Some(match code {
-        0 => RemoteFault::Connect,
-        1 => RemoteFault::Io,
-        2 => RemoteFault::Protocol,
-        3 => RemoteFault::UnsupportedVersion,
-        4 => RemoteFault::UnknownRun,
-        5 => RemoteFault::BadName,
-        6 => RemoteFault::Conflict,
-        7 => RemoteFault::CorruptBlob,
-        8 => RemoteFault::Catalog,
-        9 => RemoteFault::Server,
-        _ => return None,
-    })
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    write_varint(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-fn put_opt_bytes(out: &mut Vec<u8>, bytes: Option<&[u8]>) {
-    match bytes {
-        None => out.push(0),
-        Some(b) => {
-            out.push(1);
-            put_bytes(out, b);
-        }
-    }
-}
-
-struct BodyReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BodyReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        BodyReader { buf, pos: 0 }
-    }
-
-    fn truncated() -> ServeError {
-        ServeError::new(RemoteFault::Protocol, "frame body truncated")
-    }
-
-    fn varint(&mut self) -> Result<u64, ServeError> {
-        read_varint(self.buf, &mut self.pos).ok_or_else(Self::truncated)
-    }
-
-    fn byte(&mut self) -> Result<u8, ServeError> {
-        let b = *self.buf.get(self.pos).ok_or_else(Self::truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, ServeError> {
-        let lo = self.byte()?;
-        let hi = self.byte()?;
-        Ok(u16::from_le_bytes([lo, hi]))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, ServeError> {
-        let len = usize::try_from(self.varint()?).map_err(|_| Self::truncated())?;
-        if len > MAX_FRAME_BYTES {
-            return Err(Self::truncated());
-        }
-        let end = self.pos.checked_add(len).ok_or_else(Self::truncated)?;
-        let slice = self.buf.get(self.pos..end).ok_or_else(Self::truncated)?;
-        self.pos = end;
-        Ok(slice.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, ServeError> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| ServeError::new(RemoteFault::Protocol, "frame string not UTF-8"))
-    }
-
-    fn opt_bytes(&mut self) -> Result<Option<Vec<u8>>, ServeError> {
-        match self.byte()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.bytes()?)),
-            _ => Err(ServeError::new(
-                RemoteFault::Protocol,
-                "bad option tag in frame body",
-            )),
-        }
-    }
-
-    fn finish(self) -> Result<(), ServeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ServeError::new(
-                RemoteFault::Protocol,
-                "frame body has trailing bytes",
-            ))
-        }
-    }
+fn protocol_err(e: CodecError) -> ServeError {
+    ServeError::new(RemoteFault::Protocol, codec_message!("frame body", e))
 }
 
 impl Msg {
-    /// Serializes the message to a frame payload (type byte + body).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// The message's type byte.
+    fn tag(&self) -> u8 {
         match self {
-            Msg::Hello { version } => {
-                out.push(T_HELLO);
-                out.extend_from_slice(&version.to_le_bytes());
-            }
-            Msg::HelloAck { version } => {
-                out.push(T_HELLO_ACK);
+            Msg::Hello { .. } => T_HELLO,
+            Msg::HelloAck { .. } => T_HELLO_ACK,
+            Msg::PutChunk { .. } => T_PUT_CHUNK,
+            Msg::PutAck { .. } => T_PUT_ACK,
+            Msg::SealRun { .. } => T_SEAL_RUN,
+            Msg::SealAck { .. } => T_SEAL_ACK,
+            Msg::GetRun { .. } => T_GET_RUN,
+            Msg::RunBundle(_) => T_RUN_BUNDLE,
+            Msg::ListRuns => T_LIST_RUNS,
+            Msg::ListAck { .. } => T_LIST_ACK,
+            Msg::Stat { .. } => T_STAT,
+            Msg::StatAck { .. } => T_STAT_ACK,
+            Msg::Error { .. } => T_ERROR,
+        }
+    }
+
+    /// Appends the message to `out` as a frame payload (type byte + body).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.tag());
+        match self {
+            Msg::Hello { version } | Msg::HelloAck { version } => {
                 out.extend_from_slice(&version.to_le_bytes());
             }
             Msg::PutChunk {
@@ -314,72 +230,61 @@ impl Msg {
                 wire_version,
                 payload,
             } => {
-                out.push(T_PUT_CHUNK);
-                put_str(&mut out, run);
-                put_str(&mut out, variant);
+                write_bytes(out, run.as_bytes());
+                write_bytes(out, variant.as_bytes());
                 out.push(*core);
-                write_varint(&mut out, *seq);
+                write_varint(out, *seq);
                 out.extend_from_slice(&wire_version.to_le_bytes());
-                put_bytes(&mut out, payload);
+                write_bytes(out, payload);
             }
-            Msg::PutAck { dedup } => {
-                out.push(T_PUT_ACK);
-                out.push(u8::from(*dedup));
-            }
+            Msg::PutAck { dedup } => out.push(u8::from(*dedup)),
             Msg::SealRun {
                 run,
                 cores,
                 variants,
                 truth,
             } => {
-                out.push(T_SEAL_RUN);
-                put_str(&mut out, run);
+                write_bytes(out, run.as_bytes());
                 out.push(*cores);
-                write_varint(&mut out, variants.len() as u64);
+                write_varint(out, variants.len() as u64);
                 for v in variants {
-                    put_str(&mut out, &v.label);
-                    write_varint(&mut out, v.cores.len() as u64);
+                    write_bytes(out, v.label.as_bytes());
+                    write_varint(out, v.cores.len() as u64);
                     for c in &v.cores {
                         out.extend_from_slice(&c.wire_version.to_le_bytes());
-                        write_varint(&mut out, c.chunks);
+                        write_varint(out, c.chunks);
                     }
-                    put_opt_bytes(&mut out, v.ordering.as_deref());
+                    out.push(u8::from(v.ordering.is_some()));
+                    if let Some(ordering) = &v.ordering {
+                        write_bytes(out, ordering);
+                    }
                 }
-                put_bytes(&mut out, truth);
+                write_bytes(out, truth);
             }
-            Msg::SealAck { log_bytes } => {
-                out.push(T_SEAL_ACK);
-                write_varint(&mut out, *log_bytes);
-            }
-            Msg::GetRun { run } => {
-                out.push(T_GET_RUN);
-                put_str(&mut out, run);
-            }
+            Msg::SealAck { log_bytes } => write_varint(out, *log_bytes),
+            Msg::GetRun { run } | Msg::Stat { run } => write_bytes(out, run.as_bytes()),
             Msg::RunBundle(files) => {
-                out.push(T_RUN_BUNDLE);
                 out.push(files.cores as u8);
-                write_varint(&mut out, files.variants.len() as u64);
+                write_varint(out, files.variants.len() as u64);
                 for v in &files.variants {
-                    put_str(&mut out, &v.label);
-                    write_varint(&mut out, v.logs.len() as u64);
+                    write_bytes(out, v.label.as_bytes());
+                    write_varint(out, v.logs.len() as u64);
                     for log in &v.logs {
-                        put_bytes(&mut out, log);
+                        write_bytes(out, log);
                     }
-                    put_opt_bytes(&mut out, v.ordering.as_deref());
+                    out.push(u8::from(v.ordering.is_some()));
+                    if let Some(ordering) = &v.ordering {
+                        write_bytes(out, ordering);
+                    }
                 }
-                put_bytes(&mut out, &files.truth);
+                write_bytes(out, &files.truth);
             }
-            Msg::ListRuns => out.push(T_LIST_RUNS),
+            Msg::ListRuns => {}
             Msg::ListAck { runs } => {
-                out.push(T_LIST_ACK);
-                write_varint(&mut out, runs.len() as u64);
+                write_varint(out, runs.len() as u64);
                 for r in runs {
-                    put_str(&mut out, r);
+                    write_bytes(out, r.as_bytes());
                 }
-            }
-            Msg::Stat { run } => {
-                out.push(T_STAT);
-                put_str(&mut out, run);
             }
             Msg::StatAck {
                 cores,
@@ -389,27 +294,24 @@ impl Msg {
                 blob_bytes,
                 logical_bytes,
             } => {
-                out.push(T_STAT_ACK);
                 out.push(*cores);
-                write_varint(&mut out, variants.len() as u64);
+                write_varint(out, variants.len() as u64);
                 for v in variants {
-                    put_str(&mut out, &v.label);
-                    write_varint(&mut out, v.chunks);
-                    write_varint(&mut out, v.log_bytes);
+                    write_bytes(out, v.label.as_bytes());
+                    write_varint(out, v.chunks);
+                    write_varint(out, v.log_bytes);
                     out.push(u8::from(v.has_ordering));
                 }
-                write_varint(&mut out, *truth_bytes);
-                write_varint(&mut out, *blobs);
-                write_varint(&mut out, *blob_bytes);
-                write_varint(&mut out, *logical_bytes);
+                write_varint(out, *truth_bytes);
+                write_varint(out, *blobs);
+                write_varint(out, *blob_bytes);
+                write_varint(out, *logical_bytes);
             }
             Msg::Error { kind, detail } => {
-                out.push(T_ERROR);
-                out.push(fault_code(*kind));
-                put_str(&mut out, detail);
+                out.push(*kind as u8);
+                write_bytes(out, detail.as_bytes());
             }
         }
-        out
     }
 
     /// Parses a frame payload produced by [`Msg::encode`].
@@ -417,36 +319,36 @@ impl Msg {
     /// # Errors
     ///
     /// Returns a [`ServeError`] with [`RemoteFault::Protocol`] on any
-    /// unknown type, truncation, or trailing garbage.
+    /// unknown type, truncation, flag byte other than 0/1, or trailing
+    /// garbage.
     pub fn decode(payload: &[u8]) -> Result<Msg, ServeError> {
         let (&tag, body) = payload
             .split_first()
             .ok_or_else(|| ServeError::new(RemoteFault::Protocol, "empty frame payload"))?;
-        let mut r = BodyReader::new(body);
+        let mut r = Reader::new(body, protocol_err);
+        let string = |r: &mut Reader<'_, ServeError>| r.str(MAX_FRAME_BYTES).map(str::to_owned);
+        let bytes = |r: &mut Reader<'_, ServeError>| r.bytes(MAX_FRAME_BYTES).map(<[u8]>::to_vec);
         let msg = match tag {
             T_HELLO => Msg::Hello { version: r.u16()? },
             T_HELLO_ACK => Msg::HelloAck { version: r.u16()? },
             T_PUT_CHUNK => Msg::PutChunk {
-                run: r.string()?,
-                variant: r.string()?,
-                core: r.byte()?,
+                run: string(&mut r)?,
+                variant: string(&mut r)?,
+                core: r.u8()?,
                 seq: r.varint()?,
                 wire_version: r.u16()?,
-                payload: r.bytes()?,
+                payload: bytes(&mut r)?,
             },
-            T_PUT_ACK => Msg::PutAck {
-                dedup: r.byte()? != 0,
-            },
+            T_PUT_ACK => Msg::PutAck { dedup: r.flag()? },
             T_SEAL_RUN => {
-                let run = r.string()?;
-                let cores = r.byte()?;
+                let run = string(&mut r)?;
+                let cores = r.u8()?;
                 let nv = r.varint()?;
                 let mut variants = Vec::new();
                 for _ in 0..nv {
-                    let label = r.string()?;
-                    let nc = r.varint()?;
+                    let label = string(&mut r)?;
                     let mut seal_cores = Vec::new();
-                    for _ in 0..nc {
+                    for _ in 0..r.varint()? {
                         seal_cores.push(SealCore {
                             wire_version: r.u16()?,
                             chunks: r.varint()?,
@@ -455,63 +357,64 @@ impl Msg {
                     variants.push(SealVariant {
                         label,
                         cores: seal_cores,
-                        ordering: r.opt_bytes()?,
+                        ordering: r.flag()?.then(|| bytes(&mut r)).transpose()?,
                     });
                 }
                 Msg::SealRun {
                     run,
                     cores,
                     variants,
-                    truth: r.bytes()?,
+                    truth: bytes(&mut r)?,
                 }
             }
             T_SEAL_ACK => Msg::SealAck {
                 log_bytes: r.varint()?,
             },
-            T_GET_RUN => Msg::GetRun { run: r.string()? },
+            T_GET_RUN => Msg::GetRun {
+                run: string(&mut r)?,
+            },
             T_RUN_BUNDLE => {
-                let cores = usize::from(r.byte()?);
+                let cores = usize::from(r.u8()?);
                 let nv = r.varint()?;
                 let mut variants = Vec::new();
                 for _ in 0..nv {
-                    let label = r.string()?;
-                    let nl = r.varint()?;
+                    let label = string(&mut r)?;
                     let mut logs = Vec::new();
-                    for _ in 0..nl {
-                        logs.push(r.bytes()?);
+                    for _ in 0..r.varint()? {
+                        logs.push(bytes(&mut r)?);
                     }
                     variants.push(VariantFiles {
                         label,
                         logs,
-                        ordering: r.opt_bytes()?,
+                        ordering: r.flag()?.then(|| bytes(&mut r)).transpose()?,
                     });
                 }
                 Msg::RunBundle(RunFiles {
                     cores,
                     variants,
-                    truth: r.bytes()?,
+                    truth: bytes(&mut r)?,
                 })
             }
             T_LIST_RUNS => Msg::ListRuns,
             T_LIST_ACK => {
-                let n = r.varint()?;
                 let mut runs = Vec::new();
-                for _ in 0..n {
-                    runs.push(r.string()?);
+                for _ in 0..r.varint()? {
+                    runs.push(string(&mut r)?);
                 }
                 Msg::ListAck { runs }
             }
-            T_STAT => Msg::Stat { run: r.string()? },
+            T_STAT => Msg::Stat {
+                run: string(&mut r)?,
+            },
             T_STAT_ACK => {
-                let cores = r.byte()?;
-                let nv = r.varint()?;
+                let cores = r.u8()?;
                 let mut variants = Vec::new();
-                for _ in 0..nv {
+                for _ in 0..r.varint()? {
                     variants.push(VariantStat {
-                        label: r.string()?,
+                        label: string(&mut r)?,
                         chunks: r.varint()?,
                         log_bytes: r.varint()?,
-                        has_ordering: r.byte()? != 0,
+                        has_ordering: r.flag()?,
                     });
                 }
                 Msg::StatAck {
@@ -524,13 +427,13 @@ impl Msg {
                 }
             }
             T_ERROR => {
-                let code = r.byte()?;
-                let kind = fault_from_code(code).ok_or_else(|| {
+                let kind = FAULTS.get(usize::from(r.u8()?)).copied();
+                let kind = kind.ok_or_else(|| {
                     ServeError::new(RemoteFault::Protocol, "unknown error fault code")
                 })?;
                 Msg::Error {
                     kind,
-                    detail: r.string()?,
+                    detail: string(&mut r)?,
                 }
             }
             other => {
@@ -545,22 +448,21 @@ impl Msg {
     }
 }
 
-/// Writes one framed message to `w`.
+/// Writes one framed message to `w`: the message is encoded straight
+/// into its frame ([`wire::begin_frame`] / [`wire::end_frame`]).
 ///
 /// # Errors
 ///
 /// Returns [`RemoteFault::Io`] if the transport fails.
 pub fn write_frame(w: &mut impl Write, msg: &Msg) -> Result<(), ServeError> {
-    let payload = msg.encode();
-    let len = u32::try_from(payload.len())
+    let mut frame = Vec::new();
+    let start = wire::begin_frame(&mut frame);
+    msg.encode(&mut frame);
+    wire::end_frame(&mut frame, start)
         .map_err(|_| ServeError::new(RemoteFault::Protocol, "frame payload exceeds u32"))?;
     let io = |e: std::io::Error| ServeError::new(RemoteFault::Io, format!("send failed: {e}"));
     // One write per frame: three small writes would interact with
     // Nagle + delayed ACK and stall every request by tens of ms.
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
     w.write_all(&frame).map_err(io)?;
     w.flush().map_err(io)?;
     Ok(())
@@ -577,126 +479,190 @@ pub fn write_frame(w: &mut impl Write, msg: &Msg) -> Result<(), ServeError> {
 /// [`RemoteFault::Protocol`] on oversized frames, CRC mismatch, or
 /// unparseable payloads.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Msg>, ServeError> {
-    let mut len_bytes = [0u8; 4];
-    match r.read(&mut len_bytes) {
-        Ok(0) => return Ok(None),
-        Ok(mut got) => {
-            while got < 4 {
-                let n = r
-                    .read(&mut len_bytes[got..])
-                    .map_err(|e| ServeError::new(RemoteFault::Io, format!("recv failed: {e}")))?;
-                if n == 0 {
-                    return Err(ServeError::new(
-                        RemoteFault::Io,
-                        "connection closed mid-frame",
-                    ));
-                }
-                got += n;
-            }
-        }
-        Err(e) => {
-            return Err(ServeError::new(
-                RemoteFault::Io,
-                format!("recv failed: {e}"),
-            ))
-        }
+    let io = |e: std::io::Error| ServeError::new(RemoteFault::Io, format!("recv failed: {e}"));
+    let mut frame = vec![0u8; 4];
+    let got = r.read(&mut frame).map_err(io)?;
+    if got == 0 {
+        return Ok(None);
     }
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    r.read_exact(&mut frame[got..]).map_err(io)?;
+    let len = Reader::new(&frame, protocol_err).u32()? as usize;
     if len == 0 || len > MAX_FRAME_BYTES {
         return Err(ServeError::new(
             RemoteFault::Protocol,
             format!("frame payload length {len} out of range"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    let mut crc_bytes = [0u8; 4];
-    let io = |e: std::io::Error| ServeError::new(RemoteFault::Io, format!("recv failed: {e}"));
-    r.read_exact(&mut payload).map_err(io)?;
-    r.read_exact(&mut crc_bytes).map_err(io)?;
-    if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
-        return Err(ServeError::new(RemoteFault::Protocol, "frame CRC mismatch"));
-    }
-    Msg::decode(&payload).map(Some)
+    frame.resize(len + wire::FRAME_BYTES, 0);
+    r.read_exact(&mut frame[4..]).map_err(io)?;
+    let payload = Reader::new(&frame, protocol_err)
+        .frame()?
+        .verify()
+        .map_err(|_| ServeError::new(RemoteFault::Protocol, "frame CRC mismatch"))?;
+    Msg::decode(payload).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip(msg: &Msg) {
+    /// One message of every variant.
+    fn every_msg() -> Vec<Msg> {
+        vec![
+            Msg::Hello { version: 1 },
+            Msg::HelloAck { version: 1 },
+            Msg::PutChunk {
+                run: "fft".into(),
+                variant: "Opt-4K".into(),
+                core: 3,
+                seq: 17,
+                wire_version: 3,
+                payload: vec![0xab; 300],
+            },
+            Msg::PutAck { dedup: true },
+            Msg::SealRun {
+                run: "fft".into(),
+                cores: 2,
+                variants: vec![SealVariant {
+                    label: "Opt-4K".into(),
+                    cores: vec![
+                        SealCore {
+                            wire_version: 3,
+                            chunks: 5,
+                        },
+                        SealCore {
+                            wire_version: 3,
+                            chunks: 0,
+                        },
+                    ],
+                    ordering: Some(vec![1, 2, 3]),
+                }],
+                truth: vec![9, 9],
+            },
+            Msg::SealAck { log_bytes: 1 << 40 },
+            Msg::GetRun { run: "fft".into() },
+            Msg::RunBundle(RunFiles {
+                cores: 1,
+                variants: vec![VariantFiles {
+                    label: "Base".into(),
+                    logs: vec![vec![1, 2]],
+                    ordering: None,
+                }],
+                truth: vec![7],
+            }),
+            Msg::ListRuns,
+            Msg::ListAck {
+                runs: vec!["a".into(), "b".into()],
+            },
+            Msg::Stat { run: "a".into() },
+            Msg::StatAck {
+                cores: 4,
+                variants: vec![VariantStat {
+                    label: "Base".into(),
+                    chunks: 9,
+                    log_bytes: 1234,
+                    has_ordering: true,
+                }],
+                truth_bytes: 55,
+                blobs: 8,
+                blob_bytes: 4096,
+                logical_bytes: 8192,
+            },
+            Msg::Error {
+                kind: RemoteFault::CorruptBlob,
+                detail: "object 0123 damaged".into(),
+            },
+        ]
+    }
+
+    fn frame_of(msg: &Msg) -> Vec<u8> {
         let mut wire = Vec::new();
         write_frame(&mut wire, msg).expect("writes");
-        let back = read_frame(&mut wire.as_slice())
-            .expect("reads")
-            .expect("one frame");
-        assert_eq!(&back, msg);
+        wire
+    }
+
+    /// A frame around `payload`, whatever it holds.
+    fn raw_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let start = wire::begin_frame(&mut frame);
+        frame.extend_from_slice(payload);
+        wire::end_frame(&mut frame, start).expect("small payload");
+        frame
+    }
+
+    /// A fault's wire code is its declaration order, and `FAULTS` lists
+    /// every fault: a new one fails to compile in the match below until
+    /// it is listed there and here.
+    #[test]
+    fn fault_codes_are_declaration_order() {
+        for (code, kind) in FAULTS.into_iter().enumerate() {
+            assert_eq!(kind as usize, code, "{kind:?}");
+            match kind {
+                RemoteFault::Connect
+                | RemoteFault::Io
+                | RemoteFault::Protocol
+                | RemoteFault::UnsupportedVersion
+                | RemoteFault::UnknownRun
+                | RemoteFault::BadName
+                | RemoteFault::Conflict
+                | RemoteFault::CorruptBlob
+                | RemoteFault::Catalog
+                | RemoteFault::Server => {}
+            }
+        }
+        assert_eq!(FAULTS.len(), RemoteFault::Server as usize + 1);
     }
 
     #[test]
     fn every_message_round_trips() {
-        round_trip(&Msg::Hello { version: 1 });
-        round_trip(&Msg::HelloAck { version: 1 });
-        round_trip(&Msg::PutChunk {
-            run: "fft".into(),
-            variant: "Opt-4K".into(),
-            core: 3,
-            seq: 17,
-            wire_version: 3,
-            payload: vec![0xab; 300],
-        });
-        round_trip(&Msg::PutAck { dedup: true });
-        round_trip(&Msg::SealRun {
-            run: "fft".into(),
-            cores: 2,
-            variants: vec![SealVariant {
-                label: "Opt-4K".into(),
-                cores: vec![
-                    SealCore {
-                        wire_version: 3,
-                        chunks: 5,
-                    },
-                    SealCore {
-                        wire_version: 3,
-                        chunks: 0,
-                    },
-                ],
-                ordering: Some(vec![1, 2, 3]),
-            }],
-            truth: vec![9, 9],
-        });
-        round_trip(&Msg::SealAck { log_bytes: 1 << 40 });
-        round_trip(&Msg::GetRun { run: "fft".into() });
-        round_trip(&Msg::RunBundle(RunFiles {
-            cores: 1,
-            variants: vec![VariantFiles {
-                label: "Base".into(),
-                logs: vec![vec![1, 2]],
-                ordering: None,
-            }],
-            truth: vec![7],
-        }));
-        round_trip(&Msg::ListRuns);
-        round_trip(&Msg::ListAck {
-            runs: vec!["a".into(), "b".into()],
-        });
-        round_trip(&Msg::Stat { run: "a".into() });
-        round_trip(&Msg::StatAck {
-            cores: 4,
-            variants: vec![VariantStat {
-                label: "Base".into(),
-                chunks: 9,
-                log_bytes: 1234,
-                has_ordering: true,
-            }],
-            truth_bytes: 55,
-            blobs: 8,
-            blob_bytes: 4096,
-            logical_bytes: 8192,
-        });
-        round_trip(&Msg::Error {
-            kind: RemoteFault::CorruptBlob,
-            detail: "object 0123 damaged".into(),
-        });
+        for msg in every_msg() {
+            let back = read_frame(&mut frame_of(&msg).as_slice())
+                .expect("reads")
+                .expect("one frame");
+            assert_eq!(back, msg);
+        }
+    }
+
+    /// Every single-bit flip and every truncation of a frame of every
+    /// message decodes to the same message or a typed error: `Protocol`
+    /// for a damaged frame, `Io` for one that ends early.
+    #[test]
+    fn every_message_frame_survives_the_corruption_harness() {
+        let read = |mut b: &[u8]| {
+            read_frame(&mut b)?
+                .ok_or_else(|| ServeError::new(RemoteFault::Io, "no frame before EOF"))
+        };
+        let typed = |e: &ServeError| matches!(e.kind, RemoteFault::Protocol | RemoteFault::Io);
+        for msg in every_msg() {
+            rr_reference::assert_damage_is_typed(&frame_of(&msg), read, typed);
+        }
+    }
+
+    /// A flag is 0 or 1, in every message that carries one: any other
+    /// byte in a frame whose CRC holds is a typed protocol error, not
+    /// `true`.
+    #[test]
+    fn flag_bytes_other_than_0_or_1_are_protocol_errors() {
+        let stat_ack = |flag: u8| {
+            let mut payload = vec![T_STAT_ACK, 1, 1];
+            write_bytes(&mut payload, b"Base");
+            payload.extend_from_slice(&[9, 9, flag, 0, 0, 0, 0]);
+            payload
+        };
+        let option = |flag: u8| {
+            let mut payload = vec![T_RUN_BUNDLE, 1, 1];
+            write_bytes(&mut payload, b"Base");
+            payload.extend_from_slice(&[0, flag, 0]);
+            payload
+        };
+        for payload in [stat_ack(1), option(0)] {
+            assert!(read_frame(&mut raw_frame(&payload).as_slice()).is_ok());
+        }
+        for payload in [vec![T_PUT_ACK, 2], stat_ack(2), option(2)] {
+            let err = read_frame(&mut raw_frame(&payload).as_slice()).expect_err("flag 2");
+            assert_eq!(err.kind, RemoteFault::Protocol);
+            assert_eq!(err.detail, "frame body flag not 0/1");
+        }
     }
 
     /// The retired byte-range verb and its reply (type codes 0x07 and
@@ -705,8 +671,8 @@ mod tests {
     #[test]
     fn retired_range_frames_are_typed_errors() {
         let mut body = Vec::new();
-        put_str(&mut body, "a");
-        put_str(&mut body, "Base");
+        write_bytes(&mut body, b"a");
+        write_bytes(&mut body, b"Base");
         body.push(0);
         write_varint(&mut body, 7);
         write_varint(&mut body, u64::MAX);
@@ -715,28 +681,9 @@ mod tests {
                 let err = Msg::decode(&payload).expect_err("retired frame type");
                 assert_eq!(err.kind, RemoteFault::Protocol);
                 assert_eq!(err.detail, format!("unknown frame type 0x{tag:02x}"));
-                let mut wire = Vec::new();
-                wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                wire.extend_from_slice(&payload);
-                wire.extend_from_slice(&crc32(&payload).to_le_bytes());
-                let err = read_frame(&mut wire.as_slice()).expect_err("typed error");
+                let err = read_frame(&mut raw_frame(&payload).as_slice()).expect_err("typed error");
                 assert_eq!(err.kind, RemoteFault::Protocol);
             }
-        }
-    }
-
-    #[test]
-    fn crc_flip_is_detected() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Msg::ListRuns).expect("writes");
-        for i in 0..wire.len() {
-            let mut bad = wire.clone();
-            bad[i] ^= 0x40;
-            let res = read_frame(&mut bad.as_slice());
-            assert!(
-                res.is_err() || res.as_ref().ok().and_then(|m| m.as_ref()) != Some(&Msg::ListRuns),
-                "flip at byte {i} went unnoticed"
-            );
         }
     }
 
@@ -744,8 +691,7 @@ mod tests {
     fn clean_eof_is_none_mid_frame_is_error() {
         let mut empty: &[u8] = &[];
         assert!(matches!(read_frame(&mut empty), Ok(None)));
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Msg::ListRuns).expect("writes");
+        let wire = frame_of(&Msg::ListRuns);
         let mut cut = &wire[..wire.len() - 2];
         assert!(read_frame(&mut cut).is_err());
     }

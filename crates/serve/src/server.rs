@@ -343,7 +343,7 @@ fn handle_request(
             variants,
             truth,
         } => {
-            let sealed = collect_staged(staging, &run, cores, &variants)?;
+            let sealed = collect_staged(staging, &run, &variants)?;
             let log_bytes = shared.store.seal_run(&run, cores, sealed, &truth)?;
             // Sealed chunks leave the staging table; an accidental
             // double-seal over the same connection revalidates cleanly
@@ -400,21 +400,10 @@ fn check_wire_version(wire_version: u16) -> Result<(), ServeError> {
 fn collect_staged(
     staging: &mut Staging,
     run: &str,
-    cores: u8,
     variants: &[SealVariant],
 ) -> Result<Vec<SealedVariant>, ServeError> {
     let mut sealed = Vec::new();
     for v in variants {
-        if v.cores.len() != usize::from(cores) {
-            return Err(ServeError::new(
-                RemoteFault::Protocol,
-                format!(
-                    "variant {:?} declares {} cores, seal says {cores}",
-                    v.label,
-                    v.cores.len()
-                ),
-            ));
-        }
         let mut catalog_cores = Vec::new();
         for (k, declared) in v.cores.iter().enumerate() {
             check_wire_version(declared.wire_version)?;

@@ -21,22 +21,22 @@
 //! byte-identical to what a local `--save-logs` writes for the same run,
 //! which is what the round-trip CI job diffs for.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use relaxreplay::rr_hash64;
-use relaxreplay::wire::{self, crc32, read_varint, write_varint};
+use relaxreplay::wire::{self, crc32, write_bytes, write_varint};
+use relaxreplay::{codec_message, rr_hash64};
 use rr_mem::CoreId;
 use rr_sim::logdir::{check_name, RunFiles, VariantFiles};
 use rr_sim::{RemoteFault, VariantStat};
 
+use crate::proto::MAX_FRAME_BYTES;
 use crate::ServeError;
 
 /// Magic tag opening a `catalog.bin`.
-const CATALOG_MAGIC: &[u8; 4] = b"RRCT";
+const CATALOG_MAGIC: [u8; 4] = *b"RRCT";
 /// Catalog format version.
 const CATALOG_VERSION: u16 = 1;
 
@@ -120,101 +120,60 @@ impl Catalog {
             .sum()
     }
 
-    /// Serializes the catalog (RRCT v1, CRC32-closed).
+    /// Serializes the catalog (RRCT v1) in a sealed envelope
+    /// ([`wire::seal`]).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(CATALOG_MAGIC);
-        out.extend_from_slice(&CATALOG_VERSION.to_le_bytes());
-        out.push(self.cores);
-        write_varint(&mut out, self.variants.len() as u64);
-        for v in &self.variants {
-            write_varint(&mut out, v.label.len() as u64);
-            out.extend_from_slice(v.label.as_bytes());
-            out.push(u8::from(v.has_ordering));
-            for c in &v.cores {
-                out.extend_from_slice(&c.wire_version.to_le_bytes());
-                write_varint(&mut out, c.chunks.len() as u64);
-                for r in &c.chunks {
-                    out.extend_from_slice(&r.crc.to_le_bytes());
-                    out.extend_from_slice(&r.hash.to_le_bytes());
-                    write_varint(&mut out, r.len);
+        wire::seal(CATALOG_MAGIC, CATALOG_VERSION, |out| {
+            out.push(self.cores);
+            write_varint(out, self.variants.len() as u64);
+            for v in &self.variants {
+                write_bytes(out, v.label.as_bytes());
+                out.push(u8::from(v.has_ordering));
+                for c in &v.cores {
+                    out.extend_from_slice(&c.wire_version.to_le_bytes());
+                    write_varint(out, c.chunks.len() as u64);
+                    for r in &c.chunks {
+                        out.extend_from_slice(&r.crc.to_le_bytes());
+                        out.extend_from_slice(&r.hash.to_le_bytes());
+                        write_varint(out, r.len);
+                    }
                 }
             }
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        })
     }
 
     /// Parses a catalog written by [`Catalog::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns [`RemoteFault::Catalog`] on any header, CRC, or
-    /// structural damage — never panics.
+    /// Returns [`RemoteFault::Catalog`] on any envelope or structural
+    /// damage — never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
-        let bad = |d: &str| ServeError::new(RemoteFault::Catalog, d.to_string());
-        if bytes.len() < 11 || &bytes[..4] != CATALOG_MAGIC {
-            return Err(bad("bad catalog header"));
-        }
-        if u16::from_le_bytes([bytes[4], bytes[5]]) != CATALOG_VERSION {
-            return Err(bad("unsupported catalog version"));
-        }
-        let body = &bytes[..bytes.len() - 4];
-        let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        if crc32(body) != stored {
-            return Err(bad("catalog CRC mismatch"));
-        }
-        let cores = body[6];
-        let mut pos = 7usize;
-        let varint = |pos: &mut usize| {
-            read_varint(body, pos).ok_or_else(|| {
-                ServeError::new(RemoteFault::Catalog, "catalog truncated".to_string())
-            })
-        };
-        let nv = varint(&mut pos)?;
+        let mut r = wire::open(bytes, CATALOG_MAGIC, CATALOG_VERSION, |e| {
+            ServeError::new(RemoteFault::Catalog, codec_message!("catalog", e))
+        })?;
+        let cores = r.u8()?;
         let mut variants = Vec::new();
-        for _ in 0..nv {
-            let label_len = usize::try_from(varint(&mut pos)?)
-                .map_err(|_| bad("catalog label length overflow"))?;
-            let end = pos
-                .checked_add(label_len)
-                .filter(|&e| e < body.len())
-                .ok_or_else(|| bad("catalog truncated"))?;
-            let label = std::str::from_utf8(&body[pos..end])
-                .map_err(|_| bad("catalog label not UTF-8"))?
-                .to_string();
-            pos = end;
-            let has_ordering = match body[pos] {
-                0 => false,
-                1 => true,
-                _ => return Err(bad("catalog ordering flag not 0/1")),
-            };
-            pos += 1;
+        for _ in 0..r.varint()? {
+            // A label arrived in a `SealRun` frame, so no longer than one.
+            let label = r.str(MAX_FRAME_BYTES)?.to_string();
+            let has_ordering = r.flag()?;
             let mut catalog_cores = Vec::new();
             for _ in 0..cores {
-                let wv = body
-                    .get(pos..pos + 2)
-                    .ok_or_else(|| bad("catalog truncated"))?;
-                let wire_version = u16::from_le_bytes(wv.try_into().expect("2 bytes"));
-                if wire_version != relaxreplay::wire::VERSION {
-                    return Err(bad("catalog names an unsupported .rrlog wire version"));
+                let wire_version = r.u16()?;
+                if wire_version != wire::VERSION {
+                    return Err(ServeError::new(
+                        RemoteFault::Catalog,
+                        "catalog names an unsupported .rrlog wire version",
+                    ));
                 }
-                pos += 2;
-                let n = varint(&mut pos)?;
                 let mut chunks = Vec::new();
-                for _ in 0..n {
-                    let raw = body
-                        .get(pos..pos + 12)
-                        .ok_or_else(|| bad("catalog truncated"))?;
-                    let crc = u32::from_le_bytes(raw[..4].try_into().expect("4 bytes"));
-                    let hash = u64::from_le_bytes(raw[4..].try_into().expect("8 bytes"));
-                    pos += 12;
+                for _ in 0..r.varint()? {
                     chunks.push(ChunkRef {
-                        crc,
-                        hash,
-                        len: varint(&mut pos)?,
+                        crc: r.u32()?,
+                        hash: r.u64()?,
+                        len: r.varint()?,
                     });
                 }
                 catalog_cores.push(CatalogCore {
@@ -228,9 +187,7 @@ impl Catalog {
                 has_ordering,
             });
         }
-        if pos != body.len() {
-            return Err(bad("catalog has trailing bytes"));
-        }
+        r.finish()?;
         Ok(Catalog { cores, variants })
     }
 }
@@ -343,18 +300,11 @@ impl ChunkStore {
         let corrupt = |d: String| ServeError::new(RemoteFault::CorruptBlob, d);
         let bytes = fs::read(&path)
             .map_err(|e| corrupt(format!("object {} unreadable: {e}", r.object_name())))?;
-        if bytes.len() as u64 != r.len {
+        if ChunkRef::of(&bytes) != *r {
             return Err(corrupt(format!(
-                "object {} is {} bytes, catalog says {}",
+                "object {} ({} bytes) does not match its address",
                 r.object_name(),
-                bytes.len(),
-                r.len
-            )));
-        }
-        if crc32(&bytes) != r.crc || rr_hash64(&bytes) != r.hash {
-            return Err(corrupt(format!(
-                "object {} content does not match its address",
-                r.object_name()
+                bytes.len()
             )));
         }
         Ok(bytes)
@@ -448,8 +398,8 @@ impl ChunkStore {
     }
 
     /// Materializes one (variant, core) `.rrlog` file from the object
-    /// store: header, then each cataloged chunk reframed as
-    /// `len | payload | crc32`.
+    /// store: header, then each cataloged chunk in its frame
+    /// ([`wire::begin_frame`]/[`wire::end_frame`]).
     ///
     /// # Errors
     ///
@@ -460,9 +410,11 @@ impl ChunkStore {
         out.extend_from_slice(&wire::header(CoreId::new(core_id)));
         for r in &core.chunks {
             let payload = self.get_blob(r)?;
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            let start = wire::begin_frame(&mut out);
             out.extend_from_slice(&payload);
-            out.extend_from_slice(&r.crc.to_le_bytes());
+            wire::end_frame(&mut out, start).map_err(|e| {
+                ServeError::new(RemoteFault::CorruptBlob, codec_message!("chunk", e))
+            })?;
         }
         Ok(out)
     }
@@ -589,22 +541,6 @@ impl ChunkStore {
         }
         Ok((blobs, blob_bytes, logical_bytes))
     }
-
-    /// The distinct refs a run's catalog references (diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// As [`ChunkStore::catalog`].
-    pub fn run_refs(&self, run: &str) -> Result<BTreeSet<ChunkRef>, ServeError> {
-        let catalog = self.catalog(run)?;
-        Ok(catalog
-            .variants
-            .iter()
-            .flat_map(|v| &v.cores)
-            .flat_map(|c| &c.chunks)
-            .copied()
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -641,8 +577,10 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// Damage to a catalog is caught by the corruption harness over a
+    /// real seal's catalog (`tests/round_trip.rs`).
     #[test]
-    fn catalog_round_trips_and_detects_damage() {
+    fn catalog_round_trips_and_refuses_other_wire_versions() {
         use relaxreplay::wire::{chunk_spans, encode_chunked};
         use relaxreplay::{IntervalLog, LogEntry};
 
@@ -656,13 +594,10 @@ mod tests {
         let cores = encoded
             .iter()
             .map(|bytes| {
-                let (_, _, spans, _) = chunk_spans(bytes).expect("spans");
+                let (_, _, frames, _) = chunk_spans(bytes).expect("header");
                 CatalogCore {
                     wire_version: 3,
-                    chunks: spans
-                        .iter()
-                        .map(|s| ChunkRef::of(&bytes[s.offset + 4..][..s.payload_bytes]))
-                        .collect(),
+                    chunks: frames.iter().map(|f| ChunkRef::of(f.payload)).collect(),
                 }
             })
             .collect();
@@ -676,14 +611,6 @@ mod tests {
         };
         let bytes = catalog.to_bytes();
         assert_eq!(Catalog::from_bytes(&bytes).expect("decodes"), catalog);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            assert!(
-                Catalog::from_bytes(&bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
         assert_eq!(
             catalog.log_bytes(),
             encoded.iter().map(|b| b.len() as u64).sum::<u64>()

@@ -305,12 +305,9 @@ fn foreign_wire_versions_are_refused_and_publish_nothing() {
     let truth = encode_truth(&run.recorded);
     let label = run.variants[0].spec.label();
     let bytes = encode_chunked_with(&run.variants[0].logs[0], 1);
-    let (_, _, spans, _) = chunk_spans(&bytes).expect("spans");
-    assert!(spans.len() > 1, "want a multi-chunk stream");
-    let payloads: Vec<&[u8]> = spans
-        .iter()
-        .map(|s| &bytes[s.offset + 4..s.offset + 4 + s.payload_bytes])
-        .collect();
+    let (_, _, frames, _) = chunk_spans(&bytes).expect("header");
+    let payloads: Vec<&[u8]> = frames.iter().map(|f| f.payload).collect();
+    assert!(payloads.len() > 1, "want a multi-chunk stream");
     // Core 0 declares `chunks`; every other core declares none.
     let seal = |wire_version: u16, chunks: u64| {
         let mut cores = vec![
@@ -565,6 +562,27 @@ fn fetch_refuses_server_labels_that_escape_the_output_directory() {
         assert!(leftovers.is_empty(), "{label}: wrote {leftovers:?}");
     }
     assert!(!Path::new(absolute).exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every single-bit flip and every truncation of the catalog a real seal
+/// writes decodes to the identical catalog or a typed catalog fault.
+#[test]
+fn sealed_catalog_survives_the_corruption_harness() {
+    use rr_serve::store::Catalog;
+    let root = tmp_dir("catalog-harness");
+    let store_root = root.join("store");
+    let handle = serve("127.0.0.1:0", ServerConfig::new(&store_root)).expect("serve");
+    let w = litmus_suite().remove(0);
+    RemoteStore::new(handle.addr().to_string())
+        .save_run(w.name, &record(&w))
+        .expect("save");
+    handle.shutdown();
+    let catalog = std::fs::read(store_root.join("runs").join(w.name).join("catalog.bin"))
+        .expect("the seal wrote a catalog");
+    rr_reference::assert_damage_is_typed(&catalog, Catalog::from_bytes, |e| {
+        e.kind == RemoteFault::Catalog
+    });
     let _ = std::fs::remove_dir_all(&root);
 }
 

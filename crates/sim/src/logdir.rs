@@ -22,6 +22,11 @@
 //! only what the `.rrlog` files do not ([`encode_ordering`]); version 1,
 //! which repeated every frame timestamp, is refused.
 //!
+//! Both sidecars are sealed envelopes of the shared codec in
+//! `relaxreplay::wire` ([`wire::seal`], [`wire::open`]) and are read
+//! through its bounded [`wire::Reader`]: this module checks no magic,
+//! version or CRC itself.
+//!
 //! Run and variant names become path components verbatim, so they must not
 //! contain separators; [`check_name`] rejects names that do.
 
@@ -29,8 +34,8 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use relaxreplay::wire::{crc32, decode_chunked, read_varint, write_varint};
-use relaxreplay::{IntervalLog, IntervalOrdering, WireError};
+use relaxreplay::wire::{self, decode_chunked, write_varint};
+use relaxreplay::{codec_message, IntervalLog, IntervalOrdering, WireError};
 use rr_isa::{MemImage, WORD_BYTES};
 use rr_mem::CoreId;
 use rr_replay::{ordered_pool, RecordedExecution};
@@ -38,11 +43,11 @@ use rr_replay::{ordered_pool, RecordedExecution};
 use crate::machine::RunResult;
 
 /// Magic tag opening a `truth.bin` ground-truth sidecar.
-const TRUTH_MAGIC: &[u8; 4] = b"RRTR";
+const TRUTH_MAGIC: [u8; 4] = *b"RRTR";
 /// Sidecar format version.
 const TRUTH_VERSION: u16 = 1;
 /// Magic tag opening an `ordering.bin` interval-order sidecar.
-const ORDER_MAGIC: &[u8; 4] = b"RROD";
+const ORDER_MAGIC: [u8; 4] = *b"RROD";
 /// Ordering sidecar format version.
 const ORDER_VERSION: u16 = 2;
 
@@ -251,9 +256,10 @@ impl RunFiles {
     /// [`LogDirError::Wire`], naming the variant and core, if a log fails
     /// to decode (truncation and corruption are typed, never panics);
     /// [`LogDirError::Malformed`] if a variant holds a log too few or too
-    /// many, a log's header names another core than its slot, or
+    /// many, a log's header names another core than its slot,
     /// `ordering.bin` or `truth.bin` is damaged or covers another core
-    /// count.
+    /// count, or `ordering.bin` counts another number of intervals than a
+    /// log holds.
     pub fn decode(&self, name: &str, workers: usize) -> Result<SavedRun, LogDirError> {
         let cores = self.cores;
         if self.variants.iter().any(|v| v.logs.len() != cores) {
@@ -287,6 +293,17 @@ impl RunFiles {
             if ordering.as_ref().is_some_and(|o| o.len() != cores) {
                 return Err(LogDirError::Malformed(
                     "ordering sidecar core count != run cores",
+                ));
+            }
+            // A log cut at a chunk boundary is a well-formed shorter log;
+            // its ordering still counts every recorded interval.
+            if ordering.as_ref().is_some_and(|o| {
+                o.iter()
+                    .zip(&logs)
+                    .any(|(o, log)| o.preds.len() != log.intervals())
+            }) {
+                return Err(LogDirError::Malformed(
+                    "ordering sidecar interval count != log intervals",
                 ));
             }
             variants.push(SavedVariant {
@@ -406,61 +423,52 @@ pub(crate) fn list_runs_impl(dir: &Path) -> Result<Vec<String>, LogDirError> {
     Ok(names)
 }
 
-/// Serializes the ground truth: magic + version, varint-encoded final
-/// memory (its non-zero words as address/value pairs in address order) and
-/// per-thread load traces, closed with a CRC32 over everything before it.
+/// Serializes the ground truth in a sealed envelope ([`wire::seal`]):
+/// varint-encoded final memory (its non-zero words as address/value pairs
+/// in address order) and per-thread load traces.
 #[must_use]
 pub fn encode_truth(recorded: &RecordedExecution) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(TRUTH_MAGIC);
-    out.extend_from_slice(&TRUTH_VERSION.to_le_bytes());
-
-    let cells: Vec<(u64, u64)> = recorded.final_mem.words().collect();
-    write_varint(&mut out, cells.len() as u64);
-    for (addr, value) in cells {
-        write_varint(&mut out, addr);
-        write_varint(&mut out, value);
-    }
-    write_varint(&mut out, recorded.load_traces.len() as u64);
-    for trace in &recorded.load_traces {
-        write_varint(&mut out, trace.len() as u64);
-        for &v in trace {
-            write_varint(&mut out, v);
+    wire::seal(TRUTH_MAGIC, TRUTH_VERSION, |out| {
+        let cells: Vec<(u64, u64)> = recorded.final_mem.words().collect();
+        write_varint(out, cells.len() as u64);
+        for (addr, value) in cells {
+            write_varint(out, addr);
+            write_varint(out, value);
         }
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Serializes the per-core interval partial order (version 2): magic +
-/// version, core count, then per core the interval count, each
-/// interval's predecessor list (its length, then `core, ordinal` pairs)
-/// and the barrier ordinals (their count, then each one, ascending);
-/// closed with a CRC32. Every number is a plain varint.
-#[must_use]
-pub fn encode_ordering(ordering: &[IntervalOrdering]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(ORDER_MAGIC);
-    out.extend_from_slice(&ORDER_VERSION.to_le_bytes());
-    write_varint(&mut out, ordering.len() as u64);
-    for ord in ordering {
-        write_varint(&mut out, ord.preds.len() as u64);
-        for preds in &ord.preds {
-            write_varint(&mut out, preds.len() as u64);
-            for &(core, ordinal) in preds {
-                write_varint(&mut out, core.index() as u64);
-                write_varint(&mut out, ordinal);
+        write_varint(out, recorded.load_traces.len() as u64);
+        for trace in &recorded.load_traces {
+            write_varint(out, trace.len() as u64);
+            for &v in trace {
+                write_varint(out, v);
             }
         }
-        write_varint(&mut out, ord.barriers.len() as u64);
-        for &b in &ord.barriers {
-            write_varint(&mut out, b);
+    })
+}
+
+/// Serializes the per-core interval partial order (version 2) in a
+/// sealed envelope ([`wire::seal`]): core count, then per core the
+/// interval count, each interval's predecessor list (its length, then
+/// `core, ordinal` pairs) and the barrier ordinals (their count, then
+/// each one, ascending). Every number is a plain varint.
+#[must_use]
+pub fn encode_ordering(ordering: &[IntervalOrdering]) -> Vec<u8> {
+    wire::seal(ORDER_MAGIC, ORDER_VERSION, |out| {
+        write_varint(out, ordering.len() as u64);
+        for ord in ordering {
+            write_varint(out, ord.preds.len() as u64);
+            for preds in &ord.preds {
+                write_varint(out, preds.len() as u64);
+                for &(core, ordinal) in preds {
+                    write_varint(out, core.index() as u64);
+                    write_varint(out, ordinal);
+                }
+            }
+            write_varint(out, ord.barriers.len() as u64);
+            for &b in &ord.barriers {
+                write_varint(out, b);
+            }
         }
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    })
 }
 
 /// Decodes an `ordering.bin` sidecar produced by [`encode_ordering`].
@@ -469,47 +477,28 @@ pub fn encode_ordering(ordering: &[IntervalOrdering]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`LogDirError::Malformed`] on any header, version, CRC or
-/// structural damage, including barrier ordinals that are not ascending
-/// below their core's interval count — never panics.
+/// Returns [`LogDirError::Malformed`] on any envelope or structural
+/// damage, including barrier ordinals that are not ascending below their
+/// core's interval count — never panics.
 fn decode_ordering(bytes: &[u8]) -> Result<Vec<IntervalOrdering>, LogDirError> {
-    const MALFORMED: LogDirError = LogDirError::Malformed("ordering sidecar truncated");
-    if bytes.len() < 10 || &bytes[..4] != ORDER_MAGIC {
-        return Err(LogDirError::Malformed("bad ordering sidecar header"));
-    }
-    if u16::from_le_bytes([bytes[4], bytes[5]]) != ORDER_VERSION {
-        return Err(LogDirError::Malformed(
-            "unsupported ordering sidecar version",
-        ));
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(body) != stored {
-        return Err(LogDirError::Malformed("ordering sidecar CRC mismatch"));
-    }
-
-    let mut pos = 6usize;
-    let varint = |pos: &mut usize| read_varint(body, pos).ok_or(MALFORMED);
-    let cores = varint(&mut pos)?;
+    let mut r = wire::open(bytes, ORDER_MAGIC, ORDER_VERSION, |e| {
+        LogDirError::Malformed(codec_message!("ordering sidecar", e))
+    })?;
     let mut ordering = Vec::new();
-    for _ in 0..cores {
-        let n = varint(&mut pos)?;
+    for _ in 0..r.varint()? {
+        let n = r.varint()?;
         let mut ord = IntervalOrdering::default();
         for _ in 0..n {
-            let np = varint(&mut pos)?;
             let mut preds = Vec::new();
-            for _ in 0..np {
-                let core = varint(&mut pos)?;
-                let ordinal = varint(&mut pos)?;
-                if core > u64::from(u8::MAX) {
-                    return Err(LogDirError::Malformed("ordering predecessor core > 255"));
-                }
-                preds.push((CoreId::new(core as u8), ordinal));
+            for _ in 0..r.varint()? {
+                let core = u8::try_from(r.varint()?)
+                    .map_err(|_| LogDirError::Malformed("ordering predecessor core > 255"))?;
+                preds.push((CoreId::new(core), r.varint()?));
             }
             ord.preds.push(preds);
         }
-        for _ in 0..varint(&mut pos)? {
-            let b = varint(&mut pos)?;
+        for _ in 0..r.varint()? {
+            let b = r.varint()?;
             if b >= n || ord.barriers.last().is_some_and(|&prev| prev >= b) {
                 return Err(LogDirError::Malformed("ordering barriers out of order"));
             }
@@ -517,61 +506,49 @@ fn decode_ordering(bytes: &[u8]) -> Result<Vec<IntervalOrdering>, LogDirError> {
         }
         ordering.push(ord);
     }
-    if pos != body.len() {
-        return Err(LogDirError::Malformed(
-            "ordering sidecar has trailing bytes",
-        ));
-    }
+    r.finish()?;
     Ok(ordering)
 }
 
-/// Decodes a `truth.bin` sidecar produced by [`encode_truth`].
+/// Decodes a `truth.bin` sidecar produced by [`encode_truth`], which
+/// writes one canonical form: non-zero, word-aligned cells in strictly
+/// ascending address order.
 ///
 /// # Errors
 ///
-/// Returns [`LogDirError::Malformed`] on any header, CRC, or structural
-/// damage — never panics.
+/// Returns [`LogDirError::Malformed`] on any envelope or structural
+/// damage, or a cell out of that form — never panics.
 fn decode_truth(bytes: &[u8]) -> Result<RecordedExecution, LogDirError> {
-    const MALFORMED: LogDirError = LogDirError::Malformed("truth sidecar truncated");
-    if bytes.len() < 10 || &bytes[..4] != TRUTH_MAGIC {
-        return Err(LogDirError::Malformed("bad truth sidecar header"));
-    }
-    if u16::from_le_bytes([bytes[4], bytes[5]]) != TRUTH_VERSION {
-        return Err(LogDirError::Malformed("unsupported truth sidecar version"));
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(body) != stored {
-        return Err(LogDirError::Malformed("truth sidecar CRC mismatch"));
-    }
-
-    let mut pos = 6usize;
-    let varint = |pos: &mut usize| read_varint(body, pos).ok_or(MALFORMED);
-    let cells = varint(&mut pos)?;
+    let mut r = wire::open(bytes, TRUTH_MAGIC, TRUTH_VERSION, |e| {
+        LogDirError::Malformed(codec_message!("truth sidecar", e))
+    })?;
     let mut final_mem = MemImage::new();
-    for _ in 0..cells {
-        let addr = varint(&mut pos)?;
-        let value = varint(&mut pos)?;
+    let mut next_addr = 0;
+    for _ in 0..r.varint()? {
+        let addr = r.varint()?;
+        let value = r.varint()?;
         if !addr.is_multiple_of(WORD_BYTES) {
             return Err(LogDirError::Malformed(
                 "truth cell address not word-aligned",
             ));
         }
+        if addr < next_addr || value == 0 {
+            return Err(LogDirError::Malformed(
+                "truth cell out of address order or zero",
+            ));
+        }
         final_mem.store(addr, value);
+        next_addr = addr.saturating_add(WORD_BYTES);
     }
-    let threads = varint(&mut pos)?;
     let mut load_traces = Vec::new();
-    for _ in 0..threads {
-        let len = varint(&mut pos)?;
+    for _ in 0..r.varint()? {
         let mut trace = Vec::new();
-        for _ in 0..len {
-            trace.push(varint(&mut pos)?);
+        for _ in 0..r.varint()? {
+            trace.push(r.varint()?);
         }
         load_traces.push(trace);
     }
-    if pos != body.len() {
-        return Err(LogDirError::Malformed("truth sidecar has trailing bytes"));
-    }
+    r.finish()?;
     Ok(RecordedExecution {
         final_mem,
         load_traces,
@@ -602,25 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn truth_corruption_is_detected() {
-        let bytes = encode_truth(&sample_truth());
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            assert!(
-                decode_truth(&bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_truth(&bytes[..cut]).is_err(),
-                "truncation at {cut} went undetected"
-            );
-        }
-    }
-
-    #[test]
     fn truth_writes_only_non_zero_words_in_address_order() {
         let mut mem = MemImage::new();
         mem.store(0x1000, 5);
@@ -635,21 +593,45 @@ mod tests {
         assert_eq!(bytes.len(), 13 + 4);
     }
 
+    /// A truth sidecar whose body is `numbers` as varints, sealed.
+    fn truth_sidecar(numbers: &[u64]) -> Vec<u8> {
+        wire::seal(TRUTH_MAGIC, TRUTH_VERSION, |out| {
+            for &n in numbers {
+                write_varint(out, n);
+            }
+        })
+    }
+
     #[test]
     fn unaligned_truth_cell_is_malformed_not_a_panic() {
-        let mut bytes = TRUTH_MAGIC.to_vec();
-        bytes.extend_from_slice(&TRUTH_VERSION.to_le_bytes());
-        for v in [1, 0x103, 7, 0] {
-            write_varint(&mut bytes, v);
-        }
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            decode_truth(&bytes),
+        assert_eq!(
+            decode_truth(&truth_sidecar(&[1, 0x103, 7, 0])).map(drop),
             Err(LogDirError::Malformed(
                 "truth cell address not word-aligned"
             ))
-        ));
+        );
+    }
+
+    /// `encode_truth` writes one form of a memory image, so any other
+    /// is damage: cells out of address order, a repeated address (the
+    /// last one would win) and a zero word.
+    #[test]
+    fn non_canonical_truth_cells_are_malformed() {
+        let canonical = [2, 0x8, 5, 0x10, 6, 0];
+        assert!(decode_truth(&truth_sidecar(&canonical)).is_ok());
+        for cells in [
+            &[2, 0x10, 6, 0x8, 5, 0][..],
+            &[2, 0x8, 5, 0x8, 6, 0],
+            &[2, 0x8, 5, 0x10, 0, 0],
+        ] {
+            assert_eq!(
+                decode_truth(&truth_sidecar(cells)).map(drop),
+                Err(LogDirError::Malformed(
+                    "truth cell out of address order or zero"
+                )),
+                "{cells:?}"
+            );
+        }
     }
 
     fn sample_ordering() -> Vec<IntervalOrdering> {
@@ -665,17 +647,14 @@ mod tests {
         ]
     }
 
-    /// A sidecar of `version` whose body is `numbers` as varints, closed
-    /// with a valid CRC.
+    /// An ordering sidecar of `version` whose body is `numbers` as
+    /// varints, sealed.
     fn sidecar(version: u16, numbers: &[u64]) -> Vec<u8> {
-        let mut out = ORDER_MAGIC.to_vec();
-        out.extend_from_slice(&version.to_le_bytes());
-        for &n in numbers {
-            write_varint(&mut out, n);
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        wire::seal(ORDER_MAGIC, version, |out| {
+            for &n in numbers {
+                write_varint(out, n);
+            }
+        })
     }
 
     #[test]
@@ -688,9 +667,11 @@ mod tests {
     }
 
     /// Every single-bit flip and every truncation of a recorded run's
-    /// sidecar is a typed error or decodes to the identical value.
+    /// `ordering.bin` and `truth.bin`, and of its smallest `.rrlog`,
+    /// decodes to the identical value or the format's typed error.
     #[test]
-    fn ordering_corruption_is_detected() {
+    fn recorded_run_files_survive_the_corruption_harness() {
+        use rr_reference::assert_damage_is_typed;
         // Directory mode, so every variant's sidecar holds barriers too.
         let w = rr_workloads::by_name("ocean", 4, 1).expect("known workload");
         let cfg = crate::MachineConfig::splash_default(4).with_directory();
@@ -698,24 +679,36 @@ mod tests {
             .config(&cfg)
             .run()
             .expect("records");
+        let malformed = |e: &LogDirError| matches!(e, LogDirError::Malformed(_));
         for v in &run.variants {
-            let ordering = &v.ordering;
-            assert!(ordering.iter().any(|o| !o.barriers.is_empty()));
-            let bytes = encode_ordering(ordering);
-            let check = |result, what: &str| match result {
-                Ok(back) => assert_eq!(&back, ordering, "{what} decoded to another value"),
-                Err(LogDirError::Malformed(_)) => {}
-                Err(e) => panic!("{what}: untyped {e:?}"),
-            };
-            for i in 0..bytes.len() * 8 {
-                let mut bad = bytes.clone();
-                bad[i / 8] ^= 1 << (i % 8);
-                check(decode_ordering(&bad), &format!("flip of bit {i}"));
-            }
-            for cut in 0..bytes.len() {
-                check(decode_ordering(&bytes[..cut]), &format!("cut at {cut}"));
-            }
+            assert!(v.ordering.iter().any(|o| !o.barriers.is_empty()));
+            assert_damage_is_typed(&encode_ordering(&v.ordering), decode_ordering, malformed);
         }
+        let words = |r: RecordedExecution| (r.final_mem.words().collect::<Vec<_>>(), r.load_traces);
+        let truth = encode_truth(&run.recorded);
+        assert_damage_is_typed(&truth, |b| decode_truth(b).map(words), malformed);
+
+        // A log is read as `RunFiles::decode` reads it, in its core's
+        // slot: the `.rrlog` header's core byte is outside every CRC, so
+        // only that slot check turns a flip of it into an error.
+        let files = RunFiles::encode(&run);
+        let (v, core) = (0..files.variants.len())
+            .flat_map(|v| (0..files.cores).map(move |k| (v, k)))
+            .min_by_key(|&(v, k)| files.variants[v].logs[k].len())
+            .expect("a log");
+        let one_variant = RunFiles {
+            variants: vec![files.variants[v].clone()],
+            ..files
+        };
+        let decode_slot = |b: &[u8]| {
+            let mut damaged = one_variant.clone();
+            damaged.variants[0].logs[core] = b.to_vec();
+            let saved = damaged.decode("harness", 1)?;
+            Ok::<_, LogDirError>(saved.variants[0].logs[core].clone())
+        };
+        let typed =
+            |e: &LogDirError| matches!(e, LogDirError::Wire { .. } | LogDirError::Malformed(_));
+        assert_damage_is_typed(&one_variant.variants[0].logs[core], decode_slot, typed);
     }
 
     #[test]
