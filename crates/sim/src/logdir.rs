@@ -558,6 +558,7 @@ fn decode_truth(bytes: &[u8]) -> Result<RecordedExecution, LogDirError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_reference::assert_damage_is_typed;
 
     fn sample_truth() -> RecordedExecution {
         let mut mem = MemImage::new();
@@ -666,32 +667,52 @@ mod tests {
         assert_eq!(decode_ordering(&bytes), Ok(ordering));
     }
 
+    /// One directory-mode ocean run, recorded once for the corruption
+    /// harness tests below; directory mode, so every variant's ordering
+    /// sidecar holds barriers too.
+    fn recorded_ocean() -> &'static RunResult {
+        static RUN: std::sync::OnceLock<RunResult> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| {
+            let w = rr_workloads::by_name("ocean", 4, 1).expect("known workload");
+            let cfg = crate::MachineConfig::splash_default(4).with_directory();
+            crate::RecordSession::new(&w.programs, &w.initial_mem)
+                .config(&cfg)
+                .run()
+                .expect("records")
+        })
+    }
+
+    fn malformed(e: &LogDirError) -> bool {
+        matches!(e, LogDirError::Malformed(_))
+    }
+
     /// Every single-bit flip and every truncation of a recorded run's
-    /// `ordering.bin` and `truth.bin`, and of its smallest `.rrlog`,
-    /// decodes to the identical value or the format's typed error.
+    /// `truth.bin` decodes to the identical value or a typed error.
     #[test]
-    fn recorded_run_files_survive_the_corruption_harness() {
-        use rr_reference::assert_damage_is_typed;
-        // Directory mode, so every variant's sidecar holds barriers too.
-        let w = rr_workloads::by_name("ocean", 4, 1).expect("known workload");
-        let cfg = crate::MachineConfig::splash_default(4).with_directory();
-        let run = crate::RecordSession::new(&w.programs, &w.initial_mem)
-            .config(&cfg)
-            .run()
-            .expect("records");
-        let malformed = |e: &LogDirError| matches!(e, LogDirError::Malformed(_));
-        for v in &run.variants {
+    fn truth_corruption_is_detected() {
+        let words = |r: RecordedExecution| (r.final_mem.words().collect::<Vec<_>>(), r.load_traces);
+        let truth = encode_truth(&recorded_ocean().recorded);
+        assert_damage_is_typed(&truth, |b| decode_truth(b).map(words), malformed);
+    }
+
+    /// Every single-bit flip and every truncation of each variant's
+    /// `ordering.bin` decodes to the identical value or a typed error.
+    #[test]
+    fn ordering_corruption_is_detected() {
+        for v in &recorded_ocean().variants {
             assert!(v.ordering.iter().any(|o| !o.barriers.is_empty()));
             assert_damage_is_typed(&encode_ordering(&v.ordering), decode_ordering, malformed);
         }
-        let words = |r: RecordedExecution| (r.final_mem.words().collect::<Vec<_>>(), r.load_traces);
-        let truth = encode_truth(&run.recorded);
-        assert_damage_is_typed(&truth, |b| decode_truth(b).map(words), malformed);
+    }
 
+    /// Every single-bit flip and every truncation of a recorded run's
+    /// smallest `.rrlog` decodes to the identical log or a typed error.
+    #[test]
+    fn recorded_log_survives_the_corruption_harness() {
         // A log is read as `RunFiles::decode` reads it, in its core's
         // slot: the `.rrlog` header's core byte is outside every CRC, so
         // only that slot check turns a flip of it into an error.
-        let files = RunFiles::encode(&run);
+        let files = RunFiles::encode(recorded_ocean());
         let (v, core) = (0..files.variants.len())
             .flat_map(|v| (0..files.cores).map(move |k| (v, k)))
             .min_by_key(|&(v, k)| files.variants[v].logs[k].len())
