@@ -6,6 +6,10 @@
 //! rr-serve stat <dir|rr://host:port[/run]>
 //! ```
 //!
+//! Every argument is parsed before anything runs: an unknown option, an
+//! extra argument, a missing required one or a non-numeric `--workers`
+//! is a usage error naming it (exit 2), and no server starts.
+//!
 //! `fetch` materializes a remote run as a local log directory with the
 //! exact layout `--save-logs` writes (manifest, per-core `.rrlog`
 //! files, ordering + ground-truth sidecars) — the CI round-trip job
@@ -24,65 +28,126 @@ const USAGE: &str = "usage:
   rr-serve fetch rr://host:port/run --out DIR
   rr-serve stat <dir|rr://host:port[/run]>";
 
+/// Why a command failed: a usage error (exit 2, printed with [`USAGE`])
+/// or a failure of the command itself (exit 1).
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+fn run_err(e: impl std::fmt::Display) -> Failure {
+    Failure::Run(e.to_string())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("fetch") => cmd_fetch(&args[1..]),
-        Some("stat") => cmd_stat(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let Some((cmd, rest)) = args.split_first() else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    };
+    let result = match cmd.as_str() {
+        "serve" => Args::parse(cmd, rest, &["--root", "--listen", "--workers"], false)
+            .and_then(|a| cmd_serve(&a)),
+        "fetch" => Args::parse(cmd, rest, &["--out"], true).and_then(|a| cmd_fetch(&a)),
+        "stat" => Args::parse(cmd, rest, &[], true).and_then(|a| cmd_stat(&a)),
+        other => Err(Failure::Usage(format!(
+            "rr-serve: unknown command {other:?}"
+        ))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
+            eprintln!("{e}\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Run(e)) => {
             eprintln!("rr-serve: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-/// Pulls the value following `flag` (or `flag=value`) out of `args`.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
+/// One subcommand's arguments, all parsed before the command runs.
+struct Args<'a> {
+    cmd: &'a str,
+    positional: Option<&'a str>,
+    flags: Vec<(&'static str, &'a str)>,
 }
 
-fn positional(args: &[String]) -> Option<&String> {
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
+impl<'a> Args<'a> {
+    /// Parses `args` as options named in `flags` (`--flag value` or
+    /// `--flag=value`) plus, if `positional`, one positional argument.
+    /// Anything else — an unknown option, an extra argument, an option
+    /// without a value — is a usage error naming it.
+    fn parse(
+        cmd: &'a str,
+        args: &'a [String],
+        flags: &[&'static str],
+        positional: bool,
+    ) -> Result<Self, Failure> {
+        let mut parsed = Args {
+            cmd,
+            positional: None,
+            flags: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) if name.starts_with("--") => (name, Some(value)),
+                _ => (arg.as_str(), None),
+            };
+            if let Some(&flag) = flags.iter().find(|&&f| f == name) {
+                match inline.or_else(|| it.next().map(String::as_str)) {
+                    Some(value) if !value.is_empty() => parsed.flags.push((flag, value)),
+                    _ => return Err(parsed.usage(format!("{flag} needs a value"))),
+                }
+            } else if arg.starts_with('-') {
+                return Err(parsed.usage(format!("unknown option {arg:?}")));
+            } else if positional && parsed.positional.is_none() {
+                parsed.positional = Some(arg);
+            } else {
+                return Err(parsed.usage(format!("unexpected argument {arg:?}")));
+            }
         }
-        if let Some(rest) = a.strip_prefix("--") {
-            skip = !rest.contains('=');
-            continue;
-        }
-        return Some(a);
+        Ok(parsed)
     }
-    None
+
+    fn usage(&self, what: String) -> Failure {
+        Failure::Usage(format!("rr-serve {}: {what}", self.cmd))
+    }
+
+    /// The last value given for `flag`, if any.
+    fn flag(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    }
+
+    /// A required option's value; a missing one is a usage error.
+    fn required(&self, flag: &str, what: &str) -> Result<&'a str, Failure> {
+        self.flag(flag)
+            .ok_or_else(|| self.usage(format!("{flag} {what} is required")))
+    }
+
+    /// The positional argument; a missing one is a usage error.
+    fn positional(&self, what: &str) -> Result<&'a str, Failure> {
+        self.positional
+            .ok_or_else(|| self.usage(format!("missing {what}")))
+    }
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let root = flag_value(args, "--root").ok_or("serve: --root DIR is required")?;
-    let listen = flag_value(args, "--listen").unwrap_or_else(|| "127.0.0.1:7117".to_string());
-    let mut config = ServerConfig::new(root);
-    if let Some(w) = flag_value(args, "--workers") {
-        config.workers = w.parse().map_err(|_| format!("bad --workers {w:?}"))?;
+fn cmd_serve(args: &Args) -> Result<(), Failure> {
+    let mut config = ServerConfig::new(args.required("--root", "DIR")?);
+    if let Some(w) = args.flag("--workers") {
+        config.workers = w
+            .parse()
+            .map_err(|_| args.usage(format!("--workers needs a number, got {w:?}")))?;
     }
+    let listen = args.flag("--listen").unwrap_or("127.0.0.1:7117");
     let workers = config.effective_workers();
-    let handle = serve(&listen, config).map_err(|e| e.to_string())?;
+    let handle = serve(listen, config).map_err(run_err)?;
     eprintln!(
         "rr-serve: listening on {} ({workers} workers) — store at {}",
         handle.url(),
@@ -92,31 +157,33 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fetch(args: &[String]) -> Result<(), String> {
-    let spec = positional(args).ok_or("fetch: missing rr://host:port/run URL")?;
-    let out = flag_value(args, "--out").ok_or("fetch: --out DIR is required")?;
-    let parsed = StoreSpec::parse(spec).map_err(|e| e.to_string())?;
+fn cmd_fetch(args: &Args) -> Result<(), Failure> {
+    let spec = args.positional("rr://host:port/run URL")?;
+    let out = args.required("--out", "DIR")?;
+    let parsed = StoreSpec::parse(spec).map_err(run_err)?;
     let StoreSpec::Remote {
         addr,
         run: Some(run),
     } = parsed
     else {
-        return Err("fetch: the source must be an rr://host:port/run URL naming one run".into());
+        return Err(run_err(
+            "fetch: the source must be an rr://host:port/run URL naming one run",
+        ));
     };
-    let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
+    let mut client = Client::connect(&addr).map_err(run_err)?;
     let bytes = client
-        .fetch_run(&run, Path::new(&out))
-        .map_err(|e| format!("fetch: {e}"))?;
+        .fetch_run(&run, Path::new(out))
+        .map_err(|e| run_err(format!("fetch: {e}")))?;
     eprintln!("fetched {run}: {bytes} .rrlog bytes under {out}");
     Ok(())
 }
 
-fn cmd_stat(args: &[String]) -> Result<(), String> {
-    let spec = positional(args).ok_or("stat: missing <dir|rr://host:port[/run]>")?;
-    let (store, run) = parse_and_open(spec).map_err(|e| e.to_string())?;
+fn cmd_stat(args: &Args) -> Result<(), Failure> {
+    let spec = args.positional("<dir|rr://host:port[/run]>")?;
+    let (store, run) = parse_and_open(spec).map_err(run_err)?;
     let runs = match run {
         Some(r) => vec![r],
-        None => store.list_runs().map_err(|e| e.to_string())?,
+        None => store.list_runs().map_err(run_err)?,
     };
     if runs.is_empty() {
         println!("{}: no sealed runs", store.describe());
@@ -124,7 +191,7 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
     }
     let mut dedup = None;
     for name in &runs {
-        let stat = store.stat_run(name).map_err(|e| e.to_string())?;
+        let stat = store.stat_run(name).map_err(run_err)?;
         println!(
             "run {}: {} core(s), truth {} bytes",
             stat.name, stat.cores, stat.truth_bytes

@@ -1,27 +1,26 @@
-//! RRSP/v2 clients: the raw [`Client`] and the [`RemoteStore`] that makes
+//! RRSP/v3 clients: the raw [`Client`] and the [`RemoteStore`] that makes
 //! an `rr-serve` backend a drop-in [`RunStore`].
 //!
-//! [`RemoteStore`] only moves a run's bytes. A save encodes the run with
-//! [`RunFiles::encode`], the encoder a local save uses, and streams each
-//! `.rrlog` as its chunks. So the server's reassembled files are
-//! byte-identical to the local ones, which the round-trip CI job diffs
-//! directly. A load fetches the run's [`RunFiles`] in one `RunBundle` and
-//! decodes them with [`RunFiles::decode`], the decoder a local load uses.
+//! [`RemoteStore`] only moves a run's bytes, and a save mirrors a load. A
+//! save encodes the run with [`RunFiles::encode`], the encoder a local
+//! save uses, and sends those files in one `PutRun`. So the server's
+//! reassembled files are byte-identical to the local ones, which the
+//! round-trip CI job diffs directly. A load fetches the run's
+//! [`RunFiles`] in one `RunBundle` and decodes them with
+//! [`RunFiles::decode`], the decoder a local load uses.
 
 use std::net::TcpStream;
 use std::path::Path;
 
-use relaxreplay::wire::{chunk_spans, VERSION};
 use rr_sim::logdir::{write_run_dir, RunFiles};
 use rr_sim::{
     DedupStat, LogDirError, RemoteFault, RunResult, RunStat, RunStore, SavedRun, StoreError,
 };
 
-use crate::proto::{self, Msg, SealCore, SealVariant, PROTO_VERSION};
+use crate::proto::{self, Msg, PROTO_VERSION};
 
-/// A connected RRSP/v2 conversation. One request at a time; chunk
-/// staging is per-connection on the server, so a whole run's ingest —
-/// every variant, every core, the seal — flows over one `Client`.
+/// A connected RRSP/v3 conversation: one request at a time, each a whole
+/// exchange, so one `Client` may carry any number of them.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
@@ -91,50 +90,23 @@ impl Client {
         )
     }
 
-    /// Stages one chunk. Returns whether the blob already existed.
+    /// Saves a whole run as the bytes of its files. Returns the `.rrlog`
+    /// bytes the server stored.
     ///
     /// # Errors
     ///
-    /// As [`Client::call`].
-    pub fn put_chunk(
-        &mut self,
-        run: &str,
-        variant: &str,
-        core: u8,
-        seq: u64,
-        wire_version: u16,
-        payload: &[u8],
-    ) -> Result<bool, StoreError> {
-        match self.call(&Msg::PutChunk {
-            run: run.to_string(),
-            variant: variant.to_string(),
-            core,
-            seq,
-            wire_version,
-            payload: payload.to_vec(),
-        })? {
-            Msg::PutAck { dedup } => Ok(dedup),
-            other => Err(Self::unexpected(&other)),
+    /// As [`Client::call`]; a run of more than 255 cores, which the
+    /// protocol cannot carry, is [`RemoteFault::Protocol`] and is not sent.
+    pub fn put_run(&mut self, run: &str, files: RunFiles) -> Result<u64, StoreError> {
+        if files.cores > usize::from(u8::MAX) {
+            return Err(StoreError::remote(
+                RemoteFault::Protocol,
+                format!("{} cores exceed the protocol's u8 core count", files.cores),
+            ));
         }
-    }
-
-    /// Seals a staged run. Returns the logical `.rrlog` bytes.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::call`].
-    pub fn seal_run(
-        &mut self,
-        run: &str,
-        cores: u8,
-        variants: Vec<SealVariant>,
-        truth: Vec<u8>,
-    ) -> Result<u64, StoreError> {
-        match self.call(&Msg::SealRun {
+        match self.call(&Msg::PutRun {
             run: run.to_string(),
-            cores,
-            variants,
-            truth,
+            files,
         })? {
             Msg::SealAck { log_bytes } => Ok(log_bytes),
             other => Err(Self::unexpected(&other)),
@@ -229,53 +201,13 @@ impl RemoteStore {
     }
 }
 
-/// Splits an encoded `.rrlog` byte stream into its chunk payloads.
-fn chunk_payloads(bytes: &[u8]) -> Result<Vec<&[u8]>, StoreError> {
-    match chunk_spans(bytes) {
-        Ok((_, _, frames, None)) => Ok(frames.iter().map(|f| f.payload).collect()),
-        Ok((.., Some(e))) | Err(e) => Err(StoreError::remote(
-            RemoteFault::Protocol,
-            format!("encoded log unparseable: {e}"),
-        )),
-    }
-}
-
 impl RunStore for RemoteStore {
     fn describe(&self) -> String {
         format!("rr://{}", self.addr)
     }
 
     fn save_run(&self, name: &str, result: &RunResult) -> Result<u64, StoreError> {
-        let files = RunFiles::encode(result);
-        let cores = u8::try_from(files.cores).map_err(|_| {
-            StoreError::remote(
-                RemoteFault::Protocol,
-                format!("{} cores exceed the protocol's u8 core id", files.cores),
-            )
-        })?;
-        let log_bytes = files.log_bytes();
-        let mut client = Client::connect(&self.addr)?;
-        let mut seal_variants = Vec::with_capacity(files.variants.len());
-        for v in files.variants {
-            let mut seal_cores = Vec::with_capacity(v.logs.len());
-            for (core, bytes) in v.logs.iter().enumerate() {
-                let payloads = chunk_payloads(bytes)?;
-                for (seq, payload) in payloads.iter().enumerate() {
-                    client.put_chunk(name, &v.label, core as u8, seq as u64, VERSION, payload)?;
-                }
-                seal_cores.push(SealCore {
-                    wire_version: VERSION,
-                    chunks: payloads.len() as u64,
-                });
-            }
-            seal_variants.push(SealVariant {
-                label: v.label,
-                cores: seal_cores,
-                ordering: v.ordering,
-            });
-        }
-        client.seal_run(name, cores, seal_variants, files.truth)?;
-        Ok(log_bytes)
+        Client::connect(&self.addr)?.put_run(name, RunFiles::encode(result))
     }
 
     /// Fetches the run's [`RunFiles`] and decodes them. A log that fails

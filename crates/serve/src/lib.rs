@@ -4,13 +4,13 @@
 //!
 //! The pieces:
 //!
-//! * [`proto`] — the RRSP/v2 length-prefixed, CRC-carrying binary
+//! * [`proto`] — the RRSP/v3 length-prefixed, CRC-carrying binary
 //!   protocol (no external deps; plain `std::net`).
 //! * [`store`] — the on-disk content-addressed chunk store: identical
 //!   chunk payloads dedupe to one blob keyed by
 //!   `(crc32, rr_hash64)`, runs are catalogs of chunk refs.
 //! * [`server`] — the multithreaded TCP server (listener + worker
-//!   pool, per-connection staging, atomic seal).
+//!   pool; a run is saved from one frame and published atomically).
 //! * [`client`] — [`Client`] (raw protocol) and
 //!   [`RemoteStore`] (a `RunStore` over the wire).
 //!

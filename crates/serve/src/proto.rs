@@ -1,4 +1,4 @@
-//! RRSP/v2 — the RelaxReplay serve protocol.
+//! RRSP/v3 — the RelaxReplay serve protocol.
 //!
 //! A length-prefixed binary framing over any ordered byte stream
 //! (TCP in production, an in-memory pipe in tests):
@@ -18,11 +18,12 @@
 //! [`Reader`], whose failures map onto [`RemoteFault::Protocol`].
 //!
 //! Requests travel client → server, each answered by exactly one
-//! response (the matching ack, or [`Msg::Error`]). Chunk payloads ride
-//! verbatim: a [`Msg::PutChunk`] body carries the exact bytes that sit
-//! between a chunk's length prefix and trailing CRC in an `.rrlog`
-//! file, which is what makes server-side reassembly byte-identical to a
-//! local save.
+//! response (the matching ack, or [`Msg::Error`]). A run travels whole,
+//! both ways, as the bytes of its files: a save is one [`Msg::PutRun`], a
+//! load one [`Msg::RunBundle`], and both carry the same [`RunFiles`]
+//! body, written by one encoder and read by one decoder. Its `.rrlog`
+//! files ride verbatim, which is what makes the server's stored chunks
+//! reassemble byte-identical to a local save.
 
 use std::io::{Read, Write};
 
@@ -33,41 +34,24 @@ use crate::ServeError;
 use rr_sim::logdir::{RunFiles, VariantFiles};
 use rr_sim::{RemoteFault, VariantStat};
 
-/// Protocol version spoken by this build. Version 2 dropped the byte-range
-/// verb (type codes 0x07/0x87, now unknown) and the per-core index blobs
-/// of [`Msg::RunBundle`], so a version-1 peer is refused at `Hello`.
-pub const PROTO_VERSION: u16 = 2;
+/// Protocol version spoken by this build, and the only one it accepts
+/// at `Hello`. Version 2 dropped the byte-range verb (type codes
+/// 0x07/0x87, now unknown) and the per-core index blobs of
+/// [`Msg::RunBundle`]. Version 3 saves a run in one [`Msg::PutRun`]: the
+/// per-chunk verb and its ack and the seal declaration (0x02, 0x82 and
+/// 0x03) are unknown frame types.
+pub const PROTO_VERSION: u16 = 3;
 
 /// Upper bound on a single frame's payload, guarding both sides against
 /// a corrupt or hostile length prefix committing them to a huge
-/// allocation. 256 MiB comfortably exceeds any real chunk or bundle.
+/// allocation. A run travels in one frame either way, so this also caps
+/// the size of a run that can be saved or fetched.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
-/// One per-(variant, core) log within a [`Msg::SealRun`] declaration:
-/// how many chunks were staged and what wire version framed them.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SealCore {
-    /// `.rrlog` wire version the chunks were encoded with.
-    pub wire_version: u16,
-    /// Chunks staged for this (variant, core), sequence 0..n.
-    pub chunks: u64,
-}
-
-/// One variant within a [`Msg::SealRun`] declaration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SealVariant {
-    /// The variant's label (a checked path-safe name).
-    pub label: String,
-    /// Per-core chunk declarations, index = core id.
-    pub cores: Vec<SealCore>,
-    /// The `ordering.bin` sidecar bytes, verbatim, when the variant was
-    /// recorded with an interval partial order.
-    pub ordering: Option<Vec<u8>>,
-}
-
-/// Every RRSP/v2 message. Requests use low type codes, responses the
-/// same code with the top bit set; [`Msg::Error`] (0x7F) answers any
-/// request that failed.
+/// Every RRSP/v3 message. Requests use low type codes, responses the top
+/// bit set: [`Msg::PutRun`] (0x08) is answered by [`Msg::SealAck`] (0x83),
+/// every other request by its own code | 0x80, and [`Msg::Error`] (0x7F)
+/// answers any request that failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Msg {
     /// Client hello: the protocol version it speaks.
@@ -80,38 +64,16 @@ pub enum Msg {
         /// Version the conversation will use.
         version: u16,
     },
-    /// Stage one chunk of one (run, variant, core) log.
-    PutChunk {
-        /// Run being assembled.
-        run: String,
-        /// Variant label.
-        variant: String,
-        /// Core id.
-        core: u8,
-        /// Chunk sequence number within the (variant, core) log, from 0.
-        seq: u64,
-        /// Wire version of the `.rrlog` the chunk came from.
-        wire_version: u16,
-        /// The chunk payload, verbatim (no length prefix, no CRC).
-        payload: Vec<u8>,
-    },
-    /// Chunk accepted.
-    PutAck {
-        /// True when an identical blob already existed (dedup hit).
-        dedup: bool,
-    },
-    /// Declare a staged run complete and publish it atomically.
-    SealRun {
+    /// Save a whole run under `run`: every variant's `.rrlog` files and
+    /// `ordering.bin`, and `truth.bin`, in the body a [`Msg::RunBundle`]
+    /// carries. Answered by [`Msg::SealAck`] once the run is published.
+    PutRun {
         /// Run name.
         run: String,
-        /// Recorded core count.
-        cores: u8,
-        /// Per-variant declarations; staged chunks must match exactly.
-        variants: Vec<SealVariant>,
-        /// The `truth.bin` ground-truth sidecar, verbatim.
-        truth: Vec<u8>,
+        /// The run's files.
+        files: RunFiles,
     },
-    /// Run sealed and visible.
+    /// Run saved and visible.
     SealAck {
         /// Logical `.rrlog` bytes the run materializes to.
         log_bytes: u64,
@@ -163,13 +125,11 @@ pub enum Msg {
 }
 
 const T_HELLO: u8 = 0x01;
-const T_PUT_CHUNK: u8 = 0x02;
-const T_SEAL_RUN: u8 = 0x03;
 const T_GET_RUN: u8 = 0x04;
 const T_LIST_RUNS: u8 = 0x05;
 const T_STAT: u8 = 0x06;
+const T_PUT_RUN: u8 = 0x08;
 const T_HELLO_ACK: u8 = 0x81;
-const T_PUT_ACK: u8 = 0x82;
 const T_SEAL_ACK: u8 = 0x83;
 const T_RUN_BUNDLE: u8 = 0x84;
 const T_LIST_ACK: u8 = 0x85;
@@ -201,9 +161,7 @@ impl Msg {
         match self {
             Msg::Hello { .. } => T_HELLO,
             Msg::HelloAck { .. } => T_HELLO_ACK,
-            Msg::PutChunk { .. } => T_PUT_CHUNK,
-            Msg::PutAck { .. } => T_PUT_ACK,
-            Msg::SealRun { .. } => T_SEAL_RUN,
+            Msg::PutRun { .. } => T_PUT_RUN,
             Msg::SealAck { .. } => T_SEAL_ACK,
             Msg::GetRun { .. } => T_GET_RUN,
             Msg::RunBundle(_) => T_RUN_BUNDLE,
@@ -222,63 +180,13 @@ impl Msg {
             Msg::Hello { version } | Msg::HelloAck { version } => {
                 out.extend_from_slice(&version.to_le_bytes());
             }
-            Msg::PutChunk {
-                run,
-                variant,
-                core,
-                seq,
-                wire_version,
-                payload,
-            } => {
+            Msg::PutRun { run, files } => {
                 write_bytes(out, run.as_bytes());
-                write_bytes(out, variant.as_bytes());
-                out.push(*core);
-                write_varint(out, *seq);
-                out.extend_from_slice(&wire_version.to_le_bytes());
-                write_bytes(out, payload);
-            }
-            Msg::PutAck { dedup } => out.push(u8::from(*dedup)),
-            Msg::SealRun {
-                run,
-                cores,
-                variants,
-                truth,
-            } => {
-                write_bytes(out, run.as_bytes());
-                out.push(*cores);
-                write_varint(out, variants.len() as u64);
-                for v in variants {
-                    write_bytes(out, v.label.as_bytes());
-                    write_varint(out, v.cores.len() as u64);
-                    for c in &v.cores {
-                        out.extend_from_slice(&c.wire_version.to_le_bytes());
-                        write_varint(out, c.chunks);
-                    }
-                    out.push(u8::from(v.ordering.is_some()));
-                    if let Some(ordering) = &v.ordering {
-                        write_bytes(out, ordering);
-                    }
-                }
-                write_bytes(out, truth);
+                encode_files(out, files);
             }
             Msg::SealAck { log_bytes } => write_varint(out, *log_bytes),
             Msg::GetRun { run } | Msg::Stat { run } => write_bytes(out, run.as_bytes()),
-            Msg::RunBundle(files) => {
-                out.push(files.cores as u8);
-                write_varint(out, files.variants.len() as u64);
-                for v in &files.variants {
-                    write_bytes(out, v.label.as_bytes());
-                    write_varint(out, v.logs.len() as u64);
-                    for log in &v.logs {
-                        write_bytes(out, log);
-                    }
-                    out.push(u8::from(v.ordering.is_some()));
-                    if let Some(ordering) = &v.ordering {
-                        write_bytes(out, ordering);
-                    }
-                }
-                write_bytes(out, &files.truth);
-            }
+            Msg::RunBundle(files) => encode_files(out, files),
             Msg::ListRuns => {}
             Msg::ListAck { runs } => {
                 write_varint(out, runs.len() as u64);
@@ -327,74 +235,20 @@ impl Msg {
             .ok_or_else(|| ServeError::new(RemoteFault::Protocol, "empty frame payload"))?;
         let mut r = Reader::new(body, protocol_err);
         let string = |r: &mut Reader<'_, ServeError>| r.str(MAX_FRAME_BYTES).map(str::to_owned);
-        let bytes = |r: &mut Reader<'_, ServeError>| r.bytes(MAX_FRAME_BYTES).map(<[u8]>::to_vec);
         let msg = match tag {
             T_HELLO => Msg::Hello { version: r.u16()? },
             T_HELLO_ACK => Msg::HelloAck { version: r.u16()? },
-            T_PUT_CHUNK => Msg::PutChunk {
+            T_PUT_RUN => Msg::PutRun {
                 run: string(&mut r)?,
-                variant: string(&mut r)?,
-                core: r.u8()?,
-                seq: r.varint()?,
-                wire_version: r.u16()?,
-                payload: bytes(&mut r)?,
+                files: decode_files(&mut r)?,
             },
-            T_PUT_ACK => Msg::PutAck { dedup: r.flag()? },
-            T_SEAL_RUN => {
-                let run = string(&mut r)?;
-                let cores = r.u8()?;
-                let nv = r.varint()?;
-                let mut variants = Vec::new();
-                for _ in 0..nv {
-                    let label = string(&mut r)?;
-                    let mut seal_cores = Vec::new();
-                    for _ in 0..r.varint()? {
-                        seal_cores.push(SealCore {
-                            wire_version: r.u16()?,
-                            chunks: r.varint()?,
-                        });
-                    }
-                    variants.push(SealVariant {
-                        label,
-                        cores: seal_cores,
-                        ordering: r.flag()?.then(|| bytes(&mut r)).transpose()?,
-                    });
-                }
-                Msg::SealRun {
-                    run,
-                    cores,
-                    variants,
-                    truth: bytes(&mut r)?,
-                }
-            }
             T_SEAL_ACK => Msg::SealAck {
                 log_bytes: r.varint()?,
             },
             T_GET_RUN => Msg::GetRun {
                 run: string(&mut r)?,
             },
-            T_RUN_BUNDLE => {
-                let cores = usize::from(r.u8()?);
-                let nv = r.varint()?;
-                let mut variants = Vec::new();
-                for _ in 0..nv {
-                    let label = string(&mut r)?;
-                    let mut logs = Vec::new();
-                    for _ in 0..r.varint()? {
-                        logs.push(bytes(&mut r)?);
-                    }
-                    variants.push(VariantFiles {
-                        label,
-                        logs,
-                        ordering: r.flag()?.then(|| bytes(&mut r)).transpose()?,
-                    });
-                }
-                Msg::RunBundle(RunFiles {
-                    cores,
-                    variants,
-                    truth: bytes(&mut r)?,
-                })
-            }
+            T_RUN_BUNDLE => Msg::RunBundle(decode_files(&mut r)?),
             T_LIST_RUNS => Msg::ListRuns,
             T_LIST_ACK => {
                 let mut runs = Vec::new();
@@ -446,6 +300,52 @@ impl Msg {
         r.finish()?;
         Ok(msg)
     }
+}
+
+/// Appends a [`RunFiles`] body, the body of [`Msg::PutRun`] and
+/// [`Msg::RunBundle`]: the core count (a `u8`; the sender refuses a run
+/// of more cores), then each variant's label, `.rrlog` files and
+/// optional `ordering.bin`, then `truth.bin`.
+fn encode_files(out: &mut Vec<u8>, files: &RunFiles) {
+    out.push(files.cores as u8);
+    write_varint(out, files.variants.len() as u64);
+    for v in &files.variants {
+        write_bytes(out, v.label.as_bytes());
+        write_varint(out, v.logs.len() as u64);
+        for log in &v.logs {
+            write_bytes(out, log);
+        }
+        out.push(u8::from(v.ordering.is_some()));
+        if let Some(ordering) = &v.ordering {
+            write_bytes(out, ordering);
+        }
+    }
+    write_bytes(out, &files.truth);
+}
+
+/// Reads a body written by [`encode_files`]. It checks only the framing:
+/// what the files say is for [`RunFiles::decode`] and the store to judge.
+fn decode_files(r: &mut Reader<'_, ServeError>) -> Result<RunFiles, ServeError> {
+    let bytes = |r: &mut Reader<'_, ServeError>| r.bytes(MAX_FRAME_BYTES).map(<[u8]>::to_vec);
+    let cores = usize::from(r.u8()?);
+    let mut variants = Vec::new();
+    for _ in 0..r.varint()? {
+        let label = r.str(MAX_FRAME_BYTES)?.to_owned();
+        let mut logs = Vec::new();
+        for _ in 0..r.varint()? {
+            logs.push(bytes(r)?);
+        }
+        variants.push(VariantFiles {
+            label,
+            logs,
+            ordering: r.flag()?.then(|| bytes(r)).transpose()?,
+        });
+    }
+    Ok(RunFiles {
+        cores,
+        variants,
+        truth: bytes(r)?,
+    })
 }
 
 /// Writes one framed message to `w`: the message is encoded straight
@@ -511,33 +411,17 @@ mod tests {
         vec![
             Msg::Hello { version: 1 },
             Msg::HelloAck { version: 1 },
-            Msg::PutChunk {
+            Msg::PutRun {
                 run: "fft".into(),
-                variant: "Opt-4K".into(),
-                core: 3,
-                seq: 17,
-                wire_version: 3,
-                payload: vec![0xab; 300],
-            },
-            Msg::PutAck { dedup: true },
-            Msg::SealRun {
-                run: "fft".into(),
-                cores: 2,
-                variants: vec![SealVariant {
-                    label: "Opt-4K".into(),
-                    cores: vec![
-                        SealCore {
-                            wire_version: 3,
-                            chunks: 5,
-                        },
-                        SealCore {
-                            wire_version: 3,
-                            chunks: 0,
-                        },
-                    ],
-                    ordering: Some(vec![1, 2, 3]),
-                }],
-                truth: vec![9, 9],
+                files: RunFiles {
+                    cores: 2,
+                    variants: vec![VariantFiles {
+                        label: "Opt-4K".into(),
+                        logs: vec![vec![0xab; 300], vec![]],
+                        ordering: Some(vec![1, 2, 3]),
+                    }],
+                    truth: vec![9, 9],
+                },
             },
             Msg::SealAck { log_bytes: 1 << 40 },
             Msg::GetRun { run: "fft".into() },
@@ -658,16 +542,18 @@ mod tests {
         for payload in [stat_ack(1), option(0)] {
             assert!(read_frame(&mut raw_frame(&payload).as_slice()).is_ok());
         }
-        for payload in [vec![T_PUT_ACK, 2], stat_ack(2), option(2)] {
+        for payload in [stat_ack(2), option(2)] {
             let err = read_frame(&mut raw_frame(&payload).as_slice()).expect_err("flag 2");
             assert_eq!(err.kind, RemoteFault::Protocol);
             assert_eq!(err.detail, "frame body flag not 0/1");
         }
     }
 
-    /// The retired byte-range verb and its reply (type codes 0x07 and
-    /// 0x87) are unknown frame types: a version-1 peer that sends one gets
-    /// a typed protocol error, even for a body that once parsed.
+    /// The retired verbs are unknown frame types: version 1's byte range
+    /// and its reply (0x07, 0x87) and version 2's chunk, its ack and the
+    /// seal (0x02, 0x82, 0x03). A peer that sends one gets a typed
+    /// protocol error, whatever body follows, a version-1 range body
+    /// included.
     #[test]
     fn retired_range_frames_are_typed_errors() {
         let mut body = Vec::new();
@@ -676,7 +562,7 @@ mod tests {
         body.push(0);
         write_varint(&mut body, 7);
         write_varint(&mut body, u64::MAX);
-        for tag in [0x07u8, 0x87] {
+        for tag in [0x02u8, 0x03, 0x07, 0x82, 0x87] {
             for payload in [vec![tag], [&[tag][..], &body].concat()] {
                 let err = Msg::decode(&payload).expect_err("retired frame type");
                 assert_eq!(err.kind, RemoteFault::Protocol);

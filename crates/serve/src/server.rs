@@ -1,35 +1,36 @@
 //! The rr-serve TCP server: a `std::net` listener feeding a fixed pool
 //! of worker threads (the sweep-engine shape — the workspace is offline,
 //! so no async runtime), each worker owning one client connection at a
-//! time and speaking RRSP/v2 over it.
+//! time and speaking RRSP/v3 over it.
 //!
-//! Ingest isolation: every connection stages its `PutChunk`s privately
-//! and only `SealRun` publishes them — atomically, via the catalog
-//! rename in [`ChunkStore::seal_run`]. Four recorders streaming four
-//! runs concurrently therefore cannot interleave: blobs dedup freely
+//! Ingest isolation: a run arrives whole, in one `PutRun` frame, and
+//! [`ChunkStore::save_run`] checks all of it before it stores a blob and
+//! publishes it only by the final catalog rename. Four recorders saving
+//! four runs concurrently therefore cannot interleave: blobs dedup freely
 //! across connections (identical content, idempotent writes), but run
-//! *membership* is decided by each connection's own staging table.
+//! *membership* is decided by each run's own frame. The server keeps no
+//! state between frames, so a client that hangs up mid-save leaves
+//! nothing behind.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use rr_sim::logdir::check_name;
 use rr_sim::RemoteFault;
 
-use crate::proto::{self, Msg, SealVariant, PROTO_VERSION};
-use crate::store::{CatalogCore, ChunkRef, ChunkStore, SealedVariant};
+use crate::proto::{self, Msg, PROTO_VERSION};
+use crate::store::ChunkStore;
 use crate::ServeError;
 
 /// Fault injection for the server, driven by the crash regression tests:
-/// after accepting `kill_after_chunks` `PutChunk` frames on a connection,
-/// the server drops that socket without a response — exactly what a
-/// crashed backend looks like to a client mid-save.
+/// after storing `kill_after_chunks` chunk blobs of a save, the server
+/// drops that socket without a response and without publishing the run —
+/// exactly what a crashed backend looks like to a client mid-save.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultSpec {
-    /// Kill each connection after this many accepted chunks
+    /// Kill the connection after storing this many chunks of one save
     /// (`None` = never).
     pub kill_after_chunks: Option<u64>,
 }
@@ -72,13 +73,9 @@ impl ServerConfig {
 /// Ingest counters, exposed for the bench harness and logs.
 #[derive(Debug, Default)]
 pub struct ServerStats {
-    /// Chunks accepted across all connections.
+    /// Chunks stored across all saves, dedup hits included.
     pub chunks: AtomicU64,
-    /// Chunk payload bytes accepted.
-    pub chunk_bytes: AtomicU64,
-    /// Chunks that hit an existing blob (dedup).
-    pub dedup_hits: AtomicU64,
-    /// Runs sealed.
+    /// Runs saved.
     pub seals: AtomicU64,
 }
 
@@ -159,7 +156,7 @@ impl ServerHandle {
     }
 }
 
-/// Binds `addr` and starts serving RRSP/v2 in background threads.
+/// Binds `addr` and starts serving RRSP/v3 in background threads.
 ///
 /// # Errors
 ///
@@ -246,19 +243,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// One staged core log: chunk refs by sequence number.
-type StagedLog = Vec<(u64, ChunkRef)>;
-
-/// One connection's staged-but-unsealed chunks, keyed (run, variant, core).
-#[derive(Default)]
-struct Staging {
-    logs: HashMap<(String, String, u8), StagedLog>,
-}
-
 fn handle_connection(shared: &Shared, mut stream: TcpStream) -> Result<(), ServeError> {
-    let mut staging = Staging::default();
-    let mut accepted_chunks = 0u64;
-
     // Handshake first: anything else is a protocol error.
     match proto::read_frame(&mut stream)? {
         Some(Msg::Hello { version }) if version == PROTO_VERSION => {
@@ -279,78 +264,30 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> Result<(), Serve
         if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
-        if let Msg::PutChunk { .. } = &msg {
-            if let Some(kill_after) = shared.fault.kill_after_chunks {
-                if accepted_chunks >= kill_after {
-                    // Injected crash: drop the socket, no response.
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return Ok(());
-                }
-            }
-        }
-        let reply = handle_request(shared, &mut staging, msg, &mut accepted_chunks);
-        let frame = match reply {
-            Ok(m) => m,
-            Err(e) => Msg::Error {
-                kind: e.kind,
-                detail: e.detail,
-            },
-        };
-        proto::write_frame(&mut stream, &frame)?;
+        let reply = handle_request(shared, &stream, msg).unwrap_or_else(|e| Msg::Error {
+            kind: e.kind,
+            detail: e.detail,
+        });
+        proto::write_frame(&mut stream, &reply)?;
     }
     Ok(())
 }
 
-fn handle_request(
-    shared: &Shared,
-    staging: &mut Staging,
-    msg: Msg,
-    accepted_chunks: &mut u64,
-) -> Result<Msg, ServeError> {
+fn handle_request(shared: &Shared, stream: &TcpStream, msg: Msg) -> Result<Msg, ServeError> {
     match msg {
-        Msg::PutChunk {
-            run,
-            variant,
-            core,
-            seq,
-            wire_version,
-            payload,
-        } => {
-            check_name(&run).map_err(|e| ServeError::new(RemoteFault::BadName, e.to_string()))?;
-            check_name(&variant)
-                .map_err(|e| ServeError::new(RemoteFault::BadName, e.to_string()))?;
-            check_wire_version(wire_version)?;
-            let (r, dedup) = shared.store.put_chunk(&payload)?;
-            staging
-                .logs
-                .entry((run, variant, core))
-                .or_default()
-                .push((seq, r));
-            *accepted_chunks += 1;
-            shared.stats.chunks.fetch_add(1, Ordering::Relaxed);
-            shared
-                .stats
-                .chunk_bytes
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            if dedup {
-                shared.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Msg::PutAck { dedup })
-        }
-        Msg::SealRun {
-            run,
-            cores,
-            variants,
-            truth,
-        } => {
-            let sealed = collect_staged(staging, &run, &variants)?;
-            let log_bytes = shared.store.seal_run(&run, cores, sealed, &truth)?;
-            // Sealed chunks leave the staging table; an accidental
-            // double-seal over the same connection revalidates cleanly
-            // against zero staged chunks only if the run declared zero.
-            staging
-                .logs
-                .retain(|(staged_run, _, _), _| staged_run != &run);
+        Msg::PutRun { run, files } => {
+            let mut stored = 0;
+            let log_bytes = shared.store.save_run(&run, &files, || {
+                shared.stats.chunks.fetch_add(1, Ordering::Relaxed);
+                stored += 1;
+                if shared.fault.kill_after_chunks != Some(stored) {
+                    return Ok(());
+                }
+                // Injected crash: the socket goes now, so the error below
+                // never reaches the client and the run is never published.
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                Err(ServeError::new(RemoteFault::Server, "injected crash"))
+            })?;
             shared.stats.seals.fetch_add(1, Ordering::Relaxed);
             Ok(Msg::SealAck { log_bytes })
         }
@@ -376,80 +313,4 @@ fn handle_request(
             format!("unexpected client frame {other:?}"),
         )),
     }
-}
-
-/// Refuses every `.rrlog` wire version but [`relaxreplay::wire::VERSION`]:
-/// a run stamped with any other would be refused, or misread, when fetched.
-fn check_wire_version(wire_version: u16) -> Result<(), ServeError> {
-    if wire_version == relaxreplay::wire::VERSION {
-        return Ok(());
-    }
-    Err(ServeError::new(
-        RemoteFault::Protocol,
-        format!(
-            "unsupported .rrlog wire version {wire_version} (this server stores only v{})",
-            relaxreplay::wire::VERSION
-        ),
-    ))
-}
-
-/// Validates a seal declaration against this connection's staging table
-/// and produces the store's sealed-variant form: every declared
-/// (variant, core) must carry the current wire version and have exactly
-/// its declared chunks staged, with contiguous sequence numbers from 0.
-fn collect_staged(
-    staging: &mut Staging,
-    run: &str,
-    variants: &[SealVariant],
-) -> Result<Vec<SealedVariant>, ServeError> {
-    let mut sealed = Vec::new();
-    for v in variants {
-        let mut catalog_cores = Vec::new();
-        for (k, declared) in v.cores.iter().enumerate() {
-            check_wire_version(declared.wire_version)?;
-            let key = (run.to_string(), v.label.clone(), k as u8);
-            let mut staged = match staging.logs.get(&key) {
-                Some(refs) => refs.clone(),
-                None if declared.chunks == 0 => Vec::new(),
-                None => {
-                    return Err(ServeError::new(
-                        RemoteFault::Protocol,
-                        format!(
-                            "seal declares {} chunks for {}/core{k} but none were staged \
-                             on this connection",
-                            declared.chunks, v.label
-                        ),
-                    ))
-                }
-            };
-            staged.sort_by_key(|(seq, _)| *seq);
-            if staged.len() as u64 != declared.chunks
-                || staged
-                    .iter()
-                    .enumerate()
-                    .any(|(i, (seq, _))| *seq != i as u64)
-            {
-                return Err(ServeError::new(
-                    RemoteFault::Protocol,
-                    format!(
-                        "{}/core{k}: staged {} chunks, seal declares {} (sequence must be \
-                         contiguous from 0)",
-                        v.label,
-                        staged.len(),
-                        declared.chunks
-                    ),
-                ));
-            }
-            catalog_cores.push(CatalogCore {
-                wire_version: declared.wire_version,
-                chunks: staged.into_iter().map(|(_, r)| r).collect(),
-            });
-        }
-        sealed.push(SealedVariant {
-            label: v.label.clone(),
-            cores: catalog_cores,
-            ordering: v.ordering.clone(),
-        });
-    }
-    Ok(sealed)
 }

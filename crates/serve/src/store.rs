@@ -30,7 +30,7 @@ use relaxreplay::wire::{self, crc32, write_bytes, write_varint};
 use relaxreplay::{codec_message, rr_hash64};
 use rr_mem::CoreId;
 use rr_sim::logdir::{check_name, RunFiles, VariantFiles};
-use rr_sim::{RemoteFault, VariantStat};
+use rr_sim::{LogDirError, RemoteFault, VariantStat};
 
 use crate::proto::MAX_FRAME_BYTES;
 use crate::ServeError;
@@ -156,7 +156,7 @@ impl Catalog {
         let cores = r.u8()?;
         let mut variants = Vec::new();
         for _ in 0..r.varint()? {
-            // A label arrived in a `SealRun` frame, so no longer than one.
+            // A label arrived in a `PutRun` frame, so no longer than one.
             let label = r.str(MAX_FRAME_BYTES)?.to_string();
             let has_ordering = r.flag()?;
             let mut catalog_cores = Vec::new();
@@ -221,16 +221,57 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// What [`ChunkStore::seal_run`] needs per variant: the staged refs in
-/// sequence order plus the opaque ordering sidecar.
-#[derive(Clone, Debug)]
-pub struct SealedVariant {
-    /// The variant's label.
-    pub label: String,
-    /// Per-core (wire version, chunk refs), index = core id.
-    pub cores: Vec<CatalogCore>,
-    /// The `ordering.bin` sidecar bytes, if recorded.
-    pub ordering: Option<Vec<u8>>,
+/// The checks [`ChunkStore::save_run`] makes before it stores anything.
+/// Returns the catalog the files make, and every chunk payload in catalog
+/// order.
+fn check_run<'a>(run: &str, files: &'a RunFiles) -> Result<(Catalog, Vec<&'a [u8]>), ServeError> {
+    let bad_name = |e: LogDirError| ServeError::new(RemoteFault::BadName, e.to_string());
+    let protocol = |detail: String| ServeError::new(RemoteFault::Protocol, detail);
+    check_name(run).map_err(bad_name)?;
+    let cores = u8::try_from(files.cores)
+        .map_err(|_| protocol(format!("{} cores exceed a catalog's u8", files.cores)))?;
+    let mut payloads = Vec::new();
+    let mut variants = Vec::new();
+    for v in &files.variants {
+        check_name(&v.label).map_err(bad_name)?;
+        if v.logs.len() != files.cores {
+            return Err(protocol(format!(
+                "variant {:?} holds {} logs, run has {cores} cores",
+                v.label,
+                v.logs.len()
+            )));
+        }
+        let mut catalog_cores = Vec::new();
+        for (k, log) in v.logs.iter().enumerate() {
+            let refuse = |what: String| protocol(format!("{}/core{k}.rrlog: {what}", v.label));
+            let (core, wire_version, frames, cut) =
+                wire::chunk_spans(log).map_err(|e| refuse(e.to_string()))?;
+            if core.index() != k {
+                return Err(refuse(format!("header names core {}", core.index())));
+            }
+            if let Some(e) = cut {
+                return Err(refuse(e.to_string()));
+            }
+            let mut chunks = Vec::with_capacity(frames.len());
+            for (i, frame) in frames.iter().enumerate() {
+                let payload = frame
+                    .verify()
+                    .map_err(|_| refuse(format!("chunk {i} fails its CRC")))?;
+                chunks.push(ChunkRef::of(payload));
+                payloads.push(payload);
+            }
+            catalog_cores.push(CatalogCore {
+                wire_version,
+                chunks,
+            });
+        }
+        variants.push(CatalogVariant {
+            label: v.label.clone(),
+            cores: catalog_cores,
+            has_ordering: v.ordering.is_some(),
+        });
+    }
+    Ok((Catalog { cores, variants }, payloads))
 }
 
 /// The on-disk content-addressed store. All methods take `&self` and are
@@ -272,20 +313,14 @@ impl ChunkStore {
         self.root.join("runs").join(run)
     }
 
-    /// Stores one chunk payload, deduplicating against existing blobs.
-    /// Returns the ref and whether an identical blob already existed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RemoteFault::Server`] on filesystem failure.
-    pub fn put_chunk(&self, payload: &[u8]) -> Result<(ChunkRef, bool), ServeError> {
-        let r = ChunkRef::of(payload);
-        let path = self.object_path(&r);
+    /// Stores one chunk payload under its ref `r`, unless an identical
+    /// blob already exists.
+    fn put_blob(&self, r: &ChunkRef, payload: &[u8]) -> Result<(), ServeError> {
+        let path = self.object_path(r);
         if path.is_file() {
-            return Ok((r, true));
+            return Ok(());
         }
-        write_atomic(&path, payload)?;
-        Ok((r, false))
+        write_atomic(&path, payload)
     }
 
     /// Reads one blob back, verifying length, CRC32, and content hash.
@@ -310,51 +345,35 @@ impl ChunkStore {
         Ok(bytes)
     }
 
-    /// Publishes a staged run atomically: every referenced blob is
-    /// verified and the sidecars written first, then the catalog rename
-    /// makes the run visible.
-    /// Re-sealing an identical run is idempotent; sealing a different
-    /// run under an existing name is a [`RemoteFault::Conflict`].
+    /// Saves a whole run, given as the bytes of its files, and returns its
+    /// `.rrlog` bytes. It checks every file before it writes any blob: the
+    /// names, one log per core in each variant, and each `.rrlog`'s header
+    /// (this wire version, naming its own slot's core), its chunk CRCs and
+    /// its framing, with no partial frame at the end. Then it stores each
+    /// chunk payload, deduplicated against the blobs already held; verifies
+    /// every blob and writes the sidecars; and last renames the catalog
+    /// into place, which makes the run visible, so a save that stops
+    /// anywhere publishes nothing.
+    /// `on_stored` runs after each chunk is stored, dedup hits included;
+    /// an error from it stops the save there. Saving an identical run
+    /// again is idempotent; a different run under an existing name is a
+    /// [`RemoteFault::Conflict`].
     ///
     /// # Errors
     ///
-    /// Returns [`RemoteFault::BadName`] for unusable names,
-    /// [`RemoteFault::Conflict`] for divergent re-seals,
-    /// [`RemoteFault::CorruptBlob`] if a referenced blob fails
-    /// verification, and [`RemoteFault::Server`] on filesystem failure.
-    pub fn seal_run(
+    /// Returns [`RemoteFault::Protocol`] for files that fail a check,
+    /// [`RemoteFault::BadName`] for unusable names,
+    /// [`RemoteFault::Conflict`] for a divergent re-save,
+    /// [`RemoteFault::CorruptBlob`] if a stored blob fails verification,
+    /// [`RemoteFault::Server`] on filesystem failure, and whatever
+    /// `on_stored` returns.
+    pub fn save_run(
         &self,
         run: &str,
-        cores: u8,
-        variants: Vec<SealedVariant>,
-        truth: &[u8],
+        files: &RunFiles,
+        mut on_stored: impl FnMut() -> Result<(), ServeError>,
     ) -> Result<u64, ServeError> {
-        check_name(run).map_err(|e| ServeError::new(RemoteFault::BadName, e.to_string()))?;
-        for v in &variants {
-            check_name(&v.label)
-                .map_err(|e| ServeError::new(RemoteFault::BadName, e.to_string()))?;
-            if v.cores.len() != usize::from(cores) {
-                return Err(ServeError::new(
-                    RemoteFault::Protocol,
-                    format!(
-                        "variant {:?} declares {} cores, run has {cores}",
-                        v.label,
-                        v.cores.len()
-                    ),
-                ));
-            }
-        }
-        let catalog = Catalog {
-            cores,
-            variants: variants
-                .iter()
-                .map(|v| CatalogVariant {
-                    label: v.label.clone(),
-                    cores: v.cores.clone(),
-                    has_ordering: v.ordering.is_some(),
-                })
-                .collect(),
-        };
+        let (catalog, payloads) = check_run(run, files)?;
         let dir = self.run_dir(run);
         let catalog_path = dir.join("catalog.bin");
         let catalog_bytes = catalog.to_bytes();
@@ -367,16 +386,25 @@ impl ChunkStore {
                 format!("run {run:?} already sealed with different contents"),
             ));
         }
+        let refs = catalog
+            .variants
+            .iter()
+            .flat_map(|v| &v.cores)
+            .flat_map(|c| &c.chunks);
+        for (r, payload) in refs.clone().zip(payloads) {
+            self.put_blob(r, payload)?;
+            on_stored()?;
+        }
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, &e))?;
-        write_atomic(&dir.join("truth.bin"), truth)?;
-        for v in &variants {
+        write_atomic(&dir.join("truth.bin"), &files.truth)?;
+        for v in &files.variants {
             if let Some(ordering) = &v.ordering {
                 write_atomic(&dir.join(format!("{}.ordering", v.label)), ordering)?;
             }
-            // A run is published only if GetRun can serve it back.
-            for r in v.cores.iter().flat_map(|c| &c.chunks) {
-                self.get_blob(r)?;
-            }
+        }
+        // A run is published only if GetRun can serve it back.
+        for r in refs {
+            self.get_blob(r)?;
         }
         write_atomic(&catalog_path, &catalog_bytes)?;
         Ok(catalog.log_bytes())
@@ -547,6 +575,8 @@ impl ChunkStore {
 mod tests {
     use super::*;
 
+    use relaxreplay::{IntervalLog, LogEntry};
+
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rr_serve_store_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -557,11 +587,11 @@ mod tests {
     fn put_dedups_and_get_verifies() {
         let root = scratch("cas");
         let store = ChunkStore::open(&root).expect("opens");
-        let (r1, existed1) = store.put_chunk(b"hello chunk").expect("puts");
-        assert!(!existed1);
-        let (r2, existed2) = store.put_chunk(b"hello chunk").expect("puts");
-        assert!(existed2);
-        assert_eq!(r1, r2);
+        let r1 = ChunkRef::of(b"hello chunk");
+        store.put_blob(&r1, b"hello chunk").expect("puts");
+        store.put_blob(&r1, b"hello chunk").expect("puts again");
+        let blobs = fs::read_dir(root.join("objects")).expect("objects").count();
+        assert_eq!(blobs, 1, "an identical payload is stored once");
         assert_eq!(store.get_blob(&r1).expect("reads"), b"hello chunk");
 
         // Damage the blob on disk: reads become a typed CorruptBlob.
@@ -582,7 +612,6 @@ mod tests {
     #[test]
     fn catalog_round_trips_and_refuses_other_wire_versions() {
         use relaxreplay::wire::{chunk_spans, encode_chunked};
-        use relaxreplay::{IntervalLog, LogEntry};
 
         // Core 0 logs one chunk, core 1 nothing.
         let mut busy = IntervalLog::new(CoreId::new(0));
@@ -626,33 +655,32 @@ mod tests {
     fn divergent_reseal_conflicts_identical_reseal_is_idempotent() {
         let root = scratch("seal");
         let store = ChunkStore::open(&root).expect("opens");
-        let (r, _) = store.put_chunk(b"payload").expect("puts");
-        let variants = vec![SealedVariant {
-            label: "Base".into(),
-            cores: vec![CatalogCore {
-                wire_version: 3,
-                chunks: vec![r],
-            }],
-            ordering: None,
-        }];
+        let run = |instrs: u32| {
+            let mut log = IntervalLog::new(CoreId::new(0));
+            log.entries.push(LogEntry::InorderBlock { instrs });
+            RunFiles {
+                cores: 1,
+                variants: vec![VariantFiles {
+                    label: "Base".into(),
+                    logs: vec![log.encode()],
+                    ordering: None,
+                }],
+                truth: b"truth".to_vec(),
+            }
+        };
+        let mut stored = 0;
+        let mut count = || {
+            stored += 1;
+            Ok(())
+        };
+        store.save_run("run-a", &run(7), &mut count).expect("saves");
         store
-            .seal_run("run-a", 1, variants.clone(), b"truth")
-            .expect("seals");
-        store
-            .seal_run("run-a", 1, variants.clone(), b"truth")
-            .expect("idempotent reseal");
-        let (r2, _) = store.put_chunk(b"other payload").expect("puts");
-        let divergent = vec![SealedVariant {
-            label: "Base".into(),
-            cores: vec![CatalogCore {
-                wire_version: 3,
-                chunks: vec![r2],
-            }],
-            ordering: None,
-        }];
+            .save_run("run-a", &run(7), &mut count)
+            .expect("idempotent re-save");
         let err = store
-            .seal_run("run-a", 1, divergent, b"truth")
+            .save_run("run-a", &run(8), &mut count)
             .expect_err("conflict");
+        assert_eq!(stored, 1, "only the first save stores a chunk");
         assert_eq!(err.kind, RemoteFault::Conflict);
         let _ = fs::remove_dir_all(&root);
     }

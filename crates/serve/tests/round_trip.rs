@@ -1,11 +1,13 @@
 //! End-to-end rr-serve coverage: remote round trips are byte-identical
 //! to local saves, identical corpora dedupe in the content-addressed
 //! store, damaged blobs surface as typed errors, ≥ 4 recorder clients
-//! can ingest concurrently without interleaving corruption, a server
-//! that dies mid-save publishes nothing, a client of another protocol
-//! version is refused at hello, a fetch never writes outside its
-//! output directory, whatever labels the server sends, and a run whose
-//! files disagree fails with the same typed error from either store.
+//! can ingest concurrently without interleaving corruption, a malformed
+//! save is refused before it stores anything, a server that dies
+//! mid-save or a client that hangs up mid-save publishes nothing, a
+//! client of another protocol version is refused at hello, a fetch never
+//! writes outside its output directory, whatever labels the server
+//! sends, a run whose files disagree fails with the same typed error
+//! from either store, and the CLI refuses a bad argument before serving.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -275,94 +277,207 @@ fn corrupt_blob_surfaces_as_typed_error_not_panic() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A declared `.rrlog` wire version other than the current one is refused
-/// with a typed protocol error at `PutChunk` and at `SealRun` (zero-chunk
-/// cores included), and nothing is published: under a v2 header the
-/// fetched log would misread its frame timestamps; under 999 no reader
-/// could open it.
+/// Saves `files` as run `name` through a raw client and requires a typed
+/// protocol error whose detail contains `detail`, after which the run is
+/// not listed and the store at `store_root` holds no blob and no run.
+fn refused_and_nothing_stored(
+    store_root: &Path,
+    addr: &str,
+    name: &str,
+    files: RunFiles,
+    detail: &str,
+) {
+    match Client::connect(addr).expect("connect").put_run(name, files) {
+        Err(StoreError::Remote { kind, detail: got }) => {
+            assert_eq!(kind, RemoteFault::Protocol, "{name}: {got}");
+            assert!(got.contains(detail), "{name}: {got:?} lacks {detail:?}");
+        }
+        other => panic!("{name}: want a protocol error, got {other:?}"),
+    }
+    let remote = RemoteStore::new(addr);
+    assert!(!remote
+        .list_runs()
+        .expect("list")
+        .contains(&name.to_string()));
+    for sub in ["objects", "runs"] {
+        assert_eq!(
+            dir_snapshot(&store_root.join(sub)),
+            Vec::new(),
+            "{name}: {sub}/"
+        );
+    }
+}
+
+/// A recorded multi-core run as files, and the slot of the log to damage:
+/// the last variant's last core, so every log the server reads before it
+/// is sound and a server that stored logs as it checked them would leave
+/// their blobs behind.
+fn run_to_damage() -> (RunFiles, usize, usize) {
+    use relaxreplay::wire::{FRAME_BYTES, HEADER_BYTES};
+    let files = RunFiles::encode(&record(&litmus_suite().remove(0)));
+    let (v, k) = (files.variants.len() - 1, files.cores - 1);
+    assert!(k > 0, "want a multi-core run");
+    assert!(files.variants[v].logs[k].len() > HEADER_BYTES + FRAME_BYTES);
+    (files, v, k)
+}
+
+/// A `PutRun` whose `.rrlog` header names a wire version other than the
+/// current one is refused with a typed protocol error, and nothing is
+/// stored: under a v2 header the fetched log would misread its frame
+/// timestamps; under 999 no reader could open it.
 #[test]
 fn foreign_wire_versions_are_refused_and_publish_nothing() {
-    use relaxreplay::wire::{chunk_spans, encode_chunked_with, VERSION};
-    use rr_serve::proto::{SealCore, SealVariant};
-
-    fn refused<T>(r: Result<T, StoreError>, what: &str) {
-        match r {
-            Err(StoreError::Remote { kind, detail }) => {
-                assert_eq!(kind, RemoteFault::Protocol, "{what}: {detail}");
-            }
-            Ok(_) => panic!("{what}: accepted, want a protocol error"),
-            Err(other) => panic!("{what}: want a protocol error, got {other:?}"),
-        }
-    }
-
     let root = tmp_dir("wire-version");
-    let handle = serve("127.0.0.1:0", ServerConfig::new(root.join("store"))).expect("serve");
+    let store_root = root.join("store");
+    let handle = serve("127.0.0.1:0", ServerConfig::new(&store_root)).expect("serve");
     let addr = handle.addr().to_string();
-    let remote = RemoteStore::new(addr.clone());
-
-    let run = record(&litmus_suite().remove(0));
-    let cores = run.recorded.load_traces.len() as u8;
-    let truth = encode_truth(&run.recorded);
-    let label = run.variants[0].spec.label();
-    let bytes = encode_chunked_with(&run.variants[0].logs[0], 1);
-    let (_, _, frames, _) = chunk_spans(&bytes).expect("header");
-    let payloads: Vec<&[u8]> = frames.iter().map(|f| f.payload).collect();
-    assert!(payloads.len() > 1, "want a multi-chunk stream");
-    // Core 0 declares `chunks`; every other core declares none.
-    let seal = |wire_version: u16, chunks: u64| {
-        let mut cores = vec![
-            SealCore {
-                wire_version,
-                chunks: 0
-            };
-            usize::from(cores)
-        ];
-        cores[0].chunks = chunks;
-        let ordering = None;
-        vec![SealVariant {
-            label: label.clone(),
-            cores,
-            ordering,
-        }]
-    };
-
+    let (intact, v, k) = run_to_damage();
     for bad in [2u16, 999] {
-        let name = format!("declared-v{bad}");
-        let mut client = Client::connect(&addr).expect("connect");
-        for (seq, payload) in payloads.iter().enumerate() {
-            refused(
-                client.put_chunk(&name, &label, 0, seq as u64, bad, payload),
-                &format!("v{bad} PutChunk {seq}"),
-            );
-        }
-        refused(
-            client.seal_run(&name, cores, seal(bad, 0), truth.clone()),
-            &format!("v{bad} seal of zero-chunk cores"),
-        );
-        // Chunks staged at the current version cannot be sealed as `bad`.
-        for (seq, payload) in payloads.iter().enumerate() {
-            client
-                .put_chunk(&name, &label, 0, seq as u64, VERSION, payload)
-                .expect("current version is staged");
-        }
-        refused(
-            client.seal_run(
-                &name,
-                cores,
-                seal(bad, payloads.len() as u64),
-                truth.clone(),
-            ),
-            &format!("v{bad} seal of staged chunks"),
-        );
-
-        match remote.stat_run(&name) {
-            Err(StoreError::Remote { kind, .. }) => assert_eq!(kind, RemoteFault::UnknownRun),
-            other => panic!("v{bad}: run must not exist, got {other:?}"),
-        }
-        assert!(!remote.list_runs().expect("list").contains(&name));
+        let mut files = intact.clone();
+        files.variants[v].logs[k][4..6].copy_from_slice(&bad.to_le_bytes());
+        let name = format!("header-v{bad}");
+        let detail = format!("unsupported .rrlog version {bad}");
+        refused_and_nothing_stored(&store_root, &addr, &name, files, &detail);
     }
-
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Four more ways a `PutRun`'s files can fail the server's checks — a
+/// header naming another core (the header is outside every CRC), a
+/// damaged chunk, a log cut inside a frame, a variant with one log too
+/// few — is a typed protocol error that stores nothing.
+#[test]
+fn malformed_put_run_bundles_are_refused_and_store_nothing() {
+    use relaxreplay::wire::HEADER_BYTES;
+    let root = tmp_dir("malformed-put");
+    let store_root = root.join("store");
+    let handle = serve("127.0.0.1:0", ServerConfig::new(&store_root)).expect("serve");
+    let addr = handle.addr().to_string();
+    let (intact, v, k) = run_to_damage();
+    // Each row damages a variant's logs at slot `k`.
+    type DamageLogs = fn(&mut Vec<Vec<u8>>, usize);
+    let table: [(&str, &str, DamageLogs); 4] = [
+        ("core-byte", "header names core 0", |logs, k| logs[k][6] = 0),
+        ("payload-flip", "fails its CRC", |logs, k| {
+            logs[k][HEADER_BYTES + 5] ^= 0x10
+        }),
+        ("cut-mid-frame", "truncated", |logs, k| {
+            logs[k].pop();
+        }),
+        ("one-log-short", "logs, run has", |logs, _| {
+            logs.pop();
+        }),
+    ];
+    for (name, detail, damage) in table {
+        let mut files = intact.clone();
+        damage(&mut files.variants[v].logs, k);
+        refused_and_nothing_stored(&store_root, &addr, name, files, detail);
+    }
+    // The intact run saves, so the refusals above were the damage's.
+    Client::connect(&addr)
+        .expect("connect")
+        .put_run("intact", intact)
+        .expect("the intact run saves");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A client that hangs up halfway through sending a `PutRun` frame leaves
+/// nothing behind: no blob, no run, no chunk counted.
+#[test]
+fn a_client_that_disconnects_mid_put_run_leaves_nothing() {
+    use rr_serve::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
+    use std::io::Write as _;
+    let root = tmp_dir("disconnect");
+    let store_root = root.join("store");
+    // One worker: the next connection is served only once this one ends.
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::new(&store_root)
+    };
+    let handle = serve("127.0.0.1:0", config).expect("serve");
+    let mut conn = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    write_frame(
+        &mut conn,
+        &Msg::Hello {
+            version: PROTO_VERSION,
+        },
+    )
+    .expect("hello");
+    assert!(matches!(
+        read_frame(&mut conn),
+        Ok(Some(Msg::HelloAck { .. }))
+    ));
+    let mut frame = Vec::new();
+    let (files, _, _) = run_to_damage();
+    write_frame(
+        &mut frame,
+        &Msg::PutRun {
+            run: "half".into(),
+            files,
+        },
+    )
+    .expect("encodes");
+    conn.write_all(&frame[..frame.len() / 2])
+        .expect("half a frame");
+    drop(conn);
+
+    let remote = RemoteStore::new(handle.addr().to_string());
+    assert!(remote.list_runs().expect("list").is_empty());
+    for sub in ["objects", "runs"] {
+        assert_eq!(dir_snapshot(&store_root.join(sub)), Vec::new(), "{sub}/");
+    }
+    assert_eq!(handle.stats().chunks.load(Ordering::Relaxed), 0);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `rr-serve` refuses an unknown option, an extra argument, a
+/// non-numeric `--workers` and a missing required argument with a usage
+/// error naming it (exit 2), before it opens a store or binds a socket.
+#[test]
+fn rr_serve_usage_errors_name_the_argument_and_start_no_server() {
+    let root = tmp_dir("usage");
+    let store = root.join("store");
+    let store = store.to_str().expect("utf8 path");
+    let listen = ["--listen", "127.0.0.1:0"];
+    let cases: [(Vec<&str>, &str); 6] = [
+        (
+            vec!["serve", "--root", store, "--wokers", "4"],
+            "\"--wokers\"",
+        ),
+        (vec!["serve", "--root", store, "extra"], "\"extra\""),
+        (
+            vec!["serve", "--root", store, "--workers", "x"],
+            "--workers",
+        ),
+        (vec!["serve", "--workers", "4"], "--root"),
+        (vec!["fetch", "rr://127.0.0.1:9/run"], "--out"),
+        (vec!["stat", store, "extra"], "\"extra\""),
+    ];
+    for (args, names) in cases {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_rr-serve"))
+            .args(&args)
+            .args(if args[0] == "serve" { &listen[..] } else { &[] })
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("run rr-serve");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while child.try_wait().expect("poll").is_none() {
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("{args:?}: rr-serve started instead of refusing");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("rr-serve output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!Path::new(store).exists(), "{args:?}: opened the store");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -420,9 +535,10 @@ fn concurrent_ingest_from_four_clients() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A server that dies after accepting `KILL_AFTER` chunks fails the save
-/// with a typed remote error, and the half-sent run is never published:
-/// a fresh server on the same store root neither lists nor loads it.
+/// A server that dies after storing `KILL_AFTER` chunks of a save fails
+/// the save with a typed remote error, and the half-stored run is never
+/// published: a fresh server on the same store root neither lists nor
+/// loads it.
 #[test]
 fn server_killed_mid_save_fails_typed_and_publishes_nothing() {
     const KILL_AFTER: u64 = 3;
@@ -456,15 +572,15 @@ fn server_killed_mid_save_fails_typed_and_publishes_nothing() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A client speaking RRSP version 1 (or any version but this build's) is
-/// answered at `Hello` with a typed unsupported-version error, before it
-/// can send a frame this server would misread.
+/// A client speaking RRSP version 1 or 2 (or any version but this
+/// build's) is answered at `Hello` with a typed unsupported-version
+/// error, before it can send a frame this server would misread.
 #[test]
 fn other_protocol_versions_are_refused_at_hello() {
     use rr_serve::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
     let root = tmp_dir("hello");
     let handle = serve("127.0.0.1:0", ServerConfig::new(root.join("store"))).expect("serve");
-    for version in [1, PROTO_VERSION + 1, u16::MAX] {
+    for version in [1, 2, PROTO_VERSION + 1, u16::MAX] {
         let mut conn = std::net::TcpStream::connect(handle.addr()).expect("connect");
         write_frame(&mut conn, &Msg::Hello { version }).expect("hello");
         match read_frame(&mut conn) {

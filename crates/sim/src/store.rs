@@ -12,7 +12,7 @@
 //! * [`LocalStore`] writes a run's [`RunFiles`] into a `logdir` run
 //!   directory and reads them back.
 //! * `RemoteStore` (in the `rr-serve` crate, which depends on this one)
-//!   ships the same [`RunFiles`] over the RRSP/v2 protocol to a running
+//!   ships the same [`RunFiles`] over the RRSP/v3 protocol to a running
 //!   `rr-serve`.
 //! * [`StoreSpec`] is the URL parser: pure string classification with no
 //!   networking, so `rr-sim` stays free of any transport dependency.
