@@ -5,6 +5,10 @@
 //! random masks — cheap in hardware (an XOR tree) and pairwise independent,
 //! which is what both the Bloom signatures and the Snoop Table need.
 
+use std::sync::Arc;
+
+use rr_mem::LineAddr;
+
 /// A bank of H3 hash functions ("lanes") mapping a 64-bit line number to
 /// `out_bits`-wide indices, evaluated as a software XOR tree.
 ///
@@ -124,6 +128,94 @@ impl H3 {
                 }
             }
             base += n;
+        }
+    }
+}
+
+impl H3 {
+    /// Number of lanes.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Output bits per lane.
+    pub(crate) fn out_bits(&self) -> u32 {
+        self.out_bits
+    }
+}
+
+/// Every distinct H3 geometry — output bits and lane seeds — that one
+/// run's recorders hash line addresses with, built once and shared by the
+/// recorders of all its cores.
+///
+/// Variants that agree on a signature's banks, bits and seed, or on a
+/// Snoop Table's size and seed, name the same geometry, so each line event
+/// is hashed once per distinct geometry: three H3 evaluations per snoop in
+/// the paper's four-variant matrix (read signature, write signature, Snoop
+/// Table), however many cores observe it and variants are attached.
+#[derive(Clone, Debug, Default)]
+pub struct HashPlan {
+    /// Each geometry's `(out_bits, seeds)` and hash, in insertion order.
+    geometries: Vec<(u32, Vec<u64>, Arc<H3>)>,
+}
+
+/// Where one geometry's lane indices sit in a [`LineHashes`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HashSlot {
+    first: usize,
+    len: usize,
+}
+
+/// One line hashed by every geometry of a [`HashPlan`]
+/// ([`HashPlan::hash`]); a reusable buffer.
+#[derive(Clone, Debug, Default)]
+pub struct LineHashes {
+    line: LineAddr,
+    idx: Vec<u32>,
+}
+
+impl LineHashes {
+    /// The hashed line.
+    #[must_use]
+    pub fn line(&self) -> LineAddr {
+        self.line
+    }
+
+    /// One geometry's lane indices.
+    pub(crate) fn lanes(&self, slot: HashSlot) -> &[u32] {
+        &self.idx[slot.first..slot.first + slot.len]
+    }
+}
+
+impl HashPlan {
+    /// Adds the geometry `(out_bits, seeds)` unless the plan holds it.
+    pub(crate) fn add(&mut self, out_bits: u32, seeds: Vec<u64>) {
+        if self.find(out_bits, &seeds).is_none() {
+            let hash = Arc::new(H3::with_lanes(out_bits, &seeds));
+            self.geometries.push((out_bits, seeds, hash));
+        }
+    }
+
+    /// The slot in every [`LineHashes`] and the hash of a geometry the
+    /// plan holds.
+    pub(crate) fn find(&self, out_bits: u32, seeds: &[u64]) -> Option<(HashSlot, Arc<H3>)> {
+        let mut first = 0;
+        for (bits, s, hash) in &self.geometries {
+            let len = hash.lanes();
+            if *bits == out_bits && s == seeds {
+                return Some((HashSlot { first, len }, Arc::clone(hash)));
+            }
+            first += len;
+        }
+        None
+    }
+
+    /// Hashes `line` with every geometry into `out`.
+    pub fn hash(&self, line: LineAddr, out: &mut LineHashes) {
+        out.line = line;
+        out.idx.clear();
+        for (_, _, hash) in &self.geometries {
+            hash.for_each_lane(line.line_number(), |_, i| out.idx.push(i));
         }
     }
 }

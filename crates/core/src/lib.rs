@@ -32,7 +32,7 @@
 //!
 //! * [`Recorder`] — the per-processor Memory Race Recorder: plugs into an
 //!   `rr-cpu` core as its `CoreObserver`, watches coherence snoops, and
-//!   emits an [`IntervalLog`].
+//!   emits an [`IntervalLog`] for each design variant it records.
 //! * [`Traq`-backed tracking](Recorder) — the Tracking Queue that follows
 //!   each access from dispatch to counting (paper Figure 3).
 //! * [`Signature`] — Bloom-filter read/write sets for interval termination
@@ -60,12 +60,16 @@
 //! use relaxreplay::{Design, Recorder, RecorderConfig};
 //! use rr_mem::CoreId;
 //!
-//! let cfg = RecorderConfig::splash_default(Design::Opt, Some(4096));
-//! let mut rec = Recorder::new(CoreId::new(0), cfg);
+//! // Base-4K and Opt-4K of one execution, recorded by one recorder.
+//! let configs = [Design::Base, Design::Opt]
+//!     .map(|design| RecorderConfig::splash_default(design, Some(4096)));
+//! let plan = Recorder::hash_plan(&configs); // shared by every core's recorder
+//! let mut rec = Recorder::with_variants(CoreId::new(0), &configs, &plan);
 //! // ... attach to a core, run, then:
 //! rec.finish(0);
-//! let log = rec.into_log();
-//! assert_eq!(log.intervals(), 0); // nothing was recorded here
+//! for recording in rec.into_recordings() {
+//!     assert_eq!(recording.log.intervals(), 0); // nothing was recorded here
+//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -90,9 +94,9 @@ pub use crate::log::{IntervalLog, LogEntry};
 pub use crate::prof::{
     engine_chrome_trace, validate_prof_json, CodecPhases, EngineProf, Span, SpanKind, WorkerProf,
 };
-pub use hash::{rr_hash64, H3};
+pub use hash::{rr_hash64, HashPlan, LineHashes, H3};
 pub use recorder::{
-    reduce_orderings, Design, IntervalOrdering, Recorder, RecorderConfig, RecorderStats,
+    reduce_orderings, Design, IntervalOrdering, Recorder, RecorderConfig, RecorderStats, Recording,
 };
 pub use signature::Signature;
 pub use snoop_table::{SnoopSample, SnoopTable};

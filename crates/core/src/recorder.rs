@@ -1,9 +1,12 @@
 use rr_cpu::{CoreObserver, PerformRecord};
 use rr_mem::{AccessKind, CoreId, LineAddr};
 
+use std::sync::Arc;
+
+use crate::hash::{HashPlan, HashSlot, LineHashes};
 use crate::log::{IntervalLog, LogEntry};
 use crate::signature::Signature;
-use crate::snoop_table::SnoopTable;
+use crate::snoop_table::{SnoopSample, SnoopTable};
 use crate::trace::{CloseReason, CountVerdict, TraceEvent, TraceRing};
 use crate::traq::{Traq, TraqEntry, TraqKind};
 use crate::wire::{LogSink, WireError};
@@ -175,6 +178,42 @@ impl RecorderConfig {
             seed: 0x5e1a_c4e9_1a97_0001,
         }
     }
+
+    /// Whether `self` and `other` can share one TRAQ: a [`Recorder`]
+    /// drives every variant attached to a core through one TRAQ, so they
+    /// must agree on its depth, its counting bandwidth and the NMI field
+    /// width, the three parameters that shape TRAQ dynamics.
+    #[must_use]
+    pub fn shares_traq_with(&self, other: &RecorderConfig) -> bool {
+        (self.traq_entries, self.count_per_cycle, self.nmi_max)
+            == (other.traq_entries, other.count_per_cycle, other.nmi_max)
+    }
+
+    /// The `(out_bits, lane seeds)` H3 geometries of the read signature,
+    /// the write signature and, for Opt, the Snoop Table.
+    fn hash_geometries(&self) -> impl Iterator<Item = (u32, Vec<u64>)> {
+        assert!(
+            self.sig_banks > 0
+                && self.sig_bits.is_power_of_two()
+                && (self.design == Design::Base || self.snoop_entries.is_power_of_two()),
+            "signature banks must be non-empty, bits per bank and Snoop Table entries powers of two"
+        );
+        let sig = |seed| {
+            let seeds = Signature::lane_seeds(self.sig_banks, seed);
+            (self.sig_bits.trailing_zeros(), seeds)
+        };
+        let table = (self.design == Design::Opt).then(|| {
+            let seeds = SnoopTable::lane_seeds(self.seed ^ 0x5009);
+            (self.snoop_entries.trailing_zeros(), seeds)
+        });
+        [
+            Some(sig(self.seed ^ 0x0ead)),
+            Some(sig(self.seed ^ 0x317e)),
+            table,
+        ]
+        .into_iter()
+        .flatten()
+    }
 }
 
 /// Counters the recorder accumulates, feeding Figures 9–12 and 14.
@@ -286,33 +325,46 @@ impl RecorderStats {
     }
 }
 
-/// A per-processor RelaxReplay Memory Race Recorder (paper Figure 6(a)).
+/// What one variant recorded on one core, taken from a finished
+/// [`Recorder`] ([`Recorder::into_recordings`]).
+#[derive(Clone, Debug)]
+pub struct Recording {
+    /// The interval log (in streaming mode, only what the sink never
+    /// accepted).
+    pub log: IntervalLog,
+    /// The interval partial order, parallel to the log's frames.
+    pub ordering: IntervalOrdering,
+    /// The variant's statistics.
+    pub stats: RecorderStats,
+}
+
+/// A per-processor RelaxReplay Memory Race Recorder (paper Figure 6(a)),
+/// recording one or more design variants of the same execution.
 ///
 /// Attach it to a core as its [`CoreObserver`]; route coherence snoops from
 /// the memory system through [`Recorder::on_snoop`] (and dirty evictions
 /// through [`Recorder::on_dirty_eviction`] in directory mode); call
 /// [`Recorder::tick`] once per cycle after the core's tick so counting
-/// proceeds; call [`Recorder::finish`] when the thread completes. The
-/// resulting [`IntervalLog`] replays with `rr-replay`.
+/// proceeds; call [`Recorder::finish`] when the thread completes. Each
+/// variant's [`IntervalLog`] replays with `rr-replay`.
 ///
-/// The recorder is a pure observer: attaching several (Base/Opt × interval
-/// sizes) to one execution records the same run under every design at once.
+/// The recorder is a pure observer, so one execution can be recorded under
+/// several designs (Base/Opt × interval sizes × signature geometries) at
+/// once. What does not depend on the variant is kept once: the TRAQ, whose
+/// dynamics depend neither on Base/Opt nor on the interval length, the
+/// retirement and NMI bookkeeping, and one [`SnoopTable`] per table
+/// geometry, whose counters are never cleared and are bumped by the same
+/// events in every variant. Each variant keeps its signatures, interval
+/// counters, log, ordering and statistics. Line addresses are hashed once
+/// per geometry of a [`HashPlan`] shared by all cores of a run.
+/// [`Recorder::new`] is the one-variant case.
 pub struct Recorder {
-    cfg: RecorderConfig,
-    cisn: u16,
-    /// The *Current InorderBlock Size* count (instructions, not just
-    /// memory accesses — eases replay; paper §3.3.3).
-    block_size: u32,
-    /// Instructions counted in the current interval (for max-size
-    /// termination).
-    instrs_in_interval: u32,
-    /// Entries logged since the last frame (to know the final interval is
-    /// non-empty).
-    entries_since_frame: usize,
-    read_sig: Signature,
-    write_sig: Signature,
-    snoop_table: Option<SnoopTable>,
+    plan: Arc<HashPlan>,
+    /// Scratch for hashing this core's own line events.
+    hashes: LineHashes,
     traq: Traq,
+    count_per_cycle: usize,
+    nmi_max: u32,
     /// Non-memory instructions dispatched since the last TRAQ allocation.
     nmi_pending: u32,
     /// Sequence number of the newest TRAQ allocation (or last counted
@@ -326,6 +378,41 @@ pub struct Recorder {
     /// retired seq, so a TRAQ entry has retired exactly when its seq is at
     /// most this watermark.
     retired_up_to: i64,
+    /// Total coherence transactions this recorder has observed (remote
+    /// snoops, dirty evictions, and own store performs — every event that
+    /// bumps the Snoop Table). Snapshotted into each TRAQ entry at perform
+    /// time so counting can detect a full 16-bit counter wrap.
+    snoops_seen: u64,
+    /// TRAQ occupancy samples (only the `traq_*` fields are used), copied
+    /// into every variant's stats at [`Recorder::finish`].
+    occupancy: RecorderStats,
+    /// One Snoop Table per distinct table geometry of the Opt variants,
+    /// with its slot in the hash plan.
+    tables: Vec<(SnoopTable, HashSlot)>,
+    variants: Vec<Variant>,
+    finished: bool,
+}
+
+/// One variant's own state in a [`Recorder`].
+struct Variant {
+    /// Maximum interval size in instructions (`None` = unbounded).
+    max_interval_instrs: Option<u32>,
+    cisn: u16,
+    /// The *Current InorderBlock Size* count (instructions, not just
+    /// memory accesses — eases replay; paper §3.3.3).
+    block_size: u32,
+    /// Instructions counted in the current interval (for max-size
+    /// termination).
+    instrs_in_interval: u32,
+    /// Entries logged since the last frame (to know the final interval is
+    /// non-empty).
+    entries_since_frame: usize,
+    read_sig: Signature,
+    read_slot: HashSlot,
+    write_sig: Signature,
+    write_slot: HashSlot,
+    /// Index of its Snoop Table in [`Recorder::tables`] (Opt only).
+    table: Option<usize>,
     log: IntervalLog,
     ordering: IntervalOrdering,
     /// Cross-core predecessors of the interval currently being recorded:
@@ -334,8 +421,7 @@ pub struct Recorder {
     /// until it has grown to the core count.
     current_preds: Vec<(CoreId, u64)>,
     stats: RecorderStats,
-    finished: bool,
-    /// Event tracing: when attached, the recorder's decisions are captured
+    /// Event tracing: when attached, the variant's decisions are captured
     /// into this bounded ring. Capture is a pure side channel — it never
     /// feeds back into recording, so logs are byte-identical with tracing
     /// on or off.
@@ -343,216 +429,225 @@ pub struct Recorder {
     /// Streaming mode: entries drain into this sink at every interval
     /// boundary instead of accumulating in `log`.
     sink: Option<Box<dyn LogSink>>,
-    /// First sink failure, latched until [`Recorder::take_sink_error`].
+    /// First sink failure, latched: once set, the recording is poisoned,
+    /// nothing more is sent to the sink and un-emitted entries stay
+    /// buffered for inspection.
     sink_error: Option<WireError>,
-    /// Set on the first sink failure; once poisoned, nothing more is sent
-    /// to the sink and un-emitted entries stay buffered for inspection.
-    poisoned: bool,
     /// Entries streamed out through the sink so far (successful emits
     /// only).
     streamed_entries: u64,
-    /// Total coherence transactions this recorder has observed (remote
-    /// snoops, dirty evictions, and own store performs — every event that
-    /// bumps the Snoop Table). Snapshotted into each TRAQ entry at perform
-    /// time so counting can detect a full 16-bit counter wrap.
-    snoops_seen: u64,
+}
+
+/// A coherence event a recorder observes on a line.
+#[derive(Clone, Copy)]
+enum Observed {
+    /// Another processor's transaction; a remote write conflicts with both
+    /// signatures, a remote read with the write signature only.
+    Snoop { is_write: bool },
+    /// This core's L1 evicted the line dirty (directory mode).
+    DirtyEviction,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
-            .field("core", &self.log.core)
-            .field("design", &self.cfg.design)
-            .field("cisn", &self.cisn)
+            .field("core", &self.variants[0].log.core)
+            .field("variants", &self.variants.len())
             .field("traq_len", &self.traq.len())
             .finish_non_exhaustive()
     }
 }
 
 impl Recorder {
-    /// Creates a recorder for `core`.
+    /// Creates a one-variant recorder for `core`.
     #[must_use]
     pub fn new(core: CoreId, cfg: RecorderConfig) -> Self {
-        let read_sig = Signature::new(cfg.sig_banks, cfg.sig_bits, cfg.seed ^ 0x0ead);
-        let write_sig = Signature::new(cfg.sig_banks, cfg.sig_bits, cfg.seed ^ 0x317e);
-        let snoop_table = match cfg.design {
-            Design::Opt => Some(SnoopTable::new(cfg.snoop_entries, cfg.seed ^ 0x5009)),
-            Design::Base => None,
-        };
-        let traq = Traq::new(cfg.traq_entries);
+        let configs = [cfg];
+        Recorder::with_variants(core, &configs, &Recorder::hash_plan(&configs))
+    }
+
+    /// The hash plan of a run recording `configs`: build it once and pass
+    /// it to [`Recorder::with_variants`] for every core.
+    #[must_use]
+    pub fn hash_plan(configs: &[RecorderConfig]) -> Arc<HashPlan> {
+        let mut plan = HashPlan::default();
+        for (bits, seeds) in configs.iter().flat_map(RecorderConfig::hash_geometries) {
+            plan.add(bits, seeds);
+        }
+        Arc::new(plan)
+    }
+
+    /// Creates a recorder for `core` that records every variant in
+    /// `configs` (variant `v` is `configs[v]`), hashing with `plan`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty, if two configurations do not
+    /// [share a TRAQ](RecorderConfig::shares_traq_with), or if `plan` was
+    /// not built from configurations covering `configs`.
+    #[must_use]
+    pub fn with_variants(core: CoreId, configs: &[RecorderConfig], plan: &Arc<HashPlan>) -> Self {
+        let first = configs
+            .first()
+            .expect("a recorder records at least one variant");
+        assert!(
+            configs.iter().all(|c| c.shares_traq_with(first)),
+            "every variant of a recorder must share one TRAQ geometry"
+        );
+        let mut tables: Vec<(SnoopTable, HashSlot)> = Vec::new();
+        let variants: Vec<Variant> = configs
+            .iter()
+            .map(|cfg| {
+                let mut geometries = cfg.hash_geometries().map(|(bits, seeds)| {
+                    plan.find(bits, &seeds)
+                        .expect("the hash plan covers every variant")
+                });
+                let (read_slot, read_hash) = geometries.next().expect("read signature");
+                let (write_slot, write_hash) = geometries.next().expect("write signature");
+                let table = geometries.next().map(|(slot, hash)| {
+                    tables
+                        .iter()
+                        .position(|&(_, s)| s == slot)
+                        .unwrap_or_else(|| {
+                            tables.push((SnoopTable::with_hash(hash), slot));
+                            tables.len() - 1
+                        })
+                });
+                Variant {
+                    cisn: 0,
+                    block_size: 0,
+                    instrs_in_interval: 0,
+                    entries_since_frame: 0,
+                    read_sig: Signature::with_hash(read_hash),
+                    read_slot,
+                    write_sig: Signature::with_hash(write_hash),
+                    write_slot,
+                    table,
+                    log: IntervalLog::new(core),
+                    ordering: IntervalOrdering::default(),
+                    current_preds: Vec::new(),
+                    stats: RecorderStats::default(),
+                    tracer: None,
+                    sink: None,
+                    sink_error: None,
+                    streamed_entries: 0,
+                    max_interval_instrs: cfg.max_interval_instrs,
+                }
+            })
+            .collect();
         Recorder {
-            cisn: 0,
-            block_size: 0,
-            instrs_in_interval: 0,
-            entries_since_frame: 0,
-            read_sig,
-            write_sig,
-            snoop_table,
-            traq,
+            plan: Arc::clone(plan),
+            hashes: LineHashes::default(),
+            traq: Traq::new(first.traq_entries, variants.len(), tables.len()),
+            count_per_cycle: first.count_per_cycle,
+            nmi_max: first.nmi_max,
             nmi_pending: 0,
             alloc_boundary: -1,
             counted_up_to: -1,
             retired_up_to: -1,
-            log: IntervalLog::new(core),
-            ordering: IntervalOrdering::default(),
-            current_preds: Vec::new(),
-            stats: RecorderStats {
-                traq_hist: vec![0; cfg.traq_entries / 10 + 1],
+            snoops_seen: 0,
+            occupancy: RecorderStats {
+                traq_hist: vec![0; first.traq_entries / 10 + 1],
                 ..RecorderStats::default()
             },
+            tables,
+            variants,
             finished: false,
-            tracer: None,
-            sink: None,
-            sink_error: None,
-            poisoned: false,
-            streamed_entries: 0,
-            snoops_seen: 0,
-            cfg,
         }
     }
 
-    /// Attaches an event-trace ring. The first interval's open event is
-    /// emitted immediately (at cycle 0), so the timeline starts balanced.
-    pub fn set_tracer(&mut self, ring: TraceRing) {
-        self.tracer = Some(ring);
-        let cisn = self.cisn;
-        let ordinal = self.ordering.preds.len() as u64;
-        self.trace(0, TraceEvent::IntervalOpen { cisn, ordinal });
+    /// Number of variants this recorder records.
+    #[must_use]
+    pub fn variants(&self) -> usize {
+        self.variants.len()
     }
 
-    /// Detaches and returns the trace ring, if any.
-    pub fn take_tracer(&mut self) -> Option<TraceRing> {
-        self.tracer.take()
+    /// Attaches an event-trace ring to variant `v`. The first interval's
+    /// open event is emitted immediately (at cycle 0), so the timeline
+    /// starts balanced.
+    pub fn set_tracer(&mut self, v: usize, ring: TraceRing) {
+        let var = &mut self.variants[v];
+        var.tracer = Some(ring);
+        let cisn = var.cisn;
+        let ordinal = var.intervals_completed();
+        var.trace(0, TraceEvent::IntervalOpen { cisn, ordinal });
     }
 
-    /// Captures `event` if a tracer is attached (no-op otherwise).
-    fn trace(&mut self, cycle: u64, event: TraceEvent) {
-        if let Some(t) = &mut self.tracer {
-            t.push(cycle, event);
-        }
+    /// Detaches and returns variant `v`'s trace ring, if any.
+    pub fn take_tracer(&mut self, v: usize) -> Option<TraceRing> {
+        self.variants[v].tracer.take()
     }
 
-    /// Switches the recorder into streaming mode: from now on, log entries
-    /// drain into `sink` at every interval boundary instead of
+    /// Switches variant `v` into streaming mode: from now on, its log
+    /// entries drain into `sink` at every interval boundary instead of
     /// accumulating unboundedly in memory (the production shape — the log
     /// is a continuously produced artifact, not an in-memory value).
     ///
-    /// In streaming mode [`Recorder::log`] / [`Recorder::into_log`] only
-    /// see the entries of the not-yet-terminated interval; sink failures
-    /// are latched and reported by [`Recorder::take_sink_error`] (the
-    /// hardware-event entry points cannot propagate errors).
-    pub fn set_sink(&mut self, sink: Box<dyn LogSink>) {
-        self.sink = Some(sink);
+    /// In streaming mode [`Recorder::log`] and the finished
+    /// [`Recording::log`] only hold the entries the sink has not taken;
+    /// sink failures are latched and reported by [`Recorder::sink_error`]
+    /// (the hardware-event entry points cannot propagate errors).
+    pub fn set_sink(&mut self, v: usize, sink: Box<dyn LogSink>) {
+        self.variants[v].sink = Some(sink);
     }
 
-    /// Detaches and returns the sink, if any. The caller regains ownership
-    /// (e.g. to inspect a [`VecSink`](crate::wire::VecSink)); the sink has
-    /// already been closed if [`Recorder::finish`] ran.
-    pub fn take_sink(&mut self) -> Option<Box<dyn LogSink>> {
-        self.sink.take()
-    }
-
-    /// The first error the sink reported, if any, clearing it. The
-    /// recorder stays [poisoned](Recorder::is_poisoned): a recording whose
-    /// sink failed is incomplete and must be discarded.
-    pub fn take_sink_error(&mut self) -> Option<WireError> {
-        self.sink_error.take()
-    }
-
-    /// The first error the sink reported, if any, without clearing it.
+    /// The first error variant `v`'s sink reported, if any. The variant
+    /// is then [poisoned](Recorder::is_poisoned): a recording whose sink
+    /// failed is incomplete and must be discarded.
     #[must_use]
-    pub fn sink_error(&self) -> Option<&WireError> {
-        self.sink_error.as_ref()
+    pub fn sink_error(&self, v: usize) -> Option<&WireError> {
+        self.variants[v].sink_error.as_ref()
     }
 
-    /// Whether a sink failure poisoned this recording. Once poisoned,
-    /// nothing more is emitted; entries that never reached the sink stay
-    /// buffered in [`Recorder::log`] and [`Recorder::streamed_entries`]
-    /// counts only what the sink actually accepted.
+    /// Whether a sink failure poisoned variant `v`'s recording. Once
+    /// poisoned, nothing more is emitted; entries that never reached the
+    /// sink stay buffered in [`Recorder::log`] and
+    /// [`Recorder::streamed_entries`] counts only what the sink actually
+    /// accepted.
     #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+    pub fn is_poisoned(&self, v: usize) -> bool {
+        self.variants[v].sink_error.is_some()
     }
 
-    /// Entries the sink actually accepted so far (streaming mode only).
+    /// Entries variant `v`'s sink actually accepted so far (streaming mode
+    /// only).
     #[must_use]
-    pub fn streamed_entries(&self) -> u64 {
-        self.streamed_entries
+    pub fn streamed_entries(&self, v: usize) -> u64 {
+        self.variants[v].streamed_entries
     }
 
-    /// Drains every buffered entry into the sink (streaming mode only).
-    /// On a sink failure the recording is poisoned: the failed entry and
-    /// everything after it stay buffered (nothing is silently dropped),
-    /// the error is latched, and no further emits are attempted.
-    fn drain_into_sink(&mut self) {
-        let Some(sink) = &mut self.sink else {
-            return;
-        };
-        if self.poisoned {
-            return;
-        }
-        let mut emitted = 0usize;
-        let mut failure = None;
-        for e in &self.log.entries {
-            match sink.emit(e) {
-                Ok(()) => emitted += 1,
-                Err(err) => {
-                    failure = Some(err);
-                    break;
-                }
-            }
-        }
-        self.streamed_entries += emitted as u64;
-        self.log.entries.drain(..emitted);
-        if let Some(err) = failure {
-            self.stats.sink_errors += 1;
-            if self.sink_error.is_none() {
-                self.sink_error = Some(err);
-            }
-            self.poisoned = true;
-        }
-    }
-
-    /// The recorder's configuration.
+    /// Variant `v`'s log so far.
     #[must_use]
-    pub fn config(&self) -> &RecorderConfig {
-        &self.cfg
+    pub fn log(&self, v: usize) -> &IntervalLog {
+        &self.variants[v].log
     }
 
-    /// The log produced so far.
+    /// Variant `v`'s statistics so far. The TRAQ occupancy fields are
+    /// filled in by [`Recorder::finish`].
     #[must_use]
-    pub fn log(&self) -> &IntervalLog {
-        &self.log
+    pub fn stats(&self, v: usize) -> &RecorderStats {
+        &self.variants[v].stats
     }
 
-    /// Consumes the recorder, returning its log.
+    /// Consumes the recorder, returning what each variant recorded.
     ///
     /// # Panics
     ///
     /// Panics if [`Recorder::finish`] has not been called.
     #[must_use]
-    pub fn into_log(self) -> IntervalLog {
-        self.into_parts().0
-    }
-
-    /// Consumes the recorder, returning its log and its interval order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Recorder::finish`] has not been called.
-    #[must_use]
-    pub fn into_parts(self) -> (IntervalLog, IntervalOrdering) {
+    pub fn into_recordings(self) -> Vec<Recording> {
         assert!(
             self.finished,
             "finish() must be called before taking the log"
         );
-        (self.log, self.ordering)
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &RecorderStats {
-        &self.stats
+        self.variants
+            .into_iter()
+            .map(|v| Recording {
+                log: v.log,
+                ordering: v.ordering,
+                stats: v.stats,
+            })
+            .collect()
     }
 
     /// Current TRAQ occupancy (entries in use).
@@ -561,47 +656,26 @@ impl Recorder {
         self.traq.len()
     }
 
-    /// Configured TRAQ capacity.
-    #[must_use]
-    pub fn traq_capacity(&self) -> usize {
-        self.traq.capacity()
-    }
-
     // ----- coherence-side events ----------------------------------------
 
     /// Reports a coherence transaction observed from another processor.
     ///
-    /// Updates the Snoop Table (Opt) and terminates the current interval if
-    /// the transaction conflicts with the read/write signatures: a remote
-    /// write conflicts with both sets; a remote read conflicts with local
-    /// writes only.
+    /// Updates the Snoop Tables (Opt) and terminates a variant's current
+    /// interval if the transaction conflicts with its read/write
+    /// signatures: a remote write conflicts with both sets; a remote read
+    /// conflicts with local writes only.
     pub fn on_snoop(&mut self, line: LineAddr, is_write: bool, cycle: u64) {
-        self.snoops_seen += 1;
-        if let Some(t) = &mut self.snoop_table {
-            t.record(line);
-            self.trace(
-                cycle,
-                TraceEvent::SnoopTableBump {
-                    line: line.line_number(),
-                },
-            );
-        }
-        let conflict = if is_write {
-            self.read_sig.test(line) || self.write_sig.test(line)
-        } else {
-            self.write_sig.test(line)
-        };
-        self.trace(
-            cycle,
-            TraceEvent::Snoop {
-                line: line.line_number(),
-                is_write,
-                conflict,
-            },
-        );
-        if conflict {
-            self.terminate_interval(cycle, Termination::Conflict);
-        }
+        let mut hashes = std::mem::take(&mut self.hashes);
+        self.plan.hash(line, &mut hashes);
+        self.on_hashed_snoop(&hashes, is_write, cycle);
+        self.hashes = hashes;
+    }
+
+    /// [`Recorder::on_snoop`] for a line already hashed with this
+    /// recorder's plan, so a snoop that several cores observe is hashed
+    /// once.
+    pub fn on_hashed_snoop(&mut self, line: &LineHashes, is_write: bool, cycle: u64) {
+        self.observe(line, Observed::Snoop { is_write }, cycle);
     }
 
     /// Reports that this core's L1 evicted a dirty line (directory mode,
@@ -617,68 +691,54 @@ impl Recorder {
     ///   accesses performed first (the interval-ordering side of §4.3,
     ///   which the paper delegates to a directory-aware chunk scheme).
     pub fn on_dirty_eviction(&mut self, line: LineAddr, cycle: u64) {
+        let mut hashes = std::mem::take(&mut self.hashes);
+        self.plan.hash(line, &mut hashes);
+        self.observe(&hashes, Observed::DirtyEviction, cycle);
+        self.hashes = hashes;
+    }
+
+    fn observe(&mut self, line: &LineHashes, what: Observed, cycle: u64) {
         self.snoops_seen += 1;
-        if let Some(t) = &mut self.snoop_table {
-            t.record(line);
-            self.trace(
-                cycle,
-                TraceEvent::SnoopTableBump {
-                    line: line.line_number(),
-                },
-            );
+        for (table, slot) in &mut self.tables {
+            table.record_hashed(line.lanes(*slot));
         }
-        let conflict = self.read_sig.test(line) || self.write_sig.test(line);
-        self.trace(
-            cycle,
-            TraceEvent::DirtyEviction {
-                line: line.line_number(),
-                conflict,
-            },
-        );
-        if conflict {
-            // For the partial order (parallel replay), an eviction-closed
-            // interval must precede every later-timestamped interval: this
-            // core stops observing the line, so no more edges can be
-            // generated for it. The closing interval's ordinal is the
-            // number of intervals closed before it.
-            let ordinal = self.ordering.preds.len() as u64;
-            self.ordering.barriers.push(ordinal);
-            self.terminate_interval(cycle, Termination::Conflict);
+        for v in &mut self.variants {
+            v.observe(line, what, cycle);
         }
     }
 
-    /// Records a cross-core ordering predecessor for the interval currently
-    /// being recorded: this core's latest coherence transaction was
-    /// observed by `src_core`, whose interval `src_interval` (an ordinal,
-    /// not a wrapping CISN) must replay before this one. In hardware this
-    /// is the ordering information Cyrus-style recorders piggyback on
-    /// coherence replies (paper §2, §3.6); the simulator delivers it when
-    /// it routes the snoop.
+    /// Records a cross-core ordering predecessor for variant `v`'s
+    /// interval currently being recorded: this core's latest coherence
+    /// transaction was observed by `src_core`, whose interval
+    /// `src_interval` (an ordinal, not a wrapping CISN) must replay before
+    /// this one. In hardware this is the ordering information Cyrus-style
+    /// recorders piggyback on coherence replies (paper §2, §3.6); the
+    /// simulator delivers it when it routes the snoop.
     ///
     /// Only the latest interval of each source core is kept: the
     /// same-core chain orders every earlier one before it, so dropping
     /// them loses no ordering. The update costs a binary search and at
     /// most one shift of a list no longer than the core count.
-    pub fn on_predecessor(&mut self, src_core: CoreId, src_interval: u64) {
-        let preds = &mut self.current_preds;
+    pub fn on_predecessor(&mut self, v: usize, src_core: CoreId, src_interval: u64) {
+        let preds = &mut self.variants[v].current_preds;
         match preds.binary_search_by_key(&src_core, |&(core, _)| core) {
             Ok(i) => preds[i].1 = preds[i].1.max(src_interval),
             Err(i) => preds.insert(i, (src_core, src_interval)),
         }
     }
 
-    /// Number of intervals closed so far (the next frame gets this
-    /// ordinal).
+    /// Number of intervals variant `v` has closed so far (the next frame
+    /// gets this ordinal).
     #[must_use]
-    pub fn intervals_completed(&self) -> u64 {
-        self.ordering.preds.len() as u64
+    pub fn intervals_completed(&self, v: usize) -> u64 {
+        self.variants[v].intervals_completed()
     }
 
-    /// The recorded partial order of this core's intervals (parallel
-    /// replay, paper §3.6). Parallel to the log's frames.
+    /// Variant `v`'s recorded partial order of this core's intervals
+    /// (parallel replay, paper §3.6). Parallel to the log's frames.
     #[must_use]
-    pub fn ordering(&self) -> &IntervalOrdering {
-        &self.ordering
+    pub fn ordering(&self, v: usize) -> &IntervalOrdering {
+        &self.variants[v].ordering
     }
 
     // ----- counting ------------------------------------------------------
@@ -688,22 +748,23 @@ impl Recorder {
     /// occupancy.
     pub fn tick(&mut self, cycle: u64) {
         let occupancy = self.traq.len();
-        self.stats.traq_occupancy_sum += occupancy as u64;
-        self.stats.traq_samples += 1;
-        let bin = (occupancy / 10).min(self.stats.traq_hist.len() - 1);
-        self.stats.traq_hist[bin] += 1;
-        self.stats.traq_peak = self.stats.traq_peak.max(occupancy);
-        for _ in 0..self.cfg.count_per_cycle {
-            let Some(entry) = self.traq.pop_ready(self.retired_up_to) else {
+        let stats = &mut self.occupancy;
+        stats.traq_occupancy_sum += occupancy as u64;
+        stats.traq_samples += 1;
+        let bin = (occupancy / 10).min(stats.traq_hist.len() - 1);
+        stats.traq_hist[bin] += 1;
+        stats.traq_peak = stats.traq_peak.max(occupancy);
+        for _ in 0..self.count_per_cycle {
+            let Some(slot) = self.traq.pop_ready(self.retired_up_to) else {
                 break;
             };
-            self.count_entry(entry, cycle);
+            self.count(slot, cycle);
         }
     }
 
     /// Flushes remaining state when the thread completes: groups any
-    /// trailing non-memory instructions, drains the TRAQ and terminates the
-    /// final interval.
+    /// trailing non-memory instructions, drains the TRAQ and terminates
+    /// every variant's final interval.
     ///
     /// # Panics
     ///
@@ -713,29 +774,25 @@ impl Recorder {
         if self.finished {
             return;
         }
-        if self.nmi_pending > 0 {
+        // Counting what is queued first leaves room for the trailing
+        // filler in a TRAQ that is full of ready entries.
+        loop {
+            while let Some(slot) = self.traq.pop_ready(self.retired_up_to) {
+                self.count(slot, cycle);
+            }
+            if self.nmi_pending == 0 {
+                break;
+            }
             let seq = (self.alloc_boundary + i64::from(self.nmi_pending)) as u64;
             self.push_traq(seq, TraqKind::Filler);
-        }
-        while let Some(entry) = self.traq.pop_ready(self.retired_up_to) {
-            self.count_entry(entry, cycle);
         }
         assert_eq!(
             self.traq.len(),
             0,
             "finish() on a core that is still executing"
         );
-        if self.entries_since_frame > 0 || self.block_size > 0 {
-            self.terminate_interval(cycle, Termination::Final);
-        }
-        if let Some(sink) = &mut self.sink {
-            if let Err(err) = sink.close() {
-                self.stats.sink_errors += 1;
-                if self.sink_error.is_none() {
-                    self.sink_error = Some(err);
-                }
-                self.poisoned = true;
-            }
+        for v in &mut self.variants {
+            v.finish(cycle, &self.occupancy);
         }
         self.finished = true;
     }
@@ -747,144 +804,277 @@ impl Recorder {
         self.traq.push(TraqEntry::new(seq, kind, nmi));
     }
 
-    fn count_entry(&mut self, entry: TraqEntry, cycle: u64) {
+    /// Counts the entry just popped from `slot` in every variant.
+    fn count(&mut self, slot: usize, cycle: u64) {
+        let entry = self.traq.entry(slot);
         self.counted_up_to = entry.seq as i64;
-        match entry.kind {
-            TraqKind::Filler => {
-                self.block_size += entry.nmi;
-                self.note_counted(entry.nmi, cycle);
+        let TraqKind::Mem(kind) = entry.kind else {
+            for v in &mut self.variants {
+                v.block_size += entry.nmi;
+                v.note_counted(entry.nmi, cycle);
             }
-            TraqKind::Mem(kind) => {
-                let pisn = entry.pisn.expect("counted access has performed");
-                let perform_ordinal = entry.perform_ordinal.expect("counted access has performed");
-                let current_ordinal = self.intervals_completed();
-                // Classify on the exact (non-wrapping) interval ordinal,
-                // not the 16-bit PISN/CISN pair: once perform and counting
-                // drift ≥ 65536 intervals apart the hardware fields alias
-                // and an old access would look freshly in-interval.
-                let same_interval = perform_ordinal == current_ordinal;
-                // Full-wrap guard for the Snoop Table (Opt): its 16-bit
-                // counters return to the sampled value after exactly 65536
-                // bumps, hiding a conflict. Total transactions observed
-                // bound any single counter's increments, so if fewer than
-                // u16::MAX happened between perform and counting no
-                // counter can have wrapped and the table is trustworthy;
-                // otherwise conservatively declare the access reordered.
-                let snoop_wrap_possible =
-                    self.snoops_seen - entry.snoops_at_perform >= u64::from(u16::MAX);
-                let mut wrap_conservative = false;
-                let reordered = if same_interval {
-                    false
-                } else {
-                    match &self.snoop_table {
-                        // Base: a different interval means reordered.
-                        None => true,
-                        // Opt: only if a conflicting transaction was seen
-                        // (or could have been hidden by a full wrap).
-                        Some(t) => {
-                            let table_says = t.is_reordered(entry.line, entry.sample);
-                            wrap_conservative = snoop_wrap_possible && !table_says;
-                            table_says || snoop_wrap_possible
-                        }
-                    }
-                };
-                if wrap_conservative {
-                    self.stats.snoop_wrap_conservative += 1;
-                }
-                match kind {
-                    AccessKind::Load => self.stats.counted_loads += 1,
-                    AccessKind::Store => self.stats.counted_stores += 1,
-                    AccessKind::Rmw => self.stats.counted_rmws += 1,
-                }
-                if self.tracer.is_some() {
-                    let verdict = if same_interval {
-                        CountVerdict::InOrder
-                    } else if !reordered {
-                        CountVerdict::MovedAcross
-                    } else if wrap_conservative {
-                        CountVerdict::ReorderedSnoopWrap
-                    } else if self.snoop_table.is_some() {
-                        CountVerdict::ReorderedSnoopConflict
-                    } else {
-                        CountVerdict::ReorderedPisnMismatch
-                    };
-                    self.trace(
-                        cycle,
-                        TraceEvent::Count {
-                            seq: entry.seq,
-                            kind,
-                            addr: entry.addr,
-                            pisn,
-                            cisn: self.cisn,
-                            verdict,
-                        },
-                    );
-                }
-                if !reordered {
-                    if !same_interval {
-                        // The perform event moves across intervals to the
-                        // counting event; re-insert the address into the
-                        // current interval's signature so later conflicts
-                        // still order intervals correctly (paper §4.2).
-                        self.stats.moved_across_intervals += 1;
-                        match kind {
-                            AccessKind::Load => self.read_sig.insert(entry.line),
-                            AccessKind::Store => self.write_sig.insert(entry.line),
-                            AccessKind::Rmw => {
-                                self.read_sig.insert(entry.line);
-                                self.write_sig.insert(entry.line);
-                            }
-                        }
-                    }
-                    self.block_size += entry.nmi + 1;
-                } else {
-                    // The NMI instructions preceding the access are still
-                    // in order; they close the current block.
-                    self.block_size += entry.nmi;
-                    self.flush_block();
-                    // Exact interval distance; the 16-bit
-                    // `cisn.wrapping_sub(pisn)` the hardware would compute
-                    // aliases once the distance reaches 65536.
-                    let offset = u32::try_from(current_ordinal - perform_ordinal)
-                        .expect("perform-to-count distance exceeds u32");
-                    debug_assert_eq!(offset as u16, self.cisn.wrapping_sub(pisn));
-                    let log_entry = match kind {
-                        AccessKind::Load => {
-                            self.stats.reordered_loads += 1;
-                            LogEntry::ReorderedLoad {
-                                value: entry.loaded.expect("performed load has a value"),
-                            }
-                        }
-                        AccessKind::Store => {
-                            self.stats.reordered_stores += 1;
-                            LogEntry::ReorderedStore {
-                                addr: entry.addr,
-                                value: entry.stored.expect("performed store has a value"),
-                                offset,
-                            }
-                        }
-                        AccessKind::Rmw => {
-                            self.stats.reordered_rmws += 1;
-                            LogEntry::ReorderedRmw {
-                                loaded: entry.loaded.expect("performed RMW has a loaded value"),
-                                addr: entry.addr,
-                                stored: entry.stored,
-                                offset,
-                            }
-                        }
-                    };
-                    self.log.entries.push(log_entry);
-                    self.entries_since_frame += 1;
-                }
-                self.note_counted(entry.nmi + 1, cycle);
+            return;
+        };
+        let ordinals = self.traq.ordinals(slot);
+        // Only an access counted outside its perform interval consults the
+        // Snoop Table or re-enters a signature.
+        if (self.variants.iter().zip(ordinals)).any(|(v, &o)| o != v.intervals_completed()) {
+            self.plan.hash(entry.line, &mut self.hashes);
+        }
+        // Full-wrap guard for the Snoop Table (Opt): its 16-bit counters
+        // return to the sampled value after exactly 65536 bumps, hiding a
+        // conflict. Total transactions observed bound any single counter's
+        // increments, so if fewer than u16::MAX happened between perform
+        // and counting no counter can have wrapped and the table is
+        // trustworthy; otherwise conservatively declare the access
+        // reordered.
+        let snoop_wrap_possible = self.snoops_seen - entry.snoops_at_perform >= u64::from(u16::MAX);
+        let samples = self.traq.samples(slot);
+        for (v, &perform_ordinal) in self.variants.iter_mut().zip(ordinals) {
+            let access = Counted {
+                entry,
+                kind,
+                perform_ordinal,
+                snoop_wrap_possible,
+                table: v
+                    .table
+                    .map(|t| (&self.tables[t].0, self.tables[t].1, samples[t])),
+                line: &self.hashes,
+            };
+            v.count_access(&access, cycle);
+        }
+    }
+
+    // ----- pressure injection (rr-check) ---------------------------------
+
+    /// Forces every variant's current interval to close, as if a
+    /// conflicting snoop had arrived. Sound — closing an interval early
+    /// never loses ordering information, it only shortens the atomicity
+    /// unit — so rr-check uses it to pressure interval-boundary paths (the
+    /// replayed execution must still match).
+    pub fn force_terminate(&mut self, cycle: u64) {
+        debug_assert!(!self.finished, "force_terminate after finish()");
+        for v in &mut self.variants {
+            v.terminate_interval(cycle, Termination::Forced);
+        }
+    }
+
+    /// Closes `n` empty intervals in every variant up front, pre-advancing
+    /// the interval counter so a short workload executes near (or across)
+    /// the 16-bit CISN wrap at 65536. rr-check's `cisn-wrap` pressure mode
+    /// calls this before the first instruction dispatches.
+    pub fn pre_advance_intervals(&mut self, n: u64, cycle: u64) {
+        for v in &mut self.variants {
+            debug_assert_eq!(
+                v.intervals_completed(),
+                0,
+                "pre-advance must happen before recording starts"
+            );
+            for _ in 0..n {
+                v.terminate_interval(cycle, Termination::Forced);
             }
         }
+    }
+}
+
+/// A memory access being counted, as every variant sees it.
+struct Counted<'a> {
+    entry: &'a TraqEntry,
+    kind: AccessKind,
+    /// The counting variant's interval ordinal at perform time.
+    perform_ordinal: u64,
+    snoop_wrap_possible: bool,
+    /// The counting variant's Snoop Table (Opt), its slot in the hash plan
+    /// and the perform-time sample.
+    table: Option<(&'a SnoopTable, HashSlot, SnoopSample)>,
+    /// The line's hashes; current whenever the access counts outside its
+    /// perform interval.
+    line: &'a LineHashes,
+}
+
+impl Variant {
+    /// Captures `event` if a tracer is attached (no-op otherwise).
+    fn trace(&mut self, cycle: u64, event: TraceEvent) {
+        if let Some(t) = &mut self.tracer {
+            t.push(cycle, event);
+        }
+    }
+
+    fn intervals_completed(&self) -> u64 {
+        self.ordering.preds.len() as u64
+    }
+
+    /// Inserts an access's line into the current interval's signatures so
+    /// conflicting snoops terminate the interval (paper §4.1).
+    fn insert(&mut self, kind: AccessKind, line: &LineHashes) {
+        if matches!(kind, AccessKind::Load | AccessKind::Rmw) {
+            self.read_sig.insert_hashed(line.lanes(self.read_slot));
+        }
+        if matches!(kind, AccessKind::Store | AccessKind::Rmw) {
+            self.write_sig.insert_hashed(line.lanes(self.write_slot));
+        }
+    }
+
+    fn observe(&mut self, line: &LineHashes, what: Observed, cycle: u64) {
+        let line_number = line.line().line_number();
+        if self.table.is_some() {
+            self.trace(cycle, TraceEvent::SnoopTableBump { line: line_number });
+        }
+        let with_reads = !matches!(what, Observed::Snoop { is_write: false });
+        let conflict = (with_reads && self.read_sig.test_hashed(line.lanes(self.read_slot)))
+            || self.write_sig.test_hashed(line.lanes(self.write_slot));
+        let event = match what {
+            Observed::Snoop { is_write } => TraceEvent::Snoop {
+                line: line_number,
+                is_write,
+                conflict,
+            },
+            Observed::DirtyEviction => TraceEvent::DirtyEviction {
+                line: line_number,
+                conflict,
+            },
+        };
+        self.trace(cycle, event);
+        if conflict {
+            if let Observed::DirtyEviction = what {
+                // For the partial order (parallel replay), an
+                // eviction-closed interval must precede every
+                // later-timestamped interval: this core stops observing
+                // the line, so no more edges can be generated for it. The
+                // closing interval's ordinal is the number of intervals
+                // closed before it.
+                let ordinal = self.intervals_completed();
+                self.ordering.barriers.push(ordinal);
+            }
+            self.terminate_interval(cycle, Termination::Conflict);
+        }
+    }
+
+    /// Counts a performed access: in order as part of the current block,
+    /// or logged as reordered.
+    fn count_access(&mut self, access: &Counted<'_>, cycle: u64) {
+        let Counted {
+            entry,
+            kind,
+            perform_ordinal,
+            snoop_wrap_possible,
+            table,
+            line,
+        } = *access;
+        let current_ordinal = self.intervals_completed();
+        // Classify on the exact (non-wrapping) interval ordinal, not the
+        // 16-bit PISN/CISN pair: once perform and counting drift ≥ 65536
+        // intervals apart the hardware fields alias and an old access would
+        // look freshly in-interval.
+        let same_interval = perform_ordinal == current_ordinal;
+        let mut wrap_conservative = false;
+        let reordered = if same_interval {
+            false
+        } else {
+            match table {
+                // Base: a different interval means reordered.
+                None => true,
+                // Opt: only if a conflicting transaction was seen (or could
+                // have been hidden by a full wrap).
+                Some((table, slot, sample)) => {
+                    let table_says = table.is_reordered_hashed(line.lanes(slot), sample);
+                    wrap_conservative = snoop_wrap_possible && !table_says;
+                    table_says || snoop_wrap_possible
+                }
+            }
+        };
+        if wrap_conservative {
+            self.stats.snoop_wrap_conservative += 1;
+        }
+        match kind {
+            AccessKind::Load => self.stats.counted_loads += 1,
+            AccessKind::Store => self.stats.counted_stores += 1,
+            AccessKind::Rmw => self.stats.counted_rmws += 1,
+        }
+        // The PISN is the low half of the perform ordinal, as the CISN is
+        // of the current one.
+        let pisn = perform_ordinal as u16;
+        if self.tracer.is_some() {
+            let verdict = if same_interval {
+                CountVerdict::InOrder
+            } else if !reordered {
+                CountVerdict::MovedAcross
+            } else if wrap_conservative {
+                CountVerdict::ReorderedSnoopWrap
+            } else if table.is_some() {
+                CountVerdict::ReorderedSnoopConflict
+            } else {
+                CountVerdict::ReorderedPisnMismatch
+            };
+            let cisn = self.cisn;
+            self.trace(
+                cycle,
+                TraceEvent::Count {
+                    seq: entry.seq,
+                    kind,
+                    addr: entry.addr,
+                    pisn,
+                    cisn,
+                    verdict,
+                },
+            );
+        }
+        if !reordered {
+            if !same_interval {
+                // The perform event moves across intervals to the counting
+                // event; re-insert the address into the current interval's
+                // signature so later conflicts still order intervals
+                // correctly (paper §4.2).
+                self.stats.moved_across_intervals += 1;
+                self.insert(kind, line);
+            }
+            self.block_size += entry.nmi + 1;
+        } else {
+            // The NMI instructions preceding the access are still in order;
+            // they close the current block.
+            self.block_size += entry.nmi;
+            self.flush_block();
+            // Exact interval distance; the 16-bit `cisn.wrapping_sub(pisn)`
+            // the hardware would compute aliases once the distance reaches
+            // 65536.
+            let offset = u32::try_from(current_ordinal - perform_ordinal)
+                .expect("perform-to-count distance exceeds u32");
+            debug_assert_eq!(offset as u16, self.cisn.wrapping_sub(pisn));
+            let log_entry = match kind {
+                AccessKind::Load => {
+                    self.stats.reordered_loads += 1;
+                    LogEntry::ReorderedLoad {
+                        value: entry.loaded.expect("performed load has a value"),
+                    }
+                }
+                AccessKind::Store => {
+                    self.stats.reordered_stores += 1;
+                    LogEntry::ReorderedStore {
+                        addr: entry.addr,
+                        value: entry.stored.expect("performed store has a value"),
+                        offset,
+                    }
+                }
+                AccessKind::Rmw => {
+                    self.stats.reordered_rmws += 1;
+                    LogEntry::ReorderedRmw {
+                        loaded: entry.loaded.expect("performed RMW has a loaded value"),
+                        addr: entry.addr,
+                        stored: entry.stored,
+                        offset,
+                    }
+                }
+            };
+            self.log.entries.push(log_entry);
+            self.entries_since_frame += 1;
+        }
+        self.note_counted(entry.nmi + 1, cycle);
     }
 
     fn note_counted(&mut self, instrs: u32, cycle: u64) {
         self.stats.counted_instrs += u64::from(instrs);
         self.instrs_in_interval += instrs;
-        if let Some(max) = self.cfg.max_interval_instrs {
+        if let Some(max) = self.max_interval_instrs {
             if self.instrs_in_interval >= max {
                 self.terminate_interval(cycle, Termination::MaxSize);
             }
@@ -916,7 +1106,7 @@ impl Recorder {
                 Termination::Forced => CloseReason::Forced,
             };
             let cisn = self.cisn;
-            let ordinal = self.ordering.preds.len() as u64;
+            let ordinal = self.intervals_completed();
             let instrs = self.instrs_in_interval;
             self.trace(
                 cycle,
@@ -942,36 +1132,61 @@ impl Recorder {
         self.write_sig.clear();
         if self.tracer.is_some() {
             let cisn = self.cisn;
-            let ordinal = self.ordering.preds.len() as u64;
+            let ordinal = self.intervals_completed();
             self.trace(cycle, TraceEvent::IntervalOpen { cisn, ordinal });
         }
         self.drain_into_sink();
     }
 
-    // ----- pressure injection (rr-check) ---------------------------------
-
-    /// Forces the current interval to close, as if a conflicting snoop had
-    /// arrived. Sound — closing an interval early never loses ordering
-    /// information, it only shortens the atomicity unit — so rr-check uses
-    /// it to pressure interval-boundary paths (the replayed execution must
-    /// still match).
-    pub fn force_terminate(&mut self, cycle: u64) {
-        debug_assert!(!self.finished, "force_terminate after finish()");
-        self.terminate_interval(cycle, Termination::Forced);
+    /// Terminates the final interval, closes the sink and takes the
+    /// recorder's TRAQ occupancy samples.
+    fn finish(&mut self, cycle: u64, occupancy: &RecorderStats) {
+        if self.entries_since_frame > 0 || self.block_size > 0 {
+            self.terminate_interval(cycle, Termination::Final);
+        }
+        if let Some(sink) = &mut self.sink {
+            if let Err(err) = sink.close() {
+                self.latch_sink_error(err);
+            }
+        }
+        let stats = &mut self.stats;
+        stats.traq_occupancy_sum = occupancy.traq_occupancy_sum;
+        stats.traq_samples = occupancy.traq_samples;
+        stats.traq_hist.clone_from(&occupancy.traq_hist);
+        stats.traq_peak = occupancy.traq_peak;
     }
 
-    /// Closes `n` empty intervals up front, pre-advancing the interval
-    /// counter so a short workload executes near (or across) the 16-bit
-    /// CISN wrap at 65536. rr-check's `cisn-wrap` pressure mode calls this
-    /// before the first instruction dispatches.
-    pub fn pre_advance_intervals(&mut self, n: u64, cycle: u64) {
-        debug_assert_eq!(
-            self.intervals_completed(),
-            0,
-            "pre-advance must happen before recording starts"
-        );
-        for _ in 0..n {
-            self.terminate_interval(cycle, Termination::Forced);
+    fn latch_sink_error(&mut self, err: WireError) {
+        self.stats.sink_errors += 1;
+        self.sink_error.get_or_insert(err);
+    }
+
+    /// Drains every buffered entry into the sink (streaming mode only).
+    /// On a sink failure the recording is poisoned: the failed entry and
+    /// everything after it stay buffered (nothing is silently dropped),
+    /// the error is latched, and no further emits are attempted.
+    fn drain_into_sink(&mut self) {
+        let Some(sink) = &mut self.sink else {
+            return;
+        };
+        if self.sink_error.is_some() {
+            return;
+        }
+        let mut emitted = 0usize;
+        let mut failure = None;
+        for e in &self.log.entries {
+            match sink.emit(e) {
+                Ok(()) => emitted += 1,
+                Err(err) => {
+                    failure = Some(err);
+                    break;
+                }
+            }
+        }
+        self.streamed_entries += emitted as u64;
+        self.log.entries.drain(..emitted);
+        if let Some(err) = failure {
+            self.latch_sink_error(err);
         }
     }
 }
@@ -992,11 +1207,11 @@ impl CoreObserver for Recorder {
             // `nmi_max`; the excess is simply absorbed by the next TRAQ
             // allocation (real hardware would emit extra fillers — the
             // block-size arithmetic is identical either way).
-            if self.nmi_pending + 1 == self.cfg.nmi_max && self.traq.is_full() {
+            if self.nmi_pending + 1 == self.nmi_max && self.traq.is_full() {
                 return false; // need a filler slot; stall
             }
             self.nmi_pending += 1;
-            if self.nmi_pending == self.cfg.nmi_max {
+            if self.nmi_pending == self.nmi_max {
                 self.push_traq(seq, TraqKind::Filler);
             }
             true
@@ -1004,16 +1219,19 @@ impl CoreObserver for Recorder {
     }
 
     fn on_perform(&mut self, rec: &PerformRecord) {
-        let cisn = self.cisn;
-        self.trace(
-            rec.cycle,
-            TraceEvent::Perform {
-                seq: rec.seq,
-                kind: rec.kind,
-                addr: rec.addr,
-                pisn: cisn,
-            },
-        );
+        for v in &mut self.variants {
+            let pisn = v.cisn;
+            v.trace(
+                rec.cycle,
+                TraceEvent::Perform {
+                    seq: rec.seq,
+                    kind: rec.kind,
+                    addr: rec.addr,
+                    pisn,
+                },
+            );
+        }
+        self.plan.hash(rec.line, &mut self.hashes);
         // Soundness extension over the paper (see DESIGN.md §2.2): the
         // Snoop Table must also observe this core's *own* store performs.
         // Otherwise a load whose perform is moved across intervals can
@@ -1023,41 +1241,36 @@ impl CoreObserver for Recorder {
         // Remote conflicts alone cannot reveal this local anti-dependence.
         // Recording before sampling keeps a store from flagging itself.
         if matches!(rec.kind, AccessKind::Store | AccessKind::Rmw) {
-            if let Some(t) = &mut self.snoop_table {
-                t.record(rec.line);
+            for (table, slot) in &mut self.tables {
+                table.record_hashed(self.hashes.lanes(*slot));
             }
             self.snoops_seen += 1;
         }
-        let sample = self
-            .snoop_table
-            .as_ref()
-            .map(|t| t.sample(rec.line))
-            .unwrap_or_default();
-        let perform_ordinal = self.intervals_completed();
-        let snoops_at_perform = self.snoops_seen;
-        let entry = self
+        let slot = self
             .traq
-            .find_mut(rec.seq)
+            .find(rec.seq)
             .expect("perform for an instruction not in the TRAQ");
+        let entry = self.traq.entry_mut(slot);
         entry.kind = TraqKind::Mem(rec.kind);
-        entry.pisn = Some(cisn);
-        entry.perform_ordinal = Some(perform_ordinal);
-        entry.snoops_at_perform = snoops_at_perform;
+        entry.snoops_at_perform = self.snoops_seen;
         entry.performed = true;
         entry.addr = rec.addr;
         entry.line = rec.line;
         entry.loaded = rec.loaded;
         entry.stored = rec.stored;
-        entry.sample = sample;
-        // Insert the line into the current interval's signatures so
-        // conflicting snoops terminate the interval (paper §4.1).
-        match rec.kind {
-            AccessKind::Load => self.read_sig.insert(rec.line),
-            AccessKind::Store => self.write_sig.insert(rec.line),
-            AccessKind::Rmw => {
-                self.read_sig.insert(rec.line);
-                self.write_sig.insert(rec.line);
-            }
+        for (sample, (table, table_slot)) in
+            self.traq.samples_mut(slot).iter_mut().zip(&self.tables)
+        {
+            *sample = table.sample_hashed(self.hashes.lanes(*table_slot));
+        }
+        for (ordinal, v) in self
+            .traq
+            .ordinals_mut(slot)
+            .iter_mut()
+            .zip(&mut self.variants)
+        {
+            *ordinal = v.intervals_completed();
+            v.insert(rec.kind, &self.hashes);
         }
     }
 
@@ -1068,7 +1281,9 @@ impl CoreObserver for Recorder {
 
     fn on_squash_after(&mut self, bseq: u64, cycle: u64) {
         debug_assert!(bseq as i64 >= self.retired_up_to, "squash of a retired seq");
-        self.trace(cycle, TraceEvent::Squash { after_seq: bseq });
+        for v in &mut self.variants {
+            v.trace(cycle, TraceEvent::Squash { after_seq: bseq });
+        }
         self.traq.squash_after(bseq);
         let boundary = self
             .traq
@@ -1114,17 +1329,17 @@ mod tests {
         let cfg = RecorderConfig::splash_default(Design::Opt, None);
         let mut rec = Recorder::new(CoreId::new(1), cfg);
         for (core, ord) in [(3, 4), (0, 2), (3, 1), (2, 7), (0, 5), (3, 4), (0, 0)] {
-            rec.on_predecessor(CoreId::new(core), ord);
+            rec.on_predecessor(0, CoreId::new(core), ord);
         }
         rec.force_terminate(10);
         // An interval named by no other core records no predecessor, and
         // the scratch list does not carry entries across intervals.
         rec.force_terminate(20);
-        rec.on_predecessor(CoreId::new(2), 9);
+        rec.on_predecessor(0, CoreId::new(2), 9);
         rec.force_terminate(30);
         let c = CoreId::new;
         assert_eq!(
-            rec.ordering().preds,
+            rec.ordering(0).preds,
             vec![
                 vec![(c(0), 5), (c(2), 7), (c(3), 4)],
                 vec![],
@@ -1138,7 +1353,7 @@ mod tests {
         let cfg = RecorderConfig::splash_default(Design::Base, Some(64));
         let mut buffered = Recorder::new(CoreId::new(0), cfg.clone());
         drive(&mut buffered, 500);
-        let buffered_log = buffered.into_log();
+        let buffered_log = buffered.into_recordings().remove(0).log;
         assert!(buffered_log.intervals() > 1, "want multiple intervals");
 
         let shared = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
@@ -1153,27 +1368,26 @@ mod tests {
             }
         }
         let mut streaming = Recorder::new(CoreId::new(0), cfg);
-        streaming.set_sink(Box::new(SharedSink(shared.clone())));
+        streaming.set_sink(0, Box::new(SharedSink(shared.clone())));
         drive(&mut streaming, 500);
-        assert!(streaming.take_sink_error().is_none());
+        assert!(streaming.sink_error(0).is_none());
         assert_eq!(
-            streaming.streamed_entries(),
+            streaming.streamed_entries(0),
             buffered_log.entries.len() as u64
         );
         assert_eq!(*shared.borrow(), buffered_log.entries);
         // Streaming mode leaves nothing buffered after finish().
-        assert!(streaming.log().entries.is_empty());
+        assert!(streaming.log(0).entries.is_empty());
     }
 
     #[test]
     fn vec_sink_collects_entries() {
         let cfg = RecorderConfig::splash_default(Design::Base, Some(64));
         let mut rec = Recorder::new(CoreId::new(0), cfg);
-        rec.set_sink(Box::new(VecSink::default()));
+        rec.set_sink(0, Box::new(VecSink::default()));
         drive(&mut rec, 200);
-        assert!(rec.take_sink_error().is_none());
-        assert!(rec.streamed_entries() > 0);
-        assert!(rec.take_sink().is_some());
+        assert!(rec.sink_error(0).is_none());
+        assert!(rec.streamed_entries(0) > 0);
     }
 
     /// Regression: a store that performs and then stays pending while more
@@ -1202,8 +1416,8 @@ mod tests {
         rec.on_retire(0, true, INTERVALS);
         rec.tick(INTERVALS);
         rec.finish(INTERVALS + 1);
-        assert_eq!(rec.stats().reordered_stores, 1);
-        let log = rec.into_log();
+        assert_eq!(rec.stats(0).reordered_stores, 1);
+        let log = rec.into_recordings().remove(0).log;
         let offset = log
             .entries
             .iter()
@@ -1246,9 +1460,9 @@ mod tests {
         rec.on_retire(0, true, laps);
         rec.tick(laps);
         rec.finish(laps + 1);
-        assert_eq!(rec.stats().reordered_loads, 1);
-        assert_eq!(rec.stats().snoop_wrap_conservative, 1);
-        assert_eq!(rec.stats().moved_across_intervals, 0);
+        assert_eq!(rec.stats(0).reordered_loads, 1);
+        assert_eq!(rec.stats(0).snoop_wrap_conservative, 1);
+        assert_eq!(rec.stats(0).moved_across_intervals, 0);
     }
 
     fn load(rec: &mut Recorder, seq: u64, addr: u64, cycle: u64) {
@@ -1293,7 +1507,7 @@ mod tests {
         assert_eq!(rec.traq_len(), 0);
         rec.on_retire(3, false, 8);
         rec.finish(9);
-        let log = rec.into_log();
+        let log = rec.into_recordings().remove(0).log;
         assert_eq!(log.entries[0], LogEntry::InorderBlock { instrs: 4 });
         assert_eq!(log.intervals(), 1);
     }
@@ -1312,7 +1526,7 @@ mod tests {
             rec.on_retire(seq, seq == 0, 2);
         }
         rec.finish(3);
-        let log = rec.into_log();
+        let log = rec.into_recordings().remove(0).log;
         assert_eq!(log.entries[0], LogEntry::InorderBlock { instrs: 3 });
         assert_eq!(log.intervals(), 1);
     }
@@ -1336,32 +1550,31 @@ mod tests {
         let cfg = RecorderConfig::splash_default(Design::Base, Some(64));
         let mut buffered = Recorder::new(CoreId::new(0), cfg.clone());
         drive(&mut buffered, 500);
-        let reference = buffered.into_log();
+        let reference = buffered.into_recordings().remove(0).log;
         assert!(reference.entries.len() > 3);
 
         let mut rec = Recorder::new(CoreId::new(0), cfg);
         let sink = crate::wire::FailingSink::new(3);
         let accepted = sink.handle();
-        rec.set_sink(Box::new(sink));
+        rec.set_sink(0, Box::new(sink));
         drive(&mut rec, 500);
-        assert!(rec.is_poisoned());
-        assert_eq!(rec.stats().sink_errors, 1);
-        assert_eq!(rec.streamed_entries(), 3, "only accepted emits count");
+        assert!(rec.is_poisoned(0));
+        assert_eq!(rec.stats(0).sink_errors, 1);
+        assert_eq!(rec.streamed_entries(0), 3, "only accepted emits count");
         assert!(
-            !rec.log().entries.is_empty(),
+            !rec.log(0).entries.is_empty(),
             "un-emitted entries stay buffered, not silently dropped"
         );
-        assert!(matches!(rec.sink_error(), Some(WireError::Io(_))));
+        assert!(matches!(rec.sink_error(0), Some(WireError::Io(_))));
         let accepted = accepted.lock().expect("lock");
         assert_eq!(accepted[..], reference.entries[..3]);
         // Everything the sink accepted plus everything still buffered is a
         // prefix of the reference log: nothing was lost or reordered.
         let recovered: Vec<_> = accepted
             .iter()
-            .chain(rec.log().entries.iter())
+            .chain(rec.log(0).entries.iter())
             .copied()
             .collect();
         assert_eq!(recovered[..], reference.entries[..recovered.len()]);
-        assert!(rec.take_sink_error().is_some());
     }
 }

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use rr_mem::LineAddr;
 
 use crate::hash::H3;
@@ -29,8 +31,9 @@ pub struct Signature {
     /// `bits[b * words_per_bank..][..words_per_bank]`.
     bits: Vec<u64>,
     words_per_bank: usize,
-    /// One H3 lane per bank.
-    hash: H3,
+    /// One H3 lane per bank, shared with every signature of the same
+    /// geometry in a run's [`HashPlan`](crate::HashPlan).
+    hash: Arc<H3>,
     bits_per_bank: u32,
     insertions: u64,
 }
@@ -49,14 +52,28 @@ impl Signature {
             bits_per_bank.is_power_of_two(),
             "bits_per_bank must be a power of two"
         );
-        let words_per_bank = (bits_per_bank as usize).div_ceil(64);
-        let seeds: Vec<u64> = (0..banks)
+        let seeds = Signature::lane_seeds(banks, seed);
+        Signature::with_hash(Arc::new(H3::with_lanes(
+            bits_per_bank.trailing_zeros(),
+            &seeds,
+        )))
+    }
+
+    /// The bank hash seeds of `Signature::new(banks, _, seed)`.
+    pub(crate) fn lane_seeds(banks: usize, seed: u64) -> Vec<u64> {
+        (0..banks)
             .map(|i| seed.wrapping_mul(0x9e37).wrapping_add(i as u64))
-            .collect();
+            .collect()
+    }
+
+    /// An empty signature with one bank per lane of `hash`.
+    pub(crate) fn with_hash(hash: Arc<H3>) -> Self {
+        let bits_per_bank = 1u32 << hash.out_bits();
+        let words_per_bank = (bits_per_bank as usize).div_ceil(64);
         Signature {
-            bits: vec![0u64; banks * words_per_bank],
+            bits: vec![0u64; hash.lanes() * words_per_bank],
             words_per_bank,
-            hash: H3::with_lanes(bits_per_bank.trailing_zeros(), &seeds),
+            hash,
             bits_per_bank,
             insertions: 0,
         }
@@ -78,6 +95,16 @@ impl Signature {
         });
     }
 
+    /// Inserts a line given its bank indices, one per bank, from this
+    /// signature's geometry in a [`HashPlan`](crate::HashPlan).
+    pub(crate) fn insert_hashed(&mut self, lanes: &[u32]) {
+        self.insertions += 1;
+        for (bank, &bit) in lanes.iter().enumerate() {
+            let bit = bit as usize;
+            self.bits[bank * self.words_per_bank + bit / 64] |= 1 << (bit % 64);
+        }
+    }
+
     /// Tests a line address. `false` means *definitely not inserted*;
     /// `true` means *possibly inserted* (Bloom semantics).
     #[must_use]
@@ -88,6 +115,15 @@ impl Signature {
             hit &= self.bits[bank * self.words_per_bank + bit / 64] & (1 << (bit % 64)) != 0;
         });
         hit
+    }
+
+    /// [`Signature::test`] given the line's bank indices, as
+    /// [`Signature::insert_hashed`] takes them.
+    pub(crate) fn test_hashed(&self, lanes: &[u32]) -> bool {
+        lanes.iter().enumerate().all(|(bank, &bit)| {
+            let bit = bit as usize;
+            self.bits[bank * self.words_per_bank + bit / 64] & (1 << (bit % 64)) != 0
+        })
     }
 
     /// Clears the signature (interval termination).

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use rr_mem::LineAddr;
 
 use crate::hash::H3;
@@ -26,7 +28,7 @@ pub struct SnoopSample {
 pub struct SnoopTable {
     arrays: [Vec<u16>; 2],
     /// One H3 lane per array.
-    hash: H3,
+    hash: Arc<H3>,
 }
 
 impl SnoopTable {
@@ -38,13 +40,21 @@ impl SnoopTable {
     #[must_use]
     pub fn new(entries: usize, seed: u64) -> Self {
         assert!(entries.is_power_of_two(), "entries must be a power of two");
-        let idx_bits = entries.trailing_zeros();
+        let seeds = SnoopTable::lane_seeds(seed);
+        SnoopTable::with_hash(Arc::new(H3::with_lanes(entries.trailing_zeros(), &seeds)))
+    }
+
+    /// The array hash seeds of `SnoopTable::new(_, seed)`.
+    pub(crate) fn lane_seeds(seed: u64) -> Vec<u64> {
+        vec![seed.wrapping_add(0x51), seed.wrapping_add(0xa3)]
+    }
+
+    /// A zeroed table indexed by the two lanes of `hash`.
+    pub(crate) fn with_hash(hash: Arc<H3>) -> Self {
+        let entries = 1usize << hash.out_bits();
         SnoopTable {
             arrays: [vec![0u16; entries], vec![0u16; entries]],
-            hash: H3::with_lanes(
-                idx_bits,
-                &[seed.wrapping_add(0x51), seed.wrapping_add(0xa3)],
-            ),
+            hash,
         }
     }
 
@@ -55,28 +65,41 @@ impl SnoopTable {
     }
 
     /// The line's counter index in each array, from one hash pass.
-    fn indices(&self, line: LineAddr) -> [usize; 2] {
+    fn indices(&self, line: LineAddr) -> [u32; 2] {
         let mut idx = [0; 2];
         self.hash
-            .for_each_lane(line.line_number(), |lane, i| idx[lane] = i as usize);
+            .for_each_lane(line.line_number(), |lane, i| idx[lane] = i);
         idx
     }
 
     /// Records an observed coherence transaction (or, in directory mode, a
     /// dirty eviction — paper §4.3) for `line`.
     pub fn record(&mut self, line: LineAddr) {
-        let idx = self.indices(line);
-        for (arr, i) in self.arrays.iter_mut().zip(idx) {
-            arr[i] = arr[i].wrapping_add(1);
+        self.record_hashed(&self.indices(line));
+    }
+
+    /// [`SnoopTable::record`] given the line's counter indices, one per
+    /// array, from this table's geometry in a
+    /// [`HashPlan`](crate::HashPlan).
+    pub(crate) fn record_hashed(&mut self, idx: &[u32]) {
+        for (arr, &i) in self.arrays.iter_mut().zip(idx) {
+            arr[i as usize] = arr[i as usize].wrapping_add(1);
         }
     }
 
     /// Samples the two counters for `line` (done at perform time).
     #[must_use]
     pub fn sample(&self, line: LineAddr) -> SnoopSample {
-        let [a, b] = self.indices(line);
+        self.sample_hashed(&self.indices(line))
+    }
+
+    /// [`SnoopTable::sample`] given the line's counter indices.
+    pub(crate) fn sample_hashed(&self, idx: &[u32]) -> SnoopSample {
         SnoopSample {
-            counters: [self.arrays[0][a], self.arrays[1][b]],
+            counters: [
+                self.arrays[0][idx[0] as usize],
+                self.arrays[1][idx[1] as usize],
+            ],
         }
     }
 
@@ -85,7 +108,12 @@ impl SnoopTable {
     /// both counters changed.
     #[must_use]
     pub fn is_reordered(&self, line: LineAddr, at_perform: SnoopSample) -> bool {
-        let now = self.sample(line);
+        self.is_reordered_hashed(&self.indices(line), at_perform)
+    }
+
+    /// [`SnoopTable::is_reordered`] given the line's counter indices.
+    pub(crate) fn is_reordered_hashed(&self, idx: &[u32], at_perform: SnoopSample) -> bool {
+        let now = self.sample_hashed(idx);
         now.counters[0] != at_perform.counters[0] && now.counters[1] != at_perform.counters[1]
     }
 }

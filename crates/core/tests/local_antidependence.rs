@@ -58,7 +58,7 @@ fn opt_logs_load_that_its_own_younger_store_would_overtake() {
         rec.tick(c);
     }
     rec.finish(30);
-    let log = rec.into_log();
+    let log = rec.into_recordings().remove(0).log;
     // L must be logged as a reordered load carrying its value (7). If it
     // were moved into interval 1 as in-order, replay would read 9 from the
     // patched store.
@@ -106,6 +106,6 @@ fn opt_store_does_not_flag_itself() {
         rec.tick(c);
     }
     rec.finish(30);
-    assert_eq!(rec.stats().reordered_stores, 0, "{:?}", rec.stats());
-    assert_eq!(rec.stats().moved_across_intervals, 1);
+    assert_eq!(rec.stats(0).reordered_stores, 0, "{:?}", rec.stats(0));
+    assert_eq!(rec.stats(0).moved_across_intervals, 1);
 }

@@ -51,7 +51,7 @@ fn fully_in_order_run_logs_one_block() {
         rec.tick(10 + seq);
     }
     rec.finish(100);
-    let log = rec.into_log();
+    let log = rec.into_recordings().remove(0).log;
     assert_eq!(
         entries(&log),
         &[
@@ -80,7 +80,7 @@ fn base_and_opt_differ_on_unobserved_interval_crossing() {
         rec.on_retire(1, true, 9);
         rec.tick(10);
         rec.finish(20);
-        rec.into_log()
+        rec.into_recordings().remove(0).log
     };
 
     let base = run(Design::Base);
@@ -142,7 +142,7 @@ fn reordered_store_carries_offset_across_intervals() {
     rec.on_retire(1, true, 9);
     rec.tick(10);
     rec.finish(20);
-    let log = rec.into_log();
+    let log = rec.into_recordings().remove(0).log;
     assert_eq!(
         entries(&log),
         &[
@@ -178,7 +178,7 @@ fn remote_read_conflicts_only_with_writes() {
     rec.on_snoop(LineAddr::containing(0x100), false, 6);
     rec.tick(7);
     rec.finish(10);
-    let log = rec.into_log();
+    let log = rec.into_recordings().remove(0).log;
     assert_eq!(log.intervals(), 1, "no conflict termination expected");
     assert_eq!(log.entries[0], LogEntry::InorderBlock { instrs: 1 });
 }
@@ -195,7 +195,7 @@ fn max_interval_size_splits_intervals() {
         rec.tick(c);
     }
     rec.finish(40);
-    let log = rec.into_log();
+    let log = rec.into_recordings().remove(0).log;
     assert_eq!(log.intervals(), 2);
     assert_eq!(
         log.entries
@@ -222,7 +222,7 @@ fn nmi_groups_nonmemory_instructions() {
     rec.tick(26);
     rec.tick(27);
     rec.finish(30);
-    let log = rec.into_log();
+    let log = rec.into_recordings().remove(0).log;
     assert_eq!(
         entries(&log),
         &[
@@ -257,7 +257,7 @@ fn squash_discards_uncounted_suffix_and_recovers_nmi() {
     rec.on_retire(2, true, 7);
     rec.tick(8);
     rec.finish(10);
-    let log = rec.into_log();
+    let log = rec.into_recordings().remove(0).log;
     assert_eq!(
         entries(&log),
         &[
@@ -314,7 +314,7 @@ fn dirty_eviction_conservatively_reorders_in_opt() {
     rec.on_retire(1, true, 5);
     rec.tick(6);
     rec.finish(10);
-    let stats_reordered = rec.stats().reordered_loads;
+    let stats_reordered = rec.stats(0).reordered_loads;
     assert_eq!(stats_reordered, 2, "evicted line + conflicting line");
 }
 
@@ -327,7 +327,7 @@ fn reordered_rmw_logs_combined_entry() {
     rec.on_retire(0, true, 4);
     rec.tick(5);
     rec.finish(8);
-    let log = rec.into_log();
+    let log = rec.into_recordings().remove(0).log;
     assert!(matches!(
         log.entries[1],
         LogEntry::ReorderedRmw {
@@ -351,7 +351,7 @@ fn stats_reordered_fraction() {
     rec.tick(5);
     rec.tick(6);
     rec.finish(9);
-    let s = rec.stats();
+    let s = rec.stats(0);
     assert_eq!(s.counted_mem(), 2);
     assert_eq!(s.reordered(), 1);
     assert!((s.reordered_fraction() - 0.5).abs() < 1e-12);

@@ -38,7 +38,7 @@ fn cisn_wraps_across_u16_boundary() {
         rec.tick(c);
     }
     rec.finish(2 * n + 10);
-    let log = rec.log();
+    let log = rec.log(0);
     assert_eq!(log.intervals(), n as usize);
     // The frame CISNs wrap at 65536.
     let frames: Vec<u16> = log
@@ -53,8 +53,8 @@ fn cisn_wraps_across_u16_boundary() {
     assert_eq!(frames[65535], 65535);
     assert_eq!(frames[65536], 0, "CISN must wrap");
     // The ordering sidecar uses non-wrapping ordinals.
-    assert_eq!(rec.ordering().preds.len(), n as usize);
-    assert_eq!(rec.intervals_completed(), n);
+    assert_eq!(rec.ordering(0).preds.len(), n as usize);
+    assert_eq!(rec.intervals_completed(0), n);
 }
 
 #[test]
@@ -104,7 +104,7 @@ fn reordered_store_offset_wraps_correctly() {
     }
     rec.finish(70_010);
     let store_entry = rec
-        .log()
+        .log(0)
         .entries
         .iter()
         .find_map(|e| match e {
@@ -126,17 +126,17 @@ fn predecessors_attach_to_the_open_interval() {
         RecorderConfig::splash_default(Design::Opt, None),
     );
     quick_access(&mut rec, 0, 0x100, 1);
-    rec.on_predecessor(CoreId::new(2), 7);
-    rec.on_predecessor(CoreId::new(1), 3);
+    rec.on_predecessor(0, CoreId::new(2), 7);
+    rec.on_predecessor(0, CoreId::new(1), 3);
     // Terminate via conflict.
     rec.on_snoop(LineAddr::containing(0x100), true, 5);
     // Next interval gets different predecessors.
     quick_access(&mut rec, 1, 0x200, 6);
-    rec.on_predecessor(CoreId::new(3), 9);
+    rec.on_predecessor(0, CoreId::new(3), 9);
     rec.tick(7);
     rec.tick(8);
     rec.finish(10);
-    let ord = rec.ordering();
+    let ord = rec.ordering(0);
     assert_eq!(ord.preds.len(), 2);
     // One entry per source core, kept in core order.
     assert_eq!(ord.preds[0], vec![(CoreId::new(1), 3), (CoreId::new(2), 7)]);
@@ -166,7 +166,7 @@ fn dirty_eviction_marks_a_barrier_interval() {
     rec.on_dirty_eviction(LineAddr::containing(0x300), 3);
     rec.tick(4);
     rec.finish(10);
-    let ord = rec.ordering();
+    let ord = rec.ordering(0);
     // The eviction-closed interval is a barrier; the trailing final
     // interval (with the counted store) is not.
     assert_eq!(ord.preds.len(), 2);

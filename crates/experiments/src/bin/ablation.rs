@@ -98,9 +98,10 @@ fn run(cfg: &ExperimentConfig, dir: &Path) -> Result<(), rr_sim::Error> {
     for name in WORKLOADS {
         // TRAQ depth changes dispatch stalls, counting bandwidth and the
         // NMI width change filler allocation — all alter TRAQ dynamics, so
-        // each configuration must observe its own run (recorders attached
-        // together must agree on TRAQ occupancy: the simulator lets a core
-        // dispatch only when every attached recorder accepts).
+        // each configuration must observe its own run: one recorder per
+        // core drives every attached variant through one TRAQ, and a
+        // session whose variants differ in these parameters is refused
+        // (`SimError::MixedTraq`).
         for entries in [44usize, 88, 176] {
             jobs.push(job(
                 format!("{name}/traq/{entries}"),

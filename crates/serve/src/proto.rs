@@ -393,8 +393,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Msg>, ServeError> {
             format!("frame payload length {len} out of range"),
         ));
     }
-    frame.resize(len + wire::FRAME_BYTES, 0);
-    r.read_exact(&mut frame[4..]).map_err(io)?;
+    // The buffer grows as bytes arrive, so a length prefix alone commits
+    // no memory.
+    let rest = (len + wire::FRAME_BYTES - frame.len()) as u64;
+    if r.take(rest).read_to_end(&mut frame).map_err(io)? as u64 != rest {
+        return Err(io(std::io::ErrorKind::UnexpectedEof.into()));
+    }
     let payload = Reader::new(&frame, protocol_err)
         .frame()?
         .verify()
@@ -589,5 +593,41 @@ mod tests {
         wire.extend_from_slice(&[0u8; 16]);
         let err = read_frame(&mut wire.as_slice()).expect_err("rejected");
         assert_eq!(err.kind, RemoteFault::Protocol);
+    }
+
+    /// A reader that serves `data`, then EOF, and notes the largest buffer
+    /// it was asked to fill.
+    struct Stingy {
+        data: Vec<u8>,
+        pos: usize,
+        largest_ask: usize,
+    }
+
+    impl Read for Stingy {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_ask = self.largest_ask.max(buf.len());
+            let n = buf.len().min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_cut_short_is_an_io_error_and_commits_only_what_arrived() {
+        let mut data = (64u32 << 20).to_le_bytes().to_vec();
+        data.extend([7u8; 10]);
+        let mut r = Stingy {
+            data,
+            pos: 0,
+            largest_ask: 0,
+        };
+        let err = read_frame(&mut r).expect_err("EOF mid-frame");
+        assert_eq!(err.kind, RemoteFault::Io, "{err}");
+        assert!(
+            r.largest_ask < 1 << 20,
+            "asked to fill {} bytes of a frame that sent 10",
+            r.largest_ask
+        );
     }
 }

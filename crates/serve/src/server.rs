@@ -12,7 +12,7 @@
 //! state between frames, so a client that hangs up mid-save leaves
 //! nothing behind.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -84,9 +84,13 @@ struct Shared {
     fault: FaultSpec,
     stats: ServerStats,
     shutdown: AtomicBool,
-    queue: Mutex<VecDeque<TcpStream>>,
+    /// Accepted connections waiting for a worker, with their ids.
+    queue: Mutex<VecDeque<(u64, TcpStream)>>,
     available: Condvar,
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every open connection's socket by id, so shutdown can
+    /// unblock the workers parked on them; a worker removes its entry
+    /// when the connection ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A running server: bind, serve, shut down. Dropping the handle
@@ -132,7 +136,7 @@ impl ServerHandle {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         // Unblock workers parked on reads.
-        for c in self.shared.conns.lock().expect("conns lock").iter() {
+        for c in self.shared.conns.lock().expect("conns lock").values() {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
         self.shared.available.notify_all();
@@ -176,7 +180,7 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<ServerHandle, ServeErro
         shutdown: AtomicBool::new(false),
         queue: Mutex::new(VecDeque::new()),
         available: Condvar::new(),
-        conns: Mutex::new(Vec::new()),
+        conns: Mutex::new(HashMap::new()),
     });
 
     let workers = (0..config.effective_workers())
@@ -193,7 +197,7 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<ServerHandle, ServeErro
     let accept_thread = std::thread::Builder::new()
         .name("rr-serve-accept".to_string())
         .spawn(move || {
-            for conn in listener.incoming() {
+            for (id, conn) in (0u64..).zip(listener.incoming()) {
                 if accept_shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
@@ -201,13 +205,17 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<ServerHandle, ServeErro
                 // Request/response protocol: never batch small frames.
                 let _ = stream.set_nodelay(true);
                 if let Ok(clone) = stream.try_clone() {
-                    accept_shared.conns.lock().expect("conns lock").push(clone);
+                    accept_shared
+                        .conns
+                        .lock()
+                        .expect("conns lock")
+                        .insert(id, clone);
                 }
                 accept_shared
                     .queue
                     .lock()
                     .expect("queue lock")
-                    .push_back(stream);
+                    .push_back((id, stream));
                 accept_shared.available.notify_one();
             }
             // Wake every worker so they observe shutdown.
@@ -225,7 +233,7 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<ServerHandle, ServeErro
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let stream = {
+        let (id, stream) = {
             let mut queue = shared.queue.lock().expect("queue lock");
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -238,8 +246,9 @@ fn worker_loop(shared: &Shared) {
             }
         };
         // A protocol error or client disconnect ends this connection
-        // only; the worker goes back for the next one.
+        // only; the worker closes it and goes back for the next one.
         let _ = handle_connection(shared, stream);
+        shared.conns.lock().expect("conns lock").remove(&id);
     }
 }
 

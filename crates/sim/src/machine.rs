@@ -1,7 +1,7 @@
 use core::fmt;
 
 use relaxreplay::trace::TraceEvent;
-use relaxreplay::{IntervalLog, Recorder, RecorderStats, RunTrace, TraceRing};
+use relaxreplay::{IntervalLog, LineHashes, Recorder, RecorderStats, RunTrace, TraceRing};
 use rr_cpu::{Core, CoreObserver, CoreStats, PerformRecord};
 use rr_isa::{MemImage, Program};
 use rr_mem::{CoherenceMode, CoreId, MemStats, MemTickOutput, MemorySystem};
@@ -159,6 +159,13 @@ pub enum SimError {
         /// Cores available.
         cores: usize,
     },
+    /// A recorder variant that cannot share the first variant's TRAQ
+    /// ([`RecorderConfig::shares_traq_with`](relaxreplay::RecorderConfig::shares_traq_with)):
+    /// one recorder per core drives every variant through one TRAQ.
+    MixedTraq {
+        /// Index of the first such variant.
+        variant: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -168,6 +175,11 @@ impl fmt::Display for SimError {
             SimError::TooManyThreads { threads, cores } => {
                 write!(f, "{threads} threads but only {cores} cores")
             }
+            SimError::MixedTraq { variant } => write!(
+                f,
+                "recorder variant {variant} differs from variant 0 in traq_entries, \
+                 count_per_cycle or nmi_max; variants recorded together share one TRAQ"
+            ),
         }
     }
 }
@@ -222,6 +234,8 @@ fn mix64(mut x: u64) -> u64 {
 struct SchedulePlanner {
     strategy: ScheduleStrategy,
     consecutive: Vec<u32>,
+    /// `mix64(core)` of each core, the per-core half of the stall hash.
+    core_hashes: Vec<u64>,
 }
 
 impl SchedulePlanner {
@@ -229,6 +243,7 @@ impl SchedulePlanner {
         SchedulePlanner {
             strategy: strategy.clone(),
             consecutive: vec![0; n],
+            core_hashes: (0..n as u64).map(mix64).collect(),
         }
     }
 
@@ -257,7 +272,7 @@ impl SchedulePlanner {
         else {
             return false;
         };
-        let h = mix64(seed ^ mix64(cycle ^ mix64(core as u64)));
+        let h = mix64(seed ^ mix64(cycle ^ self.core_hashes[core]));
         if h % 1000 < u64::from(stall_permille) && self.consecutive[core] < max_consecutive {
             self.consecutive[core] += 1;
             true
@@ -344,47 +359,42 @@ pub struct SinkFaultReport {
     pub prefix_intact: bool,
 }
 
-/// Everything observing one core: its recorder in every variant, then its
-/// load-value collector. A dispatch is allowed only if **every** observer
-/// allows it, and every observer sees every offer (no short-circuit), so
-/// their views of the core stay identical; the variants agree on TRAQ
-/// occupancy because TRAQ dynamics depend neither on the Base/Opt
-/// distinction nor on the interval length.
-struct CoreFanout<'a> {
-    /// Variant-major: `recorders[v][core]`.
-    recorders: &'a mut [Vec<Recorder>],
-    core: usize,
-    tracer: &'a mut TraceCollector,
+/// Everything observing one core: its recorder, when any variant is
+/// attached, then its load-value collector (which never refuses a
+/// dispatch).
+struct CoreObservers<'a> {
+    recorder: Option<&'a mut Recorder>,
+    values: &'a mut TraceCollector,
 }
 
-impl CoreObserver for CoreFanout<'_> {
+impl CoreObserver for CoreObservers<'_> {
     fn on_dispatch(&mut self, seq: u64, is_mem: bool) -> bool {
-        let mut ok = true;
-        for variant in self.recorders.iter_mut() {
-            ok &= variant[self.core].on_dispatch(seq, is_mem);
-        }
-        ok & self.tracer.on_dispatch(seq, is_mem)
+        let recorded = self
+            .recorder
+            .as_deref_mut()
+            .is_none_or(|r| r.on_dispatch(seq, is_mem));
+        recorded && self.values.on_dispatch(seq, is_mem)
     }
 
     fn on_perform(&mut self, record: &PerformRecord) {
-        for variant in self.recorders.iter_mut() {
-            variant[self.core].on_perform(record);
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.on_perform(record);
         }
-        self.tracer.on_perform(record);
+        self.values.on_perform(record);
     }
 
     fn on_retire(&mut self, seq: u64, is_mem: bool, cycle: u64) {
-        for variant in self.recorders.iter_mut() {
-            variant[self.core].on_retire(seq, is_mem, cycle);
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.on_retire(seq, is_mem, cycle);
         }
-        self.tracer.on_retire(seq, is_mem, cycle);
+        self.values.on_retire(seq, is_mem, cycle);
     }
 
     fn on_squash_after(&mut self, seq: u64, cycle: u64) {
-        for variant in self.recorders.iter_mut() {
-            variant[self.core].on_squash_after(seq, cycle);
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.on_squash_after(seq, cycle);
         }
-        self.tracer.on_squash_after(seq, cycle);
+        self.values.on_squash_after(seq, cycle);
     }
 }
 
@@ -404,6 +414,12 @@ pub(crate) fn run_machine(
             cores: cfg.num_cores,
         });
     }
+    if let Some(variant) = configs
+        .iter()
+        .position(|c| !c.shares_traq_with(&configs[0]))
+    {
+        return Err(SimError::MixedTraq { variant });
+    }
     let specs: Vec<RecorderSpec> = configs
         .iter()
         .map(|c| RecorderSpec {
@@ -419,49 +435,45 @@ pub(crate) fn run_machine(
         .enumerate()
         .map(|(i, p)| Core::new(CoreId::new(i as u8), cfg.cpu.clone(), p))
         .collect();
-    // variant-major storage: recorders[v][core].
-    let mut recorders: Vec<Vec<Recorder>> = configs
-        .iter()
-        .map(|c| {
-            (0..n)
-                .map(|i| Recorder::new(CoreId::new(i as u8), c.clone()))
-                .collect()
-        })
-        .collect();
+    // Failing-sink pressure: a shadow copy of the first variant, streaming
+    // into sinks that fault mid-record. It rides along as one more variant
+    // (observing the identical event stream) and is split off before
+    // results are collected, so it can be audited against the fault-free
+    // first variant without disturbing it.
+    let shadow = options
+        .pressure
+        .sink_fail_after
+        .filter(|_| !configs.is_empty());
+    let mut attached = configs.to_vec();
+    attached.extend(shadow.map(|_| configs[0].clone()));
+    // One recorder per core drives every variant; with none attached the
+    // cores run unobserved.
+    let plan = Recorder::hash_plan(&attached);
+    let mut recorders: Vec<Recorder> = if attached.is_empty() {
+        Vec::new()
+    } else {
+        (0..n)
+            .map(|i| Recorder::with_variants(CoreId::new(i as u8), &attached, &plan))
+            .collect()
+    };
     let mut report = PressureReport {
         preadvanced: options.pressure.preadvance_intervals,
         ..PressureReport::default()
     };
-    // Failing-sink pressure: a shadow copy of the first variant, streaming
-    // into sinks that fault mid-record. It rides along as an extra
-    // recorder "variant" (observing the identical event stream) and is
-    // popped before results are collected, so it can be audited against
-    // the fault-free first variant without disturbing it.
-    let mut sink_handles: Vec<std::sync::Arc<std::sync::Mutex<Vec<relaxreplay::LogEntry>>>> =
-        Vec::new();
-    if let Some(fail_after) = options.pressure.sink_fail_after {
-        if let Some(first) = configs.first() {
-            let shadow: Vec<Recorder> = (0..n)
-                .map(|i| {
-                    let mut rec = Recorder::new(CoreId::new(i as u8), first.clone());
-                    let sink = relaxreplay::FailingSink::new(fail_after);
-                    sink_handles.push(sink.handle());
-                    rec.set_sink(Box::new(sink));
-                    rec
-                })
-                .collect();
-            recorders.push(shadow);
+    let mut sink_handles = Vec::new();
+    if let Some(fail_after) = shadow {
+        for rec in &mut recorders {
+            let sink = relaxreplay::FailingSink::new(fail_after);
+            sink_handles.push(sink.handle());
+            rec.set_sink(configs.len(), Box::new(sink));
         }
     }
-    let has_shadow = !sink_handles.is_empty();
     // CISN-wrap pressure: burn through empty intervals before the first
     // instruction so the interesting part of the run records with its
     // interval counters near (and past) the 16-bit wrap point.
     if options.pressure.preadvance_intervals > 0 {
-        for variant in &mut recorders {
-            for rec in variant.iter_mut() {
-                rec.pre_advance_intervals(options.pressure.preadvance_intervals, 0);
-            }
+        for rec in &mut recorders {
+            rec.pre_advance_intervals(options.pressure.preadvance_intervals, 0);
         }
     }
     let mut planner = SchedulePlanner::new(&options.schedule, n);
@@ -472,8 +484,8 @@ pub(crate) fn run_machine(
     // level ring for coherence traffic. Capture never feeds back into the
     // recorders, so enabling it cannot perturb the recorded logs.
     let mut event_trace = if cfg.trace.enabled() && !configs.is_empty() {
-        for (i, rec) in recorders[0].iter_mut().enumerate() {
-            rec.set_tracer(TraceRing::new(CoreId::new(i as u8), &cfg.trace));
+        for (i, rec) in recorders.iter_mut().enumerate() {
+            rec.set_tracer(0, TraceRing::new(CoreId::new(i as u8), &cfg.trace));
         }
         Some(RunTrace::new(n, &cfg.trace))
     } else {
@@ -481,7 +493,9 @@ pub(crate) fn run_machine(
     };
     let directory = cfg.mem.mode == CoherenceMode::Directory;
     let mut out = MemTickOutput::default();
-    let mut edges: Vec<(CoreId, u64)> = Vec::new();
+    let mut line = LineHashes::default();
+    // Ordering replies to a snoop's requester: (variant, observer, interval).
+    let mut edges: Vec<(usize, CoreId, u64)> = Vec::new();
 
     let mut cycle = 0u64;
     let final_cycle = loop {
@@ -500,44 +514,42 @@ pub(crate) fn run_machine(
                     },
                 );
             }
-            for variant in &mut recorders {
-                // Observers process the snoop, then "reply" with ordering
-                // information for the requester's current interval — the
-                // Cyrus-style piggyback the paper's §3.6 pairing implies.
-                edges.clear();
-                for (i, rec) in variant.iter_mut().enumerate() {
-                    let core = CoreId::new(i as u8);
-                    if snoop.scope.observes(core) {
-                        rec.on_snoop(snoop.line, snoop.is_write, cycle);
-                        if let Some(ord) = rec.intervals_completed().checked_sub(1) {
-                            edges.push((core, ord));
+            // Hashed once for every observer. Observers process the snoop,
+            // then "reply" with ordering information for the requester's
+            // current interval in each variant — the Cyrus-style piggyback
+            // the paper's §3.6 pairing implies.
+            plan.hash(snoop.line, &mut line);
+            edges.clear();
+            for (i, rec) in recorders.iter_mut().enumerate() {
+                let core = CoreId::new(i as u8);
+                if snoop.scope.observes(core) {
+                    rec.on_hashed_snoop(&line, snoop.is_write, cycle);
+                    for v in 0..rec.variants() {
+                        if let Some(ord) = rec.intervals_completed(v).checked_sub(1) {
+                            edges.push((v, core, ord));
                         }
                     }
                 }
-                if snoop.from.index() < n {
-                    let requester = &mut variant[snoop.from.index()];
-                    for &(core, ord) in &edges {
-                        requester.on_predecessor(core, ord);
-                    }
+            }
+            if let Some(requester) = recorders.get_mut(snoop.from.index()) {
+                for &(v, core, ord) in &edges {
+                    requester.on_predecessor(v, core, ord);
                 }
             }
         }
         if directory {
             for &(core, line) in &out.dirty_evictions {
-                if core.index() < n {
-                    for variant in &mut recorders {
-                        variant[core.index()].on_dirty_eviction(line, cycle);
-                    }
+                if let Some(rec) = recorders.get_mut(core.index()) {
+                    rec.on_dirty_eviction(line, cycle);
                 }
             }
         }
         planner.fill_order(cycle, &mut tick_order);
         for &i in &tick_order {
             let stalled = planner.stalls(cycle, i);
-            let mut fanout = CoreFanout {
-                recorders: &mut recorders,
-                core: i,
-                tracer: &mut tracers[i],
+            let mut observers = CoreObservers {
+                recorder: recorders.get_mut(i),
+                values: &mut tracers[i],
             };
             if stalled {
                 // A stalled pipeline still performs accesses whose
@@ -546,25 +558,21 @@ pub(crate) fn run_machine(
                 // conflicting snoop can land between completion and
                 // perform and the recorder never sees the conflict.
                 report.stalled_ticks += 1;
-                cores[i].drain_completions(cycle, &mut img, &mut fanout);
+                cores[i].drain_completions(cycle, &mut img, &mut observers);
             } else {
-                cores[i].tick(cycle, &mut img, &mut mem, &mut fanout);
+                cores[i].tick(cycle, &mut img, &mut mem, &mut observers);
             }
         }
         if let Some(period) = options.pressure.force_close_period {
             if period > 0 && cycle > 0 && cycle.is_multiple_of(period) {
-                for variant in &mut recorders {
-                    for rec in variant.iter_mut() {
-                        rec.force_terminate(cycle);
-                        report.forced_closes += 1;
-                    }
+                for rec in &mut recorders {
+                    rec.force_terminate(cycle);
+                    report.forced_closes += rec.variants() as u64;
                 }
             }
         }
-        for variant in &mut recorders {
-            for rec in variant.iter_mut() {
-                rec.tick(cycle);
-            }
+        for rec in &mut recorders {
+            rec.tick(cycle);
         }
         if cfg.invariant_check_period > 0 && cycle.is_multiple_of(cfg.invariant_check_period) {
             rr_mem::invariants::assert_swmr(&mem);
@@ -578,67 +586,67 @@ pub(crate) fn run_machine(
         }
     };
 
-    let shadow_recs = if has_shadow { recorders.pop() } else { None };
-    let mut variants = Vec::with_capacity(specs.len());
-    for (vi, (spec, mut recs)) in specs.iter().zip(recorders).enumerate() {
-        for r in &mut recs {
-            r.finish(final_cycle);
-        }
-        if vi == 0 {
-            if let Some(t) = &mut event_trace {
-                for (i, r) in recs.iter_mut().enumerate() {
-                    if let Some(ring) = r.take_tracer() {
-                        t.cores[i] = ring;
-                    }
-                }
+    let mut sink_report = shadow.map(|_| SinkFaultReport {
+        prefix_intact: true,
+        ..SinkFaultReport::default()
+    });
+    let mut recordings = Vec::with_capacity(n);
+    for (i, mut rec) in recorders.into_iter().enumerate() {
+        rec.finish(final_cycle);
+        if let Some(t) = &mut event_trace {
+            if let Some(ring) = rec.take_tracer(0) {
+                t.cores[i] = ring;
             }
         }
-        let stats = recs.iter().map(|r| r.stats().clone()).collect();
-        let (logs, mut ordering): (_, Vec<_>) = recs.into_iter().map(Recorder::into_parts).unzip();
-        // Every consumer gets the reduced form: only the edges replay needs.
-        relaxreplay::reduce_orderings(&mut ordering);
-        variants.push(VariantResult {
-            spec: spec.clone(),
-            logs,
-            stats,
-            ordering,
-        });
+        if let Some(sink) = &mut sink_report {
+            let v = configs.len();
+            sink.poisoned.push(rec.is_poisoned(v));
+            sink.streamed.push(rec.streamed_entries(v));
+            sink.errors.push(
+                rec.sink_error(v)
+                    .map(ToString::to_string)
+                    .unwrap_or_default(),
+            );
+        }
+        recordings.push(rec.into_recordings().into_iter());
     }
+    let variants: Vec<VariantResult> = specs
+        .into_iter()
+        .map(|spec| {
+            let (mut logs, mut stats, mut ordering) = (Vec::new(), Vec::new(), Vec::new());
+            for r in recordings.iter_mut().filter_map(Iterator::next) {
+                logs.push(r.log);
+                stats.push(r.stats);
+                ordering.push(r.ordering);
+            }
+            // Every consumer gets the reduced form: only the edges replay needs.
+            relaxreplay::reduce_orderings(&mut ordering);
+            VariantResult {
+                spec,
+                logs,
+                stats,
+                ordering,
+            }
+        })
+        .collect();
 
     // Audit the failing-sink shadow against the (fault-free) first
     // variant's final log: accepted prefix + retained buffer must
     // reproduce it exactly on every core.
-    if let Some(mut shadow) = shadow_recs {
-        for r in &mut shadow {
-            r.finish(final_cycle);
-        }
-        let mut sink_report = SinkFaultReport {
-            prefix_intact: true,
-            ..SinkFaultReport::default()
-        };
-        for r in &shadow {
-            sink_report.poisoned.push(r.is_poisoned());
-            sink_report.streamed.push(r.streamed_entries());
-            sink_report
-                .errors
-                .push(r.sink_error().map(ToString::to_string).unwrap_or_default());
-        }
-        for (i, r) in shadow.into_iter().enumerate() {
-            let buffered = r.into_log().entries;
-            sink_report.retained.push(buffered.len());
+    if let Some(mut sink) = sink_report {
+        for (i, r) in recordings.iter_mut().filter_map(Iterator::next).enumerate() {
+            let buffered = r.log.entries;
+            sink.retained.push(buffered.len());
             let mut combined = sink_handles[i]
                 .lock()
                 .expect("sink handle poisoned")
                 .clone();
             combined.extend(buffered);
-            if variants
-                .first()
-                .is_none_or(|v| v.logs[i].entries != combined)
-            {
-                sink_report.prefix_intact = false;
+            if variants[0].logs[i].entries != combined {
+                sink.prefix_intact = false;
             }
         }
-        report.sink = Some(sink_report);
+        report.sink = Some(sink);
     }
 
     Ok((
@@ -663,36 +671,33 @@ pub(crate) fn run_machine(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::RecordSession;
     use relaxreplay::{Design, RecorderConfig};
 
+    use super::SimError;
+
     #[test]
-    fn fanout_requires_unanimity_and_offers_to_all() {
-        // Variant 0's one-entry TRAQ is full after the first memory
-        // dispatch, so it refuses the second; variant 1 still accepts.
-        let mut small = RecorderConfig::splash_default(Design::Base, None);
-        small.traq_entries = 1;
-        let large = RecorderConfig::splash_default(Design::Opt, None);
-        let mut recorders = vec![
-            vec![Recorder::new(CoreId::new(0), small)],
-            vec![Recorder::new(CoreId::new(0), large)],
-        ];
-        let mut tracer = TraceCollector::new();
-        let mut fanout = CoreFanout {
-            recorders: &mut recorders,
-            core: 0,
-            tracer: &mut tracer,
-        };
-        assert!(fanout.on_dispatch(0, true));
-        assert!(
-            !fanout.on_dispatch(1, true),
-            "one refusal refuses the dispatch"
-        );
-        assert_eq!(recorders[0][0].traq_len(), 1);
-        assert_eq!(
-            recorders[1][0].traq_len(),
-            2,
-            "an observer after the refusing one must still see the offer"
-        );
+    fn variants_that_cannot_share_a_traq_are_refused_before_the_first_cycle() {
+        let w = rr_workloads::by_name("fft", 2, 1).expect("fft");
+        let mut small = RecorderConfig::splash_default(Design::Base, Some(4096));
+        small.traq_entries = 4;
+        let opt = RecorderConfig::splash_default(Design::Opt, Some(4096));
+        for configs in [[small.clone(), opt.clone()], [opt, small]] {
+            let refused = RecordSession::new(&w.programs, &w.initial_mem)
+                .recorder_configs(&configs)
+                .run();
+            assert_eq!(refused.err(), Some(SimError::MixedTraq { variant: 1 }));
+        }
+        let mut counting = RecorderConfig::splash_default(Design::Base, None);
+        let mut nmi = counting.clone();
+        counting.count_per_cycle = 4;
+        nmi.nmi_max = 3;
+        for odd in [counting, nmi] {
+            let configs = [RecorderConfig::splash_default(Design::Opt, None), odd];
+            let refused = RecordSession::new(&w.programs, &w.initial_mem)
+                .recorder_configs(&configs)
+                .run();
+            assert_eq!(refused.err(), Some(SimError::MixedTraq { variant: 1 }));
+        }
     }
 }
