@@ -188,9 +188,11 @@ pub struct Core<'p> {
     halted: bool,
     redirect_ready_at: u64,
     predictor: Predictor,
-    // ROB (circular, slot = seq % capacity; a squash reuses the seqs of
-    // the squashed path).
-    slots: Vec<Option<RobEntry>>,
+    // ROB: a ring of `rob_entries.next_power_of_two()` slots, slot =
+    // `seq & rob_mask`, filled on its first lap. Only `head_seq..next_seq`
+    // is live; a squash reuses the seqs of the squashed path.
+    slots: Vec<RobEntry>,
+    rob_mask: u64,
     head_seq: u64,
     next_seq: u64,
     // Register state.
@@ -244,7 +246,7 @@ impl<'p> Core<'p> {
     /// Creates a core that will execute `program`.
     #[must_use]
     pub fn new(id: CoreId, cfg: CpuConfig, program: &'p Program) -> Self {
-        let rob = cfg.rob_entries;
+        let ring = cfg.rob_entries.next_power_of_two();
         let predictor = Predictor::new(cfg.predictor_entries);
         Core {
             id,
@@ -255,7 +257,8 @@ impl<'p> Core<'p> {
             halted: false,
             redirect_ready_at: 0,
             predictor,
-            slots: vec![None; rob],
+            slots: Vec::with_capacity(ring),
+            rob_mask: ring as u64 - 1,
             head_seq: 0,
             next_seq: 0,
             regmap: [None; NUM_REGS],
@@ -265,7 +268,7 @@ impl<'p> Core<'p> {
                     producer: NO_PRODUCER,
                     consumers: Vec::new(),
                 };
-                rob
+                ring
             ],
             ready_q: VecDeque::new(),
             exec_inflight: Vec::new(),
@@ -326,16 +329,19 @@ impl<'p> Core<'p> {
     }
 
     fn slot_of(&self, seq: u64) -> usize {
-        (seq % self.slots.len() as u64) as usize
+        (seq & self.rob_mask) as usize
     }
 
+    /// The live entry `seq`. The ring holds at least `rob_entries` slots,
+    /// so the live range never wraps onto itself and the slot of a live
+    /// seq holds that seq.
     fn entry(&self, seq: u64) -> Option<&RobEntry> {
         if seq < self.head_seq || seq >= self.next_seq {
             return None;
         }
-        self.slots[self.slot_of(seq)]
-            .as_ref()
-            .filter(|e| e.seq == seq)
+        let e = &self.slots[self.slot_of(seq)];
+        debug_assert_eq!(e.seq, seq, "ROB slot holds another seq");
+        Some(e)
     }
 
     fn entry_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
@@ -343,7 +349,9 @@ impl<'p> Core<'p> {
             return None;
         }
         let idx = self.slot_of(seq);
-        self.slots[idx].as_mut().filter(|e| e.seq == seq)
+        let e = &mut self.slots[idx];
+        debug_assert_eq!(e.seq, seq, "ROB slot holds another seq");
+        Some(e)
     }
 
     /// Delivers a memory-system completion to this core. The request
@@ -961,8 +969,6 @@ impl<'p> Core<'p> {
                 debug_assert_eq!(popped, Some(head), "LSQ must retire in order");
             }
             self.blocking.remove(head);
-            let idx = self.slot_of(head);
-            self.slots[idx] = None;
             self.head_seq += 1;
         }
     }
@@ -1194,8 +1200,11 @@ impl<'p> Core<'p> {
             mem: mem_side,
         };
         let idx = self.slot_of(seq);
-        debug_assert!(self.slots[idx].is_none(), "ROB slot in use");
-        self.slots[idx] = Some(entry);
+        if idx == self.slots.len() {
+            self.slots.push(entry); // the ring's first lap
+        } else {
+            self.slots[idx] = entry;
+        }
 
         if let Some(d) = dest {
             self.regmap[d.index()] = Some(seq);
@@ -1254,10 +1263,8 @@ impl<'p> Core<'p> {
         obs: &mut dyn CoreObserver,
     ) {
         let mut victim: Option<(u64, u32)> = None;
-        for &s in &self.lsq {
-            if s <= store_seq {
-                continue;
-            }
+        let younger = self.lsq.partition_point(|&s| s <= store_seq);
+        for &s in self.lsq.range(younger..) {
             let Some(e) = self.entry(s) else { continue };
             let m = e.mem.as_ref().expect("LSQ entry has a mem side");
             // Performed loads read a stale value; issued-but-unperformed
@@ -1279,12 +1286,9 @@ impl<'p> Core<'p> {
     fn squash_after(&mut self, bseq: u64, new_pc: usize, cycle: u64, obs: &mut dyn CoreObserver) {
         self.stats.squashes += 1;
         for seq in (bseq + 1)..self.next_seq {
-            let idx = self.slot_of(seq);
-            if let Some(e) = self.slots[idx].take() {
-                debug_assert_eq!(e.seq, seq);
-                if e.stage == Stage::MemWait && matches!(e.instr, Instr::Load { .. }) {
-                    self.mem_wait_loads -= 1;
-                }
+            let e = self.entry(seq).expect("squashed seq is live");
+            if e.stage == Stage::MemWait && matches!(e.instr, Instr::Load { .. }) {
+                self.mem_wait_loads -= 1;
             }
         }
         self.outstanding_mem.truncate_after(bseq);

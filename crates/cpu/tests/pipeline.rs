@@ -23,12 +23,16 @@ fn run_system(programs: &[Program]) -> RunResult {
     run_system_with(programs, &mut NullObserver, MemImage::new())
 }
 
-fn run_system_with(
+fn run_system_with(programs: &[Program], obs: &mut dyn CoreObserver, img: MemImage) -> RunResult {
+    run_system_on(&CpuConfig::splash_default(), programs, obs, img)
+}
+
+fn run_system_on(
+    cfg: &CpuConfig,
     programs: &[Program],
     obs: &mut dyn CoreObserver,
     mut img: MemImage,
 ) -> RunResult {
-    let cfg = CpuConfig::splash_default();
     let mut mem = MemorySystem::new(MemConfig::splash_default(programs.len()));
     let mut cores: Vec<Core> = programs
         .iter()
@@ -367,4 +371,78 @@ fn perform_events_carry_values_and_retire_is_in_order() {
         .performs
         .iter()
         .any(|p| p.kind == rr_mem::AccessKind::Load && p.loaded == Some(9)));
+}
+
+/// Tracks how many instructions are in flight (dispatched, neither
+/// retired nor squashed) and the most there ever were.
+#[derive(Default)]
+struct RobOccupancy {
+    head: u64,
+    next: u64,
+    max: u64,
+}
+
+impl CoreObserver for RobOccupancy {
+    fn on_dispatch(&mut self, seq: u64, _is_mem: bool) -> bool {
+        assert_eq!(seq, self.next, "seqs are dispatched in order");
+        self.next = seq + 1;
+        self.max = self.max.max(self.next - self.head);
+        true
+    }
+    fn on_perform(&mut self, _r: &PerformRecord) {}
+    fn on_retire(&mut self, seq: u64, _m: bool, _c: u64) {
+        assert_eq!(seq, self.head, "retirement is in order");
+        self.head = seq + 1;
+    }
+    fn on_squash_after(&mut self, seq: u64, _cycle: u64) {
+        self.next = seq + 1;
+    }
+}
+
+#[test]
+fn rob_holds_at_most_rob_entries_at_any_ring_size() {
+    // A loop around a dependent multiply chain: the chain retires one
+    // iteration per 4 cycles while dispatch could take 4 instructions a
+    // cycle, so the ROB fills. Its seqs wrap the ROB ring many times, with
+    // loads, stores and a mispredicted exit on the way.
+    let mut b = ProgramBuilder::new();
+    let (i, acc, limit, base) = (r(1), r(2), r(3), r(4));
+    b.load_imm(i, 0)
+        .load_imm(acc, 1)
+        .load_imm(limit, 300)
+        .load_imm(base, 0x4000);
+    let top = b.bind_new();
+    b.op_imm(rr_isa::AluOp::Mul, acc, acc, 3);
+    b.add(acc, acc, i);
+    b.op_imm(rr_isa::AluOp::And, r(5), i, 7);
+    b.op_imm(rr_isa::AluOp::Shl, r(5), r(5), 3);
+    b.add(r(6), base, r(5));
+    b.store(acc, r(6), 0);
+    b.load(r(7), base, 0);
+    b.add_imm(i, i, 1);
+    b.branch(BranchCond::Lt, i, limit, top);
+    b.halt();
+    let p = b.build();
+    let (ref_img, ref_regs) = run_interp(&p);
+
+    // 176 is Table 1's ROB, a ring of 256 slots; 5 is a ring of 8.
+    for rob_entries in [176, 5] {
+        let cfg = CpuConfig {
+            rob_entries,
+            ..CpuConfig::splash_default()
+        };
+        let mut obs = RobOccupancy::default();
+        let run = run_system_on(&cfg, std::slice::from_ref(&p), &mut obs, MemImage::new());
+        assert!(run.img.contents_eq(&ref_img), "memory at ROB {rob_entries}");
+        assert_eq!(run.committed[0], ref_regs, "registers at ROB {rob_entries}");
+        assert_eq!(
+            obs.max, rob_entries as u64,
+            "ROB {rob_entries} fills, never more"
+        );
+        assert!(
+            run.stats[0].rob_stall_cycles > 0,
+            "the chain stalls dispatch at ROB {rob_entries}: {:?}",
+            run.stats[0]
+        );
+    }
 }

@@ -1,8 +1,9 @@
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 
 use crate::{
-    cache::SetAssocCache, config::CoherenceMode, CoreId, CoreSet, IdHashMap, LineAddr, MemConfig,
-    MemStats, MesiState,
+    cache::SetAssocCache, config::CoherenceMode, CoreId, CoreSet, IdHashMap, IdHasher, LineAddr,
+    MemConfig, MemStats, MesiState,
 };
 
 /// Identifier of an in-flight memory request, matched against
@@ -193,6 +194,12 @@ pub struct MemorySystem {
     l2: SetAssocCache<()>,
     pending: VecDeque<Pending>,
     inflight: Vec<Inflight>,
+    /// The lines of `inflight`: `launch` adds, `deliver_completions`
+    /// removes.
+    busy_lines: HashSet<LineAddr, BuildHasherDefault<IdHasher>>,
+    /// Per core, its requests in `pending` plus its transactions in
+    /// `inflight`.
+    outstanding: Vec<usize>,
     /// Completions due this cycle, moved out of `inflight` (kept to reuse
     /// its capacity).
     completing: Vec<Inflight>,
@@ -233,6 +240,8 @@ impl MemorySystem {
             l2: SetAssocCache::new(l2_sets, cfg.l2_assoc),
             pending: VecDeque::new(),
             inflight: Vec::new(),
+            busy_lines: HashSet::default(),
+            outstanding: vec![0; cfg.num_cores],
             completing: Vec::new(),
             snoops: Vec::new(),
             next_req: 0,
@@ -272,8 +281,7 @@ impl MemorySystem {
     /// Number of outstanding (pending + in-flight) transactions for `core`.
     #[must_use]
     pub fn outstanding(&self, core: CoreId) -> usize {
-        self.pending.iter().filter(|p| p.core == core).count()
-            + self.inflight.iter().filter(|t| t.core == core).count()
+        self.outstanding[core.index()]
     }
 
     /// True when no request is queued or in flight.
@@ -354,6 +362,7 @@ impl MemorySystem {
             return Response::Retry;
         }
         self.next_req += 1;
+        self.outstanding[core.index()] += 1;
         self.pending.push_back(Pending {
             core,
             kind,
@@ -374,6 +383,24 @@ impl MemorySystem {
         self.deliver_snoops(cycle, out);
         self.deliver_completions(cycle, out);
         self.grant(cycle, out);
+        debug_assert!(
+            self.busy_lines.len() == self.inflight.len()
+                && self
+                    .inflight
+                    .iter()
+                    .all(|t| self.busy_lines.contains(&t.line)),
+            "busy-line set"
+        );
+        debug_assert!(
+            self.outstanding.iter().enumerate().all(|(i, &n)| {
+                let cores = self.pending.iter().map(|p| p.core);
+                n == cores
+                    .chain(self.inflight.iter().map(|t| t.core))
+                    .filter(|c| c.index() == i)
+                    .count()
+            }),
+            "per-core outstanding counts"
+        );
     }
 
     fn deliver_snoops(&mut self, cycle: u64, out: &mut MemTickOutput) {
@@ -406,6 +433,8 @@ impl MemorySystem {
         let mut done = std::mem::take(&mut self.completing);
         done.extend(self.inflight.extract_if(.., |t| t.complete_at == cycle));
         for t in done.drain(..) {
+            self.busy_lines.remove(&t.line);
+            self.outstanding[t.core.index()] -= 1;
             self.install(t.core, t.line, t.install, out);
             out.completions.extend(t.reqs.iter().map(|&req| Completion {
                 core: t.core,
@@ -414,12 +443,6 @@ impl MemorySystem {
             }));
         }
         self.completing = done;
-    }
-
-    /// A line is busy while an in-flight transaction holds it; since no
-    /// request to a busy line is granted, at most one ever does.
-    fn line_busy(&self, line: LineAddr) -> bool {
-        self.inflight.iter().any(|t| t.line == line)
     }
 
     fn install(&mut self, core: CoreId, line: LineAddr, state: MesiState, out: &mut MemTickOutput) {
@@ -449,7 +472,9 @@ impl MemorySystem {
         let mut i = 0;
         while i < self.pending.len() {
             let p = &self.pending[i];
-            if self.line_busy(p.line) {
+            // A line is busy while an in-flight transaction holds it; since
+            // no request to a busy line is granted, at most one ever does.
+            if self.busy_lines.contains(&p.line) {
                 i += 1;
                 continue;
             }
@@ -461,6 +486,7 @@ impl MemorySystem {
             };
             if quick {
                 let p = self.pending.remove(i).expect("index in range");
+                self.outstanding[p.core.index()] -= 1;
                 self.stats.quick_grants += 1;
                 self.stats.queue_wait_cycles += cycle - p.enqueued;
                 if p.kind.needs_write() {
@@ -564,6 +590,8 @@ impl MemorySystem {
                 scope,
             },
         });
+        let fresh = self.busy_lines.insert(p.line);
+        debug_assert!(fresh, "a busy line is never granted");
         self.inflight.push(Inflight {
             core: p.core,
             line: p.line,

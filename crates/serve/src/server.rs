@@ -17,6 +17,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use rr_sim::RemoteFault;
 
@@ -201,22 +202,9 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<ServerHandle, ServeErro
                 if accept_shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = conn else { continue };
-                // Request/response protocol: never batch small frames.
-                let _ = stream.set_nodelay(true);
-                if let Ok(clone) = stream.try_clone() {
-                    accept_shared
-                        .conns
-                        .lock()
-                        .expect("conns lock")
-                        .insert(id, clone);
+                if !admit(&accept_shared, id, conn) {
+                    std::thread::sleep(ACCEPT_BACKOFF);
                 }
-                accept_shared
-                    .queue
-                    .lock()
-                    .expect("queue lock")
-                    .push_back((id, stream));
-                accept_shared.available.notify_one();
             }
             // Wake every worker so they observe shutdown.
             accept_shared.available.notify_all();
@@ -229,6 +217,28 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<ServerHandle, ServeErro
         accept_thread: Some(accept_thread),
         workers,
     })
+}
+
+/// How long the accept loop waits after a failed `accept`. An error such
+/// as EMFILE lasts until some connection closes, so retrying at once spins.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Hands one `accept` result to the workers: registers the connection
+/// under `id` and queues it. Returns `false` if `accept` failed.
+fn admit(shared: &Shared, id: u64, conn: std::io::Result<TcpStream>) -> bool {
+    let Ok(stream) = conn else { return false };
+    // Request/response protocol: never batch small frames.
+    let _ = stream.set_nodelay(true);
+    if let Ok(clone) = stream.try_clone() {
+        shared.conns.lock().expect("conns lock").insert(id, clone);
+    }
+    shared
+        .queue
+        .lock()
+        .expect("queue lock")
+        .push_back((id, stream));
+    shared.available.notify_one();
+    true
 }
 
 fn worker_loop(shared: &Shared) {
@@ -321,5 +331,47 @@ fn handle_request(shared: &Shared, stream: &TcpStream, msg: Msg) -> Result<Msg, 
             RemoteFault::Protocol,
             format!("unexpected client frame {other:?}"),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn admit_queues_an_accepted_connection_and_refuses_a_failed_accept() {
+        let root = std::env::temp_dir().join(format!("rr_serve_admit_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let shared = Shared {
+            store: ChunkStore::open(&root).expect("open store"),
+            fault: FaultSpec::default(),
+            stats: ServerStats::default(),
+            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            conns: Mutex::new(HashMap::new()),
+        };
+        // EMFILE: the process is out of file descriptors. Nothing is
+        // queued, and the loop is told to back off.
+        let emfile = std::io::Error::from_raw_os_error(24);
+        assert!(!admit(&shared, 0, Err(emfile)));
+        assert!(shared.queue.lock().unwrap().is_empty());
+        assert!(shared.conns.lock().unwrap().is_empty());
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        assert!(admit(&shared, 1, Ok(stream)));
+        let queued: Vec<u64> = shared
+            .queue
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(id, _)| *id)
+            .collect();
+        assert_eq!(queued, [1]);
+        assert!(shared.conns.lock().unwrap().contains_key(&1));
+        drop(shared);
+        std::fs::remove_dir_all(&root).expect("remove store");
     }
 }

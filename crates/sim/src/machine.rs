@@ -258,8 +258,9 @@ impl SchedulePlanner {
             _ => 0,
         };
         for (k, slot) in order.iter_mut().enumerate() {
-            *slot = (start + k) % n.max(1);
+            *slot = k;
         }
+        order.rotate_left(start);
     }
 
     /// Whether `core` skips its pipeline tick this cycle.
